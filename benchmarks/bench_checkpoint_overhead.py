@@ -31,6 +31,7 @@ import time
 
 from benchmarks.conftest import BENCH_SCALE, run_once
 from repro.experiments.common import make_deployment, url_scenario
+from repro.persistence import DeploymentBundle
 from repro.reliability import CheckpointConfig
 
 #: Maximum tolerated cadence-dependent overhead at the default cadence.
@@ -74,13 +75,31 @@ def test_checkpoint_overhead(benchmark, report, bench_record):
                 directory=root, cadence_chunks=CADENCE, keep=3
             )
             deployment = _fitted(bench, checkpoint=config)
-            result = deployment.run(
+            deployment.run(
                 itertools.islice(bench.make_stream(), PREFIX_CHUNKS)
             )
-            deployment._write_checkpoint(PREFIX_CHUNKS, result)
+            manager = deployment.platform.manager
+
+            def write() -> None:
+                # What the loop writes every CADENCE chunks, minus its
+                # two short history lists: bundle, component state
+                # dicts, telemetry state and the storage manifest.
+                deployment.reliability.write(
+                    PREFIX_CHUNKS,
+                    deployment.approach,
+                    DeploymentBundle(
+                        pipeline=manager.pipeline,
+                        model=manager.model,
+                        optimizer=manager.optimizer,
+                    ),
+                    {"deployment": deployment.state_dict()},
+                    storage=deployment.platform.data_manager.storage,
+                )
+
+            write()
             started = time.perf_counter()
             for _ in range(WRITE_SAMPLES):
-                deployment._write_checkpoint(PREFIX_CHUNKS, result)
+                write()
             return (time.perf_counter() - started) / WRITE_SAMPLES
 
     per_checkpoint = run_once(benchmark, steady_state_write_seconds)

@@ -1,9 +1,9 @@
 """Telemetry overhead guard.
 
 The observability layer's contract is that *disabled* telemetry is
-effectively free: every hot call site either takes an
-``if self._obs is None`` fast path or calls the no-op
-:class:`~repro.obs.trace.NullTracer`, whose ``span`` returns one
+effectively free: every hot call site — each execution-engine
+operation included, which is written once for both modes — calls the
+no-op :class:`~repro.obs.trace.NullTracer`, whose ``span`` returns one
 shared do-nothing context manager.
 
 This benchmark makes that contract executable:
@@ -17,8 +17,7 @@ This benchmark makes that contract executable:
    baseline.
 
 The projection is deliberately pessimistic — it prices every traced
-event at full no-op-span cost, while point events and fast-path sites
-are cheaper still.
+event at full no-op-span cost, while point events are cheaper still.
 """
 
 from __future__ import annotations

@@ -226,28 +226,16 @@ class Deployment(ABC):
             f"{self.approach!r} deployment does not support recovery"
         )
 
-    def _checkpoint_state(self) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         """Approach-specific mutable state to checkpoint."""
         return {}
 
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore state captured by :meth:`_checkpoint_state`."""
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore state captured by :meth:`state_dict`."""
 
     def _chunk_store(self) -> Optional[ChunkStorage]:
         """The chunk storage to spill/restore (``None`` when stateless)."""
         return None
-
-    def _wire_reliability(self, data_manager) -> None:
-        """Attach fault injection / retries to a data manager.
-
-        Subclasses call this after building their
-        :class:`~repro.data.manager.DataManager` so ``storage.read``
-        faults fire on raw-chunk reads and transient ones are retried.
-        """
-        injector = self.reliability.injector
-        if len(injector.plan):
-            data_manager.storage.fault_injector = injector
-        data_manager.retrier = self.reliability.retrier
 
     # ------------------------------------------------------------------
     # The prequential loop
@@ -275,20 +263,9 @@ class Deployment(ABC):
         cursor. The completed result is byte-identical (predictions,
         cost totals, telemetry counters) to an uninterrupted run.
         """
-        store = self.reliability.store
-        if store is None:
-            raise ReliabilityError(
-                "recover() requires the deployment to be constructed "
-                "with a checkpoint= option"
-            )
-        checkpoint = store.load_latest()
-        if checkpoint.approach != self.approach:
-            raise ReliabilityError(
-                f"checkpoint was written by a "
-                f"{checkpoint.approach!r} deployment; this one is "
-                f"{self.approach!r}"
-            )
-        return self._run_loop(stream, resume=checkpoint)
+        return self._run_loop(
+            stream, resume=self.reliability.load(self.approach)
+        )
 
     def _run_loop(
         self,
@@ -300,7 +277,6 @@ class Deployment(ABC):
         chunk_index = 0
         if resume is not None:
             self._restore_checkpoint(resume, result)
-            self.reliability.mark_recovered(resume)
             self.reliability.skip_chunks(iterator, resume.cursor)
             chunk_index = resume.cursor
         while True:
@@ -341,47 +317,21 @@ class Deployment(ABC):
     def _write_checkpoint(
         self, cursor: int, result: DeploymentResult
     ) -> None:
-        # begin_checkpoint() increments the written counter *before*
-        # the metrics capture below so the checkpoint's own write is
-        # part of the state it saves (telemetry byte-identity across
-        # recovery).
-        self.reliability.begin_checkpoint()
         pipeline, model, optimizer = self._artifacts()
-        state: Dict[str, Any] = {
-            "prequential": self.prequential.state_dict(),
-            "error_history": list(result.error_history),
-            "cost_history": list(result.cost_history),
-            "metrics": (
-                self.telemetry.metrics.state_dict()
-                if self.telemetry.enabled
-                else None
-            ),
-            "monitor": (
-                self.telemetry.monitor.state_dict()
-                if self.telemetry.enabled
-                and self.telemetry.monitor is not None
-                else None
-            ),
-            "lineage": (
-                self.telemetry.ledger.state_dict()
-                if self.telemetry.enabled
-                and self.telemetry.ledger is not None
-                else None
-            ),
-            "deployment": self._checkpoint_state(),
-        }
-        checkpoint = PlatformCheckpoint(
-            cursor=cursor,
-            approach=self.approach,
-            bundle=DeploymentBundle(
+        self.reliability.write(
+            cursor,
+            self.approach,
+            DeploymentBundle(
                 pipeline=pipeline, model=model, optimizer=optimizer
             ),
-            state=state,
+            {
+                "prequential": self.prequential.state_dict(),
+                "error_history": list(result.error_history),
+                "cost_history": list(result.cost_history),
+                "deployment": self.state_dict(),
+            },
+            storage=self._chunk_store(),
         )
-        self.reliability.store.write(
-            checkpoint, storage=self._chunk_store()
-        )
-        self.reliability.last_checkpoint_cursor = cursor
 
     def _restore_checkpoint(
         self, checkpoint: PlatformCheckpoint, result: DeploymentResult
@@ -394,26 +344,8 @@ class Deployment(ABC):
         self.prequential.load_state_dict(state["prequential"])
         result.error_history = list(state["error_history"])
         result.cost_history = list(state["cost_history"])
-        if state.get("metrics") is not None and self.telemetry.enabled:
-            self.telemetry.metrics.load_state_dict(state["metrics"])
-        if (
-            state.get("monitor") is not None
-            and self.telemetry.enabled
-            and self.telemetry.monitor is not None
-        ):
-            self.telemetry.monitor.load_state_dict(state["monitor"])
-        if (
-            state.get("lineage") is not None
-            and self.telemetry.enabled
-            and self.telemetry.ledger is not None
-        ):
-            self.telemetry.ledger.load_state_dict(state["lineage"])
-        storage = self._chunk_store()
-        if storage is not None and checkpoint.manifest is not None:
-            self.reliability.store.restore_storage(
-                storage, checkpoint.manifest
-            )
-        self._restore_state(state["deployment"])
+        self.load_state_dict(state["deployment"])
+        self.reliability.restore(checkpoint, self._chunk_store())
 
     def _chunk_error(
         self, predictions: np.ndarray, labels: np.ndarray

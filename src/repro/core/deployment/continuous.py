@@ -116,10 +116,10 @@ class ContinuousDeployment(Deployment):
     def _chunk_store(self):
         return self.platform.data_manager.storage
 
-    def _checkpoint_state(self) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         return self.platform.state_dict()
 
-    def _restore_state(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.platform.load_state_dict(state)
 
     # ------------------------------------------------------------------

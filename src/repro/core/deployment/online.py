@@ -122,13 +122,13 @@ class OnlineDeployment(Deployment):
         self.optimizer = optimizer
         self.trainer = SGDTrainer(model, optimizer)
 
-    def _checkpoint_state(self) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         return {
             "online_updates": self.online_updates,
             "cost": self.engine.tracker.state_dict(),
         }
 
-    def _restore_state(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.online_updates = int(state["online_updates"])
         self.engine.tracker.load_state_dict(state["cost"])
 

@@ -116,7 +116,7 @@ class ThresholdRetrainingDeployment(Deployment):
             cost_model, telemetry=self.telemetry
         )
         self.data_manager = DataManager(seed=seed, telemetry=self.telemetry)
-        self._wire_reliability(self.data_manager)
+        self.reliability.guard_reads(self.data_manager)
         self.manager = PipelineManager(
             pipeline=pipeline,
             model=model,
@@ -237,7 +237,7 @@ class ThresholdRetrainingDeployment(Deployment):
     def _chunk_store(self):
         return self.data_manager.storage
 
-    def _checkpoint_state(self) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         return {
             "online_updates": self.online_updates,
             "retrainings": list(self.retrainings),
@@ -250,7 +250,7 @@ class ThresholdRetrainingDeployment(Deployment):
             "data_manager": self.data_manager.state_dict(),
         }
 
-    def _restore_state(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.online_updates = int(state["online_updates"])
         self.retrainings = list(state["retrainings"])
         self.retrain_durations = list(state["retrain_durations"])

@@ -30,7 +30,6 @@ from repro.data.manager import DataManager
 from repro.data.sampling import make_sampler
 from repro.data.storage import ChunkStorage
 from repro.data.table import Table
-from repro.exceptions import ReliabilityError
 from repro.execution.cost import CostModel
 from repro.obs import names
 from repro.execution.engine import LocalExecutionEngine
@@ -41,14 +40,10 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.persistence import DeploymentBundle
 from repro.pipeline.fingerprint import pipeline_fingerprint
 from repro.pipeline.pipeline import Pipeline
-from repro.reliability.checkpoint import (
-    CheckpointConfig,
-    CheckpointStore,
-    PlatformCheckpoint,
-    as_store,
-)
+from repro.reliability.checkpoint import CheckpointConfig, CheckpointStore
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.retry import Retrier, RetryPolicy
+from repro.reliability.runtime import ReliabilityRuntime
 from repro.utils.rng import SeedLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -129,22 +124,11 @@ class ContinuousDeploymentPlatform:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
-        if isinstance(fault_plan, FaultInjector):
-            self.fault_injector = fault_plan
-        else:
-            self.fault_injector = FaultInjector(
-                fault_plan, self.telemetry
-            )
-        if isinstance(retry, Retrier):
-            self.retrier: Optional[Retrier] = retry
-        elif retry is not None:
-            self.retrier = Retrier(retry, self.telemetry)
-        else:
-            self.retrier = None
-        armed = (
-            self.fault_injector
-            if len(self.fault_injector.plan)
-            else None
+        self.reliability = ReliabilityRuntime(
+            checkpoint=checkpoint,
+            fault_plan=fault_plan,
+            retry=retry,
+            telemetry=self.telemetry,
         )
         sampler = make_sampler(
             self.config.sampler,
@@ -156,7 +140,6 @@ class ContinuousDeploymentPlatform:
             metrics=(
                 self.telemetry.metrics if self.telemetry.enabled else None
             ),
-            fault_injector=armed,
         )
         self.engine = LocalExecutionEngine(
             cost_model, telemetry=self.telemetry
@@ -166,14 +149,8 @@ class ContinuousDeploymentPlatform:
             sampler=sampler,
             seed=seed,
             telemetry=self.telemetry,
-            retrier=self.retrier,
         )
-        self.checkpoint_store = as_store(
-            checkpoint,
-            telemetry=self.telemetry,
-            fault_injector=armed,
-            retrier=self.retrier,
-        )
+        self.reliability.guard_reads(self.data_manager)
         self.manager = PipelineManager(
             pipeline=pipeline,
             model=model,
@@ -295,11 +272,7 @@ class ContinuousDeploymentPlatform:
             outcome = (
                 self._run_proactive_training() if fired else None
             )
-        if (
-            self.checkpoint_store is not None
-            and self.chunks_observed % self.checkpoint_store.cadence
-            == 0
-        ):
+        if self.reliability.due(self.chunks_observed):
             self.checkpoint()
         return outcome
 
@@ -469,33 +442,16 @@ class ContinuousDeploymentPlatform:
 
     def checkpoint(self) -> Path:
         """Write a full platform checkpoint now; returns its path."""
-        if self.checkpoint_store is None:
-            raise ReliabilityError(
-                "platform was constructed without a checkpoint= option"
-            )
-        # The written counter increments before the metrics capture so
-        # the checkpoint's own write is part of the state it saves.
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                names.RELIABILITY_CHECKPOINTS_WRITTEN
-            ).inc()
-        state = self.state_dict()
-        if self.telemetry.enabled:
-            state["metrics"] = self.telemetry.metrics.state_dict()
-        if self.telemetry.ledger is not None:
-            state["lineage"] = self.telemetry.ledger.state_dict()
-        checkpoint = PlatformCheckpoint(
-            cursor=self.chunks_observed,
-            approach="platform",
-            bundle=DeploymentBundle(
+        return self.reliability.write(
+            self.chunks_observed,
+            "platform",
+            DeploymentBundle(
                 pipeline=self.manager.pipeline,
                 model=self.manager.model,
                 optimizer=self.manager.optimizer,
             ),
-            state=state,
-        )
-        return self.checkpoint_store.write(
-            checkpoint, storage=self.data_manager.storage
+            self.state_dict(),
+            storage=self.data_manager.storage,
         )
 
     @classmethod
@@ -518,8 +474,8 @@ class ContinuousDeploymentPlatform:
         from the saved cursor (``chunks_observed``); the continuation
         is byte-identical to an uninterrupted run.
         """
-        store = as_store(checkpoint, telemetry=telemetry)
-        saved = store.load_latest()
+        loader = ReliabilityRuntime(checkpoint, telemetry=telemetry)
+        saved = loader.load("platform")
         platform = cls(
             saved.bundle.pipeline,
             saved.bundle.model,
@@ -528,28 +484,13 @@ class ContinuousDeploymentPlatform:
             cost_model=cost_model,
             telemetry=telemetry,
             registry=registry,
-            checkpoint=store,
+            checkpoint=loader.store,
             fault_plan=fault_plan,
             retry=retry,
         )
-        if saved.manifest is not None:
-            store.restore_storage(
-                platform.data_manager.storage, saved.manifest
-            )
-        metrics_state = saved.state.get("metrics")
-        if metrics_state is not None and platform.telemetry.enabled:
-            platform.telemetry.metrics.load_state_dict(metrics_state)
-        lineage_state = saved.state.get("lineage")
-        if (
-            lineage_state is not None
-            and platform.telemetry.ledger is not None
-        ):
-            platform.telemetry.ledger.load_state_dict(lineage_state)
         platform.load_state_dict(saved.state)
-        platform.telemetry.tracer.point(
-            names.RELIABILITY_RECOVERED,
-            cursor=saved.cursor,
-            approach=saved.approach,
+        platform.reliability.restore(
+            saved, platform.data_manager.storage
         )
         return platform
 

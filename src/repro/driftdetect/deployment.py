@@ -178,8 +178,8 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
     # ------------------------------------------------------------------
     # Checkpoint/recovery hooks
     # ------------------------------------------------------------------
-    def _checkpoint_state(self):
-        state = super()._checkpoint_state()
+    def state_dict(self):
+        state = super().state_dict()
         state["drift"] = {
             "detector": self.detector.state_dict(),
             "drift_chunks": list(self.drift_chunks),
@@ -188,8 +188,8 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
         }
         return state
 
-    def _restore_state(self, state) -> None:
-        super()._restore_state(state)
+    def load_state_dict(self, state) -> None:
+        super().load_state_dict(state)
         drift = state["drift"]
         self.detector.load_state_dict(drift["detector"])
         self.drift_chunks = list(drift["drift_chunks"])

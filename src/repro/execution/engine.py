@@ -8,11 +8,10 @@ prediction flows through it so that cost-model charges and wall-clock
 timers are applied uniformly, whichever deployment approach is
 running.
 
-When a :class:`~repro.obs.telemetry.Telemetry` bundle is attached,
-every operation additionally becomes a traced span carrying the
-values-scanned count; the disabled default costs a single attribute
-check per call (``self._obs is None``), guarded by
-``benchmarks/bench_obs_overhead.py``.
+Each operation is written once, as a ``tracer.span`` around the wall
+timer. With telemetry attached the span is traced and carries the
+values-scanned count; the disabled default's tracer returns the shared
+no-op span (cost guarded by the observability-overhead benchmark).
 """
 
 from __future__ import annotations
@@ -63,54 +62,35 @@ class LocalExecutionEngine:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
-        #: Fast-path guard: ``None`` when telemetry is disabled.
-        self._obs = self.telemetry if self.telemetry.enabled else None
-        if self._obs is not None:
-            self._obs.bind_clock(self.total_cost)
+        self.telemetry.bind_clock(self.total_cost)
 
     # ------------------------------------------------------------------
     # Pipeline execution
     # ------------------------------------------------------------------
     def online_pass(self, pipeline: Pipeline, batch: Batch) -> Features:
         """Online path: update statistics then transform (training data)."""
-        if self._obs is None:
-            with self.wall:
-                return pipeline.update_transform_to_features(
-                    batch, self.tracker
-                )
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_ONLINE_PASS,
             values=PipelineComponent.batch_num_values(batch),
-        ):
-            with self.wall:
-                return pipeline.update_transform_to_features(
-                    batch, self.tracker
-                )
+        ), self.wall:
+            return pipeline.update_transform_to_features(batch, self.tracker)
 
     def transform_only(self, pipeline: Pipeline, batch: Batch) -> Features:
         """Serving / re-materialization path (no statistics writes)."""
-        if self._obs is None:
-            with self.wall:
-                return pipeline.transform_to_features(batch, self.tracker)
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_TRANSFORM_ONLY,
             values=PipelineComponent.batch_num_values(batch),
-        ):
-            with self.wall:
-                return pipeline.transform_to_features(batch, self.tracker)
+        ), self.wall:
+            return pipeline.transform_to_features(batch, self.tracker)
 
     def serve_transform(self, pipeline: Pipeline, batch: Batch) -> Batch:
         """Transform a prediction-query batch (may stop mid-pipeline
         for pipelines whose terminal stage needs labels)."""
-        if self._obs is None:
-            with self.wall:
-                return pipeline.transform(batch, self.tracker)
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_SERVE_TRANSFORM,
             values=PipelineComponent.batch_num_values(batch),
-        ):
-            with self.wall:
-                return pipeline.transform(batch, self.tracker)
+        ), self.wall:
+            return pipeline.transform(batch, self.tracker)
 
     # ------------------------------------------------------------------
     # Training execution
@@ -122,14 +102,10 @@ class LocalExecutionEngine:
         targets: np.ndarray,
     ) -> float:
         """One SGD iteration (online update or proactive training)."""
-        if self._obs is None:
-            with self.wall:
-                return trainer.step(features, targets, self.tracker)
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_STEP, values=_matrix_values(features)
-        ):
-            with self.wall:
-                return trainer.step(features, targets, self.tracker)
+        ), self.wall:
+            return trainer.step(features, targets, self.tracker)
 
     def train_full(
         self,
@@ -142,33 +118,19 @@ class LocalExecutionEngine:
         seed: SeedLike = None,
     ) -> TrainingResult:
         """A complete (re)training run — the periodical baseline."""
-        if self._obs is None:
-            with self.wall:
-                return trainer.train(
-                    features,
-                    targets,
-                    batch_size=batch_size,
-                    max_iterations=max_iterations,
-                    tolerance=tolerance,
-                    seed=seed,
-                    tracker=self.tracker,
-                )
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_FULL, values=_matrix_values(features)
-        ) as span:
-            with self.wall:
-                result = trainer.train(
-                    features,
-                    targets,
-                    batch_size=batch_size,
-                    max_iterations=max_iterations,
-                    tolerance=tolerance,
-                    seed=seed,
-                    tracker=self.tracker,
-                )
-            span.set(
-                iterations=result.iterations, converged=result.converged
+        ) as span, self.wall:
+            result = trainer.train(
+                features,
+                targets,
+                batch_size=batch_size,
+                max_iterations=max_iterations,
+                tolerance=tolerance,
+                seed=seed,
+                tracker=self.tracker,
             )
+            span.set(iterations=result.iterations, converged=result.converged)
             return result
 
     # ------------------------------------------------------------------
@@ -184,15 +146,11 @@ class LocalExecutionEngine:
         aligned (see ``tests/execution/test_engine.py``).
         """
         values = _matrix_values(features)
-        if self._obs is None:
-            with self.wall:
-                predictions = model.predict(features)
-                self.tracker.charge_prediction(values, "predict")
-            return predictions
-        with self._obs.tracer.span(names.ENGINE_PREDICT, values=values):
-            with self.wall:
-                predictions = model.predict(features)
-                self.tracker.charge_prediction(values, "predict")
+        with self.telemetry.tracer.span(
+            names.ENGINE_PREDICT, values=values
+        ), self.wall:
+            predictions = model.predict(features)
+            self.tracker.charge_prediction(values, "predict")
         return predictions
 
     def predict_batch(self, model, matrices) -> "list[np.ndarray]":
@@ -207,17 +165,11 @@ class LocalExecutionEngine:
         from repro.ml.batch import predict_batch
 
         values = sum(_matrix_values(m) for m in matrices)
-        if self._obs is None:
-            with self.wall:
-                predictions = predict_batch(model, matrices)
-                self.tracker.charge_prediction(values, "predict")
-            return predictions
-        with self._obs.tracer.span(
+        with self.telemetry.tracer.span(
             names.ENGINE_PREDICT, values=values, blocks=len(matrices)
-        ):
-            with self.wall:
-                predictions = predict_batch(model, matrices)
-                self.tracker.charge_prediction(values, "predict")
+        ), self.wall:
+            predictions = predict_batch(model, matrices)
+            self.tracker.charge_prediction(values, "predict")
         return predictions
 
     # ------------------------------------------------------------------
@@ -226,22 +178,18 @@ class LocalExecutionEngine:
     def read_chunk(self, values: int, label: str) -> None:
         """Charge a simulated disk read of one chunk of ``values``."""
         self.tracker.charge_disk_read(values, chunks=1, label=label)
-        if self._obs is not None:
-            self._obs.tracer.point(
-                names.ENGINE_READ_CHUNK, values=values, label=label
-            )
+        self.telemetry.tracer.point(
+            names.ENGINE_READ_CHUNK, values=values, label=label
+        )
 
     def total_cost(self) -> float:
         """Virtual-clock total in cost units."""
         return self.tracker.total()
 
     def reset(self) -> None:
-        """Zero both accounting clocks (cost tracker and wall timer).
-
-        Lets a caller reuse one engine across runs without carrying
-        charges over — the counterpart of :meth:`CostTracker.reset`
-        that previously left the wall clock running its old total.
-        """
+        """Zero both accounting clocks (cost tracker and wall timer), so
+        one engine can be reused across runs without carrying charges
+        over."""
         self.tracker.reset()
         self.wall.reset()
 

@@ -31,19 +31,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.exceptions import ReliabilityError
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import FleetSpec
 from repro.fleet.tenant import TenantRuntime
 from repro.fleet.triggers import TriggerPolicy
 from repro.obs import names
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.reliability.checkpoint import (
-    CheckpointConfig,
-    CheckpointStore,
-    PlatformCheckpoint,
-    as_store,
-)
+from repro.reliability.checkpoint import CheckpointConfig, CheckpointStore
+from repro.reliability.runtime import ReliabilityRuntime
 from repro.traffic.simulate import VirtualClock
 
 
@@ -113,7 +108,7 @@ class FleetOrchestrator:
         )
         self.clock = VirtualClock()
         self.scheduler = FleetScheduler(spec, triggers)
-        self.checkpoint_store = as_store(
+        self.reliability = ReliabilityRuntime(
             checkpoint, telemetry=self.telemetry
         )
         self.registry_root = registry_root
@@ -243,10 +238,7 @@ class FleetOrchestrator:
         entry["active"] = active
         self.schedule_log.append(entry)
         self.epoch += 1
-        if (
-            self.checkpoint_store is not None
-            and self.epoch % self.checkpoint_store.cadence == 0
-        ):
+        if self.reliability.due(self.epoch):
             self.checkpoint()
         return entry
 
@@ -336,34 +328,43 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------
     # Checkpointing and recovery
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Path:
-        """Write a fleet checkpoint (cursor = epochs completed)."""
-        if self.checkpoint_store is None:
-            raise ReliabilityError(
-                "fleet was constructed without a checkpoint= option"
-            )
-        state: Dict[str, Any] = {
-            "spec": self.spec.to_dict(),
+    def state_dict(self) -> Dict[str, Any]:
+        """Every tenant's full state plus the fleet's own scheduler,
+        schedule log, clock and counters."""
+        return {
             "scheduler": self.scheduler.state_dict(),
             "schedule_log": list(self.schedule_log),
             "clock": self.clock.now,
             "epoch": self.epoch,
             "overdrafts": self.overdrafts,
-            "tenants": [t.capture_state() for t in self.tenants],
+            "tenants": [t.state_dict() for t in self.tenants],
         }
-        if self.telemetry.enabled:
-            state["metrics"] = self.telemetry.metrics.state_dict()
-        if self.telemetry.ledger is not None:
-            state["lineage"] = self.telemetry.ledger.state_dict()
-        checkpoint = PlatformCheckpoint(
-            cursor=self.epoch,
-            approach="fleet",
-            # The fleet has no single artifact bundle; every tenant's
-            # bundle is nested in state["tenants"].
-            bundle=None,
-            state=state,
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore state captured by :meth:`state_dict`; tenants must
+        already be set up (without initial training)."""
+        for tenant, tenant_state in zip(self.tenants, state["tenants"]):
+            tenant.load_state_dict(tenant_state)
+        self.scheduler.load_state_dict(state["scheduler"])
+        self.schedule_log = list(state["schedule_log"])
+        self.epoch = int(state["epoch"])
+        self.overdrafts = int(state["overdrafts"])
+        self.clock.advance(float(state["clock"]))
+
+    def checkpoint(self) -> Path:
+        """Write a fleet checkpoint (cursor = epochs completed).
+
+        The fleet has no single artifact bundle; every tenant's bundle
+        is nested in its entry under ``"tenants"``. The spec is
+        configuration, not state: it rides along so that
+        :meth:`recover` needs nothing but the directory.
+        """
+        return self.reliability.write(
+            self.epoch,
+            "fleet",
+            None,
+            {"spec": self.spec.to_dict(), **self.state_dict()},
         )
-        return self.checkpoint_store.write(checkpoint)
 
     @classmethod
     def recover(
@@ -382,52 +383,18 @@ class FleetOrchestrator:
         fast-forwarded, and the scheduler + schedule log + clock
         reinstated.
         """
-        store = as_store(checkpoint, telemetry=telemetry)
-        saved = store.load_latest()
-        if saved.approach != "fleet":
-            raise ReliabilityError(
-                f"checkpoint holds approach {saved.approach!r}, "
-                f"expected 'fleet'"
-            )
-        spec = FleetSpec.from_dict(saved.state["spec"])
+        loader = ReliabilityRuntime(checkpoint, telemetry=telemetry)
+        saved = loader.load("fleet")
         orchestrator = cls(
-            spec,
+            FleetSpec.from_dict(saved.state["spec"]),
             telemetry=telemetry,
-            checkpoint=store,
+            checkpoint=loader.store,
             registry_root=registry_root,
             triggers=triggers,
         )
         orchestrator.setup(fit=False)
-        for tenant, tenant_state in zip(
-            orchestrator.tenants, saved.state["tenants"]
-        ):
-            tenant.restore_state(tenant_state)
-        orchestrator.scheduler.load_state_dict(
-            saved.state["scheduler"]
-        )
-        orchestrator.schedule_log = list(saved.state["schedule_log"])
-        orchestrator.epoch = int(saved.state["epoch"])
-        orchestrator.overdrafts = int(saved.state["overdrafts"])
-        metrics_state = saved.state.get("metrics")
-        if (
-            metrics_state is not None
-            and orchestrator.telemetry.enabled
-        ):
-            orchestrator.telemetry.metrics.load_state_dict(
-                metrics_state
-            )
-        lineage_state = saved.state.get("lineage")
-        if (
-            lineage_state is not None
-            and orchestrator.telemetry.ledger is not None
-        ):
-            orchestrator.telemetry.ledger.load_state_dict(lineage_state)
-        orchestrator.clock.advance(float(saved.state["clock"]))
-        orchestrator.telemetry.tracer.point(
-            names.FLEET_RECOVERED,
-            epoch=orchestrator.epoch,
-            tenants=len(orchestrator.tenants),
-        )
+        orchestrator.load_state_dict(saved.state)
+        orchestrator.reliability.restore(saved)
         return orchestrator
 
     @staticmethod
@@ -435,13 +402,7 @@ class FleetOrchestrator:
         checkpoint: Union[CheckpointStore, CheckpointConfig, str],
     ) -> Dict[str, Any]:
         """Cheap fleet status from the latest checkpoint (no rebuild)."""
-        store = as_store(checkpoint)
-        saved = store.load_latest()
-        if saved.approach != "fleet":
-            raise ReliabilityError(
-                f"checkpoint holds approach {saved.approach!r}, "
-                f"expected 'fleet'"
-            )
+        saved = ReliabilityRuntime(checkpoint).load("fleet")
         tenants = saved.state["tenants"]
         spec = saved.state["spec"]
         return {

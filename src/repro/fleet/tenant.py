@@ -9,7 +9,7 @@ The orchestrator interleaves tenants chunk by chunk: `ingest_chunk`
 runs the prequential test-then-train step, ``train`` runs one
 fleet-granted proactive training through the platform's
 :meth:`~repro.core.platform.ContinuousDeploymentPlatform.train_now`
-hook, and ``capture_state``/``restore_state`` ride the fleet
+hook, and ``state_dict``/``load_state_dict`` ride the fleet
 checkpoint so recovery is byte-identical.
 """
 
@@ -286,7 +286,7 @@ class TenantRuntime:
     # ------------------------------------------------------------------
     # Fleet checkpoint support
     # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, Any]:
+    def state_dict(self) -> Dict[str, Any]:
         """Everything this tenant mutates, for the fleet checkpoint.
 
         Storage payloads ride inline (fleet tenants are small by
@@ -320,8 +320,8 @@ class TenantRuntime:
             "chunk_errors": list(self.chunk_errors),
         }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild from :meth:`capture_state` (byte-identical resume).
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Rebuild from :meth:`state_dict` (byte-identical resume).
 
         The stream iterator is regenerated by the constructor and
         fast-forwarded to the saved cursor here; generators are

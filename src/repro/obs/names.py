@@ -118,7 +118,6 @@ FLEET_OVERDRAFTS = "fleet.overdrafts"
 FLEET_EVICTIONS = "fleet.evictions"
 FLEET_RESCUES = "fleet.rescues"
 FLEET_AGGREGATE_ERROR = "fleet.aggregate_error"
-FLEET_RECOVERED = "fleet.recovered"
 
 # -- performance observatory --------------------------------------------
 PERF_RECORD = "perf.record"

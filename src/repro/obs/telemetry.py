@@ -17,7 +17,7 @@ to an un-instrumented build.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import EventSink, MultiSink, RingBufferSink
@@ -124,6 +124,48 @@ class Telemetry:
             self.monitor.bind(ledger=ledger)
         self.ledger = ledger
         return ledger
+
+    # ------------------------------------------------------------------
+    # Checkpoint support
+    # ------------------------------------------------------------------
+    def _checkpointed(self) -> List[Tuple[str, Any]]:
+        """``(checkpoint key, component)`` for what is attached now.
+
+        The one table :meth:`state_dict` and :meth:`load_state_dict`
+        walk: a new checkpointed attachment is one entry here.
+        """
+        if not self.enabled:
+            return []
+        parts = (
+            ("metrics", self.metrics),
+            ("monitor", self.monitor),
+            ("lineage", self.ledger),
+        )
+        return [(key, part) for key, part in parts if part is not None]
+
+    def state_dict(self) -> Dict[str, Any]:
+        """What a checkpoint saves of this bundle.
+
+        The metrics registry plus whichever of monitor and ledger are
+        attached, keyed as they sit at the top level of a checkpoint's
+        state; ``{}`` when disabled. Events already emitted are not
+        state — they went to the sinks.
+        """
+        return {
+            key: part.state_dict() for key, part in self._checkpointed()
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore what :meth:`state_dict` saved.
+
+        Takes the whole checkpoint state and reads only its own keys.
+        An entry with no matching attachment here (or an attachment
+        the crashed run did not have) is skipped: the recovering run
+        decides what is attached, the checkpoint only fills it in.
+        """
+        for key, part in self._checkpointed():
+            if state.get(key) is not None:
+                part.load_state_dict(state[key])
 
     @property
     def events(self) -> List[Dict[str, object]]:

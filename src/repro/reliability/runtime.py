@@ -7,11 +7,15 @@ prequential run threads through its hot loop:
   stream fires the ``stream.read`` fault site and, when a retry policy
   is configured, transient faults are retried (the *next* occurrence of
   the site is a fresh draw, so a retry re-reads the same chunk);
-* **cadence checkpointing** — after every ``cadence_chunks``-th chunk
-  the runtime asks the deployment for its state and writes a
-  :class:`~repro.reliability.checkpoint.PlatformCheckpoint`;
-* **recovery bookkeeping** — when a run resumes from a checkpoint the
-  runtime records a :class:`RecoveryInfo` that ends up on the
+* **checkpoint writing** — :meth:`ReliabilityRuntime.write` is the
+  one place a :class:`~repro.reliability.checkpoint.PlatformCheckpoint`
+  is assembled. The owner (deployment loop, platform, or fleet)
+  supplies its cursor, artifact bundle and own state; the runtime adds
+  the telemetry state and hands the envelope to the store;
+* **recovery** — :meth:`ReliabilityRuntime.load` finds the latest
+  valid checkpoint and checks who wrote it;
+  :meth:`ReliabilityRuntime.restore` puts back telemetry and storage
+  and records a :class:`RecoveryInfo` that ends up on the
   :class:`~repro.core.deployment.base.DeploymentResult`.
 
 Telemetry invariant: counters incremented *by* the reliability layer
@@ -26,10 +30,13 @@ uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
+from repro.exceptions import ReliabilityError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs import names
+from repro.persistence import DeploymentBundle
 from repro.reliability.checkpoint import (
     CheckpointConfig,
     CheckpointStore,
@@ -40,6 +47,9 @@ from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.retry import Retrier, RetryPolicy
 from repro.reliability.sites import STREAM_READ
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
+    from repro.data.storage import ChunkStorage
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,8 @@ class RecoveryInfo:
 
 
 class ReliabilityRuntime:
-    """Fault injection, retries, and checkpoint cadence for one run."""
+    """Fault injection, retries, and the checkpoint writer/restorer for
+    one run."""
 
     def __init__(
         self,
@@ -136,8 +147,19 @@ class ReliabilityRuntime:
         for _ in range(count):
             next(iterator)
 
+    def guard_reads(self, data_manager) -> None:
+        """Attach fault injection / retries to a data manager.
+
+        Owners call this after building their
+        :class:`~repro.data.manager.DataManager` so ``storage.read``
+        faults fire on raw-chunk reads and transient ones are retried.
+        """
+        if len(self.injector.plan):
+            data_manager.storage.fault_injector = self.injector
+        data_manager.retrier = self.retrier
+
     # ------------------------------------------------------------------
-    # Checkpoint cadence
+    # Checkpoint writing
     # ------------------------------------------------------------------
     def due(self, cursor: int) -> bool:
         """True when a checkpoint should be written at ``cursor``."""
@@ -147,27 +169,82 @@ class ReliabilityRuntime:
             and cursor % self.store.cadence == 0
         )
 
-    def begin_checkpoint(self) -> None:
-        """Pre-capture accounting for an imminent checkpoint write.
+    def _require_store(self) -> CheckpointStore:
+        if self.store is None:
+            raise ReliabilityError(
+                "this run was constructed without a checkpoint= option"
+            )
+        return self.store
 
-        Must run *before* the metrics registry is captured into the
-        checkpoint state so the written counter includes the checkpoint
-        being written (keeping recovered-run counters byte-identical to
-        the uninterrupted timeline).
+    def write(
+        self,
+        cursor: int,
+        approach: str,
+        bundle: Optional[DeploymentBundle],
+        state: Dict[str, Any],
+        storage: Optional["ChunkStorage"] = None,
+    ) -> Path:
+        """Assemble and persist one checkpoint; returns its path.
+
+        ``state`` is the owner's own state; the telemetry state
+        (``metrics``, plus ``monitor`` and ``lineage`` when attached)
+        is added beside it. The written counter increments *before*
+        that capture so the checkpoint's own write is part of the
+        metrics it saves (keeping recovered-run counters
+        byte-identical to the uninterrupted timeline).
         """
+        store = self._require_store()
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 names.RELIABILITY_CHECKPOINTS_WRITTEN
             ).inc()
+        checkpoint = PlatformCheckpoint(
+            cursor=cursor,
+            approach=approach,
+            bundle=bundle,
+            state={**state, **self.telemetry.state_dict()},
+        )
+        path = store.write(checkpoint, storage=storage)
+        self.last_checkpoint_cursor = cursor
+        return path
 
-    def mark_recovered(self, checkpoint: PlatformCheckpoint) -> None:
-        """Record that this run resumed from ``checkpoint``."""
+    # ------------------------------------------------------------------
+    # Recovery
+    # ------------------------------------------------------------------
+    def load(self, approach: str) -> PlatformCheckpoint:
+        """The latest valid checkpoint, which ``approach`` must have
+        written (older ones are tried when the newest is corrupt)."""
+        checkpoint = self._require_store().load_latest()
+        if checkpoint.approach != approach:
+            raise ReliabilityError(
+                f"checkpoint was written by a "
+                f"{checkpoint.approach!r} run; this one is "
+                f"{approach!r}"
+            )
+        return checkpoint
+
+    def restore(
+        self,
+        checkpoint: PlatformCheckpoint,
+        storage: Optional["ChunkStorage"] = None,
+    ) -> None:
+        """Put back telemetry and storage; mark this run as recovered.
+
+        Call *after* the owner has installed the bundle and loaded its
+        own state: the ``reliability.recovered`` point is stamped with
+        the restored virtual clock, and reaches an attached monitor
+        after that monitor's own state is back.
+        """
+        self.telemetry.load_state_dict(checkpoint.state)
+        if storage is not None and checkpoint.manifest is not None:
+            self._require_store().restore_storage(
+                storage, checkpoint.manifest
+            )
         self.recovery = RecoveryInfo(
             cursor=checkpoint.cursor, approach=checkpoint.approach
         )
-        if self.telemetry.enabled:
-            self.telemetry.tracer.point(
-                names.RELIABILITY_RECOVERED,
-                cursor=checkpoint.cursor,
-                approach=checkpoint.approach,
-            )
+        self.telemetry.tracer.point(
+            names.RELIABILITY_RECOVERED,
+            cursor=checkpoint.cursor,
+            approach=checkpoint.approach,
+        )

@@ -12,16 +12,19 @@ from repro.core.scheduler import DynamicScheduler, StaticScheduler
 from repro.data.table import Table
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
+from repro.obs import Telemetry, names
+from repro.obs.monitor import MonitorConfig, default_rules
 from repro.pipeline.components.assembler import FeatureAssembler
 from repro.pipeline.components.scaler import StandardScaler
 from repro.pipeline.pipeline import Pipeline
+from repro.reliability import CheckpointConfig
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.ConvergenceWarning"
 )
 
 
-def make_platform(config=None, seed=0):
+def make_platform(config=None, seed=0, **kwargs):
     pipeline = Pipeline(
         [
             StandardScaler(["x"], name="scaler"),
@@ -35,6 +38,7 @@ def make_platform(config=None, seed=0):
         optimizer=Adam(0.05),
         config=config,
         seed=seed,
+        **kwargs,
     )
 
 
@@ -164,3 +168,67 @@ class TestInitialFit:
         )
         predictions, labels = platform.predict(chunk(rng))
         assert np.mean((predictions - labels) ** 2) < 0.1
+
+
+class TestRecover:
+    def test_recover_with_monitor_matches_uninterrupted(self, tmp_path):
+        def monitored():
+            # The crash is the one thing a recovered timeline rightly
+            # shows and an uninterrupted one cannot; every other rule
+            # must resume mid-window.
+            telemetry = Telemetry()
+            telemetry.attach_monitor(
+                rules=[
+                    rule
+                    for rule in default_rules()
+                    if rule.signal != names.RELIABILITY_RECOVERED
+                ],
+                config=MonitorConfig(window=1e-4),
+            )
+            return telemetry
+
+        def checkpointing(name):
+            return CheckpointConfig(
+                directory=tmp_path / name, cadence_chunks=4
+            )
+
+        def feed(platform, tables):
+            for table in tables:
+                platform.predict(table)
+                platform.observe(table)
+
+        config = ContinuousConfig(
+            sample_size_chunks=2,
+            schedule=ScheduleConfig(kind="static", interval_chunks=3),
+        )
+        rng = np.random.default_rng(7)
+        chunks = [chunk(rng) for __ in range(12)]
+
+        reference = monitored()
+        feed(
+            make_platform(
+                config,
+                telemetry=reference,
+                checkpoint=checkpointing("reference"),
+            ),
+            chunks,
+        )
+        feed(
+            make_platform(
+                config,
+                telemetry=monitored(),
+                checkpoint=checkpointing("crashed"),
+            ),
+            chunks[:10],  # checkpoints at 4 and 8, then the crash
+        )
+        recovered = monitored()
+        platform = ContinuousDeploymentPlatform.recover(
+            checkpointing("crashed"), config=config, telemetry=recovered
+        )
+        assert platform.chunks_observed == 8
+        feed(platform, chunks[8:])
+        reference.monitor.flush()
+        recovered.monitor.flush()
+        health = recovered.monitor.health()
+        assert health["windows_closed"] > 1
+        assert health == reference.monitor.health()

@@ -9,6 +9,7 @@ from repro.execution.engine import LocalExecutionEngine
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
 from repro.ml.sgd import SGDTrainer
+from repro.obs import Telemetry
 from repro.pipeline.components.assembler import FeatureAssembler
 from repro.pipeline.components.scaler import StandardScaler
 from repro.pipeline.pipeline import Pipeline
@@ -19,8 +20,7 @@ def engine():
     return LocalExecutionEngine(CostModel(transform_cost_per_value=1.0))
 
 
-@pytest.fixture
-def pipeline():
+def make_pipeline():
     return Pipeline(
         [
             StandardScaler(["x"], name="scaler"),
@@ -29,9 +29,18 @@ def pipeline():
     )
 
 
+def make_table():
+    return Table({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+
+
+@pytest.fixture
+def pipeline():
+    return make_pipeline()
+
+
 @pytest.fixture
 def table():
-    return Table({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+    return make_table()
 
 
 class TestPipelineExecution:
@@ -153,3 +162,94 @@ class TestAccountingConsistency:
         # The engine stays usable after a reset.
         engine.online_pass(pipeline, table)
         assert engine.total_cost() > 0
+
+
+def _comparable(value):
+    """Engine return values reduced to plain, ``==``-comparable data."""
+    if isinstance(value, Table):
+        return value.digest()
+    if isinstance(value, (list, tuple)):  # Features is a NamedTuple
+        return [_comparable(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value  # a loss, or the TrainingResult dataclass
+
+
+#: operation -> (how to call it, span name, span attrs). ``values`` is
+#: what each operation scans: a 3x2 table, or a 10x2 / 4x2 matrix.
+OPERATIONS = {
+    "online_pass": (
+        lambda e, w: e.online_pass(w.pipeline, w.table),
+        "engine.online_pass",
+        {"values": 6},
+    ),
+    "transform_only": (
+        lambda e, w: e.transform_only(w.pipeline, w.table),
+        "engine.transform_only",
+        {"values": 6},
+    ),
+    "serve_transform": (
+        lambda e, w: e.serve_transform(w.pipeline, w.table),
+        "engine.serve_transform",
+        {"values": 6},
+    ),
+    "train_step": (
+        lambda e, w: e.train_step(w.trainer, w.x, w.y),
+        "engine.train_step",
+        {"values": 20},
+    ),
+    "train_full": (
+        lambda e, w: e.train_full(
+            w.trainer, w.x, w.y, max_iterations=3, seed=0
+        ),
+        "engine.train_full",
+        {"values": 20, "iterations": 3, "converged": False},
+    ),
+    "predict": (
+        lambda e, w: e.predict(w.model, w.x),
+        "engine.predict",
+        {"values": 20},
+    ),
+    "predict_batch": (
+        lambda e, w: e.predict_batch(w.model, [w.x, w.x[:4]]),
+        "engine.predict",
+        {"values": 28, "blocks": 2},
+    ),
+}
+
+
+class _Work:
+    """Fresh, identically-seeded inputs for one engine call."""
+
+    def __init__(self):
+        rng = np.random.default_rng(3)
+        self.pipeline = make_pipeline()
+        self.table = make_table()
+        self.model = LinearRegression(num_features=2)
+        self.trainer = SGDTrainer(self.model, Adam(0.05))
+        self.x = rng.standard_normal((10, 2))
+        self.y = rng.standard_normal(10)
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.ConvergenceWarning")
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+def test_telemetry_does_not_change_an_operation(operation):
+    """One code path per operation: telemetry on == telemetry off."""
+    call, span_name, span_attrs = OPERATIONS[operation]
+    plain = LocalExecutionEngine()
+    telemetry = Telemetry()
+    traced = LocalExecutionEngine(telemetry=telemetry)
+
+    plain_result = call(plain, _Work())
+    traced_result = call(traced, _Work())
+
+    assert _comparable(traced_result) == _comparable(plain_result)
+    assert traced.tracker.state_dict() == plain.tracker.state_dict()
+    assert plain.tracker.total() > 0
+    assert plain.wall.elapsed > 0
+    assert traced.wall.elapsed > 0
+    spans = [e for e in telemetry.events if e["kind"] == "span"]
+    assert [(e["name"], e["attrs"]) for e in spans] == [
+        (span_name, span_attrs)
+    ]
+    assert spans[0]["dur"] == traced.tracker.total()

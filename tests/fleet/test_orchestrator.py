@@ -11,6 +11,7 @@ from repro.fleet import (
     TenantSpec,
     make_fleet,
 )
+from repro.fleet.alerts import fleet_rules
 from repro.obs import Telemetry, names
 from repro.reliability import CheckpointConfig
 
@@ -162,6 +163,64 @@ class TestRecovery:
         # Metrics ride the checkpoint, so final counters (and the
         # digest-relevant schedule) match the uninterrupted run.
         assert result.digest == reference.digest
+
+    def test_recover_with_monitor_matches_uninterrupted(self, tmp_path):
+        def monitored():
+            telemetry = Telemetry()
+            telemetry.attach_monitor(rules=fleet_rules())
+            return telemetry
+
+        def config(name):
+            return CheckpointConfig(
+                directory=str(tmp_path / name), cadence_chunks=2
+            )
+
+        spec = _small_fleet()
+        # The reference checkpoints too: the written counter and the
+        # checkpoint-written points are part of the monitored stream.
+        reference = monitored()
+        FleetOrchestrator(
+            spec, telemetry=reference, checkpoint=config("reference")
+        ).run()
+        interrupted = FleetOrchestrator(
+            spec, telemetry=monitored(), checkpoint=config("crashed")
+        )
+        interrupted.setup()
+        for _ in range(3):
+            interrupted.run_epoch()
+        recovered = monitored()
+        FleetOrchestrator.recover(
+            config("crashed"), telemetry=recovered
+        ).run()
+        reference.monitor.flush()
+        recovered.monitor.flush()
+        health = recovered.monitor.health()
+        assert health["windows_closed"] > 0
+        assert health == reference.monitor.health()
+
+    def test_fleet_checkpoints_count_themselves(self, tmp_path):
+        telemetry = Telemetry()
+        orchestrator = FleetOrchestrator(
+            _small_fleet(),
+            telemetry=telemetry,
+            checkpoint=CheckpointConfig(
+                directory=str(tmp_path / "ckpt"), cadence_chunks=2
+            ),
+        )
+        orchestrator.run()
+        written = telemetry.metrics.snapshot()["counters"][
+            names.RELIABILITY_CHECKPOINTS_WRITTEN
+        ]
+        assert written == orchestrator.epoch // 2
+        # Incremented before capture: the saved metrics include the
+        # checkpoint's own write.
+        saved = orchestrator.reliability.load("fleet")
+        assert (
+            saved.state["metrics"]["counters"][
+                names.RELIABILITY_CHECKPOINTS_WRITTEN
+            ]
+            == written
+        )
 
     def test_peek_reports_without_rebuilding(self, tmp_path):
         spec = _small_fleet()
