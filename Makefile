@@ -76,6 +76,142 @@ bench-check:
 		benchmarks/bench_lint_speed.py \
 		--benchmark-only -q
 
+# End-to-end smoke recipes, one per subsystem; CI runs each as one
+# entry of its `smoke` matrix job, `make smoke` runs them all locally.
+# Every recipe starts from an empty scratch directory of its own.
+SMOKES := serving perf monitor traffic fleet lineage recovery
+SMOKE_DIR ?= .smoke
+REPRO := PYTHONPATH=src python -m repro
+RUN := PYTHONPATH=src timeout
+BENCH_GATE := PYTHONPATH=src REPRO_BENCH_SCALE=test timeout 120 \
+	python -m pytest -q --benchmark-only
+
+.PHONY: smoke $(SMOKES:%=smoke-%)
+smoke: $(SMOKES:%=smoke-%)
+
+$(SMOKES:%=smoke-%): D = $(SMOKE_DIR)/$(@:smoke-%=%)
+$(SMOKES:%=smoke-%): smoke-%: smoke-scratch-%
+
+smoke-scratch-%:
+	rm -rf $(SMOKE_DIR)/$* && mkdir -p $(SMOKE_DIR)/$*
+
+# Registry bootstrap, canary reject, promote, and quality-gated
+# rollback, then the registry CLI — well under 60s.
+smoke-serving:
+	$(RUN) 60 python examples/serving_rollout.py
+	$(RUN) 60 python -m repro serve --dataset url --scale test \
+		--registry $D/registry
+	$(REPRO) registry list --registry $D/registry
+
+# One fast bench through the baseline store, a baseline for the
+# reference workload, then an identical re-run gated against it: the
+# self-comparison must pass exactly, because every virtual-cost
+# metric is deterministic (DESIGN.md §10).
+smoke-perf:
+	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) \
+		benchmarks/bench_obs_overhead.py
+	$(RUN) 120 python -m repro perf record --dataset url --scale test \
+		--store $D/baselines
+	$(RUN) 120 python -m repro perf check --dataset url --scale test \
+		--against $D/baselines
+	$(REPRO) perf report --store $D/baselines
+
+# A drifting deployment must fire AND resolve a drift alert (the
+# example exits non-zero otherwise), two identical-seed monitored runs
+# must produce byte-identical health.json timelines, the obs CLI must
+# render them, and the monitor must stay inside its overhead budget.
+smoke-monitor:
+	$(RUN) 120 python examples/health_monitor.py
+	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
+		--monitor $D/health-a.json
+	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
+		--monitor $D/health-b.json
+	cmp $D/health-a.json $D/health-b.json
+	$(REPRO) obs health $D/health-a.json
+	$(REPRO) obs alerts $D/health-a.json
+	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
+		--trace $D/run.jsonl
+	$(REPRO) obs health $D/run.jsonl
+	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) \
+		benchmarks/bench_monitor_overhead.py
+
+# exp7 must shed load during the burst and keep both identity
+# guarantees (batched == row-at-a-time, fresh-endpoint replay), two
+# identical monitored runs must export byte-identical health
+# timelines, the traffic CLI must prove arrival-stream and simulation
+# byte-identity, and serving throughput must pass its committed gate.
+smoke-traffic:
+	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
+		--monitor $D/traffic-a.json
+	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
+		--monitor $D/traffic-b.json
+	cmp $D/traffic-a.json $D/traffic-b.json
+	$(RUN) 60 python -m repro traffic synth --users 2000000 \
+		--burst 0.5 0.5 10
+	$(RUN) 120 python -m repro traffic replay --dataset url --scale test
+	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
+		benchmarks/bench_serving_throughput.py
+
+# A 6-tenant mixed fleet must replay byte-identically (schedule AND
+# telemetry digests), the exp8 policy comparison must hold at smoke
+# scale (fair-share beats round robin at an equal training budget,
+# exit 1 otherwise), a SIGKILL mid-run must recover to the digest and
+# health timeline of an uninterrupted run, and the scheduler-overhead
+# bench must pass its committed gate. The reference run checkpoints at
+# the same cadence: checkpoint writes are part of the monitored event
+# stream, so the two health timelines are only comparable when both
+# runs write the same checkpoints.
+FLEET := --tenants 6 --chunks 10
+smoke-fleet:
+	$(RUN) 120 python -m repro fleet replay $(FLEET)
+	$(RUN) 240 python -m repro exp8 $(FLEET)
+	$(RUN) 120 python -m repro fleet run $(FLEET) \
+		--checkpoint-dir $D/ref-ckpt --cadence 2 \
+		--monitor $D/health-reference.json > $D/reference.txt
+	$(RUN) 120 python -m repro fleet run $(FLEET) \
+		--checkpoint-dir $D/ckpt --cadence 2 --sigkill-at-epoch 5 \
+		--monitor $D/health-crashed.json || test $$? -eq 137
+	$(REPRO) fleet status --checkpoint-dir $D/ckpt
+	$(RUN) 120 python -m repro recover --approach fleet \
+		--checkpoint-dir $D/ckpt --cadence 2 \
+		--monitor $D/health-recovered.json > $D/recovered.txt
+	cat $D/reference.txt $D/recovered.txt
+	grep "fleet digest=" $D/reference.txt > $D/digest-a.txt
+	grep "fleet digest=" $D/recovered.txt > $D/digest-b.txt
+	cmp $D/digest-a.txt $D/digest-b.txt
+	cmp $D/health-reference.json $D/health-recovered.json
+	REPRO_BENCH_CHECK=1 $(BENCH_GATE) benchmarks/bench_fleet_overhead.py
+
+# An instrumented exp5 rollout must export a digest-stamped
+# lineage.json, blame on a corrupted candidate must name its training
+# chunks, trace must walk a chunk downstream to serving versions, two
+# identical-seed runs must be byte-identical, and the ledger's
+# overhead bench must pass its committed gate.
+smoke-lineage:
+	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
+		--lineage $D/lineage-a.json
+	$(REPRO) obs lineage show $D/lineage-a.json
+	$(REPRO) obs lineage blame $D/lineage-a.json \
+		--version model:blind:v0002
+	$(REPRO) obs lineage trace $D/lineage-a.json \
+		--chunk chunk:0
+	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
+		--lineage $D/lineage-b.json
+	cmp $D/lineage-a.json $D/lineage-b.json
+	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
+		benchmarks/bench_lineage_overhead.py
+
+# Crash recovery against a real SIGKILL: a short deployment is killed
+# mid-stream at a random (logged) chunk, recovered in a fresh process,
+# and the resumed run must be byte-identical to an uninterrupted
+# reference; then the recovery CLI directly (exit 17 = injected crash).
+RECOVERY := --approach online --dataset url --scale test --cadence 4
+smoke-recovery:
+	timeout 120 python examples/crash_recovery.py
+	$(RUN) 60 python -m repro run $(RECOVERY) --checkpoint-dir $D/ckpt \
+		--kill-at 9 || test $$? -eq 17
+	$(RUN) 60 python -m repro recover $(RECOVERY) --checkpoint-dir $D/ckpt
+
 examples:
 	python examples/quickstart.py
 	python examples/materialization_analysis.py
@@ -87,5 +223,6 @@ examples:
 	python examples/serving_rollout.py
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
+		$(SMOKE_DIR)
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -263,6 +263,18 @@ class StateDictPairRule(Rule):
             )
 
 
+def _is_super_state_dict(node: ast.AST) -> bool:
+    """``super().state_dict()`` — a subclass extending its parent's state."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "state_dict"
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+    )
+
+
 class StateDictKeysRule(Rule):
     """REP004 — saved and restored state keys must agree.
 
@@ -271,7 +283,9 @@ class StateDictKeysRule(Rule):
     statically comparable; a key saved but never restored (or read but
     never saved) is a silent state-loss bug that only shows up as a
     divergent resumed run. Extraction is conservative: any non-literal
-    construction on either side skips the class.
+    construction on either side skips the class, except a
+    ``**super().state_dict()`` spread — a subclass is checked on the
+    keys it adds, its parent on its own.
     """
 
     rule_id = "REP004"
@@ -292,12 +306,14 @@ class StateDictKeysRule(Rule):
             saw_return = True
             if not isinstance(sub.value, ast.Dict):
                 return None
-            for key in sub.value.keys:
+            for key, value in zip(sub.value.keys, sub.value.values):
                 if isinstance(key, ast.Constant) and isinstance(
                     key.value, str
                 ):
                     keys.add(key.value)
-                else:  # **spread or computed key — give up
+                elif key is None and _is_super_state_dict(value):
+                    continue  # the parent's keys, checked on the parent
+                else:  # other **spread or computed key — give up
                     return None
         return keys if saw_return else None
 

@@ -103,6 +103,7 @@ from repro.evaluation.report import (
 )
 from repro.exceptions import ConvergenceWarning
 from repro.experiments.common import (
+    APPROACHES,
     Scenario,
     taxi_scenario,
     url_scenario,
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_options(perf)
     perf.add_argument(
         "--approach",
-        choices=("online", "periodical", "threshold", "continuous"),
+        choices=APPROACHES,
         default="continuous",
         help="deployment approach the workload runs (default: "
         "continuous)",
@@ -771,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_options(exp6)
     exp6.add_argument(
         "--approach",
-        choices=("online", "periodical", "threshold", "continuous"),
+        choices=APPROACHES,
         default="continuous",
         help="deployment approach under test (default: continuous)",
     )
@@ -800,13 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_reliability_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--approach",
-        choices=(
-            "online",
-            "periodical",
-            "threshold",
-            "continuous",
-            "fleet",
-        ),
+        choices=APPROACHES + ("fleet",),
         default="continuous",
         help="deployment approach (default: continuous); 'fleet' is "
         "recover-only and resumes a whole fleet checkpoint",
@@ -1403,8 +1398,6 @@ def _command_serve(args: argparse.Namespace) -> None:
     import contextlib
     import tempfile
 
-    import numpy as np
-
     from repro.core.platform import ContinuousDeploymentPlatform
     from repro.experiments.exp5_serving import default_gate_config
     from repro.ml.metrics import PrequentialTracker
@@ -1442,12 +1435,7 @@ def _command_serve(args: argparse.Namespace) -> None:
                 telemetry=telemetry,
                 registry=registry,
             )
-            platform.initial_fit(
-                scenario.make_initial_data(),
-                seed=scenario.seed,
-                store=True,
-                **scenario.initial_fit_kwargs,
-            )
+            scenario.fit(platform, store=True)
             first = registry.register(pipeline, model, optimizer)
             registry.promote(first.version, reason="initial deployment")
         else:
@@ -1473,25 +1461,13 @@ def _command_serve(args: argparse.Namespace) -> None:
             config=default_gate_config(scenario),
             telemetry=telemetry,
         )
-        tracker = PrequentialTracker(
-            kind="rate" if scenario.metric == "classification" else "rmse"
-        )
-        history = []
+        tracker = PrequentialTracker.for_metric(scenario.metric)
         staged = 0
         for chunk_index, table in enumerate(scenario.make_stream()):
             # Prequential: serve the chunk first, then let the
             # platform train on it.
             served = endpoint.predict(table, chunk_index=chunk_index)
-            if len(served.labels):
-                if scenario.metric == "classification":
-                    error_sum = float(
-                        np.sum(served.predictions != served.labels)
-                    )
-                else:
-                    residual = served.predictions - served.labels
-                    error_sum = float(np.sum(residual * residual))
-                tracker.add_chunk(error_sum, len(served.labels))
-            history.append(tracker.value())
+            tracker.score(served.predictions, served.labels)
             action = controller.observe(served)
             if action != "continue":
                 print(
@@ -1517,7 +1493,9 @@ def _command_serve(args: argparse.Namespace) -> None:
                     )
 
         print()
-        print(format_series("serving error", history, points=12))
+        print(
+            format_series("serving error", tracker.history, points=12)
+        )
         print(
             f"\n{'version':<8} {'status':<12} {'parent':<8} "
             f"{'chunks':>6} {'cost':>8}"
@@ -1698,11 +1676,7 @@ def _command_run(args: argparse.Namespace) -> None:
         fault_plan=fault_plan,
         retry=_retry_policy(args, scenario),
     )
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
+    scenario.fit(deployment)
     try:
         result = deployment.run(stream)
     except SimulatedCrash as crash:

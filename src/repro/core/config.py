@@ -94,6 +94,14 @@ class PeriodicalConfig:
             )
 
 
+def check_online_batch_rows(rows: Optional[int]) -> None:
+    """Every approach's online-update slice: ``None`` or ``>= 1``."""
+    if rows is not None and rows < 1:
+        raise ValidationError(
+            f"online_batch_rows must be >= 1, got {rows}"
+        )
+
+
 @dataclass(frozen=True)
 class ContinuousConfig:
     """Continuous deployment: online updates + proactive training.
@@ -136,11 +144,7 @@ class ContinuousConfig:
     online_batch_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.online_batch_rows is not None and self.online_batch_rows < 1:
-            raise ValidationError(
-                f"online_batch_rows must be >= 1, "
-                f"got {self.online_batch_rows}"
-            )
+        check_online_batch_rows(self.online_batch_rows)
         if self.sample_size_chunks < 1:
             raise ValidationError(
                 f"sample_size_chunks must be >= 1, "

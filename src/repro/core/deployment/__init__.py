@@ -1,4 +1,4 @@
-"""The three deployment approaches compared in Experiment 1 (§5.2)."""
+"""The deployment approaches compared in Experiment 1 (§5.2)."""
 
 from repro.core.deployment.base import Deployment, DeploymentResult
 from repro.core.deployment.continuous import ContinuousDeployment

@@ -1,12 +1,13 @@
 """Deployment base class: the prequential test-then-train loop.
 
-All three approaches share the same outer loop (§5.1's deployment
+All approaches share the same outer loop (§5.1's deployment
 process): for every arriving chunk, first answer it as prediction
 queries (test), then use it as training data (train). Subclasses only
 differ in what "train" means:
 
 * online — one online SGD step;
-* periodical — online step + periodic full retraining;
+* periodical / threshold — online step + full retraining, on a
+  period or when quality degrades;
 * continuous — online step + scheduled proactive training.
 
 The loop records, after every chunk, the cumulative prequential error
@@ -22,10 +23,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.config import check_online_batch_rows
+from repro.core.pipeline_manager import PipelineManager
+from repro.data.manager import DataManager
 from repro.data.storage import ChunkStorage
 from repro.data.table import Table
-from repro.exceptions import ReliabilityError, ValidationError
-from repro.execution.cost import CostBreakdown
+from repro.exceptions import ValidationError
+from repro.execution.cost import CostBreakdown, CostModel
+from repro.execution.engine import LocalExecutionEngine
 from repro.ml.metrics import PrequentialTracker
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
@@ -33,6 +38,7 @@ from repro.ml.sgd import TrainingResult
 from repro.obs import names
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.persistence import DeploymentBundle
+from repro.pipeline.component import Features
 from repro.pipeline.pipeline import Pipeline
 from repro.reliability.checkpoint import (
     CheckpointConfig,
@@ -42,6 +48,7 @@ from repro.reliability.checkpoint import (
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.retry import Retrier, RetryPolicy
 from repro.reliability.runtime import RecoveryInfo, ReliabilityRuntime
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -118,7 +125,15 @@ class DeploymentResult:
 
 
 class Deployment(ABC):
-    """Shared prequential loop for the three deployment approaches.
+    """Shared prequential loop and strategy hooks of every approach.
+
+    Every approach runs on a
+    :class:`~repro.core.pipeline_manager.PipelineManager` and its
+    execution engine (``self.manager`` / ``self.engine`` /
+    ``self.data_manager``, see :meth:`_wire`), so serving, cost,
+    checkpoint artifacts and the storage spill are written here once.
+    A subclass writes :meth:`_observe` — what "train" means — and adds
+    its own counters to :meth:`_finalize` and :meth:`state_dict`.
 
     Parameters
     ----------
@@ -148,6 +163,10 @@ class Deployment(ABC):
     #: Set by subclasses; used in reports and figures.
     approach: str = "base"
 
+    manager: PipelineManager
+    engine: LocalExecutionEngine
+    data_manager: DataManager
+
     def __init__(
         self,
         metric: str = "classification",
@@ -158,17 +177,10 @@ class Deployment(ABC):
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
         retry: Union[RetryPolicy, Retrier, None] = None,
     ) -> None:
-        if metric not in ("classification", "regression"):
-            raise ValidationError(
-                f"metric must be 'classification' or 'regression', "
-                f"got {metric!r}"
-            )
+        self.prequential = PrequentialTracker.for_metric(metric)
         self.metric = metric
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
-        )
-        self.prequential = PrequentialTracker(
-            kind="rate" if metric == "classification" else "rmse"
         )
         self.reliability = ReliabilityRuntime(
             checkpoint=checkpoint,
@@ -177,43 +189,78 @@ class Deployment(ABC):
             telemetry=self.telemetry,
         )
 
+    def _wire(
+        self,
+        pipeline: Pipeline,
+        model: LinearSGDModel,
+        optimizer: Optimizer,
+        cost_model: Optional[CostModel],
+        seed: SeedLike,
+        online_batch_rows: Optional[int],
+    ) -> None:
+        """Build a baseline's engine, data manager and pipeline manager.
+
+        The baselines keep at most raw history (a full retraining
+        reads it back); no feature materialization budget applies.
+        """
+        check_online_batch_rows(online_batch_rows)
+        self.online_batch_rows = online_batch_rows
+        self.online_updates = 0
+        self.engine = LocalExecutionEngine(
+            cost_model, telemetry=self.telemetry
+        )
+        self.data_manager = DataManager(seed=seed, telemetry=self.telemetry)
+        self.reliability.guard_reads(self.data_manager)
+        self.manager = PipelineManager(
+            pipeline=pipeline,
+            model=model,
+            optimizer=optimizer,
+            data_manager=self.data_manager,
+            engine=self.engine,
+        )
+
     # ------------------------------------------------------------------
-    # Subclass interface
+    # Strategy hooks
     # ------------------------------------------------------------------
-    @abstractmethod
+    @property
+    def model(self) -> LinearSGDModel:
+        """The currently deployed model."""
+        return self.manager.model
+
     def initial_fit(self, tables: List[Table], **kwargs) -> TrainingResult:
         """Pre-deployment training on the initial dataset."""
+        return self.manager.initial_fit(tables, **kwargs)
 
-    @abstractmethod
-    def _predict(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
+    def _predict(self, table: Table) -> Tuple[np.ndarray, np.ndarray]:
         """Serve the chunk as prediction queries: (predictions, labels)."""
+        return self.manager.answer_queries(table)
 
     @abstractmethod
     def _observe(self, table: Table, chunk_index: int) -> None:
         """Consume the chunk as training data."""
 
-    @property
-    @abstractmethod
-    def model(self) -> LinearSGDModel:
-        """The currently deployed model."""
+    def _online_update(self, features: Features) -> None:
+        """One online SGD pass over a freshly preprocessed chunk."""
+        if features.num_rows:
+            self.manager.online_step(features, self.online_batch_rows)
+            self.online_updates += 1
 
-    @abstractmethod
     def _current_cost(self) -> float:
         """Cumulative cost units so far."""
+        return self.engine.total_cost()
 
-    @abstractmethod
     def _finalize(self, result: DeploymentResult) -> None:
-        """Fill approach-specific counters/breakdowns into ``result``."""
+        """Fill counters/breakdowns into ``result`` (extend per approach)."""
+        result.cost_breakdown = self.engine.tracker.breakdown()
+        result.wall_seconds = self.engine.wall.elapsed
 
     # ------------------------------------------------------------------
-    # Checkpoint/recovery hooks (override to support checkpointing)
+    # Checkpoint/recovery hooks
     # ------------------------------------------------------------------
     def _artifacts(self) -> Tuple[Pipeline, LinearSGDModel, Optimizer]:
         """The deployed (pipeline, model, optimizer) triple."""
-        raise ReliabilityError(
-            f"{self.approach!r} deployment does not support "
-            f"checkpointing"
-        )
+        manager = self.manager
+        return (manager.pipeline, manager.model, manager.optimizer)
 
     def _install_artifacts(
         self,
@@ -222,20 +269,23 @@ class Deployment(ABC):
         optimizer: Optimizer,
     ) -> None:
         """Replace the deployed artifacts with checkpointed ones."""
-        raise ReliabilityError(
-            f"{self.approach!r} deployment does not support recovery"
-        )
+        self.manager.replace_artifacts(pipeline, model, optimizer)
 
     def state_dict(self) -> Dict[str, Any]:
-        """Approach-specific mutable state to checkpoint."""
-        return {}
+        """Mutable state to checkpoint (extend per approach)."""
+        return {
+            "cost": self.engine.tracker.state_dict(),
+            "data_manager": self.data_manager.state_dict(),
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`."""
+        self.engine.tracker.load_state_dict(state["cost"])
+        self.data_manager.load_state_dict(state["data_manager"])
 
-    def _chunk_store(self) -> Optional[ChunkStorage]:
-        """The chunk storage to spill/restore (``None`` when stateless)."""
-        return None
+    def _chunk_store(self) -> ChunkStorage:
+        """The chunk storage to spill/restore."""
+        return self.data_manager.storage
 
     # ------------------------------------------------------------------
     # The prequential loop
@@ -285,11 +335,7 @@ class Deployment(ABC):
             except StopIteration:
                 break
             predictions, labels = self._predict(table)
-            chunk_error: Optional[float] = None
-            if len(labels):
-                error_sum = self._chunk_error(predictions, labels)
-                self.prequential.add_chunk(error_sum, len(labels))
-                chunk_error = error_sum / len(labels)
+            chunk_error = self.prequential.score(predictions, labels)
             result.error_history.append(self.prequential.value())
             if self.telemetry.enabled:
                 # Point (not span): the per-chunk quality signal the
@@ -317,13 +363,10 @@ class Deployment(ABC):
     def _write_checkpoint(
         self, cursor: int, result: DeploymentResult
     ) -> None:
-        pipeline, model, optimizer = self._artifacts()
         self.reliability.write(
             cursor,
             self.approach,
-            DeploymentBundle(
-                pipeline=pipeline, model=model, optimizer=optimizer
-            ),
+            DeploymentBundle(*self._artifacts()),
             {
                 "prequential": self.prequential.state_dict(),
                 "error_history": list(result.error_history),
@@ -346,11 +389,3 @@ class Deployment(ABC):
         result.cost_history = list(state["cost_history"])
         self.load_state_dict(state["deployment"])
         self.reliability.restore(checkpoint, self._chunk_store())
-
-    def _chunk_error(
-        self, predictions: np.ndarray, labels: np.ndarray
-    ) -> float:
-        if self.metric == "classification":
-            return float(np.sum(predictions != labels))
-        residual = predictions - labels
-        return float(np.sum(residual * residual))

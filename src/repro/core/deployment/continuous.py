@@ -45,13 +45,7 @@ class ContinuousDeployment(Deployment):
         fault_plan=None,
         retry=None,
     ) -> None:
-        super().__init__(
-            metric,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            fault_plan=fault_plan,
-            retry=retry,
-        )
+        super().__init__(metric, telemetry, checkpoint, fault_plan, retry)
         # The deployment loop owns checkpoint cadence; the platform
         # shares the loop's injector/retrier so fault occurrence
         # counts are global across stream, storage, and checkpoint
@@ -67,15 +61,17 @@ class ContinuousDeployment(Deployment):
             fault_plan=self.reliability.injector,
             retry=self.reliability.retrier,
         )
-
-    @property
-    def model(self) -> LinearSGDModel:
-        return self.platform.model
+        self.manager = self.platform.manager
+        self.engine = self.platform.engine
+        self.data_manager = self.platform.data_manager
 
     @property
     def config(self) -> ContinuousConfig:
         return self.platform.config
 
+    # ------------------------------------------------------------------
+    # Through the platform, not around it: it records lineage, feeds
+    # the scheduler and rebuilds its proactive trainer on these paths.
     # ------------------------------------------------------------------
     def initial_fit(self, tables: List[Table], **kwargs) -> TrainingResult:
         """Initial training; the initial data enters the sample pool."""
@@ -87,8 +83,8 @@ class ContinuousDeployment(Deployment):
     def _observe(self, table: Table, chunk_index: int) -> None:
         self.platform.observe(table)
 
-    def _current_cost(self) -> float:
-        return self.platform.engine.total_cost()
+    def _install_artifacts(self, pipeline, model, optimizer) -> None:
+        self.platform.install_artifacts(pipeline, model, optimizer)
 
     def _finalize(self, result: DeploymentResult) -> None:
         outcomes = self.platform.proactive_outcomes
@@ -99,22 +95,8 @@ class ContinuousDeployment(Deployment):
         result.counters["chunks_rematerialized"] = int(
             np.sum([o.chunks - o.chunks_materialized for o in outcomes])
         )
-        result.cost_breakdown = self.platform.engine.tracker.breakdown()
-        result.wall_seconds = self.platform.engine.wall.elapsed
+        super()._finalize(result)
         result.training_durations = [o.duration for o in outcomes]
-
-    # ------------------------------------------------------------------
-    # Checkpoint/recovery hooks
-    # ------------------------------------------------------------------
-    def _artifacts(self):
-        manager = self.platform.manager
-        return (manager.pipeline, manager.model, manager.optimizer)
-
-    def _install_artifacts(self, pipeline, model, optimizer) -> None:
-        self.platform.install_artifacts(pipeline, model, optimizer)
-
-    def _chunk_store(self):
-        return self.platform.data_manager.storage
 
     def state_dict(self) -> Dict[str, Any]:
         return self.platform.state_dict()
@@ -125,4 +107,4 @@ class ContinuousDeployment(Deployment):
     # ------------------------------------------------------------------
     def materialization_utilization(self) -> float:
         """Empirical μ of this run (see §3.2.2)."""
-        return self.platform.data_manager.stats.utilization()
+        return self.data_manager.stats.utilization()

@@ -22,23 +22,19 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import PeriodicalConfig
-from repro.core.deployment.base import Deployment, DeploymentResult
-from repro.core.pipeline_manager import PipelineManager
-from repro.data.manager import DataManager
+from repro.core.deployment.retraining import FullRetrainingDeployment
 from repro.data.table import Table
 from repro.execution.cost import CostModel
-from repro.execution.engine import LocalExecutionEngine
 from repro.exceptions import ValidationError
+from repro.ml.metrics import errors_from_predictions
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
-from repro.ml.sgd import TrainingResult
-from repro.obs import names
 from repro.obs.telemetry import Telemetry
 from repro.pipeline.pipeline import Pipeline
 from repro.utils.rng import SeedLike
 
 
-class ThresholdRetrainingDeployment(Deployment):
+class ThresholdRetrainingDeployment(FullRetrainingDeployment):
     """Online updates + full retraining when quality degrades.
 
     Parameters
@@ -83,7 +79,14 @@ class ThresholdRetrainingDeployment(Deployment):
         retry=None,
     ) -> None:
         super().__init__(
-            metric,
+            pipeline,
+            model,
+            optimizer,
+            config=config,
+            metric=metric,
+            cost_model=cost_model,
+            seed=seed,
+            online_batch_rows=online_batch_rows,
             telemetry=telemetry,
             checkpoint=checkpoint,
             fault_plan=fault_plan,
@@ -110,59 +113,28 @@ class ThresholdRetrainingDeployment(Deployment):
         self.window_chunks = int(window_chunks)
         self.cooldown_chunks = int(cooldown_chunks)
         self.min_absolute_delta = float(min_absolute_delta)
-        self.config = config if config is not None else PeriodicalConfig()
-        self.online_batch_rows = online_batch_rows
-        self.engine = LocalExecutionEngine(
-            cost_model, telemetry=self.telemetry
-        )
-        self.data_manager = DataManager(seed=seed, telemetry=self.telemetry)
-        self.reliability.guard_reads(self.data_manager)
-        self.manager = PipelineManager(
-            pipeline=pipeline,
-            model=model,
-            optimizer=optimizer,
-            data_manager=self.data_manager,
-            engine=self.engine,
-        )
-        self._seed = seed
         self._window: deque = deque(maxlen=self.window_chunks)
         self._baseline: Optional[float] = None
         self._chunks_since_retrain = 0
-        self.online_updates = 0
-        self.retrainings: List[TrainingResult] = []
-        self.retrain_durations: List[float] = []
         #: Chunk indices at which retrainings fired (for analysis).
         self.retrain_chunks: List[int] = []
 
-    @property
-    def model(self) -> LinearSGDModel:
-        return self.manager.model
-
     # ------------------------------------------------------------------
-    def initial_fit(self, tables: List[Table], **kwargs) -> TrainingResult:
-        return self.manager.initial_fit(tables, store=True, **kwargs)
-
     def _predict(self, table: Table) -> Tuple[np.ndarray, np.ndarray]:
-        predictions, labels = self.manager.answer_queries(table)
+        predictions, labels = super()._predict(table)
         if len(labels):
-            self._window.append(
-                self._chunk_error(predictions, labels) / len(labels)
+            errors = errors_from_predictions(
+                self.prequential.kind, predictions, labels
             )
+            self._window.append(float(np.sum(errors)) / len(labels))
         return predictions, labels
 
     def _observe(self, table: Table, chunk_index: int) -> None:
-        __, features = self.manager.process_training_chunk(
-            table, online_statistics=True, store=False
-        )
-        if features.num_rows:
-            self.manager.online_step(features, self.online_batch_rows)
-            self.online_updates += 1
         self._chunks_since_retrain += 1
-        if self._should_retrain():
-            self._retrain(chunk_index)
+        super()._observe(table, chunk_index)
 
     # ------------------------------------------------------------------
-    def _should_retrain(self) -> bool:
+    def _should_retrain(self, chunk_index: int) -> bool:
         if len(self._window) < self.window_chunks:
             return False
         if self._chunks_since_retrain < self.cooldown_chunks:
@@ -181,25 +153,8 @@ class ThresholdRetrainingDeployment(Deployment):
         return degraded_relative and degraded_absolute
 
     def _retrain(self, chunk_index: int) -> None:
-        with self.telemetry.tracer.span(
-            names.PLATFORM_FULL_RETRAIN, chunk=chunk_index
-        ) as span:
-            started_at = self.engine.total_cost()
-            result = self.manager.full_retrain(
-                batch_size=self.config.batch_size,
-                max_iterations=self.config.max_epoch_iterations,
-                tolerance=self.config.tolerance,
-                warm_start=self.config.warm_start,
-                seed=self._seed,
-            )
-            self.retrainings.append(result)
-            self.retrain_durations.append(
-                self.engine.total_cost() - started_at
-            )
-            self.retrain_chunks.append(chunk_index)
-            span.set(
-                iterations=result.iterations, converged=result.converged
-            )
+        super()._retrain(chunk_index)
+        self.retrain_chunks.append(chunk_index)
         self._chunks_since_retrain = 0
         self._window.clear()
         self._baseline = None  # re-measured from the next full window
@@ -211,54 +166,22 @@ class ThresholdRetrainingDeployment(Deployment):
         return float(np.mean(self._window))
 
     # ------------------------------------------------------------------
-    def _current_cost(self) -> float:
-        return self.engine.total_cost()
-
-    def _finalize(self, result: DeploymentResult) -> None:
-        result.counters["online_updates"] = self.online_updates
-        result.counters["retrainings"] = len(self.retrainings)
-        result.cost_breakdown = self.engine.tracker.breakdown()
-        result.wall_seconds = self.engine.wall.elapsed
-        result.training_durations = list(self.retrain_durations)
-
-    # ------------------------------------------------------------------
     # Checkpoint/recovery hooks
     # ------------------------------------------------------------------
-    def _artifacts(self):
-        return (
-            self.manager.pipeline,
-            self.manager.model,
-            self.manager.optimizer,
-        )
-
-    def _install_artifacts(self, pipeline, model, optimizer) -> None:
-        self.manager.replace_artifacts(pipeline, model, optimizer)
-
-    def _chunk_store(self):
-        return self.data_manager.storage
-
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "online_updates": self.online_updates,
-            "retrainings": list(self.retrainings),
-            "retrain_durations": list(self.retrain_durations),
             "retrain_chunks": list(self.retrain_chunks),
             "window": list(self._window),
             "baseline": self._baseline,
             "chunks_since_retrain": self._chunks_since_retrain,
-            "cost": self.engine.tracker.state_dict(),
-            "data_manager": self.data_manager.state_dict(),
+            **super().state_dict(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.online_updates = int(state["online_updates"])
-        self.retrainings = list(state["retrainings"])
-        self.retrain_durations = list(state["retrain_durations"])
         self.retrain_chunks = list(state["retrain_chunks"])
         self._window = deque(
             state["window"], maxlen=self.window_chunks
         )
         self._baseline = state["baseline"]
         self._chunks_since_retrain = int(state["chunks_since_retrain"])
-        self.engine.tracker.load_state_dict(state["cost"])
-        self.data_manager.load_state_dict(state["data_manager"])
+        super().load_state_dict(state)

@@ -19,7 +19,9 @@ from repro.core.deployment.base import DeploymentResult
 from repro.core.deployment.continuous import ContinuousDeployment
 from repro.data.sampling import WindowBasedSampler
 from repro.driftdetect.base import DriftDetector, DriftState
+from repro.exceptions import ValidationError
 from repro.execution.cost import CostModel
+from repro.ml.metrics import errors_from_predictions
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.obs import names
@@ -87,15 +89,15 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
             retry=retry,
         )
         if bursts_per_drift < 1:
-            raise ValueError(
+            raise ValidationError(
                 f"bursts_per_drift must be >= 1, got {bursts_per_drift}"
             )
         if burst_window < 1:
-            raise ValueError(
+            raise ValidationError(
                 f"burst_window must be >= 1, got {burst_window}"
             )
         if burst_delay_chunks < 0:
-            raise ValueError(
+            raise ValidationError(
                 f"burst_delay_chunks must be >= 0, "
                 f"got {burst_delay_chunks}"
             )
@@ -113,7 +115,9 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
         predictions, labels = super()._predict(table)
         if len(labels):
             state = self.detector.update_many(
-                self._row_errors(predictions, labels)
+                errors_from_predictions(
+                    self.prequential.kind, predictions, labels
+                )
             )
             if state is not DriftState.STABLE and self.telemetry.enabled:
                 self._record_drift_telemetry(state)
@@ -163,14 +167,6 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
         finally:
             data_manager.sampler = regular_sampler
 
-    def _row_errors(
-        self, predictions: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        if self.metric == "classification":
-            return (predictions != labels).astype(np.float64)
-        residual = predictions - labels
-        return residual * residual
-
     def _finalize(self, result: DeploymentResult) -> None:
         super()._finalize(result)
         result.counters["drifts_detected"] = len(self.drift_chunks)
@@ -179,14 +175,15 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
     # Checkpoint/recovery hooks
     # ------------------------------------------------------------------
     def state_dict(self):
-        state = super().state_dict()
-        state["drift"] = {
-            "detector": self.detector.state_dict(),
-            "drift_chunks": list(self.drift_chunks),
-            "burst_countdown": self._burst_countdown,
-            "chunk_index": self._chunk_index,
+        return {
+            **super().state_dict(),
+            "drift": {
+                "detector": self.detector.state_dict(),
+                "drift_chunks": list(self.drift_chunks),
+                "burst_countdown": self._burst_countdown,
+                "chunk_index": self._chunk_index,
+            },
         }
-        return state
 
     def load_state_dict(self, state) -> None:
         super().load_state_dict(state)

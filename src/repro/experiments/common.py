@@ -78,6 +78,17 @@ class Scenario:
     #: (1 = point-at-a-time online gradient descent, as in the paper).
     online_batch_rows: Optional[int] = None
 
+    def fit(self, deployment, **kwargs):
+        """Initial training of a deployment (or platform) built for
+        this scenario; returns it for chaining."""
+        deployment.initial_fit(
+            self.make_initial_data(),
+            seed=self.seed,
+            **self.initial_fit_kwargs,
+            **kwargs,
+        )
+        return deployment
+
     def with_continuous(self, **overrides) -> "Scenario":
         """Copy of the scenario with continuous-config overrides."""
         config = replace(self.continuous_config, **overrides)
@@ -261,80 +272,62 @@ def make_deployment(
         raise ValidationError(
             f"approach must be one of {APPROACHES}, got {approach!r}"
         )
-    pipeline = scenario.make_pipeline()
-    model = scenario.make_model()
-    optimizer = scenario.make_optimizer()
-    reliability = dict(
-        checkpoint=checkpoint, fault_plan=fault_plan, retry=retry
+    parts = (
+        scenario.make_pipeline(),
+        scenario.make_model(),
+        scenario.make_optimizer(),
+    )
+    common = dict(
+        metric=scenario.metric,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        fault_plan=fault_plan,
+        retry=retry,
     )
     if approach == "online":
         return OnlineDeployment(
-            pipeline,
-            model,
-            optimizer,
-            metric=scenario.metric,
-            online_batch_rows=scenario.online_batch_rows,
-            telemetry=telemetry,
-            **reliability,
+            *parts, online_batch_rows=scenario.online_batch_rows, **common
         )
-    if approach == "periodical":
-        return PeriodicalDeployment(
-            pipeline,
-            model,
-            optimizer,
-            config=scenario.periodical_config,
-            metric=scenario.metric,
+    if approach == "continuous":
+        return ContinuousDeployment(
+            *parts,
+            config=scenario.continuous_config,
             seed=scenario.seed,
-            online_batch_rows=scenario.online_batch_rows,
-            telemetry=telemetry,
-            **reliability,
+            **common,
         )
-    if approach == "threshold":
-        return ThresholdRetrainingDeployment(
-            pipeline,
-            model,
-            optimizer,
-            config=scenario.periodical_config,
-            metric=scenario.metric,
-            seed=scenario.seed,
-            online_batch_rows=scenario.online_batch_rows,
-            telemetry=telemetry,
-            **reliability,
-        )
-    return ContinuousDeployment(
-        pipeline,
-        model,
-        optimizer,
-        config=scenario.continuous_config,
-        metric=scenario.metric,
+    retraining = (
+        PeriodicalDeployment
+        if approach == "periodical"
+        else ThresholdRetrainingDeployment
+    )
+    return retraining(
+        *parts,
+        config=scenario.periodical_config,
         seed=scenario.seed,
-        telemetry=telemetry,
-        **reliability,
+        online_batch_rows=scenario.online_batch_rows,
+        **common,
     )
 
 
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
+def run_approach(
+    scenario: Scenario,
+    approach: str,
+    telemetry: Optional[Telemetry] = None,
+) -> DeploymentResult:
+    """Build, fit and run one approach on the scenario's own stream."""
+    deployment = make_deployment(scenario, approach, telemetry=telemetry)
+    return scenario.fit(deployment).run(scenario.make_stream())
+
+
 def run_online(
     scenario: Scenario,
     telemetry: Optional[Telemetry] = None,
 ) -> DeploymentResult:
     """Run the online baseline on the scenario."""
-    deployment = OnlineDeployment(
-        scenario.make_pipeline(),
-        scenario.make_model(),
-        scenario.make_optimizer(),
-        metric=scenario.metric,
-        online_batch_rows=scenario.online_batch_rows,
-        telemetry=telemetry,
-    )
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
-    return deployment.run(scenario.make_stream())
+    return run_approach(scenario, "online", telemetry)
 
 
 def run_periodical(
@@ -342,22 +335,7 @@ def run_periodical(
     telemetry: Optional[Telemetry] = None,
 ) -> DeploymentResult:
     """Run the periodical baseline on the scenario."""
-    deployment = PeriodicalDeployment(
-        scenario.make_pipeline(),
-        scenario.make_model(),
-        scenario.make_optimizer(),
-        config=scenario.periodical_config,
-        metric=scenario.metric,
-        seed=scenario.seed,
-        online_batch_rows=scenario.online_batch_rows,
-        telemetry=telemetry,
-    )
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
-    return deployment.run(scenario.make_stream())
+    return run_approach(scenario, "periodical", telemetry)
 
 
 def run_continuous(
@@ -366,18 +344,6 @@ def run_continuous(
     telemetry: Optional[Telemetry] = None,
 ) -> DeploymentResult:
     """Run the continuous approach (optionally overriding its config)."""
-    deployment = ContinuousDeployment(
-        scenario.make_pipeline(),
-        scenario.make_model(),
-        scenario.make_optimizer(),
-        config=config if config is not None else scenario.continuous_config,
-        metric=scenario.metric,
-        seed=scenario.seed,
-        telemetry=telemetry,
-    )
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
-    return deployment.run(scenario.make_stream())
+    if config is not None:
+        scenario = replace(scenario, continuous_config=config)
+    return run_approach(scenario, "continuous", telemetry)

@@ -134,12 +134,7 @@ def figure5(
             seed=scenario.seed,
             telemetry=telemetry,
         )
-        deployment.initial_fit(
-            scenario.make_initial_data(),
-            seed=scenario.seed,
-            **scenario.initial_fit_kwargs,
-        )
-        result = deployment.run(
+        result = scenario.fit(deployment).run(
             islice(scenario.make_stream(), prefix)
         )
         histories[adaptation] = list(result.error_history)

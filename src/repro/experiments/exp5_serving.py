@@ -117,12 +117,7 @@ def produce_candidates(
         seed=scenario.seed,
         telemetry=telemetry,
     )
-    platform.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        store=True,
-        **scenario.initial_fit_kwargs,
-    )
+    scenario.fit(platform, store=True)
     initial = copy.deepcopy((pipeline, model, optimizer))
     candidates: List[CandidateSnapshot] = []
     cost_before = platform.engine.total_cost()
@@ -199,22 +194,11 @@ def run_policy(
             telemetry=telemetry,
         )
     arrivals = {c.arrival_chunk: c for c in candidates}
-    tracker = PrequentialTracker(
-        kind="rate" if scenario.metric == "classification" else "rmse"
-    )
+    tracker = PrequentialTracker.for_metric(scenario.metric)
     point = ServingPoint(policy=policy)
     for chunk_index, table in enumerate(scenario.make_stream()):
         served = endpoint.predict(table, chunk_index=chunk_index)
-        if len(served.labels):
-            if scenario.metric == "classification":
-                error_sum = float(
-                    np.sum(served.predictions != served.labels)
-                )
-            else:
-                residual = served.predictions - served.labels
-                error_sum = float(np.sum(residual * residual))
-            tracker.add_chunk(error_sum, len(served.labels))
-        point.error_history.append(tracker.value())
+        tracker.score(served.predictions, served.labels)
         if controller is not None:
             action = controller.observe(served)
             if action != "continue":
@@ -248,6 +232,7 @@ def run_policy(
             )
         # else: a rollout is mid-flight; the candidate stays staged-
         # less in the registry (the next arrival supersedes it).
+    point.error_history = tracker.history
     return point
 
 

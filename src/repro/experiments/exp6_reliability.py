@@ -31,7 +31,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.deployment.base import DeploymentResult
 from repro.exceptions import ReliabilityError
-from repro.experiments.common import Scenario, make_deployment
+from repro.experiments.common import (
+    Scenario,
+    make_deployment,
+    run_approach,
+)
 from repro.obs.telemetry import Telemetry
 from repro.reliability import (
     STREAM_READ,
@@ -74,15 +78,6 @@ class RetryDemoResult:
     identical_to_clean: bool
 
 
-def _fit_and(scenario: Scenario, deployment):
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
-    return deployment
-
-
 def _identical(
     recovered: DeploymentResult, reference: DeploymentResult
 ) -> bool:
@@ -115,9 +110,7 @@ def run_cadence_sweep(
         raise ReliabilityError(
             f"kill_after_chunks must be >= 1, got {kill_after_chunks}"
         )
-    reference = _fit_and(
-        scenario, make_deployment(scenario, approach, telemetry=telemetry)
-    ).run(scenario.make_stream())
+    reference = run_approach(scenario, approach, telemetry)
     points: List[CadencePoint] = []
     with tempfile.TemporaryDirectory(dir=directory) as root:
         for cadence in cadences:
@@ -126,8 +119,7 @@ def run_cadence_sweep(
                 cadence_chunks=cadence,
                 keep=3,
             )
-            crashing = _fit_and(
-                scenario,
+            crashing = scenario.fit(
                 make_deployment(
                     scenario,
                     approach,
@@ -135,7 +127,7 @@ def run_cadence_sweep(
                     fault_plan=FaultPlan.crash_at(
                         STREAM_READ, kill_after_chunks + 1
                     ),
-                ),
+                )
             )
             try:
                 crashing.run(scenario.make_stream())
@@ -179,16 +171,13 @@ def run_retry_demo(
             for occurrence in occurrences
         )
     )
-    reference = _fit_and(
-        scenario, make_deployment(scenario, approach, telemetry=telemetry)
-    ).run(scenario.make_stream())
+    reference = run_approach(scenario, approach, telemetry)
 
     unprotected_crashed = False
     unprotected_error = ""
     try:
-        _fit_and(
-            scenario,
-            make_deployment(scenario, approach, fault_plan=plan),
+        scenario.fit(
+            make_deployment(scenario, approach, fault_plan=plan)
         ).run(scenario.make_stream())
     except TransientFault as error:
         unprotected_crashed = True
@@ -200,8 +189,7 @@ def run_retry_demo(
         fault_plan=plan,
         retry=RetryPolicy(max_attempts=3, seed=scenario.seed),
     )
-    _fit_and(scenario, protected)
-    result = protected.run(scenario.make_stream())
+    result = scenario.fit(protected).run(scenario.make_stream())
     return RetryDemoResult(
         faults_planned=len(plan),
         unprotected_crashed=unprotected_crashed,

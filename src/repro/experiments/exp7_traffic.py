@@ -143,12 +143,7 @@ def _train_platform(scenario: Scenario):
         config=scenario.continuous_config,
         seed=scenario.seed,
     )
-    platform.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        store=True,
-        **scenario.initial_fit_kwargs,
-    )
+    scenario.fit(platform, store=True)
     return platform, (pipeline, model, optimizer)
 
 

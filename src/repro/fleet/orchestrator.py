@@ -191,11 +191,14 @@ class FleetOrchestrator:
                 ingested += 1
             self._sync_clock()
             if ingested:
+                # The latest *measured* chunk: one served empty
+                # (every row filtered) adds nothing to chunk_errors.
+                errors = tenant.chunk_errors
                 tracer.point(
                     names.FLEET_TENANT_CHUNK,
                     tenant=tenant.name,
                     cursor=tenant.cursor,
-                    error=tenant.chunk_errors[-1],
+                    error=errors[-1] if errors else None,
                 )
         trainings_run = 0
         for tenant_index in allocation.order:

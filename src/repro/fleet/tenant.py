@@ -47,8 +47,6 @@ from repro.persistence import DeploymentBundle
 from repro.serving.endpoint import ServingEndpoint
 from repro.serving.registry import ModelRegistry
 
-import numpy as np
-
 #: Static interval large enough that the tenant's own scheduler never
 #: fires — the fleet scheduler is the only source of training.
 _NEVER = 10**6
@@ -127,7 +125,6 @@ class TenantRuntime:
             optimizer = make_optimizer("adam", learning_rate=0.05)
             self.metric = "classification"
             initial_rows, fit_iterations = 200, 160
-            tracker_kind = "rate"
         else:
             generator = TaxiStreamGenerator(
                 num_chunks=spec.chunks,
@@ -146,7 +143,6 @@ class TenantRuntime:
             # and low-noise — the cleanest signal the policy
             # comparison has.
             initial_rows, fit_iterations = 120, 30
-            tracker_kind = "rmse"
         self.platform = ContinuousDeploymentPlatform(
             pipeline,
             model,
@@ -157,7 +153,7 @@ class TenantRuntime:
             registry=self.registry,
             lineage_scope=spec.name,
         )
-        self.prequential = PrequentialTracker(kind=tracker_kind)
+        self.prequential = PrequentialTracker.for_metric(self.metric)
         self._stream: Iterator[Table] = iter(generator.stream())
         self.cursor = 0
         self.active = True
@@ -192,8 +188,11 @@ class TenantRuntime:
     def ingest_chunk(self) -> bool:
         """One prequential test-then-train step on the next chunk.
 
-        Returns ``False`` (and deactivates the tenant) when the
-        stream is exhausted.
+        A chunk served empty (every row filtered) still trains but
+        measures nothing: the cumulative error carries forward and
+        ``chunk_errors`` / the drift score do not see it. Returns
+        ``False`` (and deactivates the tenant) when the stream is
+        exhausted.
         """
         if not self.active:
             return False
@@ -203,9 +202,9 @@ class TenantRuntime:
             self.active = False
             return False
         predictions, labels = self.platform.predict(table)
-        error_sum = self._chunk_error(predictions, labels)
-        self.prequential.add_chunk(error_sum, len(labels))
-        self.chunk_errors.append(error_sum / len(labels))
+        chunk_error = self.prequential.score(predictions, labels)
+        if chunk_error is not None:
+            self.chunk_errors.append(chunk_error)
         self.platform.observe(table)
         self.cursor += 1
         self.new_rows += table.num_rows
@@ -214,14 +213,6 @@ class TenantRuntime:
             # the scheduler never allocates an epoch of dead streams.
             self.active = False
         return True
-
-    def _chunk_error(
-        self, predictions: np.ndarray, labels: np.ndarray
-    ) -> float:
-        if self.metric == "classification":
-            return float(np.sum(predictions != labels))
-        residual = predictions - labels
-        return float(np.sum(residual * residual))
 
     def train(self, epoch: int) -> Optional[ProactiveOutcome]:
         """Spend one fleet-granted training slot (a short SGD burst)."""

@@ -10,7 +10,7 @@ accumulates over all chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -83,6 +83,40 @@ def rmsle_from_log(
     return float(np.sqrt(np.mean((log_pred - log_true) ** 2)))
 
 
+def metric_kind(metric: str) -> str:
+    """Error aggregation of a deployment metric.
+
+    ``"classification"`` aggregates as ``"rate"``, ``"regression"`` as
+    ``"rmse"`` (RMSLE when the model works in log space).
+    """
+    if metric == "classification":
+        return "rate"
+    if metric == "regression":
+        return "rmse"
+    raise ValidationError(
+        f"metric must be 'classification' or 'regression', got {metric!r}"
+    )
+
+
+def errors_from_predictions(
+    kind: str, predictions: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Per-row error contributions for ``kind``.
+
+    ``"rate"`` — 0/1 misclassification indicators; ``"rmse"`` —
+    squared residuals. Summing these and dividing by the row count
+    reproduces the library's metric definitions exactly.
+    """
+    if kind == "rate":
+        return (
+            np.asarray(predictions) != np.asarray(labels)
+        ).astype(np.float64)
+    residual = np.asarray(predictions, dtype=np.float64) - np.asarray(
+        labels, dtype=np.float64
+    )
+    return residual * residual
+
+
 @dataclass
 class PrequentialTracker:
     """Cumulative prequential error over a deployment.
@@ -109,6 +143,30 @@ class PrequentialTracker:
             raise ValidationError(
                 f"kind must be 'rate' or 'rmse', got {self.kind!r}"
             )
+
+    @classmethod
+    def for_metric(cls, metric: str) -> "PrequentialTracker":
+        """Tracker for ``"classification"`` or ``"regression"``."""
+        return cls(kind=metric_kind(metric))
+
+    def score(
+        self, predictions: np.ndarray, labels: np.ndarray
+    ) -> Optional[float]:
+        """Score one served chunk; returns its mean per-row error.
+
+        A chunk that came out of the serving path empty (every row
+        filtered) measures nothing: the previous cumulative value is
+        carried forward so :attr:`history` stays aligned with chunk
+        indices, and ``None`` is returned.
+        """
+        count = len(labels)
+        if not count:
+            self.history.append(self.value())
+            return None
+        errors = errors_from_predictions(self.kind, predictions, labels)
+        error_sum = float(np.sum(errors))
+        self.add_chunk(error_sum, count)
+        return error_sum / count
 
     def add_chunk(self, error_sum: float, count: int) -> float:
         """Record one chunk's error; returns the new cumulative value."""

@@ -292,18 +292,12 @@ def run_workload(scenario, approach: str):
     span tree, so ``repro perf check`` can gate both the totals and
     the cost shape.
     """
-    from repro.experiments.common import make_deployment
+    from repro.experiments.common import run_approach
     from repro.obs.profile import build_profile, profile_digest
     from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry()
-    deployment = make_deployment(scenario, approach, telemetry=telemetry)
-    deployment.initial_fit(
-        scenario.make_initial_data(),
-        seed=scenario.seed,
-        **scenario.initial_fit_kwargs,
-    )
-    result = deployment.run(scenario.make_stream())
+    result = run_approach(scenario, approach, telemetry)
     telemetry.flush_metrics()
     root = build_profile(telemetry.events)
     if telemetry.enabled:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.exceptions import ServingError
+from repro.ml.metrics import metric_kind
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs import names
 from repro.serving.endpoint import ServedBatch, ServingEndpoint
@@ -86,7 +87,7 @@ class RolloutController:
             )
         self.registry = registry
         self.endpoint = endpoint
-        self.kind = "rate" if metric == "classification" else "rmse"
+        self.kind = metric_kind(metric)
         self.config = config if config is not None else GateConfig()
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY

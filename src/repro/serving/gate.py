@@ -18,7 +18,8 @@ Two comparison modes cover the rollout lifecycle:
 
 Error aggregation follows :mod:`repro.ml.metrics`: ``"rate"`` for
 classification (mean 0/1 errors), ``"rmse"`` for regression (root
-mean squared residual — RMSLE when the model works in log space).
+mean squared residual — RMSLE when the model works in log space);
+its per-row ``errors_from_predictions`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from repro.driftdetect.window import WindowComparisonDetector
 from repro.driftdetect.base import DriftState
 from repro.exceptions import ServingError
+from repro.ml.metrics import errors_from_predictions  # noqa: F401
 
 
 class GateDecision(enum.Enum):
@@ -100,25 +102,6 @@ def _aggregate(kind: str, error_sum: float, count: int) -> float:
         return 0.0
     mean = error_sum / count
     return math.sqrt(mean) if kind == "rmse" else mean
-
-
-def errors_from_predictions(
-    kind: str, predictions: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Per-row error contributions for ``kind``.
-
-    ``"rate"`` — 0/1 misclassification indicators; ``"rmse"`` —
-    squared residuals. Summing these and dividing by the row count
-    reproduces the library's metric definitions exactly.
-    """
-    if kind == "rate":
-        return (
-            np.asarray(predictions) != np.asarray(labels)
-        ).astype(np.float64)
-    residual = np.asarray(predictions, dtype=np.float64) - np.asarray(
-        labels, dtype=np.float64
-    )
-    return residual * residual
 
 
 class QualityGate:

@@ -107,6 +107,25 @@ def test_program_findings_anchor_at_definition_sites(tmp_path):
     assert "time.time" in finding.message
 
 
+def test_state_dict_keys_sees_a_subclass_extending_super(tmp_path):
+    """REP004 checks the keys a subclass adds around a
+    ``**super().state_dict()`` spread instead of skipping the class."""
+    source = """\
+class Child(Base):
+    def state_dict(self):
+        return {"mine": self.mine, **super().state_dict()}
+
+    def load_state_dict(self, state):
+        self.mine = state[%r]
+        super().load_state_dict(state)
+"""
+    assert _lint_snippet(tmp_path, "REP004", source % "mine").clean
+    skewed = _lint_snippet(tmp_path, "REP004", source % "other")
+    assert len(skewed.findings) == 2  # saved-not-read + read-not-saved
+    foreign = source.replace("super().state_dict()", "self.extra()")
+    assert _lint_snippet(tmp_path, "REP004", foreign % "other").clean
+
+
 def test_noqa_for_a_different_rule_does_not_suppress(tmp_path):
     source = CORPUS[("REP007", "flag")].replace(
         "except Exception:", "except Exception:  # repro: noqa[REP001]"

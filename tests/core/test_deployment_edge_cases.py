@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import ContinuousConfig, ScheduleConfig
-from repro.core.deployment import ContinuousDeployment, OnlineDeployment
+from repro.core.deployment import (
+    ContinuousDeployment,
+    OnlineDeployment,
+    PeriodicalDeployment,
+    ThresholdRetrainingDeployment,
+)
 from repro.data.table import Table
+from repro.exceptions import ValidationError
 from repro.execution.cost import CostModel
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
@@ -184,3 +190,38 @@ class TestEmptyStream:
 
         with pytest.raises(ValidationError):
             result.final_error
+
+
+def _continuous(*parts, online_batch_rows):
+    return ContinuousDeployment(
+        *parts, config=ContinuousConfig(online_batch_rows=online_batch_rows)
+    )
+
+
+class TestOnlineBatchRowsValidation:
+    """Every approach rejects a bad slice size when it is built —
+    not with a bare ``range()`` error (0) or by silently training
+    nothing (negative) once the stream is running."""
+
+    BUILDERS = [
+        OnlineDeployment,
+        PeriodicalDeployment,
+        ThresholdRetrainingDeployment,
+        _continuous,
+    ]
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_rejected_at_construction(self, build, rows):
+        with pytest.raises(ValidationError, match="online_batch_rows"):
+            build(*make_parts(), online_batch_rows=rows)
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 1000])
+    @pytest.mark.parametrize("build", BUILDERS[:3])
+    def test_valid_sizes_train_every_chunk(self, build, rows):
+        deployment = build(
+            *make_parts(), metric="regression", online_batch_rows=rows
+        )
+        deployment.initial_fit(initial(), max_iterations=20, seed=0)
+        result = deployment.run(stream(num_chunks=4))
+        assert result.counters["online_updates"] == 4

@@ -222,7 +222,7 @@ class TestDriftAwareDeployment:
         assert result.counters["drifts_detected"] == 0
 
     def test_invalid_bursts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="bursts_per_drift"):
             self._make(PageHinkley(), bursts=0)
 
 
@@ -308,9 +308,9 @@ class TestBurstMechanics:
         assert result.counters["drifts_detected"] <= 2
 
     def test_invalid_burst_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="burst_window"):
             self._deployment(burst_window=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="burst_delay_chunks"):
             self._deployment(burst_delay_chunks=-1)
 
 

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.experiments import common
 from repro.experiments.common import (
+    APPROACHES,
     Scenario,
+    make_deployment,
+    run_approach,
     taxi_scenario,
     url_scenario,
 )
@@ -71,3 +75,39 @@ class TestScenarioHelpers:
         scenario = url_scenario("test")
         assert isinstance(scenario, Scenario)
         assert scenario.online_batch_rows == 1
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.ConvergenceWarning")
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_runners_are_make_deployment_fit_run(approach):
+    """``run_<approach>`` / ``run_approach`` and the three steps spelled
+    out by hand give the same trajectories and counters."""
+    scenario = url_scenario("test")
+    deployment = make_deployment(scenario, approach)
+    deployment.initial_fit(
+        scenario.make_initial_data(),
+        seed=scenario.seed,
+        **scenario.initial_fit_kwargs,
+    )
+    by_hand = deployment.run(scenario.make_stream())
+    runners = [lambda s: run_approach(s, approach)]
+    named = getattr(common, f"run_{approach}", None)
+    if named is not None:  # there is no run_threshold
+        runners.append(named)
+    for runner in runners:
+        result = runner(scenario)
+        assert result.approach == approach
+        assert result.error_history == by_hand.error_history
+        assert result.cost_history == by_hand.cost_history
+        assert result.counters == by_hand.counters
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.ConvergenceWarning")
+def test_run_continuous_config_override():
+    scenario = url_scenario("test")
+    config = scenario.with_continuous(sample_size_chunks=2).continuous_config
+    overridden = common.run_continuous(scenario, config=config)
+    assert overridden.counters != common.run_continuous(scenario).counters
+    assert overridden.counters == common.run_continuous(
+        scenario.with_continuous(sample_size_chunks=2)
+    ).counters

@@ -262,6 +262,68 @@ class TestRecovery:
             FleetOrchestrator.recover(store)
 
 
+class TestAllRowsFilteredChunk:
+    """A one-row taxi chunk the anomaly filter drops entirely: the
+    tenant serves nothing for it but still trains on it."""
+
+    SPEC = dict(chunks=12, rows=1)
+
+    def _fleet(self):
+        return make_fleet(4, seed=1, policy="fair_share", **self.SPEC)
+
+    def test_empty_chunk_carries_the_error_forward(self):
+        orchestrator = FleetOrchestrator(self._fleet())
+        orchestrator.run()
+        taxi = next(
+            t for t in orchestrator.tenants if t.spec.dataset == "taxi"
+        )
+        history = taxi.prequential.history
+        assert len(history) == taxi.cursor == 12
+        # One chunk measured nothing: no chunk error (so no drift
+        # signal), no rows counted, the cumulative value repeated.
+        assert len(taxi.chunk_errors) == 11
+        assert taxi.prequential.total_count == 11
+        assert any(a == b for a, b in zip(history, history[1:]))
+        # ... and it was still ingested as training data.
+        assert taxi.platform.data_manager.storage.num_raw == 12
+
+    def test_replay_and_recovery_stay_byte_identical(self, tmp_path):
+        reference = FleetOrchestrator(self._fleet()).run()
+        assert FleetOrchestrator(self._fleet()).run().digest == (
+            reference.digest
+        )
+        checkpoint = CheckpointConfig(
+            directory=str(tmp_path / "ckpt"), cadence_chunks=2
+        )
+        interrupted = FleetOrchestrator(
+            self._fleet(), checkpoint=checkpoint
+        )
+        interrupted.setup()
+        for _ in range(9):
+            interrupted.run_epoch()
+        result = FleetOrchestrator.recover(checkpoint).run()
+        assert result.digest == reference.digest
+
+    def test_first_chunk_empty_reports_no_error(self):
+        # Seed 28's taxi tenant is served nothing on its very first
+        # chunk: the per-tenant point then carries error=None.
+        telemetry = Telemetry()
+        orchestrator = FleetOrchestrator(
+            make_fleet(3, seed=28, policy="fair_share", chunks=3, rows=1),
+            telemetry=telemetry,
+        )
+        orchestrator.setup()
+        orchestrator.run_epoch()
+        errors = {
+            e["attrs"]["tenant"]: e["attrs"]["error"]
+            for e in telemetry.events
+            if e["name"] == names.FLEET_TENANT_CHUNK
+        }
+        assert errors["taxi-02"] is None
+        assert errors["url-00"] is not None
+        assert orchestrator.tenants[2].prequential.history == [0.0]
+
+
 class TestValidationSurface:
     def test_single_tenant_fleet_runs(self):
         spec = FleetSpec(

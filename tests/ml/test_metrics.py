@@ -7,8 +7,10 @@ from repro.exceptions import ValidationError
 from repro.ml.metrics import (
     PrequentialTracker,
     accuracy,
+    errors_from_predictions,
     mean_absolute_error,
     mean_squared_error,
+    metric_kind,
     misclassification_rate,
     rmsle,
     rmsle_from_log,
@@ -106,3 +108,70 @@ class TestPrequentialTracker:
             tracker.add_chunk(1, 0)
         with pytest.raises(ValidationError):
             tracker.add_chunk(-1, 5)
+
+
+def _old_chunk_error(metric, predictions, labels):
+    """``Deployment._chunk_error`` as every loop spelled it before
+    scoring moved into :meth:`PrequentialTracker.score`."""
+    if metric == "classification":
+        return float(np.sum(predictions != labels))
+    residual = predictions - labels
+    return float(np.sum(residual * residual))
+
+
+def _chunks(metric, seed=11, count=6):
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        rows = 0 if index == 2 else int(rng.integers(1, 40))
+        labels = rng.standard_normal(rows)
+        predictions = labels + rng.standard_normal(rows)
+        if metric == "classification":
+            labels, predictions = np.sign(labels), np.sign(predictions)
+        yield predictions, labels
+
+
+class TestScoreMatchesTheOldLoop:
+    """``score`` is bit-equal to ``_chunk_error`` + ``add_chunk`` behind
+    the loop's ``if len(labels)`` guard (== comparisons, not approx)."""
+
+    @pytest.mark.parametrize("metric", ["classification", "regression"])
+    def test_bit_equal_including_an_empty_chunk(self, metric):
+        new = PrequentialTracker.for_metric(metric)
+        old = PrequentialTracker(kind=metric_kind(metric))
+        for predictions, labels in _chunks(metric):
+            expected = None
+            if len(labels):
+                error_sum = _old_chunk_error(metric, predictions, labels)
+                old.add_chunk(error_sum, len(labels))
+                expected = error_sum / len(labels)
+            assert new.score(predictions, labels) == expected
+            assert new.value() == old.value()
+            assert new.total_error == old.total_error
+            assert new.total_count == old.total_count
+
+    def test_empty_chunk_carries_the_value_forward(self):
+        tracker = PrequentialTracker.for_metric("classification")
+        empty = np.array([])
+        assert tracker.score(empty, empty) is None
+        assert tracker.history == [0.0]
+        tracker.score(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        assert tracker.score(empty, empty) is None
+        assert tracker.history == [0.0, 0.5, 0.5]
+        assert tracker.total_count == 2
+
+    @pytest.mark.parametrize("metric", ["classification", "regression"])
+    def test_row_errors_sum_to_the_chunk_error(self, metric):
+        for predictions, labels in _chunks(metric):
+            rows = errors_from_predictions(
+                metric_kind(metric), predictions, labels
+            )
+            assert rows.shape == labels.shape
+            assert float(np.sum(rows)) == _old_chunk_error(
+                metric, predictions, labels
+            )
+
+    def test_metric_kind(self):
+        assert metric_kind("classification") == "rate"
+        assert metric_kind("regression") == "rmse"
+        with pytest.raises(ValidationError, match="metric must be"):
+            metric_kind("auc")
