@@ -79,7 +79,7 @@ bench-check:
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.
 # Every recipe starts from an empty scratch directory of its own.
-SMOKES := serving perf monitor traffic fleet lineage recovery
+SMOKES := serving perf monitor traffic fleet lineage recovery e2e
 SMOKE_DIR ?= .smoke
 REPRO := PYTHONPATH=src python -m repro
 RUN := PYTHONPATH=src timeout
@@ -211,6 +211,11 @@ smoke-recovery:
 	$(RUN) 60 python -m repro run $(RECOVERY) --checkpoint-dir $D/ckpt \
 		--kill-at 9 || test $$? -eq 17
 	$(RUN) 60 python -m repro recover $(RECOVERY) --checkpoint-dir $D/ckpt
+
+# The wall-clock benchmark's self-tests (benchmarks/e2e: traced ≡
+# untraced, the expected.json goldens) — ~10 s, not part of tier-1.
+smoke-e2e:
+	$(RUN) 120 python -m pytest benchmarks/e2e -q
 
 examples:
 	python examples/quickstart.py

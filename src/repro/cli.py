@@ -882,6 +882,17 @@ def _telemetry_from_flags(args: argparse.Namespace, rules=None):
     return telemetry
 
 
+def _fleet_telemetry(args: argparse.Namespace):
+    """:func:`_telemetry_from_flags` for the fleet commands: a
+    ``--monitor`` there watches the fleet's own alert rules."""
+    rules = None
+    if getattr(args, "monitor", None) is not None:
+        from repro.fleet.alerts import fleet_rules
+
+        rules = fleet_rules()
+    return _telemetry_from_flags(args, rules=rules)
+
+
 def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
     """Flush, close, and render whatever ``--trace``/``--profile`` asked
     for; shared epilogue of every instrumentable experiment command."""
@@ -1398,7 +1409,7 @@ def _command_serve(args: argparse.Namespace) -> None:
     import contextlib
     import tempfile
 
-    from repro.core.platform import ContinuousDeploymentPlatform
+    from repro.experiments.common import make_platform
     from repro.experiments.exp5_serving import default_gate_config
     from repro.ml.metrics import PrequentialTracker
     from repro.serving import (
@@ -1408,11 +1419,7 @@ def _command_serve(args: argparse.Namespace) -> None:
     )
 
     scenario = _scenario(args)
-    telemetry = None
-    if args.trace is not None:
-        from repro.obs import JsonlSink, Telemetry
-
-        telemetry = Telemetry(sink=JsonlSink(args.trace))
+    telemetry = _telemetry_from_flags(args)
 
     with contextlib.ExitStack() as stack:
         root = args.registry
@@ -1423,32 +1430,17 @@ def _command_serve(args: argparse.Namespace) -> None:
 
         if registry.live_version is None:
             print("empty registry: bootstrapping the initial version…")
-            pipeline = scenario.make_pipeline()
-            model = scenario.make_model()
-            optimizer = scenario.make_optimizer()
-            platform = ContinuousDeploymentPlatform(
-                pipeline,
-                model,
-                optimizer,
-                config=scenario.continuous_config,
-                seed=scenario.seed,
-                telemetry=telemetry,
-                registry=registry,
-            )
-            scenario.fit(platform, store=True)
-            first = registry.register(pipeline, model, optimizer)
+            platform = make_platform(scenario, telemetry, registry)
+            first = registry.register(*platform.manager.artifacts)
             registry.promote(first.version, reason="initial deployment")
         else:
             print(f"resuming: {registry.live_version} is live")
             bundle = registry.load_live()
-            platform = ContinuousDeploymentPlatform(
-                bundle.pipeline,
-                bundle.model,
-                bundle.optimizer,
-                config=scenario.continuous_config,
-                seed=scenario.seed,
-                telemetry=telemetry,
-                registry=registry,
+            platform = make_platform(
+                scenario,
+                telemetry,
+                registry,
+                parts=(bundle.pipeline, bundle.model, bundle.optimizer),
             )
 
         endpoint = ServingEndpoint(
@@ -1519,12 +1511,7 @@ def _command_serve(args: argparse.Namespace) -> None:
                 for action in ("promote", "reject", "rollback")
             )
         )
-        if telemetry is not None:
-            from repro.obs import format_summary
-
-            telemetry.close()
-            print(f"\ntrace written to {args.trace}")
-            print(format_summary(telemetry.summary()))
+        _finish_telemetry(args, telemetry)
 
 
 def _command_registry(args: argparse.Namespace) -> None:
@@ -1730,22 +1717,10 @@ def _recover_fleet(args: argparse.Namespace) -> None:
     uninterrupted run.
     """
     from repro.fleet import FleetOrchestrator
-    from repro.fleet.alerts import fleet_rules
-    from repro.reliability import CheckpointConfig
 
-    rules = (
-        fleet_rules()
-        if getattr(args, "monitor", None) is not None
-        else None
-    )
-    telemetry = _telemetry_from_flags(args, rules=rules)
+    telemetry = _fleet_telemetry(args)
     orchestrator = FleetOrchestrator.recover(
-        CheckpointConfig(
-            directory=args.checkpoint_dir,
-            cadence_chunks=args.cadence,
-            keep=args.keep,
-        ),
-        telemetry=telemetry,
+        _checkpoint_config(args), telemetry=telemetry
     )
     print(
         f"recovered fleet at epoch {orchestrator.epoch} "
@@ -1806,8 +1781,6 @@ def _fleet_spec(args: argparse.Namespace):
 
 def _command_fleet(args: argparse.Namespace) -> Optional[int]:
     from repro.fleet import FleetOrchestrator
-    from repro.fleet.alerts import fleet_rules
-    from repro.reliability import CheckpointConfig
 
     if args.action == "status":
         if args.checkpoint_dir is None:
@@ -1849,21 +1822,9 @@ def _command_fleet(args: argparse.Namespace) -> Optional[int]:
         )
         return None if schedules and telemetry_ok else 1
 
-    rules = (
-        fleet_rules()
-        if getattr(args, "monitor", None) is not None
-        else None
-    )
-    telemetry = _telemetry_from_flags(args, rules=rules)
-    checkpoint = None
-    if args.checkpoint_dir is not None:
-        checkpoint = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            cadence_chunks=args.cadence,
-            keep=args.keep,
-        )
+    telemetry = _fleet_telemetry(args)
     orchestrator = FleetOrchestrator(
-        spec, telemetry=telemetry, checkpoint=checkpoint
+        spec, telemetry=telemetry, checkpoint=_checkpoint_config(args)
     )
     if args.sigkill_at_epoch is not None:
         import os
@@ -1889,14 +1850,8 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
         headline_claims,
         run_fleet_experiment,
     )
-    from repro.fleet.alerts import fleet_rules
 
-    rules = (
-        fleet_rules()
-        if getattr(args, "monitor", None) is not None
-        else None
-    )
-    telemetry = _telemetry_from_flags(args, rules=rules)
+    telemetry = _fleet_telemetry(args)
     result = run_fleet_experiment(
         num_tenants=args.tenants,
         seed=args.seed,

@@ -259,8 +259,7 @@ class Deployment(ABC):
     # ------------------------------------------------------------------
     def _artifacts(self) -> Tuple[Pipeline, LinearSGDModel, Optimizer]:
         """The deployed (pipeline, model, optimizer) triple."""
-        manager = self.manager
-        return (manager.pipeline, manager.model, manager.optimizer)
+        return self.manager.artifacts
 
     def _install_artifacts(
         self,
@@ -336,18 +335,18 @@ class Deployment(ABC):
                 break
             predictions, labels = self._predict(table)
             chunk_error = self.prequential.score(predictions, labels)
-            result.error_history.append(self.prequential.value())
-            if self.telemetry.enabled:
-                # Point (not span): the per-chunk quality signal the
-                # health monitor windows, kept out of the span stream
-                # so profile digests are unaffected.
-                self.telemetry.tracer.point(
-                    names.PLATFORM_CHUNK,
-                    chunk=chunk_index,
-                    rows=int(len(labels)),
-                    error=chunk_error,
-                    cumulative=self.prequential.value(),
-                )
+            cumulative = self.prequential.value()
+            result.error_history.append(cumulative)
+            # Point (not span): the per-chunk quality signal the
+            # health monitor windows, kept out of the span stream
+            # so profile digests are unaffected.
+            self.telemetry.tracer.point(
+                names.PLATFORM_CHUNK,
+                chunk=chunk_index,
+                rows=int(len(labels)),
+                error=chunk_error,
+                cumulative=cumulative,
+            )
             self._observe(table, chunk_index)
             result.cost_history.append(self._current_cost())
             if self.reliability.due(chunk_index + 1):
@@ -355,8 +354,8 @@ class Deployment(ABC):
             chunk_index += 1
         self._finalize(result)
         result.recovery = self.reliability.recovery
+        self.telemetry.flush_metrics()
         if self.telemetry.enabled:
-            self.telemetry.flush_metrics()
             result.telemetry = self.telemetry
         return result
 

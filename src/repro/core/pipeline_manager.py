@@ -65,6 +65,11 @@ class PipelineManager:
         self.engine = engine
         self.trainer = SGDTrainer(model, optimizer)
 
+    @property
+    def artifacts(self) -> Tuple[Pipeline, LinearSGDModel, Optimizer]:
+        """The deployed (pipeline, model, optimizer) triple."""
+        return (self.pipeline, self.model, self.optimizer)
+
     def replace_artifacts(
         self,
         pipeline: Pipeline,

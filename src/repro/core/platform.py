@@ -137,9 +137,7 @@ class ContinuousDeploymentPlatform:
         )
         storage = ChunkStorage(
             max_materialized=self.config.max_materialized_chunks,
-            metrics=(
-                self.telemetry.metrics if self.telemetry.enabled else None
-            ),
+            metrics=self.telemetry.metrics,
         )
         self.engine = LocalExecutionEngine(
             cost_model, telemetry=self.telemetry
@@ -265,10 +263,9 @@ class ContinuousDeploymentPlatform:
                 fired=fired,
                 now=now,
             )
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    names.SCHEDULER_FIRED if fired else names.SCHEDULER_SKIPPED
-                ).inc()
+            self.telemetry.metrics.counter(
+                names.SCHEDULER_FIRED if fired else names.SCHEDULER_SKIPPED
+            ).inc()
             outcome = (
                 self._run_proactive_training() if fired else None
             )
@@ -317,10 +314,9 @@ class ContinuousDeploymentPlatform:
                 rows=outcome.rows,
                 objective=outcome.objective,
             )
-            if self.telemetry.enabled:
-                self.telemetry.metrics.observe(
-                    names.PROACTIVE_DURATION, duration
-                )
+            self.telemetry.metrics.observe(
+                names.PROACTIVE_DURATION, duration
+            )
             if self.telemetry.ledger is not None:
                 self._record_training_lineage(samples, full_outcome)
             if self.registry is not None:
@@ -370,9 +366,7 @@ class ContinuousDeploymentPlatform:
     def _register_candidate(self, outcome: ProactiveOutcome) -> None:
         """Snapshot the freshly-trained state as a registry candidate."""
         info = self.registry.register(
-            self.manager.pipeline,
-            self.manager.model,
-            self.manager.optimizer,
+            *self.manager.artifacts,
             chunks_observed=self.chunks_observed,
             training_cost=outcome.duration,
             metrics={
@@ -445,11 +439,7 @@ class ContinuousDeploymentPlatform:
         return self.reliability.write(
             self.chunks_observed,
             "platform",
-            DeploymentBundle(
-                pipeline=self.manager.pipeline,
-                model=self.manager.model,
-                optimizer=self.manager.optimizer,
-            ),
+            DeploymentBundle(*self.manager.artifacts),
             self.state_dict(),
             storage=self.data_manager.storage,
         )

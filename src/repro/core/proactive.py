@@ -42,13 +42,10 @@ def combine_chunks(samples: Sequence[SampledChunk]) -> Features:
     """
     if not samples:
         raise ValidationError("cannot combine an empty sample")
-    try:
-        return union_features(
-            Features(matrix=s.chunk.features, labels=s.chunk.labels)
-            for s in samples
-        )
-    except ValueError as error:
-        raise ValidationError(str(error)) from None
+    return union_features(
+        Features(matrix=s.chunk.features, labels=s.chunk.labels)
+        for s in samples
+    )
 
 
 class ProactiveTrainer:

@@ -192,8 +192,7 @@ class DataManager:
                 SampledChunk(chunk=rebuilt, was_materialized=False)
             )
         self.stats.record(sampled=len(chosen), materialized=hits)
-        if self.telemetry.enabled:
-            self._record_sample_telemetry(population, chosen, hits)
+        self._record_sample_telemetry(population, chosen, hits)
         return results
 
     def _record_sample_telemetry(

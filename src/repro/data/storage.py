@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 from repro.data.chunk import ChunkStub, FeatureChunk, RawChunk
 from repro.exceptions import StorageError
 from repro.obs import names
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.reliability.sites import STORAGE_READ
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,12 +63,12 @@ class ChunkStorage:
         with their feature chunks/stubs, and the sampler simply never
         sees them (§3.2: "the platform ignores these chunks").
     metrics:
-        Optional live metrics registry. When given, evictions bump the
-        ``cache.evictions`` counter and the materialized chunk/byte
-        levels are mirrored to ``cache.materialized_chunks`` /
-        ``cache.materialized_bytes`` gauges — live visibility into the
-        numbers :mod:`repro.data.materialization` only derives after
-        the fact.
+        Live metrics registry (the null one by default). Evictions
+        bump the ``cache.evictions`` counter and the materialized
+        chunk/byte levels are mirrored to ``cache.materialized_chunks``
+        / ``cache.materialized_bytes`` gauges — live visibility into
+        the numbers :mod:`repro.data.materialization` only derives
+        after the fact.
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class ChunkStorage:
         max_materialized: Optional[int] = None,
         max_bytes: Optional[int] = None,
         raw_capacity: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         if max_materialized is not None and max_materialized < 0:
@@ -194,8 +194,7 @@ class ChunkStorage:
         self.stats.features_inserted += 1
         self.stats.bytes_materialized = self._materialized_bytes
         self._evict_over_budget()
-        if self._metrics is not None:
-            self._update_level_gauges()
+        self._update_level_gauges()
 
     def get_features(
         self, timestamp: int
@@ -314,9 +313,8 @@ class ChunkStorage:
         self._materialized_bytes -= chunk.nbytes()
         self.stats.features_evicted += 1
         self.stats.bytes_materialized = self._materialized_bytes
-        if self._metrics is not None:
-            self._metrics.counter(names.CACHE_EVICTIONS).inc()
-            self._update_level_gauges()
+        self._metrics.counter(names.CACHE_EVICTIONS).inc()
+        self._update_level_gauges()
 
     def _update_level_gauges(self) -> None:
         self._metrics.gauge(names.CACHE_MATERIALIZED_CHUNKS).set(
@@ -339,8 +337,7 @@ class ChunkStorage:
         before = self.stats.features_evicted
         self.max_bytes = max_bytes
         self._evict_over_budget()
-        if self._metrics is not None:
-            self._update_level_gauges()
+        self._update_level_gauges()
         return self.stats.features_evicted - before
 
     def clear_features(self) -> None:
@@ -400,5 +397,4 @@ class ChunkStorage:
             if isinstance(entry, FeatureChunk)
         )
         self.stats = StorageStats(**stats)
-        if self._metrics is not None:
-            self._update_level_gauges()
+        self._update_level_gauges()

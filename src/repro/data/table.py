@@ -211,6 +211,8 @@ class Table:
         tables = [t for t in tables if t.num_rows or t.num_columns]
         if not tables:
             return Table()
+        if len(tables) == 1:
+            return tables[0]
         names = tables[0].column_names
         for table in tables[1:]:
             if table.column_names != names:

@@ -27,6 +27,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.data.table import Table
+from repro.exceptions import ValidationError
 from repro.pipeline.components.anomaly import AnomalyFilter
 from repro.pipeline.components.assembler import FeatureAssembler
 from repro.pipeline.components.extractor import (
@@ -150,7 +151,7 @@ class TaxiStreamGenerator:
     def chunk(self, chunk_index: int) -> Table:
         """Deterministically generate hourly chunk ``chunk_index``."""
         if not 0 <= chunk_index < self.num_chunks:
-            raise ValueError(
+            raise ValidationError(
                 f"chunk_index {chunk_index} outside [0, {self.num_chunks})"
             )
         rng = ensure_rng(int(self._chunk_seeds[chunk_index]))

@@ -119,7 +119,7 @@ class DriftAwareContinuousDeployment(ContinuousDeployment):
                     self.prequential.kind, predictions, labels
                 )
             )
-            if state is not DriftState.STABLE and self.telemetry.enabled:
+            if state is not DriftState.STABLE:
                 self._record_drift_telemetry(state)
             if (
                 state is DriftState.DRIFT

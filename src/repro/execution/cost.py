@@ -26,6 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.exceptions import ValidationError
 from repro.utils.validation import check_non_negative
 
 
@@ -138,7 +139,7 @@ class CostTracker:
 
     def _charge(self, category: str, label: str, amount: float) -> None:
         if amount < 0:
-            raise ValueError(f"negative charge: {amount}")
+            raise ValidationError(f"negative charge: {amount}")
         self._by_category[category] += amount
         self._by_label[label] += amount
 

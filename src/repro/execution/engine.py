@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.execution.cost import CostModel, CostTracker
+from repro.ml.batch import matrix_values
 from repro.ml.models.base import LinearSGDModel, Matrix
 from repro.ml.sgd import SGDTrainer, TrainingResult
 from repro.obs import names
@@ -30,13 +30,6 @@ from repro.pipeline.component import Batch, Features, PipelineComponent
 from repro.pipeline.pipeline import Pipeline
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
-
-
-def _matrix_values(features: Matrix) -> int:
-    """Value count of a feature matrix (nnz for sparse, size dense)."""
-    if sp.issparse(features):
-        return int(features.nnz)
-    return int(np.asarray(features).size)
 
 
 class LocalExecutionEngine:
@@ -103,7 +96,7 @@ class LocalExecutionEngine:
     ) -> float:
         """One SGD iteration (online update or proactive training)."""
         with self.telemetry.tracer.span(
-            names.ENGINE_TRAIN_STEP, values=_matrix_values(features)
+            names.ENGINE_TRAIN_STEP, values=matrix_values(features)
         ), self.wall:
             return trainer.step(features, targets, self.tracker)
 
@@ -119,7 +112,7 @@ class LocalExecutionEngine:
     ) -> TrainingResult:
         """A complete (re)training run — the periodical baseline."""
         with self.telemetry.tracer.span(
-            names.ENGINE_TRAIN_FULL, values=_matrix_values(features)
+            names.ENGINE_TRAIN_FULL, values=matrix_values(features)
         ) as span, self.wall:
             result = trainer.train(
                 features,
@@ -145,7 +138,7 @@ class LocalExecutionEngine:
         engine operation, so wall-clock and cost accounting stay
         aligned (see ``tests/execution/test_engine.py``).
         """
-        values = _matrix_values(features)
+        values = matrix_values(features)
         with self.telemetry.tracer.span(
             names.ENGINE_PREDICT, values=values
         ), self.wall:
@@ -164,7 +157,7 @@ class LocalExecutionEngine:
         """
         from repro.ml.batch import predict_batch
 
-        values = sum(_matrix_values(m) for m in matrices)
+        values = sum(matrix_values(m) for m in matrices)
         with self.telemetry.tracer.span(
             names.ENGINE_PREDICT, values=values, blocks=len(matrices)
         ), self.wall:

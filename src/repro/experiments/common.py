@@ -36,6 +36,7 @@ from repro.core.deployment import (
     PeriodicalDeployment,
     ThresholdRetrainingDeployment,
 )
+from repro.core.platform import ContinuousDeploymentPlatform
 from repro.data.table import Table
 from repro.datasets.taxi import (
     TAXI_FEATURE_COLUMNS,
@@ -307,6 +308,38 @@ def make_deployment(
         online_batch_rows=scenario.online_batch_rows,
         **common,
     )
+
+
+def make_platform(
+    scenario: Scenario,
+    telemetry: Optional[Telemetry] = None,
+    registry=None,
+    parts=None,
+) -> ContinuousDeploymentPlatform:
+    """A continuous platform on the scenario's config and seed.
+
+    Built over fresh artifacts and given the scenario's initial fit
+    (stored, so proactive training can sample it) — or, with the
+    ``parts`` of an already fitted ``(pipeline, model, optimizer)``
+    triple such as a loaded bundle, wrapped around those as they are.
+    """
+    fitted = parts is not None
+    if not fitted:
+        parts = (
+            scenario.make_pipeline(),
+            scenario.make_model(),
+            scenario.make_optimizer(),
+        )
+    platform = ContinuousDeploymentPlatform(
+        *parts,
+        config=scenario.continuous_config,
+        seed=scenario.seed,
+        telemetry=telemetry,
+        registry=registry,
+    )
+    if not fitted:
+        scenario.fit(platform, store=True)
+    return platform
 
 
 # ----------------------------------------------------------------------

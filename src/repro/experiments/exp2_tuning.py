@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.deployment import ContinuousDeployment
+from repro.exceptions import ValidationError
 from repro.execution.engine import LocalExecutionEngine
 from repro.experiments.common import Scenario
 from repro.obs.telemetry import Telemetry
@@ -57,7 +58,7 @@ def _holdout_error(
     engine = LocalExecutionEngine()
     tables = scenario.make_initial_data()
     if len(tables) != 1:
-        raise ValueError("grid search expects one initial table")
+        raise ValidationError("grid search expects one initial table")
     table = tables[0]
     cut = int(table.num_rows * 0.7)
     train_table = table.head(cut)
@@ -117,7 +118,7 @@ def figure5(
     the Figure 5 curves.
     """
     if not 0.0 < deploy_fraction <= 1.0:
-        raise ValueError(
+        raise ValidationError(
             f"deploy_fraction must be in (0, 1], got {deploy_fraction}"
         )
     prefix = max(int(scenario.num_chunks * deploy_fraction), 1)

@@ -34,8 +34,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.platform import ContinuousDeploymentPlatform
-from repro.experiments.common import Scenario
+from repro.exceptions import ValidationError
+from repro.experiments.common import Scenario, make_platform
 from repro.ml.metrics import PrequentialTracker
 from repro.obs.telemetry import Telemetry
 from repro.serving.controller import RolloutController
@@ -106,19 +106,9 @@ def produce_candidates(
     if candidate_every is None:
         candidate_every = max(scenario.num_chunks // 8, 3)
     rng = ensure_rng(scenario.seed + 1)
-    pipeline = scenario.make_pipeline()
-    model = scenario.make_model()
-    optimizer = scenario.make_optimizer()
-    platform = ContinuousDeploymentPlatform(
-        pipeline,
-        model,
-        optimizer,
-        config=scenario.continuous_config,
-        seed=scenario.seed,
-        telemetry=telemetry,
-    )
-    scenario.fit(platform, store=True)
-    initial = copy.deepcopy((pipeline, model, optimizer))
+    platform = make_platform(scenario, telemetry)
+    artifacts = platform.manager.artifacts
+    initial = copy.deepcopy(artifacts)
     candidates: List[CandidateSnapshot] = []
     cost_before = platform.engine.total_cost()
     for chunk_index, table in enumerate(scenario.make_stream()):
@@ -126,7 +116,7 @@ def produce_candidates(
         if (chunk_index + 1) % candidate_every != 0:
             continue
         snapshot_pipeline, snapshot_model, snapshot_optimizer = (
-            copy.deepcopy((pipeline, model, optimizer))
+            copy.deepcopy(artifacts)
         )
         corrupted = (len(candidates) + 1) % corrupt_every == 0
         if corrupted:
@@ -172,7 +162,7 @@ def run_policy(
 ) -> ServingPoint:
     """Replay the serving stream under one adoption policy."""
     if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+        raise ValidationError(f"unknown policy {policy!r}")
     registry = ModelRegistry(
         Path(registry_root) / policy, telemetry=telemetry
     )

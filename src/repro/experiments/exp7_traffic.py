@@ -38,9 +38,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.platform import ContinuousDeploymentPlatform
 from repro.data.table import Table
-from repro.experiments.common import Scenario
+from repro.experiments.common import Scenario, make_platform
 from repro.obs import names
 from repro.obs.telemetry import Telemetry
 from repro.serving.endpoint import ServingEndpoint
@@ -131,22 +130,6 @@ class TrafficExperimentResult:
     candidate_version: str
 
 
-def _train_platform(scenario: Scenario):
-    """The trainer side: a continuous platform plus its artifacts."""
-    pipeline = scenario.make_pipeline()
-    model = scenario.make_model()
-    optimizer = scenario.make_optimizer()
-    platform = ContinuousDeploymentPlatform(
-        pipeline,
-        model,
-        optimizer,
-        config=scenario.continuous_config,
-        seed=scenario.seed,
-    )
-    scenario.fit(platform, store=True)
-    return platform, (pipeline, model, optimizer)
-
-
 def _build_world(scenario: Scenario, config: TrafficConfig, root):
     """Train v1/v2, build the registry, replay pool, and trainer tail.
 
@@ -156,7 +139,8 @@ def _build_world(scenario: Scenario, config: TrafficConfig, root):
     (requests sample rows the models never trained on), and the
     remaining chunks feed the between-phase training.
     """
-    platform, artifacts = _train_platform(scenario)
+    platform = make_platform(scenario)
+    artifacts = platform.manager.artifacts
     v1_parts = copy.deepcopy(artifacts)
     chunks: List[Table] = list(scenario.make_stream())
     warm = max(len(chunks) // 4, 2)
@@ -341,10 +325,9 @@ def run_traffic_experiment(
                     break
                 platform.observe(table)
                 training["chunks"] += 1
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.metrics.counter(
-                        names.TRAFFIC_TRAINING_CHUNKS
-                    ).inc()
+                endpoint.telemetry.metrics.counter(
+                    names.TRAFFIC_TRAINING_CHUNKS
+                ).inc()
             training["cost"] += (
                 platform.engine.total_cost() - cost_before
             )

@@ -137,8 +137,7 @@ class FleetOrchestrator:
                     fit=fit,
                 )
             )
-        if self.telemetry.enabled:
-            self.telemetry.bind_clock(self.clock)
+        self.telemetry.bind_clock(self.clock)
         self._sync_clock()
 
     def _sync_clock(self) -> None:
@@ -177,9 +176,8 @@ class FleetOrchestrator:
                     bytes=report["overdraft"],
                     quota=quota,
                 )
-                if self.telemetry.enabled:
-                    metrics.counter(names.FLEET_OVERDRAFTS).inc()
-            if report["evicted"] and self.telemetry.enabled:
+                metrics.counter(names.FLEET_OVERDRAFTS).inc()
+            if report["evicted"]:
                 metrics.counter(names.FLEET_EVICTIONS).inc(
                     report["evicted"]
                 )
@@ -215,18 +213,16 @@ class FleetOrchestrator:
                 objective=outcome.objective,
                 rows=outcome.rows,
             )
-            if self.telemetry.enabled:
-                metrics.counter(names.FLEET_TRAININGS).inc()
+            metrics.counter(names.FLEET_TRAININGS).inc()
         aggregate = self.aggregate_error()
         active = sum(1 for t in self.tenants if t.active)
-        if self.telemetry.enabled:
-            metrics.gauge(names.FLEET_BALANCE).set(allocation.balance)
-            metrics.gauge(names.FLEET_ACTIVE_TENANTS).set(active)
-            metrics.gauge(names.FLEET_AGGREGATE_ERROR).set(aggregate)
-            if allocation.rescued:
-                metrics.counter(names.FLEET_RESCUES).inc(
-                    len(allocation.rescued)
-                )
+        metrics.gauge(names.FLEET_BALANCE).set(allocation.balance)
+        metrics.gauge(names.FLEET_ACTIVE_TENANTS).set(active)
+        metrics.gauge(names.FLEET_AGGREGATE_ERROR).set(aggregate)
+        if allocation.rescued:
+            metrics.counter(names.FLEET_RESCUES).inc(
+                len(allocation.rescued)
+            )
         tracer.point(
             names.FLEET_EPOCH,
             epoch=self.epoch,

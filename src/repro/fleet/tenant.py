@@ -286,11 +286,7 @@ class TenantRuntime:
         """
         storage = self.platform.data_manager.storage
         return {
-            "bundle": DeploymentBundle(
-                pipeline=self.platform.manager.pipeline,
-                model=self.platform.manager.model,
-                optimizer=self.platform.manager.optimizer,
-            ),
+            "bundle": DeploymentBundle(*self.platform.manager.artifacts),
             "platform": self.platform.state_dict(),
             "storage": {
                 "raw": [

@@ -31,6 +31,14 @@ from repro.ml.models.base import Matrix
 Stackable = Union[np.ndarray, sp.csr_matrix]
 
 
+def matrix_values(matrix: Matrix) -> int:
+    """Stored value count of a feature matrix — nnz for sparse,
+    rows*cols for dense: the unit the cost model charges."""
+    if sp.issparse(matrix):
+        return int(matrix.nnz)
+    return int(np.asarray(matrix).size)
+
+
 def stack_matrices(matrices: Sequence[Matrix]) -> Matrix:
     """Vertically stack feature blocks (dense or sparse, not mixed).
 

@@ -14,6 +14,7 @@ describes.
 
 from types import MappingProxyType
 
+from repro.exceptions import ValidationError
 from repro.ml.optim.adaptive import AdaDelta, AdaGrad, Adam, RMSProp
 from repro.ml.optim.base import Optimizer
 from repro.ml.optim.basic import ConstantLR, InverseScalingLR, Momentum
@@ -46,7 +47,7 @@ def make_optimizer(name: str, **hyperparameters) -> Optimizer:
     try:
         cls = _REGISTRY[name]
     except KeyError:
-        raise ValueError(
+        raise ValidationError(
             f"unknown optimizer {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
     return cls(**hyperparameters)

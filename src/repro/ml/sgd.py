@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.ml.batch import matrix_values
 from repro.ml.models.base import LinearSGDModel, Matrix
 from repro.ml.optim.base import Optimizer
 from repro.utils.rng import SeedLike, ensure_rng
@@ -78,7 +78,7 @@ class SGDTrainer:
         self.model.set_params_vector(new_params)
         self.model.updates_applied += 1
         if tracker is not None:
-            tracker.charge_training(_batch_values(features), "sgd_step")
+            tracker.charge_training(matrix_values(features), "sgd_step")
         return objective
 
     def train(
@@ -152,9 +152,3 @@ class SGDTrainer:
             final_objective=history[-1],
             objective_history=history,
         )
-
-
-def _batch_values(features: Matrix) -> int:
-    if sp.issparse(features):
-        return int(features.nnz)
-    return int(np.asarray(features).size)

@@ -4,10 +4,11 @@ A cross-cutting observability layer with three primitives:
 
 * :class:`MetricsRegistry` — counters, gauges, and streaming
   histograms (p50/p95/p99 without storing samples), cheap enough to
-  leave attached to a production run;
+  leave attached to a production run, with a no-op
+  :class:`NullMetricsRegistry` behind disabled bundles;
 * :class:`Tracer` — span-based event tracing on the platform's two
   clocks (deterministic cost units and wall seconds), with a no-op
-  :class:`NullTracer` so disabled tracing costs one attribute check;
+  :class:`NullTracer` so disabled tracing costs one no-op call;
 * sinks and exporters — an in-memory ring buffer, a JSONL file sink,
   and summary rendering (``repro obs summary`` / ``repro obs tail``);
 * the performance observatory — a cost-attribution profiler folding
@@ -64,6 +65,8 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
+    NULL_METRICS,
+    NullMetricsRegistry,
     StreamingHistogram,
 )
 from repro.obs.monitor import (
@@ -128,6 +131,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
+    "NULL_METRICS",
+    "NullMetricsRegistry",
     "StreamingHistogram",
     # tracing
     "EVENT_FIELDS",

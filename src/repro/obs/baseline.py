@@ -271,7 +271,7 @@ class BaselineStore:
                 "utf-8"
             ),
         )
-        if self.telemetry is not None and self.telemetry.enabled:
+        if self.telemetry is not None:
             self.telemetry.tracer.point(
                 names.PERF_RECORD,
                 bench=record.name,

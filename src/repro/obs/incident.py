@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import ValidationError
 from repro.obs.rules import SEVERITIES, AlertRule, Evaluation
+from repro.utils.text import _align
 
 #: Schema version stamped into every health payload.
 HEALTH_SCHEMA = 1
@@ -344,23 +345,3 @@ def format_alerts(payload: Dict[str, object]) -> str:
         )
     lines.extend(_align(rows))
     return "\n".join(lines)
-
-
-def _align(rows: Sequence[Sequence[str]]) -> List[str]:
-    widths = [
-        max(len(row[column]) for row in rows)
-        for column in range(len(rows[0]))
-    ]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(
-                cell.ljust(width) for cell, width in zip(row, widths)
-            ).rstrip()
-        )
-        if index == 0:
-            lines.append(
-                "  " + "  ".join("-" * width for width in widths)
-            )
-    return lines

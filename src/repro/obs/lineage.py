@@ -43,6 +43,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ValidationError
 from repro.obs import names
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 
 #: Version stamp of the ``lineage.json`` payload / checkpoint state.
 LINEAGE_SCHEMA = 1
@@ -96,8 +98,8 @@ class LineageLedger:
         self._live: Dict[str, str] = {}
         self._next_training = 0
         self._next_incident = 0
-        self._tracer = None
-        self._metrics = None
+        self._tracer = NULL_TRACER
+        self._metrics = NULL_METRICS
         self._clock = lambda: 0.0
 
     # ------------------------------------------------------------------
@@ -170,19 +172,14 @@ class LineageLedger:
         index = entry["seq"]
         if entry["e"] == "node":
             self._nodes[entry["id"]] = index
-            if self._metrics is not None:
-                self._metrics.counter(names.LINEAGE_NODES).inc()
-            if self._tracer is not None:
-                self._tracer.point(
-                    names.LINEAGE_NODE,
-                    kind=entry["kind"],
-                    id=entry["id"],
-                )
+            self._metrics.counter(names.LINEAGE_NODES).inc()
+            self._tracer.point(
+                names.LINEAGE_NODE, kind=entry["kind"], id=entry["id"]
+            )
         elif entry["e"] == "edge":
             self._out.setdefault(entry["src"], []).append(index)
             self._in.setdefault(entry["dst"], []).append(index)
-            if self._metrics is not None:
-                self._metrics.counter(names.LINEAGE_EDGES).inc()
+            self._metrics.counter(names.LINEAGE_EDGES).inc()
         return entry
 
     def _node(
@@ -520,12 +517,11 @@ class LineageLedger:
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        if self._tracer is not None:
-            self._tracer.point(
-                names.LINEAGE_EXPORTED,
-                entries=len(self._entries),
-                digest=payload["digest"],
-            )
+        self._tracer.point(
+            names.LINEAGE_EXPORTED,
+            entries=len(self._entries),
+            digest=payload["digest"],
+        )
         return payload
 
     # ------------------------------------------------------------------

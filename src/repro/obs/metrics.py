@@ -14,6 +14,11 @@ A :class:`MetricsRegistry` hands out three instrument kinds:
 
 Everything here is plain-Python and allocation-light so that leaving
 the registry attached to a deployment costs close to nothing.
+
+Disabled metrics are a first-class mode, like
+:class:`~repro.obs.trace.NullTracer`: :data:`NULL_METRICS` hands
+every site one shared do-nothing instrument, so an emit site never
+asks whether anyone is listening.
 """
 
 from __future__ import annotations
@@ -322,7 +327,45 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
+            f"{type(self).__name__}(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, "
             f"histograms={len(self._histograms)})"
         )
+
+
+class _NullInstrument:
+    """Shared do-nothing counter, gauge and histogram."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def add(self, value: float) -> None:
+        pass
+
+
+NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullMetricsRegistry(MetricsRegistry):
+    """Disabled registry: every name resolves to the shared no-op
+    instrument, so nothing is ever registered and
+    :meth:`snapshot`/:meth:`state_dict` list no instruments."""
+
+    def counter(self, name: str) -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def gauge(self, name: str) -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def histogram(
+        self, name: str, base: Optional[float] = None
+    ) -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+
+NULL_METRICS = NullMetricsRegistry()

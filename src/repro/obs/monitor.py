@@ -45,8 +45,10 @@ from repro.obs.incident import (
     IncidentLog,
     health_digest,
 )
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.rules import AlertRule, RuleState
 from repro.obs.sink import EventSink
+from repro.obs.trace import NULL_TRACER
 from repro.obs.windows import SeriesWindows
 
 #: Event-name prefixes the monitor never consumes (its own output,
@@ -295,8 +297,8 @@ class HealthMonitor(EventSink):
         self.samples = 0
         self.snapshots: List[Dict[str, object]] = []
         self._closed = False
-        self._tracer = None
-        self._metrics = None
+        self._tracer = NULL_TRACER
+        self._metrics = NULL_METRICS
         self._ledger = None
 
     # ------------------------------------------------------------------
@@ -372,17 +374,14 @@ class HealthMonitor(EventSink):
         if self._window_index is not None:
             self._close_window()
         self._closed = True
-        if self._metrics is not None:
-            self._metrics.gauge(names.MONITOR_EVENTS).set(
-                self.events_seen
-            )
-            self._metrics.gauge(names.MONITOR_SAMPLES).set(self.samples)
-            self._metrics.gauge(names.MONITOR_WINDOWS).set(
-                self.windows_closed
-            )
-            self._metrics.gauge(names.MONITOR_INCIDENTS).set(
-                len(self.incidents)
-            )
+        self._metrics.gauge(names.MONITOR_EVENTS).set(self.events_seen)
+        self._metrics.gauge(names.MONITOR_SAMPLES).set(self.samples)
+        self._metrics.gauge(names.MONITOR_WINDOWS).set(
+            self.windows_closed
+        )
+        self._metrics.gauge(names.MONITOR_INCIDENTS).set(
+            len(self.incidents)
+        )
 
     # ------------------------------------------------------------------
     # Window mechanics
@@ -469,8 +468,7 @@ class HealthMonitor(EventSink):
                 if lineage is not None:
                     incident.evidence.append(lineage)
                 self._announce(names.ALERT_FIRING, incident, t_end)
-                if self._metrics is not None:
-                    self._metrics.counter(names.ALERTS_FIRED).inc()
+                self._metrics.counter(names.ALERTS_FIRED).inc()
         else:
             state.breach_streak = 0
             if incident is not None:
@@ -482,7 +480,7 @@ class HealthMonitor(EventSink):
                     self._announce(
                         names.ALERT_RESOLVED, incident, t_end
                     )
-                    if fired and self._metrics is not None:
+                    if fired:
                         self._metrics.counter(
                             names.ALERTS_RESOLVED
                         ).inc()
@@ -512,8 +510,6 @@ class HealthMonitor(EventSink):
         }
 
     def _announce(self, event_name: str, incident, t_end: float) -> None:
-        if self._tracer is None:
-            return
         self._tracer.point(
             event_name,
             rule=incident.rule,

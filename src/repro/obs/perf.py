@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.exceptions import ValidationError
 from repro.obs import names
 from repro.obs.baseline import BenchRecord, MetricValue
+from repro.utils.text import _align
 
 #: Verdicts that fail the gate.
 FAILING_VERDICTS = ("regression", "missing")
@@ -260,7 +261,7 @@ def _check_digest(
 
 
 def _emit(telemetry, report: RegressionReport) -> None:
-    if telemetry is None or not telemetry.enabled:
+    if telemetry is None:
         return
     telemetry.tracer.point(
         names.PERF_CHECK,
@@ -300,13 +301,10 @@ def run_workload(scenario, approach: str):
     result = run_approach(scenario, approach, telemetry)
     telemetry.flush_metrics()
     root = build_profile(telemetry.events)
-    if telemetry.enabled:
-        telemetry.tracer.point(
-            names.PROFILE_BUILT, spans=root.count
-        )
-        telemetry.metrics.gauge(names.PROFILE_NODES).set(
-            sum(1 for _ in root.walk()) - 1
-        )
+    telemetry.tracer.point(names.PROFILE_BUILT, spans=root.count)
+    telemetry.metrics.gauge(names.PROFILE_NODES).set(
+        sum(1 for _ in root.walk()) - 1
+    )
     metrics: Dict[str, MetricValue] = {
         "total_cost": MetricValue(result.total_cost, "cost"),
         "final_error": MetricValue(result.final_error, "quality"),
@@ -388,23 +386,3 @@ def format_trajectory(name: str, records: Sequence[BenchRecord]) -> str:
 
 def _num(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.6g}"
-
-
-def _align(rows: Sequence[Sequence[str]]) -> List[str]:
-    widths = [
-        max(len(row[column]) for row in rows)
-        for column in range(len(rows[0]))
-    ]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(
-                cell.ljust(width) for cell, width in zip(row, widths)
-            ).rstrip()
-        )
-        if index == 0:
-            lines.append(
-                "  " + "  ".join("-" * width for width in widths)
-            )
-    return lines

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.sink import EventDict, load_jsonl
+from repro.utils.text import _align
 
 #: Version tag stamped into exported profiles so offline consumers can
 #: reject trees from a future layout.
@@ -252,23 +253,3 @@ def format_profile(
     lines.append("")
     lines.append(f"profile digest: {profile_digest(root)}")
     return "\n".join(lines)
-
-
-def _align(rows: Sequence[Sequence[str]]) -> List[str]:
-    widths = [
-        max(len(row[column]) for row in rows)
-        for column in range(len(rows[0]))
-    ]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(
-                cell.ljust(width) for cell, width in zip(row, widths)
-            ).rstrip()
-        )
-        if index == 0:
-            lines.append(
-                "  " + "  ".join("-" * width for width in widths)
-            )
-    return lines

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.obs.sink import EventDict, load_jsonl
+from repro.utils.text import _align
 
 
 @dataclass(frozen=True)
@@ -221,23 +222,3 @@ def format_tail(events: Sequence[EventDict], limit: int = 20) -> str:
                 f"[{t:12.4f}] point {name:<28} {rendered_attrs}".rstrip()
             )
     return "\n".join(lines)
-
-
-def _align(rows: Sequence[Sequence[str]]) -> List[str]:
-    widths = [
-        max(len(row[column]) for row in rows)
-        for column in range(len(rows[0]))
-    ]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(
-                cell.ljust(width) for cell, width in zip(row, widths)
-            ).rstrip()
-        )
-        if index == 0:
-            lines.append(
-                "  " + "  ".join("-" * width for width in widths)
-            )
-    return lines

@@ -9,17 +9,31 @@ the execution engine binds its virtual clock at construction, and
 every component reads instruments out of the shared registry.
 
 The disabled singleton :data:`NULL_TELEMETRY` is what every component
-holds by default; its tracer is the no-op :class:`NullTracer` and code
-on hot paths guards metric writes with ``telemetry.enabled``, so the
-default configuration stays byte-identical (and almost free) relative
-to an un-instrumented build.
+holds by default. It is a null object all the way down — its tracer
+is :data:`~repro.obs.trace.NULL_TRACER` and its registry is
+:data:`~repro.obs.metrics.NULL_METRICS` — so an instrumentation site
+just emits: ``telemetry.tracer.point(...)``,
+``telemetry.metrics.counter(...).inc()``. Nothing is recorded, the run
+stays byte-identical to an un-instrumented build, and the cost is one
+no-op call per site (``benchmarks/bench_obs_overhead.py`` prices it).
+
+``enabled`` is still read, but only where the answer changes what a
+caller gets back rather than whether an event is emitted:
+:meth:`Telemetry.attach_monitor`/:meth:`~Telemetry.attach_ledger`
+refuse a disabled bundle, :meth:`~Telemetry.state_dict` saves nothing
+for one (so a checkpoint of an un-instrumented run has no telemetry
+keys), and a run's result reports ``telemetry=None`` instead of the
+shared null bundle (``DeploymentResult.telemetry``,
+``FleetOrchestrator.telemetry_digest``). Attachments that may be
+absent (``ledger``, ``monitor``) keep their ``is not None`` checks:
+absent is a different behaviour, not a disabled one.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.sink import EventSink, MultiSink, RingBufferSink
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -46,7 +60,7 @@ class Telemetry:
         enabled: bool = True,
     ) -> None:
         self.enabled = enabled
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry() if enabled else NULL_METRICS
         self.ring = RingBufferSink(ring_capacity)
         self._extra_sink = sink
         chain: EventSink = (
@@ -179,8 +193,7 @@ class Telemetry:
         offline consumers get final counter/gauge/histogram state
         without access to the in-process registry.
         """
-        if self.enabled:
-            self.tracer.emit_metrics(self.metrics.snapshot())
+        self.tracer.emit_metrics(self.metrics.snapshot())
 
     def summary(self):
         """Summarize the buffered events (see :mod:`repro.obs.summary`)."""
@@ -211,5 +224,6 @@ class Telemetry:
 
 
 #: Shared disabled bundle; what components hold when no telemetry was
-#: requested. Never written to — all writers check ``enabled`` first.
+#: requested. Writers do not check ``enabled``: its tracer and registry
+#: discard what they are given, so it stays empty however it is used.
 NULL_TELEMETRY = Telemetry(enabled=False)

@@ -18,8 +18,8 @@ Usage::
     tracer.point("scheduler.decision", chunk=i, fired=True)
 
 Disabled tracing is a first-class mode: :class:`NullTracer` returns a
-shared no-op span, so an un-instrumented run pays one attribute check
-and one no-op call per span site (``benchmarks/bench_obs_overhead.py``
+shared no-op span, so an un-instrumented run pays one no-op call and
+the ``with`` protocol per span site (``benchmarks/bench_obs_overhead.py``
 guards that this stays cheap).
 """
 
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs import names
 from repro.obs.sink import EventSink
 
@@ -144,9 +144,9 @@ class Tracer:
     sink:
         Destination for serialized events.
     metrics:
-        Optional registry; span durations additionally feed a
-        streaming histogram named ``span.<name>`` so quantiles are
-        available live, without replaying events.
+        Registry whose ``span.<name>`` streaming histograms the span
+        durations feed, so quantiles are available live, without
+        replaying events; the null registry by default.
     """
 
     enabled = True
@@ -155,7 +155,7 @@ class Tracer:
         self,
         sink: EventSink,
         clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.sink = sink
@@ -223,8 +223,7 @@ class Tracer:
                 attrs=attrs,
             )
         )
-        if self.metrics is not None:
-            self.metrics.histogram(names.SPAN_PREFIX + name).add(dur)
+        self.metrics.histogram(names.SPAN_PREFIX + name).add(dur)
 
     def emit_metrics(self, snapshot: Dict[str, object]) -> None:
         """Emit a ``metrics`` event carrying a registry snapshot."""

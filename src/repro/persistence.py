@@ -118,31 +118,20 @@ def save_bundle(
 
 def serialize_bundle(bundle: DeploymentBundle) -> bytes:
     """Serialise a bundle to the on-disk blob (magic + digest + pickle)."""
-    buffer = io.BytesIO()
-    pickle.dump(
-        {
-            "version": _library_version(),
-            "bundle": bundle,
-        },
-        buffer,
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    payload = buffer.getvalue()
-    digest = hashlib.sha256(payload).digest()
-    return MAGIC + digest + payload
+    return seal_envelope(bundle, MAGIC, key="bundle")
 
 
-def seal_envelope(obj: object, magic: bytes) -> bytes:
+def seal_envelope(obj: object, magic: bytes, key: str = "payload") -> bytes:
     """Wrap any picklable object in a checksummed envelope.
 
-    Same on-disk discipline as a deployment bundle — format magic,
+    The on-disk discipline of a deployment bundle — format magic,
     SHA-256 digest, then the pickle payload (which records the library
-    version) — reused by the reliability layer for checkpoints and
-    spilled chunk payloads.
+    version beside ``obj`` under ``key``) — reused by the reliability
+    layer for checkpoints and spilled chunk payloads.
     """
     buffer = io.BytesIO()
     pickle.dump(
-        {"version": _library_version(), "payload": obj},
+        {"version": _library_version(), key: obj},
         buffer,
         protocol=pickle.HIGHEST_PROTOCOL,
     )
@@ -152,7 +141,10 @@ def seal_envelope(obj: object, magic: bytes) -> bytes:
 
 
 def open_envelope(
-    blob: bytes, magic: bytes, source: str = "<memory>"
+    blob: bytes,
+    magic: bytes,
+    source: str = "<memory>",
+    key: str = "payload",
 ) -> object:
     """Verify and unwrap a :func:`seal_envelope` blob.
 
@@ -185,7 +177,7 @@ def open_envelope(
             f"{source} was written by repro {written_by!r} but this "
             f"library is repro {current!r}"
         )
-    return envelope.get("payload")
+    return envelope.get(key)
 
 
 def load_bundle(path: PathLike) -> DeploymentBundle:
@@ -198,34 +190,7 @@ def load_bundle(path: PathLike) -> DeploymentBundle:
         raise PersistenceError(
             f"cannot read bundle {path}: {error}"
         ) from error
-    if not raw.startswith(MAGIC):
-        raise PersistenceError(
-            f"{path} is not a repro deployment bundle "
-            f"(bad magic header)"
-        )
-    body = raw[len(MAGIC):]
-    if len(body) < 32:
-        raise PersistenceError(f"{path} is truncated")
-    digest, payload = body[:32], body[32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise PersistenceError(
-            f"{path} failed its checksum (corrupted or truncated)"
-        )
-    try:
-        envelope = pickle.loads(payload)
-    except Exception as error:
-        raise PersistenceError(
-            f"{path} could not be deserialised: {error}"
-        ) from error
-    written_by = envelope.get("version")
-    current = _library_version()
-    if written_by != current:
-        raise PersistenceError(
-            f"{path} was written by repro {written_by!r} but this "
-            f"library is repro {current!r}; re-save the bundle with "
-            f"the current version"
-        )
-    bundle = envelope.get("bundle")
+    bundle = open_envelope(raw, MAGIC, source=str(path), key="bundle")
     if not isinstance(bundle, DeploymentBundle):
         raise PersistenceError(
             f"{path} does not contain a DeploymentBundle"

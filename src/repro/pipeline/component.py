@@ -27,6 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.data.table import Table
+from repro.exceptions import PipelineError, ValidationError
+from repro.ml.batch import matrix_values, stack_matrices
 
 
 class Features(NamedTuple):
@@ -55,9 +57,7 @@ class Features(NamedTuple):
         growth §3.2.1 analyses (sparse one-hot/hashing output stays
         O(p) thanks to the sparse representation).
         """
-        if sp.issparse(self.matrix):
-            return int(self.matrix.nnz) + len(self.labels)
-        return int(self.matrix.size) + len(self.labels)
+        return matrix_values(self.matrix) + len(self.labels)
 
 
 #: Batches a component may receive or emit.
@@ -73,16 +73,11 @@ def union_features(parts) -> Features:
     """
     parts = list(parts)
     if not parts:
-        raise ValueError("cannot union zero Features batches")
-    sparse_flags = {sp.issparse(p.matrix) for p in parts}
-    if len(sparse_flags) != 1:
-        raise ValueError("cannot union sparse and dense feature batches")
-    labels = np.concatenate([np.asarray(p.labels) for p in parts])
-    if sparse_flags.pop():
-        matrix = sp.vstack([p.matrix for p in parts], format="csr")
-    else:
-        matrix = np.vstack([p.matrix for p in parts])
-    return Features(matrix=matrix, labels=labels)
+        raise ValidationError("cannot union zero Features batches")
+    return Features(
+        matrix=stack_matrices([p.matrix for p in parts]),
+        labels=np.concatenate([np.asarray(p.labels) for p in parts]),
+    )
 
 
 class ComponentKind(enum.Enum):
@@ -132,6 +127,14 @@ class PipelineComponent(ABC):
 
     def reset(self) -> None:
         """Discard learned statistics (default: nothing to discard)."""
+
+    def _require_table(self, batch: Batch) -> Table:
+        """``batch`` itself, once checked to be a :class:`Table`."""
+        if not isinstance(batch, Table):
+            raise PipelineError(
+                f"{self.name} expects a Table, got {type(batch).__name__}"
+            )
+        return batch
 
     @staticmethod
     def batch_num_values(batch: Batch) -> int:

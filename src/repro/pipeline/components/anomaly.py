@@ -45,10 +45,7 @@ class AnomalyFilter(StatelessComponent):
         self.rows_dropped = 0
 
     def transform(self, batch: Batch) -> Batch:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         mask = np.asarray(self.predicate(batch), dtype=bool)
         if mask.shape != (batch.num_rows,):
             raise PipelineError(

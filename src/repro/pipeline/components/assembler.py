@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.data.table import Table
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import ValidationError
 from repro.pipeline.component import (
     Batch,
     ComponentKind,
@@ -55,10 +55,7 @@ class FeatureAssembler(StatelessComponent):
         self.label_transform = label_transform
 
     def transform(self, batch: Batch) -> Features:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         matrix = batch.to_matrix(self.feature_columns)
         labels = np.asarray(
             batch.column(self.label_column), dtype=np.float64

@@ -61,7 +61,7 @@ class ColumnExtractor(StatelessComponent):
         self.output = output
 
     def transform(self, batch: Batch) -> Batch:
-        table = _require_table(batch, self.name)
+        table = self._require_table(batch)
         arrays = [
             np.asarray(table.column(column)) for column in self.inputs
         ]
@@ -146,11 +146,3 @@ def _day_of_week(epoch_seconds: np.ndarray) -> np.ndarray:
     seconds = np.asarray(epoch_seconds, dtype=np.float64)
     days = np.floor(seconds / SECONDS_PER_DAY)
     return (days + _EPOCH_WEEKDAY) % 7
-
-
-def _require_table(batch: Batch, name: str) -> Table:
-    if not isinstance(batch, Table):
-        raise PipelineError(
-            f"{name} expects a Table, got {type(batch).__name__}"
-        )
-    return batch

@@ -20,8 +20,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.table import Table
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import ValidationError
 from repro.pipeline.component import (
     Batch,
     ComponentKind,
@@ -78,10 +77,7 @@ class FeatureHasher(StatelessComponent):
         self.signed = signed
 
     def transform(self, batch: Batch) -> Features:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         rows = batch.column(self.features_column)
         labels = np.asarray(
             batch.column(self.label_column), dtype=np.float64

@@ -18,7 +18,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.data.table import Table
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
 from repro.pipeline.statistics import RunningMoments, SparseMoments
 
@@ -96,13 +96,6 @@ class MissingValueImputer(PipelineComponent):
     def reset(self) -> None:
         self._moments = RunningMoments(dim=len(self.columns))
 
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch
-
 
 class SparseMeanImputer(PipelineComponent):
     """Fill ``NaN`` entries of sparse-dict feature rows with index means.
@@ -160,10 +153,3 @@ class SparseMeanImputer(PipelineComponent):
     def _rows(self, batch: Batch) -> Sequence[Dict[int, float]]:
         table = self._require_table(batch)
         return table.column(self.features_column)
-
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.table import Table
 from repro.exceptions import PipelineError, ValidationError
 from repro.pipeline.component import (
     Batch,
@@ -165,10 +164,3 @@ class OneHotEncoder(PipelineComponent):
         self._tables = {
             column: CategoryTable() for column in self.categorical_columns
         }
-
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch

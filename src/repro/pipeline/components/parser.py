@@ -13,7 +13,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.data.table import Table
 from repro.exceptions import PipelineError
 from repro.pipeline.component import (
     Batch,
@@ -55,10 +54,7 @@ class SvmLightParser(StatelessComponent):
         self.features_column = features_column
 
     def transform(self, batch: Batch) -> Batch:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         lines = batch.column(self.line_column)
         labels = np.empty(len(lines), dtype=np.float64)
         features = np.empty(len(lines), dtype=object)

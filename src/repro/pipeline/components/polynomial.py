@@ -15,8 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.table import Table
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import ValidationError
 from repro.pipeline.component import (
     Batch,
     ComponentKind,
@@ -79,10 +78,7 @@ class PolynomialInteractions(StatelessComponent):
         ]
 
     def transform(self, batch: Batch) -> Batch:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         result = batch
         for left, right in self.output_pairs():
             product = np.asarray(

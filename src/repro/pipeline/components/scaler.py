@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.table import Table
-from repro.exceptions import NotFittedError, PipelineError, ValidationError
+from repro.exceptions import NotFittedError, ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
 from repro.pipeline.statistics import (
     RunningMinMax,
@@ -45,13 +45,6 @@ class _ColumnwiseScaler(PipelineComponent):
                 for c in self.columns
             ]
         )
-
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch
 
     def _write_back(self, table: Table, scaled: np.ndarray) -> Table:
         result = table
@@ -203,10 +196,3 @@ class SparseStandardScaler(PipelineComponent):
 
     def reset(self) -> None:
         self._moments = SparseMoments()
-
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch

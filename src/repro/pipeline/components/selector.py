@@ -14,7 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.data.table import Table
-from repro.exceptions import PipelineError, ValidationError
+from repro.exceptions import ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
 from repro.pipeline.statistics import RunningMoments
 
@@ -93,10 +93,3 @@ class VarianceThreshold(PipelineComponent):
 
     def reset(self) -> None:
         self._moments = RunningMoments(dim=len(self.columns))
-
-    def _require_table(self, batch: Batch) -> Table:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
-        return batch

@@ -51,10 +51,7 @@ class ColumnTransformer(StatelessComponent):
         self.function = function
 
     def transform(self, batch: Batch) -> Batch:
-        if not isinstance(batch, Table):
-            raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
-            )
+        self._require_table(batch)
         result = batch
         for column in self.columns:
             values = np.asarray(batch.column(column), dtype=np.float64)

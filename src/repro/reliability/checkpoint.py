@@ -233,13 +233,12 @@ class CheckpointStore:
             self.retrier.call(attempt, site=CHECKPOINT_WRITE)
         else:
             attempt()
-        if self.telemetry.enabled:
-            self.telemetry.tracer.point(
-                names.RELIABILITY_CHECKPOINT_WRITTEN,
-                cursor=checkpoint.cursor,
-                bytes=len(blob),
-                path=str(path),
-            )
+        self.telemetry.tracer.point(
+            names.RELIABILITY_CHECKPOINT_WRITTEN,
+            cursor=checkpoint.cursor,
+            bytes=len(blob),
+            path=str(path),
+        )
         self.prune()
         return path
 
@@ -322,12 +321,11 @@ class CheckpointStore:
             try:
                 return self.load(path)
             except PersistenceError as error:
-                if self.telemetry.enabled:
-                    self.telemetry.tracer.point(
-                        names.RELIABILITY_CHECKPOINT_CORRUPT,
-                        path=str(path),
-                        error=str(error),
-                    )
+                self.telemetry.tracer.point(
+                    names.RELIABILITY_CHECKPOINT_CORRUPT,
+                    path=str(path),
+                    error=str(error),
+                )
         raise ReliabilityError(
             f"no valid checkpoint under {self.directory} "
             f"({len(paths)} file(s) inspected)"

@@ -227,16 +227,15 @@ class FaultInjector:
 
     def _record(self, site: str, occurrence: int, kind: str) -> None:
         self.fired.append(FiredFault(site, occurrence, kind))
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                names.RELIABILITY_FAULTS_INJECTED
-            ).inc()
-            self.telemetry.tracer.point(
-                names.RELIABILITY_FAULT,
-                site=site,
-                occurrence=occurrence,
-                kind=kind,
-            )
+        self.telemetry.metrics.counter(
+            names.RELIABILITY_FAULTS_INJECTED
+        ).inc()
+        self.telemetry.tracer.point(
+            names.RELIABILITY_FAULT,
+            site=site,
+            occurrence=occurrence,
+            kind=kind,
+        )
 
 
 #: Shared no-op injector (empty plan); lets call sites skip None checks.

@@ -127,20 +127,18 @@ class Retrier:
                 )
                 self.total_delay += delay
                 self.retries += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        names.RELIABILITY_RETRIES
-                    ).inc()
-                    self.telemetry.tracer.point(
-                        names.RELIABILITY_RETRY,
-                        site=site,
-                        attempt=attempt + 1,
-                        delay=delay,
-                    )
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                names.RELIABILITY_RETRIES_EXHAUSTED
-            ).inc()
+                self.telemetry.metrics.counter(
+                    names.RELIABILITY_RETRIES
+                ).inc()
+                self.telemetry.tracer.point(
+                    names.RELIABILITY_RETRY,
+                    site=site,
+                    attempt=attempt + 1,
+                    delay=delay,
+                )
+        self.telemetry.metrics.counter(
+            names.RELIABILITY_RETRIES_EXHAUSTED
+        ).inc()
         raise RetryExhausted(
             f"{site!r} failed after {self.policy.max_attempts} "
             f"attempts: {last}"

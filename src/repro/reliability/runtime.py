@@ -194,10 +194,9 @@ class ReliabilityRuntime:
         byte-identical to the uninterrupted timeline).
         """
         store = self._require_store()
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                names.RELIABILITY_CHECKPOINTS_WRITTEN
-            ).inc()
+        self.telemetry.metrics.counter(
+            names.RELIABILITY_CHECKPOINTS_WRITTEN
+        ).inc()
         checkpoint = PlatformCheckpoint(
             cursor=cursor,
             approach=approach,

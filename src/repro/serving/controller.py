@@ -237,9 +237,8 @@ class RolloutController:
     def _transition(self, action: str, **attrs: object) -> None:
         entry: Dict[str, object] = {"action": action, **attrs}
         self.log.append(entry)
-        if self.telemetry.enabled:
-            self.telemetry.tracer.point(names.ROLLOUT_PREFIX + action, **attrs)
-            self.telemetry.metrics.counter(names.ROLLOUT_PREFIX + action).inc()
+        self.telemetry.tracer.point(names.ROLLOUT_PREFIX + action, **attrs)
+        self.telemetry.metrics.counter(names.ROLLOUT_PREFIX + action).inc()
 
     def __repr__(self) -> str:
         return (

@@ -222,13 +222,12 @@ class ServingEndpoint:
         self._shadow_shared = (
             self._build_shadow_shared() if mode == "shadow" else None
         )
-        if self.telemetry.enabled:
-            self.telemetry.tracer.point(
-                names.SERVING_ATTACH,
-                version=version,
-                mode=mode,
-                fraction=self._fraction,
-            )
+        self.telemetry.tracer.point(
+            names.SERVING_ATTACH,
+            version=version,
+            mode=mode,
+            fraction=self._fraction,
+        )
 
     def detach_candidate(self) -> Optional[str]:
         """Remove the staged candidate; returns its version id."""
@@ -259,35 +258,16 @@ class ServingEndpoint:
     def predict(
         self, table: Table, chunk_index: Optional[int] = None
     ) -> ServedBatch:
-        """Serve one prediction batch.
+        """Serve one prediction batch: a micro-batch of one request.
 
         ``chunk_index`` keys the deterministic canary routing; when
         omitted, an internal batch counter is used (stable within one
         endpoint lifetime, but not across restarts — pass the
         deployment chunk index for replay-stable routing).
         """
-        if self._primary is None:
-            raise ServingError("endpoint has no live version to serve")
-        self._batch_index += 1
-        index = (
-            chunk_index if chunk_index is not None else self._batch_index
+        return self.predict_requests(
+            [table], None if chunk_index is None else [chunk_index]
         )
-        cost_before = self.engine.total_cost()
-        if self._mode == "canary":
-            served = self._predict_canary(table, index)
-        elif self._mode == "shadow":
-            served = self._predict_shadow(table)
-        else:
-            predictions, labels = self._score(self._primary, table)
-            served = ServedBatch(
-                predictions=predictions,
-                labels=labels,
-                primary_version=str(self._primary_version),
-                primary_predictions=predictions,
-                primary_labels=labels,
-            )
-        self._emit_served(served, table.num_rows, cost_before)
-        return served
 
     def predict_requests(
         self,
@@ -329,8 +309,11 @@ class ServingEndpoint:
         elif self._mode == "shadow":
             served = self._predict_shadow(Table.concat(tables))
         else:
-            merged = Table.concat(tables)
-            predictions, labels = self._score(self._primary, merged)
+            predictions, labels = self._score(
+                self._primary.pipeline,
+                self._primary.model,
+                Table.concat(tables),
+            )
             served = ServedBatch(
                 predictions=predictions,
                 labels=labels,
@@ -338,43 +321,29 @@ class ServingEndpoint:
                 primary_predictions=predictions,
                 primary_labels=labels,
             )
-        self._emit_served(
-            served, total_rows, cost_before, requests=len(tables)
-        )
-        return served
-
-    def _emit_served(
-        self,
-        served: ServedBatch,
-        rows: int,
-        cost_before: float,
-        requests: int = 1,
-    ) -> None:
-        if not self.telemetry.enabled:
-            return
         # Per-batch serving latency on the virtual clock — the
         # health monitor's SLO signal. A point + histogram, not a
         # span, so profile digests stay stable.
         batch_cost = self.engine.total_cost() - cost_before
-        self.telemetry.metrics.observe(names.SERVING_LATENCY, batch_cost)
+        metrics = self.telemetry.metrics
+        metrics.observe(names.SERVING_LATENCY, batch_cost)
         self.telemetry.tracer.point(
             names.SERVING_LATENCY,
             cost=batch_cost,
-            rows=rows,
+            rows=total_rows,
             mode=served.mode,
         )
-        self.telemetry.metrics.counter(names.SERVING_BATCHES).inc(
-            requests
-        )
-        self.telemetry.metrics.counter(names.SERVING_ROWS).inc(rows)
+        metrics.counter(names.SERVING_BATCHES).inc(len(tables))
+        metrics.counter(names.SERVING_ROWS).inc(total_rows)
         if served.mode == "canary":
-            self.telemetry.metrics.counter(
-                names.SERVING_CANARY_ROWS
-            ).inc(len(served.candidate_predictions))
+            metrics.counter(names.SERVING_CANARY_ROWS).inc(
+                len(served.candidate_predictions)
+            )
         elif served.mode == "shadow":
-            self.telemetry.metrics.counter(
-                names.SERVING_SHADOW_ROWS
-            ).inc(len(served.candidate_predictions))
+            metrics.counter(names.SERVING_SHADOW_ROWS).inc(
+                len(served.candidate_predictions)
+            )
+        return served
 
     # ------------------------------------------------------------------
     def _build_shadow_shared(
@@ -406,18 +375,16 @@ class ServingEndpoint:
         # predictions stay byte-identical with a shadow attached.
         if self._shadow_shared is not None and table.num_rows:
             prefix, primary_rest, candidate_rest = self._shadow_shared
-            stem = self.engine.serve_transform(prefix, table)
-            predictions, labels = self._score_tail(
-                self._primary, primary_rest, stem
-            )
-            shadow_predictions, shadow_labels = self._score_tail(
-                self._candidate, candidate_rest, stem
-            )
+            table = self.engine.serve_transform(prefix, table)
         else:
-            predictions, labels = self._score(self._primary, table)
-            shadow_predictions, shadow_labels = self._score(
-                self._candidate, table
-            )
+            primary_rest = self._primary.pipeline
+            candidate_rest = self._candidate.pipeline
+        predictions, labels = self._score(
+            primary_rest, self._primary.model, table
+        )
+        shadow_predictions, shadow_labels = self._score(
+            candidate_rest, self._candidate.model, table
+        )
         return ServedBatch(
             predictions=predictions,
             labels=labels,
@@ -428,42 +395,6 @@ class ServingEndpoint:
             primary_labels=labels,
             candidate_predictions=shadow_predictions,
             candidate_labels=shadow_labels,
-        )
-
-    def _predict_canary(self, table: Table, index: int) -> ServedBatch:
-        keys = row_keys(index, table.num_rows)
-        mask = route_mask(keys, self._fraction, salt=self._routing_salt)
-        canary_rows = int(np.count_nonzero(mask))
-        if canary_rows == 0:
-            primary_predictions, primary_labels = self._score(
-                self._primary, table
-            )
-            candidate_predictions = candidate_labels = _EMPTY
-        elif canary_rows == table.num_rows:
-            candidate_predictions, candidate_labels = self._score(
-                self._candidate, table
-            )
-            primary_predictions = primary_labels = _EMPTY
-        else:
-            primary_predictions, primary_labels = self._score(
-                self._primary, table.filter_rows(~mask)
-            )
-            candidate_predictions, candidate_labels = self._score(
-                self._candidate, table.filter_rows(mask)
-            )
-        return ServedBatch(
-            predictions=np.concatenate(
-                [primary_predictions, candidate_predictions]
-            ),
-            labels=np.concatenate([primary_labels, candidate_labels]),
-            primary_version=str(self._primary_version),
-            mode="canary",
-            candidate_version=self._candidate_version,
-            primary_predictions=primary_predictions,
-            primary_labels=primary_labels,
-            candidate_predictions=candidate_predictions,
-            candidate_labels=candidate_labels,
-            canary_share=canary_rows / max(table.num_rows, 1),
         )
 
     def _predict_canary_requests(
@@ -492,18 +423,16 @@ class ServingEndpoint:
             else:
                 primary_parts.append(table.filter_rows(~mask))
                 candidate_parts.append(table.filter_rows(mask))
-        if primary_parts:
-            primary_predictions, primary_labels = self._score(
-                self._primary, Table.concat(primary_parts)
-            )
-        else:
-            primary_predictions = primary_labels = _EMPTY
-        if candidate_parts:
-            candidate_predictions, candidate_labels = self._score(
-                self._candidate, Table.concat(candidate_parts)
-            )
-        else:
-            candidate_predictions = candidate_labels = _EMPTY
+        primary_predictions, primary_labels = self._score(
+            self._primary.pipeline,
+            self._primary.model,
+            Table.concat(primary_parts),
+        )
+        candidate_predictions, candidate_labels = self._score(
+            self._candidate.pipeline,
+            self._candidate.model,
+            Table.concat(candidate_parts),
+        )
         return ServedBatch(
             predictions=np.concatenate(
                 [primary_predictions, candidate_predictions]
@@ -519,23 +448,16 @@ class ServingEndpoint:
             canary_share=canary_rows / max(total_rows, 1),
         )
 
-    def _score(self, bundle: DeploymentBundle, table: Table):
+    def _score(self, pipeline: Pipeline, model, table: Table):
+        """Predictions and labels of ``model`` over ``table`` run
+        through ``pipeline`` (a whole one, or what is left of it after
+        a shared prefix); empty input never reaches the engine."""
         if table.num_rows == 0:
             return _EMPTY, _EMPTY
-        features = self.engine.transform_only(bundle.pipeline, table)
+        features = self.engine.transform_only(pipeline, table)
         if features.num_rows == 0:
             return _EMPTY, _EMPTY
-        predictions = self.engine.predict(bundle.model, features.matrix)
-        return predictions, np.asarray(features.labels)
-
-    def _score_tail(
-        self, bundle: DeploymentBundle, rest: Pipeline, stem: Table
-    ):
-        """Finish scoring from a shared-prefix transform result."""
-        features = self.engine.transform_only(rest, stem)
-        if features.num_rows == 0:
-            return _EMPTY, _EMPTY
-        predictions = self.engine.predict(bundle.model, features.matrix)
+        predictions = self.engine.predict(model, features.matrix)
         return predictions, np.asarray(features.labels)
 
     def __repr__(self) -> str:

@@ -415,9 +415,8 @@ class ModelRegistry:
             ledger.record_transition(
                 self.name, str(attrs["version"]), event
             )
-        if self.telemetry.enabled:
-            self.telemetry.tracer.point(names.REGISTRY_PREFIX + event, **attrs)
-            self.telemetry.metrics.counter(names.REGISTRY_PREFIX + event).inc()
+        self.telemetry.tracer.point(names.REGISTRY_PREFIX + event, **attrs)
+        self.telemetry.metrics.counter(names.REGISTRY_PREFIX + event).inc()
 
     def __repr__(self) -> str:
         return (

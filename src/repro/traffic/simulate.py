@@ -147,16 +147,15 @@ class TrafficSimulator:
         #: The most recent run's tracker (fresh per :meth:`run`).
         self.slo = SloTracker()
         self._seen_users: set = set()
-        if self.telemetry.enabled:
-            self.telemetry.bind_clock(self.clock)
+        self.telemetry.bind_clock(self.clock)
 
     # ------------------------------------------------------------------
     def run(self, arrivals: Arrivals) -> SimulationResult:
         """Simulate the whole arrival stream to completion."""
-        if self.telemetry.enabled:
-            # Rebind: constructing an endpoint binds its engine's cost
-            # clock; simulation owns the timeline while it runs.
-            self.telemetry.bind_clock(self.clock)
+        # Rebind: constructing an endpoint binds its engine's cost
+        # clock; simulation owns the timeline while it runs.
+        self.telemetry.bind_clock(self.clock)
+        metrics = self.telemetry.metrics
         queue = AdmissionQueue(self.config.queue_capacity)
         batcher = MicroBatcher(
             queue, self.config.max_batch_size, self.config.max_wait
@@ -180,10 +179,7 @@ class TrafficSimulator:
         shed_ids: List[int] = []
 
         def emit_queue_depth() -> None:
-            if self.telemetry.enabled:
-                self.telemetry.metrics.gauge(
-                    names.TRAFFIC_QUEUE_DEPTH
-                ).set(len(queue))
+            metrics.gauge(names.TRAFFIC_QUEUE_DEPTH).set(len(queue))
 
         def dispatch(now: float) -> None:
             nonlocal busy, seq
@@ -213,32 +209,27 @@ class TrafficSimulator:
                 )
                 for req in flush.requests:
                     self.slo.queue_delay.add(now - req.arrival_time)
-                if self.telemetry.enabled:
-                    metrics = self.telemetry.metrics
-                    metrics.counter(names.BATCH_DISPATCHED).inc()
-                    metrics.counter(names.BATCH_ROWS).inc(
-                        flush.num_rows
+                metrics.counter(names.BATCH_DISPATCHED).inc()
+                metrics.counter(names.BATCH_ROWS).inc(flush.num_rows)
+                metrics.observe(names.BATCH_SIZE, flush.size)
+                metrics.observe(names.BATCH_WAIT, now - oldest)
+                if flush.reason == "full":
+                    metrics.counter(names.BATCH_FLUSH_FULL).inc()
+                elif flush.reason == "wait":
+                    metrics.counter(names.BATCH_FLUSH_WAIT).inc()
+                self.telemetry.tracer.point(
+                    names.BATCH_DISPATCHED,
+                    size=flush.size,
+                    rows=flush.num_rows,
+                    reason=flush.reason,
+                    wait=now - oldest,
+                    service=service,
+                )
+                for req in flush.requests:
+                    metrics.observe(
+                        names.SLO_QUEUE_DELAY, now - req.arrival_time
                     )
-                    metrics.observe(names.BATCH_SIZE, flush.size)
-                    metrics.observe(names.BATCH_WAIT, now - oldest)
-                    if flush.reason == "full":
-                        metrics.counter(names.BATCH_FLUSH_FULL).inc()
-                    elif flush.reason == "wait":
-                        metrics.counter(names.BATCH_FLUSH_WAIT).inc()
-                    self.telemetry.tracer.point(
-                        names.BATCH_DISPATCHED,
-                        size=flush.size,
-                        rows=flush.num_rows,
-                        reason=flush.reason,
-                        wait=now - oldest,
-                        service=service,
-                    )
-                    for req in flush.requests:
-                        metrics.observe(
-                            names.SLO_QUEUE_DELAY,
-                            now - req.arrival_time,
-                        )
-                    metrics.observe(names.SLO_SERVICE_TIME, service)
+                metrics.observe(names.SLO_SERVICE_TIME, service)
                 busy += 1
                 record = _InFlight(
                     requests=flush.requests, dispatch_time=now
@@ -262,37 +253,25 @@ class TrafficSimulator:
                     rows=arrivals.request_rows(i),
                 )
                 self.slo.on_arrival()
-                if self.telemetry.enabled:
-                    metrics = self.telemetry.metrics
-                    metrics.counter(names.TRAFFIC_ARRIVALS).inc()
-                    metrics.counter(names.TRAFFIC_ROWS).inc(
-                        request.num_rows
-                    )
-                    if request.user not in self._seen_users:
-                        self._seen_users.add(request.user)
-                        metrics.counter(names.TRAFFIC_USERS).inc()
-                elif request.user not in self._seen_users:
+                metrics.counter(names.TRAFFIC_ARRIVALS).inc()
+                metrics.counter(names.TRAFFIC_ROWS).inc(request.num_rows)
+                if request.user not in self._seen_users:
                     self._seen_users.add(request.user)
+                    metrics.counter(names.TRAFFIC_USERS).inc()
                 shed = queue.offer(request)
                 if shed is not None:
                     self.slo.on_shed()
                     shed_ids.append(shed.request_id)
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.counter(
-                            names.TRAFFIC_SHED
-                        ).inc()
-                        self.telemetry.tracer.point(
-                            names.TRAFFIC_SHED,
-                            request=shed.request_id,
-                            user=shed.user,
-                            queue=len(queue),
-                        )
+                    metrics.counter(names.TRAFFIC_SHED).inc()
+                    self.telemetry.tracer.point(
+                        names.TRAFFIC_SHED,
+                        request=shed.request_id,
+                        user=shed.user,
+                        queue=len(queue),
+                    )
                 if shed is not request:
                     self.slo.on_admit()
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.counter(
-                            names.TRAFFIC_ADMITTED
-                        ).inc()
+                    metrics.counter(names.TRAFFIC_ADMITTED).inc()
                     heapq.heappush(
                         heap,
                         (
@@ -313,19 +292,15 @@ class TrafficSimulator:
                     self.slo.on_completion(
                         latency, record.dispatch_time - req.arrival_time
                     )
-                    if self.telemetry.enabled:
-                        self.telemetry.metrics.observe(
-                            names.SLO_LATENCY, latency
-                        )
-                        self.telemetry.tracer.point(
-                            names.SLO_LATENCY,
-                            cost=latency,
-                            request=req.request_id,
-                        )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        names.TRAFFIC_COMPLETED
-                    ).inc(len(record.requests))
+                    metrics.observe(names.SLO_LATENCY, latency)
+                    self.telemetry.tracer.point(
+                        names.SLO_LATENCY,
+                        cost=latency,
+                        request=req.request_id,
+                    )
+                metrics.counter(names.TRAFFIC_COMPLETED).inc(
+                    len(record.requests)
+                )
                 dispatch(now)
             else:  # _DEADLINE
                 dispatch(now)
@@ -351,10 +326,8 @@ class TrafficSimulator:
 
         duration = self.clock.now - start
         report = self.slo.report(duration)
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            metrics.gauge(names.SLO_THROUGHPUT).set(report.throughput)
-            metrics.gauge(names.SLO_SHED_RATE).set(report.shed_rate)
+        metrics.gauge(names.SLO_THROUGHPUT).set(report.throughput)
+        metrics.gauge(names.SLO_SHED_RATE).set(report.shed_rate)
         empty = np.empty(0, dtype=np.float64)
         return SimulationResult(
             report=report,

@@ -104,6 +104,35 @@ class TestRoundtrip:
         )
 
 
+class TestOnDiskFormat:
+    def test_hand_assembled_blob_is_the_format(self, tmp_path):
+        """The bundle format, spelled out: ``MAGIC + sha256(payload) +
+        payload`` with ``payload = pickle({"version", "bundle"})``. A
+        blob assembled this way loads, its checksum reads back, and it
+        is byte-for-byte what ``serialize_bundle`` writes."""
+        import hashlib
+        import pickle
+
+        import repro
+        from repro.persistence import MAGIC, serialize_bundle
+
+        __, pipeline, model, optimizer = fitted_url_parts()
+        bundle = DeploymentBundle(pipeline, model, optimizer)
+        payload = pickle.dumps(
+            {"version": repro.__version__, "bundle": bundle},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        digest = hashlib.sha256(payload).digest()
+        blob = MAGIC + digest + payload
+        path = tmp_path / "by_hand.bundle"
+        path.write_bytes(blob)
+
+        restored = load_bundle(path)
+        assert np.array_equal(restored.model.weights, model.weights)
+        assert bundle_checksum(path) == digest.hex()
+        assert serialize_bundle(bundle) == blob
+
+
 class TestIntegrity:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not_a_bundle"

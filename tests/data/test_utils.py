@@ -145,6 +145,93 @@ class TestExceptionHierarchy:
         assert issubclass(PersistenceError, ReproError)
 
 
+def _raise_union_of_nothing():
+    from repro.pipeline.component import union_features
+
+    union_features([])
+
+
+def _raise_union_of_mixed():
+    import scipy.sparse as sp
+
+    from repro.pipeline.component import Features, union_features
+
+    union_features(
+        [
+            Features(matrix=np.eye(2), labels=np.ones(2)),
+            Features(matrix=sp.csr_matrix(np.eye(2)), labels=np.ones(2)),
+        ]
+    )
+
+
+def _raise_taxi_chunk_out_of_range():
+    from repro.datasets.taxi import TaxiStreamGenerator
+
+    TaxiStreamGenerator(num_chunks=2, rows_per_chunk=4).chunk(2)
+
+
+def _raise_unknown_serving_policy():
+    from repro.experiments.common import url_scenario
+    from repro.experiments.exp5_serving import run_policy
+
+    run_policy(url_scenario("test"), "hopeful", None, [], "unused")
+
+
+def _raise_grid_search_without_one_table():
+    from dataclasses import replace
+
+    from repro.experiments.common import url_scenario
+    from repro.experiments.exp2_tuning import table3
+
+    scenario = replace(url_scenario("test"), make_initial_data=list)
+    table3(scenario, adaptations=("adam",), strengths=(1e-3,))
+
+
+def _raise_deploy_fraction_out_of_range():
+    from repro.experiments.common import url_scenario
+    from repro.experiments.exp2_tuning import figure5
+
+    figure5(url_scenario("test"), {}, deploy_fraction=0.0)
+
+
+def _raise_unknown_optimizer():
+    from repro.ml.optim import make_optimizer
+
+    make_optimizer("hopeful")
+
+
+def _raise_negative_charge():
+    from repro.execution.cost import CostTracker
+
+    CostTracker().charge_training(-1, "sgd_step")
+
+
+class TestEveryValidationFailureIsAReproError:
+    """``exceptions.py``: "callers can catch every library-specific
+    failure with a single ``except``" — and each stays a ValueError."""
+
+    @pytest.mark.parametrize(
+        "trigger",
+        [
+            _raise_union_of_nothing,
+            _raise_union_of_mixed,
+            _raise_taxi_chunk_out_of_range,
+            _raise_unknown_serving_policy,
+            _raise_grid_search_without_one_table,
+            _raise_deploy_fraction_out_of_range,
+            _raise_unknown_optimizer,
+            _raise_negative_charge,
+        ],
+        ids=lambda trigger: trigger.__name__[len("_raise_"):],
+    )
+    def test_raises_inside_the_hierarchy(self, trigger):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError) as caught:
+            trigger()
+        assert isinstance(caught.value, ValueError)
+
+
 class TestImportSurface:
     def test_top_level_all_resolves(self):
         import repro

@@ -247,6 +247,26 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "resuming: v" in out
 
+    def test_serve_trace_ends_with_the_metrics_snapshot(
+        self, capsys, tmp_path
+    ):
+        """Like every traced command, ``serve --trace`` closes its
+        JSONL with the final counters (it used to write none, so
+        ``obs summary`` had no metrics to show)."""
+        from repro.obs import load_jsonl
+
+        trace = tmp_path / "serve.jsonl"
+        assert main(
+            ["serve", "--dataset", "url", "--scale", "test",
+             "--trace", str(trace)]
+        ) == 0
+        assert f"trace written to {trace}" in capsys.readouterr().out
+        last = load_jsonl(trace)[-1]
+        assert last["kind"] == "metrics"
+        assert last["attrs"]["counters"]["serving.batches"] > 0
+        assert main(["obs", "summary", str(trace)]) == 0
+        assert "serving.batches" in capsys.readouterr().out
+
     def test_registry_missing_manifest_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no registry manifest"):
             main(["registry", "list", "--registry", str(tmp_path)])

@@ -19,10 +19,19 @@ from repro.core.deployment import (
 from repro.core.config import PeriodicalConfig
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
 from repro.driftdetect import DriftAwareContinuousDeployment, DriftState
+from repro.experiments.common import (
+    APPROACHES,
+    make_deployment,
+    url_scenario,
+)
+from repro.experiments.exp5_serving import run_serving_experiment
+from repro.experiments.exp7_traffic import run_traffic_experiment
+from repro.fleet import FleetOrchestrator, make_fleet
 from repro.ml.models.svm import LinearSVM
 from repro.ml.optim import make_optimizer
 from repro.ml.regularizers import L2
-from repro.obs import Telemetry
+from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.reliability import FaultPlan, FaultSpec, RetryPolicy, sites
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.ConvergenceWarning"
@@ -289,3 +298,93 @@ class TestTelemetryDoesNotPerturbRuns:
             baseline.cost_history, traced.cost_history
         )
         assert baseline.counters == traced.counters
+
+
+# ----------------------------------------------------------------------
+# Disabled telemetry takes the same emit path as enabled telemetry:
+# no site asks `enabled`, the null tracer and null registry swallow
+# what they are handed. One more input to the "does not perturb" check
+# above: every instrumented subsystem, not only the continuous run.
+# ----------------------------------------------------------------------
+def _run_approach(approach):
+    def run(telemetry):
+        scenario = url_scenario("test")
+        deployment = make_deployment(scenario, approach, telemetry)
+        result = scenario.fit(deployment).run(scenario.make_stream())
+        return (
+            list(result.error_history),
+            list(result.cost_history),
+            result.counters,
+        )
+
+    return run
+
+
+def _run_fleet(telemetry):
+    spec = make_fleet(4, seed=5, policy="fair_share", chunks=6, rows=8)
+    result = FleetOrchestrator(spec, telemetry=telemetry).run()
+    return result.digest, result.schedule_log, result.per_tenant_error
+
+
+def _run_serving(telemetry):
+    """Endpoint + rollout controller + registry (exp5's three policies)."""
+    points = run_serving_experiment(
+        url_scenario("test"), telemetry=telemetry
+    )
+    return {
+        policy: (point.error_history, point.transitions)
+        for policy, point in points.items()
+    }
+
+
+def _run_traffic(telemetry):
+    result = run_traffic_experiment(
+        url_scenario("test"), telemetry=telemetry, verify_identity=False
+    )
+    return (
+        {name: o.result.digest() for name, o in result.phases.items()},
+        result.training_chunks,
+        result.training_cost,
+    )
+
+
+def _run_faulty(telemetry):
+    """Transient stream and storage faults, masked by retries."""
+    scenario = url_scenario("test").with_continuous(
+        max_materialized_chunks=2
+    )
+    deployment = make_deployment(
+        scenario,
+        "continuous",
+        telemetry,
+        fault_plan=FaultPlan.of(
+            FaultSpec(sites.STREAM_READ, 3, "io_error"),
+            FaultSpec(sites.STORAGE_READ, 2, "io_error"),
+        ),
+        retry=RetryPolicy(seed=scenario.seed),
+    )
+    result = scenario.fit(deployment).run(scenario.make_stream())
+    retries = deployment.reliability.retrier.retries
+    assert retries == 2
+    return list(result.error_history), list(result.cost_history), retries
+
+
+SUBSYSTEMS = {
+    **{approach: _run_approach(approach) for approach in APPROACHES},
+    "fleet": _run_fleet,
+    "serving": _run_serving,
+    "traffic": _run_traffic,
+    "faults+retries": _run_faulty,
+}
+
+
+@pytest.mark.parametrize("subsystem", sorted(SUBSYSTEMS))
+def test_null_telemetry_takes_the_emit_path_and_stays_empty(subsystem):
+    run = SUBSYSTEMS[subsystem]
+    traced_telemetry = Telemetry()
+    assert run(None) == run(traced_telemetry)
+    assert traced_telemetry.events  # the sites are there and emit
+    assert NULL_TELEMETRY.events == []
+    assert NULL_TELEMETRY.state_dict() == {}
+    snapshot = NULL_TELEMETRY.metrics.snapshot()
+    assert not any(snapshot.values())

@@ -1,5 +1,7 @@
 """Serving endpoint: solo, shadow, and canary prediction paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,74 @@ class TestTelemetry:
         assert counters["serving.batches"] == 2
         assert counters["serving.rows"] == 2 * ROWS
         assert counters["serving.shadow_rows"] == ROWS
+
+
+class TestPredictIsABatchOfOne:
+    """``predict(table, k)`` is ``predict_requests([table], [k])``:
+    every :class:`ServedBatch` field and every ``serving.*`` counter,
+    in every mode, including the inputs that used to have a branch of
+    their own (no rows; a canary split with nothing on one side)."""
+
+    CASES = {
+        "solo": dict(mode=None),
+        "shadow": dict(mode="shadow"),
+        "canary": dict(mode="canary", fraction=0.4),
+        "canary-all-candidate": dict(mode="canary", fraction=1.0),
+        "canary-all-primary": dict(mode="canary", fraction=1e-12),
+    }
+
+    @staticmethod
+    def served_fields(served):
+        return {
+            f.name: (
+                (value.dtype, value.tobytes())
+                if isinstance(value, np.ndarray)
+                else value
+            )
+            for f in dataclasses.fields(served)
+            for value in [getattr(served, f.name)]
+        }
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_field_by_field(self, live_registry, url_world, case, empty):
+        registry, __, ___ = live_registry
+        candidate = registry.register(
+            *url_world.make_parts(train_chunks=range(4))
+        )
+        stage = dict(self.CASES[case])
+        mode = stage.pop("mode")
+        table = url_world.generator.chunk(3)
+        if empty:
+            table = table.head(0)
+        served, counters = [], []
+        for call in ("predict", "predict_requests"):
+            telemetry = Telemetry()
+            endpoint = endpoint_for(registry, telemetry=telemetry)
+            if mode is not None:
+                endpoint.attach_candidate(
+                    candidate.version, mode=mode, **stage
+                )
+            if call == "predict":
+                batch = endpoint.predict(table, 17)
+            else:
+                batch = endpoint.predict_requests([table], [17])
+            served.append(self.served_fields(batch))
+            counters.append(
+                {
+                    name: value
+                    for name, value in telemetry.metrics.snapshot()[
+                        "counters"
+                    ].items()
+                    if name.startswith("serving.")
+                }
+            )
+        assert served[0] == served[1]
+        assert counters[0] == counters[1]
+        assert counters[0]["serving.batches"] == 1
+        if not empty and case == "canary-all-candidate":
+            assert served[0]["canary_share"] == 1.0
+            assert served[0]["primary_predictions"][1] == b""
+        if not empty and case == "canary-all-primary":
+            assert served[0]["canary_share"] == 0.0
+            assert served[0]["candidate_predictions"][1] == b""
