@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.pipeline_manager import PipelineManager
 from repro.data.chunk import FeatureChunk
+from repro.data.manager import DataManager
 from repro.data.sampling import (
     TimeBasedSampler,
     UniformSampler,
@@ -20,6 +22,7 @@ from repro.data.sampling import (
 from repro.data.storage import ChunkStorage
 from repro.datasets.taxi import TaxiStreamGenerator, make_taxi_pipeline
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
+from repro.execution.engine import LocalExecutionEngine
 from repro.ml.models import LinearRegression, LinearSVM
 from repro.ml.optim import Adam, RMSProp
 from repro.ml.sgd import SGDTrainer
@@ -59,6 +62,16 @@ class TestPipelineThroughput:
         benchmark(pipeline.transform_to_features, taxi_chunk)
 
 
+def online_manager(pipeline, model, optimizer) -> PipelineManager:
+    return PipelineManager(
+        pipeline=pipeline,
+        model=model,
+        optimizer=optimizer,
+        data_manager=DataManager(storage=ChunkStorage(), seed=0),
+        engine=LocalExecutionEngine(),
+    )
+
+
 class TestTrainingThroughput:
     def test_sparse_sgd_step(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
@@ -73,6 +86,24 @@ class TestTrainingThroughput:
             LinearRegression(features.num_features), RMSProp(0.05)
         )
         benchmark(trainer.step, features.matrix, features.labels)
+
+    # The online update as both scenarios run it: the chunk consumed
+    # one row a step (`online_batch_rows=1`), engine and cost charges
+    # included. Divide by the chunk's rows (100 / 200) for the per-row
+    # cost that `benchmarks/e2e` attributes to `core.online_step`.
+    def test_sparse_online_rows(self, benchmark, url_chunk):
+        pipeline = make_url_pipeline(hash_features=1024)
+        features = pipeline.update_transform_to_features(url_chunk)
+        manager = online_manager(pipeline, LinearSVM(1024), Adam(0.05))
+        benchmark(manager.online_step, features, batch_rows=1)
+
+    def test_dense_online_rows(self, benchmark, taxi_chunk):
+        pipeline = make_taxi_pipeline()
+        features = pipeline.update_transform_to_features(taxi_chunk)
+        manager = online_manager(
+            pipeline, LinearRegression(features.num_features), RMSProp(0.05)
+        )
+        benchmark(manager.online_step, features, batch_rows=1)
 
     def test_sparse_prediction(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)

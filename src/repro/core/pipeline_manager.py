@@ -173,28 +173,30 @@ class PipelineManager:
     ) -> float:
         """Online SGD on a freshly arrived chunk.
 
-        ``batch_rows=None`` takes one mini-batch step over the whole
-        chunk. ``batch_rows=k`` consumes the chunk in consecutive
-        slices of ``k`` rows, one SGD step each — ``k=1`` is classic
-        point-at-a-time online gradient descent, the noisy baseline
-        the paper's online deployment uses ("visits every incoming
-        training data point only once"). Returns the last objective.
+        The chunk is consumed in consecutive ranges of ``batch_rows``
+        rows (the last one shorter), one SGD step each, and each step
+        is handed the chunk and its range — never a sliced copy.
+        ``batch_rows=1`` is classic point-at-a-time online gradient
+        descent, the noisy baseline the paper's online deployment uses
+        ("visits every incoming training data point only once");
+        ``None`` is one range over the whole chunk. Returns the last
+        objective (0.0 for a chunk without rows: no range, no step).
         """
-        if batch_rows is None or batch_rows >= features.num_rows:
-            return self.engine.train_step(
-                self.trainer, features.matrix, features.labels
-            )
-        if batch_rows < 1:
+        num_rows = features.num_rows
+        if batch_rows is None:
+            batch_rows = max(num_rows, 1)
+        elif batch_rows < 1:
             raise PipelineError(
                 f"batch_rows must be >= 1, got {batch_rows}"
             )
         objective = 0.0
-        for start in range(0, features.num_rows, batch_rows):
-            stop = start + batch_rows
+        for start in range(0, num_rows, batch_rows):
             objective = self.engine.train_step(
                 self.trainer,
-                features.matrix[start:stop],
-                features.labels[start:stop],
+                features.matrix,
+                features.labels,
+                start,
+                min(start + batch_rows, num_rows),
             )
         return objective
 

@@ -93,12 +93,17 @@ class LocalExecutionEngine:
         trainer: SGDTrainer,
         features: Matrix,
         targets: np.ndarray,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> float:
-        """One SGD iteration (online update or proactive training)."""
+        """One SGD iteration on rows ``[start, stop)`` of the batch:
+        all of it for proactive training, consecutive ranges of the
+        arriving chunk for the online update."""
         with self.telemetry.tracer.span(
-            names.ENGINE_TRAIN_STEP, values=matrix_values(features)
+            names.ENGINE_TRAIN_STEP,
+            values=matrix_values(features, start, stop),
         ), self.wall:
-            return trainer.step(features, targets, self.tracker)
+            return trainer.step(features, targets, self.tracker, start, stop)
 
     def train_full(
         self,

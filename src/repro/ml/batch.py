@@ -19,7 +19,7 @@ all model types by ``tests/ml/test_batch_predict.py``).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,12 +31,16 @@ from repro.ml.models.base import Matrix
 Stackable = Union[np.ndarray, sp.csr_matrix]
 
 
-def matrix_values(matrix: Matrix) -> int:
-    """Stored value count of a feature matrix — nnz for sparse,
-    rows*cols for dense: the unit the cost model charges."""
+def matrix_values(
+    matrix: Matrix, start: int = 0, stop: Optional[int] = None
+) -> int:
+    """Stored value count of rows ``[start, stop)`` of a feature
+    matrix — nnz for sparse (read off ``indptr``), rows*cols for
+    dense: the unit the cost model charges."""
     if sp.issparse(matrix):
-        return int(matrix.nnz)
-    return int(np.asarray(matrix).size)
+        indptr = matrix.tocsr().indptr
+        return int(indptr[-1 if stop is None else stop] - indptr[start])
+    return int(np.asarray(matrix)[start:stop].size)
 
 
 def stack_matrices(matrices: Sequence[Matrix]) -> Matrix:

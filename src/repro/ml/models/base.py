@@ -11,14 +11,27 @@ Parameters are also exposed as a single packed vector
 can treat the model as one coordinate array — which is exactly what the
 per-coordinate adaptation methods need.
 
-Feature matrices may be dense ``ndarray`` or ``scipy.sparse`` CSR; all
-the algebra below works for both.
+Feature matrices may be dense ``ndarray`` or ``scipy.sparse`` CSR, and
+every kernel runs over a *row range* ``[start, stop)`` of one. Three
+cases, chosen by what the caller handed over, all with the same bits:
+
+* a proper range of a CSR (the per-row online update) is read from the
+  matrix's own ``indptr/indices/data`` and reduced with ``np.bincount``,
+  which accumulates in stored-entry order — the order of scipy's
+  ``csr_matvec`` / ``csc_matvec`` — so no scipy object is built per
+  range;
+* a whole sparse matrix (prediction, proactive training, full
+  retraining) has nothing to slice and goes to those scipy routines as
+  it is: on thousands of rows their C loop is ~9x faster than the
+  ``bincount`` spelling, which pays for itself only by what it skips;
+* a dense range is the numpy view ``X[start:stop]``: per-row
+  ``np.add.reduce`` scores, ``view.T @ d`` column sums.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,25 +85,20 @@ class LinearSGDModel:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def decision_function(self, features: Matrix) -> np.ndarray:
-        """Raw decision values ``X w + b``.
+    def decision_function(
+        self, features: Matrix, start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """Raw decision values ``X w + b`` of rows ``[start, stop)``.
 
-        The dense path reduces each row independently (elementwise
-        product, then a per-row sum) instead of calling BLAS ``X @ w``:
-        gemv kernels block over *rows*, so the low bits of a row's
-        score would depend on how many rows share the call — breaking
-        the serving guarantee that a micro-batched prediction is
-        bit-identical to the same row served alone. The per-row
-        reduction order depends only on ``num_features``.
+        Every kernel reduces each row independently and in an order
+        fixed by the row alone — stored-entry order for sparse (scipy's
+        or the range kernel's), a per-row ``np.add.reduce`` for dense
+        instead of BLAS ``X @ w`` (gemv kernels block over *rows*, so a
+        row's low bits would depend on how many rows share the call).
+        That is the serving guarantee: a micro-batched prediction is
+        bit-identical to the same row served alone.
         """
-        self._check_features(features)
-        if sp.issparse(features):
-            scores = features.dot(self.weights)
-            scores = np.asarray(scores).ravel()
-        else:
-            dense = np.asarray(features, dtype=np.float64)
-            scores = np.add.reduce(dense * self.weights, axis=1)
-        return scores + self.intercept
+        return self._forward(features, start, stop)[0]
 
     def predict(self, features: Matrix) -> np.ndarray:
         """Task-specific predictions; subclasses refine."""
@@ -100,25 +108,33 @@ class LinearSGDModel:
     # Training interface
     # ------------------------------------------------------------------
     def gradient(
-        self, features: Matrix, targets: np.ndarray
+        self,
+        features: Matrix,
+        targets: np.ndarray,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> tuple[np.ndarray, float]:
-        """Mean-gradient of loss+penalty on a batch, packed, plus loss.
+        """Mean-gradient of loss+penalty on rows ``[start, stop)`` of
+        ``(features, targets)``, packed, plus loss.
 
         Returns ``(grad, objective)`` where ``grad`` has length
         ``num_features + 1`` when an intercept is fitted (intercept
         slot last, zero otherwise excluded) — aligned with
         :meth:`params_vector`.
         """
-        targets = np.asarray(targets, dtype=np.float64)
-        decision = self.decision_function(features)
+        targets = np.asarray(targets, dtype=np.float64)[start:stop]
+        decision, rows = self._forward(features, start, stop)
         dloss = self.loss.dvalue(decision, targets)
-        count = len(targets)
-        if sp.issparse(features):
-            grad_w = np.asarray(features.T.dot(dloss)).ravel() / count
+        if isinstance(rows, tuple):
+            owner, indices, data = rows
+            sums = np.bincount(
+                indices,
+                weights=data * dloss[owner],
+                minlength=self.num_features,
+            )
         else:
-            grad_w = (
-                np.asarray(features, dtype=np.float64).T @ dloss
-            ) / count
+            sums = rows.T @ dloss
+        grad_w = sums / len(targets)
         grad_w = grad_w + self.regularizer.gradient(self.weights)
         objective = self.loss.value(decision, targets) + (
             self.regularizer.penalty(self.weights)
@@ -150,7 +166,9 @@ class LinearSGDModel:
         return self.weights.copy()
 
     def set_params_vector(self, params: np.ndarray) -> None:
-        """Install packed parameters produced by an optimizer step."""
+        """Install packed parameters produced by an optimizer step —
+        a new array nobody else holds, so the model keeps it (the
+        weights are a view of it) instead of copying it."""
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.num_params,):
             raise ValidationError(
@@ -158,10 +176,10 @@ class LinearSGDModel:
                 f"got shape {params.shape}"
             )
         if self.fit_intercept:
-            self.weights = params[:-1].copy()
+            self.weights = params[:-1]
             self.intercept = float(params[-1])
         else:
-            self.weights = params.copy()
+            self.weights = params
 
     # ------------------------------------------------------------------
     # Persistence / warm starting
@@ -200,16 +218,49 @@ class LinearSGDModel:
         self.updates_applied = 0
 
     # ------------------------------------------------------------------
-    def _check_features(self, features: Matrix) -> None:
+    def _forward(
+        self, features: Matrix, start: int, stop: Optional[int]
+    ) -> Tuple[np.ndarray, object]:
+        """Decision values of rows ``[start, stop)`` and what the
+        column sums read: the dense view, the whole sparse matrix, or
+        a CSR range's stored entries as ``(owner, indices, data)``."""
         if features.ndim != 2:
             raise ValidationError(
                 f"features must be 2-D, got shape {features.shape}"
             )
-        if features.shape[1] != self.num_features:
+        count, width = features.shape
+        if width != self.num_features:
             raise ValidationError(
-                f"features have {features.shape[1]} columns, model "
+                f"features have {width} columns, model "
                 f"expects {self.num_features}"
             )
+        stop = count if stop is None else stop
+        if not 0 <= start <= stop <= count:
+            raise ValidationError(
+                f"rows [{start}, {stop}) are not within {count} rows"
+            )
+        if not sp.issparse(features):
+            rows = np.asarray(features[start:stop], dtype=np.float64)
+            scores = np.add.reduce(rows * self.weights, axis=1)
+        elif (start, stop) == (0, count):
+            rows = features
+            scores = features @ self.weights
+        else:
+            csr = features.tocsr()  # a CSR returns itself
+            indptr = csr.indptr
+            entries = slice(indptr[start], indptr[stop])
+            owner = np.repeat(
+                np.arange(stop - start),
+                indptr[start + 1:stop + 1] - indptr[start:stop],
+            )
+            indices, data = csr.indices[entries], csr.data[entries]
+            rows = owner, indices, data
+            scores = np.bincount(
+                owner,
+                weights=data * self.weights[indices],
+                minlength=stop - start,
+            )
+        return scores + self.intercept, rows
 
     def _require_trained(self) -> None:
         if self.updates_applied == 0:

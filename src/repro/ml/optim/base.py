@@ -44,7 +44,8 @@ class Optimizer(ABC):
         """Return updated parameters for one SGD iteration.
 
         ``params`` and ``grad`` must be 1-D and the same length; the
-        input array is not mutated.
+        input arrays are not mutated and the result is a new array the
+        optimizer keeps no reference to.
         """
         params = np.asarray(params, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
@@ -60,7 +61,8 @@ class Optimizer(ABC):
                 f"optimizer was sized for {self._dim} parameters, "
                 f"got {params.size}"
             )
-        return params + self._update(grad)
+        delta = self._update(grad)
+        return np.add(params, delta, out=delta)
 
     def reset(self) -> None:
         """Drop all state (fresh optimizer, same hyperparameters)."""
@@ -94,7 +96,8 @@ class Optimizer(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def _update(self, grad: np.ndarray) -> np.ndarray:
-        """Parameter delta (already negated) for this gradient."""
+        """Parameter delta (already negated) for this gradient, in a
+        new array: :meth:`step` adds the parameters into it."""
 
     def _ensure_array(self, key: str, like: np.ndarray) -> np.ndarray:
         """Get-or-create a zeroed state array shaped like ``like``."""

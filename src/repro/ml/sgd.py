@@ -66,19 +66,24 @@ class SGDTrainer:
         features: Matrix,
         targets: np.ndarray,
         tracker: Optional["CostTracker"] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> float:
-        """One SGD iteration on the given batch; returns the objective.
+        """One SGD iteration on rows ``[start, stop)`` of the given
+        batch (all of it by default); returns the objective.
 
-        The batch *is* the mini-batch — sampling happens upstream (the
-        data manager for proactive training, the chunk itself for the
-        online update).
+        The range *is* the mini-batch — sampling happens upstream (the
+        data manager for proactive training, consecutive row ranges of
+        the chunk itself for the online update).
         """
-        grad, objective = self.model.gradient(features, targets)
+        grad, objective = self.model.gradient(features, targets, start, stop)
         new_params = self.optimizer.step(self.model.params_vector(), grad)
         self.model.set_params_vector(new_params)
         self.model.updates_applied += 1
         if tracker is not None:
-            tracker.charge_training(matrix_values(features), "sgd_step")
+            tracker.charge_training(
+                matrix_values(features, start, stop), "sgd_step"
+            )
         return objective
 
     def train(

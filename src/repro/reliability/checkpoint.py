@@ -11,16 +11,22 @@ A :class:`CheckpointStore` owns one checkpoint directory::
 
     <dir>/ckpt-00000012.ckpt        checksummed envelope (see
                                     repro.persistence.seal_envelope)
-    <dir>/ckpt-00000012.refs.json   chunk files this checkpoint needs
-    <dir>/chunks/raw-00000003.pkl   spilled raw chunk payload
-    <dir>/chunks/feat-00000003-<digest>.pkl
-                                    spilled feature payload
+    <dir>/ckpt-00000012.refs.json   pack files this checkpoint needs
+    <dir>/chunks/raw-00000012-<digest>.pkl
+                                    the raw chunks checkpoint 12 was
+                                    the first to spill, one envelope
+    <dir>/chunks/feat-00000012-<digest>.pkl
+                                    likewise its feature chunks
 
 Checkpoint files are written atomically (staged + ``os.replace``) on a
 configurable cadence and pruned to the newest ``keep`` (the shared
 :func:`~repro.persistence.select_prunable` policy). Chunk payloads are
-content-immutable, written once, and garbage-collected when no
-retained checkpoint references them.
+content-immutable and written once, in the pack of the first
+checkpoint that holds them: a checkpoint costs two payload files (and
+two ``fsync`` waits) however many chunks arrived since the last one,
+not one per chunk. A pack is garbage-collected when no retained
+checkpoint references any chunk in it; raw and feature chunks go to
+separate packs because only feature chunks are ever evicted.
 
 Feature payloads *must* be persisted rather than re-derived: a
 materialized chunk embeds the pipeline statistics as of its ingest
@@ -164,13 +170,14 @@ class CheckpointStore:
         )
         self.fault_injector = fault_injector
         self.retrier = retrier
-        # Spill cache: timestamp -> (weakref to the FeatureChunk whose
-        # payload is on disk, its file name). Feature payloads are
-        # immutable objects — re-materialization after an eviction
-        # builds a *new* chunk (with today's pipeline statistics), so
-        # identity is exactly the right cache key. Saves re-pickling
-        # every materialized chunk on every checkpoint just to learn a
-        # digest that is already on disk.
+        # Spill index of the chunks the storage held at the last
+        # write (or restore): timestamp -> the pack file holding the
+        # payload. Raw chunks are immutable per timestamp. Feature
+        # payloads are immutable objects — re-materialization after
+        # an eviction builds a *new* chunk (with today's pipeline
+        # statistics) — so for them identity is exactly the right
+        # key, held as a weakref beside the pack name.
+        self._spilled_raw: Dict[int, str] = {}
         self._spilled_features: Dict[
             int, Tuple["weakref.ref", str]
         ] = {}
@@ -198,17 +205,20 @@ class CheckpointStore:
         """Persist a checkpoint atomically; returns its path.
 
         With ``storage``, the cache manifest is captured into the
-        checkpoint and any not-yet-spilled chunk payloads are written
-        to the ``chunks/`` area first (append-only: payloads are
-        immutable, so existing files are reused). The refs sidecar
-        lands before the checkpoint file so retention GC always knows
-        what a checkpoint needs. Old checkpoints beyond ``keep`` are
-        pruned afterwards.
+        checkpoint and the not-yet-spilled chunk payloads are written
+        to the ``chunks/`` area first, as one pack of raw and one of
+        feature chunks (append-only: payloads are immutable, so
+        earlier packs are referenced, never rewritten). The refs
+        sidecar lands before the checkpoint file so retention GC
+        always knows what a checkpoint needs. Old checkpoints beyond
+        ``keep`` are pruned afterwards.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         refs: List[str] = []
         if storage is not None:
-            checkpoint.manifest, refs = self._spill_storage(storage)
+            checkpoint.manifest, refs = self._spill_storage(
+                storage, checkpoint.cursor
+            )
         name = f"ckpt-{checkpoint.cursor:08d}"
         atomic_write_bytes(
             self.directory / f"{name}.refs.json",
@@ -243,43 +253,65 @@ class CheckpointStore:
         return path
 
     def _spill_storage(
-        self, storage: ChunkStorage
+        self, storage: ChunkStorage, cursor: int
     ) -> Tuple[Dict[str, Any], List[str]]:
-        """Capture the manifest and spill missing payload files."""
+        """Capture the manifest and spill the missing payloads."""
         manifest = storage.manifest()
-        refs: List[str] = []
-        self.chunks_directory.mkdir(parents=True, exist_ok=True)
-        for timestamp in manifest["raw"]:
-            name = f"raw-{timestamp:08d}.pkl"
-            target = self.chunks_directory / name
-            if not target.exists():
-                blob = seal_envelope(
-                    storage.peek_raw(timestamp), CHUNK_MAGIC
-                )
-                atomic_write_bytes(target, blob)
-            refs.append(name)
-        for entry in manifest["features"]:
-            if not entry["materialized"]:
-                continue
+        pack = self._write_pack(
+            "raw",
+            cursor,
+            {
+                timestamp: storage.peek_raw(timestamp)
+                for timestamp in manifest["raw"]
+                if timestamp not in self._spilled_raw
+            },
+        )
+        self._spilled_raw = {
+            timestamp: self._spilled_raw.get(timestamp, pack)
+            for timestamp in manifest["raw"]
+        }
+        manifest["raw_files"] = list(self._spilled_raw.values())
+
+        materialized = [
+            entry for entry in manifest["features"] if entry["materialized"]
+        ]
+        spilled: Dict[int, Tuple["weakref.ref", str]] = {}
+        fresh: Dict[int, FeatureChunk] = {}
+        for entry in materialized:
             timestamp = entry["timestamp"]
             chunk = storage.peek_features(timestamp)
             cached = self._spilled_features.get(timestamp)
             if cached is not None and cached[0]() is chunk:
-                name = cached[1]
+                spilled[timestamp] = cached
             else:
-                blob = seal_envelope(chunk, CHUNK_MAGIC)
-                digest = hashlib.sha256(blob).hexdigest()[:16]
-                name = f"feat-{timestamp:08d}-{digest}.pkl"
-                target = self.chunks_directory / name
-                if not target.exists():
-                    atomic_write_bytes(target, blob)
-                self._spilled_features[timestamp] = (
-                    weakref.ref(chunk),
-                    name,
-                )
-            entry["payload_file"] = name
-            refs.append(name)
-        return manifest, refs
+                fresh[timestamp] = chunk
+        pack = self._write_pack("feat", cursor, fresh)
+        for timestamp, chunk in fresh.items():
+            spilled[timestamp] = (weakref.ref(chunk), pack)
+        self._spilled_features = spilled
+        for entry in materialized:
+            entry["payload_file"] = spilled[entry["timestamp"]][1]
+        refs = set(manifest["raw_files"])
+        refs.update(entry["payload_file"] for entry in materialized)
+        return manifest, sorted(refs)
+
+    def _write_pack(
+        self, kind: str, cursor: int, chunks: Dict[int, Any]
+    ) -> Optional[str]:
+        """One envelope holding ``chunks`` by timestamp; its file name,
+        or ``None`` when there is nothing to spill. The name carries
+        the content digest, so a pack is never overwritten with other
+        bytes (a recovered run re-writing a cursor meets its own)."""
+        if not chunks:
+            return None
+        blob = seal_envelope(chunks, CHUNK_MAGIC)
+        digest = hashlib.sha256(blob).hexdigest()[:16]
+        name = f"{kind}-{cursor:08d}-{digest}.pkl"
+        target = self.chunks_directory / name
+        if not target.exists():
+            self.chunks_directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(target, blob)
+        return name
 
     # ------------------------------------------------------------------
     # Loading
@@ -337,27 +369,45 @@ class CheckpointStore:
     def restore_storage(
         self, storage: ChunkStorage, manifest: Dict[str, Any]
     ) -> None:
-        """Rebuild a :class:`ChunkStorage` from a checkpoint manifest."""
+        """Rebuild a :class:`ChunkStorage` from a checkpoint manifest,
+        and this store's spill index with it, so the resumed run's
+        next checkpoint spills only what arrives after this one."""
+        packs: Dict[str, Dict[int, Any]] = {}
+
+        def load(name: str, timestamp: int):
+            if name not in packs:
+                packs[name] = self._load_pack(name)
+            return packs[name][timestamp]
+
+        self._spilled_raw = dict(
+            zip(manifest["raw"], manifest["raw_files"])
+        )
         raw: List[RawChunk] = [
-            self._load_chunk(f"raw-{timestamp:08d}.pkl")
-            for timestamp in manifest["raw"]
+            load(name, timestamp)
+            for timestamp, name in self._spilled_raw.items()
         ]
+        self._spilled_features = {}
         features: List[Union[FeatureChunk, ChunkStub]] = []
         for entry in manifest["features"]:
+            timestamp = entry["timestamp"]
             if entry["materialized"]:
-                features.append(
-                    self._load_chunk(entry["payload_file"])
+                name = entry["payload_file"]
+                chunk = load(name, timestamp)
+                self._spilled_features[timestamp] = (
+                    weakref.ref(chunk),
+                    name,
                 )
+                features.append(chunk)
             else:
                 features.append(
                     ChunkStub(
-                        timestamp=entry["timestamp"],
+                        timestamp=timestamp,
                         raw_reference=entry["raw_reference"],
                     )
                 )
         storage.restore(raw, features, manifest["stats"])
 
-    def _load_chunk(self, name: str):
+    def _load_pack(self, name: str) -> Dict[int, Any]:
         path = self.chunks_directory / name
         try:
             blob = path.read_bytes()

@@ -12,6 +12,7 @@ from repro.execution.cost import CostModel
 from repro.execution.engine import LocalExecutionEngine
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
+from repro.pipeline.component import Features
 from repro.pipeline.components.assembler import FeatureAssembler
 from repro.pipeline.components.scaler import StandardScaler
 from repro.pipeline.pipeline import Pipeline
@@ -131,6 +132,35 @@ class TestOnlineStep:
         __, features = manager.process_training_chunk(table_for(rng))
         with pytest.raises(PipelineError):
             manager.online_step(features, batch_rows=0)
+
+    def test_batch_rows_checked_before_the_chunk_is_looked_at(self):
+        manager = make_manager()
+        empty = Features(matrix=np.empty((0, 1)), labels=np.empty(0))
+        with pytest.raises(PipelineError, match="batch_rows"):
+            manager.online_step(empty, batch_rows=0)
+        assert manager.online_step(empty, batch_rows=1) == 0.0
+        assert manager.model.updates_applied == 0
+
+    def test_last_range_is_clamped_to_the_chunk(self, rng):
+        """8 rows by 3: the third step sees rows [6, 8), not [6, 9)."""
+        manager = make_manager()
+        __, features = manager.process_training_chunk(
+            table_for(rng, rows=8)
+        )
+        seen = []
+        step = manager.engine.train_step
+
+        def spy(trainer, matrix, labels, start, stop):
+            seen.append((start, stop))
+            return step(trainer, matrix, labels, start, stop)
+
+        manager.engine.train_step = spy
+        manager.online_step(features, batch_rows=3)
+        assert seen == [(0, 3), (3, 6), (6, 8)]
+        tracker = manager.engine.tracker
+        assert tracker.category("training") == pytest.approx(
+            tracker.model.training_cost_per_value * 8
+        )
 
 
 class TestServing:

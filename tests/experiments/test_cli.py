@@ -434,9 +434,12 @@ class TestPerfCommands:
         out = capsys.readouterr().out
         assert "recorded run_url_test_continuous" in out
 
-        # Identical seed: every exact metric must gate clean.
+        # Identical seed: every exact metric must gate clean. The wall
+        # of two sub-second runs is not what this gates, so it gets
+        # the wide budget `make bench-check` passes.
         assert main(
-            ["perf", "check", "--scale", "test", "--against", store]
+            ["perf", "check", "--scale", "test", "--against", store,
+             "--wall-budget", "4.0"]
         ) == 0
         out = capsys.readouterr().out
         assert "OK — no regressions" in out

@@ -259,3 +259,146 @@ class TestStorageSpill:
             payload.unlink()
         with pytest.raises(ReliabilityError, match="missing chunk"):
             store.restore_storage(ChunkStorage(), checkpoint.manifest)
+
+
+def put_chunk(storage, timestamp):
+    table = Table({"x": np.full(4, float(timestamp)), "y": np.arange(4.0)})
+    storage.put_raw(RawChunk(timestamp=timestamp, table=table))
+    storage.put_features(
+        FeatureChunk(
+            timestamp=timestamp,
+            raw_reference=timestamp,
+            features=np.full((4, 2), float(timestamp)),
+            labels=np.arange(4.0),
+        )
+    )
+
+
+def pack_names(store):
+    return sorted(path.name for path in store.chunks_directory.iterdir())
+
+
+def without_digest(names):
+    """``raw-00000004-<digest>.pkl`` -> ``raw-00000004``."""
+    return sorted(name.rsplit("-", 1)[0] for name in names)
+
+
+class TestPacks:
+    """A checkpoint spills what no earlier one did, as one raw and one
+    feature pack — not one file per chunk."""
+
+    def test_two_files_however_many_chunks(self, tmp_path):
+        storage = ChunkStorage()
+        for timestamp in range(7):
+            put_chunk(storage, timestamp)
+        store = CheckpointStore(tmp_path)
+        store.write(make_checkpoint(7), storage=storage)
+        raw, feat = sorted(pack_names(store), reverse=True)
+        assert raw.startswith("raw-00000007-")
+        assert feat.startswith("feat-00000007-")
+        refs = json.loads(
+            (tmp_path / "ckpt-00000007.refs.json").read_text()
+        )
+        assert refs == {"cursor": 7, "chunks": [feat, raw]}
+
+    def test_later_checkpoint_spills_only_new_chunks(self, tmp_path):
+        storage = ChunkStorage()
+        put_chunk(storage, 0)
+        put_chunk(storage, 1)
+        store = CheckpointStore(tmp_path)
+        first = make_checkpoint(2)
+        store.write(first, storage=storage)
+        before = pack_names(store)
+
+        store.write(make_checkpoint(3), storage=storage)
+        assert pack_names(store) == before  # nothing new, no pack
+
+        put_chunk(storage, 2)
+        second = make_checkpoint(4)
+        store.write(second, storage=storage)
+        added = sorted(set(pack_names(store)) - set(before))
+        assert without_digest(added) == ["feat-00000004", "raw-00000004"]
+        # Old chunks are still found in the packs that hold them.
+        assert second.manifest["raw_files"][:2] == first.manifest["raw_files"]
+        assert second.manifest["raw_files"][2] in added
+        restored = ChunkStorage()
+        store.restore_storage(restored, second.manifest)
+        assert restored.manifest() == storage.manifest()
+        for timestamp in range(3):
+            assert (
+                restored.peek_features(timestamp).features.tobytes()
+                == storage.peek_features(timestamp).features.tobytes()
+            )
+            assert restored.peek_raw(timestamp).table.column(
+                "x"
+            ).tobytes() == storage.peek_raw(timestamp).table.column(
+                "x"
+            ).tobytes()
+
+    def test_restore_rebuilds_the_spill_index(self, tmp_path):
+        storage = ChunkStorage()
+        put_chunk(storage, 0)
+        checkpoint = make_checkpoint(1)
+        CheckpointStore(tmp_path).write(checkpoint, storage=storage)
+
+        resumed = CheckpointStore(tmp_path)  # a new process
+        restored = ChunkStorage()
+        resumed.restore_storage(restored, checkpoint.manifest)
+        before = pack_names(resumed)
+        put_chunk(restored, 1)
+        later = make_checkpoint(2)
+        resumed.write(later, storage=restored)
+        assert later.manifest["raw_files"][0] == (
+            checkpoint.manifest["raw_files"][0]
+        )
+        added = set(pack_names(resumed)) - set(before)
+        assert without_digest(added) == ["feat-00000002", "raw-00000002"]
+
+    def test_rematerialized_chunk_is_spilled_again(self, tmp_path):
+        storage = ChunkStorage(max_materialized=1)
+        put_chunk(storage, 0)
+        store = CheckpointStore(tmp_path)
+        first = make_checkpoint(1)
+        store.write(first, storage=storage)
+        put_chunk(storage, 1)  # evicts chunk 0's features to a stub
+        # Re-materialization: same timestamp, a new FeatureChunk
+        # object carrying other bytes (today's statistics).
+        storage.put_features(
+            FeatureChunk(
+                timestamp=0,
+                raw_reference=0,
+                features=np.full((4, 2), 9.0),
+                labels=np.arange(4.0),
+            )
+        )
+        second = make_checkpoint(2)
+        store.write(second, storage=storage)
+
+        def payload_file(checkpoint):
+            (entry,) = [
+                entry
+                for entry in checkpoint.manifest["features"]
+                if entry["timestamp"] == 0
+            ]
+            return entry["payload_file"]
+
+        assert payload_file(first).startswith("feat-00000001-")
+        assert payload_file(second).startswith("feat-00000002-")
+        restored = ChunkStorage(max_materialized=1)
+        store.restore_storage(restored, second.manifest)
+        assert restored.peek_features(0).features[0, 0] == 9.0
+
+    def test_feature_pack_collected_when_its_chunks_are_evicted(
+        self, tmp_path
+    ):
+        storage = ChunkStorage(max_materialized=1)
+        put_chunk(storage, 0)
+        store = CheckpointStore(CheckpointConfig(tmp_path, keep=1))
+        store.write(make_checkpoint(1), storage=storage)
+        put_chunk(storage, 1)  # evicts chunk 0's features to a stub
+        store.write(make_checkpoint(2), storage=storage)
+        assert without_digest(pack_names(store)) == [
+            "feat-00000002",
+            "raw-00000001",
+            "raw-00000002",
+        ]
