@@ -1,7 +1,7 @@
 # Convenience targets for the repro library.
 
 .PHONY: install test lint lint-diff bench bench-results bench-record \
-	bench-check examples clean
+	bench-check bench-e2e bench-e2e-compare examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -75,6 +75,50 @@ bench-check:
 		benchmarks/bench_lineage_overhead.py \
 		benchmarks/bench_lint_speed.py \
 		--benchmark-only -q
+
+# The wall-clock benchmark BENCHMARK.json declares (benchmarks/e2e,
+# see its README). `bench-e2e` runs the four workloads, each in a
+# fresh process, and prints layer x self seconds x share per workload.
+# `bench-e2e-compare REF=<sha>` is how a speed claim is checked before
+# it is made: REF is exported with `git archive` next to the results,
+# one workload runs PAIRS times on REF and on the working tree — in
+# alternating order, because this box's speed drifts between minutes —
+# and each pair's two result directories go through `compare` (exit 1
+# if any pair has a `worse` verdict). Everything lands under E2E_DIR
+# (gitignored).
+E2E_DIR ?= .bench_runs/e2e
+E2E_RUN = python3 benchmarks/e2e/run.py --workload $(WORKLOAD) \
+	--seed $(SEED) --seconds 10 --trace 0
+WORKLOAD ?= url_continuous
+SEED ?= 7
+PAIRS ?= 10
+
+bench-e2e:
+	PYTHONPATH=src python3 -m benchmarks.e2e.run --all \
+		--run-root $(E2E_DIR)/runs --out $(E2E_DIR)/results
+	python3 -m benchmarks.e2e.report $(E2E_DIR)/results
+
+bench-e2e-compare: C = $(abspath $(E2E_DIR))/compare-$(REF)
+bench-e2e-compare:
+	@test -n "$(REF)" || { echo "usage: make bench-e2e-compare" \
+		"REF=<sha> [WORKLOAD=$(WORKLOAD)] [SEED=$(SEED)]" \
+		"[PAIRS=$(PAIRS)]"; exit 2; }
+	rm -rf $C && mkdir -p $C/tree
+	git archive $(REF) | tar -x -C $C/tree
+	@status=0; \
+	parent() { (cd $C/tree && $(E2E_RUN) --out $C/parent/$$1); }; \
+	change() { $(E2E_RUN) --run-root $C/runs --out $C/change/$$1; }; \
+	for pair in $$(seq 1 $(PAIRS)); do \
+		if [ $$((pair % 2)) -eq 1 ]; then \
+			parent $$pair && change $$pair; \
+		else \
+			change $$pair && parent $$pair; \
+		fi > $C/pair-$$pair.log 2>&1 \
+			|| { cat $C/pair-$$pair.log; exit 1; }; \
+		echo "pair $$pair of $(PAIRS) ($(WORKLOAD), seed $(SEED)):"; \
+		python3 -m benchmarks.e2e.compare $C/parent/$$pair \
+			$C/change/$$pair || status=1; \
+	done; exit $$status
 
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.

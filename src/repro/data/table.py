@@ -85,10 +85,9 @@ class Table:
 
         This is the quantity *p* in the paper's §3.2.1 size analysis
         and the unit the cost model charges per scan. Numeric cells
-        count 1 each; an object cell holding a sparse ``{index: value}``
-        dict counts its entries; an object cell holding a raw text
-        record counts its whitespace-separated tokens. The count is
-        computed lazily and cached (tables are immutable).
+        count 1 each; an object cell holding a raw text record counts
+        its whitespace-separated tokens. The count is computed lazily
+        and cached (tables are immutable).
         """
         if self._cached_num_values is None:
             total = 0
@@ -247,9 +246,8 @@ class Table:
         Covers column names (in order), dtypes, and cell contents, so
         two tables with identical data always hash identically — the
         chunk-node identity the provenance ledger records. Numeric
-        columns hash their raw bytes; object columns (sparse
-        ``{index: value}`` dicts, raw text records) hash a canonical
-        per-cell rendering.
+        columns hash their raw bytes; object columns (raw text
+        records) hash a canonical per-cell rendering.
         """
         body = hashlib.sha256()
         for name, array in self._columns.items():
@@ -268,10 +266,6 @@ class Table:
 
 def _object_cell_bytes(cell: object) -> bytes:
     """Canonical byte rendering of one object-column cell."""
-    if isinstance(cell, dict):
-        return ";".join(
-            f"{key}:{cell[key]!r}" for key in sorted(cell, key=str)
-        ).encode("utf-8")
     if isinstance(cell, str):
         return cell.encode("utf-8")
     return repr(cell).encode("utf-8")
@@ -279,9 +273,6 @@ def _object_cell_bytes(cell: object) -> bytes:
 
 def _object_column_values(array: np.ndarray) -> int:
     """Scalar-value count of an object column (see ``num_values``)."""
-    sample = array[0]
-    if isinstance(sample, dict):
-        return int(sum(len(cell) for cell in array))
-    if isinstance(sample, str):
+    if isinstance(array[0], str):
         return int(sum(cell.count(" ") + 1 for cell in array))
     return len(array)

@@ -19,7 +19,6 @@ from repro.pipeline.fingerprint import (
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.statistics import (
-    CategoryTable,
     RunningMinMax,
     RunningMoments,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Pipeline",
     "RunningMoments",
     "RunningMinMax",
-    "CategoryTable",
     "component_fingerprint",
     "pipeline_fingerprint",
 ]

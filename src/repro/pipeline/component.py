@@ -13,7 +13,8 @@ and dynamic re-materialization call ``transform`` only. Keeping both on
 one object is what guarantees train/serve consistency.
 
 Data flows between components as :class:`~repro.data.table.Table`
-objects until a terminal component (hasher / assembler) emits a
+objects — or, for sparse rows, as one :class:`SparseRows` CSR batch —
+until a terminal component (hasher / assembler) emits a
 :class:`Features` pair ready for the model.
 """
 
@@ -60,8 +61,32 @@ class Features(NamedTuple):
         return matrix_values(self.matrix) + len(self.labels)
 
 
+class SparseRows(NamedTuple):
+    """Labelled sparse rows over the raw, unbounded feature-index space.
+
+    The one sparse row representation between the parser and the
+    hasher: row ``r`` holds ``indices[indptr[r]:indptr[r + 1]]`` (raw
+    ``int64`` feature indices, each at most once per row, in the order
+    the record listed them) with the matching ``data`` values, ``NaN``
+    where a measurement is missing.
+    """
+
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.labels)
+
+    def num_values(self) -> int:
+        """Stored entries plus labels (the unit the cost model charges)."""
+        return len(self.data) + len(self.labels)
+
+
 #: Batches a component may receive or emit.
-Batch = Union[Table, Features]
+Batch = Union[Table, SparseRows, Features]
 
 
 def union_features(parts) -> Features:
@@ -130,18 +155,26 @@ class PipelineComponent(ABC):
 
     def _require_table(self, batch: Batch) -> Table:
         """``batch`` itself, once checked to be a :class:`Table`."""
-        if not isinstance(batch, Table):
+        return self._require(batch, Table)
+
+    def _require_rows(self, batch: Batch) -> SparseRows:
+        """``batch`` itself, once checked to be :class:`SparseRows`."""
+        return self._require(batch, SparseRows)
+
+    def _require(self, batch: Batch, kind: type):
+        if not isinstance(batch, kind):
             raise PipelineError(
-                f"{self.name} expects a Table, got {type(batch).__name__}"
+                f"{self.name} expects a {kind.__name__}, "
+                f"got {type(batch).__name__}"
             )
         return batch
 
     @staticmethod
     def batch_num_values(batch: Batch) -> int:
         """Value count of a batch, for cost accounting."""
-        if isinstance(batch, Features):
-            return batch.num_values()
-        return batch.num_values
+        if isinstance(batch, Table):
+            return batch.num_values
+        return batch.num_values()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

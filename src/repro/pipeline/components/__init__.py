@@ -24,12 +24,11 @@ from repro.pipeline.components.geo import (
     haversine_component,
     haversine_distance,
 )
-from repro.pipeline.components.hasher import FeatureHasher, hash_index
+from repro.pipeline.components.hasher import FeatureHasher
 from repro.pipeline.components.imputer import (
     MissingValueImputer,
     SparseMeanImputer,
 )
-from repro.pipeline.components.onehot import OneHotEncoder
 from repro.pipeline.components.parser import SvmLightParser
 from repro.pipeline.components.polynomial import PolynomialInteractions
 from repro.pipeline.components.scaler import (
@@ -53,8 +52,6 @@ __all__ = [
     "SparseStandardScaler",
     "MinMaxScaler",
     "FeatureHasher",
-    "hash_index",
-    "OneHotEncoder",
     "AnomalyFilter",
     "RangeFilter",
     "ColumnExtractor",

@@ -1,8 +1,9 @@
 """Feature hashing (the hashing trick).
 
-Terminal component of the URL pipeline: maps sparse ``{index: value}``
-rows into a fixed-width :class:`scipy.sparse.csr_matrix` by hashing each
-feature index into one of ``num_features`` buckets. Signed hashing
+Terminal component of the URL pipeline: maps a
+:class:`~repro.pipeline.component.SparseRows` batch into a fixed-width
+:class:`scipy.sparse.csr_matrix` by hashing each raw feature index into
+one of ``num_features`` buckets. Signed hashing
 (sign drawn from a hash bit) keeps collisions unbiased in expectation.
 
 Hashing is stateless and deterministic — independent of
@@ -27,6 +28,7 @@ from repro.pipeline.component import (
     Features,
     StatelessComponent,
 )
+from repro.pipeline.statistics import absorb, locate
 
 
 def hash_index(index: int, num_features: int) -> Tuple[int, float]:
@@ -41,16 +43,25 @@ def hash_index(index: int, num_features: int) -> Tuple[int, float]:
     return bucket, sign
 
 
+def _empty_memo() -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted keys and their ``(bucket, sign)`` columns: none yet."""
+    return np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64)
+
+
 class FeatureHasher(StatelessComponent):
-    """Hash sparse-dict rows into a fixed-width CSR matrix + labels.
+    """Hash sparse rows into a fixed-width CSR matrix + labels.
+
+    :func:`hash_index` runs once per *distinct* index: the instance
+    memoizes ``index -> (bucket, sign)`` in sorted parallel arrays. The
+    memo is derived data, not state — pickles and fingerprints see it
+    empty, so a hasher is the same component however much of the index
+    space it has met.
 
     Parameters
     ----------
     num_features:
         Output dimensionality (buckets). Powers of two are customary
         but not required.
-    features_column, label_column:
-        Input columns (as produced by the URL parser).
     signed:
         Use signed hashing (recommended); unsigned accumulates positive
         collision bias.
@@ -61,8 +72,6 @@ class FeatureHasher(StatelessComponent):
     def __init__(
         self,
         num_features: int,
-        features_column: str = "features",
-        label_column: str = "label",
         signed: bool = True,
         name: str | None = None,
     ) -> None:
@@ -72,40 +81,61 @@ class FeatureHasher(StatelessComponent):
                 f"num_features must be >= 1, got {num_features}"
             )
         self.num_features = int(num_features)
-        self.features_column = features_column
-        self.label_column = label_column
         self.signed = signed
+        self._keys, self._memo = _empty_memo()
+
+    def __getstate__(self) -> dict:
+        keys, memo = _empty_memo()
+        return {**self.__dict__, "_keys": keys, "_memo": memo}
+
+    def _hashed(self, indices: np.ndarray) -> np.ndarray:
+        """Bucket and sign (two rows) of every index, from the memo."""
+        positions, found = locate(self._keys, indices)
+        if not found.all():
+            new = np.unique(indices[~found])
+            hashed = [
+                hash_index(index, self.num_features)
+                for index in new.tolist()
+            ]
+            self._keys, self._memo = absorb(
+                self._keys,
+                self._memo,
+                new,
+                np.array(hashed, dtype=np.int64).T,
+            )
+            positions += new.searchsorted(indices)
+        return self._memo.take(positions, axis=1)
 
     def transform(self, batch: Batch) -> Features:
-        self._require_table(batch)
-        rows = batch.column(self.features_column)
-        labels = np.asarray(
-            batch.column(self.label_column), dtype=np.float64
-        )
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        rows = self._require_rows(batch)
         width = self.num_features
-        for position, row in enumerate(rows):
-            # Aggregate duplicate buckets within a row so CSR stays
-            # canonical even under collisions.
-            bucket_values: dict[int, float] = {}
-            for index, value in row.items():
-                bucket, sign = hash_index(index, width)
-                contribution = value * sign if self.signed else value
-                bucket_values[bucket] = (
-                    bucket_values.get(bucket, 0.0) + contribution
-                )
-            ordered = sorted(bucket_values.items())
-            indices.extend(bucket for bucket, __ in ordered)
-            data.extend(value for __, value in ordered)
-            indptr[position + 1] = len(indices)
+        buckets, signs = self._hashed(rows.indices)
+        values = rows.data * signs if self.signed else rows.data
+        # One stored value per (row, bucket) cell, ascending, so CSR
+        # stays canonical under collisions; the sort is stable and
+        # bincount adds from 0.0, so a cell sums its entries in
+        # stored-entry order.
+        owner = np.repeat(np.arange(rows.num_rows), np.diff(rows.indptr))
+        cell = owner * width + buckets
+        order = cell.argsort(kind="stable")
+        cell = cell.take(order)
+        opens = np.ones(len(cell), dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=opens[1:])
+        cells = cell[opens]
+        sums = np.bincount(
+            opens.cumsum() - 1,
+            weights=values.take(order),
+            minlength=len(cells),
+        )
         matrix = sp.csr_matrix(
             (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.int64),
-                indptr,
+                # bincount of nothing is int64, weights or not.
+                sums.astype(np.float64, copy=False),
+                cells % width,
+                cells.searchsorted(
+                    np.arange(rows.num_rows + 1) * width
+                ),
             ),
-            shape=(len(rows), width),
+            shape=(rows.num_rows, width),
         )
-        return Features(matrix=matrix, labels=labels)
+        return Features(matrix=matrix, labels=rows.labels)

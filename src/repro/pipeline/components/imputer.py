@@ -4,7 +4,7 @@ Two variants, matching the two data shapes in the paper pipelines:
 
 * :class:`MissingValueImputer` — dense numeric ``Table`` columns;
   fills ``NaN`` with the running mean (or a constant).
-* :class:`SparseMeanImputer` — ``{index: value}`` sparse rows (URL
+* :class:`SparseMeanImputer` — :class:`SparseRows` batches (URL
   pipeline); fills ``NaN`` entries with the per-index running mean.
 
 Both learn their statistics incrementally during the online pass
@@ -13,7 +13,7 @@ Both learn their statistics incrementally during the online pass
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class MissingValueImputer(PipelineComponent):
 
 
 class SparseMeanImputer(PipelineComponent):
-    """Fill ``NaN`` entries of sparse-dict feature rows with index means.
+    """Fill ``NaN`` entries of sparse rows with their index means.
 
-    Rows are ``{index: value}`` dictionaries (see
+    Batches are :class:`~repro.pipeline.component.SparseRows` (see
     :class:`~repro.pipeline.components.parser.SvmLightParser`). An index
     whose mean is still unknown falls back to ``fill_value``.
     """
@@ -109,12 +109,10 @@ class SparseMeanImputer(PipelineComponent):
 
     def __init__(
         self,
-        features_column: str = "features",
         fill_value: float = 0.0,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
-        self.features_column = features_column
         self.fill_value = float(fill_value)
         self._moments = SparseMoments()
 
@@ -124,32 +122,19 @@ class SparseMeanImputer(PipelineComponent):
         return len(self._moments)
 
     def update(self, batch: Batch) -> None:
-        rows = self._rows(batch)
-        self._moments.update(rows)
+        rows = self._require_rows(batch)
+        self._moments.update(rows.indices, rows.data)
 
     def transform(self, batch: Batch) -> Batch:
-        table = self._require_table(batch)
-        rows = self._rows(table)
-        moments = self._moments
-        fill = self.fill_value
-        imputed = np.empty(len(rows), dtype=object)
-        for position, row in enumerate(rows):
-            if any(v != v for v in row.values()):
-                imputed[position] = {
-                    index: (
-                        value
-                        if value == value
-                        else moments.mean(index, default=fill)
-                    )
-                    for index, value in row.items()
-                }
-            else:
-                imputed[position] = row
-        return table.with_column(self.features_column, imputed)
+        rows = self._require_rows(batch)
+        missing = np.isnan(rows.data)
+        if not missing.any():
+            return rows
+        data = rows.data.copy()
+        data[missing] = self._moments.means(
+            rows.indices[missing], self.fill_value
+        )
+        return rows._replace(data=data)
 
     def reset(self) -> None:
         self._moments = SparseMoments()
-
-    def _rows(self, batch: Batch) -> Sequence[Dict[int, float]]:
-        table = self._require_table(batch)
-        return table.column(self.features_column)

@@ -2,7 +2,7 @@
 
 * :class:`StandardScaler` — dense ``Table`` columns, z-scoring with
   running mean/std (Welford); the paper's canonical stateful component.
-* :class:`SparseStandardScaler` — ``{index: value}`` sparse rows;
+* :class:`SparseStandardScaler` — :class:`SparseRows` batches;
   scales by per-index std *without centering* (centering would destroy
   sparsity, the property §3.2.1 relies on for O(p) storage).
 * :class:`MinMaxScaler` — dense columns, scaling to [0, 1] via running
@@ -152,7 +152,7 @@ class MinMaxScaler(_ColumnwiseScaler):
 
 
 class SparseStandardScaler(PipelineComponent):
-    """Scale sparse-dict rows by per-index running std (no centering).
+    """Scale sparse rows by per-index running std (no centering).
 
     Indices with no statistics yet (or zero variance) pass through
     unscaled — scaling a brand-new feature by a guessed std would add
@@ -161,13 +161,8 @@ class SparseStandardScaler(PipelineComponent):
 
     kind = ComponentKind.DATA_TRANSFORMATION
 
-    def __init__(
-        self,
-        features_column: str = "features",
-        name: str | None = None,
-    ) -> None:
+    def __init__(self, name: str | None = None) -> None:
         super().__init__(name)
-        self.features_column = features_column
         self._moments = SparseMoments()
 
     @property
@@ -175,20 +170,14 @@ class SparseStandardScaler(PipelineComponent):
         return len(self._moments)
 
     def update(self, batch: Batch) -> None:
-        table = self._require_table(batch)
-        self._moments.update(table.column(self.features_column))
+        rows = self._require_rows(batch)
+        self._moments.update(rows.indices, rows.data)
 
     def transform(self, batch: Batch) -> Batch:
-        table = self._require_table(batch)
-        rows = table.column(self.features_column)
-        moments = self._moments
-        scaled = np.empty(len(rows), dtype=object)
-        for position, row in enumerate(rows):
-            scaled[position] = {
-                index: value / moments.std(index, default=1.0)
-                for index, value in row.items()
-            }
-        return table.with_column(self.features_column, scaled)
+        rows = self._require_rows(batch)
+        with np.errstate(all="ignore"):
+            scaled = rows.data / self._moments.stds(rows.indices)
+        return rows._replace(data=scaled)
 
     def std(self, index: int) -> float:
         """Running std for one feature index (1.0 when unseen)."""

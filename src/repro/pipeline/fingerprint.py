@@ -7,8 +7,8 @@ component at one moment: three SHA-256 digests over
   qualified name when source is unavailable);
 * ``config`` — the scalar constructor-style attributes (ints, floats,
   strings, bools, tuples of those);
-* ``stats`` — everything else the instance carries: the fitted
-  statistics arrays, category tables, and running moments that online
+* ``stats`` — everything else the instance's pickled state carries:
+  the fitted statistics arrays and running moments that online
   statistics computation advances.
 
 plus a combined ``digest`` over all of the above. The split matters
@@ -151,10 +151,17 @@ def code_digest(component: PipelineComponent) -> str:
 def component_fingerprint(
     component: PipelineComponent,
 ) -> Dict[str, Any]:
-    """The full fingerprint of one component, digest-stamped."""
+    """The full fingerprint of one component, digest-stamped.
+
+    What is fingerprinted is what would be pickled: a component that
+    keeps derived data out of its ``__getstate__`` (the hasher's memo)
+    keeps it out of its identity too.
+    """
     config: Dict[str, Any] = {}
     stats: Dict[str, Any] = {}
-    for key, value in sorted(vars(component).items()):
+    getstate = getattr(component, "__getstate__", None)
+    state = getstate() if getstate is not None else vars(component)
+    for key, value in sorted(state.items()):
         if isinstance(value, _CONFIG_TYPES) or (
             isinstance(value, tuple)
             and all(isinstance(item, _CONFIG_TYPES) for item in value)

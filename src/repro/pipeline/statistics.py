@@ -8,8 +8,8 @@ tables — and this module provides exactly those primitives:
   Welford / Chan et al. update, NaN-aware so the missing-value imputer
   can learn means from incomplete data.
 * :class:`RunningMinMax` — per-coordinate extrema.
-* :class:`CategoryTable` — an insertion-ordered incremental vocabulary
-  (the "hash table" statistic backing one-hot encoding).
+* :class:`SparseMoments` — mean/variance keyed by an unbounded feature
+  index (the "hash table" statistic), for the sparse imputer/scaler.
 
 All three support ``merge`` so statistics computed on separate chunks
 can be combined, mirroring distributed execution.
@@ -17,7 +17,7 @@ can be combined, mirroring distributed execution.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -249,126 +249,166 @@ class RunningMinMax:
             raise NotFittedError("RunningMinMax has not observed any data")
 
 
+def locate(
+    keys: np.ndarray, queries: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the sorted, distinct ``keys``.
+
+    Returns the insertion positions (``np.searchsorted``) and a mask of
+    the queries that are present, in which case the position is theirs.
+    """
+    positions = keys.searchsorted(queries)
+    if len(keys):
+        return positions, keys.take(positions, mode="clip") == queries
+    return positions, np.zeros(len(queries), dtype=bool)
+
+
+def absorb(
+    keys: np.ndarray,
+    table: np.ndarray,
+    new_keys: np.ndarray,
+    new_columns: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted ``keys`` and its ``(rows, len(keys))`` companion table,
+    grown by keys not yet present and one table column for each."""
+    keys = np.concatenate((keys, new_keys))
+    order = keys.argsort(kind="stable")
+    table = np.concatenate((table, new_columns), axis=1)
+    return keys.take(order), table.take(order, axis=1)
+
+
 class SparseMoments:
     """Streaming mean/variance keyed by feature index.
 
-    Backs the sparse (URL-style) imputer and scaler: features live in
-    dict-of-``{index: value}`` rows and the set of indices grows over
-    time, so statistics are kept in a dictionary rather than a dense
-    vector. Each index gets a scalar Welford accumulator.
+    Backs the sparse (URL-style) imputer and scaler: the index space is
+    unbounded and grows over time, so memory follows the *distinct*
+    indices observed — sorted ``keys`` searched with :func:`locate`,
+    and a table holding the ``count/mean/M2`` of each — never the
+    largest index. Both are exactly as long as the key set, so equal
+    statistics are equal state however they were accumulated. Each
+    index follows the scalar Welford recurrence in stream order.
     """
 
-    __slots__ = ("_stats",)
-
     def __init__(self) -> None:
-        # index -> [count, mean, M2]
-        self._stats: Dict[int, List[float]] = {}
+        self._keys = np.empty(0, dtype=np.int64)
+        #: Rows: count, mean, M2; one column per key.
+        self._table = np.empty((3, 0), dtype=np.float64)
 
-    def update(self, rows: Iterable[Dict[int, float]]) -> None:
-        """Fold an iterable of sparse rows into the moments.
+    def update(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Fold aligned ``(index, value)`` entries, in stream order.
 
         NaN values are skipped (they are what the imputer must fill).
+        Welford runs in *rounds*: the k-th occurrence of every index
+        in the batch is one elementwise step, so each index sees the
+        scalar recurrence applied to its values in the order given.
         """
-        stats = self._stats
-        for row in rows:
-            for index, value in row.items():
-                if value != value:  # NaN check without np call per value
-                    continue
-                entry = stats.get(index)
-                if entry is None:
-                    stats[index] = [1.0, float(value), 0.0]
-                    continue
-                entry[0] += 1.0
-                delta = value - entry[1]
-                entry[1] += delta / entry[0]
-                entry[2] += delta * (value - entry[1])
+        observed = values == values
+        if not observed.all():
+            indices, values = indices[observed], values[observed]
+        total = len(indices)
+        if total == 0:
+            return
+        # Group the entries by index; the sort is stable, so a group
+        # lists its values in stream order.
+        order = indices.argsort(kind="stable")
+        indices, values = indices.take(order), values.take(order)
+        edge = np.empty(total + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(indices[1:], indices[:-1], out=edge[1:-1])
+        edges = edge.nonzero()[0]
+        starts = edges[:-1]
+        sizes = edges[1:] - starts
+        distinct = indices.take(starts)
+        positions, found = locate(self._keys, distinct)
+        if not found.all():
+            # An unseen index starts at (1, first value, 0) — not at
+            # the zero state plus one step, which turns -0.0 and inf
+            # into other bits — and that occurrence is consumed.
+            new = ~found
+            fresh = np.zeros((3, np.count_nonzero(new)))
+            fresh[0] = 1.0
+            fresh[1] = values.take(starts[new])
+            self._keys, self._table = absorb(
+                self._keys, self._table, distinct[new], fresh
+            )
+            positions = self._keys.searchsorted(distinct)
+            starts = starts + new
+            sizes -= new
+        # Largest groups first, so round k touches a prefix of them.
+        by_size = sizes.argsort()[::-1]
+        starts, at = starts.take(by_size), positions.take(by_size)
+        widths = len(sizes) - np.bincount(sizes).cumsum()[:-1]
+        block = self._table.take(at, axis=1)
+        count, mean, m2 = block
+        with np.errstate(all="ignore"):
+            for k, width in enumerate(widths.tolist()):
+                value = values.take(starts[:width] + k)
+                running = mean[:width]
+                count[:width] += 1.0
+                delta = value - running
+                running += delta / count[:width]
+                m2[:width] += delta * (value - running)
+        self._table[:, at] = block
 
     def merge(self, other: "SparseMoments") -> None:
         """Fold another accumulator into this one (Chan merge per key)."""
-        for index, (o_count, o_mean, o_m2) in other._stats.items():
-            entry = self._stats.get(index)
-            if entry is None:
-                self._stats[index] = [o_count, o_mean, o_m2]
-                continue
-            count, mean, m2 = entry
-            total = count + o_count
+        positions, found = locate(self._keys, other._keys)
+        at = positions[found]
+        count, mean, m2 = self._table.take(at, axis=1)
+        o_count, o_mean, o_m2 = other._table[:, found]
+        total = count + o_count
+        with np.errstate(all="ignore"):
             delta = o_mean - mean
-            entry[0] = total
-            entry[1] = mean + delta * o_count / total
-            entry[2] = m2 + o_m2 + delta * delta * count * o_count / total
+            self._table[:, at] = (
+                total,
+                mean + delta * o_count / total,
+                m2 + o_m2 + delta * delta * count * o_count / total,
+            )
+        self._keys, self._table = absorb(
+            self._keys,
+            self._table,
+            other._keys[~found],
+            other._table[:, ~found],
+        )
+
+    def means(self, indices: np.ndarray, default: float = 0.0) -> np.ndarray:
+        """Mean of every listed index (``default`` if never observed)."""
+        positions, found = locate(self._keys, indices)
+        means = np.full(len(indices), default, dtype=np.float64)
+        means[found] = self._table[1].take(positions[found])
+        return means
+
+    def stds(self, indices: np.ndarray, default: float = 1.0) -> np.ndarray:
+        """Population std of every listed index (``default`` if unseen
+        or zero)."""
+        positions, found = locate(self._keys, indices)
+        count, __, m2 = self._table.take(positions[found], axis=1)
+        with np.errstate(all="ignore"):
+            variance = m2 / count
+            known = np.sqrt(variance)
+        known[variance <= 0.0] = default
+        stds = np.full(len(indices), default, dtype=np.float64)
+        stds[found] = known
+        return stds
 
     def mean(self, index: int, default: float = 0.0) -> float:
         """Mean of feature ``index`` (``default`` if never observed)."""
-        entry = self._stats.get(index)
-        return entry[1] if entry is not None else default
+        return float(self.means(np.array([index]), default)[0])
 
     def std(self, index: int, default: float = 1.0) -> float:
         """Population std of ``index`` (``default`` if unseen or zero)."""
-        entry = self._stats.get(index)
-        if entry is None or entry[0] < 1:
-            return default
-        variance = entry[2] / entry[0]
-        if variance <= 0.0:
-            return default
-        return float(np.sqrt(variance))
+        return float(self.stds(np.array([index]), default)[0])
 
     def count(self, index: int) -> int:
-        entry = self._stats.get(index)
-        return int(entry[0]) if entry is not None else 0
+        positions, found = locate(self._keys, np.array([index]))
+        return int(self._table[0, positions[0]]) if found[0] else 0
 
     def indices(self) -> List[int]:
-        """All feature indices observed so far."""
-        return list(self._stats)
+        """All feature indices observed so far, ascending."""
+        return self._keys.tolist()
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return len(self._keys)
 
     def __repr__(self) -> str:
         return f"SparseMoments({len(self)} indices)"
-
-
-class CategoryTable:
-    """Insertion-ordered incremental vocabulary.
-
-    Maps each distinct value to a stable dense index in first-seen
-    order. This is the incrementally updatable "hash table" statistic
-    that the paper names as backing one-hot encoding (§3.1).
-    """
-
-    def __init__(self) -> None:
-        self._index: Dict[Hashable, int] = {}
-
-    def update(self, values: Iterable[Hashable]) -> None:
-        """Register every value in ``values``."""
-        index = self._index
-        for value in values:
-            if value not in index:
-                index[value] = len(index)
-
-    def merge(self, other: "CategoryTable") -> None:
-        """Register the other table's categories (first-seen order kept)."""
-        self.update(other.categories())
-
-    def lookup(self, value: Hashable) -> Optional[int]:
-        """Dense index for ``value``, or ``None`` if unseen."""
-        return self._index.get(value)
-
-    def encode(self, values: Iterable[Hashable]) -> np.ndarray:
-        """Vector of indices (-1 for unseen values)."""
-        index = self._index
-        return np.array(
-            [index.get(v, -1) for v in values], dtype=np.int64
-        )
-
-    def categories(self) -> List[Hashable]:
-        """All known categories in first-seen order."""
-        return list(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, value: Hashable) -> bool:
-        return value in self._index
-
-    def __repr__(self) -> str:
-        return f"CategoryTable({len(self)} categories)"

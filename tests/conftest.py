@@ -7,6 +7,9 @@ import pytest
 
 from repro.data.chunk import FeatureChunk, RawChunk
 from repro.data.table import Table
+from repro.pipeline.component import SparseRows
+
+from tests.sparse import sparse_rows
 
 
 @pytest.fixture
@@ -27,17 +30,11 @@ def numeric_table() -> Table:
 
 
 @pytest.fixture
-def sparse_table() -> Table:
-    """URL-style table: object column of sparse dicts plus labels."""
-    rows = np.empty(3, dtype=object)
-    rows[0] = {0: 1.0, 5: 2.0}
-    rows[1] = {1: 3.0, 5: float("nan")}
-    rows[2] = {0: 0.5}
-    return Table(
-        {
-            "label": np.array([1.0, -1.0, 1.0]),
-            "features": rows,
-        }
+def sparse_table() -> SparseRows:
+    """URL-style batch: three sparse rows plus labels."""
+    return sparse_rows(
+        [{0: 1.0, 5: 2.0}, {1: 3.0, 5: float("nan")}, {0: 0.5}],
+        labels=[1.0, -1.0, 1.0],
     )
 
 

@@ -1,8 +1,7 @@
 """End-to-end workflows a downstream user would actually run.
 
 These are adoption-path tests: the README quickstart, swapping
-optimizers mid-design, deploying with the one-hot encoder pipeline,
-and driving a deployment from files on disk.
+optimizers mid-design, and driving a deployment from files on disk.
 """
 
 import numpy as np
@@ -54,62 +53,6 @@ class TestReadmeQuickstart:
         assert 0.0 <= result.final_error <= 1.0
         assert result.total_cost > 0
         assert result.counters["proactive_trainings"] == 2
-
-
-class TestOneHotPipelineDeployment:
-    def test_categorical_pipeline_end_to_end(self):
-        """A pipeline ending in the one-hot encoder deploys like any
-        other terminal component."""
-        from repro import (
-            Adam,
-            ContinuousConfig,
-            ContinuousDeployment,
-            LinearRegression,
-            ScheduleConfig,
-            Table,
-        )
-        from repro.pipeline.components.onehot import OneHotEncoder
-        from repro.pipeline.pipeline import Pipeline
-
-        categories = np.array(["a", "b", "c"], dtype=object)
-        effects = {"a": 1.0, "b": 3.0, "c": -2.0}
-
-        def make_stream(num_chunks=20, rows=15, seed=0):
-            rng = np.random.default_rng(seed)
-            for __ in range(num_chunks):
-                chosen = rng.choice(categories, size=rows)
-                y = np.array([effects[c] for c in chosen])
-                yield Table({"kind": chosen, "y": y})
-
-        encoder = OneHotEncoder(
-            categorical_columns=["kind"],
-            label_column="y",
-            max_categories=3,
-            name="encoder",
-        )
-        model = LinearRegression(num_features=3)
-        deployment = ContinuousDeployment(
-            Pipeline([encoder]),
-            model,
-            Adam(0.1),
-            config=ContinuousConfig(
-                sample_size_chunks=5,
-                schedule=ScheduleConfig(interval_chunks=2),
-                sampler="uniform",
-            ),
-            metric="regression",
-            seed=0,
-        )
-        deployment.initial_fit(
-            list(make_stream(num_chunks=1, rows=200, seed=9)),
-            max_iterations=400,
-            tolerance=1e-8,
-        )
-        result = deployment.run(make_stream())
-        # The per-category effects are perfectly learnable.
-        assert result.final_error < 0.3
-        # Vocabulary order is first-seen (stream-dependent).
-        assert sorted(encoder.vocabulary("kind")) == ["a", "b", "c"]
 
 
 class TestFileDrivenDeployment:

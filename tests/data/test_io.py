@@ -33,14 +33,15 @@ class TestSvmLight:
 
     def test_roundtrip_through_parser(self, tmp_path):
         from repro.pipeline.components.parser import SvmLightParser
+        from tests.sparse import row_dict
 
         path = tmp_path / "data.svm"
         rows = [{0: 1.5, 3: float("nan")}, {2: -0.5}]
         write_svmlight(path, labels=[1.0, -1.0], rows=rows)
         parsed = SvmLightParser().transform(read_svmlight(path))
-        assert parsed["label"].tolist() == [1.0, -1.0]
-        assert parsed["features"][1] == {2: -0.5}
-        assert math.isnan(parsed["features"][0][3])
+        assert parsed.labels.tolist() == [1.0, -1.0]
+        assert row_dict(parsed, 1) == {2: -0.5}
+        assert math.isnan(row_dict(parsed, 0)[3])
 
     def test_chunking(self, tmp_path):
         path = tmp_path / "data.svm"

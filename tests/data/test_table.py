@@ -163,14 +163,6 @@ class TestNumValues:
         assert table.num_values == 4
         assert table.num_cells == 4
 
-    def test_dict_column_counts_entries(self):
-        rows = np.empty(2, dtype=object)
-        rows[0] = {0: 1.0, 1: 2.0, 2: 3.0}
-        rows[1] = {5: 1.0}
-        table = Table({"features": rows})
-        assert table.num_values == 4
-        assert table.num_cells == 2
-
     def test_string_column_counts_tokens(self):
         lines = np.array(["1 0:1.0 2:3.0", "-1 4:2.0"], dtype=object)
         table = Table({"line": lines})
@@ -205,14 +197,19 @@ class TestDigest:
         assert ints.digest() != longs.digest()
 
     def test_object_columns_supported(self):
+        """Cells that are neither numbers nor text hash their repr."""
         rows = np.empty(2, dtype=object)
-        rows[0] = {0: 1.0, 2: 3.0}
-        rows[1] = {5: 1.0}
+        rows[0] = (0, 1.0)
+        rows[1] = None
         same = np.empty(2, dtype=object)
-        same[0] = {2: 3.0, 0: 1.0}  # key order must not matter
-        same[1] = {5: 1.0}
+        same[0] = (0, 1.0)
+        same[1] = None
         assert (
             Table({"f": rows}).digest() == Table({"f": same}).digest()
+        )
+        same[0] = (0, 1.5)
+        assert (
+            Table({"f": rows}).digest() != Table({"f": same}).digest()
         )
 
     def test_string_cells_supported(self):

@@ -8,6 +8,8 @@ from repro.datasets.url import URLStreamGenerator, make_url_pipeline
 from repro.exceptions import ValidationError
 from repro.pipeline.components.parser import SvmLightParser
 
+from tests.sparse import row_dicts
+
 
 def small_generator(**overrides):
     defaults = dict(
@@ -57,8 +59,8 @@ class TestStreamShape:
     def test_lines_parse(self):
         parser = SvmLightParser()
         table = parser.transform(small_generator().chunk(3))
-        assert set(np.unique(table["label"])) <= {-1.0, 1.0}
-        for row in table["features"]:
+        assert set(np.unique(table.labels)) <= {-1.0, 1.0}
+        for row in row_dicts(table):
             assert len(row) == 5
 
     def test_feature_space_grows(self):
@@ -72,7 +74,7 @@ class TestStreamShape:
         parser = SvmLightParser()
         early = parser.transform(generator.chunk(0))
         max_early = max(
-            max(row) for row in early["features"] if row
+            max(row) for row in row_dicts(early) if row
         )
         assert max_early < generator.available_features(0)
 
@@ -85,11 +87,11 @@ class TestStreamShape:
         available = biased.available_features(9)
         recent = sum(
             1
-            for row in late["features"]
+            for row in row_dicts(late)
             for index in row
             if index >= available - 10
         )
-        total = sum(len(row) for row in late["features"])
+        total = sum(len(row) for row in row_dicts(late))
         assert recent / total > 0.5
 
     def test_missing_values_appear(self):
@@ -98,7 +100,7 @@ class TestStreamShape:
         table = parser.transform(generator.chunk(0))
         nan_count = sum(
             1
-            for row in table["features"]
+            for row in row_dicts(table)
             for value in row.values()
             if value != value
         )
@@ -110,7 +112,7 @@ class TestStreamShape:
         table = parser.transform(generator.chunk(0))
         assert all(
             value == value
-            for row in table["features"]
+            for row in row_dicts(table)
             for value in row.values()
         )
 

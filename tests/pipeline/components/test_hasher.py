@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.data.table import Table
 from repro.exceptions import PipelineError, ValidationError
 from repro.pipeline.component import Features
 from repro.pipeline.components.hasher import FeatureHasher, hash_index
 
+from tests.sparse import sparse_rows
+
 
 def sparse_rows_table(*rows):
-    array = np.empty(len(rows), dtype=object)
-    for i, row in enumerate(rows):
-        array[i] = row
-    labels = np.ones(len(rows))
-    return Table({"label": labels, "features": array})
+    return sparse_rows(rows)
 
 
 class TestHashIndex:

@@ -10,6 +10,8 @@ from repro.pipeline.components.imputer import (
     SparseMeanImputer,
 )
 
+from tests.sparse import row_dict, sparse_rows
+
 
 class TestMissingValueImputer:
     def test_mean_strategy(self, numeric_table):
@@ -82,25 +84,28 @@ class TestSparseMeanImputer:
         imputer.update(sparse_table)
         result = imputer.transform(sparse_table)
         # Index 5 observed once (2.0); NaN filled with that mean.
-        assert result["features"][1][5] == pytest.approx(2.0)
+        assert row_dict(result, 1)[5] == pytest.approx(2.0)
         # Non-NaN entries untouched.
-        assert result["features"][0][5] == 2.0
+        assert row_dict(result, 0)[5] == 2.0
 
     def test_unseen_index_uses_fill_value(self):
-        rows = np.empty(1, dtype=object)
-        rows[0] = {42: float("nan")}
-        table = Table({"features": rows, "label": [1.0]})
+        batch = sparse_rows([{42: float("nan")}])
         imputer = SparseMeanImputer(fill_value=0.25)
-        result = imputer.transform(table)
-        assert result["features"][0][42] == 0.25
+        result = imputer.transform(batch)
+        assert row_dict(result, 0)[42] == 0.25
 
     def test_rows_without_nan_pass_through_identically(self):
-        rows = np.empty(1, dtype=object)
-        rows[0] = {1: 3.0}
-        table = Table({"features": rows, "label": [1.0]})
+        batch = sparse_rows([{1: 3.0}])
         imputer = SparseMeanImputer()
-        result = imputer.transform(table)
-        assert result["features"][0] is rows[0]
+        result = imputer.transform(batch)
+        assert result.data is batch.data
+
+    def test_transform_leaves_input_untouched(self, sparse_table):
+        before = sparse_table.data.copy()
+        imputer = SparseMeanImputer()
+        imputer.update(sparse_table)
+        imputer.transform(sparse_table)
+        assert np.array_equal(sparse_table.data, before, equal_nan=True)
 
     def test_num_indices_seen(self, sparse_table):
         imputer = SparseMeanImputer()
@@ -113,3 +118,7 @@ class TestSparseMeanImputer:
         imputer.update(sparse_table)
         imputer.reset()
         assert imputer.num_indices_seen == 0
+
+    def test_requires_sparse_rows(self):
+        with pytest.raises(PipelineError, match="expects a SparseRows"):
+            SparseMeanImputer().transform(Table({"a": [1.0]}))

@@ -7,8 +7,10 @@ import pytest
 
 from repro.data.table import Table
 from repro.exceptions import PipelineError
-from repro.pipeline.component import ComponentKind
+from repro.pipeline.component import ComponentKind, SparseRows
 from repro.pipeline.components.parser import SvmLightParser
+
+from tests.sparse import row_dict, row_dicts
 
 
 def lines_table(*lines: str) -> Table:
@@ -21,21 +23,22 @@ class TestSvmLightParser:
         table = parser.transform(
             lines_table("1 0:1.5 3:2.0", "-1 1:0.25")
         )
-        assert np.array_equal(table["label"], [1.0, -1.0])
-        assert table["features"][0] == {0: 1.5, 3: 2.0}
-        assert table["features"][1] == {1: 0.25}
+        assert np.array_equal(table.labels, [1.0, -1.0])
+        assert row_dicts(table) == [{0: 1.5, 3: 2.0}, {1: 0.25}]
 
     def test_line_column_removed(self):
-        table = SvmLightParser().transform(lines_table("1 0:1.0"))
-        assert "line" not in table
+        """Nothing of the raw text survives: the output is the batch."""
+        rows = SvmLightParser().transform(lines_table("1 0:1.0"))
+        assert isinstance(rows, SparseRows)
+        assert rows.indptr.tolist() == [0, 1]
 
     def test_nan_values_parsed(self):
         table = SvmLightParser().transform(lines_table("1 2:nan"))
-        assert math.isnan(table["features"][0][2])
+        assert math.isnan(row_dict(table, 0)[2])
 
     def test_label_only_line(self):
         table = SvmLightParser().transform(lines_table("-1"))
-        assert table["features"][0] == {}
+        assert row_dict(table, 0) == {}
 
     def test_empty_line_rejected(self):
         with pytest.raises(PipelineError, match="empty"):
@@ -52,13 +55,45 @@ class TestSvmLightParser:
             SvmLightParser().transform(lines_table("1 a:b"))
 
     def test_custom_column_names(self):
-        parser = SvmLightParser(
-            line_column="raw", label_column="y", features_column="x"
-        )
-        table = parser.transform(
+        parser = SvmLightParser(line_column="raw")
+        rows = parser.transform(
             Table({"raw": np.array(["1 0:2.0"], dtype=object)})
         )
-        assert "y" in table and "x" in table
+        assert row_dicts(rows) == [{0: 2.0}]
+
+    def test_repeated_index_rejected(self):
+        """A second value for an index must not silently win."""
+        with pytest.raises(PipelineError, match="listed twice") as info:
+            SvmLightParser().transform(
+                lines_table("1 0:1.0", "1 5:1.0 7:3.0 5:2.0")
+            )
+        assert "'1 5:1.0 7:3.0 5:2.0'" in str(info.value)
+        # The same index on two different lines is fine.
+        rows = SvmLightParser().transform(lines_table("1 5:1.0", "1 5:2.0"))
+        assert row_dicts(rows) == [{5: 1.0}, {5: 2.0}]
+
+    def test_index_outside_int64_rejected(self):
+        for index in (2**63, -(2**63) - 1, 10**30):
+            line = f"1 3:1.0 {index}:1.0"
+            with pytest.raises(PipelineError, match="int64") as info:
+                SvmLightParser().transform(lines_table(line))
+            assert repr(line) in str(info.value)
+        rows = SvmLightParser().transform(
+            lines_table(f"1 {2**63 - 1}:1.0 {-(2**63)}:2.0")
+        )
+        assert row_dicts(rows) == [{2**63 - 1: 1.0, -(2**63): 2.0}]
+
+    def test_first_malformed_line_is_named(self):
+        with pytest.raises(PipelineError, match="bad token '7'"):
+            SvmLightParser().transform(
+                lines_table("1 0:1.0", "1 7 3:4:5", "spam")
+            )
+
+    def test_colons_must_pair_within_a_token(self):
+        """Tokens whose colons only balance across tokens are bad."""
+        for line in ("1 5 3:4:5", "1 5: :3", "1 1: 2", "1 :", "1 5:"):
+            with pytest.raises(PipelineError, match="bad token"):
+                SvmLightParser().transform(lines_table("1 0:1", line))
 
     def test_is_stateless(self):
         parser = SvmLightParser()
@@ -87,4 +122,4 @@ class TestSvmLightParser:
         )
         table = SvmLightParser().transform(generator.chunk(0))
         assert table.num_rows == 5
-        assert set(np.unique(table["label"])) <= {-1.0, 1.0}
+        assert set(np.unique(table.labels)) <= {-1.0, 1.0}

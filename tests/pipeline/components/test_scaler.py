@@ -11,6 +11,8 @@ from repro.pipeline.components.scaler import (
     StandardScaler,
 )
 
+from tests.sparse import row_dict, sparse_rows
+
 
 class TestStandardScaler:
     def test_zscores_after_update(self, rng):
@@ -117,47 +119,34 @@ class TestMinMaxScaler:
 
 class TestSparseStandardScaler:
     def test_scales_by_index_std(self):
-        rows = np.empty(4, dtype=object)
-        for i, v in enumerate([1.0, 3.0, 5.0, 7.0]):
-            rows[i] = {0: v}
-        table = Table({"features": rows, "label": np.ones(4)})
+        batch = sparse_rows([{0: v} for v in (1.0, 3.0, 5.0, 7.0)])
         scaler = SparseStandardScaler()
-        scaler.update(table)
+        scaler.update(batch)
         std = np.array([1.0, 3.0, 5.0, 7.0]).std()
-        scaled = scaler.transform(table)["features"]
-        assert scaled[0][0] == pytest.approx(1.0 / std)
+        scaled = scaler.transform(batch)
+        assert row_dict(scaled, 0)[0] == pytest.approx(1.0 / std)
 
     def test_no_centering(self):
         """Sparse scaling must not shift zero entries (sparsity!)."""
-        rows = np.empty(2, dtype=object)
-        rows[0] = {0: 2.0}
-        rows[1] = {0: 4.0}
-        table = Table({"features": rows, "label": np.ones(2)})
+        batch = sparse_rows([{0: 2.0}, {0: 4.0}])
         scaler = SparseStandardScaler()
-        scaler.update(table)
-        scaled = scaler.transform(table)["features"]
+        scaler.update(batch)
+        scaled = scaler.transform(batch)
         # Both values stay positive: scaled, never centered.
-        assert scaled[0][0] > 0 and scaled[1][0] > 0
+        assert row_dict(scaled, 0)[0] > 0 and row_dict(scaled, 1)[0] > 0
 
     def test_unseen_index_passes_through(self):
-        rows = np.empty(1, dtype=object)
-        rows[0] = {99: 4.0}
-        table = Table({"features": rows, "label": np.ones(1)})
         scaler = SparseStandardScaler()
-        scaled = scaler.transform(table)["features"]
-        assert scaled[0][99] == 4.0
+        scaled = scaler.transform(sparse_rows([{99: 4.0}]))
+        assert row_dict(scaled, 0)[99] == 4.0
 
     def test_std_accessor(self):
         scaler = SparseStandardScaler()
         assert scaler.std(3) == 1.0
 
     def test_reset(self):
-        rows = np.empty(2, dtype=object)
-        rows[0] = {0: 1.0}
-        rows[1] = {0: 9.0}
-        table = Table({"features": rows, "label": np.ones(2)})
         scaler = SparseStandardScaler()
-        scaler.update(table)
+        scaler.update(sparse_rows([{0: 1.0}, {0: 9.0}]))
         assert scaler.num_indices_seen == 1
         scaler.reset()
         assert scaler.num_indices_seen == 0

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.data.table import Table
+from repro.exceptions import PipelineError
 from repro.pipeline.component import (
     Batch,
     ComponentKind,
@@ -13,6 +14,8 @@ from repro.pipeline.component import (
     StatelessComponent,
     union_features,
 )
+
+from tests.sparse import sparse_rows
 
 
 class Recorder(PipelineComponent):
@@ -41,6 +44,25 @@ class TestFeatures:
         matrix = sp.csr_matrix((np.ones(2), ([0, 1], [0, 5])), shape=(2, 100))
         features = Features(matrix=matrix, labels=np.ones(2))
         assert features.num_values() == 2 + 2
+
+
+class TestSparseRows:
+    def test_counts_entries_and_labels(self):
+        """What the dict column used to count per row, plus the labels
+        that sat beside it — the cost charge must not move."""
+        rows = sparse_rows([{0: 1.0, 1: 2.0, 2: 3.0}, {5: 1.0}])
+        assert rows.num_rows == 2
+        assert rows.num_values() == 4 + 2
+        assert PipelineComponent.batch_num_values(rows) == 6
+
+    def test_requirement_names_the_expected_batch(self):
+        component = Recorder()
+        rows = sparse_rows([{0: 1.0}])
+        assert component._require_rows(rows) is rows
+        with pytest.raises(PipelineError, match="expects a SparseRows"):
+            component._require_rows(Table({"a": [1.0]}))
+        with pytest.raises(PipelineError, match="expects a Table"):
+            component._require_table(rows)
 
 
 class TestUnionFeatures:

@@ -1,5 +1,7 @@
 """Tests for pipeline-component fingerprints."""
 
+import pickle
+
 import numpy as np
 
 from repro.data.table import Table
@@ -8,8 +10,16 @@ from repro.pipeline import (
     component_fingerprint,
     pipeline_fingerprint,
 )
-from repro.pipeline.components.scaler import MinMaxScaler, StandardScaler
+from repro.pipeline.components.hasher import FeatureHasher
+from repro.pipeline.components.imputer import SparseMeanImputer
+from repro.pipeline.components.scaler import (
+    MinMaxScaler,
+    SparseStandardScaler,
+    StandardScaler,
+)
 from repro.pipeline.fingerprint import _canonical, code_digest
+
+from tests.sparse import sparse_rows
 
 
 def scaler(**kwargs):
@@ -62,6 +72,74 @@ class TestComponentFingerprint:
             MinMaxScaler(["a"])
         )
         assert code_digest(scaler()) == code_digest(scaler())
+
+
+class TestStateNotBuffers:
+    """Identity is the pickled state: how statistics were accumulated
+    and what a component has memoized are not part of it."""
+
+    ROWS = [
+        {3: 1.0, 900: 2.0},
+        {3: 4.0, -5: float("nan")},
+        {10**12: 0.5, 3: 2.5, -5: 1.0},
+        {900: 7.0, 17: 1.0},
+    ]
+
+    def test_sparse_statistics_ignore_growth_history(self):
+        at_once, row_by_row = SparseMeanImputer(), SparseMeanImputer()
+        at_once.update(sparse_rows(self.ROWS))
+        for row in self.ROWS:
+            row_by_row.update(sparse_rows([row]))
+        assert component_fingerprint(at_once) == component_fingerprint(
+            row_by_row
+        )
+        assert pickle.dumps(at_once) == pickle.dumps(row_by_row)
+
+    def test_sparse_statistics_move_the_stats_digest(self):
+        fitted = SparseStandardScaler()
+        base = component_fingerprint(fitted)
+        fitted.update(sparse_rows(self.ROWS[:2]))
+        first = component_fingerprint(fitted)
+        fitted.update(sparse_rows([{3: 9.0}]))  # no new index, new mean
+        second = component_fingerprint(fitted)
+        assert len({base["stats"], first["stats"], second["stats"]}) == 3
+        assert base["config"] == first["config"] == second["config"]
+
+    def test_hasher_identity_survives_its_memo(self):
+        hasher = FeatureHasher(num_features=32)
+        fresh_fingerprint = component_fingerprint(hasher)
+        fresh_pickle = pickle.dumps(hasher)
+        before = hasher.transform(sparse_rows(self.ROWS))
+        assert len(hasher._keys) == 5  # the memo did fill
+        assert component_fingerprint(hasher) == fresh_fingerprint
+        assert pickle.dumps(hasher) == fresh_pickle
+        assert fresh_pickle == pickle.dumps(FeatureHasher(num_features=32))
+        # ... and a restored hasher, memo empty again, hashes the same.
+        restored = pickle.loads(pickle.dumps(hasher))
+        assert len(restored._keys) == 0
+        after = restored.transform(sparse_rows(self.ROWS))
+        for part in ("indptr", "indices", "data"):
+            assert (
+                getattr(before.matrix, part).tobytes()
+                == getattr(after.matrix, part).tobytes()
+            )
+
+    def test_filled_hasher_still_shares_a_stateless_prefix(self):
+        from repro.pipeline.components.parser import SvmLightParser
+        from repro.serving.endpoint import shared_stateless_prefix
+
+        def chain():
+            return Pipeline(
+                [
+                    SvmLightParser(name="parser"),
+                    FeatureHasher(num_features=32, name="hasher"),
+                    MinMaxScaler(["a"], name="tail"),
+                ]
+            )
+
+        served, candidate = chain(), chain()
+        served.components[1].transform(sparse_rows(self.ROWS))
+        assert shared_stateless_prefix(served, candidate) == 2
 
 
 class TestPipelineFingerprint:

@@ -1,16 +1,19 @@
-"""Unit tests for incremental statistics (Welford, min-max,
-vocabularies, sparse moments)."""
+"""Unit tests for incremental statistics (Welford, min-max, sparse
+moments)."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.pipeline.statistics import (
-    CategoryTable,
     RunningMinMax,
     RunningMoments,
     SparseMoments,
 )
+
+from tests.sparse import entries
 
 
 class TestRunningMoments:
@@ -125,37 +128,6 @@ class TestRunningMinMax:
             RunningMinMax().minimum()
 
 
-class TestCategoryTable:
-    def test_first_seen_order(self):
-        table = CategoryTable()
-        table.update(["b", "a", "b", "c"])
-        assert table.categories() == ["b", "a", "c"]
-        assert table.lookup("a") == 1
-
-    def test_unseen_lookup_none(self):
-        assert CategoryTable().lookup("x") is None
-
-    def test_encode_with_unseen(self):
-        table = CategoryTable()
-        table.update(["x", "y"])
-        encoded = table.encode(["y", "z", "x"])
-        assert encoded.tolist() == [1, -1, 0]
-
-    def test_merge_keeps_local_indices(self):
-        left, right = CategoryTable(), CategoryTable()
-        left.update(["a"])
-        right.update(["b", "a"])
-        left.merge(right)
-        assert left.categories() == ["a", "b"]
-
-    def test_len_and_contains(self):
-        table = CategoryTable()
-        table.update([1, 2, 2])
-        assert len(table) == 2
-        assert 1 in table
-        assert 9 not in table
-
-
 class TestSparseMoments:
     def test_matches_dense_welford(self, rng):
         dense = rng.standard_normal((40, 3))
@@ -163,14 +135,14 @@ class TestSparseMoments:
             {j: float(dense[i, j]) for j in range(3)} for i in range(40)
         ]
         sparse = SparseMoments()
-        sparse.update(sparse_rows)
+        sparse.update(*entries(sparse_rows))
         for j in range(3):
             assert sparse.mean(j) == pytest.approx(dense[:, j].mean())
             assert sparse.std(j) == pytest.approx(dense[:, j].std())
 
     def test_nan_values_skipped(self):
         moments = SparseMoments()
-        moments.update([{0: 1.0}, {0: float("nan")}, {0: 3.0}])
+        moments.update(*entries([{0: 1.0}, {0: float("nan")}, {0: 3.0}]))
         assert moments.count(0) == 2
         assert moments.mean(0) == pytest.approx(2.0)
 
@@ -182,25 +154,79 @@ class TestSparseMoments:
 
     def test_zero_variance_std_default(self):
         moments = SparseMoments()
-        moments.update([{0: 2.0}, {0: 2.0}])
+        moments.update(*entries([{0: 2.0}, {0: 2.0}]))
         assert moments.std(0, default=1.0) == 1.0
 
     def test_merge_matches_single_pass(self, rng):
         values = rng.standard_normal(30)
         rows = [{0: float(v)} for v in values]
         whole = SparseMoments()
-        whole.update(rows)
+        whole.update(*entries(rows))
         left, right = SparseMoments(), SparseMoments()
-        left.update(rows[:11])
-        right.update(rows[11:])
+        left.update(*entries(rows[:11]))
+        right.update(*entries(rows[11:]))
         left.merge(right)
         assert left.mean(0) == pytest.approx(whole.mean(0))
         assert left.std(0) == pytest.approx(whole.std(0))
 
     def test_indices(self):
         moments = SparseMoments()
-        moments.update([{3: 1.0, 8: 2.0}])
+        moments.update(*entries([{3: 1.0, 8: 2.0}]))
         assert sorted(moments.indices()) == [3, 8]
+
+
+class TestSparseMomentsState:
+    """State is the logical content: equal statistics, equal bytes."""
+
+    ROWS = [
+        {8: 1.0, 3: 2.0},
+        {3: 5.0, 8: float("nan"), -2: 0.0},
+        {10**12: 4.0, 3: -1.0},
+        {-2: 6.0, 8: 2.0},
+    ]
+
+    def test_chunking_does_not_change_the_pickle(self):
+        at_once, row_by_row = SparseMoments(), SparseMoments()
+        at_once.update(*entries(self.ROWS))
+        for row in self.ROWS:
+            row_by_row.update(*entries([row]))
+        assert pickle.dumps(at_once) == pickle.dumps(row_by_row)
+        restored = pickle.loads(pickle.dumps(at_once))
+        assert pickle.dumps(restored) == pickle.dumps(at_once)
+
+    def test_arrival_order_of_indices_does_not_change_the_pickle(self):
+        """Keys are kept sorted, so two accumulators that met the same
+        indices in a different order hold the same arrays."""
+        forward, backward = SparseMoments(), SparseMoments()
+        forward.update(*entries([{1: 2.0}, {5: 3.0}, {-4: 1.0}]))
+        backward.update(*entries([{-4: 1.0}, {5: 3.0}, {1: 2.0}]))
+        assert forward.indices() == [-4, 1, 5]
+        assert pickle.dumps(forward) == pickle.dumps(backward)
+
+    def test_no_spare_capacity(self):
+        moments = SparseMoments()
+        for row in self.ROWS:
+            moments.update(*entries([row]))
+            assert len(moments._keys) == len(moments)
+            assert moments._table.shape == (3, len(moments))
+
+    def test_index_first_seen_as_nan_gets_no_entry(self):
+        moments = SparseMoments()
+        moments.update(*entries([{4: float("nan")}]))
+        assert len(moments) == 0 and moments.count(4) == 0
+        moments.update(*entries([{4: 2.0}]))
+        assert moments.count(4) == 1 and moments.mean(4) == 2.0
+
+    def test_vector_lookups_match_scalar_ones(self):
+        moments = SparseMoments()
+        moments.update(*entries(self.ROWS))
+        asked = np.array([3, 999, 8, -2, 10**12, 3])
+        assert moments.means(asked, 0.5).tolist() == [
+            moments.mean(int(i), 0.5) for i in asked
+        ]
+        assert moments.stds(asked, 1.5).tolist() == [
+            moments.std(int(i), 1.5) for i in asked
+        ]
 
 
 class TestMomentsMergeAssociativity:

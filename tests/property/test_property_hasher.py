@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.table import Table
 from repro.pipeline.components.hasher import FeatureHasher, hash_index
+
+from tests.sparse import sparse_rows as to_table
 
 bounded_values = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, width=64
@@ -13,13 +14,6 @@ bounded_values = st.floats(
 sparse_rows = st.dictionaries(
     st.integers(0, 10_000), bounded_values, max_size=12
 )
-
-
-def to_table(rows):
-    array = np.empty(len(rows), dtype=object)
-    for i, row in enumerate(rows):
-        array[i] = row
-    return Table({"label": np.ones(len(rows)), "features": array})
 
 
 class TestHashIndexProperties:

@@ -11,6 +11,8 @@ from repro.data.table import Table
 from repro.io import read_csv, read_svmlight, write_csv, write_svmlight
 from repro.pipeline.components.parser import SvmLightParser
 
+from tests.sparse import row_dicts
+
 finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, width=64
 )
@@ -39,8 +41,8 @@ class TestSvmLightRoundtrip:
             path = Path(workdir) / "roundtrip.svm"
             write_svmlight(path, labels, rows)
             parsed = SvmLightParser().transform(read_svmlight(path))
-        assert parsed["label"].tolist() == labels
-        for original, restored in zip(rows, parsed["features"]):
+        assert parsed.labels.tolist() == labels
+        for original, restored in zip(rows, row_dicts(parsed)):
             assert set(restored) == set(original)
             for index, value in original.items():
                 assert restored[index] == value

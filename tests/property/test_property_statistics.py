@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.pipeline.statistics import (
-    CategoryTable,
     RunningMinMax,
     RunningMoments,
     SparseMoments,
 )
+
+from tests.sparse import entries
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, width=64
@@ -95,36 +96,6 @@ class TestRunningMinMaxProperties:
         assert np.all(extrema.span() >= 0)
 
 
-class TestCategoryTableProperties:
-    @given(st.lists(st.integers(0, 20), min_size=0, max_size=60))
-    @settings(max_examples=60)
-    def test_indices_dense_and_stable(self, values):
-        table = CategoryTable()
-        table.update(values)
-        categories = table.categories()
-        # Every distinct value registered exactly once, indices dense.
-        assert sorted(set(values)) == sorted(categories)
-        assert sorted(table.lookup(c) for c in categories) == list(
-            range(len(categories))
-        )
-
-    @given(
-        st.lists(st.integers(0, 10), max_size=30),
-        st.lists(st.integers(0, 10), max_size=30),
-    )
-    @settings(max_examples=60)
-    def test_update_idempotent_and_merge_consistent(self, left, right):
-        once = CategoryTable()
-        once.update(left + right)
-        twice = CategoryTable()
-        twice.update(left)
-        twice.update(left)  # idempotent
-        other = CategoryTable()
-        other.update(right)
-        twice.merge(other)
-        assert once.categories() == twice.categories()
-
-
 class TestSparseMomentsProperties:
     @given(
         st.lists(
@@ -140,11 +111,11 @@ class TestSparseMomentsProperties:
     def test_merge_equals_single_pass(self, rows, raw_split):
         split = min(raw_split, len(rows) - 1)
         whole = SparseMoments()
-        whole.update(rows)
+        whole.update(*entries(rows))
         left = SparseMoments()
-        left.update(rows[:split])
+        left.update(*entries(rows[:split]))
         right = SparseMoments()
-        right.update(rows[split:])
+        right.update(*entries(rows[split:]))
         left.merge(right)
         for index in whole.indices():
             assert left.count(index) == whole.count(index)
