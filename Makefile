@@ -84,8 +84,10 @@ bench-check:
 # one workload runs PAIRS times on REF and on the working tree — in
 # alternating order, because this box's speed drifts between minutes —
 # and each pair's two result directories go through `compare` (exit 1
-# if any pair has a `worse` verdict). Everything lands under E2E_DIR
-# (gitignored).
+# if any pair has a `worse` verdict). It ends with one summary over
+# all pairs (`benchmarks/pairs_summary.py`): medians with quartiles,
+# pairs won, and whether the rule for claiming a gain holds.
+# Everything lands under E2E_DIR (gitignored).
 E2E_DIR ?= .bench_runs/e2e
 E2E_RUN = python3 benchmarks/e2e/run.py --workload $(WORKLOAD) \
 	--seed $(SEED) --seconds 10 --trace 0
@@ -118,7 +120,7 @@ bench-e2e-compare:
 		echo "pair $$pair of $(PAIRS) ($(WORKLOAD), seed $(SEED)):"; \
 		python3 -m benchmarks.e2e.compare $C/parent/$$pair \
 			$C/change/$$pair || status=1; \
-	done; exit $$status
+	done; python3 -m benchmarks.pairs_summary $C; exit $$status
 
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.

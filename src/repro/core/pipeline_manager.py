@@ -25,6 +25,7 @@ from repro.data.manager import DataManager, SampledChunk, SampleRequest
 from repro.data.table import Table
 from repro.execution.engine import LocalExecutionEngine
 from repro.exceptions import PipelineError
+from repro.ml.batch import Block
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.ml.sgd import SGDTrainer, TrainingResult
@@ -173,14 +174,16 @@ class PipelineManager:
     ) -> float:
         """Online SGD on a freshly arrived chunk.
 
-        The chunk is consumed in consecutive ranges of ``batch_rows``
-        rows (the last one shorter), one SGD step each, and each step
-        is handed the chunk and its range — never a sliced copy.
+        The chunk is opened once as a :class:`~repro.ml.batch.Block`
+        and consumed in consecutive ranges of ``batch_rows`` rows (the
+        last one shorter), one SGD step each, and each step is handed
+        the block and its range — never a sliced copy.
         ``batch_rows=1`` is classic point-at-a-time online gradient
         descent, the noisy baseline the paper's online deployment uses
         ("visits every incoming training data point only once");
         ``None`` is one range over the whole chunk. Returns the last
-        objective (0.0 for a chunk without rows: no range, no step).
+        objective (0.0 for a chunk without rows: no range, no step) —
+        the only one evaluated.
         """
         num_rows = features.num_rows
         if batch_rows is None:
@@ -189,14 +192,12 @@ class PipelineManager:
             raise PipelineError(
                 f"batch_rows must be >= 1, got {batch_rows}"
             )
+        block = Block(features.matrix, features.labels)
         objective = 0.0
         for start in range(0, num_rows, batch_rows):
+            stop = min(start + batch_rows, num_rows)
             objective = self.engine.train_step(
-                self.trainer,
-                features.matrix,
-                features.labels,
-                start,
-                min(start + batch_rows, num_rows),
+                self.trainer, block, None, start, stop, stop == num_rows
             )
         return objective
 

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from repro.execution.cost import CostModel, CostTracker
-from repro.ml.batch import matrix_values
-from repro.ml.models.base import LinearSGDModel, Matrix
+from repro.ml.batch import Block, Matrix, matrix_values, open_block
+from repro.ml.models.base import LinearSGDModel
 from repro.ml.sgd import SGDTrainer, TrainingResult
 from repro.obs import names
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -91,19 +91,23 @@ class LocalExecutionEngine:
     def train_step(
         self,
         trainer: SGDTrainer,
-        features: Matrix,
-        targets: np.ndarray,
+        features: Matrix | Block,
+        targets: Optional[np.ndarray] = None,
         start: int = 0,
         stop: Optional[int] = None,
-    ) -> float:
-        """One SGD iteration on rows ``[start, stop)`` of the batch:
+        objective: bool = True,
+    ) -> Optional[float]:
+        """One SGD iteration on rows ``[start, stop)`` of the block:
         all of it for proactive training, consecutive ranges of the
-        arriving chunk for the online update."""
+        arriving chunk for the online update (which reads only the
+        last range's ``objective``)."""
+        block = open_block(features, targets)
         with self.telemetry.tracer.span(
-            names.ENGINE_TRAIN_STEP,
-            values=matrix_values(features, start, stop),
+            names.ENGINE_TRAIN_STEP, values=block.num_values(start, stop)
         ), self.wall:
-            return trainer.step(features, targets, self.tracker, start, stop)
+            return trainer.step(
+                block, None, self.tracker, start, stop, objective
+            )
 
     def train_full(
         self,

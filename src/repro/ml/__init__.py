@@ -7,12 +7,7 @@ Momentum/AdaGrad/constant for completeness. Everything accepts dense
 ``ndarray`` or sparse CSR feature matrices.
 """
 
-from repro.ml.batch import (
-    predict_batch,
-    predict_batch_pairs,
-    split_rows,
-    stack_matrices,
-)
+from repro.ml.batch import Block, predict_batch, split_rows, stack_matrices
 from repro.ml.losses import HingeLoss, LogisticLoss, Loss, SquaredLoss
 from repro.ml.metrics import (
     PrequentialTracker,
@@ -28,7 +23,6 @@ from repro.ml.models import (
     LinearSGDModel,
     LinearSVM,
     LogisticRegression,
-    MatrixFactorization,
     OnlineKMeans,
 )
 from repro.ml.optim import (
@@ -68,11 +62,10 @@ __all__ = [
     "LogisticRegression",
     "LinearSVM",
     "OnlineKMeans",
-    "MatrixFactorization",
     "SGDTrainer",
     "TrainingResult",
+    "Block",
     "predict_batch",
-    "predict_batch_pairs",
     "split_rows",
     "stack_matrices",
     "misclassification_rate",

@@ -10,37 +10,98 @@ blocks of many queued requests and running the model's vectorized
 The contract that makes this safe is **bit-identity**: every model in
 :mod:`repro.ml` scores row ``i`` of a stacked matrix exactly as it
 scores the same row alone, because every inference kernel here is
-row-independent — sparse CSR row-dot, dense matrix-vector products,
-per-row centroid distances, per-pair factor dots. ``predict_batch``
-therefore returns, per input block, the byte-identical array the
-per-block ``model.predict`` call would have produced (covered across
-all model types by ``tests/ml/test_batch_predict.py``).
+row-independent — sparse CSR row-dot, dense per-row reductions.
+``predict_batch`` therefore returns, per input block, the
+byte-identical array the per-block ``model.predict`` call would have
+produced (covered across all model types by
+``tests/ml/test_batch_predict.py``).
+
+The other direction — one block, many row ranges — is :class:`Block`:
+what an SGD step needs to know about a chunk and can know once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
-from repro.ml.models.base import Matrix
 
-#: One stacked input: either a feature matrix or a 1-D id array.
-Stackable = Union[np.ndarray, sp.csr_matrix]
+Matrix = Union[np.ndarray, sp.csr_matrix]
 
 
-def matrix_values(
-    matrix: Matrix, start: int = 0, stop: Optional[int] = None
-) -> int:
-    """Stored value count of rows ``[start, stop)`` of a feature
-    matrix — nnz for sparse (read off ``indptr``), rows*cols for
-    dense: the unit the cost model charges."""
-    if sp.issparse(matrix):
-        indptr = matrix.tocsr().indptr
-        return int(indptr[-1 if stop is None else stop] - indptr[start])
-    return int(np.asarray(matrix)[start:stop].size)
+def matrix_values(matrix: Matrix) -> int:
+    """Stored value count of a feature matrix — nnz for sparse,
+    rows*cols for dense: the unit the cost model charges."""
+    return int(matrix.nnz if sp.issparse(matrix) else np.size(matrix))
+
+
+class Block:
+    """A feature matrix, and its targets when it is to be trained on,
+    opened once for any number of row-range steps.
+
+    What a range ``[start, stop)`` needs that is fixed for the whole
+    matrix is established here — 2-D shape, ``float64`` values,
+    ``len(targets) == rows``, and for CSR the ``indices``/``data``
+    arrays (``None`` for dense), the row ``bounds`` and the ``owner``
+    row of every stored entry (both on first use: a block only scored
+    or stepped whole reads neither). It is not a matrix — no ``shape``,
+    no ``__getitem__``: a range stays two integers beside it.
+    """
+
+    def __init__(
+        self, matrix: Matrix, targets: Optional[np.ndarray] = None
+    ) -> None:
+        if matrix.ndim != 2:
+            raise ValidationError(
+                f"features must be 2-D, got shape {matrix.shape}"
+            )
+        self.rows, self.width = matrix.shape
+        if sp.issparse(matrix):
+            matrix = matrix.tocsr()  # a CSR returns itself
+            self.indices, self.data = matrix.indices, matrix.data
+        else:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            self.indices = self.data = None
+        self.matrix = matrix
+        if targets is not None:
+            targets = np.asarray(targets, dtype=np.float64)
+            if targets.shape != (self.rows,):
+                raise ValidationError(
+                    f"features have {self.rows} rows, targets have "
+                    f"shape {targets.shape}"
+                )
+        self.targets = targets
+
+    @cached_property
+    def bounds(self) -> List[int]:
+        """CSR ``indptr`` as Python ints: row ``i`` stores entries
+        ``[bounds[i], bounds[i + 1])``."""
+        return self.matrix.indptr.tolist()
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Row number of every stored CSR entry."""
+        return np.repeat(np.arange(self.rows), np.diff(self.matrix.indptr))
+
+    def num_values(self, start: int = 0, stop: Optional[int] = None) -> int:
+        """Stored values of rows ``[start, stop)`` — what the cost
+        model charges and the ``engine.train_step`` span reports."""
+        stop = self.rows if stop is None else stop
+        if self.indices is None:
+            return (stop - start) * self.width
+        return self.bounds[stop] - self.bounds[start]
+
+
+def open_block(features, targets: Optional[np.ndarray] = None) -> Block:
+    """``features`` itself when the caller opened it already, else a
+    block over the bare ``(features, targets)``, for this one step."""
+    if isinstance(features, Block):
+        return features
+    return Block(features, targets)
 
 
 def stack_matrices(matrices: Sequence[Matrix]) -> Matrix:
@@ -92,22 +153,3 @@ def predict_batch(model, matrices: Sequence[Matrix]) -> List[np.ndarray]:
     counts = [int(m.shape[0]) for m in matrices]
     predictions = model.predict(stack_matrices(matrices))
     return split_rows(np.asarray(predictions), counts)
-
-
-def predict_batch_pairs(
-    model, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
-) -> List[np.ndarray]:
-    """Batched variant for pair-scoring models (matrix factorization).
-
-    ``pairs`` holds aligned ``(users, items)`` id arrays per request;
-    the ids are concatenated, scored in one vectorized call, and split
-    back per request.
-    """
-    if not pairs:
-        raise ValidationError(
-            "predict_batch_pairs needs at least one (users, items) pair"
-        )
-    counts = [len(users) for users, _ in pairs]
-    users = np.concatenate([np.asarray(u) for u, _ in pairs])
-    items = np.concatenate([np.asarray(i) for _, i in pairs])
-    return split_rows(np.asarray(model.predict(users, items)), counts)

@@ -57,7 +57,7 @@ class SquaredLoss(Loss):
     def value(self, decision: np.ndarray, targets: np.ndarray) -> float:
         self._check(decision, targets)
         residual = decision - targets
-        return float(0.5 * np.mean(residual * residual))
+        return float(0.5 * _mean(residual * residual))
 
     def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         self._check(decision, targets)
@@ -73,7 +73,7 @@ class HingeLoss(Loss):
     def value(self, decision: np.ndarray, targets: np.ndarray) -> float:
         self._check(decision, targets)
         margins = 1.0 - targets * decision
-        return float(np.mean(np.maximum(margins, 0.0)))
+        return float(_mean(np.maximum(margins, 0.0)))
 
     def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         self._check(decision, targets)
@@ -95,14 +95,18 @@ class LogisticLoss(Loss):
         self._check(decision, targets)
         margins = targets * decision
         # log(1 + e^-m) computed stably for both signs of m.
-        return float(
-            np.mean(np.logaddexp(0.0, -margins))
-        )
+        return float(_mean(np.logaddexp(0.0, -margins)))
 
     def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         self._check(decision, targets)
         margins = targets * decision
         return -targets * sigmoid(-margins)
+
+
+def _mean(values: np.ndarray) -> np.float64:
+    """``np.mean`` of a non-empty ``float64`` array — the same
+    pairwise sum and division, without its Python wrapper."""
+    return np.add.reduce(values, axis=None) / values.size
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:

@@ -2,16 +2,14 @@
 
 Linear models (regression, logistic, SVM) share the
 :class:`LinearSGDModel` interface the deployment platform drives;
-:class:`OnlineKMeans` and :class:`MatrixFactorization` are the other
-SGD-trained families §2.1 of the paper cites (clustering, recommender
-factorization), provided as standalone incremental learners.
+:class:`OnlineKMeans` is another SGD-trained family §2.1 of the paper
+cites (clustering), provided as a standalone incremental learner.
 """
 
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.models.kmeans import OnlineKMeans
 from repro.ml.models.linear_regression import LinearRegression
 from repro.ml.models.logistic_regression import LogisticRegression
-from repro.ml.models.matrix_factorization import MatrixFactorization
 from repro.ml.models.svm import LinearSVM
 
 __all__ = [
@@ -20,5 +18,4 @@ __all__ = [
     "LogisticRegression",
     "LinearSVM",
     "OnlineKMeans",
-    "MatrixFactorization",
 ]

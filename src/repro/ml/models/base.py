@@ -6,17 +6,23 @@ models (§4.4: "the machine learning model component of the deployed
 pipeline must implement an update method, which is responsible for
 computing the gradient").
 
-Parameters are also exposed as a single packed vector
-(``[weights…, intercept]``) so an :class:`~repro.ml.optim.Optimizer`
-can treat the model as one coordinate array — which is exactly what the
-per-coordinate adaptation methods need.
+The parameters live in one packed vector ``[weights…, intercept]``
+the model owns: ``weights`` is a view of it, ``intercept`` its last
+slot, ``params`` the part an :class:`~repro.ml.optim.Optimizer`
+updates *in place* — one coordinate array, which is what the
+per-coordinate adaptation methods need. In-place updates make aliasing
+observable, so the boundary copies: ``set_params_vector``,
+``load_state_dict`` and the ``weights`` setter copy in;
+``params_vector()``, ``state_dict()`` and pickling copy out.
 
-Feature matrices may be dense ``ndarray`` or ``scipy.sparse`` CSR, and
-every kernel runs over a *row range* ``[start, stop)`` of one. Three
-cases, chosen by what the caller handed over, all with the same bits:
+Feature matrices may be dense ``ndarray`` or ``scipy.sparse`` CSR,
+bare or opened as a :class:`~repro.ml.batch.Block` (which checks once
+what is fixed per block), and every kernel runs over a *row range*
+``[start, stop)`` of one. Three cases, chosen by what the caller
+handed over, all with the same bits:
 
 * a proper range of a CSR (the per-row online update) is read from the
-  matrix's own ``indptr/indices/data`` and reduced with ``np.bincount``,
+  block's ``indices/data/owner`` and reduced with ``np.bincount``,
   which accumulates in stored-entry order — the order of scipy's
   ``csr_matvec`` / ``csc_matvec`` — so no scipy object is built per
   range;
@@ -26,22 +32,25 @@ cases, chosen by what the caller handed over, all with the same bits:
   ``bincount`` spelling, which pays for itself only by what it skips;
 * a dense range is the numpy view ``X[start:stop]``: per-row
   ``np.add.reduce`` scores, ``view.T @ d`` column sums.
+
+The arithmetic is frozen — trajectory digests pin its bits: ``sums /
+n`` stays a division, the regularizer's term is added even when all
+zeros (``-0.0 + 0.0`` is ``0.0``), a mean is ``np.add.reduce(x) / n``
+(``np.mean``'s sum and division without its Python wrapper).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import NotFittedError, ValidationError
+from repro.ml.batch import Block, Matrix, open_block
 from repro.ml.losses import Loss
 from repro.ml.regularizers import NoRegularizer, Regularizer
 from repro.utils.validation import check_positive_int
-
-Matrix = Union[np.ndarray, sp.csr_matrix]
 
 
 class LinearSGDModel:
@@ -77,10 +86,31 @@ class LinearSGDModel:
             regularizer if regularizer is not None else NoRegularizer()
         )
         self.fit_intercept = fit_intercept
-        self.weights = np.zeros(self.num_features, dtype=np.float64)
-        self.intercept = 0.0
+        self._packed = np.zeros(self.num_features + 1, dtype=np.float64)
         #: Number of SGD updates applied so far.
         self.updates_applied = 0
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight vector — a live view of the packed parameters."""
+        return self._packed[:-1]
+
+    @weights.setter
+    def weights(self, values: np.ndarray) -> None:
+        self._packed[:-1] = values
+
+    @property
+    def intercept(self) -> float:
+        return float(self._packed[-1])
+
+    @intercept.setter
+    def intercept(self, value: float) -> None:
+        self._packed[-1] = value
+
+    @property
+    def params(self) -> np.ndarray:
+        """The live ``[w…, b?]`` an optimizer updates in place."""
+        return self._packed if self.fit_intercept else self._packed[:-1]
 
     # ------------------------------------------------------------------
     # Inference
@@ -98,7 +128,8 @@ class LinearSGDModel:
         That is the serving guarantee: a micro-batched prediction is
         bit-identical to the same row served alone.
         """
-        return self._forward(features, start, stop)[0]
+        block = open_block(features)
+        return self._forward(block, start, self._check(block, start, stop))[0]
 
     def predict(self, features: Matrix) -> np.ndarray:
         """Task-specific predictions; subclasses refine."""
@@ -109,21 +140,30 @@ class LinearSGDModel:
     # ------------------------------------------------------------------
     def gradient(
         self,
-        features: Matrix,
-        targets: np.ndarray,
+        features: Matrix | Block,
+        targets: Optional[np.ndarray] = None,
         start: int = 0,
         stop: Optional[int] = None,
-    ) -> tuple[np.ndarray, float]:
+        objective: bool = True,
+    ) -> tuple[np.ndarray, Optional[float]]:
         """Mean-gradient of loss+penalty on rows ``[start, stop)`` of
-        ``(features, targets)``, packed, plus loss.
+        a :class:`~repro.ml.batch.Block` (or of a bare ``(features,
+        targets)``, opened here), packed, plus loss.
 
         Returns ``(grad, objective)`` where ``grad`` has length
         ``num_features + 1`` when an intercept is fitted (intercept
-        slot last, zero otherwise excluded) — aligned with
-        :meth:`params_vector`.
+        slot last, otherwise excluded) — aligned with :attr:`params`.
+        With ``objective=False`` the loss and penalty are not
+        evaluated and ``None`` stands in.
         """
-        targets = np.asarray(targets, dtype=np.float64)[start:stop]
-        decision, rows = self._forward(features, start, stop)
+        block = open_block(features, targets)
+        stop = self._check(block, start, stop)
+        if block.targets is None:
+            raise ValidationError("cannot train on a block without targets")
+        targets = block.targets[start:stop]
+        count = stop - start
+        weights = self.weights
+        decision, rows = self._forward(block, start, stop)
         dloss = self.loss.dvalue(decision, targets)
         if isinstance(rows, tuple):
             owner, indices, data = rows
@@ -134,15 +174,16 @@ class LinearSGDModel:
             )
         else:
             sums = rows.T @ dloss
-        grad_w = sums / len(targets)
-        grad_w = grad_w + self.regularizer.gradient(self.weights)
-        objective = self.loss.value(decision, targets) + (
-            self.regularizer.penalty(self.weights)
-        )
+        grad = np.empty(self.num_params)
+        grad_w = np.divide(sums, count, out=grad[:self.num_features])
+        grad_w += self.regularizer.gradient(weights)
         if self.fit_intercept:
-            grad_b = float(dloss.mean())
-            return np.concatenate([grad_w, [grad_b]]), objective
-        return grad_w, objective
+            grad[-1] = np.add.reduce(dloss) / count
+        if not objective:
+            return grad, None
+        return grad, self.loss.value(decision, targets) + (
+            self.regularizer.penalty(weights)
+        )
 
     def objective(self, features: Matrix, targets: np.ndarray) -> float:
         """Regularized loss on a batch (no gradient)."""
@@ -161,25 +202,17 @@ class LinearSGDModel:
 
     def params_vector(self) -> np.ndarray:
         """Packed parameters ``[w…, b?]`` (a copy)."""
-        if self.fit_intercept:
-            return np.concatenate([self.weights, [self.intercept]])
-        return self.weights.copy()
+        return self.params.copy()
 
     def set_params_vector(self, params: np.ndarray) -> None:
-        """Install packed parameters produced by an optimizer step —
-        a new array nobody else holds, so the model keeps it (the
-        weights are a view of it) instead of copying it."""
+        """Copy packed parameters in; the caller keeps its array."""
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.num_params,):
             raise ValidationError(
                 f"expected {self.num_params} packed parameters, "
                 f"got shape {params.shape}"
             )
-        if self.fit_intercept:
-            self.weights = params[:-1]
-            self.intercept = float(params[-1])
-        else:
-            self.weights = params
+        self.params[:] = params
 
     # ------------------------------------------------------------------
     # Persistence / warm starting
@@ -199,68 +232,72 @@ class LinearSGDModel:
                 f"state has {weights.shape} weights, expected "
                 f"({self.num_features},)"
             )
-        self.weights = weights.copy()
+        self.weights = weights
         self.intercept = float(payload["intercept"])
         self.updates_applied = int(payload["updates_applied"])
+
+    def __getstate__(self) -> Dict[str, object]:
+        """``weights`` and ``intercept`` as the two entries every
+        earlier pickle holds."""
+        state = vars(self).copy()
+        packed = state.pop("_packed")
+        state.update(weights=packed[:-1], intercept=float(packed[-1]))
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        state = dict(state)
+        self._packed = np.append(state.pop("weights"), state.pop("intercept"))
+        vars(self).update(state)
 
     def clone(self) -> "LinearSGDModel":
         """Fresh, untrained copy with the same configuration."""
         duplicate = copy.deepcopy(self)
-        duplicate.weights = np.zeros(self.num_features, dtype=np.float64)
-        duplicate.intercept = 0.0
-        duplicate.updates_applied = 0
+        duplicate.reset()
         return duplicate
 
     def reset(self) -> None:
         """Zero the parameters in place."""
-        self.weights = np.zeros(self.num_features, dtype=np.float64)
-        self.intercept = 0.0
+        self._packed[:] = 0.0
         self.updates_applied = 0
 
     # ------------------------------------------------------------------
+    def _check(self, block: Block, start: int, stop: Optional[int]) -> int:
+        """The per-range checks: width against this model, bounds
+        against the block. Returns ``stop`` resolved."""
+        if block.width != self.num_features:
+            raise ValidationError(
+                f"features have {block.width} columns, model "
+                f"expects {self.num_features}"
+            )
+        stop = block.rows if stop is None else stop
+        if not 0 <= start <= stop <= block.rows:
+            raise ValidationError(
+                f"rows [{start}, {stop}) are not within {block.rows} rows"
+            )
+        return stop
+
     def _forward(
-        self, features: Matrix, start: int, stop: Optional[int]
+        self, block: Block, start: int, stop: int
     ) -> Tuple[np.ndarray, object]:
         """Decision values of rows ``[start, stop)`` and what the
         column sums read: the dense view, the whole sparse matrix, or
         a CSR range's stored entries as ``(owner, indices, data)``."""
-        if features.ndim != 2:
-            raise ValidationError(
-                f"features must be 2-D, got shape {features.shape}"
-            )
-        count, width = features.shape
-        if width != self.num_features:
-            raise ValidationError(
-                f"features have {width} columns, model "
-                f"expects {self.num_features}"
-            )
-        stop = count if stop is None else stop
-        if not 0 <= start <= stop <= count:
-            raise ValidationError(
-                f"rows [{start}, {stop}) are not within {count} rows"
-            )
-        if not sp.issparse(features):
-            rows = np.asarray(features[start:stop], dtype=np.float64)
-            scores = np.add.reduce(rows * self.weights, axis=1)
-        elif (start, stop) == (0, count):
-            rows = features
-            scores = features @ self.weights
+        weights = self.weights
+        if block.indices is None:
+            rows = block.matrix[start:stop]
+            scores = np.add.reduce(rows * weights, axis=1)
+        elif stop - start == block.rows:
+            rows = block.matrix
+            scores = rows @ weights
         else:
-            csr = features.tocsr()  # a CSR returns itself
-            indptr = csr.indptr
-            entries = slice(indptr[start], indptr[stop])
-            owner = np.repeat(
-                np.arange(stop - start),
-                indptr[start + 1:stop + 1] - indptr[start:stop],
-            )
-            indices, data = csr.indices[entries], csr.data[entries]
+            entries = slice(block.bounds[start], block.bounds[stop])
+            owner = block.owner[entries] - start
+            indices, data = block.indices[entries], block.data[entries]
             rows = owner, indices, data
             scores = np.bincount(
-                owner,
-                weights=data * self.weights[indices],
-                minlength=stop - start,
+                owner, weights=data * weights[indices], minlength=stop - start
             )
-        return scores + self.intercept, rows
+        return scores + self._packed[-1], rows
 
     def _require_trained(self) -> None:
         if self.updates_applied == 0:

@@ -22,6 +22,7 @@ class AdaGrad(Optimizer):
     """
 
     name = "adagrad"
+    arrays = ("sq_sum",)
 
     def __init__(
         self, learning_rate: float = 0.01, epsilon: float = 1e-8
@@ -30,14 +31,13 @@ class AdaGrad(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        accumulator = self._ensure_array("sq_sum", grad)
-        accumulator += grad * grad
-        return (
-            -self.learning_rate
-            * grad
-            / (np.sqrt(accumulator) + self.epsilon)
-        )
+    def _update(self, grad, delta, work):
+        accumulator = self._state["sq_sum"]
+        accumulator += np.multiply(grad, grad, out=work)
+        np.sqrt(accumulator, out=work)
+        work += self.epsilon
+        np.multiply(-self.learning_rate, grad, out=delta)
+        return np.divide(delta, work, out=delta)
 
 
 class RMSProp(Optimizer):
@@ -48,6 +48,7 @@ class RMSProp(Optimizer):
     """
 
     name = "rmsprop"
+    arrays = ("sq_avg",)
 
     def __init__(
         self,
@@ -60,13 +61,14 @@ class RMSProp(Optimizer):
         self.rho = check_fraction(rho, "rho")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        average = self._ensure_array("sq_avg", grad)
+    def _update(self, grad, delta, work):
+        average = self._state["sq_avg"]
         average *= self.rho
-        average += (1.0 - self.rho) * grad * grad
-        return (
-            -self.learning_rate * grad / np.sqrt(average + self.epsilon)
-        )
+        np.multiply(1.0 - self.rho, grad, out=work)
+        average += np.multiply(work, grad, out=work)
+        np.sqrt(np.add(average, self.epsilon, out=work), out=work)
+        np.multiply(-self.learning_rate, grad, out=delta)
+        return np.divide(delta, work, out=delta)
 
 
 class AdaDelta(Optimizer):
@@ -78,24 +80,26 @@ class AdaDelta(Optimizer):
     """
 
     name = "adadelta"
+    arrays = ("sq_avg", "delta_avg")
 
     def __init__(self, rho: float = 0.95, epsilon: float = 1e-6) -> None:
         super().__init__()
         self.rho = check_fraction(rho, "rho")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        sq_avg = self._ensure_array("sq_avg", grad)
-        delta_avg = self._ensure_array("delta_avg", grad)
+    def _update(self, grad, delta, work):
+        sq_avg = self._state["sq_avg"]
+        delta_avg = self._state["delta_avg"]
         sq_avg *= self.rho
-        sq_avg += (1.0 - self.rho) * grad * grad
-        delta = (
-            -np.sqrt(delta_avg + self.epsilon)
-            / np.sqrt(sq_avg + self.epsilon)
-            * grad
-        )
+        np.multiply(1.0 - self.rho, grad, out=work)
+        sq_avg += np.multiply(work, grad, out=work)
+        np.sqrt(np.add(delta_avg, self.epsilon, out=delta), out=delta)
+        np.negative(delta, out=delta)
+        delta /= np.sqrt(np.add(sq_avg, self.epsilon, out=work), out=work)
+        delta *= grad
         delta_avg *= self.rho
-        delta_avg += (1.0 - self.rho) * delta * delta
+        np.multiply(1.0 - self.rho, delta, out=work)
+        delta_avg += np.multiply(work, delta, out=work)
         return delta
 
 
@@ -108,6 +112,7 @@ class Adam(Optimizer):
     """
 
     name = "adam"
+    arrays = ("m", "v")
 
     def __init__(
         self,
@@ -122,16 +127,17 @@ class Adam(Optimizer):
         self.beta2 = check_fraction(beta2, "beta2")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        first = self._ensure_array("m", grad)
-        second = self._ensure_array("v", grad)
+    def _update(self, grad, delta, work):
+        first, second = self._state["m"], self._state["v"]
         step_index = self._bump_counter()
         first *= self.beta1
-        first += (1.0 - self.beta1) * grad
+        first += np.multiply(1.0 - self.beta1, grad, out=work)
         second *= self.beta2
-        second += (1.0 - self.beta2) * grad * grad
-        m_hat = first / (1.0 - self.beta1**step_index)
-        v_hat = second / (1.0 - self.beta2**step_index)
-        return (
-            -self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        )
+        np.multiply(1.0 - self.beta2, grad, out=work)
+        second += np.multiply(work, grad, out=work)
+        np.divide(first, 1.0 - self.beta1**step_index, out=delta)  # m̂
+        delta *= -self.learning_rate
+        np.divide(second, 1.0 - self.beta2**step_index, out=work)  # v̂
+        np.sqrt(work, out=work)
+        work += self.epsilon
+        return np.divide(delta, work, out=delta)

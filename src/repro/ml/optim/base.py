@@ -9,13 +9,20 @@ lives on the optimizer so that:
   optimizer state (§3.3 of the paper), and
 * periodical retraining can warm-start by copying the optimizer state
   along with the model weights (§5.2, TFX-style warm starting).
+
+A step allocates nothing: a rule updates its moments in place and
+builds the delta in two scratch arrays sized from ``dim`` (not state:
+no ``state_dict()`` or pickle holds them), in the operation order of
+its textbook spelling — ``((1-β₂)·g)·g``, ``(-η·m̂) / (√v̂ + ε)``, a
+division never a multiplication by a reciprocal — because a
+reordering changes low bits that every trajectory digest pins.
 """
 
 from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,12 +33,17 @@ class Optimizer(ABC):
     """Base class for SGD update rules.
 
     Subclasses implement :meth:`_update` returning the parameter
-    *delta* for a gradient, and may allocate per-coordinate state via
-    :meth:`_ensure_dim`.
+    *delta* for a gradient and name their per-coordinate state in
+    :attr:`arrays`.
     """
 
     #: Config/report identifier.
     name: str = "base"
+
+    #: Keys of the ``float64`` state arrays, zeroed at the first step.
+    arrays: Tuple[str, ...] = ()
+    #: Two ``dim``-slot work arrays, allocated when first needed.
+    _scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __init__(self) -> None:
         self._state: Dict[str, Any] = {}
@@ -40,12 +52,19 @@ class Optimizer(ABC):
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(
+        self,
+        params: np.ndarray,
+        grad: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Return updated parameters for one SGD iteration.
 
-        ``params`` and ``grad`` must be 1-D and the same length; the
-        input arrays are not mutated and the result is a new array the
-        optimizer keeps no reference to.
+        ``params`` and ``grad`` must be 1-D and the same length. The
+        result goes where numpy's ``out=`` puts it: ``out=params``
+        updates in place (what :class:`~repro.ml.sgd.SGDTrainer`
+        does), the default leaves both inputs alone and returns a new
+        array the optimizer keeps no reference to.
         """
         params = np.asarray(params, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
@@ -56,18 +75,21 @@ class Optimizer(ABC):
             )
         if self._dim is None:
             self._dim = params.size
+            self._state = {key: np.zeros(self._dim) for key in self.arrays}
         elif params.size != self._dim:
             raise ValidationError(
                 f"optimizer was sized for {self._dim} parameters, "
                 f"got {params.size}"
             )
-        delta = self._update(grad)
-        return np.add(params, delta, out=delta)
+        if self._scratch is None:
+            self._scratch = np.empty(self._dim), np.empty(self._dim)
+        return np.add(params, self._update(grad, *self._scratch), out=out)
 
     def reset(self) -> None:
         """Drop all state (fresh optimizer, same hyperparameters)."""
         self._state = {}
         self._dim = None
+        self._scratch = None
 
     def state_dict(self) -> Dict[str, Any]:
         """Deep copy of the internal state, for warm starting."""
@@ -82,8 +104,21 @@ class Optimizer(ABC):
             raise ValidationError(
                 f"malformed optimizer state: keys {sorted(payload)}"
             )
-        self._dim = payload["dim"]
-        self._state = copy.deepcopy(payload["state"])
+        dim, state = payload["dim"], copy.deepcopy(payload["state"])
+        # Never sized: no state at all. Sized: every array is (dim,).
+        for key in state if dim is None else self.arrays:
+            found = state.get(key)
+            shape = getattr(found, "shape", None)
+            dtype = getattr(found, "dtype", type(found).__name__)
+            if shape != (dim,) or dtype != np.float64:
+                raise ValidationError(
+                    f"optimizer state {key!r} is {dtype} of shape "
+                    f"{shape}, dim={dim} takes float64 of shape ({dim},)"
+                )
+        self._dim, self._state, self._scratch = dim, state, None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in vars(self).items() if k != "_scratch"}
 
     def clone(self) -> "Optimizer":
         """A fresh optimizer with identical hyperparameters, no state."""
@@ -95,17 +130,12 @@ class Optimizer(ABC):
     # Subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        """Parameter delta (already negated) for this gradient, in a
-        new array: :meth:`step` adds the parameters into it."""
-
-    def _ensure_array(self, key: str, like: np.ndarray) -> np.ndarray:
-        """Get-or-create a zeroed state array shaped like ``like``."""
-        array = self._state.get(key)
-        if array is None:
-            array = np.zeros_like(like, dtype=np.float64)
-            self._state[key] = array
-        return array
+    def _update(
+        self, grad: np.ndarray, delta: np.ndarray, work: np.ndarray
+    ) -> np.ndarray:
+        """Parameter delta (already negated) for this gradient.
+        ``delta`` and ``work`` are scratch to build it in;
+        :meth:`step` only reads the result."""
 
     def _bump_counter(self, key: str = "t") -> int:
         """Increment and return an integer state counter (from 1)."""

@@ -22,8 +22,8 @@ class ConstantLR(Optimizer):
         super().__init__()
         self.learning_rate = check_positive(learning_rate, "learning_rate")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        return -self.learning_rate * grad
+    def _update(self, grad, delta, work):
+        return np.multiply(-self.learning_rate, grad, out=delta)
 
 
 class InverseScalingLR(Optimizer):
@@ -40,10 +40,10 @@ class InverseScalingLR(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.power = check_positive(power, "power")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
+    def _update(self, grad, delta, work):
         step_index = self._bump_counter()
         eta = self.learning_rate / step_index**self.power
-        return -eta * grad
+        return np.multiply(-eta, grad, out=delta)
 
     def current_learning_rate(self) -> float:
         """Learning rate the *next* step will use."""
@@ -55,6 +55,7 @@ class Momentum(Optimizer):
     """Classical momentum: ``v ← β v − η g``; ``w ← w + v``."""
 
     name = "momentum"
+    arrays = ("velocity",)
 
     def __init__(
         self, learning_rate: float = 0.01, beta: float = 0.9
@@ -63,8 +64,8 @@ class Momentum(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.beta = check_fraction(beta, "beta")
 
-    def _update(self, grad: np.ndarray) -> np.ndarray:
-        velocity = self._ensure_array("velocity", grad)
+    def _update(self, grad, delta, work):
+        velocity = self._state["velocity"]
         velocity *= self.beta
-        velocity -= self.learning_rate * grad
-        return velocity.copy()
+        velocity -= np.multiply(self.learning_rate, grad, out=work)
+        return velocity

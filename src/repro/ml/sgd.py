@@ -14,6 +14,11 @@ entry points:
 Because the optimizer owns all cross-iteration state, iterations are
 conditionally independent given (model parameters, optimizer state) —
 the property §3.3 uses to justify running them at arbitrary times.
+
+A step runs over a row range of a :class:`~repro.ml.batch.Block` —
+validated once by whoever holds it for several steps; bare ``(features,
+targets)`` are opened for that one step — and updates the model's
+packed parameters in place.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.exceptions import ConvergenceWarning, ValidationError
-from repro.ml.batch import matrix_values
-from repro.ml.models.base import LinearSGDModel, Matrix
+from repro.ml.batch import Block, Matrix, open_block
+from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -63,28 +68,30 @@ class SGDTrainer:
     # ------------------------------------------------------------------
     def step(
         self,
-        features: Matrix,
-        targets: np.ndarray,
+        features: Matrix | Block,
+        targets: Optional[np.ndarray] = None,
         tracker: Optional["CostTracker"] = None,
         start: int = 0,
         stop: Optional[int] = None,
-    ) -> float:
+        objective: bool = True,
+    ) -> Optional[float]:
         """One SGD iteration on rows ``[start, stop)`` of the given
-        batch (all of it by default); returns the objective.
+        block (all of it by default); returns the objective, or
+        ``None`` unevaluated when the caller passes ``objective=False``.
 
         The range *is* the mini-batch — sampling happens upstream (the
         data manager for proactive training, consecutive row ranges of
         the chunk itself for the online update).
         """
-        grad, objective = self.model.gradient(features, targets, start, stop)
-        new_params = self.optimizer.step(self.model.params_vector(), grad)
-        self.model.set_params_vector(new_params)
-        self.model.updates_applied += 1
+        block = open_block(features, targets)
+        model = self.model
+        grad, value = model.gradient(block, None, start, stop, objective)
+        params = model.params
+        self.optimizer.step(params, grad, out=params)
+        model.updates_applied += 1
         if tracker is not None:
-            tracker.charge_training(
-                matrix_values(features, start, stop), "sgd_step"
-            )
-        return objective
+            tracker.charge_training(block.num_values(start, stop), "sgd_step")
+        return value
 
     def train(
         self,
@@ -108,12 +115,8 @@ class SGDTrainer:
             Converged when the parameter-vector change (L2 norm,
             relative to ``1 + ‖params‖``) falls below this.
         """
-        targets = np.asarray(targets, dtype=np.float64)
-        count = features.shape[0]
-        if count != len(targets):
-            raise ValidationError(
-                f"features have {count} rows, targets {len(targets)}"
-            )
+        block = Block(features, targets)
+        count = block.rows
         if count == 0:
             raise ValidationError("cannot train on an empty dataset")
         if batch_size is not None and batch_size < 1:
@@ -130,13 +133,12 @@ class SGDTrainer:
         iterations = 0
         for iterations in range(1, max_iterations + 1):
             if batch_size is None or batch_size >= count:
-                batch_x, batch_y = features, targets
+                batch = block
             else:
                 chosen = rng.choice(count, size=batch_size, replace=False)
-                batch_x = features[chosen]
-                batch_y = targets[chosen]
+                batch = Block(block.matrix[chosen], block.targets[chosen])
             before = self.model.params_vector()
-            objective = self.step(batch_x, batch_y, tracker)
+            objective = self.step(batch, tracker=tracker)
             history.append(objective)
             after = self.model.params_vector()
             change = float(np.linalg.norm(after - before))

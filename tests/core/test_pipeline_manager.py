@@ -150,13 +150,14 @@ class TestOnlineStep:
         seen = []
         step = manager.engine.train_step
 
-        def spy(trainer, matrix, labels, start, stop):
-            seen.append((start, stop))
-            return step(trainer, matrix, labels, start, stop)
+        def spy(trainer, block, labels, start, stop, objective):
+            seen.append((start, stop, objective))
+            return step(trainer, block, labels, start, stop, objective)
 
         manager.engine.train_step = spy
         manager.online_step(features, batch_rows=3)
-        assert seen == [(0, 3), (3, 6), (6, 8)]
+        # ... and only the last range's objective is evaluated.
+        assert seen == [(0, 3, False), (3, 6, False), (6, 8, True)]
         tracker = manager.engine.tracker
         assert tracker.category("training") == pytest.approx(
             tracker.model.training_cost_per_value * 8

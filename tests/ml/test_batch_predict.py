@@ -13,17 +13,11 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
-from repro.ml.batch import (
-    predict_batch,
-    predict_batch_pairs,
-    split_rows,
-    stack_matrices,
-)
+from repro.ml.batch import predict_batch, split_rows, stack_matrices
 from repro.ml.models import (
     LinearRegression,
     LinearSVM,
     LogisticRegression,
-    MatrixFactorization,
     OnlineKMeans,
 )
 
@@ -91,29 +85,6 @@ class TestOnlineKMeans:
         model.partial_fit(rng.standard_normal((80, 3)))
         blocks = [rng.standard_normal((n, 3)) for n in (2, 5, 1, 9)]
         assert_blocks_identical(model, blocks)
-
-
-class TestMatrixFactorization:
-    def test_pair_scores_identical(self, rng):
-        model = MatrixFactorization(
-            num_users=30, num_items=20, num_factors=4, seed=9
-        )
-        pairs = [
-            (
-                rng.integers(0, 30, size=n),
-                rng.integers(0, 20, size=n),
-            )
-            for n in (1, 6, 3)
-        ]
-        batched = predict_batch_pairs(model, pairs)
-        for (users, items), result in zip(pairs, batched):
-            alone = model.predict(users, items)
-            assert result.tobytes() == alone.tobytes()
-
-    def test_empty_pairs_rejected(self):
-        model = MatrixFactorization(num_users=2, num_items=2)
-        with pytest.raises(ValidationError, match="at least one"):
-            predict_batch_pairs(model, [])
 
 
 class TestStackSplit:

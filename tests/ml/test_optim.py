@@ -153,6 +153,50 @@ class TestStateManagement:
         with pytest.raises(ValidationError):
             Adam(0.1).load_state_dict({"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "optimizer", ALL_OPTIMIZERS, ids=lambda o: o.name
+    )
+    def test_state_that_cannot_step_is_rejected_on_load(self, optimizer):
+        """Arrays that disagree with ``dim`` (or are not 1-D float64)
+        used to load silently and fail steps later, inside a
+        half-applied update, with numpy's broadcast error."""
+        source = optimizer.clone()
+        source.step(np.zeros(3), np.ones(3))
+        target = optimizer.clone()
+        target.load_state_dict(source.state_dict())
+        before = target.state_dict()
+
+        def rejected(payload, match):
+            with pytest.raises(ValidationError, match=match):
+                target.load_state_dict(payload)
+
+        for key in optimizer.arrays:
+            for bad in (
+                np.zeros(4),
+                np.zeros((3, 1)),
+                np.zeros(3, dtype=np.float32),
+                [0.0, 0.0, 0.0],
+            ):
+                payload = source.state_dict()
+                payload["state"][key] = bad
+                rejected(payload, rf"{key}.*\(3,\)")
+            payload = source.state_dict()
+            del payload["state"][key]
+            rejected(payload, key)
+        if optimizer.arrays:
+            rejected({**source.state_dict(), "dim": 4}, r"\(3,\).*\(4,\)")
+        if source.state_dict()["state"]:
+            rejected({**source.state_dict(), "dim": None}, "dim=None")
+        # A refused payload changed nothing; the optimizer still steps.
+        after = target.state_dict()
+        assert after["dim"] == before["dim"] == 3
+        for key, value in before["state"].items():
+            assert np.array_equal(after["state"][key], value)
+        assert (
+            target.step(np.zeros(3), np.ones(3)).tobytes()
+            == source.step(np.zeros(3), np.ones(3)).tobytes()
+        )
+
     def test_reset(self):
         optimizer = Adam(0.1)
         optimizer.step(np.array([0.0]), np.array([1.0]))

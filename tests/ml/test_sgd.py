@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.execution.cost import CostTracker
+from repro.ml.batch import Block
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam, ConstantLR
 from repro.ml.sgd import SGDTrainer
@@ -65,6 +67,30 @@ class TestStep:
         assert model_b.params_vector() == pytest.approx(
             model_a.params_vector()
         )
+
+
+    @pytest.mark.parametrize("as_matrix", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("rows", [(1, 2), (0, None)])
+    def test_misaligned_labels_rejected_for_every_range(
+        self, rng, as_matrix, rows
+    ):
+        """5 rows, 9 labels: a range used to hide the mismatch (the
+        only length check was the loss's, after ``targets[1:2]``) and
+        trained on ``y[1]``; opening the block finds it, once."""
+        x, y = as_matrix(rng.standard_normal((5, 3))), rng.standard_normal(9)
+        model = LinearRegression(num_features=3)
+        trainer = SGDTrainer(model, ConstantLR(0.01))
+        with pytest.raises(ValidationError, match=r"5 rows.*\(9,\)"):
+            trainer.step(x, y, CostTracker(), *rows)
+        with pytest.raises(ValidationError, match=r"5 rows.*\(9,\)"):
+            Block(x, y)
+        assert model.updates_applied == 0
+        assert not model.params_vector().any()
+
+    def test_block_without_targets_cannot_be_trained_on(self, rng):
+        trainer = SGDTrainer(LinearRegression(3), ConstantLR(0.01))
+        with pytest.raises(ValidationError, match="without targets"):
+            trainer.step(Block(rng.standard_normal((4, 3))))
 
 
 class TestTrain:

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.execution.cost import CostTracker
-from repro.ml.batch import matrix_values
+from repro.ml.batch import Block
 from repro.ml.models import LinearRegression, LinearSVM, LogisticRegression
 from repro.ml.optim import Adam
 from repro.ml.regularizers import L1, L2
@@ -166,13 +166,14 @@ def test_stepping_over_ranges_equals_stepping_over_slices(seed, make_block):
         ranged = SGDTrainer(LinearSVM(width, L2(1e-3)), Adam(0.05))
         sliced = SGDTrainer(LinearSVM(width, L2(1e-3)), Adam(0.05))
         ranged_cost, sliced_cost = CostTracker(), CostTracker()
+        opened = Block(features, targets)  # once, as online_step does
         for start, stop in ranges(rows, batch_rows):
             where = f"seed={seed} k={batch_rows} rows=[{start},{stop})"
             block = features[start:stop]
-            assert matrix_values(features, start, stop) == (
+            assert opened.num_values(start, stop) == (
                 block.nnz if sp.issparse(block) else block.size
             ), where
-            a = ranged.step(features, targets, ranged_cost, start, stop)
+            a = ranged.step(opened, None, ranged_cost, start, stop)
             b = sliced.step(block, targets[start:stop], sliced_cost)
             assert a == b, where
         assert ranged_cost.total() == sliced_cost.total()
