@@ -81,19 +81,24 @@ bench-check:
 # fresh process, and prints layer x self seconds x share per workload.
 # `bench-e2e-compare REF=<sha>` is how a speed claim is checked before
 # it is made: REF is exported with `git archive` next to the results,
-# one workload runs PAIRS times on REF and on the working tree — in
-# alternating order, because this box's speed drifts between minutes —
-# and each pair's two result directories go through `compare` (exit 1
-# if any pair has a `worse` verdict). It ends with one summary over
-# all pairs (`benchmarks/pairs_summary.py`): medians with quartiles,
-# pairs won, and whether the rule for claiming a gain holds.
+# WORKLOAD (one name, or `all` for the four of BENCHMARK.json, one
+# after another inside each pair) runs PAIRS times on REF and on the
+# working tree — in alternating order, because this box's speed drifts
+# between minutes — and each pair's two result directories go through
+# `compare` (exit 1 if any pair has a `worse` verdict). Every workload
+# runs at its own default seed, the one `expected.json`'s goldens were
+# recorded at, unless SEED is given. It ends with one summary over all
+# pairs (`benchmarks/pairs_summary.py`): per workload, medians with
+# quartiles, pairs won, and whether the rule for claiming a gain holds.
 # Everything lands under E2E_DIR (gitignored).
 E2E_DIR ?= .bench_runs/e2e
-E2E_RUN = python3 benchmarks/e2e/run.py --workload $(WORKLOAD) \
-	--seed $(SEED) --seconds 10 --trace 0
 WORKLOAD ?= url_continuous
-SEED ?= 7
 PAIRS ?= 10
+E2E_WORKLOADS = $(if $(filter all,$(WORKLOAD)),$(shell python3 -c \
+	"import json; print(*(w['name'] for w in \
+	json.load(open('BENCHMARK.json'))['workloads']))"),$(WORKLOAD))
+E2E_RUN = python3 benchmarks/e2e/run.py $(if $(SEED),--seed $(SEED)) \
+	--seconds 10 --trace 0
 
 bench-e2e:
 	PYTHONPATH=src python3 -m benchmarks.e2e.run --all \
@@ -103,13 +108,15 @@ bench-e2e:
 bench-e2e-compare: C = $(abspath $(E2E_DIR))/compare-$(REF)
 bench-e2e-compare:
 	@test -n "$(REF)" || { echo "usage: make bench-e2e-compare" \
-		"REF=<sha> [WORKLOAD=$(WORKLOAD)] [SEED=$(SEED)]" \
-		"[PAIRS=$(PAIRS)]"; exit 2; }
+		"REF=<sha> [WORKLOAD=<name>|all] [SEED=<each workload's" \
+		"own>] [PAIRS=$(PAIRS)]"; exit 2; }
 	rm -rf $C && mkdir -p $C/tree
 	git archive $(REF) | tar -x -C $C/tree
 	@status=0; \
-	parent() { (cd $C/tree && $(E2E_RUN) --out $C/parent/$$1); }; \
-	change() { $(E2E_RUN) --run-root $C/runs --out $C/change/$$1; }; \
+	each() { for workload in $(E2E_WORKLOADS); do \
+		"$$@" --workload $$workload || return 1; done; }; \
+	parent() { (cd $C/tree && each $(E2E_RUN) --out $C/parent/$$1); }; \
+	change() { each $(E2E_RUN) --run-root $C/runs --out $C/change/$$1; }; \
 	for pair in $$(seq 1 $(PAIRS)); do \
 		if [ $$((pair % 2)) -eq 1 ]; then \
 			parent $$pair && change $$pair; \
@@ -117,7 +124,8 @@ bench-e2e-compare:
 			change $$pair && parent $$pair; \
 		fi > $C/pair-$$pair.log 2>&1 \
 			|| { cat $C/pair-$$pair.log; exit 1; }; \
-		echo "pair $$pair of $(PAIRS) ($(WORKLOAD), seed $(SEED)):"; \
+		echo "pair $$pair of $(PAIRS) ($(E2E_WORKLOADS), seed" \
+			"$(or $(SEED),each workload's own)):"; \
 		python3 -m benchmarks.e2e.compare $C/parent/$$pair \
 			$C/change/$$pair || status=1; \
 	done; python3 -m benchmarks.pairs_summary $C; exit $$status

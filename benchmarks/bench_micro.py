@@ -45,21 +45,21 @@ def taxi_chunk():
 class TestPipelineThroughput:
     def test_url_online_pass(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
-        benchmark(pipeline.update_transform_to_features, url_chunk)
+        benchmark(pipeline.update_transform, url_chunk)
 
     def test_url_transform_only(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
         pipeline.update_transform(url_chunk)
-        benchmark(pipeline.transform_to_features, url_chunk)
+        benchmark(pipeline.transform, url_chunk)
 
     def test_taxi_online_pass(self, benchmark, taxi_chunk):
         pipeline = make_taxi_pipeline()
-        benchmark(pipeline.update_transform_to_features, taxi_chunk)
+        benchmark(pipeline.update_transform, taxi_chunk)
 
     def test_taxi_transform_only(self, benchmark, taxi_chunk):
         pipeline = make_taxi_pipeline()
         pipeline.update_transform(taxi_chunk)
-        benchmark(pipeline.transform_to_features, taxi_chunk)
+        benchmark(pipeline.transform, taxi_chunk)
 
 
 def online_manager(pipeline, model, optimizer) -> PipelineManager:
@@ -75,13 +75,13 @@ def online_manager(pipeline, model, optimizer) -> PipelineManager:
 class TestTrainingThroughput:
     def test_sparse_sgd_step(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
-        features = pipeline.update_transform_to_features(url_chunk)
+        features = pipeline.update_transform(url_chunk)
         trainer = SGDTrainer(LinearSVM(1024), Adam(0.05))
         benchmark(trainer.step, features.matrix, features.labels)
 
     def test_dense_sgd_step(self, benchmark, taxi_chunk):
         pipeline = make_taxi_pipeline()
-        features = pipeline.update_transform_to_features(taxi_chunk)
+        features = pipeline.update_transform(taxi_chunk)
         trainer = SGDTrainer(
             LinearRegression(features.num_features), RMSProp(0.05)
         )
@@ -93,13 +93,13 @@ class TestTrainingThroughput:
     # cost that `benchmarks/e2e` attributes to `core.online_step`.
     def test_sparse_online_rows(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
-        features = pipeline.update_transform_to_features(url_chunk)
+        features = pipeline.update_transform(url_chunk)
         manager = online_manager(pipeline, LinearSVM(1024), Adam(0.05))
         benchmark(manager.online_step, features, batch_rows=1)
 
     def test_dense_online_rows(self, benchmark, taxi_chunk):
         pipeline = make_taxi_pipeline()
-        features = pipeline.update_transform_to_features(taxi_chunk)
+        features = pipeline.update_transform(taxi_chunk)
         manager = online_manager(
             pipeline, LinearRegression(features.num_features), RMSProp(0.05)
         )
@@ -107,7 +107,7 @@ class TestTrainingThroughput:
 
     def test_sparse_prediction(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)
-        features = pipeline.update_transform_to_features(url_chunk)
+        features = pipeline.update_transform(url_chunk)
         model = LinearSVM(1024)
         benchmark(model.predict, features.matrix)
 

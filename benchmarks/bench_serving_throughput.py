@@ -57,7 +57,7 @@ def _build_world(tmp_path):
     optimizer = Adam(0.05)
     trainer = SGDTrainer(model, optimizer)
     for index in range(2):
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             generator.chunk(index)
         )
         for __ in range(20):

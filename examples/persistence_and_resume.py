@@ -93,10 +93,10 @@ def main() -> None:
     # artifacts; the model keeps serving from where it stopped.
     probe = make_generator().chunk(HALFWAY)
     before = model_b.predict(
-        pipeline_b.transform_to_features(probe).matrix
+        pipeline_b.transform(probe).matrix
     )
     after = restored.model.predict(
-        restored.pipeline.transform_to_features(probe).matrix
+        restored.pipeline.transform(probe).matrix
     )
     identical = bool(np.array_equal(before, after))
     print(f"restored model serves identically  : {identical}")

@@ -51,7 +51,7 @@ def make_generator() -> URLStreamGenerator:
 def train_on(pipeline, model, optimizer, generator, chunks) -> None:
     trainer = SGDTrainer(model, optimizer)
     for index in chunks:
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             generator.chunk(index)
         )
         for _ in range(20):

@@ -51,9 +51,7 @@ class OnlineDeployment(Deployment):
         )
 
     def _observe(self, table: Table, chunk_index: int) -> None:
-        self._online_update(
-            self.engine.online_pass(self.manager.pipeline, table)
-        )
+        self._online_update(self.manager.training_pass(table))
 
     def _finalize(self, result: DeploymentResult) -> None:
         result.counters["online_updates"] = self.online_updates

@@ -7,7 +7,12 @@ Owns the deployed pipeline and model and mediates every data movement:
   resulting feature chunks go to the data manager for storage;
 * prediction queries take the *transform-only* path through the very
   same components, then the model scores them (train/serve
-  consistency);
+  consistency). The two also share one chunk's stateless work: the
+  prequential step answers a chunk, then trains on it, so
+  ``answer_queries`` keeps the stateless prefix's output
+  (:class:`~repro.pipeline.pipeline.PrefixMemo`) and ``training_pass``
+  on that same table object starts from it — statistics are still read
+  old, updated, then applied, and every cost charge is still made;
 * proactive training asks the data manager for a sample, supplying the
   re-materialization callback for evicted chunks;
 * periodical retraining replays the stored raw history through the
@@ -30,7 +35,7 @@ from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.ml.sgd import SGDTrainer, TrainingResult
 from repro.pipeline.component import Features, union_features
-from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.pipeline import Pipeline, PrefixMemo
 
 
 class PipelineManager:
@@ -65,6 +70,9 @@ class PipelineManager:
         self.data_manager = data_manager
         self.engine = engine
         self.trainer = SGDTrainer(model, optimizer)
+        # The last answered table's prefix, until a training pass
+        # takes it; never saved.
+        self._memo: Optional[PrefixMemo] = None
 
     @property
     def artifacts(self) -> Tuple[Pipeline, LinearSGDModel, Optimizer]:
@@ -88,6 +96,7 @@ class PipelineManager:
         self.model = model
         self.optimizer = optimizer
         self.trainer = SGDTrainer(model, optimizer)
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Initial training (pre-deployment)
@@ -149,13 +158,22 @@ class PipelineManager:
         data manager.
         """
         raw = self.data_manager.ingest(table)
-        if online_statistics:
-            features = self.engine.online_pass(self.pipeline, table)
-        else:
-            features = self.engine.transform_only(self.pipeline, table)
+        features = self.training_pass(table, online_statistics)
         if store:
             self._store_features(raw, features)
         return raw, features
+
+    def training_pass(
+        self, table: Table, online_statistics: bool = True
+    ) -> Features:
+        """Preprocess one training table (nothing ingested or stored),
+        starting from the stateless prefix :meth:`answer_queries`
+        computed if ``table`` is the object it served last. Either way
+        the memo is spent."""
+        memo, self._memo = self._memo, None
+        if online_statistics:
+            return self.engine.online_pass(self.pipeline, table, memo)
+        return self.engine.transform_only(self.pipeline, table, memo)
 
     def _store_features(self, raw: RawChunk, features: Features) -> None:
         chunk = FeatureChunk(
@@ -213,7 +231,8 @@ class PipelineManager:
         (row filters may drop anomalies), enabling prequential
         evaluation by the caller.
         """
-        features = self.engine.transform_only(self.pipeline, table)
+        self._memo = memo = PrefixMemo()
+        features = self.engine.transform_only(self.pipeline, table, memo)
         predictions = self.engine.predict(self.model, features.matrix)
         return predictions, np.asarray(features.labels)
 

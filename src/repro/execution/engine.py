@@ -27,7 +27,7 @@ from repro.ml.sgd import SGDTrainer, TrainingResult
 from repro.obs import names
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.pipeline.component import Batch, Features, PipelineComponent
-from repro.pipeline.pipeline import Pipeline
+from repro.pipeline.pipeline import Pipeline, PrefixMemo, require_features
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
 
@@ -60,21 +60,32 @@ class LocalExecutionEngine:
     # ------------------------------------------------------------------
     # Pipeline execution
     # ------------------------------------------------------------------
-    def online_pass(self, pipeline: Pipeline, batch: Batch) -> Features:
-        """Online path: update statistics then transform (training data)."""
+    def online_pass(
+        self, pipeline: Pipeline, batch: Batch, memo: PrefixMemo | None = None
+    ) -> Features:
+        """Online path: update statistics then transform (training
+        data). ``memo``, here and in :meth:`transform_only`, lets two
+        passes over one batch share its stateless prefix; span, wall
+        timer and cost charges do not depend on it."""
         with self.telemetry.tracer.span(
             names.ENGINE_ONLINE_PASS,
             values=PipelineComponent.batch_num_values(batch),
         ), self.wall:
-            return pipeline.update_transform_to_features(batch, self.tracker)
+            return require_features(
+                pipeline.update_transform(batch, self.tracker, memo)
+            )
 
-    def transform_only(self, pipeline: Pipeline, batch: Batch) -> Features:
+    def transform_only(
+        self, pipeline: Pipeline, batch: Batch, memo: PrefixMemo | None = None
+    ) -> Features:
         """Serving / re-materialization path (no statistics writes)."""
         with self.telemetry.tracer.span(
             names.ENGINE_TRANSFORM_ONLY,
             values=PipelineComponent.batch_num_values(batch),
         ), self.wall:
-            return pipeline.transform_to_features(batch, self.tracker)
+            return require_features(
+                pipeline.transform(batch, self.tracker, memo)
+            )
 
     def serve_transform(self, pipeline: Pipeline, batch: Batch) -> Batch:
         """Transform a prediction-query batch (may stop mid-pipeline

@@ -30,13 +30,11 @@ from repro.pipeline.components.imputer import (
     SparseMeanImputer,
 )
 from repro.pipeline.components.parser import SvmLightParser
-from repro.pipeline.components.polynomial import PolynomialInteractions
 from repro.pipeline.components.scaler import (
     MinMaxScaler,
     SparseStandardScaler,
     StandardScaler,
 )
-from repro.pipeline.components.selector import VarianceThreshold
 from repro.pipeline.components.transformer import (
     ColumnTransformer,
     absolute_transformer,
@@ -62,9 +60,7 @@ __all__ = [
     "bearing",
     "haversine_component",
     "bearing_component",
-    "VarianceThreshold",
     "FeatureAssembler",
-    "PolynomialInteractions",
     "ColumnTransformer",
     "log1p_transformer",
     "sqrt_transformer",

@@ -36,13 +36,20 @@ class AnomalyFilter(StatelessComponent):
 
     kind = ComponentKind.DATA_TRANSFORMATION
 
+    #: Diagnostics of this instance's own calls, not state: pickles and
+    #: fingerprints leave them out, so a copy starts counting at zero.
+    rows_seen = 0
+    rows_dropped = 0
+
     def __init__(
         self, predicate: MaskPredicate, name: str | None = None
     ) -> None:
         super().__init__(name)
         self.predicate = predicate
-        self.rows_seen = 0
-        self.rows_dropped = 0
+
+    def __getstate__(self) -> dict:
+        counters = ("rows_seen", "rows_dropped")
+        return {k: v for k, v in self.__dict__.items() if k not in counters}
 
     def transform(self, batch: Batch) -> Batch:
         self._require_table(batch)

@@ -16,7 +16,8 @@ component emits CSR accordingly.
 from __future__ import annotations
 
 import zlib
-from typing import Tuple
+from collections import namedtuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +49,13 @@ def _empty_memo() -> Tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64)
 
 
+#: All of hashing a batch that its ``indptr`` and ``indices`` (kept as
+#: the key) decide: every entry's sign as a float, the stable ``order``
+#: of entries by (row, bucket) cell, the output cell (``groups``) of
+#: each ordered entry, the output CSR ``columns`` and row ``starts``.
+_Plan = namedtuple("_Plan", "indptr indices signs order groups columns starts")
+
+
 class FeatureHasher(StatelessComponent):
     """Hash sparse rows into a fixed-width CSR matrix + labels.
 
@@ -56,6 +64,12 @@ class FeatureHasher(StatelessComponent):
     memo is derived data, not state — pickles and fingerprints see it
     empty, so a hasher is the same component however much of the index
     space it has met.
+
+    Every call plans, then applies. Imputer and scaler pass a batch's
+    index arrays on untouched, so the last plan is kept for as long as
+    the same two objects arrive — provided both are frozen, as the
+    parser emits them: identity says nothing about an array that can
+    still be written. Pickles and fingerprints see no plan.
 
     Parameters
     ----------
@@ -68,6 +82,9 @@ class FeatureHasher(StatelessComponent):
     """
 
     kind = ComponentKind.FEATURE_EXTRACTION
+
+    #: The last frozen batch's plan; unpickled instances start without.
+    _plan: Optional[_Plan] = None
 
     def __init__(
         self,
@@ -86,7 +103,9 @@ class FeatureHasher(StatelessComponent):
 
     def __getstate__(self) -> dict:
         keys, memo = _empty_memo()
-        return {**self.__dict__, "_keys": keys, "_memo": memo}
+        state = {**self.__dict__, "_keys": keys, "_memo": memo}
+        state.pop("_plan", None)
+        return state
 
     def _hashed(self, indices: np.ndarray) -> np.ndarray:
         """Bucket and sign (two rows) of every index, from the memo."""
@@ -108,34 +127,49 @@ class FeatureHasher(StatelessComponent):
 
     def transform(self, batch: Batch) -> Features:
         rows = self._require_rows(batch)
+        plan = self._plan_for(rows.indptr, rows.indices)
+        values = rows.data * plan.signs if self.signed else rows.data
+        sums = np.bincount(
+            plan.groups,
+            weights=values.take(plan.order),
+            minlength=len(plan.columns),
+        )
+        # bincount of nothing is int64, weights or not.
+        sums = sums.astype(np.float64, copy=False)
+        matrix = sp.csr_matrix(
+            (sums, plan.columns, plan.starts),
+            shape=(rows.num_rows, self.num_features),
+        )
+        return Features(matrix=matrix, labels=rows.labels)
+
+    def _plan_for(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
+        plan = self._plan
+        if plan and plan.indptr is indptr and plan.indices is indices:
+            return plan
         width = self.num_features
-        buckets, signs = self._hashed(rows.indices)
-        values = rows.data * signs if self.signed else rows.data
+        num_rows = len(indptr) - 1
+        buckets, signs = self._hashed(indices)
         # One stored value per (row, bucket) cell, ascending, so CSR
         # stays canonical under collisions; the sort is stable and
         # bincount adds from 0.0, so a cell sums its entries in
         # stored-entry order.
-        owner = np.repeat(np.arange(rows.num_rows), np.diff(rows.indptr))
+        owner = np.repeat(np.arange(num_rows), np.diff(indptr))
         cell = owner * width + buckets
         order = cell.argsort(kind="stable")
         cell = cell.take(order)
         opens = np.ones(len(cell), dtype=bool)
         np.not_equal(cell[1:], cell[:-1], out=opens[1:])
         cells = cell[opens]
-        sums = np.bincount(
+        plan = _Plan(
+            indptr,
+            indices,
+            signs.astype(np.float64),
+            order,
             opens.cumsum() - 1,
-            weights=values.take(order),
-            minlength=len(cells),
+            cells % width,
+            cells.searchsorted(np.arange(num_rows + 1) * width),
         )
-        matrix = sp.csr_matrix(
-            (
-                # bincount of nothing is int64, weights or not.
-                sums.astype(np.float64, copy=False),
-                cells % width,
-                cells.searchsorted(
-                    np.arange(rows.num_rows + 1) * width
-                ),
-            ),
-            shape=(rows.num_rows, width),
-        )
-        return Features(matrix=matrix, labels=rows.labels)
+        # Identity is a key only while neither array can change.
+        if not (indptr.flags.writeable or indices.flags.writeable):
+            self._plan = plan
+        return plan

@@ -31,7 +31,7 @@ def fitted_url_parts():
     optimizer = Adam(0.05)
     trainer = SGDTrainer(model, optimizer)
     for chunk in generator.stream():
-        features = pipeline.update_transform_to_features(chunk)
+        features = pipeline.update_transform(chunk)
         trainer.step(features.matrix, features.labels)
     return generator, pipeline, model, optimizer
 
@@ -46,8 +46,8 @@ class TestRoundtrip:
 
         # The restored pipeline+model must serve identically.
         probe = generator.chunk(1)
-        original = pipeline.transform_to_features(probe)
-        resumed = restored.pipeline.transform_to_features(probe)
+        original = pipeline.transform(probe)
+        resumed = restored.pipeline.transform(probe)
         assert np.allclose(
             original.matrix.toarray(), resumed.matrix.toarray()
         )
@@ -66,11 +66,11 @@ class TestRoundtrip:
         restored = load_bundle(path)
 
         next_chunk = generator.chunk(2)
-        features = pipeline.transform_to_features(next_chunk)
+        features = pipeline.transform(next_chunk)
         SGDTrainer(model, optimizer).step(
             features.matrix, features.labels
         )
-        restored_features = restored.pipeline.transform_to_features(
+        restored_features = restored.pipeline.transform(
             next_chunk
         )
         SGDTrainer(restored.model, restored.optimizer).step(
@@ -87,7 +87,7 @@ class TestRoundtrip:
         pipeline = make_taxi_pipeline()
         model = LinearRegression(num_features=11)
         optimizer = RMSProp(0.05)
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             generator.chunk(0)
         )
         SGDTrainer(model, optimizer).step(
@@ -99,8 +99,8 @@ class TestRoundtrip:
         restored = load_bundle(path)
         probe = generator.chunk(1)
         assert np.allclose(
-            pipeline.transform_to_features(probe).matrix,
-            restored.pipeline.transform_to_features(probe).matrix,
+            pipeline.transform(probe).matrix,
+            restored.pipeline.transform(probe).matrix,
         )
 
 
@@ -337,11 +337,11 @@ class TestAdaptiveOptimizerRecovery:
         )
 
         next_chunk = generator.chunk(2)
-        features = pipeline.transform_to_features(next_chunk)
+        features = pipeline.transform(next_chunk)
         SGDTrainer(model, optimizer).step(
             features.matrix, features.labels
         )
-        restored_features = restored.pipeline.transform_to_features(
+        restored_features = restored.pipeline.transform(
             next_chunk
         )
         SGDTrainer(restored.model, restored.optimizer).step(

@@ -165,8 +165,8 @@ class TestCsv:
         write_csv(path, chunk)
         restored = next(iter_csv_chunks(path, rows_per_chunk=20))
         pipeline = make_taxi_pipeline()
-        features = pipeline.update_transform_to_features(restored)
-        expected = make_taxi_pipeline().update_transform_to_features(
+        features = pipeline.update_transform(restored)
+        expected = make_taxi_pipeline().update_transform(
             chunk
         )
         assert np.allclose(features.matrix, expected.matrix)

@@ -88,7 +88,7 @@ class TestAnomalies:
             anomaly_rate=0.5, rows_per_chunk=200
         )
         pipeline = make_taxi_pipeline()
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             generator.chunk(0)
         )
         assert features.num_rows < 200
@@ -109,7 +109,7 @@ class TestConcept:
         generator = small_generator(noise_std=0.1)
         pipeline = make_taxi_pipeline()
         table = generator.initial_data(1500)[0]
-        features = pipeline.update_transform_to_features(table)
+        features = pipeline.update_transform(table)
         model = LinearRegression(
             len(TAXI_FEATURE_COLUMNS), regularizer=L2(1e-4)
         )
@@ -148,7 +148,7 @@ class TestConcept:
 class TestPipelineFactory:
     def test_eleven_features(self):
         pipeline = make_taxi_pipeline()
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             small_generator().chunk(0)
         )
         assert features.num_features == len(TAXI_FEATURE_COLUMNS) == 11
@@ -157,7 +157,7 @@ class TestPipelineFactory:
         generator = small_generator(anomaly_rate=0.0)
         pipeline = make_taxi_pipeline()
         table = generator.chunk(0)
-        features = pipeline.update_transform_to_features(table)
+        features = pipeline.update_transform(table)
         durations = (
             table["dropoff_datetime"] - table["pickup_datetime"]
         )

@@ -132,7 +132,7 @@ class TestConcept:
         )
         pipeline = make_url_pipeline(hash_features=256)
         parts = [
-            pipeline.update_transform_to_features(chunk)
+            pipeline.update_transform(chunk)
             for chunk in generator.stream()
         ]
         batch = union_features(parts)
@@ -186,7 +186,7 @@ class TestPipelineFactory:
 
     def test_end_to_end(self):
         pipeline = make_url_pipeline(64)
-        features = pipeline.update_transform_to_features(
+        features = pipeline.update_transform(
             small_generator().chunk(0)
         )
         assert features.num_features == 64

@@ -6,6 +6,7 @@ import pytest
 from repro.data.table import Table
 from repro.exceptions import PipelineError
 from repro.execution.cost import CostTracker
+from repro.execution.engine import LocalExecutionEngine
 from repro.pipeline.component import (
     Batch,
     Features,
@@ -95,21 +96,27 @@ class TestExecutionPaths:
 
     def test_terminal_features(self):
         pipeline = make_pipeline()
-        result = pipeline.update_transform_to_features(sample_table())
+        result = pipeline.update_transform(sample_table())
         assert isinstance(result, Features)
         assert result.num_rows == 2
 
     def test_transform_to_features_requires_terminal(self):
+        """Checked where a model-ready batch is required: the engine's
+        two pipeline passes."""
         pipeline = Pipeline([AddOne()])
+        assert isinstance(pipeline.transform(sample_table()), Table)
+        engine = LocalExecutionEngine()
         with pytest.raises(PipelineError, match="terminate"):
-            pipeline.transform_to_features(sample_table())
+            engine.transform_only(pipeline, sample_table())
+        with pytest.raises(PipelineError, match="terminate"):
+            engine.online_pass(pipeline, sample_table())
 
     def test_train_serve_consistency(self):
         """The serving path must apply the same transformations the
         training path fitted — the §4.3 guarantee."""
         pipeline = make_pipeline()
-        trained = pipeline.update_transform_to_features(sample_table())
-        served = pipeline.transform_to_features(sample_table())
+        trained = pipeline.update_transform(sample_table())
+        served = pipeline.transform(sample_table())
         assert np.allclose(trained.matrix, served.matrix)
 
     def test_reset_clears_all_statistics(self):
@@ -117,7 +124,7 @@ class TestExecutionPaths:
         pipeline.update_transform(sample_table())
         pipeline.reset()
         # After reset the scaler is an identity again.
-        result = pipeline.transform_to_features(sample_table())
+        result = pipeline.transform(sample_table())
         assert np.allclose(result.matrix.ravel(), [1.0, 3.0])
 
 

@@ -42,8 +42,8 @@ class TestPipelineInvariants:
         and leave statistics untouched."""
         pipeline = make_pipeline()
         pipeline.update_transform(table)
-        first = pipeline.transform_to_features(table)
-        second = pipeline.transform_to_features(table)
+        first = pipeline.transform(table)
+        second = pipeline.transform(table)
         assert np.allclose(first.matrix, second.matrix, equal_nan=True)
         assert np.array_equal(first.labels, second.labels)
 
@@ -54,7 +54,7 @@ class TestPipelineInvariants:
         statistics the training path built (§4.3)."""
         trained = make_pipeline()
         trained.update_transform(train)
-        served = trained.transform_to_features(serve)
+        served = trained.transform(serve)
 
         # Reference: apply the statistics by hand.
         x = np.asarray(train["x"], dtype=np.float64)
@@ -71,7 +71,7 @@ class TestPipelineInvariants:
         pipeline = make_pipeline()
         pipeline.update_transform(table)
         pipeline.reset()
-        served = pipeline.transform_to_features(table)
+        served = pipeline.transform(table)
         assert np.allclose(
             served.matrix.ravel(), np.asarray(table["x"]), atol=1e-9
         )
@@ -80,7 +80,7 @@ class TestPipelineInvariants:
     @settings(max_examples=40, deadline=None)
     def test_row_count_preserved_without_filters(self, table):
         pipeline = make_pipeline()
-        features = pipeline.update_transform_to_features(table)
+        features = pipeline.update_transform(table)
         assert features.num_rows == table.num_rows
 
 

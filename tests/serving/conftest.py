@@ -49,7 +49,7 @@ def url_world(tmp_path):
         optimizer = Adam(0.05)
         trainer = SGDTrainer(model, optimizer)
         for index in train_chunks:
-            features = pipeline.update_transform_to_features(
+            features = pipeline.update_transform(
                 generator.chunk(index)
             )
             for __ in range(steps):

@@ -171,7 +171,7 @@ class TestRollback:
             url_world.generator.chunk(50), chunk_index=50
         )
         restored = registry.load(pre_promotion_live)
-        features = restored.pipeline.transform_to_features(
+        features = restored.pipeline.transform(
             url_world.generator.chunk(50)
         )
         assert np.array_equal(

@@ -46,7 +46,7 @@ def traffic_world(tmp_path):
         optimizer = Adam(0.05)
         trainer = SGDTrainer(model, optimizer)
         for index in train_chunks:
-            features = pipeline.update_transform_to_features(
+            features = pipeline.update_transform(
                 generator.chunk(index)
             )
             for __ in range(steps):
