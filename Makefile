@@ -259,12 +259,35 @@ smoke-lineage:
 # mid-stream at a random (logged) chunk, recovered in a fresh process,
 # and the resumed run must be byte-identical to an uninterrupted
 # reference; then the recovery CLI directly (exit 17 = injected crash).
+# Then the same with everything attached, so the checkpoint's log
+# segments (ledger entries, monitor snapshots) meet a kill: the recovered
+# `lineage.json` must be the uninterrupted run's, byte for byte. The
+# reference checkpoints at the same cadence (checkpoint writes are
+# part of the monitored stream). `health.json` is compared on what a
+# recovery leaves comparable: the window snapshots — restored from
+# the log segments up to the kill — minus the `reliability.recovered`
+# signal and the open-incident count, which rightly show the crash.
 RECOVERY := --approach online --dataset url --scale test --cadence 4
+STACKED := --approach continuous --dataset url --scale test --cadence 4
 smoke-recovery:
 	timeout 120 python examples/crash_recovery.py
 	$(RUN) 60 python -m repro run $(RECOVERY) --checkpoint-dir $D/ckpt \
 		--kill-at 9 || test $$? -eq 17
 	$(RUN) 60 python -m repro recover $(RECOVERY) --checkpoint-dir $D/ckpt
+	$(RUN) 60 python -m repro run $(STACKED) --checkpoint-dir $D/ckpt-ref \
+		--monitor $D/health-ref.json --lineage $D/lineage-ref.json
+	$(RUN) 60 python -m repro run $(STACKED) --checkpoint-dir $D/ckpt2 \
+		--monitor $D/health-crash.json --lineage $D/lineage-crash.json \
+		--kill-at 9 || test $$? -eq 17
+	$(RUN) 60 python -m repro recover $(STACKED) --checkpoint-dir $D/ckpt2 \
+		--monitor $D/health-rec.json --lineage $D/lineage-rec.json
+	cmp $D/lineage-ref.json $D/lineage-rec.json
+	python -c "import json, sys; \
+		a, b = ([dict(s, incidents_open=0, signals={k: v for k, v in \
+		s['signals'].items() if k != 'reliability.recovered'}) for s in \
+		json.load(open(p))['snapshots']] for p in sys.argv[1:]); \
+		assert len(a) > 10 and a == b, 'health snapshots differ'" \
+		$D/health-ref.json $D/health-rec.json
 
 # The wall-clock benchmark's self-tests (benchmarks/e2e: traced ≡
 # untraced, the expected.json goldens) — ~10 s, not part of tier-1.

@@ -263,6 +263,20 @@ class StateDictPairRule(Rule):
             )
 
 
+def _own_method_called(node: ast.AST) -> Optional[str]:
+    """``self.<name>()`` — the method name, else ``None``."""
+    if (
+        isinstance(node, ast.Call)
+        and not node.args
+        and not node.keywords
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    ):
+        return node.func.attr
+    return None
+
+
 def _is_super_state_dict(node: ast.AST) -> bool:
     """``super().state_dict()`` — a subclass extending its parent's state."""
     return (
@@ -283,9 +297,13 @@ class StateDictKeysRule(Rule):
     statically comparable; a key saved but never restored (or read but
     never saved) is a silent state-loss bug that only shows up as a
     divergent resumed run. Extraction is conservative: any non-literal
-    construction on either side skips the class, except a
-    ``**super().state_dict()`` spread — a subclass is checked on the
-    keys it adds, its parent on its own.
+    construction on either side skips the class, except two spreads.
+    ``**super().state_dict()``: a subclass is checked on the keys it
+    adds, its parent on its own. ``**self.head_state()``, any method
+    of the same class returning a literal dict: the split a component
+    with an append-only log makes (a checkpoint takes the head and
+    the live log separately, ``state_dict`` is both) — the helper's
+    keys count as saved, so the pair stays checked as one.
     """
 
     rule_id = "REP004"
@@ -295,9 +313,15 @@ class StateDictKeysRule(Rule):
         "match when both are statically extractable"
     )
 
-    @staticmethod
-    def _saved_keys(fn: ast.FunctionDef) -> Optional[Set[str]]:
-        """Keys of returned dict literals; None when inexact."""
+    @classmethod
+    def _saved_keys(
+        cls,
+        fn: ast.FunctionDef,
+        methods: Dict[str, ast.FunctionDef],
+    ) -> Optional[Set[str]]:
+        """Keys of returned dict literals; None when inexact.
+        ``methods`` are the same-class helpers a spread may name (a
+        helper's own spreads are not followed)."""
         keys: Set[str] = set()
         saw_return = False
         for sub in ast.walk(fn):
@@ -313,8 +337,16 @@ class StateDictKeysRule(Rule):
                     keys.add(key.value)
                 elif key is None and _is_super_state_dict(value):
                     continue  # the parent's keys, checked on the parent
-                else:  # other **spread or computed key — give up
-                    return None
+                else:  # a same-class helper's keys, or give up
+                    helper = methods.get(_own_method_called(value))
+                    spread = (
+                        cls._saved_keys(helper, {})
+                        if key is None and helper is not None
+                        else None
+                    )
+                    if spread is None:
+                        return None
+                    keys |= spread
         return keys if saw_return else None
 
     @staticmethod
@@ -358,7 +390,7 @@ class StateDictKeysRule(Rule):
         load = methods.get("load_state_dict")
         if save is None or load is None:
             return
-        saved = self._saved_keys(save)
+        saved = self._saved_keys(save, methods)
         read = self._read_keys(load)
         if saved is None or read is None:
             return

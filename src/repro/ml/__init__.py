@@ -23,7 +23,6 @@ from repro.ml.models import (
     LinearSGDModel,
     LinearSVM,
     LogisticRegression,
-    OnlineKMeans,
 )
 from repro.ml.optim import (
     AdaDelta,
@@ -61,7 +60,6 @@ __all__ = [
     "LinearRegression",
     "LogisticRegression",
     "LinearSVM",
-    "OnlineKMeans",
     "SGDTrainer",
     "TrainingResult",
     "Block",

@@ -147,8 +147,8 @@ def predict_batch(model, matrices: Sequence[Matrix]) -> List[np.ndarray]:
     """One vectorized ``model.predict`` over many feature blocks.
 
     Works for every matrix-in model (:class:`LinearSGDModel`
-    subclasses, :class:`OnlineKMeans`); the predictions are split back
-    so entry ``i`` is bit-identical to ``model.predict(matrices[i])``.
+    subclasses); the predictions are split back so entry ``i`` is
+    bit-identical to ``model.predict(matrices[i])``.
     """
     counts = [int(m.shape[0]) for m in matrices]
     predictions = model.predict(stack_matrices(matrices))

@@ -1,13 +1,10 @@
 """Models trained by SGD.
 
 Linear models (regression, logistic, SVM) share the
-:class:`LinearSGDModel` interface the deployment platform drives;
-:class:`OnlineKMeans` is another SGD-trained family §2.1 of the paper
-cites (clustering), provided as a standalone incremental learner.
+:class:`LinearSGDModel` interface the deployment platform drives.
 """
 
 from repro.ml.models.base import LinearSGDModel
-from repro.ml.models.kmeans import OnlineKMeans
 from repro.ml.models.linear_regression import LinearRegression
 from repro.ml.models.logistic_regression import LogisticRegression
 from repro.ml.models.svm import LinearSVM
@@ -17,5 +14,4 @@ __all__ = [
     "LinearRegression",
     "LogisticRegression",
     "LinearSVM",
-    "OnlineKMeans",
 ]

@@ -117,7 +117,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TraceEvent,
     Tracer,
 )
 from repro.obs.windows import (
@@ -139,7 +138,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "TraceEvent",
     "Tracer",
     # sinks
     "EventSink",

@@ -20,7 +20,8 @@ run's virtual clock. The graph has five node kinds:
 Edges (``fed``, ``used``, ``produced``, ``derived_from``,
 ``implicated``) carry virtual timestamps, so the whole graph is
 byte-reproducible across same-seed runs and across checkpoint
-recovery (the ledger rides the ``"lineage"`` checkpoint key).
+recovery (the ledger rides the ``"lineage"`` checkpoint key; its entry
+log is written incrementally, see :mod:`repro.reliability.checkpoint`).
 
 Two queries make the graph useful operationally: :meth:`blame` walks
 *backward* from a model version to the chunks that trained it
@@ -100,14 +101,14 @@ class LineageLedger:
         self._next_incident = 0
         self._tracer = NULL_TRACER
         self._metrics = NULL_METRICS
-        self._clock = lambda: 0.0
 
     # ------------------------------------------------------------------
     def bind(self, tracer=None, metrics=None) -> None:
-        """Bind the run's tracer/metrics (and its virtual clock)."""
+        """Bind the run's tracer/metrics. Entries are stamped with the
+        tracer's clock as it is *when they are appended*: a ledger is
+        attached before the engine that owns the clock exists."""
         if tracer is not None:
             self._tracer = tracer
-            self._clock = tracer.clock
         if metrics is not None:
             self._metrics = metrics
 
@@ -190,7 +191,7 @@ class LineageLedger:
                 "e": "node",
                 "kind": kind,
                 "id": node_id,
-                "t": self._clock(),
+                "t": self._tracer.clock(),
                 "attrs": attrs,
             }
         )
@@ -208,7 +209,7 @@ class LineageLedger:
             "kind": kind,
             "src": src,
             "dst": dst,
-            "t": self._clock(),
+            "t": self._tracer.clock(),
         }
         if attrs:
             entry["attrs"] = attrs
@@ -331,7 +332,7 @@ class LineageLedger:
                 "e": "event",
                 "kind": event,
                 "id": node_id,
-                "t": self._clock(),
+                "t": self._tracer.clock(),
             }
         )
         if event in ("promote", "rollback"):
@@ -527,15 +528,23 @@ class LineageLedger:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
+    def head_state(self) -> Dict[str, Any]:
+        """The mutable state beside the entry log. A checkpoint takes
+        this and the live :attr:`entries` (append-only, so it writes
+        only what was appended since the last one)."""
+        return {
+            "schema": LINEAGE_SCHEMA,
+            "next_training": self._next_training,
+            "next_incident": self._next_incident,
+            "live": dict(self._live),
+        }
+
     def state_dict(self) -> Dict[str, Any]:
         """JSON-safe mutable state — the entry log is the whole truth;
         the node/edge indexes are rebuilt on load."""
         return {
-            "schema": LINEAGE_SCHEMA,
+            **self.head_state(),
             "entries": [dict(entry) for entry in self._entries],
-            "next_training": self._next_training,
-            "next_incident": self._next_incident,
-            "live": dict(self._live),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:

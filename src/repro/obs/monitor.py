@@ -560,13 +560,10 @@ class HealthMonitor(EventSink):
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-safe mutable state (windows, rules, incidents).
-
-        Construction-time inputs (rules, config) are not part of the
-        state — restore into a monitor built with the same arguments,
-        exactly like every other checkpointable component.
-        """
+    def head_state(self) -> Dict[str, object]:
+        """The mutable state beside :attr:`snapshots`. A checkpoint
+        takes this and the live snapshot list (append-only, so it
+        writes only what was appended since the last one)."""
         return {
             "window_index": self._window_index,
             "windows_closed": self.windows_closed,
@@ -585,8 +582,16 @@ class HealthMonitor(EventSink):
                 state.state_dict() for state in self._rule_states
             ],
             "incidents": self.incidents.state_dict(),
-            "snapshots": list(self.snapshots),
         }
+
+    def state_dict(self) -> Dict[str, object]:
+        """JSON-safe mutable state (windows, rules, incidents).
+
+        Construction-time inputs (rules, config) are not part of the
+        state — restore into a monitor built with the same arguments,
+        exactly like every other checkpointable component.
+        """
+        return {**self.head_state(), "snapshots": list(self.snapshots)}
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         index = state.get("window_index")

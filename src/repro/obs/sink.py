@@ -1,14 +1,16 @@
 """Event sinks: where structured telemetry events go.
 
-Every event is a flat dict (see :class:`repro.obs.trace.TraceEvent`
+Every event is a flat dict (see :data:`repro.obs.trace.EVENT_FIELDS`
 for the schema). Two concrete sinks cover the common cases:
 
 * :class:`RingBufferSink` — bounded in-memory buffer, always attached
   so a finished run can be summarized without any file I/O;
 * :class:`JsonlSink` — one JSON object per line, the interchange
-  format the ``repro obs`` CLI consumes.
+  format the ``repro obs`` CLI consumes. A line is encoded once, by
+  the C encoder, and written in one call.
 
-:class:`MultiSink` fans one event out to several sinks.
+:class:`MultiSink` fans one event out to several sinks; a telemetry
+bundle's chain is one flat ``MultiSink`` (ring, user sink, monitor).
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from repro.exceptions import ValidationError
 
 PathLike = Union[str, Path]
 EventDict = Dict[str, object]
+
+#: ``json.dump(obj, fp)`` is the slow path: writing to a file always
+#: goes through the pure-Python ``iterencode`` (about forty generator
+#: steps and as many ``fp.write`` calls per event). ``encode`` is the
+#: stdlib's one-shot C encoder and yields the same characters.
+_encode_event = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class EventSink:
@@ -90,8 +98,7 @@ class JsonlSink(EventSink):
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "w", encoding="utf-8")
-        json.dump(event, self._handle, separators=(",", ":"))
-        self._handle.write("\n")
+        self._handle.write(_encode_event(event) + "\n")
         self.written += 1
 
     def close(self) -> None:

@@ -62,13 +62,14 @@ class Telemetry:
         self.enabled = enabled
         self.metrics = MetricsRegistry() if enabled else NULL_METRICS
         self.ring = RingBufferSink(ring_capacity)
-        self._extra_sink = sink
-        chain: EventSink = (
-            MultiSink([self.ring, sink]) if sink is not None else self.ring
+        #: The one flat chain: ring, the user sink, then the monitor.
+        self.sink = MultiSink(
+            [self.ring] if sink is None else [self.ring, sink]
         )
-        self.sink = chain
         self.tracer = (
-            Tracer(chain, metrics=self.metrics) if enabled else NULL_TRACER
+            Tracer(self.sink, metrics=self.metrics)
+            if enabled
+            else NULL_TRACER
         )
         #: Attached :class:`~repro.obs.monitor.HealthMonitor`, if any.
         self.monitor = None
@@ -106,9 +107,7 @@ class Telemetry:
         monitor.bind(tracer=self.tracer, metrics=self.metrics)
         if self.ledger is not None:
             monitor.bind(ledger=self.ledger)
-        chain = MultiSink([self.sink, monitor])
-        self.sink = chain
-        self.tracer.sink = chain
+        self.sink.sinks.append(monitor)
         self.monitor = monitor
         return monitor
 
@@ -142,44 +141,70 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def _checkpointed(self) -> List[Tuple[str, Any]]:
-        """``(checkpoint key, component)`` for what is attached now.
+    def _checkpointed(self) -> List[Tuple[str, Any, Optional[str]]]:
+        """``(checkpoint key, component, its log)`` for what is
+        attached now.
 
-        The one table :meth:`state_dict` and :meth:`load_state_dict`
-        walk: a new checkpointed attachment is one entry here.
+        The one table :meth:`state_dict`, :meth:`logs` and
+        :meth:`load_state_dict` walk: a new checkpointed attachment is
+        one entry here. ``its log`` names the one list the component
+        only ever appends to — both the attribute holding it and its
+        key in the component's ``state_dict`` — or is ``None``.
         """
         if not self.enabled:
             return []
         parts = (
-            ("metrics", self.metrics),
-            ("monitor", self.monitor),
-            ("lineage", self.ledger),
+            ("metrics", self.metrics, None),
+            ("monitor", self.monitor, "snapshots"),
+            ("lineage", self.ledger, "entries"),
         )
-        return [(key, part) for key, part in parts if part is not None]
+        return [row for row in parts if row[1] is not None]
 
     def state_dict(self) -> Dict[str, Any]:
-        """What a checkpoint saves of this bundle.
+        """What a checkpoint saves of this bundle, logs aside.
 
         The metrics registry plus whichever of monitor and ledger are
         attached, keyed as they sit at the top level of a checkpoint's
         state; ``{}`` when disabled. Events already emitted are not
-        state — they went to the sinks.
+        state — they went to the sinks. A component that keeps a log
+        gives its ``head_state()``; the log itself goes through
+        :meth:`logs`.
         """
         return {
-            key: part.state_dict() for key, part in self._checkpointed()
+            key: part.state_dict() if log is None else part.head_state()
+            for key, part, log in self._checkpointed()
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore what :meth:`state_dict` saved.
+    def logs(self) -> Dict[str, List[Any]]:
+        """The *live* append-only lists, by checkpoint key.
+
+        Not copies: the checkpoint store remembers how much of each
+        it has written and writes the rest, so the cost of a
+        checkpoint does not grow with the run's history.
+        """
+        return {
+            key: getattr(part, log)
+            for key, part, log in self._checkpointed()
+            if log is not None
+        }
+
+    def load_state_dict(
+        self, state: Dict[str, Any], logs: Dict[str, List[Any]]
+    ) -> None:
+        """Restore what :meth:`state_dict` and :meth:`logs` saved.
 
         Takes the whole checkpoint state and reads only its own keys.
         An entry with no matching attachment here (or an attachment
         the crashed run did not have) is skipped: the recovering run
         decides what is attached, the checkpoint only fills it in.
         """
-        for key, part in self._checkpointed():
-            if state.get(key) is not None:
-                part.load_state_dict(state[key])
+        for key, part, log in self._checkpointed():
+            saved = state.get(key)
+            if saved is None:
+                continue
+            if log is not None:
+                saved = {**saved, log: logs[key]}
+            part.load_state_dict(saved)
 
     @property
     def events(self) -> List[Dict[str, object]]:

@@ -1,7 +1,9 @@
 """Span-based tracing over the platform's two clocks.
 
-A :class:`Tracer` produces structured :class:`TraceEvent` records.
-Spans measure both clocks at once:
+A :class:`Tracer` produces structured event dicts (one per span, point
+or metrics snapshot; :data:`EVENT_FIELDS` is the schema), built once
+and handed to the sink chain as they are. Spans measure both clocks at
+once:
 
 * the **virtual clock** — cumulative cost units from the deployment's
   :class:`~repro.execution.cost.CostTracker`, the deterministic time
@@ -26,7 +28,6 @@ guards that this stays cheap).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -49,32 +50,6 @@ from repro.obs.sink import EventSink
 EVENT_FIELDS = (
     "seq", "kind", "name", "t", "dur", "wall_s", "stack", "attrs",
 )
-
-
-@dataclass
-class TraceEvent:
-    """One structured telemetry event (see :data:`EVENT_FIELDS`)."""
-
-    seq: int
-    kind: str
-    name: str
-    t: float
-    dur: float = 0.0
-    wall_s: float = 0.0
-    stack: tuple = ()
-    attrs: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "name": self.name,
-            "t": self.t,
-            "dur": self.dur,
-            "wall_s": self.wall_s,
-            "stack": list(self.stack),
-            "attrs": self.attrs,
-        }
 
 
 class Span:
@@ -190,16 +165,7 @@ class Tracer:
 
     def point(self, name: str, **attrs: object) -> None:
         """Emit an instantaneous event."""
-        self._emit(
-            TraceEvent(
-                seq=self._next_seq(),
-                kind="point",
-                name=name,
-                t=self.clock(),
-                stack=tuple(self._stack),
-                attrs=attrs,
-            )
-        )
+        self._emit("point", name, self.clock(), attrs, stack=self._stack)
 
     def finish_span(
         self,
@@ -211,39 +177,32 @@ class Tracer:
         stack: tuple = (),
     ) -> None:
         """Record a completed span (called by :class:`Span`)."""
-        self._emit(
-            TraceEvent(
-                seq=self._next_seq(),
-                kind="span",
-                name=name,
-                t=started_at,
-                dur=dur,
-                wall_s=wall_s,
-                stack=stack,
-                attrs=attrs,
-            )
-        )
+        self._emit("span", name, started_at, attrs, dur, wall_s, stack)
         self.metrics.histogram(names.SPAN_PREFIX + name).add(dur)
 
     def emit_metrics(self, snapshot: Dict[str, object]) -> None:
         """Emit a ``metrics`` event carrying a registry snapshot."""
-        self._emit(
-            TraceEvent(
-                seq=self._next_seq(),
-                kind="metrics",
-                name="metrics.snapshot",
-                t=self.clock(),
-                attrs=snapshot,
-            )
-        )
+        self._emit("metrics", "metrics.snapshot", self.clock(), snapshot)
 
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
+    def _emit(
+        self, kind, name, t, attrs, dur=0.0, wall_s=0.0, stack=()
+    ) -> None:
+        """Number one event and hand it to the sink chain (the sink
+        is looked up per event: owners may swap or shadow it)."""
         self._seq += 1
-        return self._seq
-
-    def _emit(self, event: TraceEvent) -> None:
-        self.sink.emit(event.to_dict())
+        self.sink.emit(
+            {
+                "seq": self._seq,
+                "kind": kind,
+                "name": name,
+                "t": t,
+                "dur": dur,
+                "wall_s": wall_s,
+                "stack": list(stack),
+                "attrs": attrs,
+            }
+        )
 
     def __repr__(self) -> str:
         return f"Tracer(events={self._seq}, sink={self.sink!r})"
@@ -258,6 +217,9 @@ class NullTracer:
     """
 
     enabled = False
+
+    def clock(self) -> float:
+        return 0.0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         pass

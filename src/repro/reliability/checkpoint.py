@@ -14,7 +14,9 @@ A :class:`CheckpointStore` owns one checkpoint directory::
     <dir>/ckpt-00000012.refs.json   pack files this checkpoint needs
     <dir>/chunks/raw-00000012-<digest>.pkl
                                     the raw chunks checkpoint 12 was
-                                    the first to spill, one envelope
+                                    the first to spill, one envelope;
+                                    with them what every append-only
+                                    log gained since checkpoint 11
     <dir>/chunks/feat-00000012-<digest>.pkl
                                     likewise its feature chunks
 
@@ -27,6 +29,21 @@ two ``fsync`` waits) however many chunks arrived since the last one,
 not one per chunk. A pack is garbage-collected when no retained
 checkpoint references any chunk in it; raw and feature chunks go to
 separate packs because only feature chunks are ever evicted.
+
+A checkpoint writes what changed. An append-only log (the lineage
+ledger's entries, the monitor's snapshots) is handed over as the
+owner's *live* list; the store remembers how many entries of it are on
+disk, writes ``log[spilled:]`` and the envelope carries, per log, the
+ordered pack names whose segments concatenate to it. The tails ride in
+the raw pack (keyed by log name beside the timestamps): a log segment
+has a raw chunk's lifetime — never evicted, needed by every later
+checkpoint — so it needs no file, and no ``fsync``, of its own, and it
+follows the chunk packs' rules to the letter: digest-named, in the
+refs sidecar before the envelope exists, collected by refs, and the
+count is rebuilt by :meth:`CheckpointStore.restore_logs` so a resumed
+run spills only what it appends. A checkpoint is four small atomic
+writes (sidecar, envelope, raw pack, feature pack) whatever the run's
+history.
 
 Feature payloads *must* be persisted rather than re-derived: a
 materialized chunk embeds the pipeline statistics as of its ingest
@@ -80,8 +97,11 @@ from repro.utils.validation import check_positive_int
 if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
     from repro.data.storage import ChunkStorage
 
-#: File magic identifying a platform checkpoint.
-CHECKPOINT_MAGIC = b"REPRO-CKPT-1\n"
+#: File magic identifying a platform checkpoint. Format 2: logs ride
+#: as segment refs (``PlatformCheckpoint.logs``), not inside ``state``;
+#: a format-1 directory is refused by name, not half-read — a
+#: checkpoint is one run's crash artifact, not an interchange format.
+CHECKPOINT_MAGIC = b"REPRO-CKPT-2\n"
 
 #: File magic identifying a spilled chunk payload.
 CHUNK_MAGIC = b"REPRO-CHUNK-1\n"
@@ -108,7 +128,9 @@ class PlatformCheckpoint:
     recovery resumes reading at exactly that offset. ``state`` nests
     the component state dicts (shape owned by whoever wrote the
     checkpoint — the deployment loop or the platform); ``manifest`` is
-    the storage manifest when the run has chunk storage.
+    the storage manifest when the run has chunk storage; ``logs`` maps
+    each append-only log to the packs holding its segments, oldest
+    first, when the run keeps any. The store fills in the last two.
     """
 
     cursor: int
@@ -116,6 +138,7 @@ class PlatformCheckpoint:
     bundle: DeploymentBundle
     state: Dict[str, Any] = field(default_factory=dict)
     manifest: Optional[Dict[str, Any]] = None
+    logs: Optional[Dict[str, List[str]]] = None
 
     def __post_init__(self) -> None:
         if self.cursor < 0:
@@ -181,6 +204,9 @@ class CheckpointStore:
         self._spilled_features: Dict[
             int, Tuple["weakref.ref", str]
         ] = {}
+        # Likewise per append-only log: how many of its entries are
+        # on disk, and in which packs (oldest first).
+        self._spilled_logs: Dict[str, Tuple[int, List[str]]] = {}
 
     @property
     def cadence(self) -> int:
@@ -201,6 +227,7 @@ class CheckpointStore:
         self,
         checkpoint: PlatformCheckpoint,
         storage: Optional[ChunkStorage] = None,
+        logs: Optional[Dict[str, List[Any]]] = None,
     ) -> Path:
         """Persist a checkpoint atomically; returns its path.
 
@@ -208,17 +235,27 @@ class CheckpointStore:
         checkpoint and the not-yet-spilled chunk payloads are written
         to the ``chunks/`` area first, as one pack of raw and one of
         feature chunks (append-only: payloads are immutable, so
-        earlier packs are referenced, never rewritten). The refs
-        sidecar lands before the checkpoint file so retention GC
-        always knows what a checkpoint needs. Old checkpoints beyond
-        ``keep`` are pruned afterwards.
+        earlier packs are referenced, never rewritten). With ``logs``
+        (live append-only lists by name), what each gained since the
+        last write rides in the raw pack — like a raw chunk it is
+        never evicted and every later checkpoint needs it, so it
+        costs no file of its own — and the checkpoint carries the
+        segment refs. The refs sidecar lands before the checkpoint
+        file so retention GC always knows what a checkpoint needs.
+        Old checkpoints beyond ``keep`` are pruned afterwards.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        refs: List[str] = []
+        tails = self._log_tails(logs or {})
         if storage is not None:
-            checkpoint.manifest, refs = self._spill_storage(
-                storage, checkpoint.cursor
+            checkpoint.manifest, refs, pack = self._spill_storage(
+                storage, checkpoint.cursor, tails
             )
+        else:
+            refs = []
+            pack = self._write_pack("raw", checkpoint.cursor, tails)
+        if logs:
+            checkpoint.logs = self._log_refs(logs, tails, pack)
+            refs = sorted(set(refs).union(*checkpoint.logs.values()))
         name = f"ckpt-{checkpoint.cursor:08d}"
         atomic_write_bytes(
             self.directory / f"{name}.refs.json",
@@ -253,21 +290,25 @@ class CheckpointStore:
         return path
 
     def _spill_storage(
-        self, storage: ChunkStorage, cursor: int
-    ) -> Tuple[Dict[str, Any], List[str]]:
-        """Capture the manifest and spill the missing payloads."""
+        self, storage: ChunkStorage, cursor: int, tails: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], List[str], Optional[str]]:
+        """Capture the manifest and spill the missing payloads (the
+        raw pack takes ``tails`` along); also returns that pack."""
         manifest = storage.manifest()
-        pack = self._write_pack(
+        raw_pack = self._write_pack(
             "raw",
             cursor,
             {
-                timestamp: storage.peek_raw(timestamp)
-                for timestamp in manifest["raw"]
-                if timestamp not in self._spilled_raw
+                **tails,
+                **{
+                    timestamp: storage.peek_raw(timestamp)
+                    for timestamp in manifest["raw"]
+                    if timestamp not in self._spilled_raw
+                },
             },
         )
         self._spilled_raw = {
-            timestamp: self._spilled_raw.get(timestamp, pack)
+            timestamp: self._spilled_raw.get(timestamp, raw_pack)
             for timestamp in manifest["raw"]
         }
         manifest["raw_files"] = list(self._spilled_raw.values())
@@ -293,15 +334,41 @@ class CheckpointStore:
             entry["payload_file"] = spilled[entry["timestamp"]][1]
         refs = set(manifest["raw_files"])
         refs.update(entry["payload_file"] for entry in materialized)
-        return manifest, sorted(refs)
+        return manifest, sorted(refs), raw_pack
+
+    def _log_tails(self, logs: Dict[str, List[Any]]) -> Dict[str, Any]:
+        """What each log gained since the last write (or restore)."""
+        tails: Dict[str, Any] = {}
+        for key, log in logs.items():
+            spilled = self._spilled_logs.setdefault(key, (0, []))[0]
+            if len(log) < spilled:
+                raise ReliabilityError(
+                    f"log {key!r} shrank from {spilled} to {len(log)} "
+                    f"entries between checkpoints; it must be "
+                    f"append-only"
+                )
+            if len(log) > spilled:
+                tails[key] = log[spilled:]
+        return tails
+
+    def _log_refs(
+        self, logs: Dict[str, List[Any]], tails: Dict[str, Any], pack: str
+    ) -> Dict[str, List[str]]:
+        """Note ``tails`` as spilled in ``pack``; every log's segment
+        refs, oldest first."""
+        for key, tail in tails.items():
+            spilled, files = self._spilled_logs[key]
+            self._spilled_logs[key] = (spilled + len(tail), files + [pack])
+        return {key: self._spilled_logs[key][1] for key in logs}
 
     def _write_pack(
-        self, kind: str, cursor: int, chunks: Dict[int, Any]
+        self, kind: str, cursor: int, chunks: Dict[Any, Any]
     ) -> Optional[str]:
-        """One envelope holding ``chunks`` by timestamp; its file name,
-        or ``None`` when there is nothing to spill. The name carries
-        the content digest, so a pack is never overwritten with other
-        bytes (a recovered run re-writing a cursor meets its own)."""
+        """One envelope holding ``chunks`` by timestamp (and log tails
+        by log name); its file name, or ``None`` when there is nothing
+        to spill. The name carries the content digest, so a pack is never
+        overwritten with other bytes (a recovered run re-writing a
+        cursor meets its own)."""
         if not chunks:
             return None
         blob = seal_envelope(chunks, CHUNK_MAGIC)
@@ -346,13 +413,16 @@ class CheckpointStore:
         Corrupted or truncated checkpoints are skipped (with a
         ``reliability.checkpoint_corrupt`` trace point), falling back
         to older ones; :class:`~repro.exceptions.ReliabilityError` when
-        none survive.
+        none survive, naming why the newest was refused (a directory
+        written in an older checkpoint format says so here).
         """
         paths = self.checkpoints()
+        newest: Optional[PersistenceError] = None
         for path in reversed(paths):
             try:
                 return self.load(path)
             except PersistenceError as error:
+                newest = newest or error
                 self.telemetry.tracer.point(
                     names.RELIABILITY_CHECKPOINT_CORRUPT,
                     path=str(path),
@@ -361,7 +431,8 @@ class CheckpointStore:
         raise ReliabilityError(
             f"no valid checkpoint under {self.directory} "
             f"({len(paths)} file(s) inspected)"
-        )
+            + (f"; newest: {newest}" if newest else "")
+        ) from newest
 
     # ------------------------------------------------------------------
     # Storage reassembly
@@ -407,7 +478,23 @@ class CheckpointStore:
                 )
         storage.restore(raw, features, manifest["stats"])
 
-    def _load_pack(self, name: str) -> Dict[int, Any]:
+    def restore_logs(
+        self, refs: Dict[str, List[str]]
+    ) -> Dict[str, List[Any]]:
+        """Reassemble every log from its segments, and this store's
+        spill index with it (as :meth:`restore_storage` does)."""
+        packs: Dict[str, Dict[Any, Any]] = {}
+        logs: Dict[str, List[Any]] = {}
+        for key, files in refs.items():
+            log = logs[key] = []
+            for name in files:
+                if name not in packs:
+                    packs[name] = self._load_pack(name)
+                log.extend(packs[name][key])
+            self._spilled_logs[key] = (len(log), list(files))
+        return logs
+
+    def _load_pack(self, name: str) -> Dict[Any, Any]:
         path = self.chunks_directory / name
         try:
             blob = path.read_bytes()

@@ -11,11 +11,16 @@ prequential run threads through its hot loop:
   one place a :class:`~repro.reliability.checkpoint.PlatformCheckpoint`
   is assembled. The owner (deployment loop, platform, or fleet)
   supplies its cursor, artifact bundle and own state; the runtime adds
-  the telemetry state and hands the envelope to the store;
+  the telemetry state and hands the envelope to the store, together
+  with the telemetry's *live* append-only logs (ledger entries,
+  monitor snapshots) — the store writes only what each gained since
+  the last checkpoint, so a write costs what changed, not the run's
+  history;
 * **recovery** — :meth:`ReliabilityRuntime.load` finds the latest
   valid checkpoint and checks who wrote it;
-  :meth:`ReliabilityRuntime.restore` puts back telemetry and storage
-  and records a :class:`RecoveryInfo` that ends up on the
+  :meth:`ReliabilityRuntime.restore` reassembles the logs from their
+  segments, puts back telemetry and storage and records a
+  :class:`RecoveryInfo` that ends up on the
   :class:`~repro.core.deployment.base.DeploymentResult`.
 
 Telemetry invariant: counters incremented *by* the reliability layer
@@ -188,10 +193,11 @@ class ReliabilityRuntime:
 
         ``state`` is the owner's own state; the telemetry state
         (``metrics``, plus ``monitor`` and ``lineage`` when attached)
-        is added beside it. The written counter increments *before*
-        that capture so the checkpoint's own write is part of the
-        metrics it saves (keeping recovered-run counters
-        byte-identical to the uninterrupted timeline).
+        is added beside it, their logs passed on as they are. The
+        written counter increments *before* that capture so the
+        checkpoint's own write is part of the metrics it saves
+        (keeping recovered-run counters byte-identical to the
+        uninterrupted timeline).
         """
         store = self._require_store()
         self.telemetry.metrics.counter(
@@ -203,7 +209,9 @@ class ReliabilityRuntime:
             bundle=bundle,
             state={**state, **self.telemetry.state_dict()},
         )
-        path = store.write(checkpoint, storage=storage)
+        path = store.write(
+            checkpoint, storage=storage, logs=self.telemetry.logs()
+        )
         self.last_checkpoint_cursor = cursor
         return path
 
@@ -234,11 +242,12 @@ class ReliabilityRuntime:
         the restored virtual clock, and reaches an attached monitor
         after that monitor's own state is back.
         """
-        self.telemetry.load_state_dict(checkpoint.state)
+        store = self._require_store()
+        self.telemetry.load_state_dict(
+            checkpoint.state, store.restore_logs(checkpoint.logs or {})
+        )
         if storage is not None and checkpoint.manifest is not None:
-            self._require_store().restore_storage(
-                storage, checkpoint.manifest
-            )
+            store.restore_storage(storage, checkpoint.manifest)
         self.recovery = RecoveryInfo(
             cursor=checkpoint.cursor, approach=checkpoint.approach
         )

@@ -126,6 +126,35 @@ class Child(Base):
     assert _lint_snippet(tmp_path, "REP004", foreign % "other").clean
 
 
+def test_state_dict_keys_follows_a_head_state_split(tmp_path):
+    """REP004 counts the keys of a same-class helper spread into
+    ``state_dict`` (a log-keeping component's ``head_state``), so the
+    head + log split is checked against ``load_state_dict`` as one."""
+    source = """\
+class Ledger:
+    def head_state(self):
+        return {"next": self.next, %r: self.live}
+
+    def state_dict(self):
+        return {**self.head_state(), "entries": list(self.entries)}
+
+    def load_state_dict(self, state):
+        self.next = state["next"]
+        self.live = state["live"]
+        self.entries = list(state["entries"])
+"""
+    assert _lint_snippet(tmp_path, "REP004", source % "live").clean
+    skewed = _lint_snippet(tmp_path, "REP004", source % "alive")
+    assert sorted(f.message for f in skewed.findings) == [
+        "class Ledger: load_state_dict reads key 'live' that "
+        "state_dict never saves",
+        "class Ledger: state_dict saves key 'alive' that "
+        "load_state_dict never reads",
+    ]
+    computed = source.replace('"next": self.next', "**self.more()")
+    assert _lint_snippet(tmp_path, "REP004", computed % "alive").clean
+
+
 def test_noqa_for_a_different_rule_does_not_suppress(tmp_path):
     source = CORPUS[("REP007", "flag")].replace(
         "except Exception:", "except Exception:  # repro: noqa[REP001]"

@@ -18,7 +18,6 @@ from repro.ml.models import (
     LinearRegression,
     LinearSVM,
     LogisticRegression,
-    OnlineKMeans,
 )
 
 DIM = 11
@@ -77,14 +76,6 @@ class TestLinearModels:
         for i in (0, 7, 63, 199):
             alone = model.predict(big[i: i + 1])
             assert alone.tobytes() == whole[i: i + 1].tobytes()
-
-
-class TestOnlineKMeans:
-    def test_cluster_assignments_identical(self, rng):
-        model = OnlineKMeans(num_clusters=4, num_features=3, seed=5)
-        model.partial_fit(rng.standard_normal((80, 3)))
-        blocks = [rng.standard_normal((n, 3)) for n in (2, 5, 1, 9)]
-        assert_blocks_identical(model, blocks)
 
 
 class TestStackSplit:

@@ -6,7 +6,10 @@ Two invariants, mirroring the repo-wide byte-identity contract:
   ``lineage.json`` files;
 * a run crashed mid-stream and recovered from its checkpoint (the
   ledger rides the ``"lineage"`` checkpoint key) finishes with a
-  ``lineage.json`` byte-identical to the uninterrupted run.
+  ``lineage.json`` byte-identical to the uninterrupted run;
+* entries are stamped on the run's virtual clock — the one the trace
+  uses — although the ledger is attached before the engine that owns
+  that clock exists.
 """
 
 import pytest
@@ -42,6 +45,54 @@ class TestSameSeedByteIdentity:
         second = exp1_lineage(tmp_path, "second")
         assert first.read_bytes() == second.read_bytes()
         assert len(first.read_bytes()) > 200  # non-trivial graph
+
+
+class TestVirtualClockStamps:
+    """``attach_ledger()`` runs before the engine binds the clock; the
+    ledger used to keep the tracer's placeholder and stamp ``t = 0.0``
+    on every entry."""
+
+    @pytest.fixture(scope="class")
+    def telemetry(self):
+        telemetry = Telemetry()
+        telemetry.attach_ledger()  # before any engine exists
+        scn = url_scenario("test")
+        deployment = make_deployment(scn, "continuous", telemetry=telemetry)
+        deployment.initial_fit(
+            scn.make_initial_data(),
+            seed=scn.seed,
+            **scn.initial_fit_kwargs,
+        )
+        deployment.run(scn.make_stream())
+        return telemetry
+
+    def test_stamps_move_with_the_run(self, telemetry):
+        stamps = [entry["t"] for entry in telemetry.ledger.entries]
+        assert len(set(stamps)) > 10
+        assert stamps == sorted(stamps)
+        assert stamps[-1] > 0.0
+
+    def test_training_node_lies_inside_its_span(self, telemetry):
+        spans = [
+            (event["t"], event["t"] + event["dur"])
+            for event in telemetry.events
+            if event["name"] == "platform.proactive_training"
+        ]
+        trainings = telemetry.ledger.nodes("training")
+        assert len(trainings) == len(spans) > 0
+        for node, (start, end) in zip(trainings, spans):
+            assert start < node["t"] <= end
+
+    def test_node_and_its_trace_point_share_a_stamp(self, telemetry):
+        points = {
+            event["attrs"]["id"]: event["t"]
+            for event in telemetry.events
+            if event["name"] == "lineage.node"
+        }
+        nodes = telemetry.ledger.nodes()
+        assert nodes and all(
+            points[node["id"]] == node["t"] for node in nodes
+        )
 
 
 class TestRecoveryByteIdentity:

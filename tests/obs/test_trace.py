@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import HealthMonitor
+from repro.obs.rules import AlertRule
 from repro.obs.sink import (
     JsonlSink,
     MultiSink,
@@ -195,7 +198,134 @@ class TestJsonlSink:
             load_jsonl(path)
 
 
+#: Values a trace attribute can hold that an encoder could plausibly
+#: spell two ways.
+AWKWARD_LEAVES = (
+    None, True, False, 0, -1, 2**53 + 1, -(2**63), 10**30,
+    0.0, -0.0, 1e22, 1e-7, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+    float("inf"), float("-inf"), float("nan"),
+    np.float64(0.30000000000000004), np.float64("-inf"),
+    "", "plain", "naïve café", "日本語", "\u2028\u2029", "\U0001f600",
+    "quote\" back\\slash /", "\x00\x01\x1f\x7f\n\r\t\b\f",
+)
+
+
+def random_value(rng, depth):
+    def leaf():
+        return AWKWARD_LEAVES[rng.integers(0, len(AWKWARD_LEAVES))]
+
+    kind = rng.integers(0, 4 if depth else 2)
+    if kind == 0:
+        return leaf()
+    if kind == 1:
+        return float(rng.standard_normal()) * 10.0 ** rng.integers(-30, 30)
+    size = int(rng.integers(0, 4))
+    if kind == 2:
+        return [random_value(rng, depth - 1) for _ in range(size)]
+    # Keys of every type JSON coerces (None, bool, int, float, str).
+    return {leaf(): random_value(rng, depth - 1) for _ in range(size)}
+
+
+def random_event(rng, seq):
+    stack_depth = int(rng.choice([0, 0, 1, 3, 40]))
+    return {
+        "seq": seq,
+        "kind": str(rng.choice(["span", "point", "metrics"])),
+        "name": f"layer.op{rng.integers(0, 5)}",
+        "t": random_value(rng, 0),
+        "dur": float(rng.random()),
+        "wall_s": float(rng.random()) * 1e-6,
+        "stack": [f"outer.{level}" for level in range(stack_depth)],
+        "attrs": {
+            f"key{index}": random_value(rng, 4)
+            for index in range(int(rng.integers(0, 5)))
+        },
+    }
+
+
+class TestJsonlBytes:
+    """The file is what the ``json.dump``-to-handle loop wrote, byte
+    for byte; that loop lives here as the reference."""
+
+    @staticmethod
+    def reference_write(events, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            for event in events:
+                json.dump(event, handle, separators=(",", ":"))
+                handle.write("\n")
+
+    @pytest.mark.parametrize("seed", range(8), ids=lambda s: f"seed{s}")
+    def test_file_equals_the_json_dump_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        events = [random_event(rng, seq) for seq in range(300)]
+        sink = JsonlSink(tmp_path / "sink.jsonl")
+        for event in events:
+            sink.emit(event)
+        sink.close()
+        self.reference_write(events, tmp_path / "reference.jsonl")
+        written = (tmp_path / "sink.jsonl").read_bytes()
+        assert written == (tmp_path / "reference.jsonl").read_bytes(), (
+            f"seed {seed}"
+        )
+        assert sink.written == 300 and written.count(b"\n") == 300
+
+    def test_traced_run_equals_the_json_dump_loop(self, tmp_path):
+        telemetry = Telemetry(sink=JsonlSink(tmp_path / "sink.jsonl"))
+        with telemetry.tracer.span("outer", chunk=np.int64(3).item()):
+            with telemetry.tracer.span("inner", rows=50, error=0.25):
+                telemetry.tracer.point("tick", note="é\n", deep={"a": [1]})
+        telemetry.metrics.counter("c").inc()
+        telemetry.metrics.histogram("h").add(1e-9)
+        telemetry.flush_metrics()
+        telemetry.close()
+        self.reference_write(telemetry.events, tmp_path / "reference.jsonl")
+        assert (tmp_path / "sink.jsonl").read_bytes() == (
+            tmp_path / "reference.jsonl"
+        ).read_bytes()
+
+
 class TestMultiSink:
+    def test_alert_point_lands_where_the_nested_chain_put_it(self):
+        """``attach_monitor`` appends to the one flat chain; an alert
+        the monitor raises *inside* its ``emit`` re-enters the chain
+        and must reach ring and user sink in the position (and with
+        the ``seq``) the nested ``MultiSink([MultiSink([ring, user]),
+        monitor])`` gave it."""
+
+        def run(flat):
+            rule = AlertRule(
+                name="tick-seen", signal="tick", kind="threshold",
+                stat="count", op=">=", value=1.0,
+            )
+            telemetry = Telemetry(sink=RingBufferSink())
+            ring, user = telemetry.sink.sinks
+            if flat:
+                telemetry.attach_monitor(rules=[rule])
+                assert telemetry.sink.sinks == [ring, user, telemetry.monitor]
+                assert telemetry.tracer.sink is telemetry.sink
+            else:
+                monitor = HealthMonitor(rules=[rule])
+                monitor.bind(telemetry.tracer, telemetry.metrics)
+                telemetry.tracer.sink = MultiSink(
+                    [MultiSink([ring, user]), monitor]
+                )
+            clock = FakeClock()
+            telemetry.bind_clock(clock)
+            for step in range(6):
+                clock.now = step * 0.004  # a window closes every 3rd
+                telemetry.tracer.point("tick", step=step)
+            return [
+                [(e["seq"], e["name"], e["t"]) for e in sink.events]
+                for sink in (ring, user)
+            ]
+
+        flat, nested = run(flat=True), run(flat=False)
+        assert flat == nested
+        assert flat[0] == flat[1]
+        names = [name for _, name, _ in flat[0]]
+        assert "alert.firing" in names
+        assert names.index("alert.pending") > names.index("tick")
+
     def test_fans_out(self):
         first, second = RingBufferSink(), RingBufferSink()
         multi = MultiSink([first, second])
