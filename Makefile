@@ -267,8 +267,16 @@ smoke-lineage:
 # recovery leaves comparable: the window snapshots — restored from
 # the log segments up to the kill — minus the `reliability.recovered`
 # signal and the open-incident count, which rightly show the crash.
+# Last, a run whose trigger has state (online has no trigger, a static
+# interval no state): threshold is killed after its baseline was
+# adopted (chunk 9) and before its one retraining (chunk 19; it
+# recovers from cursor 16), so window, baseline and cooldown counter
+# cross the process boundary and the retraining fires on the recovered
+# side — the first four output lines (error series, cost series,
+# summary, counters) must be the uninterrupted run's.
 RECOVERY := --approach online --dataset url --scale test --cadence 4
 STACKED := --approach continuous --dataset url --scale test --cadence 4
+TRIGGERED := --approach threshold --dataset url --scale test --cadence 4
 smoke-recovery:
 	timeout 120 python examples/crash_recovery.py
 	$(RUN) 60 python -m repro run $(RECOVERY) --checkpoint-dir $D/ckpt \
@@ -288,6 +296,17 @@ smoke-recovery:
 		json.load(open(p))['snapshots']] for p in sys.argv[1:]); \
 		assert len(a) > 10 and a == b, 'health snapshots differ'" \
 		$D/health-ref.json $D/health-rec.json
+	$(RUN) 60 python -m repro run $(TRIGGERED) \
+		--checkpoint-dir $D/ckpt3-ref > $D/threshold-ref.txt
+	$(RUN) 60 python -m repro run $(TRIGGERED) --checkpoint-dir $D/ckpt3 \
+		--kill-at 18 || test $$? -eq 17
+	$(RUN) 60 python -m repro recover $(TRIGGERED) \
+		--checkpoint-dir $D/ckpt3 > $D/threshold-rec.txt
+	cat $D/threshold-rec.txt
+	grep -q "retrainings=1" $D/threshold-rec.txt
+	grep -q "recovered from checkpoint at chunk 16" $D/threshold-rec.txt
+	head -4 $D/threshold-ref.txt > $D/threshold-ref.head
+	head -4 $D/threshold-rec.txt | cmp - $D/threshold-ref.head
 
 # The wall-clock benchmark's self-tests (benchmarks/e2e: traced ≡
 # untraced, the expected.json goldens) — ~10 s, not part of tier-1.

@@ -124,18 +124,21 @@ def test_threshold_retraining_ablation(benchmark, report):
     less than the fixed 12-retraining schedule while staying in the
     same quality band.
     """
-    from repro.core.deployment import ThresholdRetrainingDeployment
+    from repro.core.deployment import FullRetrainingDeployment
+    from repro.core.scheduler import DegradationTrigger
 
     def run():
         periodical = run_periodical(_URL)
-        deployment = ThresholdRetrainingDeployment(
+        deployment = FullRetrainingDeployment(
             _URL.make_pipeline(),
             _URL.make_model(),
             _URL.make_optimizer(),
-            tolerance_ratio=0.10,
-            window_chunks=20,
-            cooldown_chunks=30,
-            min_absolute_delta=0.01,
+            trigger=DegradationTrigger(
+                tolerance_ratio=0.10,
+                window_chunks=20,
+                cooldown_chunks=30,
+                min_absolute_delta=0.01,
+            ),
             config=_URL.periodical_config,
             metric=_URL.metric,
             seed=_URL.seed,

@@ -2,10 +2,10 @@
 
 On a stream with an abrupt concept shift, compares the plain
 continuous deployment (sparse schedule) against the drift-aware
-variant (Page–Hinkley detector + delayed proactive-training burst over
-a fresh window). Checks that the detector localises the shift and
-that the response does not cost more than a handful of extra
-proactive trainings.
+variant (one more training rule: Page–Hinkley detector + delayed
+proactive-training burst over a fresh window). Checks that the
+detector localises the shift and that the response does not cost more
+than a handful of extra proactive trainings.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.config import ContinuousConfig, ScheduleConfig
 from repro.core.deployment import ContinuousDeployment
+from repro.core.platform import TrainingRule
+from repro.data.sampling import WindowBasedSampler
 from repro.datasets.drift import AbruptDrift
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
-from repro.driftdetect import (
-    DriftAwareContinuousDeployment,
-    PageHinkley,
-)
+from repro.driftdetect import DriftTrigger, PageHinkley
 from repro.ml.models import LinearSVM
 from repro.ml.optim import Adam
 from repro.ml.regularizers import L2
@@ -51,38 +50,35 @@ def _config() -> ContinuousConfig:
     )
 
 
-def _deploy(drift_aware: bool):
-    pipeline = make_url_pipeline(hash_features=HASH_DIM)
-    model = LinearSVM(num_features=HASH_DIM, regularizer=L2(1e-3))
-    if drift_aware:
-        deployment = DriftAwareContinuousDeployment(
-            pipeline, model, Adam(0.05),
-            detector=PageHinkley(
-                delta=0.05, threshold=10.0, minimum_observations=50
-            ),
-            bursts_per_drift=5,
-            burst_window=5,
-            burst_delay_chunks=4,
-            config=_config(),
-            metric="classification",
-            seed=11,
-        )
-    else:
-        deployment = ContinuousDeployment(
-            pipeline, model, Adam(0.05),
-            config=_config(), metric="classification", seed=11,
-        )
+def _deploy(rules=()):
+    deployment = ContinuousDeployment(
+        make_url_pipeline(hash_features=HASH_DIM),
+        LinearSVM(num_features=HASH_DIM, regularizer=L2(1e-3)),
+        Adam(0.05),
+        config=_config(),
+        metric="classification",
+        seed=11,
+        rules=rules,
+    )
     generator = _generator()
     deployment.initial_fit(
         generator.initial_data(800), max_iterations=400, tolerance=1e-6
     )
-    return deployment.run(generator.stream()), deployment
+    return deployment.run(generator.stream())
 
 
 def test_drift_response(benchmark, report, bench_record):
     def run():
-        plain, __ = _deploy(drift_aware=False)
-        aware_result, aware = _deploy(drift_aware=True)
+        plain = _deploy()
+        aware = DriftTrigger(
+            PageHinkley(
+                delta=0.05, threshold=10.0, minimum_observations=50
+            ),
+            delay_chunks=4,
+        )
+        aware_result = _deploy(
+            rules=[TrainingRule(aware, WindowBasedSampler(5), repeats=5)]
+        )
         return plain, aware_result, aware
 
     plain, aware_result, aware = run_once(benchmark, run)
@@ -90,7 +86,7 @@ def test_drift_response(benchmark, report, bench_record):
     report(
         "drift_response",
         f"Abrupt shift at chunk {SHIFT_AT} of {NUM_CHUNKS}\n"
-        f"detections: {aware_result.counters['drifts_detected']} at "
+        f"detections: {aware.drifts_detected} at "
         f"chunks {aware.drift_chunks}\n"
         f"proactive trainings: scheduled="
         f"{plain.counters['proactive_trainings']}, drift-aware="
@@ -103,7 +99,7 @@ def test_drift_response(benchmark, report, bench_record):
     assert aware.drift_chunks, "no drift detected"
     assert SHIFT_AT <= aware.drift_chunks[0] <= SHIFT_AT + 10
     # The response is bounded: a few bursts, not constant alarms.
-    assert aware_result.counters["drifts_detected"] <= 4
+    assert aware.drifts_detected <= 4
     # And it does not hurt quality.
     assert aware_result.final_error <= plain.final_error + 0.005
 
@@ -118,9 +114,7 @@ def test_drift_response(benchmark, report, bench_record):
             "aware_final_error": aware_result.final_error,
         },
         count={
-            "drifts_detected": aware_result.counters[
-                "drifts_detected"
-            ],
+            "drifts_detected": aware.drifts_detected,
             "aware_proactive_trainings": aware_result.counters[
                 "proactive_trainings"
             ],

@@ -15,11 +15,11 @@ import warnings
 from repro import (
     ContinuousConfig,
     ContinuousDeployment,
+    FullRetrainingDeployment,
     L2,
     LinearRegression,
     OnlineDeployment,
     PeriodicalConfig,
-    PeriodicalDeployment,
     RMSProp,
     ScheduleConfig,
     TaxiStreamGenerator,
@@ -63,7 +63,7 @@ def main() -> None:
     )
 
     pipeline, model, optimizer = fresh_parts()
-    deployments["periodical"] = PeriodicalDeployment(
+    deployments["periodical"] = FullRetrainingDeployment(
         pipeline, model, optimizer,
         config=PeriodicalConfig(
             retrain_every_chunks=30, max_epoch_iterations=150

@@ -5,9 +5,10 @@ shift halfway through:
 
 1. plain continuous deployment — proactive training on its regular
    schedule only;
-2. drift-aware continuous deployment — a Page–Hinkley detector watches
-   the prequential errors and fires an immediate proactive-training
-   burst when the shift is detected.
+2. drift-aware continuous deployment — the same deployment with one
+   more training rule: a Page–Hinkley detector watches the prequential
+   errors and, shortly after it signals the shift, fires a burst of
+   proactive trainings on the newest chunks.
 
 The drift-aware variant recovers faster because it reacts to the
 change instead of waiting for the next scheduled training.
@@ -26,11 +27,13 @@ from repro import (
     L2,
     LinearSVM,
     ScheduleConfig,
+    TrainingRule,
     URLStreamGenerator,
+    WindowBasedSampler,
     make_url_pipeline,
 )
 from repro.datasets.drift import AbruptDrift
-from repro.driftdetect import DriftAwareContinuousDeployment, PageHinkley
+from repro.driftdetect import DriftTrigger, PageHinkley
 from repro.evaluation.report import format_series
 
 NUM_CHUNKS = 120
@@ -60,35 +63,35 @@ def make_config() -> ContinuousConfig:
     )
 
 
-def deploy(drift_aware: bool):
+def drift_rule() -> TrainingRule:
+    """Four chunks after a detected drift, five proactive trainings
+    sampled from the five newest chunks."""
+    detector = PageHinkley(
+        delta=0.05, threshold=10.0, minimum_observations=50
+    )
+    return TrainingRule(
+        DriftTrigger(detector, delay_chunks=4),
+        sampler=WindowBasedSampler(5),
+        repeats=5,
+    )
+
+
+def deploy(rules=()):
     pipeline = make_url_pipeline(hash_features=HASH_DIM)
     model = LinearSVM(num_features=HASH_DIM, regularizer=L2(1e-3))
-    if drift_aware:
-        deployment = DriftAwareContinuousDeployment(
-            pipeline, model, Adam(0.05),
-            detector=PageHinkley(
-                delta=0.05, threshold=10.0, minimum_observations=50
-            ),
-            bursts_per_drift=5,
-            burst_window=5,
-            burst_delay_chunks=4,
-            config=make_config(),
-            metric="classification",
-            seed=11,
-        )
-    else:
-        deployment = ContinuousDeployment(
-            pipeline, model, Adam(0.05),
-            config=make_config(),
-            metric="classification",
-            seed=11,
-        )
+    deployment = ContinuousDeployment(
+        pipeline, model, Adam(0.05),
+        config=make_config(),
+        metric="classification",
+        seed=11,
+        rules=rules,
+    )
     generator = make_generator()
     deployment.initial_fit(
         generator.initial_data(800), max_iterations=400,
         tolerance=1e-6,
     )
-    return deployment.run(generator.stream()), deployment
+    return deployment.run(generator.stream())
 
 
 def main() -> None:
@@ -96,8 +99,9 @@ def main() -> None:
 
     print(f"stream: {NUM_CHUNKS} chunks; abrupt concept shift at "
           f"chunk {SHIFT_AT}")
-    plain_result, __ = deploy(drift_aware=False)
-    aware_result, aware = deploy(drift_aware=True)
+    plain_result = deploy()
+    rule = drift_rule()
+    aware_result = deploy(rules=[rule])
 
     print()
     print("cumulative error over time (sampled):")
@@ -105,8 +109,8 @@ def main() -> None:
     print(format_series("drift-aware", aware_result.error_history))
     print()
     print(f"drifts detected      : "
-          f"{aware_result.counters['drifts_detected']} "
-          f"(at chunks {aware.drift_chunks})")
+          f"{rule.trigger.drifts_detected} "
+          f"(at chunks {rule.trigger.drift_chunks})")
     print(f"proactive trainings  : scheduled="
           f"{plain_result.counters['proactive_trainings']}, "
           f"drift-aware="

@@ -25,14 +25,17 @@ from pathlib import Path
 from repro import (
     Adam,
     ContinuousConfig,
+    ContinuousDeployment,
     L2,
     LinearSVM,
     ScheduleConfig,
+    TrainingRule,
     URLStreamGenerator,
+    WindowBasedSampler,
     make_url_pipeline,
 )
 from repro.datasets.drift import AbruptDrift
-from repro.driftdetect import DriftAwareContinuousDeployment, PageHinkley
+from repro.driftdetect import DriftTrigger, PageHinkley
 from repro.obs import Telemetry, format_timeline
 
 NUM_CHUNKS = 80
@@ -52,17 +55,11 @@ def make_generator() -> URLStreamGenerator:
     )
 
 
-def deploy(telemetry: Telemetry):
-    deployment = DriftAwareContinuousDeployment(
+def deploy(telemetry: Telemetry, trigger: DriftTrigger):
+    deployment = ContinuousDeployment(
         make_url_pipeline(hash_features=HASH_DIM),
         LinearSVM(num_features=HASH_DIM, regularizer=L2(1e-3)),
         Adam(0.05),
-        detector=PageHinkley(
-            delta=0.05, threshold=10.0, minimum_observations=50
-        ),
-        bursts_per_drift=5,
-        burst_window=5,
-        burst_delay_chunks=4,
         config=ContinuousConfig(
             sample_size_chunks=16,
             schedule=ScheduleConfig(kind="static", interval_chunks=20),
@@ -72,6 +69,9 @@ def deploy(telemetry: Telemetry):
         metric="classification",
         seed=11,
         telemetry=telemetry,
+        # The drift response: five proactive trainings on the five
+        # newest chunks, four chunks after the detector signals.
+        rules=[TrainingRule(trigger, WindowBasedSampler(5), repeats=5)],
     )
     generator = make_generator()
     deployment.initial_fit(
@@ -89,7 +89,12 @@ def main() -> int:
     )
     telemetry = Telemetry()
     monitor = telemetry.attach_monitor()
-    result = deploy(telemetry)
+    trigger = DriftTrigger(
+        PageHinkley(delta=0.05, threshold=10.0, minimum_observations=50),
+        delay_chunks=4,
+        telemetry=telemetry,
+    )
+    result = deploy(telemetry, trigger)
     telemetry.close()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,7 +105,7 @@ def main() -> int:
     print(format_timeline(payload))
     print()
     print(f"final error      : {result.final_error:.4f}")
-    print(f"drifts detected  : {result.counters['drifts_detected']}")
+    print(f"drifts detected  : {trigger.drifts_detected}")
 
     drift_incidents = [
         incident

@@ -32,19 +32,19 @@ from repro.core import (
     ContinuousConfig,
     ContinuousDeployment,
     ContinuousDeploymentPlatform,
+    DegradationTrigger,
     Deployment,
     DeploymentResult,
     DynamicScheduler,
-    OnlineConfig,
+    FullRetrainingDeployment,
     OnlineDeployment,
     PeriodicalConfig,
-    PeriodicalDeployment,
     PipelineManager,
-    ThresholdRetrainingDeployment,
     ProactiveTrainer,
     ScheduleConfig,
     Scheduler,
     StaticScheduler,
+    TrainingRule,
 )
 from repro.data import (
     ChunkStorage,
@@ -107,14 +107,14 @@ __all__ = [
     "Scheduler",
     "StaticScheduler",
     "DynamicScheduler",
+    "DegradationTrigger",
+    "TrainingRule",
     "Deployment",
     "DeploymentResult",
     "OnlineDeployment",
-    "PeriodicalDeployment",
+    "FullRetrainingDeployment",
     "ContinuousDeployment",
-    "ThresholdRetrainingDeployment",
     "ScheduleConfig",
-    "OnlineConfig",
     "PeriodicalConfig",
     "ContinuousConfig",
     # data

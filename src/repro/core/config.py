@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.exceptions import ValidationError
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -34,19 +35,10 @@ class ScheduleConfig:
                 f"schedule kind must be 'static' or 'dynamic', "
                 f"got {self.kind!r}"
             )
-        if self.interval_chunks < 1:
-            raise ValidationError(
-                f"interval_chunks must be >= 1, got {self.interval_chunks}"
-            )
-
-
-@dataclass(frozen=True)
-class OnlineConfig:
-    """Online deployment: one online SGD update per incoming chunk."""
-
-    #: Whether to keep ingesting into storage anyway (for later
-    #: inspection); the approach itself never reads history.
-    store_history: bool = False
+        check_positive_int(self.interval_chunks, "interval_chunks")
+        if check_positive(self.slack, "slack") < 1.0:
+            raise ValidationError(f"slack must be >= 1, got {self.slack}")
+        check_positive(self.initial_interval, "initial_interval")
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,12 @@
 from repro.core.deployment.base import Deployment, DeploymentResult
 from repro.core.deployment.continuous import ContinuousDeployment
 from repro.core.deployment.online import OnlineDeployment
-from repro.core.deployment.periodical import PeriodicalDeployment
-from repro.core.deployment.threshold import ThresholdRetrainingDeployment
+from repro.core.deployment.retraining import FullRetrainingDeployment
 
 __all__ = [
     "Deployment",
     "DeploymentResult",
     "OnlineDeployment",
-    "PeriodicalDeployment",
+    "FullRetrainingDeployment",
     "ContinuousDeployment",
-    "ThresholdRetrainingDeployment",
 ]

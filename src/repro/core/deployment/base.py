@@ -3,12 +3,18 @@
 All approaches share the same outer loop (§5.1's deployment
 process): for every arriving chunk, first answer it as prediction
 queries (test), then use it as training data (train). Subclasses only
-differ in what "train" means:
+differ in what "train" means — the training *action*:
 
 * online — one online SGD step;
-* periodical / threshold — online step + full retraining, on a
-  period or when quality degrades;
-* continuous — online step + scheduled proactive training.
+* full retraining — online step + a retraining over all raw history;
+* continuous — online step + proactive training on sampled history.
+
+*When* the action fires is not a subclass but a
+:class:`~repro.core.scheduler.Scheduler` handed to the deployment:
+periodical and threshold are full retraining under a static and a
+degradation trigger, drift-aware is continuous with one more training
+rule. The loop hands each served chunk's per-row errors to the
+prequential scorer and to the triggers.
 
 The loop records, after every chunk, the cumulative prequential error
 and the cumulative deployment cost — exactly the two series plotted in
@@ -31,7 +37,7 @@ from repro.data.table import Table
 from repro.exceptions import ValidationError
 from repro.execution.cost import CostBreakdown, CostModel
 from repro.execution.engine import LocalExecutionEngine
-from repro.ml.metrics import PrequentialTracker
+from repro.ml.metrics import PrequentialTracker, errors_from_predictions
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.ml.sgd import TrainingResult
@@ -132,8 +138,9 @@ class Deployment(ABC):
     execution engine (``self.manager`` / ``self.engine`` /
     ``self.data_manager``, see :meth:`_wire`), so serving, cost,
     checkpoint artifacts and the storage spill are written here once.
-    A subclass writes :meth:`_observe` — what "train" means — and adds
-    its own counters to :meth:`_finalize` and :meth:`state_dict`.
+    A subclass writes :meth:`_observe` — what "train" means — hands
+    :meth:`_record_errors` to whatever decides when, and adds its own
+    counters to :meth:`_finalize` and :meth:`state_dict`.
 
     Parameters
     ----------
@@ -235,6 +242,10 @@ class Deployment(ABC):
         """Serve the chunk as prediction queries: (predictions, labels)."""
         return self.manager.answer_queries(table)
 
+    def _record_errors(self, errors: np.ndarray) -> None:
+        """The served chunk's per-row errors, for the approach's
+        triggers (called before the chunk is observed)."""
+
     @abstractmethod
     def _observe(self, table: Table, chunk_index: int) -> None:
         """Consume the chunk as training data."""
@@ -334,7 +345,11 @@ class Deployment(ABC):
             except StopIteration:
                 break
             predictions, labels = self._predict(table)
-            chunk_error = self.prequential.score(predictions, labels)
+            errors = errors_from_predictions(
+                self.prequential.kind, predictions, labels
+            )
+            self._record_errors(errors)
+            chunk_error = self.prequential.score_errors(errors)
             cumulative = self.prequential.value()
             result.error_history.append(cumulative)
             # Point (not span): the per-chunk quality signal the

@@ -9,13 +9,13 @@ head-to-head with the online and periodical baselines.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ContinuousConfig
 from repro.core.deployment.base import Deployment, DeploymentResult
-from repro.core.platform import ContinuousDeploymentPlatform
+from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
 from repro.data.table import Table
 from repro.execution.cost import CostModel
 from repro.ml.models.base import LinearSGDModel
@@ -27,7 +27,12 @@ from repro.utils.rng import SeedLike
 
 
 class ContinuousDeployment(Deployment):
-    """Online updates + scheduled proactive training on sampled history."""
+    """Online updates + scheduled proactive training on sampled history.
+
+    ``rules`` are extra training rules for the platform, asked after
+    the configured schedule (e.g. the drift response, see
+    :class:`~repro.driftdetect.trigger.DriftTrigger`).
+    """
 
     approach = "continuous"
 
@@ -44,6 +49,7 @@ class ContinuousDeployment(Deployment):
         checkpoint=None,
         fault_plan=None,
         retry=None,
+        rules: Sequence[TrainingRule] = (),
     ) -> None:
         super().__init__(metric, telemetry, checkpoint, fault_plan, retry)
         # The deployment loop owns checkpoint cadence; the platform
@@ -60,18 +66,15 @@ class ContinuousDeployment(Deployment):
             telemetry=self.telemetry,
             fault_plan=self.reliability.injector,
             retry=self.reliability.retrier,
+            rules=rules,
         )
         self.manager = self.platform.manager
         self.engine = self.platform.engine
         self.data_manager = self.platform.data_manager
 
-    @property
-    def config(self) -> ContinuousConfig:
-        return self.platform.config
-
     # ------------------------------------------------------------------
     # Through the platform, not around it: it records lineage, feeds
-    # the scheduler and rebuilds its proactive trainer on these paths.
+    # the triggers and rebuilds its proactive trainer on these paths.
     # ------------------------------------------------------------------
     def initial_fit(self, tables: List[Table], **kwargs) -> TrainingResult:
         """Initial training; the initial data enters the sample pool."""
@@ -79,6 +82,9 @@ class ContinuousDeployment(Deployment):
 
     def _predict(self, table: Table) -> Tuple[np.ndarray, np.ndarray]:
         return self.platform.predict(table)
+
+    def _record_errors(self, errors: np.ndarray) -> None:
+        self.platform.record_errors(errors)
 
     def _observe(self, table: Table, chunk_index: int) -> None:
         self.platform.observe(table)

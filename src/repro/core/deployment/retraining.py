@@ -1,8 +1,11 @@
-"""Full-retraining baselines: what periodical and threshold share.
+"""The full-retraining baselines (§5.2, TFX/Velox-style).
 
 Online SGD on every chunk, the raw history kept in the data manager,
-and a full retraining over that entire history whenever the subclass's
-:meth:`FullRetrainingDeployment._should_retrain` says so. Warm
+and a full retraining over that entire history whenever the
+deployment's trigger says so: on a fixed period (the *periodical*
+baseline, a :class:`~repro.core.scheduler.StaticScheduler`), or when
+the monitored error has degraded (the Velox-style *threshold*
+baseline, a :class:`~repro.core.scheduler.DegradationTrigger`). Warm
 starting (on by default, as in the paper's experiments) carries the
 pipeline statistics, model weights, and optimizer state into each
 retraining; the cold variant is an ablation.
@@ -15,11 +18,13 @@ convergence, so the cumulative cost curve jumps at every retraining
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.core.config import PeriodicalConfig
 from repro.core.deployment.base import Deployment, DeploymentResult
+from repro.core.scheduler import Scheduler, StaticScheduler
 from repro.data.table import Table
 from repro.execution.cost import CostModel
 from repro.ml.models.base import LinearSGDModel
@@ -32,7 +37,17 @@ from repro.utils.rng import SeedLike
 
 
 class FullRetrainingDeployment(Deployment):
-    """Online updates + full retraining on all history, when told to."""
+    """Online updates + full retraining on all history, when told to.
+
+    ``trigger`` decides when; it hears every served chunk's errors and
+    every retraining. Without one the deployment is the periodical
+    baseline — ``StaticScheduler(config.retrain_every_chunks)`` — and
+    with one ``retrain_every_chunks`` is ignored.
+    """
+
+    #: ``experiments.common.make_deployment`` relabels the
+    #: degradation-triggered row ``"threshold"``.
+    approach = "periodical"
 
     def __init__(
         self,
@@ -40,6 +55,7 @@ class FullRetrainingDeployment(Deployment):
         model: LinearSGDModel,
         optimizer: Optimizer,
         config: Optional[PeriodicalConfig] = None,
+        trigger: Optional[Scheduler] = None,
         metric: str = "classification",
         cost_model: Optional[CostModel] = None,
         seed: SeedLike = None,
@@ -51,6 +67,11 @@ class FullRetrainingDeployment(Deployment):
     ) -> None:
         super().__init__(metric, telemetry, checkpoint, fault_plan, retry)
         self.config = config if config is not None else PeriodicalConfig()
+        self.trigger = (
+            trigger
+            if trigger is not None
+            else StaticScheduler(self.config.retrain_every_chunks)
+        )
         self._wire(
             pipeline, model, optimizer, cost_model, seed, online_batch_rows
         )
@@ -67,12 +88,11 @@ class FullRetrainingDeployment(Deployment):
             table, online_statistics=True, store=False
         )
         self._online_update(features)
-        if self._should_retrain(chunk_index):
+        if self.trigger.should_train(chunk_index, self._current_cost()):
             self._retrain(chunk_index)
 
-    @abstractmethod
-    def _should_retrain(self, chunk_index: int) -> bool:
-        """Whether a full retraining fires after this chunk."""
+    def _record_errors(self, errors: np.ndarray) -> None:
+        self.trigger.record_errors(errors)
 
     def _retrain(self, chunk_index: int) -> None:
         with self.telemetry.tracer.span(
@@ -86,10 +106,10 @@ class FullRetrainingDeployment(Deployment):
                 warm_start=self.config.warm_start,
                 seed=self._seed,
             )
+            duration = self.engine.total_cost() - started_at
             self.retrainings.append(result)
-            self.retrain_durations.append(
-                self.engine.total_cost() - started_at
-            )
+            self.retrain_durations.append(duration)
+            self.trigger.record_training(started_at, duration)
             span.set(
                 iterations=result.iterations, converged=result.converged
             )
@@ -97,6 +117,9 @@ class FullRetrainingDeployment(Deployment):
     def _finalize(self, result: DeploymentResult) -> None:
         result.counters["online_updates"] = self.online_updates
         result.counters["retrainings"] = len(self.retrainings)
+        result.counters["retrain_iterations"] = sum(
+            r.iterations for r in self.retrainings
+        )
         super()._finalize(result)
         result.training_durations = list(self.retrain_durations)
 
@@ -105,6 +128,7 @@ class FullRetrainingDeployment(Deployment):
             "online_updates": self.online_updates,
             "retrainings": list(self.retrainings),
             "retrain_durations": list(self.retrain_durations),
+            "trigger": self.trigger.state_dict(),
             **super().state_dict(),
         }
 
@@ -112,4 +136,5 @@ class FullRetrainingDeployment(Deployment):
         self.online_updates = int(state["online_updates"])
         self.retrainings = list(state["retrainings"])
         self.retrain_durations = list(state["retrain_durations"])
+        self.trigger.load_state_dict(state["trigger"])
         super().load_state_dict(state)

@@ -8,13 +8,29 @@ operations a deployment environment needs:
 
 * :meth:`predict` — answer a batch of prediction queries;
 * :meth:`observe` — ingest a batch of training data, run the online
-  update, and fire proactive training when the scheduler says so.
+  update, and fire proactive training when a training rule says so.
+
+*When* it fires is a list of :class:`TrainingRule`: the configured
+schedule (§4.1) first, then any the caller appends (e.g. a drift
+response). Every trigger hears every prediction batch, every chunk's
+errors and every training, whichever rule fired it — formula (6)'s
+``T`` is the last training's duration, not the last scheduled one's.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -27,9 +43,10 @@ from repro.core.scheduler import (
     StaticScheduler,
 )
 from repro.data.manager import DataManager
-from repro.data.sampling import make_sampler
+from repro.data.sampling import Sampler, make_sampler
 from repro.data.storage import ChunkStorage
 from repro.data.table import Table
+from repro.exceptions import ValidationError
 from repro.execution.cost import CostModel
 from repro.obs import names
 from repro.execution.engine import LocalExecutionEngine
@@ -45,6 +62,7 @@ from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.retry import Retrier, RetryPolicy
 from repro.reliability.runtime import ReliabilityRuntime
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.registry import ModelRegistry, VersionInfo
@@ -57,6 +75,15 @@ def build_scheduler(config: ScheduleConfig) -> Scheduler:
     return DynamicScheduler(
         slack=config.slack, initial_interval=config.initial_interval
     )
+
+
+class TrainingRule(NamedTuple):
+    """When proactive training fires, how often per firing, and under
+    which sampler (``None``: the data manager's own)."""
+
+    trigger: Scheduler
+    sampler: Optional[Sampler] = None
+    repeats: int = 1
 
 
 class ContinuousDeploymentPlatform:
@@ -73,6 +100,9 @@ class ContinuousDeploymentPlatform:
         Optional cost-model prices for the execution engine.
     seed:
         Controls the sampling randomness.
+    rules:
+        Training rules asked, in order, after the configured schedule
+        (which is always the first rule).
     telemetry:
         Optional observability bundle, threaded through the engine
         (operation spans), storage (eviction counters), data manager
@@ -119,6 +149,7 @@ class ContinuousDeploymentPlatform:
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
         retry: Union[RetryPolicy, Retrier, None] = None,
         lineage_scope: Optional[str] = None,
+        rules: Sequence[TrainingRule] = (),
     ) -> None:
         self.config = config if config is not None else ContinuousConfig()
         self.telemetry = (
@@ -156,7 +187,12 @@ class ContinuousDeploymentPlatform:
             data_manager=self.data_manager,
             engine=self.engine,
         )
-        self.scheduler = build_scheduler(self.config.schedule)
+        self.rules = [
+            TrainingRule(build_scheduler(self.config.schedule)),
+            *rules,
+        ]
+        for rule in rules:
+            check_positive_int(rule.repeats, "repeats")
         self.proactive = ProactiveTrainer(self.manager.trainer, self.engine)
         self.proactive_outcomes: List[ProactiveOutcome] = []
         self.registry = registry
@@ -216,20 +252,25 @@ class ContinuousDeploymentPlatform:
         )
 
     def predict(self, table: Table) -> Tuple[np.ndarray, np.ndarray]:
-        """Answer prediction queries; informs the dynamic scheduler."""
+        """Answer prediction queries; informs every trigger."""
         before = self.engine.total_cost()
         predictions, labels = self.manager.answer_queries(table)
-        self.scheduler.record_predictions(
-            count=len(predictions),
-            duration=self.engine.total_cost() - before,
-        )
+        duration = self.engine.total_cost() - before
+        for rule in self.rules:
+            rule.trigger.record_predictions(len(predictions), duration)
         return predictions, labels
+
+    def record_errors(self, errors: np.ndarray) -> None:
+        """Hand a served chunk's per-row prequential errors to every
+        trigger (before the chunk is observed)."""
+        for rule in self.rules:
+            rule.trigger.record_errors(errors)
 
     def observe(self, table: Table) -> Optional[ProactiveOutcome]:
         """Ingest a training chunk; maybe run a proactive training.
 
-        Returns the :class:`ProactiveOutcome` when a proactive training
-        fired for this chunk, else ``None``.
+        Returns the :class:`ProactiveOutcome` of the last proactive
+        training that fired for this chunk, else ``None``.
         """
         self._chunk_index += 1
         tracer = self.telemetry.tracer
@@ -255,22 +296,39 @@ class ContinuousDeploymentPlatform:
                 self.manager.online_step(
                     features, self.config.online_batch_rows
                 )
-            now = self.engine.total_cost()
-            fired = self.scheduler.should_train(self._chunk_index, now)
-            tracer.point(
-                names.SCHEDULER_DECISION,
-                chunk=self._chunk_index,
-                fired=fired,
-                now=now,
-            )
-            self.telemetry.metrics.counter(
-                names.SCHEDULER_FIRED if fired else names.SCHEDULER_SKIPPED
-            ).inc()
-            outcome = (
-                self._run_proactive_training() if fired else None
-            )
+            outcome = None
+            for rule in self.rules:
+                now = self.engine.total_cost()
+                fired = rule.trigger.should_train(self._chunk_index, now)
+                tracer.point(
+                    names.SCHEDULER_DECISION,
+                    chunk=self._chunk_index,
+                    fired=fired,
+                    now=now,
+                )
+                self.telemetry.metrics.counter(
+                    names.SCHEDULER_FIRED
+                    if fired
+                    else names.SCHEDULER_SKIPPED
+                ).inc()
+                if fired:
+                    outcome = self._run_rule(rule)
         if self.reliability.due(self.chunks_observed):
             self.checkpoint()
+        return outcome
+
+    def _run_rule(self, rule: TrainingRule) -> ProactiveOutcome:
+        """Run a fired rule's trainings, under its sampler if it has
+        one (restored afterwards, also when a training fails)."""
+        data_manager = self.data_manager
+        regular = data_manager.sampler
+        if rule.sampler is not None:
+            data_manager.sampler = rule.sampler
+        try:
+            for __ in range(rule.repeats):
+                outcome = self._run_proactive_training()
+        finally:
+            data_manager.sampler = regular
         return outcome
 
     def train_now(self) -> ProactiveOutcome:
@@ -279,9 +337,9 @@ class ContinuousDeploymentPlatform:
         The fleet orchestrator disables the per-platform schedule
         (a huge static interval) and drives training through this
         entry point when the fleet scheduler grants the tenant a
-        slot. Identical to a scheduler-fired training: the outcome is
-        recorded, the scheduler's EWMA sees the duration, and an
-        attached registry receives the candidate snapshot.
+        slot. Identical to a rule-fired training: the outcome is
+        recorded, every trigger sees the duration, and an attached
+        registry receives the candidate snapshot.
         """
         return self._run_proactive_training()
 
@@ -297,8 +355,9 @@ class ContinuousDeploymentPlatform:
             outcome = self.proactive.run(samples)
             duration = self.engine.total_cost() - started_at
             # Report the *full* duration (sampling + re-materialization
-            # + SGD) to the scheduler — that is the T of formula (6).
-            self.scheduler.record_training(started_at, duration)
+            # + SGD) to every trigger — that is the T of formula (6).
+            for rule in self.rules:
+                rule.trigger.record_training(started_at, duration)
             full_outcome = ProactiveOutcome(
                 objective=outcome.objective,
                 rows=outcome.rows,
@@ -410,13 +469,15 @@ class ContinuousDeploymentPlatform:
         Storage contents are captured by the checkpoint store's
         manifest/spill mechanism; artifacts by the
         :class:`~repro.persistence.DeploymentBundle`. This covers the
-        rest: stream position, scheduler (EWMA) state, sampler RNG and
-        μ accounting, the cost-model clock, and proactive-training
-        history.
+        rest: stream position, every trigger's state (in rule order),
+        sampler RNG and μ accounting, the cost-model clock, and
+        proactive-training history.
         """
         return {
             "chunk_index": self._chunk_index,
-            "scheduler": self.scheduler.state_dict(),
+            "triggers": [
+                rule.trigger.state_dict() for rule in self.rules
+            ],
             "data_manager": self.data_manager.state_dict(),
             "cost": self.engine.tracker.state_dict(),
             "proactive_outcomes": list(self.proactive_outcomes),
@@ -425,8 +486,15 @@ class ContinuousDeploymentPlatform:
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`."""
+        triggers = state["triggers"]
+        if len(triggers) != len(self.rules):
+            raise ValidationError(
+                f"state of {len(triggers)} trigger(s) for a platform "
+                f"built with {len(self.rules)} training rule(s)"
+            )
         self._chunk_index = int(state["chunk_index"])
-        self.scheduler.load_state_dict(state["scheduler"])
+        for rule, trigger_state in zip(self.rules, triggers):
+            rule.trigger.load_state_dict(trigger_state)
         self.data_manager.load_state_dict(state["data_manager"])
         self.engine.tracker.load_state_dict(state["cost"])
         self.proactive_outcomes = list(state["proactive_outcomes"])
@@ -454,12 +522,13 @@ class ContinuousDeploymentPlatform:
         registry: Optional["ModelRegistry"] = None,
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
         retry: Union[RetryPolicy, Retrier, None] = None,
+        rules: Sequence[TrainingRule] = (),
     ) -> "ContinuousDeploymentPlatform":
         """Rebuild a platform from the latest valid checkpoint.
 
         Falls back to older checkpoints when the newest fails its
-        checksum. ``config``/``cost_model`` must match the crashed
-        platform's (configuration is not checkpointed — state is).
+        checksum. ``config``/``cost_model``/``rules`` must match the
+        crashed platform's (configuration is not checkpointed — state is).
         The caller resumes feeding :meth:`predict`/:meth:`observe`
         from the saved cursor (``chunks_observed``); the continuation
         is byte-identical to an uninterrupted run.
@@ -477,6 +546,7 @@ class ContinuousDeploymentPlatform:
             checkpoint=loader.store,
             fault_plan=fault_plan,
             retry=retry,
+            rules=rules,
         )
         platform.load_state_dict(saved.state)
         platform.reliability.restore(

@@ -12,15 +12,17 @@ streaming detectors over the prequential error signal:
 * :class:`WindowComparisonDetector` — recent-vs-reference window mean
   comparison, a simple and robust baseline.
 
-:class:`DriftAwareContinuousDeployment` plugs a detector into the
-continuous deployment: a detected drift triggers an immediate
-proactive-training burst, on top of the regular schedule.
+:class:`DriftTrigger` puts a detector on the scheduler protocol, so a
+continuous deployment carries its drift response as one more training
+rule (``ContinuousDeployment(..., rules=[TrainingRule(DriftTrigger(
+detector), WindowBasedSampler(5), repeats=5)])``): a burst of proactive
+trainings on the newest chunks, on top of the regular schedule.
 """
 
 from repro.driftdetect.base import DriftDetector, DriftState
 from repro.driftdetect.ddm import DDM
-from repro.driftdetect.deployment import DriftAwareContinuousDeployment
 from repro.driftdetect.page_hinkley import PageHinkley
+from repro.driftdetect.trigger import DriftTrigger
 from repro.driftdetect.window import WindowComparisonDetector
 
 __all__ = [
@@ -29,5 +31,5 @@ __all__ = [
     "DDM",
     "PageHinkley",
     "WindowComparisonDetector",
-    "DriftAwareContinuousDeployment",
+    "DriftTrigger",
 ]

@@ -32,11 +32,11 @@ from repro.core.deployment import (
     ContinuousDeployment,
     Deployment,
     DeploymentResult,
+    FullRetrainingDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
-    ThresholdRetrainingDeployment,
 )
 from repro.core.platform import ContinuousDeploymentPlatform
+from repro.core.scheduler import DegradationTrigger
 from repro.data.table import Table
 from repro.datasets.taxi import (
     TAXI_FEATURE_COLUMNS,
@@ -267,7 +267,11 @@ def make_deployment(
     One factory shared by the CLI's ``run``/``recover`` commands, the
     reliability experiments, and the golden recovery tests — they all
     need to build *identically configured* deployments, with only the
-    reliability options varying.
+    reliability options varying. The approaches are rows of
+    *(training action, trigger)*: online has neither; periodical and
+    threshold are full retraining under a static and a degradation
+    trigger; continuous is proactive training under the scenario's
+    schedule.
     """
     if approach not in APPROACHES:
         raise ValidationError(
@@ -296,18 +300,17 @@ def make_deployment(
             seed=scenario.seed,
             **common,
         )
-    retraining = (
-        PeriodicalDeployment
-        if approach == "periodical"
-        else ThresholdRetrainingDeployment
-    )
-    return retraining(
+    deployment = FullRetrainingDeployment(
         *parts,
         config=scenario.periodical_config,
+        # Periodical is the config's own ``retrain_every_chunks``.
+        trigger=DegradationTrigger() if approach == "threshold" else None,
         seed=scenario.seed,
         online_batch_rows=scenario.online_batch_rows,
         **common,
     )
+    deployment.approach = approach
+    return deployment
 
 
 def make_platform(

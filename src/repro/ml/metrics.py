@@ -152,18 +152,23 @@ class PrequentialTracker:
     def score(
         self, predictions: np.ndarray, labels: np.ndarray
     ) -> Optional[float]:
-        """Score one served chunk; returns its mean per-row error.
+        """Score one served chunk; returns its mean per-row error."""
+        return self.score_errors(
+            errors_from_predictions(self.kind, predictions, labels)
+        )
+
+    def score_errors(self, errors: np.ndarray) -> Optional[float]:
+        """Score a chunk by its :func:`errors_from_predictions` rows.
 
         A chunk that came out of the serving path empty (every row
         filtered) measures nothing: the previous cumulative value is
         carried forward so :attr:`history` stays aligned with chunk
         indices, and ``None`` is returned.
         """
-        count = len(labels)
+        count = len(errors)
         if not count:
             self.history.append(self.value())
             return None
-        errors = errors_from_predictions(self.kind, predictions, labels)
         error_sum = float(np.sum(errors))
         self.add_chunk(error_sum, count)
         return error_sum / count

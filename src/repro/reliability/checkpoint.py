@@ -98,10 +98,13 @@ if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
     from repro.data.storage import ChunkStorage
 
 #: File magic identifying a platform checkpoint. Format 2: logs ride
-#: as segment refs (``PlatformCheckpoint.logs``), not inside ``state``;
-#: a format-1 directory is refused by name, not half-read — a
-#: checkpoint is one run's crash artifact, not an interchange format.
-CHECKPOINT_MAGIC = b"REPRO-CKPT-2\n"
+#: as segment refs (``PlatformCheckpoint.logs``), not inside ``state``.
+#: Format 3: ``state`` holds trigger states (the platform's
+#: ``triggers`` list, a retraining deployment's ``trigger``) where it
+#: held a ``scheduler`` and per-subclass keys. An older directory is
+#: refused by name, not half-read — a checkpoint is one run's crash
+#: artifact, not an interchange format.
+CHECKPOINT_MAGIC = b"REPRO-CKPT-3\n"
 
 #: File magic identifying a spilled chunk payload.
 CHUNK_MAGIC = b"REPRO-CHUNK-1\n"

@@ -39,10 +39,21 @@ def check_fraction(value: float, name: str) -> float:
 
 def check_positive_int(value: Any, name: str) -> int:
     """Validate that ``value`` is an integer >= 1 and return it."""
+    return _check_int(value, name, 1)
+
+
+def check_non_negative_int(value: Any, name: str) -> int:
+    """Validate that ``value`` is an integer >= 0 and return it."""
+    return _check_int(value, name, 0)
+
+
+def _check_int(value: Any, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int,)):
         raise ValidationError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value!r}")
+    if value < minimum:
+        raise ValidationError(
+            f"{name} must be >= {minimum}, got {value!r}"
+        )
     return int(value)
 
 

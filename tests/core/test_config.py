@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import (
     ContinuousConfig,
-    OnlineConfig,
     PeriodicalConfig,
     ScheduleConfig,
 )
@@ -24,6 +23,23 @@ class TestScheduleConfig:
     def test_invalid_interval(self):
         with pytest.raises(ValidationError):
             ScheduleConfig(interval_chunks=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slack": 0.5},
+            {"slack": float("nan")},
+            {"slack": float("inf")},
+            {"initial_interval": 0.0},
+            {"initial_interval": float("nan")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_invalid_dynamic_parameters(self, kwargs):
+        """Refused here, not when a platform is later built from it."""
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=name):
+            ScheduleConfig(kind="dynamic", **kwargs)
 
 
 class TestPeriodicalConfig:
@@ -74,8 +90,3 @@ class TestContinuousConfig:
         config = ContinuousConfig()
         with pytest.raises(AttributeError):
             config.sampler = "uniform"
-
-
-class TestOnlineConfig:
-    def test_defaults(self):
-        assert not OnlineConfig().store_history

@@ -16,7 +16,7 @@ from repro.core.config import (
 from repro.core.deployment import (
     ContinuousDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
+    FullRetrainingDeployment,
 )
 from repro.data.table import Table
 from repro.ml.models import LinearRegression
@@ -62,7 +62,7 @@ ALL_BUILDERS = {
     "online": lambda p, m, o: OnlineDeployment(
         p, m, o, metric="regression"
     ),
-    "periodical": lambda p, m, o: PeriodicalDeployment(
+    "periodical": lambda p, m, o: FullRetrainingDeployment(
         p, m, o,
         config=PeriodicalConfig(
             retrain_every_chunks=5, max_epoch_iterations=20

@@ -6,10 +6,10 @@ import pytest
 from repro.core.config import ContinuousConfig, ScheduleConfig
 from repro.core.deployment import (
     ContinuousDeployment,
+    FullRetrainingDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
-    ThresholdRetrainingDeployment,
 )
+from repro.core.scheduler import DegradationTrigger
 from repro.data.table import Table
 from repro.exceptions import ValidationError
 from repro.execution.cost import CostModel
@@ -171,7 +171,7 @@ class TestDynamicScheduleInDeployment:
         deployment.initial_fit(initial(), max_iterations=20)
         result = deployment.run(stream(num_chunks=12))
         assert result.counters["proactive_trainings"] >= 1
-        scheduler = deployment.platform.scheduler
+        scheduler = deployment.platform.rules[0].trigger
         assert scheduler.prediction_rate() > 0
         assert scheduler.prediction_latency() > 0
 
@@ -192,6 +192,12 @@ class TestEmptyStream:
             result.final_error
 
 
+def _threshold(*parts, **kwargs):
+    return FullRetrainingDeployment(
+        *parts, trigger=DegradationTrigger(), **kwargs
+    )
+
+
 def _continuous(*parts, online_batch_rows):
     return ContinuousDeployment(
         *parts, config=ContinuousConfig(online_batch_rows=online_batch_rows)
@@ -205,19 +211,26 @@ class TestOnlineBatchRowsValidation:
 
     BUILDERS = [
         OnlineDeployment,
-        PeriodicalDeployment,
-        ThresholdRetrainingDeployment,
+        FullRetrainingDeployment,
+        _threshold,
         _continuous,
+    ]
+    #: The names the approaches had as classes of their own.
+    IDS = [
+        "OnlineDeployment",
+        "PeriodicalDeployment",
+        "ThresholdRetrainingDeployment",
+        "_continuous",
     ]
 
     @pytest.mark.parametrize("rows", [0, -1])
-    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("build", BUILDERS, ids=IDS)
     def test_rejected_at_construction(self, build, rows):
         with pytest.raises(ValidationError, match="online_batch_rows"):
             build(*make_parts(), online_batch_rows=rows)
 
     @pytest.mark.parametrize("rows", [None, 1, 3, 1000])
-    @pytest.mark.parametrize("build", BUILDERS[:3])
+    @pytest.mark.parametrize("build", BUILDERS[:3], ids=IDS[:3])
     def test_valid_sizes_train_every_chunk(self, build, rows):
         deployment = build(
             *make_parts(), metric="regression", online_batch_rows=rows

@@ -12,7 +12,7 @@ from repro.core.config import (
 from repro.core.deployment import (
     ContinuousDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
+    FullRetrainingDeployment,
 )
 from repro.data.table import Table
 from repro.exceptions import ValidationError
@@ -100,7 +100,7 @@ class TestOnlineDeployment:
 class TestPeriodicalDeployment:
     def test_retrains_on_schedule(self):
         pipeline, model, optimizer = make_parts()
-        deployment = PeriodicalDeployment(
+        deployment = FullRetrainingDeployment(
             pipeline,
             model,
             optimizer,
@@ -116,7 +116,7 @@ class TestPeriodicalDeployment:
 
     def test_cost_jumps_at_retraining(self):
         pipeline, model, optimizer = make_parts()
-        deployment = PeriodicalDeployment(
+        deployment = FullRetrainingDeployment(
             pipeline,
             model,
             optimizer,
@@ -134,7 +134,7 @@ class TestPeriodicalDeployment:
 
     def test_history_accumulates(self):
         pipeline, model, optimizer = make_parts()
-        deployment = PeriodicalDeployment(
+        deployment = FullRetrainingDeployment(
             pipeline, model, optimizer, metric="regression", seed=0
         )
         run(deployment)
@@ -192,7 +192,7 @@ class TestContinuousDeployment:
                     pipeline, model, optimizer, metric="regression"
                 )
             elif name == "periodical":
-                deployment = PeriodicalDeployment(
+                deployment = FullRetrainingDeployment(
                     pipeline, model, optimizer,
                     config=PeriodicalConfig(
                         retrain_every_chunks=4,

@@ -1,16 +1,27 @@
-"""Tests for the drift detectors and the drift-aware deployment."""
+"""Tests for the drift detectors and the drift-aware deployment: a
+continuous deployment with a :class:`DriftTrigger` training rule."""
 
 import numpy as np
 import pytest
 
+from repro.core.config import ContinuousConfig, ScheduleConfig
+from repro.core.deployment import ContinuousDeployment
+from repro.core.platform import TrainingRule
+from repro.data.sampling import WindowBasedSampler
+from repro.data.table import Table
 from repro.driftdetect import (
     DDM,
-    DriftAwareContinuousDeployment,
     DriftState,
+    DriftTrigger,
     PageHinkley,
     WindowComparisonDetector,
 )
 from repro.exceptions import ValidationError
+from repro.ml.models import LinearRegression
+from repro.ml.optim import Adam
+from repro.pipeline.components.assembler import FeatureAssembler
+from repro.pipeline.components.scaler import StandardScaler
+from repro.pipeline.pipeline import Pipeline
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.ConvergenceWarning"
@@ -25,6 +36,49 @@ ALL_DETECTORS = [
 
 def feed(detector, errors):
     return [detector.update(e) for e in errors]
+
+
+def drift_aware(
+    detector,
+    sample_size_chunks,
+    initial_iterations,
+    initial_tolerance,
+    bursts_per_drift=1,
+    burst_window=5,
+    burst_delay_chunks=4,
+):
+    """A fitted continuous deployment whose schedule (interval 1000)
+    never fires, plus the drift response; returns it with the rule."""
+    rule = TrainingRule(
+        DriftTrigger(detector, delay_chunks=burst_delay_chunks),
+        WindowBasedSampler(burst_window),
+        bursts_per_drift,
+    )
+    deployment = ContinuousDeployment(
+        Pipeline(
+            [
+                StandardScaler(["x"], name="scaler"),
+                FeatureAssembler(["x"], "y", name="assembler"),
+            ]
+        ),
+        LinearRegression(num_features=1),
+        Adam(0.05),
+        config=ContinuousConfig(
+            sample_size_chunks=sample_size_chunks,
+            schedule=ScheduleConfig(interval_chunks=1000),
+        ),
+        metric="regression",
+        seed=0,
+        rules=[rule],
+    )
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(60)
+    deployment.initial_fit(
+        [Table({"x": x, "y": 3.0 * x})],
+        max_iterations=initial_iterations,
+        tolerance=initial_tolerance,
+    )
+    return deployment, rule
 
 
 class TestDDM:
@@ -142,46 +196,10 @@ class TestDetectorContract:
 
 class TestDriftAwareDeployment:
     def _make(self, detector, bursts=1):
-        from repro.core.config import ContinuousConfig, ScheduleConfig
-        from repro.data.table import Table
-        from repro.ml.models import LinearRegression
-        from repro.ml.optim import Adam
-        from repro.pipeline.components.assembler import FeatureAssembler
-        from repro.pipeline.components.scaler import StandardScaler
-        from repro.pipeline.pipeline import Pipeline
-
-        pipeline = Pipeline(
-            [
-                StandardScaler(["x"], name="scaler"),
-                FeatureAssembler(["x"], "y", name="assembler"),
-            ]
-        )
-        deployment = DriftAwareContinuousDeployment(
-            pipeline,
-            LinearRegression(num_features=1),
-            Adam(0.05),
-            detector=detector,
-            bursts_per_drift=bursts,
-            config=ContinuousConfig(
-                sample_size_chunks=3,
-                schedule=ScheduleConfig(interval_chunks=1000),
-            ),
-            metric="regression",
-            seed=0,
-        )
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(60)
-        deployment.initial_fit(
-            [Table({"x": x, "y": 3.0 * x})],
-            max_iterations=400,
-            tolerance=1e-8,
-        )
-        return deployment
+        return drift_aware(detector, 3, 400, 1e-8, bursts_per_drift=bursts)
 
     @staticmethod
     def _shifting_stream(num_chunks=40, shift_at=20):
-        from repro.data.table import Table
-
         rng = np.random.default_rng(4)
         for index in range(num_chunks):
             x = rng.standard_normal(12)
@@ -190,91 +208,37 @@ class TestDriftAwareDeployment:
 
     def test_burst_fires_on_drift(self):
         detector = PageHinkley(threshold=2.0, minimum_observations=30)
-        deployment = self._make(detector)
+        deployment, rule = self._make(detector)
         result = deployment.run(self._shifting_stream())
-        assert result.counters["drifts_detected"] >= 1
+        assert rule.trigger.drifts_detected >= 1
         # The schedule (interval 1000) never fires: every proactive
         # training came from a drift burst.
         assert (
             result.counters["proactive_trainings"]
-            == result.counters["drifts_detected"]
-            * deployment.bursts_per_drift
+            == rule.trigger.drifts_detected * rule.repeats
         )
-        assert deployment.drift_chunks[0] >= 20
+        assert rule.trigger.drift_chunks[0] >= 20
 
     def test_no_drift_no_burst(self):
-        from repro.data.table import Table
-
         detector = PageHinkley(threshold=50.0)
-        deployment = self._make(detector)
-        rng = np.random.default_rng(5)
-        stream = (
-            Table(
-                {
-                    "x": rng.standard_normal(12),
-                    "y": 3.0 * rng.standard_normal(12),
-                }
-            )
-            for __ in range(10)
-        )
+        deployment, rule = self._make(detector)
         # Stream is noisy but threshold is enormous.
         result = deployment.run(self._shifting_stream(10, shift_at=99))
-        assert result.counters["drifts_detected"] == 0
+        assert rule.trigger.drifts_detected == 0
+        assert result.counters["proactive_trainings"] == 0
 
     def test_invalid_bursts(self):
-        with pytest.raises(ValidationError, match="bursts_per_drift"):
+        with pytest.raises(ValidationError, match="repeats"):
             self._make(PageHinkley(), bursts=0)
 
 
 class TestBurstMechanics:
     def _deployment(self, **kwargs):
-        import numpy as np
-
-        from repro.core.config import ContinuousConfig, ScheduleConfig
-        from repro.data.table import Table
-        from repro.ml.models import LinearRegression
-        from repro.ml.optim import Adam
-        from repro.pipeline.components.assembler import FeatureAssembler
-        from repro.pipeline.components.scaler import StandardScaler
-        from repro.pipeline.pipeline import Pipeline
-
-        pipeline = Pipeline(
-            [
-                StandardScaler(["x"], name="scaler"),
-                FeatureAssembler(["x"], "y", name="assembler"),
-            ]
-        )
-        deployment = DriftAwareContinuousDeployment(
-            pipeline,
-            LinearRegression(num_features=1),
-            Adam(0.05),
-            detector=kwargs.pop(
-                "detector", PageHinkley(threshold=2.0,
-                                        minimum_observations=30)
-            ),
-            config=ContinuousConfig(
-                sample_size_chunks=2,
-                schedule=ScheduleConfig(interval_chunks=1000),
-            ),
-            metric="regression",
-            seed=0,
-            **kwargs,
-        )
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(60)
-        deployment.initial_fit(
-            [Table({"x": x, "y": 3.0 * x})],
-            max_iterations=100,
-            tolerance=1e-6,
-        )
-        return deployment
+        detector = PageHinkley(threshold=2.0, minimum_observations=30)
+        return drift_aware(detector, 2, 100, 1e-6, **kwargs)
 
     @staticmethod
     def _stream(num_chunks=40, shift_at=15):
-        import numpy as np
-
-        from repro.data.table import Table
-
         rng = np.random.default_rng(4)
         for index in range(num_chunks):
             x = rng.standard_normal(12)
@@ -282,35 +246,35 @@ class TestBurstMechanics:
             yield Table({"x": x, "y": slope * x})
 
     def test_regular_sampler_restored_after_burst(self):
-        from repro.data.sampling import TimeBasedSampler
-
-        deployment = self._deployment(burst_delay_chunks=2)
+        deployment, rule = self._deployment(burst_delay_chunks=2)
         regular = deployment.platform.data_manager.sampler
-        deployment.run(self._stream())
+        result = deployment.run(self._stream())
+        assert result.counters["proactive_trainings"] >= 1
         assert deployment.platform.data_manager.sampler is regular
+        assert regular is not rule.sampler
 
     def test_burst_delay_defers_response(self):
-        deployment = self._deployment(
+        deployment, rule = self._deployment(
             burst_delay_chunks=5, bursts_per_drift=2
         )
         result = deployment.run(self._stream())
-        assert result.counters["drifts_detected"] >= 1
+        assert rule.trigger.drifts_detected >= 1
         # All proactive trainings came from bursts (schedule is 1000).
         assert result.counters["proactive_trainings"] % 2 == 0
 
     def test_no_duplicate_detection_during_countdown(self):
         """While a burst countdown is pending, further DRIFT signals
         must not queue additional bursts."""
-        deployment = self._deployment(
+        deployment, rule = self._deployment(
             burst_delay_chunks=10, bursts_per_drift=1
         )
-        result = deployment.run(self._stream(num_chunks=30))
-        assert result.counters["drifts_detected"] <= 2
+        deployment.run(self._stream(num_chunks=30))
+        assert rule.trigger.drifts_detected <= 2
 
     def test_invalid_burst_parameters(self):
-        with pytest.raises(ValidationError, match="burst_window"):
+        with pytest.raises(ValidationError, match="window_size"):
             self._deployment(burst_window=0)
-        with pytest.raises(ValidationError, match="burst_delay_chunks"):
+        with pytest.raises(ValidationError, match="delay_chunks"):
             self._deployment(burst_delay_chunks=-1)
 
 

@@ -147,7 +147,7 @@ class TestPredict:
         )
         platform = make_platform(config)
         platform.predict(chunk(rng))
-        assert platform.scheduler.prediction_rate() > 0
+        assert platform.rules[0].trigger.prediction_rate() > 0
 
 
 class TestInitialFit:

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.scheduler import DynamicScheduler, StaticScheduler
-from repro.exceptions import SchedulingError
+from repro.core.scheduler import (
+    DegradationTrigger,
+    DynamicScheduler,
+    StaticScheduler,
+)
+from repro.driftdetect import DriftTrigger, PageHinkley
+from repro.exceptions import SchedulingError, ValidationError
 
 
 class TestStaticScheduler:
@@ -90,6 +95,14 @@ class TestDynamicScheduler:
     def test_slack_below_one_rejected(self):
         with pytest.raises(SchedulingError, match="slack"):
             DynamicScheduler(slack=0.5)
+
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf")])
+    def test_non_finite_slack_rejected(self, slack):
+        """``nan < 1.0`` is false: a hand-rolled ``<`` let these in, and
+        after the first training ``next_training_time`` was nan/inf —
+        the deployment silently never trained again."""
+        with pytest.raises(ValidationError, match="slack"):
+            DynamicScheduler(slack=slack)
 
     def test_invalid_records(self):
         scheduler = DynamicScheduler()
@@ -259,3 +272,34 @@ class TestSchedulerStateRoundTrip:
         ] == [
             scheduler.should_train(i, now=0.0) for i in range(8)
         ]
+
+
+class TestTriggerParameterValidation:
+    """Every trigger parameter goes through ``utils.validation``: a
+    non-finite or fractional value is refused when the trigger is
+    built, by name, instead of constructing a trigger that can never
+    fire (``nan`` comparisons are false), truncating silently
+    (``int(2.5)``) or dying on a bare ``ValueError`` (``int(nan)``)."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tolerance_ratio": float("nan")},
+            {"tolerance_ratio": float("inf")},
+            {"min_absolute_delta": float("nan")},
+            {"window_chunks": 2.5},
+            {"window_chunks": float("nan")},
+            {"cooldown_chunks": float("nan")},
+            {"cooldown_chunks": 2.5},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_degradation_trigger(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=name):
+            DegradationTrigger(**kwargs)
+
+    @pytest.mark.parametrize("delay", [float("nan"), 2.5, -1])
+    def test_drift_trigger_delay(self, delay):
+        with pytest.raises(ValidationError, match="delay_chunks"):
+            DriftTrigger(PageHinkley(), delay_chunks=delay)

@@ -1,10 +1,12 @@
-"""Tests for the Velox-style threshold-retraining deployment."""
+"""Tests for the Velox-style threshold baseline: full retraining
+under a :class:`~repro.core.scheduler.DegradationTrigger`."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import PeriodicalConfig
-from repro.core.deployment import ThresholdRetrainingDeployment
+from repro.core.deployment import FullRetrainingDeployment
+from repro.core.scheduler import DegradationTrigger
 from repro.data.table import Table
 from repro.exceptions import ValidationError
 from repro.ml.models import LinearRegression
@@ -60,13 +62,16 @@ def make_deployment(**kwargs):
         # 0.005-0.04 band; the concept shift pushes it to ~36. The
         # absolute floor separates the two regimes.
         min_absolute_delta=0.05,
+    )
+    defaults.update(kwargs)
+    return FullRetrainingDeployment(
+        pipeline,
+        model,
+        optimizer,
+        trigger=DegradationTrigger(**defaults),
         config=PeriodicalConfig(max_epoch_iterations=100),
         metric="regression",
         seed=0,
-    )
-    defaults.update(kwargs)
-    return ThresholdRetrainingDeployment(
-        pipeline, model, optimizer, **defaults
     )
 
 
@@ -79,7 +84,7 @@ class TestTriggering:
         result = deployment.run(shifting_stream())
         assert result.counters["retrainings"] >= 1
         # The first retraining happens after the shift at chunk 15.
-        assert deployment.retrain_chunks[0] >= 15
+        assert deployment.trigger.retrain_chunks[0] >= 15
 
     def test_stable_stream_never_retrains(self):
         deployment = make_deployment()
@@ -99,7 +104,7 @@ class TestTriggering:
 
     def test_windowed_error_accessor(self):
         deployment = make_deployment()
-        assert deployment.windowed_error() == 0.0
+        assert deployment.trigger.windowed_error() == 0.0
 
 
 class TestReporting:
@@ -109,7 +114,6 @@ class TestReporting:
             initial_tables(), max_iterations=100, tolerance=1e-6
         )
         result = deployment.run(shifting_stream(num_chunks=20))
-        assert result.approach == "threshold"
         assert result.counters["online_updates"] == 20
         assert result.chunks_processed == 20
 
@@ -125,16 +129,9 @@ class TestReporting:
 
 class TestValidation:
     def test_invalid_parameters(self):
-        pipeline, model, optimizer = make_parts()
         with pytest.raises(ValidationError):
-            ThresholdRetrainingDeployment(
-                pipeline, model, optimizer, tolerance_ratio=0.0
-            )
+            DegradationTrigger(tolerance_ratio=0.0)
         with pytest.raises(ValidationError):
-            ThresholdRetrainingDeployment(
-                pipeline, model, optimizer, window_chunks=0
-            )
+            DegradationTrigger(window_chunks=0)
         with pytest.raises(ValidationError):
-            ThresholdRetrainingDeployment(
-                pipeline, model, optimizer, cooldown_chunks=-1
-            )
+            DegradationTrigger(cooldown_chunks=-1)

@@ -11,7 +11,7 @@ from repro.core.config import (
 from repro.core.deployment import (
     ContinuousDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
+    FullRetrainingDeployment,
 )
 from repro.core.deployment.base import DeploymentResult
 from repro.data.table import Table
@@ -72,7 +72,7 @@ class TestTrainingDurations:
 
     def test_periodical_records_retrain_durations(self):
         pipeline, model, optimizer = make_parts()
-        deployment = PeriodicalDeployment(
+        deployment = FullRetrainingDeployment(
             pipeline, model, optimizer,
             config=PeriodicalConfig(
                 retrain_every_chunks=6, max_epoch_iterations=30
@@ -111,7 +111,7 @@ class TestTrainingDurations:
         continuous_result = continuous.run(stream())
 
         pipeline, model, optimizer = make_parts()
-        periodical = PeriodicalDeployment(
+        periodical = FullRetrainingDeployment(
             pipeline, model, optimizer,
             config=PeriodicalConfig(
                 retrain_every_chunks=6, max_epoch_iterations=100

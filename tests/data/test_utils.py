@@ -206,6 +206,41 @@ def _raise_negative_charge():
     CostTracker().charge_training(-1, "sgd_step")
 
 
+def _raise_trigger_cooldown_not_a_number():
+    from repro.core.scheduler import DegradationTrigger
+
+    DegradationTrigger(cooldown_chunks=float("nan"))
+
+
+def _raise_drift_delay_not_a_number():
+    from repro.driftdetect import DriftTrigger, PageHinkley
+
+    DriftTrigger(PageHinkley(), delay_chunks=float("nan"))
+
+
+def _raise_training_rule_repeats_not_a_number():
+    from repro.core.platform import (
+        ContinuousDeploymentPlatform,
+        TrainingRule,
+    )
+    from repro.core.scheduler import StaticScheduler
+    from repro.experiments.common import url_scenario
+
+    scenario = url_scenario("test")
+    ContinuousDeploymentPlatform(
+        scenario.make_pipeline(),
+        scenario.make_model(),
+        scenario.make_optimizer(),
+        rules=[TrainingRule(StaticScheduler(1), repeats=float("nan"))],
+    )
+
+
+def _raise_dynamic_slack_not_a_number():
+    from repro.core.scheduler import DynamicScheduler
+
+    DynamicScheduler(slack=float("nan"))
+
+
 class TestEveryValidationFailureIsAReproError:
     """``exceptions.py``: "callers can catch every library-specific
     failure with a single ``except``" — and each stays a ValueError."""
@@ -221,6 +256,10 @@ class TestEveryValidationFailureIsAReproError:
             _raise_deploy_fraction_out_of_range,
             _raise_unknown_optimizer,
             _raise_negative_charge,
+            _raise_trigger_cooldown_not_a_number,
+            _raise_drift_delay_not_a_number,
+            _raise_training_rule_repeats_not_a_number,
+            _raise_dynamic_slack_not_a_number,
         ],
         ids=lambda trigger: trigger.__name__[len("_raise_"):],
     )

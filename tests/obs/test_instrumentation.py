@@ -13,12 +13,14 @@ import pytest
 from repro.core.config import ContinuousConfig, ScheduleConfig
 from repro.core.deployment import (
     ContinuousDeployment,
+    FullRetrainingDeployment,
     OnlineDeployment,
-    PeriodicalDeployment,
 )
 from repro.core.config import PeriodicalConfig
+from repro.core.platform import TrainingRule
+from repro.data.sampling import WindowBasedSampler
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
-from repro.driftdetect import DriftAwareContinuousDeployment, DriftState
+from repro.driftdetect import DriftState, DriftTrigger
 from repro.experiments.common import (
     APPROACHES,
     make_deployment,
@@ -196,7 +198,7 @@ class TestBaselineDeploymentTelemetry:
     def test_periodical_full_retrain_span(self):
         pipeline, model, optimizer = make_parts()
         telemetry = Telemetry()
-        deployment = PeriodicalDeployment(
+        deployment = FullRetrainingDeployment(
             pipeline,
             model,
             optimizer,
@@ -258,16 +260,18 @@ class TestDriftTelemetry:
 
         pipeline, model, optimizer = make_parts()
         telemetry = Telemetry()
-        deployment = DriftAwareContinuousDeployment(
+        trigger = DriftTrigger(
+            FiringDetector(), delay_chunks=1, telemetry=telemetry
+        )
+        deployment = ContinuousDeployment(
             pipeline,
             model,
             optimizer,
-            detector=FiringDetector(),
             config=tight_config(),
-            burst_delay_chunks=1,
             metric="classification",
             seed=3,
             telemetry=telemetry,
+            rules=[TrainingRule(trigger, WindowBasedSampler(5))],
         )
         generator = make_generator()
         deployment.initial_fit(

@@ -6,9 +6,13 @@ lists and spilled as ``log[spilled:]`` into the checkpoint's raw pack
 (``raw-<cursor>-<digest>``, keyed by log name beside the timestamps);
 the envelope carries segment refs. For random
 cadence × keep × monitor window × approach (deployment loop ``online``
-and ``continuous``, platform, fleet) × crash plan (one or two kills, at
-``stream.read`` or at ``checkpoint.write`` — after the packs, before
-the envelope — optionally with the newest surviving envelope corrupted):
+and ``continuous``, platform, fleet, and the three approaches whose
+trigger has state or fires often: ``periodical``, ``threshold`` and
+``drift`` — continuous plus a drift rule — configured so that the
+trigger fires on both sides of the recovery) × crash plan (one or two
+kills, at ``stream.read`` or at ``checkpoint.write`` — after the
+packs, before the envelope — optionally with the newest surviving
+envelope corrupted):
 
 * the recovered run ends on the uninterrupted run's ``lineage.json``
   bytes, ``health.json`` content, result histories and metrics
@@ -39,12 +43,21 @@ replays it.
 """
 
 import json
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from repro.core.config import ContinuousConfig, ScheduleConfig
-from repro.core.platform import ContinuousDeploymentPlatform
+from repro.core.deployment import (
+    ContinuousDeployment,
+    FullRetrainingDeployment,
+)
+from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
+from repro.core.scheduler import DegradationTrigger
+from repro.data.sampling import WindowBasedSampler
 from repro.data.table import Table
+from repro.driftdetect import DriftTrigger, PageHinkley
 from repro.exceptions import ReliabilityError
 from repro.experiments.common import make_deployment, url_scenario
 from repro.fleet import FleetOrchestrator, make_fleet
@@ -71,8 +84,25 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 SEEDS = range(4)
-APPROACHES = ("online", "continuous", "platform", "fleet")
+#: Appended to, never reordered: a case's draws are seeded by position.
+APPROACHES = (
+    "online",
+    "continuous",
+    "platform",
+    "fleet",
+    "periodical",
+    "threshold",
+    "drift",
+)
+#: The deployment-loop approaches with a trigger worth killing.
+TRIGGERED = APPROACHES[4:]
 SCENARIO = url_scenario("test")
+#: Full retrainings every other chunk, five iterations each.
+RETRAINING = replace(
+    SCENARIO.periodical_config,
+    retrain_every_chunks=2,
+    max_epoch_iterations=5,
+)
 FLEET = make_fleet(3, seed=5, chunks=12, rows=8)
 PLATFORM_CONFIG = ContinuousConfig(
     sample_size_chunks=2,
@@ -80,14 +110,15 @@ PLATFORM_CONFIG = ContinuousConfig(
 )
 #: Stream length in checkpoint-cursor units, per approach.
 STEPS = {
-    "online": SCENARIO.num_chunks,
-    "continuous": SCENARIO.num_chunks,
+    **dict.fromkeys(APPROACHES, SCENARIO.num_chunks),
     "platform": 30,
     "fleet": FLEET.epochs,
+    # The stream stops degrading after chunk 23: nothing fires there.
+    "threshold": 24,
 }
 #: The toy platform's whole run costs ~0.002 virtual units, the
 #: others ~0.25: monitor windows are drawn on that scale.
-CLOCK_SCALE = {"online": 1, "continuous": 1, "platform": 0.01, "fleet": 1}
+CLOCK_SCALE = {**dict.fromkeys(APPROACHES, 1), "platform": 0.01}
 
 
 def attached(approach, window):
@@ -116,24 +147,74 @@ def platform_chunks():
     ]
 
 
+def loop_deployment(approach, **options):
+    """A deployment-loop approach, and a function listing the chunks a
+    :data:`TRIGGERED` one's trigger fired at (read after the run; the
+    static schedule's are arithmetic)."""
+    if approach not in TRIGGERED:
+        return make_deployment(SCENARIO, approach, **options), list
+    parts = (
+        SCENARIO.make_pipeline(),
+        SCENARIO.make_model(),
+        SCENARIO.make_optimizer(),
+    )
+    options.update(metric=SCENARIO.metric, seed=SCENARIO.seed)
+    if approach == "drift":
+        trigger = DriftTrigger(
+            PageHinkley(threshold=1.0, minimum_observations=10),
+            delay_chunks=2,
+            telemetry=options["telemetry"],
+        )
+        return (
+            ContinuousDeployment(
+                *parts,
+                config=SCENARIO.continuous_config,
+                rules=[TrainingRule(trigger, WindowBasedSampler(3), 2)],
+                **options,
+            ),
+            lambda: trigger.drift_chunks,
+        )
+    trigger = (
+        DegradationTrigger(
+            tolerance_ratio=0.05,
+            window_chunks=3,
+            cooldown_chunks=2,
+            min_absolute_delta=0.0,
+        )
+        if approach == "threshold"
+        else None
+    )
+    deployment = FullRetrainingDeployment(
+        *parts,
+        config=RETRAINING,
+        trigger=trigger,
+        online_batch_rows=SCENARIO.online_batch_rows,
+        **options,
+    )
+    if trigger is None:
+        return deployment, lambda: list(range(1, STEPS[approach], 2))
+    return deployment, lambda: trigger.retrain_chunks
+
+
 def drive(approach, telemetry, store, injector, resume, limit=None):
     """Run (or resume) one incarnation to the end of the stream, to
     ``limit`` steps (then abandoned, as a kill would leave it) or into
-    an injected :class:`SimulatedCrash`; returns the result histories."""
-    if approach in ("online", "continuous"):
-        deployment = make_deployment(
-            SCENARIO,
+    an injected :class:`SimulatedCrash`; returns the result histories
+    (and, last, a :data:`TRIGGERED` approach's firing chunks)."""
+    if approach in ("online", "continuous") + TRIGGERED:
+        deployment, fired = loop_deployment(
             approach,
             telemetry=telemetry,
             checkpoint=store,
             fault_plan=injector,
         )
+        stream = islice(SCENARIO.make_stream(), STEPS[approach])
         if resume:
-            result = deployment.recover(SCENARIO.make_stream())
+            result = deployment.recover(stream)
         else:
             SCENARIO.fit(deployment)
-            result = deployment.run(SCENARIO.make_stream())
-        return [result.error_history, result.cost_history]
+            result = deployment.run(stream)
+        return [result.error_history, result.cost_history, fired()]
     if approach == "platform":
         if resume:
             platform = ContinuousDeploymentPlatform.recover(
@@ -335,8 +416,8 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
         tmp_path,
     )
     assert len(telemetry.monitor.snapshots) > 3
-    if approach != "online":  # nothing records lineage there
-        assert len(telemetry.ledger) > 10
+    if approach not in ("online", "periodical", "threshold"):
+        assert len(telemetry.ledger) > 10  # those record no lineage
     assert len(store.load_latest().logs["monitor"]) > 1
 
     cursor, plan = 0, []
@@ -348,7 +429,7 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
         fired_by_store = site == "checkpoint.write"
         injector = FaultInjector(FaultPlan.crash_at(site, occurrence))
         telemetry, store = incarnation("crashed", injector, fired_by_store)
-        if fired_by_store or approach in ("online", "continuous"):
+        if fired_by_store or approach not in ("platform", "fleet"):
             with pytest.raises(SimulatedCrash):
                 drive(
                     approach,
@@ -384,9 +465,14 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
     recovered = artifacts(telemetry, histories, tmp_path / "crashed")
     for name, expected in reference.items():
         assert recovered[name] == expected, f"{name}: {context}"
+    if approach in TRIGGERED:
+        # The trigger's state crossed the process boundary and the
+        # restored trigger went on to fire.
+        fired = histories[-1]
+        assert fired[0] < cursor <= fired[-1], f"{fired}: {context}"
 
 
-@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("approach", APPROACHES[:4])
 def test_crashed_write_is_rewritten_onto_its_own_pack(tmp_path, approach):
     """Killed inside the write of cursor 9 with everything retained:
     that cursor's pack is on disk before the recovery and is still
@@ -420,7 +506,7 @@ def test_crashed_write_is_rewritten_onto_its_own_pack(tmp_path, approach):
         assert nine[key] in (six[key], six[key] + left_behind)
 
 
-@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("approach", APPROACHES[:4])
 def test_without_telemetry_packs_hold_chunks_only_and_no_key_is_new(
     tmp_path, approach
 ):

@@ -11,15 +11,17 @@ deployment strategy at three kill points.
 import numpy as np
 import pytest
 
-from repro.core.platform import ContinuousDeploymentPlatform
-from repro.driftdetect import DDM
-from repro.driftdetect.deployment import DriftAwareContinuousDeployment
-from repro.exceptions import ReliabilityError
+from repro.core.deployment import ContinuousDeployment
+from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
+from repro.data.sampling import WindowBasedSampler
+from repro.driftdetect import DDM, DriftTrigger, PageHinkley
+from repro.exceptions import ReliabilityError, ValidationError
 from repro.experiments.common import (
     APPROACHES,
     make_deployment,
     url_scenario,
 )
+from repro.ml.metrics import errors_from_predictions
 from repro.obs import Telemetry
 from repro.reliability import (
     CheckpointConfig,
@@ -160,20 +162,25 @@ class TestTelemetryCounters:
 
 class TestDriftAwareRecovery:
     def make(self, scn, **reliability):
-        return DriftAwareContinuousDeployment(
+        return ContinuousDeployment(
             scn.make_pipeline(),
             scn.make_model(),
             scn.make_optimizer(),
-            detector=DDM(),
             config=scn.continuous_config,
             metric=scn.metric,
             seed=scn.seed,
+            rules=[TrainingRule(DriftTrigger(DDM()), WindowBasedSampler(5))],
             **reliability,
         )
 
+    @staticmethod
+    def drift_state(deployment):
+        return deployment.platform.rules[1].trigger.state_dict()
+
     def test_detector_state_survives_recovery(self, tmp_path):
         scn = scenario()
-        reference = fit(self.make(scn), scn).run(scn.make_stream())
+        uninterrupted = fit(self.make(scn), scn)
+        reference = uninterrupted.run(scn.make_stream())
 
         config = CheckpointConfig(
             directory=tmp_path, cadence_chunks=CADENCE, keep=3
@@ -193,6 +200,9 @@ class TestDriftAwareRecovery:
         assert result.error_history == reference.error_history
         assert result.cost_history == reference.cost_history
         assert result.counters == reference.counters
+        drift = self.drift_state(recovered)
+        assert drift == self.drift_state(uninterrupted)
+        assert drift["detector"]["observations"] > 0
 
 
 class TestRecoveryEdgeCases:
@@ -247,7 +257,25 @@ class TestRecoveryEdgeCases:
 
 class TestPlatformRecover:
     def test_platform_classmethod_round_trip(self, tmp_path):
-        """Standalone-platform checkpointing (no deployment loop)."""
+        """Standalone-platform checkpointing (no deployment loop),
+        with the configured schedule alone and with one more rule."""
+        self.round_trip(tmp_path / "schedule", tuple)
+        self.round_trip(
+            tmp_path / "drift",
+            lambda: [
+                TrainingRule(
+                    DriftTrigger(PageHinkley(), delay_chunks=1),
+                    WindowBasedSampler(3),
+                )
+            ],
+        )
+        with pytest.raises(ValidationError, match="2 trigger"):
+            ContinuousDeploymentPlatform.recover(
+                CheckpointConfig(directory=tmp_path / "drift"),
+                config=scenario().continuous_config,
+            )
+
+    def round_trip(self, directory, make_rules):
         scn = scenario()
 
         def build(**kwargs):
@@ -257,12 +285,16 @@ class TestPlatformRecover:
                 optimizer=scn.make_optimizer(),
                 config=scn.continuous_config,
                 seed=scn.seed,
+                rules=make_rules(),
                 **kwargs,
             )
 
         def feed(platform, tables):
             for table in tables:
-                platform.predict(table)
+                predictions, labels = platform.predict(table)
+                platform.record_errors(
+                    errors_from_predictions("rate", predictions, labels)
+                )
                 platform.observe(table)
 
         chunks = list(scn.make_stream())[:12]
@@ -275,7 +307,7 @@ class TestPlatformRecover:
         feed(reference, chunks)
 
         config = CheckpointConfig(
-            directory=tmp_path, cadence_chunks=4, keep=2
+            directory=directory, cadence_chunks=4, keep=2
         )
         interrupted = build(checkpoint=config)
         interrupted.initial_fit(
@@ -284,7 +316,7 @@ class TestPlatformRecover:
         feed(interrupted, chunks[:9])  # checkpoints at 4 and 8
 
         recovered = ContinuousDeploymentPlatform.recover(
-            config, config=scn.continuous_config
+            config, config=scn.continuous_config, rules=make_rules()
         )
         assert recovered.chunks_observed == 8
         feed(recovered, chunks[8:])
@@ -293,3 +325,9 @@ class TestPlatformRecover:
             == reference.model.params_vector().tobytes()
         )
         assert recovered.chunks_observed == reference.chunks_observed
+        assert recovered.state_dict()["triggers"] == (
+            reference.state_dict()["triggers"]
+        )
+        assert len(recovered.proactive_outcomes) == len(
+            reference.proactive_outcomes
+        ) >= 2 + len(make_rules())
