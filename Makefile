@@ -133,7 +133,7 @@ bench-e2e-compare:
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.
 # Every recipe starts from an empty scratch directory of its own.
-SMOKES := serving perf monitor traffic fleet lineage recovery e2e
+SMOKES := serving perf monitor traffic fleet lineage recovery e2e figures
 SMOKE_DIR ?= .smoke
 REPRO := PYTHONPATH=src python -m repro
 RUN := PYTHONPATH=src timeout
@@ -312,6 +312,23 @@ smoke-recovery:
 # untraced, the expected.json goldens) — ~10 s, not part of tier-1.
 smoke-e2e:
 	$(RUN) 120 python -m pytest benchmarks/e2e -q
+
+# The figure commands print virtual-clock numbers only, so their
+# stdout at test scale is a golden, compared byte for byte:
+# tests/experiments/golden/<command>-<dataset>-test.txt, recorded from
+# the parent of the commit that added them (`git archive <parent> |
+# tar -x -C <dir>`, run there). A PR that means to move a number
+# re-records the same way and says which.
+FIGURES := exp1-url table3-url fig5-url fig6-url fig7-url fig8-url \
+	exp1-taxi fig7-taxi
+smoke-figures:
+	@for figure in $(FIGURES); do \
+		echo "$$figure"; \
+		$(RUN) 120 python -m repro $${figure%-*} --dataset $${figure#*-} \
+			--scale test > $D/$$figure.txt || exit 1; \
+		cmp $D/$$figure.txt tests/experiments/golden/$$figure-test.txt \
+			|| exit 1; \
+	done
 
 examples:
 	python examples/quickstart.py

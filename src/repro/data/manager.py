@@ -10,12 +10,11 @@ tasks the paper assigns to it:
 4. serve samples for proactive training, re-materializing evicted
    chunks through a caller-supplied transform (dynamic materialization).
 
-Re-materialized chunks are *transient* by default: they are rebuilt for
-the requesting training step and do not displace newer materialized
-payloads (set ``keep_rematerialized=True`` to cache them instead). The
-transient policy keeps the materialized set equal to the most recent
-*m* chunks, which is the regime analysed by the paper's closed-form
-``μ`` formulas.
+Re-materialized chunks are *transient*: they are rebuilt for the
+requesting training step and do not displace newer materialized
+payloads. That keeps the materialized set equal to the most recent *m*
+chunks, which is the regime analysed by the paper's closed-form ``μ``
+formulas.
 """
 
 from __future__ import annotations
@@ -84,10 +83,6 @@ class DataManager:
         Sampling strategy for proactive training (uniform by default).
     seed:
         Seed or generator for the sampling randomness.
-    keep_rematerialized:
-        When true, chunks rebuilt during sampling are written back into
-        storage (and may evict newer payloads). Default false; see the
-        module docstring.
     telemetry:
         Optional observability bundle. When enabled, every sampling
         operation updates live ``cache.hits`` / ``cache.misses`` /
@@ -102,13 +97,11 @@ class DataManager:
         storage: Optional[ChunkStorage] = None,
         sampler: Optional[Sampler] = None,
         seed: SeedLike = None,
-        keep_rematerialized: bool = False,
         telemetry: Optional[Telemetry] = None,
         retrier: Optional["Retrier"] = None,
     ) -> None:
         self.storage = storage if storage is not None else ChunkStorage()
         self.sampler = sampler if sampler is not None else UniformSampler()
-        self.keep_rematerialized = keep_rematerialized
         self.stats = MaterializationStats()
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
@@ -231,8 +224,6 @@ class DataManager:
                 f"materializer produced timestamp {rebuilt.timestamp} "
                 f"for stub {stub.timestamp}"
             )
-        if self.keep_rematerialized:
-            self.storage.put_features(rebuilt)
         return rebuilt
 
     # ------------------------------------------------------------------

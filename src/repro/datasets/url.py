@@ -15,6 +15,18 @@ reproduces those properties at laptop scale:
   imputer real work;
 * label noise, so no approach reaches zero error.
 
+**Draw-sequence contract.** A table is a pure function of its seed,
+and every digest and golden in the repo is downstream of these bytes:
+``_make_rows`` consumes, per row and in this order, one binomial, one
+``choice`` without replacement (when any recent index is drawn), as
+many bounded integers as it takes to fill the index set, ``active``
+normals, then ``active + 1`` uniforms. Draws may be *batched* — the
+bounded integers a round is certain to need, a row's uniforms — but
+never reordered, added or dropped: the emitted lines and the
+generator's state after each table must not move
+(``tests/property/test_property_url_generator.py`` keeps the
+one-draw-at-a-time code as the reference).
+
 The default pipeline (:func:`make_url_pipeline`) mirrors the paper's:
 input parser → missing-value imputer → standard scaler → feature
 hasher → (linear SVM, built by the caller).
@@ -211,12 +223,17 @@ class URLStreamGenerator:
             )
             values = np.abs(rng.standard_normal(active)) + 0.1
             score = float(values @ weights[indices]) + self._bias
-            label = 1.0 if score >= 0 else -1.0
-            if rng.random() < self.label_noise:
+            label = 1 if score >= 0 else -1
+            # One bulk draw: the label-noise uniform, then one
+            # missing-value uniform per active feature.
+            uniforms = rng.random(active + 1).tolist()
+            if uniforms[0] < self.label_noise:
                 label = -label
-            tokens = [f"{int(label)}"]
-            for index, value in zip(indices, values):
-                if rng.random() < self.missing_rate:
+            tokens = [str(label)]
+            for index, value, uniform in zip(
+                indices.tolist(), values.tolist(), uniforms[1:]
+            ):
+                if uniform < self.missing_rate:
                     tokens.append(f"{index}:nan")
                 else:
                     tokens.append(f"{index}:{value:.6f}")
@@ -243,16 +260,18 @@ class URLStreamGenerator:
         recent_count = min(recent_count, available - pool_start)
         chosen = set()
         if recent_count:
-            chosen.update(
-                int(i)
-                for i in rng.choice(
-                    np.arange(pool_start, available),
-                    size=recent_count,
-                    replace=False,
-                )
+            recent = rng.choice(
+                available - pool_start, size=recent_count, replace=False
             )
+            chosen.update((recent + pool_start).tolist())
         while len(chosen) < active:
-            chosen.add(int(rng.integers(0, available)))
+            # A draw adds at most one index, so drawing one at a time
+            # would make at least ``shortfall`` more draws: a bulk
+            # draw of exactly that many never runs ahead of it.
+            shortfall = active - len(chosen)
+            chosen.update(
+                rng.integers(0, available, size=shortfall).tolist()
+            )
         return np.fromiter(chosen, dtype=np.int64)
 
 

@@ -21,7 +21,7 @@ training batch (§5.3: 16k/1M rows).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.config import (
     ContinuousConfig,
@@ -117,6 +117,41 @@ class Scenario:
         return replace(self, make_model=build)
 
 
+class _GeneratedOnce:
+    """A scenario's tables, generated once and read by every run.
+
+    A stream is a pure function of the generator's seed, so the
+    ``make_stream`` iterators and ``make_initial_data`` lists of one
+    scenario — and of its ``dataclasses.replace`` copies, which keep
+    the closures — hand out the same :class:`Table` objects (immutable
+    by contract). The stream fills as the furthest iterator pulls: a
+    consumer that times each pull still sees generation, and one that
+    stops early generates only its prefix.
+    """
+
+    def __init__(self, generator, initial_rows: int) -> None:
+        self._generator = generator
+        self._initial_rows = initial_rows
+        self._initial: Optional[List[Table]] = None
+        self._chunks: List[Table] = []
+
+    def initial_data(self) -> List[Table]:
+        """A fresh list (callers own it) of the shared day-0 tables."""
+        if self._initial is None:
+            self._initial = self._generator.initial_data(
+                self._initial_rows
+            )
+        return list(self._initial)
+
+    def stream(self) -> Iterator[Table]:
+        """The deployment stream from chunk 0, shared tables."""
+        chunks = self._chunks
+        for index in range(self._generator.num_chunks):
+            if index == len(chunks):
+                chunks.append(self._generator.chunk(index))
+            yield chunks[index]
+
+
 _SCALES = ("bench", "test")
 
 
@@ -137,16 +172,17 @@ def url_scenario(scale: str = "bench", seed: int = 7) -> Scenario:
         interval, sample_chunks, retrain_every = 5, 8, 10
         init_iters, retrain_iters = 120, 60
 
-    def make_generator() -> URLStreamGenerator:
-        return URLStreamGenerator(
+    tables = _GeneratedOnce(
+        URLStreamGenerator(
             num_chunks=num_chunks,
             rows_per_chunk=rows,
             base_features=400,
             new_features_per_chunk=2,
             drift=GradualDrift(0.02),
             seed=seed,
-        )
-
+        ),
+        initial_rows,
+    )
     return Scenario(
         name=f"url-{scale}",
         metric="classification",
@@ -154,10 +190,8 @@ def url_scenario(scale: str = "bench", seed: int = 7) -> Scenario:
         make_pipeline=lambda: make_url_pipeline(hash_features=hash_dim),
         make_model=lambda: LinearSVM(hash_dim, regularizer=L2(1e-3)),
         make_optimizer=lambda: make_optimizer("adam", learning_rate=0.05),
-        make_stream=lambda: make_generator().stream(),
-        make_initial_data=lambda: make_generator().initial_data(
-            initial_rows
-        ),
+        make_stream=tables.stream,
+        make_initial_data=tables.initial_data,
         initial_fit_kwargs={
             "max_iterations": init_iters,
             "tolerance": 1e-6,
@@ -198,11 +232,12 @@ def taxi_scenario(scale: str = "bench", seed: int = 3) -> Scenario:
         interval, sample_chunks, retrain_every = 5, 6, 10
         init_iters, retrain_iters = 150, 60
 
-    def make_generator() -> TaxiStreamGenerator:
-        return TaxiStreamGenerator(
+    tables = _GeneratedOnce(
+        TaxiStreamGenerator(
             num_chunks=num_chunks, rows_per_chunk=rows, seed=seed
-        )
-
+        ),
+        initial_rows,
+    )
     num_features = len(TAXI_FEATURE_COLUMNS)
     return Scenario(
         name=f"taxi-{scale}",
@@ -215,10 +250,8 @@ def taxi_scenario(scale: str = "bench", seed: int = 3) -> Scenario:
         make_optimizer=lambda: make_optimizer(
             "rmsprop", learning_rate=0.05
         ),
-        make_stream=lambda: make_generator().stream(),
-        make_initial_data=lambda: make_generator().initial_data(
-            initial_rows
-        ),
+        make_stream=tables.stream,
+        make_initial_data=tables.initial_data,
         initial_fit_kwargs={
             "max_iterations": init_iters,
             "tolerance": 1e-7,

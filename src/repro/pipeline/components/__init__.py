@@ -35,12 +35,6 @@ from repro.pipeline.components.scaler import (
     SparseStandardScaler,
     StandardScaler,
 )
-from repro.pipeline.components.transformer import (
-    ColumnTransformer,
-    absolute_transformer,
-    log1p_transformer,
-    sqrt_transformer,
-)
 
 __all__ = [
     "SvmLightParser",
@@ -61,8 +55,4 @@ __all__ = [
     "haversine_component",
     "bearing_component",
     "FeatureAssembler",
-    "ColumnTransformer",
-    "log1p_transformer",
-    "sqrt_transformer",
-    "absolute_transformer",
 ]

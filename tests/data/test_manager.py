@@ -93,16 +93,6 @@ class TestSampling:
         # The materialized set is still the newest two chunks.
         assert storage.materialized_timestamps == [4, 5]
 
-    def test_keep_rematerialized_caches(self):
-        storage = ChunkStorage(max_materialized=2)
-        manager = DataManager(
-            storage=storage, seed=0, keep_rematerialized=True
-        )
-        ingest_chunks(manager, 6)
-        manager.sample(SampleRequest(6), simple_materializer)
-        # Rebuilt chunks were written back (displacing newer ones).
-        assert storage.num_materialized == 2
-
     def test_sample_empty_population_raises(self):
         with pytest.raises(SamplingError, match="no chunks"):
             DataManager().sample(SampleRequest(1), simple_materializer)

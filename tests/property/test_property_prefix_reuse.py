@@ -59,7 +59,6 @@ from repro.pipeline.components import (
     AnomalyFilter,
     ColumnDifference,
     ColumnExtractor,
-    ColumnTransformer,
     DayOfWeekExtractor,
     FeatureAssembler,
     FeatureHasher,
@@ -516,7 +515,6 @@ STATELESS_CASES = {
     ColumnDifference: (lambda: ColumnDifference("a", "b", "d"), _numbers),
     HourOfDayExtractor: (lambda: HourOfDayExtractor("t"), _numbers),
     DayOfWeekExtractor: (lambda: DayOfWeekExtractor("t"), _numbers),
-    ColumnTransformer: (lambda: ColumnTransformer(["b"], np.abs), _numbers),
     FeatureAssembler: (lambda: FeatureAssembler(["a", "b"], "y"), _numbers),
 }
 
