@@ -1,7 +1,8 @@
 # Convenience targets for the repro library.
 
 .PHONY: install test lint lint-diff bench bench-results bench-record \
-	bench-check bench-e2e bench-e2e-compare examples clean
+	bench-check bench-e2e bench-e2e-compare bench-e2e-check \
+	bench-e2e-pin examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -44,9 +45,9 @@ bench-output:
 # Baseline workflow (DESIGN.md §10): `bench-record` appends fresh
 # records to the trajectory store — the canonical deployment benches
 # plus the CLI reference workload; `bench-check` re-runs the reference
-# workload and gates it against the store. Virtual-cost metrics are
-# exact-match; the wall budget is generous because the committed
-# baselines come from a different machine.
+# workload and gates it against the store. Every metric in the store
+# is on the virtual clock and gated by exact match; wall-clock is
+# `bench-e2e-check` below and nowhere else.
 BENCH_STORE ?= benchmarks/baselines
 
 bench-record:
@@ -58,22 +59,17 @@ bench-record:
 		REPRO_BENCH_STORE=$(BENCH_STORE) pytest \
 		benchmarks/bench_serving_throughput.py \
 		benchmarks/bench_fleet_overhead.py \
-		benchmarks/bench_lineage_overhead.py \
-		benchmarks/bench_lint_speed.py \
 		--benchmark-only -q
 	PYTHONPATH=src python -m repro perf record \
 		--dataset url --scale test --store $(BENCH_STORE)
 
 bench-check:
 	PYTHONPATH=src python -m repro perf check \
-		--dataset url --scale test --against $(BENCH_STORE) \
-		--wall-budget 4.0
+		--dataset url --scale test --against $(BENCH_STORE)
 	PYTHONPATH=src REPRO_BENCH_SCALE=test REPRO_BENCH_CHECK=1 \
 		REPRO_BENCH_STORE=$(BENCH_STORE) pytest \
 		benchmarks/bench_serving_throughput.py \
 		benchmarks/bench_fleet_overhead.py \
-		benchmarks/bench_lineage_overhead.py \
-		benchmarks/bench_lint_speed.py \
 		--benchmark-only -q
 
 # The wall-clock benchmark BENCHMARK.json declares (benchmarks/e2e,
@@ -130,6 +126,26 @@ bench-e2e-compare:
 			$C/change/$$pair || status=1; \
 	done; python3 -m benchmarks.pairs_summary $C; exit $$status
 
+# The one wall gate. benchmarks/baselines/E2E_PIN is one line, `<sha>
+# <reason>`: the commit the tree is held to, which moves only when
+# someone says why (`make bench-e2e-pin REASON="..."` pins HEAD) — a
+# reference that moved with every commit would let a ratchet of
+# sub-bound regressions walk through. `bench-e2e-check` is the compare
+# above against that commit, every workload, three pairs: both sides
+# run within the same minutes, so raw wall is never compared across
+# hours. After a re-pin, regenerate EXPERIMENTS.md's layer table
+# (`make bench-e2e`).
+E2E_PIN := benchmarks/baselines/E2E_PIN
+
+bench-e2e-check:
+	$(MAKE) bench-e2e-compare WORKLOAD=all PAIRS=3 \
+		REF=$$(cut -d' ' -f1 $(E2E_PIN))
+
+bench-e2e-pin:
+	@test -n "$(REASON)" || { echo "usage: make bench-e2e-pin" \
+		"REASON=\"why the reference moves\""; exit 2; }
+	echo "$$(git rev-parse --short HEAD) $(REASON)" > $(E2E_PIN)
+
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.
 # Every recipe starts from an empty scratch directory of its own.
@@ -157,13 +173,10 @@ smoke-serving:
 		--registry $D/registry
 	$(REPRO) registry list --registry $D/registry
 
-# One fast bench through the baseline store, a baseline for the
-# reference workload, then an identical re-run gated against it: the
-# self-comparison must pass exactly, because every virtual-cost
-# metric is deterministic (DESIGN.md §10).
+# A baseline for the reference workload, then an identical re-run
+# gated against it: the self-comparison must pass exactly, because
+# every metric in the store is deterministic (DESIGN.md §10).
 smoke-perf:
-	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) \
-		benchmarks/bench_obs_overhead.py
 	$(RUN) 120 python -m repro perf record --dataset url --scale test \
 		--store $D/baselines
 	$(RUN) 120 python -m repro perf check --dataset url --scale test \
@@ -172,8 +185,8 @@ smoke-perf:
 
 # A drifting deployment must fire AND resolve a drift alert (the
 # example exits non-zero otherwise), two identical-seed monitored runs
-# must produce byte-identical health.json timelines, the obs CLI must
-# render them, and the monitor must stay inside its overhead budget.
+# must produce byte-identical health.json timelines, and the obs CLI
+# must render them.
 smoke-monitor:
 	$(RUN) 120 python examples/health_monitor.py
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
@@ -186,8 +199,6 @@ smoke-monitor:
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
 		--trace $D/run.jsonl
 	$(REPRO) obs health $D/run.jsonl
-	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) \
-		benchmarks/bench_monitor_overhead.py
 
 # exp7 must shed load during the burst and keep both identity
 # guarantees (batched == row-at-a-time, fresh-endpoint replay), two
@@ -238,9 +249,8 @@ smoke-fleet:
 
 # An instrumented exp5 rollout must export a digest-stamped
 # lineage.json, blame on a corrupted candidate must name its training
-# chunks, trace must walk a chunk downstream to serving versions, two
-# identical-seed runs must be byte-identical, and the ledger's
-# overhead bench must pass its committed gate.
+# chunks, trace must walk a chunk downstream to serving versions, and
+# two identical-seed runs must be byte-identical.
 smoke-lineage:
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
 		--lineage $D/lineage-a.json
@@ -252,8 +262,6 @@ smoke-lineage:
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
 		--lineage $D/lineage-b.json
 	cmp $D/lineage-a.json $D/lineage-b.json
-	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
-		benchmarks/bench_lineage_overhead.py
 
 # Crash recovery against a real SIGKILL: a short deployment is killed
 # mid-stream at a random (logged) chunk, recovered in a fresh process,

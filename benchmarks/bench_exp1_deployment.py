@@ -64,7 +64,6 @@ def test_run_deployment(benchmark, bench_record, dataset, approach):
             "chunks": result.chunks_processed,
             **{f"n_{k}": v for k, v in result.counters.items()},
         },
-        wall={"wall_s": result.wall_seconds},
     )
 
 

@@ -150,7 +150,6 @@ class TestStorageThroughput:
         bench_record(
             "micro_storage_eviction",
             count={"materialized": storage.num_materialized},
-            wall={"insert_run_s": benchmark.stats.stats.mean},
             seed=0,
             params={"inserts": 256, "max_materialized": 64},
         )

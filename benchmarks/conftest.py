@@ -9,21 +9,26 @@ The deployment runs are expensive, so results are cached at session
 scope and shared between the quality-figure and cost-figure benchmarks
 of the same experiment.
 
-Two environment knobs parameterize a suite run:
+Three environment knobs parameterize a suite run:
 
 * ``REPRO_BENCH_SCALE`` — scenario scale the bench modules build
   (``bench`` by default; ``test`` gives the seconds-long miniatures,
   which is what the CI perf-smoke job runs);
 * ``REPRO_BENCH_STORE`` — directory of ``BENCH_<name>.json`` baseline
   trajectories the :func:`bench_record` fixture appends to (default:
-  ``benchmarks/baselines``, the committed store).
+  ``benchmarks/baselines``, the committed store);
+* the check switch (:data:`BENCH_CHECK`; ``make bench-check`` and the
+  smokes set it) — ``bench_record`` gates the fresh record against the
+  store instead of appending it.
 
 Each benchmark condenses its run into a schema-versioned record via
-``bench_record`` — headline metrics tagged with the clock they were
-measured on, the RNG seed and scenario knobs needed to reproduce the
-run from the JSON alone, the git SHA, and the environment fingerprint.
-``repro perf check`` gates fresh runs against these trajectories and
-``repro perf report`` renders them.
+``bench_record`` — headline metrics on the deterministic virtual clock
+(cost, quality, counts), the RNG seed and scenario knobs needed to
+reproduce the run from the JSON alone, the git SHA, and the
+environment fingerprint. ``repro perf check`` gates fresh runs against
+these trajectories and ``repro perf report`` renders them. No record
+carries wall-clock: a bench may time two paths in one process and
+assert on their ratio; speed itself is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ BASELINE_DIR = Path(
         "REPRO_BENCH_STORE", str(Path(__file__).parent / "baselines")
     )
 )
+
+#: Gate each record against the store instead of appending it.
+BENCH_CHECK = bool(os.environ.get("REPRO_BENCH_CHECK"))
 
 # Deployment-scale runs emit ConvergenceWarning by design (retraining
 # at an iteration cap); keep the bench output readable.
@@ -88,8 +96,10 @@ def report(capsys, emit):
 
 
 @pytest.fixture(scope="session")
-def bench_record():
-    """Append one benchmark's record to its baseline trajectory.
+def bench_record(emit):
+    """Append one benchmark's record to its baseline trajectory — or,
+    under :data:`BENCH_CHECK`, gate it against that trajectory
+    (exact match, ``results/<name>_gate.txt``) and fail on a regression.
 
     Usage::
 
@@ -99,17 +109,21 @@ def bench_record():
             cost={"total_cost": result.total_cost},
             quality={"final_error": result.final_error},
             count={"chunks": result.chunks_processed},
-            wall={"wall_s": result.wall_seconds},
         )
 
     ``cost``/``quality``/``count`` metrics are virtual-clock numbers
-    (exact-match gated by ``repro perf check``); ``wall`` metrics are
-    wall-clock seconds (median-of-K gated). The record always carries
-    the RNG seed and scenario knobs (via ``scenario`` or explicit
-    ``seed``/``params``), so a trajectory entry is reproducible from
-    the JSON alone.
+    (exact-match gated by ``repro perf check``). The record always
+    carries the RNG seed and scenario knobs (via ``scenario`` or
+    explicit ``seed``/``params``), so a trajectory entry is
+    reproducible from the JSON alone.
     """
-    from repro.obs import BaselineStore, MetricValue, make_record
+    from repro.obs import (
+        BaselineStore,
+        MetricValue,
+        check_record,
+        format_report,
+        make_record,
+    )
 
     store = BaselineStore(BASELINE_DIR)
     repo_root = Path(__file__).parent.parent
@@ -120,7 +134,6 @@ def bench_record():
         cost=None,
         quality=None,
         count=None,
-        wall=None,
         seed=None,
         params=None,
         profile_digest=None,
@@ -130,7 +143,6 @@ def bench_record():
             ("cost", cost),
             ("quality", quality),
             ("count", count),
-            ("wall", wall),
         ):
             for key, value in (group or {}).items():
                 metrics[key] = MetricValue(float(value), kind)
@@ -148,6 +160,14 @@ def bench_record():
             profile_digest=profile_digest,
             repo_root=repo_root,
         )
+        if BENCH_CHECK:
+            verdict = check_record(record, store.load(name))
+            text = format_report(verdict)
+            emit(f"{name}_gate", text)
+            assert verdict.ok, (
+                f"{name} regressed against {store.path_for(name)}:\n{text}"
+            )
+            return record
         path = store.append(record)
         knobs = ", ".join(
             f"{key}={value}" for key, value in sorted(merged.items())

@@ -107,9 +107,8 @@ def default_config() -> LintConfig:
         select=GLOBAL_RULES,
         per_path=(
             # Virtual-clock discipline: the cost model, engine, and
-            # scheduler paths. The dual-clock tracer (obs/) and the
-            # benchmark timer (utils/timer.py) legitimately read wall
-            # time and stay outside these patterns.
+            # scheduler paths. The dual-clock tracer (obs/) legitimately
+            # reads wall time and stays outside these patterns.
             PathPolicy("src/repro/core/*", enable=("REP002",)),
             PathPolicy("src/repro/execution/*", enable=("REP002",)),
             # No swallowed exceptions where recovery correctness lives.
@@ -131,12 +130,11 @@ def default_config() -> LintConfig:
             PathPolicy("src/repro/fleet/*", enable=("REP010",)),
             PathPolicy("src/repro/reliability/*", enable=("REP010",)),
             PathPolicy("src/repro/traffic/*", enable=("REP010",)),
-            # Sanctioned wall-clock readers: the dual-clock tracer
-            # and the bench timer. Disabling REP013 here both spares
-            # their own defs and marks them as sanctioned chain
-            # endpoints for everyone else (progrules.py).
+            # The sanctioned wall-clock reader: the dual-clock tracer.
+            # Disabling REP013 here both spares its own defs and marks
+            # them as sanctioned chain endpoints for everyone else
+            # (progrules.py).
             PathPolicy("src/repro/obs/*", disable=("REP013",)),
-            PathPolicy("src/repro/utils/timer.py", disable=("REP013",)),
         ),
         exclude=("*__pycache__*",),
         baseline="reprolint-baseline.json",

@@ -425,10 +425,10 @@ class WallClockReachRule(ProgramRule):
     that reads ``time.*``/``datetime.now`` — even when the read lives
     in another module the per-file walk would never connect.
     Functions in modules where this rule is disabled by policy (the
-    dual-clock tracer, the bench timer) are *sanctioned*: chains
-    neither match nor pass through them. The call graph drops
-    anything it cannot resolve, so every reported chain is provably
-    wired; the rule under-approximates and never invents a path.
+    dual-clock tracer) are *sanctioned*: chains neither match nor pass
+    through them. The call graph drops anything it cannot resolve, so
+    every reported chain is provably wired; the rule under-approximates
+    and never invents a path.
     """
 
     rule_id = "REP013"

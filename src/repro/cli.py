@@ -449,19 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'profile' hides paths below this share of total cost",
     )
     perf.add_argument(
-        "--wall-budget",
-        type=float,
-        default=0.5,
-        help="'check' relative budget for wall-clock metrics "
-        "(default: 0.5 = +50%%)",
-    )
-    perf.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="'check' median-of-K window for wall metrics (default: 5)",
-    )
-    perf.add_argument(
         "--gate-profile",
         action="store_true",
         help="'check' fails when the profile digest changed, not just "
@@ -2094,7 +2081,6 @@ def _command_perf(args: argparse.Namespace) -> int:
 
     from repro.obs import (
         BaselineStore,
-        TolerancePolicy,
         check_record,
         format_profile,
         format_report,
@@ -2163,12 +2149,7 @@ def _command_perf(args: argparse.Namespace) -> int:
         args.against if args.against is not None else args.store
     )
     history = store.load(record.name)
-    policy = TolerancePolicy(
-        wall_budget=args.wall_budget,
-        window=args.window,
-        gate_profile=args.gate_profile,
-    )
-    report = check_record(record, history, policy=policy)
+    report = check_record(record, history, gate_profile=args.gate_profile)
     print(format_report(report))
     if report.ok and args.record_after_check:
         path = store.append(record)

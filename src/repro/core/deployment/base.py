@@ -72,7 +72,6 @@ class DeploymentResult:
     cost_history: List[float] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
     cost_breakdown: Optional[CostBreakdown] = None
-    wall_seconds: float = 0.0
     #: Virtual-clock duration of each training event beyond the online
     #: updates (proactive trainings or full retrainings). §5.5 of the
     #: paper compares these: long retrainings leave the served model
@@ -263,7 +262,6 @@ class Deployment(ABC):
     def _finalize(self, result: DeploymentResult) -> None:
         """Fill counters/breakdowns into ``result`` (extend per approach)."""
         result.cost_breakdown = self.engine.tracker.breakdown()
-        result.wall_seconds = self.engine.wall.elapsed
 
     # ------------------------------------------------------------------
     # Checkpoint/recovery hooks

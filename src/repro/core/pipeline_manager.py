@@ -53,7 +53,7 @@ class PipelineManager:
     data_manager:
         Chunk storage and sampling front-end.
     engine:
-        Execution engine (cost accounting + wall clock).
+        Execution engine (cost accounting).
     """
 
     def __init__(

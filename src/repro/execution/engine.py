@@ -4,14 +4,13 @@ The paper's architecture (§4.5) delegates "the actual data
 transformation and model training" to an execution engine (Spark in
 the prototype). :class:`LocalExecutionEngine` plays that role here:
 every pipeline transform, statistics update, gradient step, and
-prediction flows through it so that cost-model charges and wall-clock
-timers are applied uniformly, whichever deployment approach is
-running.
+prediction flows through it so that cost-model charges are applied
+uniformly, whichever deployment approach is running.
 
-Each operation is written once, as a ``tracer.span`` around the wall
-timer. With telemetry attached the span is traced and carries the
-values-scanned count; the disabled default's tracer returns the shared
-no-op span (cost guarded by the observability-overhead benchmark).
+Each operation is written once, inside a ``tracer.span`` — the only
+place the engine's work meets a wall clock. With telemetry attached
+the span is traced and carries the values-scanned count; the disabled
+default's tracer returns the shared no-op span.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.pipeline.component import Batch, Features, PipelineComponent
 from repro.pipeline.pipeline import Pipeline, PrefixMemo, require_features
 from repro.utils.rng import SeedLike
-from repro.utils.timer import Timer
 
 
 class LocalExecutionEngine:
@@ -51,7 +49,6 @@ class LocalExecutionEngine:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.tracker = CostTracker(cost_model)
-        self.wall = Timer()
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
@@ -65,12 +62,12 @@ class LocalExecutionEngine:
     ) -> Features:
         """Online path: update statistics then transform (training
         data). ``memo``, here and in :meth:`transform_only`, lets two
-        passes over one batch share its stateless prefix; span, wall
-        timer and cost charges do not depend on it."""
+        passes over one batch share its stateless prefix; span and
+        cost charges do not depend on it."""
         with self.telemetry.tracer.span(
             names.ENGINE_ONLINE_PASS,
             values=PipelineComponent.batch_num_values(batch),
-        ), self.wall:
+        ):
             return require_features(
                 pipeline.update_transform(batch, self.tracker, memo)
             )
@@ -82,7 +79,7 @@ class LocalExecutionEngine:
         with self.telemetry.tracer.span(
             names.ENGINE_TRANSFORM_ONLY,
             values=PipelineComponent.batch_num_values(batch),
-        ), self.wall:
+        ):
             return require_features(
                 pipeline.transform(batch, self.tracker, memo)
             )
@@ -93,7 +90,7 @@ class LocalExecutionEngine:
         with self.telemetry.tracer.span(
             names.ENGINE_SERVE_TRANSFORM,
             values=PipelineComponent.batch_num_values(batch),
-        ), self.wall:
+        ):
             return pipeline.transform(batch, self.tracker)
 
     # ------------------------------------------------------------------
@@ -115,7 +112,7 @@ class LocalExecutionEngine:
         block = open_block(features, targets)
         with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_STEP, values=block.num_values(start, stop)
-        ), self.wall:
+        ):
             return trainer.step(
                 block, None, self.tracker, start, stop, objective
             )
@@ -133,7 +130,7 @@ class LocalExecutionEngine:
         """A complete (re)training run — the periodical baseline."""
         with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_FULL, values=matrix_values(features)
-        ) as span, self.wall:
+        ) as span:
             result = trainer.train(
                 features,
                 targets,
@@ -154,14 +151,13 @@ class LocalExecutionEngine:
     ) -> np.ndarray:
         """Score a batch, charging prediction cost.
 
-        The charge happens inside the timed block, like every other
-        engine operation, so wall-clock and cost accounting stay
-        aligned (see ``tests/execution/test_engine.py``).
+        The charge happens inside the span, like every other engine
+        operation, so the span's cost duration covers it.
         """
         values = matrix_values(features)
         with self.telemetry.tracer.span(
             names.ENGINE_PREDICT, values=values
-        ), self.wall:
+        ):
             predictions = model.predict(features)
             self.tracker.charge_prediction(values, "predict")
         return predictions
@@ -180,7 +176,7 @@ class LocalExecutionEngine:
         values = sum(matrix_values(m) for m in matrices)
         with self.telemetry.tracer.span(
             names.ENGINE_PREDICT, values=values, blocks=len(matrices)
-        ), self.wall:
+        ):
             predictions = predict_batch(model, matrices)
             self.tracker.charge_prediction(values, "predict")
         return predictions
@@ -200,14 +196,9 @@ class LocalExecutionEngine:
         return self.tracker.total()
 
     def reset(self) -> None:
-        """Zero both accounting clocks (cost tracker and wall timer), so
-        one engine can be reused across runs without carrying charges
-        over."""
+        """Zero the cost tracker, so one engine can be reused across
+        runs without carrying charges over."""
         self.tracker.reset()
-        self.wall.reset()
 
     def __repr__(self) -> str:
-        return (
-            f"LocalExecutionEngine(cost={self.total_cost():.4f}, "
-            f"wall={self.wall.elapsed:.3f}s)"
-        )
+        return f"LocalExecutionEngine(cost={self.total_cost():.4f})"

@@ -15,7 +15,7 @@ A cross-cutting observability layer with three primitives:
   span streams into a hierarchical profile tree
   (:func:`build_profile`), persisted benchmark baselines
   (:class:`BaselineStore` / ``BENCH_<name>.json`` trajectories), and
-  a noise-aware regression gate (:func:`check_record`), surfaced as
+  an exact-match regression gate (:func:`check_record`), surfaced as
   ``repro perf {profile,record,check,report}``;
 * the live health monitor — a :class:`HealthMonitor` spliced into the
   sink chain (``telemetry.attach_monitor()``) aggregates the event
@@ -78,7 +78,6 @@ from repro.obs.monitor import (
 from repro.obs.perf import (
     MetricCheck,
     RegressionReport,
-    TolerancePolicy,
     check_record,
     format_report,
     format_trajectory,
@@ -175,7 +174,6 @@ __all__ = [
     # regression gating
     "MetricCheck",
     "RegressionReport",
-    "TolerancePolicy",
     "check_record",
     "format_report",
     "format_trajectory",

@@ -22,9 +22,9 @@ Metric kinds
     match.
 ``count``
     Event counts (chunks, retrainings) — deterministic, exact match.
-``wall``
-    Wall-clock seconds — noisy; gated by a median-of-K window with a
-    relative budget.
+
+Wall-clock is not a kind: it is measured in ``benchmarks/e2e`` only,
+paired against a pinned commit (``make bench-e2e-check``).
 """
 
 from __future__ import annotations
@@ -47,11 +47,8 @@ PathLike = Union[str, Path]
 #: Bump when the record layout changes incompatibly.
 RECORD_SCHEMA = 1
 
-#: Kinds measured on a deterministic clock (exact-match gating).
-EXACT_KINDS = ("cost", "quality", "count")
-#: Kinds measured on the wall clock (noise-aware gating).
-NOISY_KINDS = ("wall",)
-METRIC_KINDS = EXACT_KINDS + NOISY_KINDS
+#: Every kind is measured on a deterministic clock (exact-match gating).
+METRIC_KINDS = ("cost", "quality", "count")
 
 
 @dataclass(frozen=True)
@@ -67,10 +64,6 @@ class MetricValue:
                 f"metric kind must be one of {METRIC_KINDS}, "
                 f"got {self.kind!r}"
             )
-
-    @property
-    def exact(self) -> bool:
-        return self.kind in EXACT_KINDS
 
     def to_dict(self) -> Dict[str, object]:
         return {"value": self.value, "kind": self.kind}
@@ -124,7 +117,7 @@ class BenchRecord:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "BenchRecord":
-        schema = raw.get("schema")
+        schema = raw.get("schema") if isinstance(raw, Mapping) else None
         if schema != RECORD_SCHEMA:
             raise ValidationError(
                 f"bench record schema {schema!r} is not the supported "
@@ -135,13 +128,17 @@ class BenchRecord:
             raise ValidationError(
                 "bench record has no 'metrics' mapping"
             )
-        metrics = {
-            str(key): MetricValue(
-                value=float(entry["value"]),
-                kind=str(entry.get("kind", "cost")),
-            )
-            for key, entry in metrics_raw.items()
-        }
+        metrics = {}
+        for key, entry in metrics_raw.items():
+            try:
+                metrics[str(key)] = MetricValue(
+                    float(entry["value"]), str(entry.get("kind", "cost"))
+                )
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValidationError(
+                    f"metric {key!r} is not a value/kind entry "
+                    f"({entry!r}): {error!r}"
+                ) from None
         return cls(
             name=str(raw.get("name", "")),
             metrics=metrics,
@@ -249,7 +246,10 @@ class BaselineStore:
                 f"trajectory {path} is not a schema-{RECORD_SCHEMA} "
                 "BENCH trajectory"
             )
-        return [BenchRecord.from_dict(entry) for entry in raw["records"]]
+        try:
+            return [BenchRecord.from_dict(entry) for entry in raw["records"]]
+        except ValidationError as error:
+            raise ValidationError(f"trajectory {path}: {error}") from None
 
     def latest(self, name: str) -> Optional[BenchRecord]:
         records = self.load(name)

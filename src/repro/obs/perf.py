@@ -1,22 +1,17 @@
 """Regression gating over persisted benchmark baselines.
 
 The detector compares a fresh :class:`~repro.obs.baseline.BenchRecord`
-against the committed trajectory for the same bench name, with
-noise-aware tolerances per metric kind:
+against the latest record of the committed trajectory for the same
+bench name:
 
-* **exact kinds** (``cost``/``quality``/``count``) are measured on the
-  platform's deterministic virtual clock, so the gate is exact match
-  against the latest baseline record — any drift is a determinism or
-  performance event worth a verdict (``regression`` when worse,
-  ``improvement`` when better; both are reported, only regressions
-  gate);
-* **wall** metrics are noisy, so the fresh value is compared against
-  the median of the last *K* baseline records with a configurable
-  relative budget — a single hot CI machine never trips the gate,
-  a sustained slowdown does;
+* every metric kind (``cost``/``quality``/``count``) is measured on the
+  platform's deterministic virtual clock, so the gate is exact match —
+  any drift is a determinism or performance event worth a verdict
+  (``regression`` when worse or not finite, ``improvement`` when
+  better; both are reported, only regressions gate);
 * profile digests (when both sides carry one) detect cost-*shape*
   changes that leave the totals intact; they report as ``changed`` and
-  gate only when the policy says so.
+  gate only under ``gate_profile``.
 
 ``repro perf check`` maps a failing report to exit code 1 (mirroring
 ``repro lint``), which is what ``make bench-check`` and the CI
@@ -25,43 +20,16 @@ perf-smoke job gate on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import ValidationError
 from repro.obs import names
-from repro.obs.baseline import BenchRecord, MetricValue
+from repro.obs.baseline import BenchRecord, MetricValue, make_record
 from repro.utils.text import _align
 
 #: Verdicts that fail the gate.
 FAILING_VERDICTS = ("regression", "missing")
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """How much drift each metric kind is allowed.
-
-    ``wall_budget`` is the relative slack for wall-clock metrics
-    (0.5 = the fresh run may be up to 50% slower than the median of
-    the comparison window). ``window`` is K of the median-of-K.
-    ``gate_profile`` escalates a profile-digest change from a warning
-    to a gate failure.
-    """
-
-    wall_budget: float = 0.5
-    window: int = 5
-    gate_profile: bool = False
-
-    def __post_init__(self) -> None:
-        if self.wall_budget < 0.0:
-            raise ValidationError(
-                f"wall budget must be >= 0, got {self.wall_budget}"
-            )
-        if self.window < 1:
-            raise ValidationError(
-                f"median window must be >= 1, got {self.window}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,7 +71,7 @@ class RegressionReport:
 def check_record(
     fresh: BenchRecord,
     history: Sequence[BenchRecord],
-    policy: Optional[TolerancePolicy] = None,
+    gate_profile: bool = False,
     telemetry=None,
 ) -> RegressionReport:
     """Gate ``fresh`` against its baseline trajectory.
@@ -111,9 +79,9 @@ def check_record(
     ``history`` is the stored trajectory, oldest first (the fresh
     record must NOT already be part of it). An empty history yields an
     all-``new`` passing report — the first recorded run founds the
-    baseline rather than failing it.
+    baseline rather than failing it. ``gate_profile`` escalates a
+    profile-digest change from a warning to a gate failure.
     """
-    policy = policy if policy is not None else TolerancePolicy()
     report = RegressionReport(
         name=fresh.name, baseline_records=len(history)
     )
@@ -132,14 +100,8 @@ def check_record(
         return report
 
     latest = history[-1]
-    window = list(history)[-policy.window:]
     for key, value in sorted(fresh.metrics.items()):
-        if value.exact:
-            report.checks.append(_check_exact(key, value, latest))
-        else:
-            report.checks.append(
-                _check_noisy(key, value, window, policy)
-            )
+        report.checks.append(_check_exact(key, value, latest))
     for key, value in sorted(latest.metrics.items()):
         if key not in fresh.metrics:
             report.checks.append(
@@ -152,7 +114,7 @@ def check_record(
                     "the fresh run",
                 )
             )
-    report.checks.append(_check_digest(fresh, latest, policy))
+    report.checks.append(_check_digest(fresh, latest, gate_profile))
     _emit(telemetry, report)
     return report
 
@@ -177,11 +139,14 @@ def _check_exact(
             fresh=value.value,
             baseline=base.value,
         )
-    worse = value.value > base.value
-    if value.kind == "count":
-        # A deterministic event count that moved at all means the run
-        # did different work — always a gate failure.
-        worse = True
+    # A deterministic event count that moved at all means the run did
+    # different work, and a value that is not finite cannot be ranked
+    # (nan compares false with everything): both always fail the gate.
+    worse = (
+        value.kind == "count"
+        or not math.isfinite(value.value)
+        or value.value > base.value
+    )
     delta = value.value - base.value
     rel = delta / base.value if base.value else float("inf")
     return MetricCheck(
@@ -194,49 +159,8 @@ def _check_exact(
     )
 
 
-def _check_noisy(
-    key: str,
-    value: MetricValue,
-    window: Sequence[BenchRecord],
-    policy: TolerancePolicy,
-) -> MetricCheck:
-    samples = [
-        record.metrics[key].value
-        for record in window
-        if key in record.metrics
-    ]
-    if not samples:
-        return MetricCheck(
-            metric=key,
-            kind=value.kind,
-            verdict="new",
-            fresh=value.value,
-            detail="metric not present in the comparison window",
-        )
-    center = median(samples)
-    ceiling = center * (1.0 + policy.wall_budget)
-    floor = center * (1.0 - policy.wall_budget)
-    if value.value > ceiling:
-        verdict = "regression"
-    elif value.value < floor:
-        verdict = "improvement"
-    else:
-        verdict = "ok"
-    return MetricCheck(
-        metric=key,
-        kind=value.kind,
-        verdict=verdict,
-        fresh=value.value,
-        baseline=center,
-        detail=(
-            f"median of last {len(samples)} = {center:.6g}, "
-            f"budget ±{policy.wall_budget:.0%}"
-        ),
-    )
-
-
 def _check_digest(
-    fresh: BenchRecord, latest: BenchRecord, policy: TolerancePolicy
+    fresh: BenchRecord, latest: BenchRecord, gate_profile: bool
 ) -> MetricCheck:
     if fresh.profile_digest is None or latest.profile_digest is None:
         return MetricCheck(
@@ -252,7 +176,7 @@ def _check_digest(
     return MetricCheck(
         metric="profile_digest",
         kind="cost",
-        verdict="regression" if policy.gate_profile else "changed",
+        verdict="regression" if gate_profile else "changed",
         detail=(
             f"cost shape changed: {latest.profile_digest[:12]}… → "
             f"{fresh.profile_digest[:12]}…"
@@ -288,10 +212,9 @@ def run_workload(scenario, approach: str):
 
     Returns ``(record, profile_root)``. The run is instrumented with
     an in-memory telemetry bundle; the record carries the virtual-cost
-    headline metrics (exact-gated), the run's wall time (noise-gated),
-    the per-counter event counts, and the profile digest of the folded
-    span tree, so ``repro perf check`` can gate both the totals and
-    the cost shape.
+    headline metrics, the per-counter event counts (all exact-gated)
+    and the profile digest of the folded span tree, so ``repro perf
+    check`` can gate both the totals and the cost shape.
     """
     from repro.experiments.common import run_approach
     from repro.obs.profile import build_profile, profile_digest
@@ -310,12 +233,9 @@ def run_workload(scenario, approach: str):
         "final_error": MetricValue(result.final_error, "quality"),
         "average_error": MetricValue(result.average_error, "quality"),
         "chunks": MetricValue(float(result.chunks_processed), "count"),
-        "wall_s": MetricValue(result.wall_seconds, "wall"),
     }
     for counter, count in sorted(result.counters.items()):
         metrics[f"n_{counter}"] = MetricValue(float(count), "count")
-
-    from repro.obs.baseline import make_record
 
     record = make_record(
         name=workload_name(scenario.name, approach),
@@ -370,7 +290,6 @@ def format_trajectory(name: str, records: Sequence[BenchRecord]) -> str:
         headline = ", ".join(
             f"{key}={value.value:g}"
             for key, value in sorted(record.metrics.items())
-            if value.exact
         )
         rows.append(
             (

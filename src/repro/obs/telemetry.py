@@ -15,7 +15,8 @@ is :data:`~repro.obs.trace.NULL_TRACER` and its registry is
 just emits: ``telemetry.tracer.point(...)``,
 ``telemetry.metrics.counter(...).inc()``. Nothing is recorded, the run
 stays byte-identical to an un-instrumented build, and the cost is one
-no-op call per site (``benchmarks/bench_obs_overhead.py`` prices it).
+no-op call per site (``url_continuous`` of ``benchmarks/e2e`` runs
+that way; ``url_stack`` is the same run with everything attached).
 
 ``enabled`` is still read, but only where the answer changes what a
 caller gets back rather than whether an event is emitted:

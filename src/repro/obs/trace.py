@@ -21,8 +21,8 @@ Usage::
 
 Disabled tracing is a first-class mode: :class:`NullTracer` returns a
 shared no-op span, so an un-instrumented run pays one no-op call and
-the ``with`` protocol per span site (``benchmarks/bench_obs_overhead.py``
-guards that this stays cheap).
+the ``with`` protocol per span site (``benchmarks/e2e``'s
+``url_continuous`` is timed with exactly that).
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, validation helpers, timing."""
+"""Shared utilities: RNG handling, validation helpers."""
 
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -12,7 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rng",
-    "Timer",
     "check_fraction",
     "check_non_negative",
     "check_positive",

@@ -261,4 +261,4 @@ def test_default_config_scopes_match_the_declared_policy():
     assert "REP007" not in config.rules_for_path("src/repro/io/csvio.py")
     assert "REP008" in config.rules_for_path("src/repro/ml/sgd.py")
     assert "REP001" not in config.rules_for_path("src/repro/utils/rng.py")
-    assert "REP001" in config.rules_for_path("src/repro/utils/timer.py")
+    assert "REP001" in config.rules_for_path("src/repro/utils/fileio.py")

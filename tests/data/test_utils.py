@@ -1,13 +1,10 @@
-"""Unit tests for the shared utilities (rng, timer, validation)."""
-
-import time
+"""Unit tests for the shared utilities (rng, validation)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.utils import (
-    Timer,
     check_fraction,
     check_non_negative,
     check_positive,
@@ -41,45 +38,6 @@ class TestEnsureRng:
             child.integers(0, 10**9, 8),
             ensure_rng(0).integers(0, 10**9, 8),
         )
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        first = timer.elapsed
-        assert first > 0
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed > first
-
-    def test_double_start_rejected(self):
-        timer = Timer()
-        timer.start()
-        with pytest.raises(RuntimeError, match="already running"):
-            timer.start()
-        timer.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError, match="not running"):
-            Timer().stop()
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert not timer.running
-
-    def test_running_flag(self):
-        timer = Timer()
-        assert not timer.running
-        timer.start()
-        assert timer.running
-        timer.stop()
-        assert not timer.running
 
 
 class TestValidation:

@@ -379,20 +379,16 @@ class TestPerfParser:
         assert args.approach == "continuous"
         assert args.store == "benchmarks/baselines"
         assert args.against is None
-        assert args.wall_budget == 0.5
-        assert args.window == 5
         assert args.gate_profile is False
         assert args.record_after_check is False
 
     def test_options(self):
         args = build_parser().parse_args(
             ["perf", "check", "--dataset", "taxi", "--approach",
-             "online", "--against", "./b", "--wall-budget", "2.0",
-             "--window", "3", "--gate-profile", "--record"]
+             "online", "--against", "./b", "--gate-profile",
+             "--record"]
         )
         assert args.against == "./b"
-        assert args.wall_budget == 2.0
-        assert args.window == 3
         assert args.gate_profile is True
         assert args.record_after_check is True
 
@@ -434,12 +430,9 @@ class TestPerfCommands:
         out = capsys.readouterr().out
         assert "recorded run_url_test_continuous" in out
 
-        # Identical seed: every exact metric must gate clean. The wall
-        # of two sub-second runs is not what this gates, so it gets
-        # the wide budget `make bench-check` passes.
+        # Identical seed: every metric must gate clean.
         assert main(
-            ["perf", "check", "--scale", "test", "--against", store,
-             "--wall-budget", "4.0"]
+            ["perf", "check", "--scale", "test", "--against", store]
         ) == 0
         out = capsys.readouterr().out
         assert "OK — no regressions" in out

@@ -139,8 +139,6 @@ class TestOneStreamPerScenario:
         for approach in ("continuous", "periodical", "continuous"):
             on_shared = asdict(run_approach(shared, approach))
             on_fresh = asdict(run_approach(build("test"), approach))
-            assert on_shared.pop("wall_seconds") > 0
-            assert on_fresh.pop("wall_seconds") > 0
             assert on_shared == on_fresh
 
 

@@ -1,6 +1,7 @@
 """Unit tests for bench records and the baseline trajectory store."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,20 +30,10 @@ def record(name="bench_a", **metrics):
 
 class TestMetricValue:
     def test_kind_vocabulary_enforced(self):
-        with pytest.raises(ValidationError):
-            MetricValue(1.0, "latency")
-
-    @pytest.mark.parametrize(
-        ("kind", "exact"),
-        [
-            ("cost", True),
-            ("quality", True),
-            ("count", True),
-            ("wall", False),
-        ],
-    )
-    def test_exact_split(self, kind, exact):
-        assert MetricValue(1.0, kind).exact is exact
+        # Wall-clock is not a kind: it lives in benchmarks/e2e.
+        for kind in ("latency", "wall"):
+            with pytest.raises(ValidationError):
+                MetricValue(1.0, kind)
 
 
 class TestBenchRecord:
@@ -120,6 +111,38 @@ class TestBaselineStore:
         with pytest.raises(ValidationError):
             store.load("bad")
 
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            {"a": {"kind": "cost"}},
+            {"a": 3.0},
+            {"a": {"value": "fast", "kind": "cost"}},
+            {"a": {"value": 1.0, "kind": "wall"}},
+        ],
+        ids=["no-value", "bare-number", "text-value", "wall-kind"],
+    )
+    def test_load_names_file_and_metric_of_a_malformed_entry(
+        self, tmp_path, metrics
+    ):
+        store = BaselineStore(tmp_path)
+        raw = record().to_dict()
+        raw["metrics"] = metrics
+        store.path_for("bad").write_text(
+            json.dumps({"schema": RECORD_SCHEMA, "records": [raw]})
+        )
+        with pytest.raises(ValidationError) as caught:
+            store.load("bad")
+        assert "BENCH_bad.json" in str(caught.value)
+        assert "'a'" in str(caught.value)
+
+    def test_load_rejects_a_record_that_is_not_a_mapping(self, tmp_path):
+        store = BaselineStore(tmp_path)
+        store.path_for("bad").write_text(
+            json.dumps({"schema": RECORD_SCHEMA, "records": [3]})
+        )
+        with pytest.raises(ValidationError, match="BENCH_bad.json"):
+            store.load("bad")
+
     def test_file_is_schema_versioned_and_newline_terminated(
         self, tmp_path
     ):
@@ -140,3 +163,11 @@ class TestBaselineStore:
             if event["name"] == "perf.record"
         ]
         assert len(points) == 1
+
+
+def test_committed_store_loads_under_the_metric_vocabulary():
+    root = Path(__file__).parents[2] / "benchmarks" / "baselines"
+    store = BaselineStore(root)
+    assert store.names()
+    for name in store.names():
+        assert store.latest(name).metrics, name
