@@ -30,7 +30,6 @@ from repro.data.manager import DataManager, SampledChunk, SampleRequest
 from repro.data.table import Table
 from repro.execution.engine import LocalExecutionEngine
 from repro.exceptions import PipelineError
-from repro.ml.batch import Block
 from repro.ml.models.base import LinearSGDModel
 from repro.ml.optim.base import Optimizer
 from repro.ml.sgd import SGDTrainer, TrainingResult
@@ -122,12 +121,10 @@ class PipelineManager:
             raise PipelineError("initial_fit needs at least one table")
         parts: List[Features] = []
         for table in tables:
+            raw = self.data_manager.ingest(table) if store else None
+            features = self.engine.online_pass(self.pipeline, table)
             if store:
-                raw = self.data_manager.ingest(table)
-                features = self.engine.online_pass(self.pipeline, table)
                 self._store_features(raw, features)
-            else:
-                features = self.engine.online_pass(self.pipeline, table)
             parts.append(features)
         batch = union_features(parts)
         return self.engine.train_full(
@@ -190,34 +187,16 @@ class PipelineManager:
     def online_step(
         self, features: Features, batch_rows: Optional[int] = None
     ) -> float:
-        """Online SGD on a freshly arrived chunk.
-
-        The chunk is opened once as a :class:`~repro.ml.batch.Block`
-        and consumed in consecutive ranges of ``batch_rows`` rows (the
-        last one shorter), one SGD step each, and each step is handed
-        the block and its range — never a sliced copy.
-        ``batch_rows=1`` is classic point-at-a-time online gradient
-        descent, the noisy baseline the paper's online deployment uses
-        ("visits every incoming training data point only once");
-        ``None`` is one range over the whole chunk. Returns the last
-        objective (0.0 for a chunk without rows: no range, no step) —
-        the only one evaluated.
-        """
-        num_rows = features.num_rows
-        if batch_rows is None:
-            batch_rows = max(num_rows, 1)
-        elif batch_rows < 1:
-            raise PipelineError(
-                f"batch_rows must be >= 1, got {batch_rows}"
-            )
-        block = Block(features.matrix, features.labels)
-        objective = 0.0
-        for start in range(0, num_rows, batch_rows):
-            stop = min(start + batch_rows, num_rows)
-            objective = self.engine.train_step(
-                self.trainer, block, None, start, stop, stop == num_rows
-            )
-        return objective
+        """Online SGD on a freshly arrived chunk — one engine operation
+        (:meth:`LocalExecutionEngine.online_update`). ``batch_rows=1``
+        is classic point-at-a-time online gradient descent, the noisy
+        baseline the paper's online deployment uses ("visits every
+        incoming training data point only once"); ``None`` is one step
+        on the whole chunk. Returns the last step's objective (0.0 for
+        a chunk without rows)."""
+        if batch_rows is not None and batch_rows < 1:
+            raise PipelineError(f"batch_rows must be >= 1, got {batch_rows}")
+        return self.engine.online_update(self.trainer, features, batch_rows)
 
     # ------------------------------------------------------------------
     # Prediction serving
@@ -301,19 +280,15 @@ class PipelineManager:
             self.pipeline.reset()
             self.model.reset()
             self.optimizer.reset()
+        if warm_start:
+            replay = self.engine.transform_only
+        else:
+            replay = self.engine.online_pass
         parts: List[Features] = []
         for timestamp in timestamps:
             raw = self.data_manager.storage.get_raw(timestamp)
             self.engine.read_chunk(raw.table.num_values, "retrain_read")
-            if warm_start:
-                features = self.engine.transform_only(
-                    self.pipeline, raw.table
-                )
-            else:
-                features = self.engine.online_pass(
-                    self.pipeline, raw.table
-                )
-            parts.append(features)
+            parts.append(replay(self.pipeline, raw.table))
         batch = union_features(parts)
         return self.engine.train_full(
             self.trainer,

@@ -20,7 +20,6 @@ from repro.datasets.drift import (
     GradualDrift,
     NoDrift,
 )
-from repro.datasets.stream import chunk_table, take
 from repro.datasets.taxi import TaxiStreamGenerator, make_taxi_pipeline
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
 
@@ -33,6 +32,4 @@ __all__ = [
     "make_url_pipeline",
     "TaxiStreamGenerator",
     "make_taxi_pipeline",
-    "chunk_table",
-    "take",
 ]

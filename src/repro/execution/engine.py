@@ -7,10 +7,10 @@ every pipeline transform, statistics update, gradient step, and
 prediction flows through it so that cost-model charges are applied
 uniformly, whichever deployment approach is running.
 
-Each operation is written once, inside a ``tracer.span`` — the only
-place the engine's work meets a wall clock. With telemetry attached
-the span is traced and carries the values-scanned count; the disabled
-default's tracer returns the shared no-op span.
+Each operation is written once, inside one ``tracer.span`` — the only
+place its work meets a wall clock — and a chunk's online update is one
+operation, however many SGD steps. With telemetry attached the span
+carries the values-scanned count; the disabled tracer's is a no-op.
 """
 
 from __future__ import annotations
@@ -105,17 +105,42 @@ class LocalExecutionEngine:
         stop: Optional[int] = None,
         objective: bool = True,
     ) -> Optional[float]:
-        """One SGD iteration on rows ``[start, stop)`` of the block:
-        all of it for proactive training, consecutive ranges of the
-        arriving chunk for the online update (which reads only the
-        last range's ``objective``)."""
+        """One SGD iteration on rows ``[start, stop)`` of the block —
+        all of it, for proactive training."""
         block = open_block(features, targets)
+        values = block.num_values(start, stop)
         with self.telemetry.tracer.span(
-            names.ENGINE_TRAIN_STEP, values=block.num_values(start, stop)
+            names.ENGINE_TRAIN_STEP, values=values, steps=1
         ):
             return trainer.step(
                 block, None, self.tracker, start, stop, objective
             )
+
+    def online_update(
+        self, trainer: SGDTrainer, features: Features, batch_rows: int | None
+    ) -> float:
+        """The online update of one arrived chunk, as one operation
+        under one ``engine.train_step`` span (``steps`` iterations over
+        ``values`` stored values): an SGD iteration per consecutive
+        range of ``batch_rows`` rows (the last one shorter; ``None``:
+        the whole chunk) of a block opened once — never a sliced copy.
+        Returns the last range's objective, the only one evaluated; a
+        chunk without rows takes no step, emits nothing, gives 0.0."""
+        block = Block(features.matrix, features.labels)
+        rows = block.rows
+        if not rows:
+            return 0.0
+        size = rows if batch_rows is None else batch_rows
+        steps = -(-rows // size)
+        with self.telemetry.tracer.span(
+            names.ENGINE_TRAIN_STEP, values=block.num_values(), steps=steps
+        ):
+            for start in range(0, rows, size):
+                stop = min(start + size, rows)
+                objective = trainer.step(
+                    block, None, self.tracker, start, stop, stop == rows
+                )
+        return objective
 
     def train_full(
         self,

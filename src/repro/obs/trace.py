@@ -19,6 +19,12 @@ Usage::
 
     tracer.point("scheduler.decision", chunk=i, fired=True)
 
+A span is one operation of the layer that opens it — a chunk's pass, a
+training, the online update of a chunk — never one row of it: an event
+costs a dict, a ring slot, an encoded line and a monitor lookup, so an
+attached run pays per chunk. What an operation iterates over goes in
+its attributes (``engine.train_step``: ``steps``, ``values``).
+
 Disabled tracing is a first-class mode: :class:`NullTracer` returns a
 shared no-op span, so an un-instrumented run pays one no-op call and
 the ``with`` protocol per span site (``benchmarks/e2e``'s

@@ -63,15 +63,20 @@ def sweep_stale_tmp(path: PathLike) -> List[Path]:
     directory forever. Each successful :func:`atomic_write_bytes` to
     the same destination sweeps them. Only staging files for *this*
     destination name are touched, so concurrent writers to other paths
-    in the directory are never disturbed. Returns the removed paths,
-    in sorted order so the unlink sequence is deterministic.
+    in the directory are never disturbed — the name is matched
+    literally, whatever glob metacharacters it holds. Returns the
+    removed paths, in sorted order so the unlink sequence is
+    deterministic.
     """
     path = Path(path)
+    prefix = path.name + "."
     removed: List[Path] = []
-    for stale in sorted(path.parent.glob(path.name + ".*.tmp")):
-        try:
-            stale.unlink()
-        except OSError:
-            continue
-        removed.append(stale)
+    for name in sorted(os.listdir(path.parent)):
+        if name.startswith(prefix) and name.endswith(".tmp", len(prefix)):
+            stale = path.parent / name
+            try:
+                stale.unlink()
+            except OSError:
+                continue
+            removed.append(stale)
     return removed

@@ -302,6 +302,19 @@ class TestStaleTmpSweep:
         assert sorted(removed) == sorted(stale)
         assert sweep_stale_tmp(target) == []
 
+    def test_sweep_matches_the_destination_name_literally(self, tmp_path):
+        """``a[1].json`` as a glob reads "a1.json": the sweep must not
+        take another writer's live staging file for its own."""
+        from repro.persistence import sweep_stale_tmp
+
+        own = tmp_path / "a[1].json.abc.tmp"
+        other = tmp_path / "a1.json.live.tmp"
+        bare = tmp_path / "a[1].json.tmp"  # not a staging name
+        for path in (own, other, bare):
+            path.write_bytes(b"staged")
+        assert sweep_stale_tmp(tmp_path / "a[1].json") == [own]
+        assert other.exists() and bare.exists()
+
 
 class TestSelectPrunable:
     def test_drops_all_but_newest_k(self):

@@ -148,13 +148,13 @@ class TestOnlineStep:
             table_for(rng, rows=8)
         )
         seen = []
-        step = manager.engine.train_step
+        step = manager.trainer.step
 
-        def spy(trainer, block, labels, start, stop, objective):
+        def spy(block, labels, tracker, start, stop, objective):
             seen.append((start, stop, objective))
-            return step(trainer, block, labels, start, stop, objective)
+            return step(block, labels, tracker, start, stop, objective)
 
-        manager.engine.train_step = spy
+        manager.trainer.step = spy
         manager.online_step(features, batch_rows=3)
         # ... and only the last range's objective is evaluated.
         assert seen == [(0, 3, False), (3, 6, False), (6, 8, True)]

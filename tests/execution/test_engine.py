@@ -10,6 +10,7 @@ from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
 from repro.ml.sgd import SGDTrainer
 from repro.obs import Telemetry
+from repro.pipeline.component import Features
 from repro.pipeline.components.assembler import FeatureAssembler
 from repro.pipeline.components.scaler import StandardScaler
 from repro.pipeline.pipeline import Pipeline
@@ -139,7 +140,12 @@ OPERATIONS = {
     "train_step": (
         lambda e, w: e.train_step(w.trainer, w.x, w.y),
         "engine.train_step",
-        {"values": 20},
+        {"values": 20, "steps": 1},
+    ),
+    "online_update": (
+        lambda e, w: e.online_update(w.trainer, Features(w.x, w.y), 4),
+        "engine.train_step",
+        {"values": 20, "steps": 3},
     ),
     "train_full": (
         lambda e, w: e.train_full(

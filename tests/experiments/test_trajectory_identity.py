@@ -4,12 +4,16 @@ Every approach trains through ``PipelineManager.online_step`` — per
 row in both scenarios (``online_batch_rows=1``) — so a change to the
 step's kernels must leave each run's trajectory where it was, bit for
 bit: the final weights, the cost clock, the error curve and, with
-telemetry attached, one ``engine.train_step`` span per step carrying
-the same ``values``.
+telemetry attached, the ``engine.train_step`` spans' total ``steps``
+(one a span where a span carries none) and total ``values`` — sums,
+so that a span per step and a span per chunk read the same.
 
-``trajectory_digests.json`` was recorded on the commit *before* the
-row-range kernels (PR 14, 856e086) by running this file as a script
-there (``measure`` uses nothing newer). The taxi digests go through
+``trajectory_digests.json`` was recorded by running this file as a
+script (``measure`` uses nothing newer) on the commit *before* the
+row-range kernels (PR 14, 856e086) and, for ``values`` alone — then a
+digest of the per-step list, now their sum — on the commit before the
+online update became one span (PR 22, 45f0a4b); the other five
+entries of every run came out as recorded. The taxi digests go through
 BLAS (``X.T @ dloss``), so they are pinned to the numpy build of the
 test image; on another build, re-record from an unchanged checkout:
 ``PYTHONPATH=src python tests/experiments/test_trajectory_identity.py``.
@@ -59,8 +63,8 @@ def measure(dataset: str, approach: str) -> dict:
         "intercept": repr(float(deployment.model.intercept)),
         "total_cost": repr(result.total_cost),
         "errors": _sha(result.error_history, np.float64),
-        "train_steps": len(steps),
-        "values": _sha([e["attrs"]["values"] for e in steps], np.int64),
+        "train_steps": sum(e["attrs"].get("steps", 1) for e in steps),
+        "values": sum(e["attrs"]["values"] for e in steps),
     }
 
 

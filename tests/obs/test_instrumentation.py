@@ -7,6 +7,8 @@ drift detectors on the drift-aware deployment), and enabling telemetry
 changes nothing about a run's numerical results.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,26 @@ class TestDriftTelemetry:
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["drift.signals"] == 1
         assert counters["drift.warnings"] == 1
+
+
+def test_no_event_is_emitted_per_row():
+    """The chunk and the proactive training are the units telemetry
+    reports on: however many rows a chunk holds (the online update is
+    per row here), no event name occurs more often than once per chunk
+    plus once per training (plus the initial fit)."""
+    scenario = url_scenario("test")
+    telemetry = Telemetry(ring_capacity=1 << 16)
+    deployment = make_deployment(scenario, "continuous", telemetry)
+    result = scenario.fit(deployment).run(scenario.make_stream())
+    assert scenario.online_batch_rows == 1
+    bound = (
+        len(result.error_history)
+        + result.counters["proactive_trainings"]
+        + 1
+    )
+    counts = Counter(event["name"] for event in telemetry.events)
+    assert counts["engine.train_step"] > 0
+    assert {n: c for n, c in counts.items() if c > bound} == {}, bound
 
 
 class TestTelemetryDoesNotPerturbRuns:
