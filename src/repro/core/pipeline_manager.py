@@ -17,6 +17,11 @@ Owns the deployed pipeline and model and mediates every data movement:
   re-materialization callback for evicted chunks;
 * periodical retraining replays the stored raw history through the
   pipeline and runs a full SGD training, warm-started or cold.
+
+Both of these re-read stored raw chunks, the same ones again and
+again; a re-read chunk's stateless prefix stays beside it in the
+storage (:meth:`~repro.data.storage.ChunkStorage.derived`), so it is
+computed once per run rather than once per re-read.
 """
 
 from __future__ import annotations
@@ -89,13 +94,15 @@ class PipelineManager:
         Used by crash recovery (installing checkpointed artifacts) and
         rollbacks. The trainer is rebuilt so it references the new
         model/optimizer pair; anything else holding a reference to the
-        manager keeps working unchanged.
+        manager keeps working unchanged. Every stateless prefix kept
+        so far is forgotten: another pipeline may parse differently.
         """
         self.pipeline = pipeline
         self.model = model
         self.optimizer = optimizer
         self.trainer = SGDTrainer(model, optimizer)
         self._memo = None
+        self.data_manager.storage.forget_derived()
 
     # ------------------------------------------------------------------
     # Initial training (pre-deployment)
@@ -241,7 +248,7 @@ class PipelineManager:
                         raw.table.num_values,
                         f"recompute:{component.name}",
                     )
-            features = self.engine.transform_only(self.pipeline, raw.table)
+            features = self._reread(raw, self.engine.transform_only)
             return FeatureChunk(
                 timestamp=raw.timestamp,
                 raw_reference=raw.timestamp,
@@ -252,6 +259,15 @@ class PipelineManager:
         return self.data_manager.sample(
             SampleRequest(size=sample_size), materialize
         )
+
+    def _reread(self, raw: RawChunk, replay) -> Features:
+        """Run a stored raw chunk through ``replay`` (one of the
+        engine's two pipeline passes) from the stateless prefix kept
+        beside it. The first re-read of a chunk computes that prefix
+        and leaves it there; every later one starts at the first
+        stateful component and only repeats the prefix's charges."""
+        memo = self.data_manager.storage.derived(raw, PrefixMemo)
+        return replay(self.pipeline, raw.table, memo)
 
     # ------------------------------------------------------------------
     # Periodical retraining (baseline)
@@ -286,9 +302,9 @@ class PipelineManager:
             replay = self.engine.online_pass
         parts: List[Features] = []
         for timestamp in timestamps:
-            raw = self.data_manager.storage.get_raw(timestamp)
+            raw = self.data_manager.read_raw(timestamp)
             self.engine.read_chunk(raw.table.num_values, "retrain_read")
-            parts.append(replay(self.pipeline, raw.table))
+            parts.append(self._reread(raw, replay))
         batch = union_features(parts)
         return self.engine.train_full(
             self.trainer,

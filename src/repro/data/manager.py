@@ -106,8 +106,8 @@ class DataManager:
         self.telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
-        #: Optional retry wrapper for transient storage faults during
-        #: re-materialization (see :mod:`repro.reliability.retry`).
+        #: Optional retry wrapper for transient storage faults on every
+        #: read of history (see :meth:`read_raw`).
         self.retrier = retrier
         self._rng = ensure_rng(seed)
         self._next_timestamp = 0
@@ -120,6 +120,7 @@ class DataManager:
 
         Timestamps are assigned monotonically; the chunk is stored and
         returned so the caller can forward it through the pipeline.
+        Storing freezes the table's columns (:meth:`ChunkStorage.put_raw`).
         """
         chunk = RawChunk(timestamp=self._next_timestamp, table=table)
         self._next_timestamp += 1
@@ -208,17 +209,20 @@ class DataManager:
             population=len(population),
         )
 
+    def read_raw(self, timestamp: int) -> RawChunk:
+        """Read one stored raw chunk back — the one read of history,
+        for re-materialization and retraining alike: a transient
+        ``storage.read`` fault is retried when a retrier is attached."""
+        if self.retrier is None:
+            return self.storage.get_raw(timestamp)
+        return self.retrier.call(
+            lambda: self.storage.get_raw(timestamp), site=STORAGE_READ
+        )
+
     def _rematerialize(
         self, stub: ChunkStub, materializer: Materializer
     ) -> FeatureChunk:
-        if self.retrier is not None:
-            raw = self.retrier.call(
-                lambda: self.storage.get_raw(stub.raw_reference),
-                site=STORAGE_READ,
-            )
-        else:
-            raw = self.storage.get_raw(stub.raw_reference)
-        rebuilt = materializer(raw)
+        rebuilt = materializer(self.read_raw(stub.raw_reference))
         if rebuilt.timestamp != stub.timestamp:
             raise StorageError(
                 f"materializer produced timestamp {rebuilt.timestamp} "

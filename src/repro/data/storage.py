@@ -10,13 +10,27 @@ it on demand (dynamic materialization).
 The bound can be expressed as a maximum chunk count (``max_materialized``,
 the paper's *m*) or a maximum byte budget (``max_bytes``); whichever is
 exceeded first triggers eviction.
+
+Re-materializing recomputes from a raw chunk what does not depend on
+the pipeline's statistics, every time. :meth:`ChunkStorage.derived`
+keeps such a by-product beside the raw chunk it was computed from, for
+exactly as long as that chunk is stored and nowhere else: it is not in
+the manifest, not spilled, and gone after :meth:`ChunkStorage.restore`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    TypeVar,
+    Union,
+)
 
 from repro.data.chunk import ChunkStub, FeatureChunk, RawChunk
 from repro.exceptions import StorageError
@@ -26,6 +40,8 @@ from repro.reliability.sites import STORAGE_READ
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.reliability.faults import FaultInjector
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -96,6 +112,8 @@ class ChunkStorage:
         self._features: "OrderedDict[int, Union[FeatureChunk, ChunkStub]]" = (
             OrderedDict()
         )
+        #: raw timestamp -> what :meth:`derived` keeps beside it.
+        self._derived: Dict[int, object] = {}
         self._materialized_count = 0
         self._materialized_bytes = 0
         self.stats = StorageStats()
@@ -109,11 +127,16 @@ class ChunkStorage:
     # Raw chunks
     # ------------------------------------------------------------------
     def put_raw(self, chunk: RawChunk) -> None:
-        """Store a raw chunk; evict the oldest if over ``raw_capacity``."""
+        """Store a raw chunk; evict the oldest if over ``raw_capacity``.
+
+        A stored table is frozen: history is re-read for the whole
+        run, and :meth:`derived` keys on the chunk's identity.
+        """
         if chunk.timestamp in self._raw:
             raise StorageError(
                 f"raw chunk {chunk.timestamp} already stored"
             )
+        chunk.table.freeze()
         self._raw[chunk.timestamp] = chunk
         self.stats.raw_inserted += 1
         while (
@@ -121,6 +144,7 @@ class ChunkStorage:
             and len(self._raw) > self.raw_capacity
         ):
             oldest, __ = self._raw.popitem(last=False)
+            self._derived.pop(oldest, None)
             self.stats.raw_dropped += 1
             entry = self._features.pop(oldest, None)
             if isinstance(entry, FeatureChunk):
@@ -158,6 +182,31 @@ class ChunkStorage:
 
     def has_raw(self, timestamp: int) -> bool:
         return timestamp in self._raw
+
+    def derived(self, chunk: RawChunk, make: Callable[[], _T]) -> _T:
+        """What is kept beside the stored raw ``chunk``: ``make()`` the
+        first time, that same object on every later request.
+
+        Derived data has four lifetime rules. It dies with its raw
+        chunk (``raw_capacity`` drops). It is never persisted: not in
+        :meth:`manifest`, never spilled, and :meth:`restore` starts
+        with none. :meth:`forget_derived` drops all of it (whoever
+        computed it may compute differently now). And it is kept only
+        for the very object stored, whose table is frozen — identity
+        stands for content only while the content cannot change; any
+        other chunk gets a fresh ``make()`` that nothing holds on to.
+        """
+        timestamp = chunk.timestamp
+        if self._raw.get(timestamp) is not chunk or not chunk.table.frozen:
+            return make()
+        kept = self._derived.get(timestamp)
+        if kept is None:
+            kept = self._derived[timestamp] = make()
+        return kept
+
+    def forget_derived(self) -> None:
+        """Drop everything :meth:`derived` keeps."""
+        self._derived.clear()
 
     @property
     def raw_timestamps(self) -> List[int]:
@@ -380,11 +429,17 @@ class ChunkStorage:
 
         ``raw`` and ``features`` must be in the original insertion
         order (the manifest's order); bounds/configuration come from
-        the constructor, not the checkpoint.
+        the constructor, not the checkpoint. The restored tables are
+        frozen as :meth:`put_raw` freezes them (an unpickled array is
+        writable), and nothing derived survives: it is recomputed on
+        demand.
         """
+        for chunk in raw:
+            chunk.table.freeze()
         self._raw = OrderedDict(
             (chunk.timestamp, chunk) for chunk in raw
         )
+        self.forget_derived()
         self._features = OrderedDict(
             (entry.timestamp, entry) for entry in features
         )

@@ -142,6 +142,35 @@ class Table:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
+    def freeze(self) -> None:
+        """Make every column read-only (``column()`` hands out the
+        arrays themselves). A stored table is frozen, so its identity
+        can stand for its content for as long as it is stored."""
+        for array in self._columns.values():
+            array.setflags(write=False)
+
+    @property
+    def frozen(self) -> bool:
+        """True when no column can be written through this table."""
+        return not any(
+            array.flags.writeable for array in self._columns.values()
+        )
+
+    def __getstate__(self):
+        """The slots as pickle would take them, read-only columns as
+        writable copies: pickle writes a read-only array differently,
+        and a checkpoint's bytes must not depend on whether the table
+        it spills was frozen (an unpickled table is writable)."""
+        columns = {
+            name: array if array.flags.writeable else array.copy()
+            for name, array in self._columns.items()
+        }
+        return None, {
+            "_columns": columns,
+            "_num_rows": self._num_rows,
+            "_cached_num_values": self._cached_num_values,
+        }
+
     # ------------------------------------------------------------------
     # Functional updates (every method returns a new Table)
     # ------------------------------------------------------------------

@@ -16,7 +16,10 @@ The components before the first stateful one (the *stateless prefix*)
 compute the same bytes on either path, so a caller that runs both over
 one batch may pass a :class:`PrefixMemo`: the first pass leaves the
 prefix's output in it, the second starts there and only repeats the
-prefix's cost charges. The pipeline itself keeps nothing between calls.
+prefix's cost charges. The pipeline itself keeps nothing between calls;
+who holds the memo decides how long it lives (the pipeline manager for
+one prequential step, the chunk storage for as long as a re-read raw
+chunk is stored).
 """
 
 from __future__ import annotations

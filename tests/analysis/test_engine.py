@@ -258,7 +258,6 @@ def test_default_config_scopes_match_the_declared_policy():
     assert "REP002" in config.rules_for_path("src/repro/execution/cost.py")
     assert "REP002" not in config.rules_for_path("src/repro/obs/trace.py")
     assert "REP007" in config.rules_for_path("src/repro/serving/registry.py")
-    assert "REP007" not in config.rules_for_path("src/repro/io/csvio.py")
     assert "REP008" in config.rules_for_path("src/repro/ml/sgd.py")
     assert "REP001" not in config.rules_for_path("src/repro/utils/rng.py")
     assert "REP001" in config.rules_for_path("src/repro/utils/fileio.py")

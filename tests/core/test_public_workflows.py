@@ -55,45 +55,6 @@ class TestReadmeQuickstart:
         assert result.counters["proactive_trainings"] == 2
 
 
-class TestFileDrivenDeployment:
-    def test_deploy_from_svmlight_file(self, tmp_path):
-        """Generate → write to disk → stream chunks from the file into
-        a deployment: the io layer is a drop-in stream source."""
-        from repro import (
-            Adam,
-            L2,
-            LinearSVM,
-            OnlineDeployment,
-            URLStreamGenerator,
-            make_url_pipeline,
-        )
-        from repro.io import iter_svmlight_chunks
-
-        generator = URLStreamGenerator(
-            num_chunks=6, rows_per_chunk=10, seed=3
-        )
-        lines = [
-            line
-            for chunk in generator.stream()
-            for line in chunk["line"]
-        ]
-        path = tmp_path / "stream.svm"
-        path.write_text("\n".join(lines) + "\n")
-
-        pipeline = make_url_pipeline(hash_features=64)
-        model = LinearSVM(num_features=64, regularizer=L2(1e-3))
-        deployment = OnlineDeployment(
-            pipeline, model, Adam(0.05), metric="classification"
-        )
-        deployment.initial_fit(
-            generator.initial_data(80), max_iterations=50
-        )
-        result = deployment.run(
-            iter_svmlight_chunks(path, rows_per_chunk=10)
-        )
-        assert result.chunks_processed == 6
-
-
 class TestOptimizerSwap:
     @pytest.mark.parametrize(
         "name", ["adam", "rmsprop", "adadelta", "momentum", "adagrad"]

@@ -243,13 +243,12 @@ class TestImportSurface:
         import repro.driftdetect as driftdetect
         import repro.evaluation as evaluation
         import repro.execution as execution
-        import repro.io as io
         import repro.ml as ml
         import repro.pipeline as pipeline
 
         for module in (
             core, data, datasets, driftdetect, evaluation,
-            execution, io, ml, pipeline,
+            execution, ml, pipeline,
         ):
             for name in module.__all__:
                 assert getattr(module, name) is not None

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.exceptions import ReliabilityError
+from repro.experiments.common import make_deployment, url_scenario
 from repro.obs import Telemetry
 from repro.reliability import (
+    FaultPlan,
+    FaultSpec,
     Retrier,
     RetryExhausted,
     RetryPolicy,
     SimulatedCrash,
     TransientFault,
 )
+from repro.reliability.sites import STORAGE_READ
 
 
 def flaky(failures, exception=TransientFault):
@@ -126,3 +130,43 @@ class TestRetrier:
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["reliability.retries"] == 4  # 2 + 2
         assert counters["reliability.retries_exhausted"] == 1
+
+
+class TestEveryReadOfHistoryIsGuarded:
+    """``guard_reads`` promises that transient ``storage.read`` faults
+    are retried. Proactive training's re-materialization and
+    periodical retraining's replay of the history take the same
+    guarded read (``DataManager.read_raw``); the retraining loop used
+    to go around it, and one such fault killed the run."""
+
+    @staticmethod
+    def run(approach, faulty, retry=RetryPolicy()):
+        # Bounded, so that continuous re-reads what it samples.
+        scenario = url_scenario("test").with_continuous(
+            max_materialized_chunks=2
+        )
+        plan = FaultPlan.of(FaultSpec(STORAGE_READ, 1, "io_error"))
+        deployment = make_deployment(
+            scenario,
+            approach,
+            fault_plan=plan if faulty else None,
+            retry=retry,
+        )
+        result = scenario.fit(deployment).run(scenario.make_stream())
+        return result, deployment.reliability.retrier
+
+    @pytest.mark.parametrize("approach", ["continuous", "periodical"])
+    def test_absorbed_fault_costs_a_retry_and_nothing_else(self, approach):
+        clean, unused = self.run(approach, faulty=False)
+        result, retrier = self.run(approach, faulty=True)
+        assert (unused.retries, unused.total_delay) == (0, 0.0)
+        assert retrier.retries == 1
+        assert retrier.total_delay > 0.0  # the backoff lands here,
+        assert result.total_cost == clean.total_cost  # not on the clock
+        assert result.final_error == clean.final_error
+        assert result.error_history == clean.error_history
+
+    @pytest.mark.parametrize("approach", ["continuous", "periodical"])
+    def test_without_a_policy_the_fault_surfaces(self, approach):
+        with pytest.raises(TransientFault):
+            self.run(approach, faulty=True, retry=None)
