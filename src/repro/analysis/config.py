@@ -34,7 +34,6 @@ GLOBAL_RULES = (
     "REP003",
     "REP004",
     "REP005",
-    "REP006",
     "REP009",
     "REP011",
     "REP012",

@@ -1,11 +1,12 @@
-"""The project rule pack: REP001–REP008.
+"""The project rule pack: REP001–REP008. REP006 (fault-site literals)
+is retired: ``FaultSpec`` refuses an unknown site itself.
 
 Each rule mechanically enforces one invariant the platform's
 byte-identical-recovery and canary-routing guarantees rest on; see
 ``DESIGN.md`` §9 for the invariant-by-invariant rationale. Rules are
 pure AST checks — no imports of the linted code are executed — and
-check name vocabularies against the committed constants modules
-:mod:`repro.obs.names` and :mod:`repro.reliability.sites`.
+check telemetry names against the committed constants module
+:mod:`repro.obs.names`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import ParsedModule, Rule
 from repro.obs import names as _names
-from repro.reliability import sites as _sites
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -467,46 +467,6 @@ class TelemetryNameRule(Rule):
                     )
 
 
-class FaultSiteRule(Rule):
-    """REP006 — fault-site strings come from the site vocabulary.
-
-    A typo'd site string passed to ``fire``/``corrupt``/``hits``/
-    ``FaultSpec``/``FaultPlan.crash_at`` silently never matches the
-    instrumented code path, so the planned fault never fires and the
-    experiment measures nothing.
-    """
-
-    rule_id = "REP006"
-    name = "fault-site"
-    description = (
-        "fault-injection site literals must be declared in "
-        "repro.reliability.sites"
-    )
-
-    _METHODS = ("fire", "corrupt", "hits", "crash_at")
-    _CTORS = ("FaultSpec",)
-
-    def visit_Call(self, node: ast.Call, module, report) -> None:
-        site: Optional[str] = None
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in self._METHODS:
-                site = _first_str_arg(node)
-            elif node.func.attr in self._CTORS:
-                site = _first_str_arg(node)
-        elif isinstance(node.func, ast.Name):
-            if node.func.id in self._CTORS:
-                site = _first_str_arg(node)
-        if site is None:
-            return
-        if not _sites.is_known_site(site):
-            known = ", ".join(_sites.KNOWN_SITES)
-            report(
-                node.args[0],
-                f"unknown fault-injection site {site!r}; known sites "
-                f"are {known} (declared in repro.reliability.sites)",
-            )
-
-
 class BareExceptRule(Rule):
     """REP007 — no bare or blind exception handlers in critical paths.
 
@@ -623,7 +583,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     StateDictPairRule(),
     StateDictKeysRule(),
     TelemetryNameRule(),
-    FaultSiteRule(),
     BareExceptRule(),
     MutableDefaultRule(),
 )

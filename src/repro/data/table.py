@@ -21,6 +21,18 @@ import numpy as np
 from repro.exceptions import SchemaError
 
 
+def is_frozen(array: np.ndarray) -> bool:
+    """True when ``array``'s content cannot change: it is read-only and
+    so is every ndarray down its ``.base`` chain (a read-only view of a
+    writable array changes when the array is written). A base that is
+    not an ndarray — an unpickled buffer — counts as owned."""
+    while not array.flags.writeable:
+        array = array.base
+        if not isinstance(array, np.ndarray):
+            return True
+    return False
+
+
 class Table:
     """An immutable-schema, column-oriented batch of rows.
 
@@ -151,10 +163,8 @@ class Table:
 
     @property
     def frozen(self) -> bool:
-        """True when no column can be written through this table."""
-        return not any(
-            array.flags.writeable for array in self._columns.values()
-        )
+        """True when no column's content can change (:func:`is_frozen`)."""
+        return all(is_frozen(array) for array in self._columns.values())
 
     def __getstate__(self):
         """The slots as pickle would take them, read-only columns as

@@ -15,13 +15,15 @@ component emits CSR accordingly.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from collections import namedtuple
-from typing import Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.data.table import is_frozen
 from repro.exceptions import ValidationError
 from repro.pipeline.component import (
     Batch,
@@ -49,11 +51,16 @@ def _empty_memo() -> Tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64)
 
 
-#: All of hashing a batch that its ``indptr`` and ``indices`` (kept as
-#: the key) decide: every entry's sign as a float, the stable ``order``
-#: of entries by (row, bucket) cell, the output cell (``groups``) of
-#: each ordered entry, the output CSR ``columns`` and row ``starts``.
-_Plan = namedtuple("_Plan", "indptr indices signs order groups columns starts")
+#: All of hashing a batch that its ``indptr`` and ``indices`` decide,
+#: in compact dtypes: every entry's sign (``int8``), the stable
+#: ``order`` of entries by (row, bucket) cell and the output cell
+#: (``groups``) of each ordered entry (the smallest signed type that
+#: indexes the batch), the output CSR ``columns`` and row ``starts``
+#: (``int32``, what scipy makes of them anyway, unless too wide).
+_Plan = namedtuple("_Plan", "signs order groups columns starts")
+
+#: A kept plan and weak references to the two arrays it was made from.
+_Kept = namedtuple("_Kept", "indptr indices plan")
 
 
 class FeatureHasher(StatelessComponent):
@@ -66,10 +73,14 @@ class FeatureHasher(StatelessComponent):
     space it has met.
 
     Every call plans, then applies. Imputer and scaler pass a batch's
-    index arrays on untouched, so the last plan is kept for as long as
-    the same two objects arrive — provided both are frozen, as the
-    parser emits them: identity says nothing about an array that can
-    still be written. Pickles and fingerprints see no plan.
+    index arrays on untouched, so a plan is kept, keyed by the identity
+    of the two arrays, for exactly as long as they live — provided both
+    are frozen (:func:`~repro.data.table.is_frozen`), as the parser
+    emits them: identity says nothing about an array that can still be
+    written. The table holds the arrays only weakly and drops an entry
+    when its ``indices`` array is freed, so a plan dies with whatever
+    holds the parsed rows: the step's prefix memo, or a re-read raw
+    chunk's. Pickles, fingerprints and deep copies see no plan.
 
     Parameters
     ----------
@@ -82,9 +93,6 @@ class FeatureHasher(StatelessComponent):
     """
 
     kind = ComponentKind.FEATURE_EXTRACTION
-
-    #: The last frozen batch's plan; unpickled instances start without.
-    _plan: Optional[_Plan] = None
 
     def __init__(
         self,
@@ -100,12 +108,18 @@ class FeatureHasher(StatelessComponent):
         self.num_features = int(num_features)
         self.signed = signed
         self._keys, self._memo = _empty_memo()
+        #: ``id(indices) -> _Kept``; see the class docstring.
+        self._plans: Dict[int, _Kept] = {}
 
     def __getstate__(self) -> dict:
         keys, memo = _empty_memo()
         state = {**self.__dict__, "_keys": keys, "_memo": memo}
-        state.pop("_plan", None)
+        del state["_plans"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plans = {}
 
     def _hashed(self, indices: np.ndarray) -> np.ndarray:
         """Bucket and sign (two rows) of every index, from the memo."""
@@ -136,16 +150,31 @@ class FeatureHasher(StatelessComponent):
         )
         # bincount of nothing is int64, weights or not.
         sums = sums.astype(np.float64, copy=False)
+        # Copies: scipy keeps int32 index arrays as they are, and an
+        # output matrix must not share memory with a kept plan.
         matrix = sp.csr_matrix(
-            (sums, plan.columns, plan.starts),
+            (sums, plan.columns.copy(), plan.starts.copy()),
             shape=(rows.num_rows, self.num_features),
         )
         return Features(matrix=matrix, labels=rows.labels)
 
     def _plan_for(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
-        plan = self._plan
-        if plan and plan.indptr is indptr and plan.indices is indices:
-            return plan
+        key = id(indices)
+        kept = self._plans.get(key)
+        if kept and kept.indptr() is indptr and kept.indices() is indices:
+            return kept.plan
+        plan = self._planned(indptr, indices)
+        # Identity is a key only while neither array can change.
+        if is_frozen(indptr) and is_frozen(indices):
+            plans = self._plans
+            plans[key] = _Kept(
+                weakref.ref(indptr),
+                weakref.ref(indices, lambda _, key=key: plans.pop(key, None)),
+                plan,
+            )
+        return plan
+
+    def _planned(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
         width = self.num_features
         num_rows = len(indptr) - 1
         buckets, signs = self._hashed(indices)
@@ -160,16 +189,14 @@ class FeatureHasher(StatelessComponent):
         opens = np.ones(len(cell), dtype=bool)
         np.not_equal(cell[1:], cell[:-1], out=opens[1:])
         cells = cell[opens]
-        plan = _Plan(
-            indptr,
-            indices,
-            signs.astype(np.float64),
-            order,
-            opens.cumsum() - 1,
-            cells % width,
-            cells.searchsorted(np.arange(num_rows + 1) * width),
+        # The smallest signed type holding 0 .. len(cell) - 1.
+        position = np.min_scalar_type(-max(len(cell), 1))
+        wide = max(num_rows, width, len(cells)) > np.iinfo(np.int32).max
+        csr = np.int64 if wide else np.int32
+        return _Plan(
+            signs.astype(np.int8),
+            order.astype(position),
+            (opens.cumsum() - 1).astype(position),
+            (cells % width).astype(csr),
+            cells.searchsorted(np.arange(num_rows + 1) * width).astype(csr),
         )
-        # Identity is a key only while neither array can change.
-        if not (indptr.flags.writeable or indices.flags.writeable):
-            self._plan = plan
-        return plan

@@ -66,6 +66,11 @@ class FaultSpec:
     kind: str
 
     def __post_init__(self) -> None:
+        # A site nothing fires would be a fault that never happens.
+        if not sites.is_known_site(self.site):
+            raise ReliabilityError(
+                f"site must be one of {KNOWN_SITES}, got {self.site!r}"
+            )
         if self.occurrence < 1:
             raise ReliabilityError(
                 f"occurrence must be >= 1, got {self.occurrence}"

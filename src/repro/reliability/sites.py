@@ -3,9 +3,8 @@
 A *site* is a string naming one instrumented operation a
 :class:`~repro.reliability.faults.FaultInjector` can interpose on.
 Every site the platform fires is declared here as an importable
-constant, and reprolint's REP006 rule checks that any site literal
-reaching ``fire``/``corrupt``/``FaultSpec``/``crash_at`` is one of
-them — a typo'd site would otherwise silently never fire and a fault
+constant, and :class:`~repro.reliability.faults.FaultSpec` refuses any
+other — a typo'd site would otherwise silently never fire and a fault
 plan would silently never trigger.
 """
 

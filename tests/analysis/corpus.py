@@ -195,25 +195,6 @@ _add(
 )
 
 _add(
-    "REP006",
-    flag="""\
-    def hammer(injector):
-        injector.fire("stream.reed")
-    """,
-    clean="""\
-    from repro.reliability.sites import STREAM_READ
-
-    def hammer(injector):
-        injector.fire(STREAM_READ)
-        injector.fire("storage.read")
-    """,
-    noqa="""\
-    def hammer(injector):
-        injector.fire("stream.reed")  # repro: noqa[REP006]
-    """,
-)
-
-_add(
     "REP007",
     flag="""\
     def swallow(op):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.table import Table
+from repro.data.table import Table, is_frozen
 from repro.exceptions import SchemaError
 
 
@@ -221,3 +221,22 @@ class TestDigest:
         digest = Table({"a": [1.0]}).digest()
         assert len(digest) == 64
         int(digest, 16)
+
+
+class TestFrozen:
+    def test_read_only_view_of_a_writable_array_is_not_frozen(self):
+        base = np.arange(4.0)
+        table = Table({"a": base[:]})
+        table.freeze()
+        assert not is_frozen(table.column("a"))
+        assert not table.frozen
+        base[0] = 9.0
+        assert table.column("a")[0] == 9.0
+        base.flags.writeable = False
+        assert table.frozen
+
+    def test_a_base_that_is_not_an_array_counts_as_owned(self):
+        array = np.frombuffer(bytearray(16), dtype=np.float64)
+        assert not is_frozen(array)
+        array.flags.writeable = False
+        assert is_frozen(array)

@@ -16,10 +16,11 @@ function of its batch: for every stateless class
 ``repro.pipeline.components`` exports, ``transform`` leaves the pickle
 byte-equal and two transforms of one batch return equal bytes.
 
-**The hasher's plan** is keyed by the identity of a batch's frozen
-index arrays: a planned hasher ≡ a fresh one, a writable batch changed
-in place is hashed for what it holds now, and neither the plan nor the
-memo reaches a pickle.
+**The hasher's plans** are keyed by the identity of a batch's frozen
+index arrays: a planned hasher ≡ a fresh one, a writable batch (or a
+read-only view of a writable one) changed in place is hashed for what
+it holds now, and neither the plans nor the memo reach a pickle.
+``test_property_hasher_plans.py`` has the table's lifetime.
 
 Everything is drawn from ``repro.utils.rng`` seeds; a failure names the
 seed and the configuration, and ``pytest
@@ -676,12 +677,13 @@ def test_neither_plan_nor_memo_reaches_a_pickle():
     hasher = FeatureHasher(16)
     before = pickle.dumps(hasher)
     identity = component_fingerprint(hasher)
-    hasher.transform(_hashable_rows())
-    assert hasher._plan is not None
+    rows = _hashable_rows()
+    hasher.transform(rows)
+    assert len(hasher._plans) == 1
     assert pickle.dumps(hasher) == before
     assert component_fingerprint(hasher) == identity
-    restored = pickle.loads(before)
-    assert restored._plan is None
+    restored = pickle.loads(pickle.dumps(hasher))
+    assert restored._plans == {}
     assert features_bytes(
         restored.transform(_hashable_rows())
     ) == features_bytes(hasher.transform(_hashable_rows()))
@@ -707,5 +709,6 @@ def test_pipeline_pickle_holds_no_chunk(rows_per_chunk):
 
     for index in range(2):
         twin.update_transform(generator.chunk(index))
-    del twin.component("hasher")._plan
+    # Each chunk's parsed rows died with its call, and its plan too.
+    assert twin.component("hasher")._plans == {}
     assert pickle.dumps(pipeline) == pickle.dumps(twin)

@@ -26,6 +26,14 @@ class TestFaultSpec:
         with pytest.raises(ReliabilityError, match="kind"):
             FaultSpec("stream.read", 1, "explode")
 
+    def test_unknown_site_rejected(self):
+        with pytest.raises(ReliabilityError, match="stream.reed"):
+            FaultSpec("stream.reed", 1, "crash")
+        with pytest.raises(ReliabilityError, match="site"):
+            FaultPlan.crash_at("checkpoint.wirte", 2)
+        with pytest.raises(ReliabilityError, match="site"):
+            FaultPlan.seeded(0, count=1, sites=("storage.raed",))
+
     def test_all_known_kinds_accepted(self):
         for kind in KINDS:
             assert FaultSpec("storage.read", 2, kind).kind == kind
