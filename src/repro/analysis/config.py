@@ -26,7 +26,7 @@ from repro.analysis.base import ConfigError
 from repro.analysis.rulepack import RULES_BY_ID
 
 #: Rules that run on every linted file unless a policy disables them.
-#: REP009/REP011/REP012/REP014 are whole-program rules (DESIGN.md
+#: REP009/REP012/REP014 are whole-program rules (DESIGN.md
 #: §14): they run in the program pass and anchor findings at
 #: definition sites, but are scoped by the same per-path machinery.
 GLOBAL_RULES = (
@@ -35,7 +35,6 @@ GLOBAL_RULES = (
     "REP004",
     "REP005",
     "REP009",
-    "REP011",
     "REP012",
     "REP013",
     "REP014",

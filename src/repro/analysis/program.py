@@ -1,17 +1,16 @@
 """The whole-program model behind reprolint's cross-file rules.
 
 The per-file walk (``base.py``/``engine.py``) can certify anything a
-single module exhibits, but the invariants that make sharding the
-execution engine safe — no hidden shared mutable state, no wall clock
-reachable from cost paths, every mutable field captured by
-``state_dict`` — span module boundaries. This module builds, in one
+single module exhibits, but some invariants replay depends on — no
+wall clock reachable from cost paths, every mutable field captured by
+``state_dict``, imports only down the layer table — span module
+boundaries. This module builds, in one
 pass over the already-parsed tree, the three structures the
 :class:`~repro.analysis.progrules.ProgramRule` pack reasons over:
 
 * **per-module symbol tables** (:class:`ModuleInfo`) — classes with
   their methods and attribute assignments, functions with the calls
-  they make, module-level bindings with a mutability verdict, import
-  alias tables, and every statically-visible reference to another
+  they make, module-level string constants, import alias tables, and every statically-visible reference to another
   ``repro`` module's attribute;
 * **a subsystem-level import graph** — edges between top-level
   ``repro.<subsystem>`` packages, each tagged with whether the import
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import ParsedModule
 
@@ -194,8 +193,6 @@ class ModuleInfo:
     external_members: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: module-level name -> assignment node for mutable bindings.
-    module_mutables: Dict[str, ast.AST] = field(default_factory=dict)
     #: module-level string constants: name -> (value, assignment node).
     string_constants: Dict[str, Tuple[str, ast.AST]] = field(
         default_factory=dict
@@ -422,8 +419,6 @@ class _ModuleScanner:
                 if value is not None and not (
                     name.startswith("__") and name.endswith("__")
                 ):
-                    if is_mutable_value(value):
-                        self.info.module_mutables.setdefault(name, node)
                     if (
                         isinstance(value, ast.Constant)
                         and isinstance(value.value, str)
@@ -566,9 +561,6 @@ class ProgramModel:
     subsystem_graph: Dict[str, Dict[str, List[ImportEdge]]] = field(
         default_factory=dict
     )
-    #: importer module -> imported modules (runtime edges, incl.
-    #: deferred; TYPE_CHECKING-only edges excluded).
-    module_graph: Dict[str, Set[str]] = field(default_factory=dict)
     #: caller qualname -> resolved callee qualnames (repro.* only).
     call_graph: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     #: every function/method in the program by qualname.
@@ -630,14 +622,8 @@ class ProgramModel:
 
     def _build_graphs(self) -> None:
         for info in self.modules.values():
-            targets = self.module_graph.setdefault(info.name, set())
             for edge in info.imports:
-                if edge.type_checking:
-                    continue
-                resolved = self.resolve_module(edge.target)
-                if resolved is not None and resolved != info.name:
-                    targets.add(resolved)
-                if edge.deferred:
+                if edge.type_checking or edge.deferred:
                     continue
                 importer_sub = info.subsystem
                 target_sub = subsystem_of(edge.target)
@@ -783,18 +769,6 @@ class ProgramModel:
                 if found is not None:
                     return found
         return None
-
-    def modules_reachable_from(self, seeds: Iterable[str]) -> Set[str]:
-        """Transitive closure over the runtime module import graph."""
-        seen: Set[str] = set()
-        frontier = [seed for seed in seeds if seed in self.modules]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.module_graph.get(current, ()))
-        return seen
 
     def call_chain_to(
         self,

@@ -3,10 +3,10 @@
 These rules run after the per-file walk, against the
 :class:`~repro.analysis.program.ProgramModel` built from every parsed
 module in the tree (see DESIGN.md §14). They certify the cross-file
-invariants a sharded execution engine depends on — complete
-checkpoints, deterministic iteration, no hidden shared mutable state,
-an acyclic subsystem layering, and no wall-clock reachable from cost
-paths — none of which a single-module walk can see.
+invariants replay depends on — complete checkpoints, deterministic
+iteration, an acyclic subsystem layering, no wall-clock reachable from
+cost paths, and a live telemetry vocabulary — none of which a
+single-module walk can see.
 
 A :class:`ProgramRule` receives the model plus a
 :class:`ProgramReporter` and anchors every finding at its *definition
@@ -219,49 +219,6 @@ class UnorderedIterationRule(ProgramRule):
                 if leaf in self._UNORDERED_CALLS:
                     return f"`{name}(...)`"
         return None
-
-
-class SharedMutableStateRule(ProgramRule):
-    """REP011 — no module-level mutable state visible to shard code.
-
-    Modules reachable (over the runtime import graph) from the
-    ``execution``, ``ml``, or ``fleet`` subsystems will be imported
-    by every worker shard. A module-level list/dict/set there is
-    shared mutable state: workers mutate their own copy and the
-    shards drift apart. Bind an immutable value (tuple, frozenset,
-    ``MappingProxyType``) or move the state into an instance.
-    """
-
-    rule_id = "REP011"
-    name = "shard-ready"
-    description = (
-        "modules importable from execution/ml/fleet must not bind "
-        "module-level mutable values (tuple/frozenset/"
-        "MappingProxyType instead)"
-    )
-
-    #: The subsystems whose import closure runs on worker shards.
-    SHARD_SUBSYSTEMS = ("execution", "fleet", "ml")
-
-    def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
-        seeds = [
-            name
-            for name, info in model.modules.items()
-            if info.subsystem in self.SHARD_SUBSYSTEMS
-        ]
-        reachable = model.modules_reachable_from(seeds)
-        for mod_name in sorted(reachable):
-            info = model.modules[mod_name]
-            for var in sorted(info.module_mutables):
-                node = info.module_mutables[var]
-                reporter.report(
-                    info,
-                    node,
-                    f"module-level mutable `{var}` is in the import "
-                    f"closure of the sharded subsystems "
-                    f"({'/'.join(self.SHARD_SUBSYSTEMS)}); bind an "
-                    f"immutable value or move it into instance state",
-                )
 
 
 class LayeringRule(ProgramRule):
@@ -541,7 +498,6 @@ class DeadTelemetryRule(ProgramRule):
 PROGRAM_RULES: Tuple[ProgramRule, ...] = (
     CheckpointCompletenessRule(),
     UnorderedIterationRule(),
-    SharedMutableStateRule(),
     LayeringRule(),
     WallClockReachRule(),
     DeadTelemetryRule(),

@@ -21,7 +21,8 @@ class ScheduleConfig:
     """Which proactive-training scheduler to build.
 
     ``kind="static"`` uses ``interval_chunks``; ``kind="dynamic"`` uses
-    ``slack`` and ``initial_interval`` (formula 6).
+    ``slack`` and ``initial_interval`` (formula 6); ``kind="none"``
+    builds no scheduler: only the platform's own rules train.
     """
 
     kind: str = "static"
@@ -30,9 +31,9 @@ class ScheduleConfig:
     initial_interval: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("static", "dynamic"):
+        if self.kind not in ("static", "dynamic", "none"):
             raise ValidationError(
-                f"schedule kind must be 'static' or 'dynamic', "
+                f"schedule kind must be 'static', 'dynamic' or 'none', "
                 f"got {self.kind!r}"
             )
         check_positive_int(self.interval_chunks, "interval_chunks")

@@ -11,7 +11,7 @@ operations a deployment environment needs:
   update, and fire proactive training when a training rule says so.
 
 *When* it fires is a list of :class:`TrainingRule`: the configured
-schedule (§4.1) first, then any the caller appends (e.g. a drift
+schedule (§4.1), if any, then any the caller appends (e.g. a drift
 response). Every trigger hears every prediction batch, every chunk's
 errors and every training, whichever rule fired it — formula (6)'s
 ``T`` is the last training's duration, not the last scheduled one's.
@@ -68,10 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.registry import ModelRegistry, VersionInfo
 
 
-def build_scheduler(config: ScheduleConfig) -> Scheduler:
-    """Construct the scheduler described by ``config``."""
+def build_scheduler(config: ScheduleConfig) -> Optional[Scheduler]:
+    """Construct the scheduler described by ``config``, if any."""
     if config.kind == "static":
         return StaticScheduler(config.interval_chunks)
+    if config.kind == "none":
+        return None
     return DynamicScheduler(
         slack=config.slack, initial_interval=config.initial_interval
     )
@@ -102,7 +104,7 @@ class ContinuousDeploymentPlatform:
         Controls the sampling randomness.
     rules:
         Training rules asked, in order, after the configured schedule
-        (which is always the first rule).
+        (the first rule, unless its kind is ``"none"``).
     telemetry:
         Optional observability bundle, threaded through the engine
         (operation spans), storage (eviction counters), data manager
@@ -187,10 +189,9 @@ class ContinuousDeploymentPlatform:
             data_manager=self.data_manager,
             engine=self.engine,
         )
-        self.rules = [
-            TrainingRule(build_scheduler(self.config.schedule)),
-            *rules,
-        ]
+        schedule = build_scheduler(self.config.schedule)
+        self.rules = [TrainingRule(schedule)] if schedule is not None else []
+        self.rules.extend(rules)
         for rule in rules:
             check_positive_int(rule.repeats, "repeats")
         self.proactive = ProactiveTrainer(self.manager.trainer, self.engine)
@@ -299,49 +300,37 @@ class ContinuousDeploymentPlatform:
             outcome = None
             for rule in self.rules:
                 now = self.engine.total_cost()
-                fired = rule.trigger.should_train(self._chunk_index, now)
+                count = int(rule.trigger.should_train(self._chunk_index, now))
                 tracer.point(
                     names.SCHEDULER_DECISION,
                     chunk=self._chunk_index,
-                    fired=fired,
+                    fired=count > 0,
                     now=now,
                 )
                 self.telemetry.metrics.counter(
                     names.SCHEDULER_FIRED
-                    if fired
+                    if count
                     else names.SCHEDULER_SKIPPED
                 ).inc()
-                if fired:
-                    outcome = self._run_rule(rule)
+                if count:
+                    outcome = self._run_rule(rule, count)
         if self.reliability.due(self.chunks_observed):
             self.checkpoint()
         return outcome
 
-    def _run_rule(self, rule: TrainingRule) -> ProactiveOutcome:
-        """Run a fired rule's trainings, under its sampler if it has
-        one (restored afterwards, also when a training fails)."""
+    def _run_rule(self, rule: TrainingRule, count: int) -> ProactiveOutcome:
+        """Run a rule's trainings ``count`` times over, under its sampler
+        if it has one (restored afterwards, also when one fails)."""
         data_manager = self.data_manager
         regular = data_manager.sampler
         if rule.sampler is not None:
             data_manager.sampler = rule.sampler
         try:
-            for __ in range(rule.repeats):
+            for __ in range(count * rule.repeats):
                 outcome = self._run_proactive_training()
         finally:
             data_manager.sampler = regular
         return outcome
-
-    def train_now(self) -> ProactiveOutcome:
-        """Run one proactive training outside the scheduler's control.
-
-        The fleet orchestrator disables the per-platform schedule
-        (a huge static interval) and drives training through this
-        entry point when the fleet scheduler grants the tenant a
-        slot. Identical to a rule-fired training: the outcome is
-        recorded, every trigger sees the duration, and an attached
-        registry receives the candidate snapshot.
-        """
-        return self._run_proactive_training()
 
     def _run_proactive_training(self) -> ProactiveOutcome:
         with self.telemetry.tracer.span(

@@ -44,13 +44,14 @@ class Scheduler(ABC):
     """Decides, after each ingested chunk, whether to train."""
 
     @abstractmethod
-    def should_train(self, chunk_index: int, now: float) -> bool:
-        """True when a training should run now.
+    def should_train(self, chunk_index: int, now: float) -> int:
+        """True when a training should run now, or how many times.
 
-        Asked exactly once per ingested chunk, after that chunk's
-        :meth:`record_errors`. ``chunk_index`` counts ingested
-        deployment chunks from 0; ``now`` is the current virtual-clock
-        time in cost units.
+        A count ``k`` runs the rule's trainings ``k`` times over (a
+        bool is 0 or 1). Asked exactly once per ingested chunk, after
+        that chunk's :meth:`record_errors`. ``chunk_index`` counts
+        ingested deployment chunks from 0; ``now`` is the current
+        virtual-clock time in cost units.
         """
 
     def record_training(self, started_at: float, duration: float) -> None:

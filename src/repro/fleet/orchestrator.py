@@ -11,10 +11,9 @@ it:
    the epoch's training slots and materialization bytes,
 3. enforces the per-tenant byte quotas (evicting overdrafts),
 4. lets every active tenant ingest its stream chunks (prequential
-   test-then-train),
-5. spends the granted training slots via each platform's
-   :meth:`~repro.core.platform.ContinuousDeploymentPlatform.train_now`,
-6. emits ``fleet.*`` telemetry and appends the allocation to the
+   test-then-train); a tenant's granted slots fire inside its last
+   chunk's ``observe``, through its platform's one training rule,
+5. emits ``fleet.*`` telemetry and appends the allocation to the
    schedule log.
 
 A fleet checkpoint (approach ``"fleet"``) nests every tenant's full
@@ -181,39 +180,35 @@ class FleetOrchestrator:
                 metrics.counter(names.FLEET_EVICTIONS).inc(
                     report["evicted"]
                 )
-        for tenant in self.tenants:
-            ingested = 0
-            for _ in range(self.spec.chunks_per_epoch):
-                if not tenant.ingest_chunk():
-                    break
-                ingested += 1
-            self._sync_clock()
-            if ingested:
-                # The latest *measured* chunk: one served empty
-                # (every row filtered) adds nothing to chunk_errors.
-                errors = tenant.chunk_errors
-                tracer.point(
-                    names.FLEET_TENANT_CHUNK,
-                    tenant=tenant.name,
-                    cursor=tenant.cursor,
-                    error=errors[-1] if errors else None,
-                )
         trainings_run = 0
-        for tenant_index in allocation.order:
-            tenant = self.tenants[tenant_index]
-            outcome = tenant.train(self.epoch)
+        for tenant, slots in zip(self.tenants, allocation.train_slots):
+            left = tenant.spec.chunks - tenant.cursor
+            chunks = min(self.spec.chunks_per_epoch, left)
+            for step in range(chunks):
+                tenant.ingest_chunk(
+                    self.epoch, slots if step == chunks - 1 else 0
+                )
             self._sync_clock()
-            if outcome is None:
+            if not chunks:
                 continue
-            trainings_run += 1
+            # The latest *measured* chunk: one served empty (every row
+            # filtered) leaves the drift window as it was.
+            window = tenant.grant.window
             tracer.point(
-                names.FLEET_TRAINING,
+                names.FLEET_TENANT_CHUNK,
                 tenant=tenant.name,
-                epoch=self.epoch,
-                objective=outcome.objective,
-                rows=outcome.rows,
+                cursor=tenant.cursor,
+                error=window[-1] if window else None,
             )
-            metrics.counter(names.FLEET_TRAININGS).inc()
+            if slots:
+                trainings_run += slots
+                tracer.point(
+                    names.FLEET_TRAINING,
+                    tenant=tenant.name,
+                    epoch=self.epoch,
+                    slots=slots,
+                )
+                metrics.counter(names.FLEET_TRAININGS).inc(slots)
         aggregate = self.aggregate_error()
         active = sum(1 for t in self.tenants if t.active)
         metrics.gauge(names.FLEET_BALANCE).set(allocation.balance)

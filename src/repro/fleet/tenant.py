@@ -3,24 +3,22 @@
 A :class:`TenantRuntime` owns everything one tenant needs — dataset
 generator (seeded, with the spec's drift profile), pipeline + model +
 optimizer, a :class:`~repro.core.platform.ContinuousDeploymentPlatform`
-whose *own* proactive schedule is disabled (a huge static interval),
-a prequential tracker, and optionally a per-tenant model registry.
-The orchestrator interleaves tenants chunk by chunk: `ingest_chunk`
-runs the prequential test-then-train step, ``train`` runs one
-fleet-granted proactive training through the platform's
-:meth:`~repro.core.platform.ContinuousDeploymentPlatform.train_now`
-hook, and ``state_dict``/``load_state_dict`` ride the fleet
-checkpoint so recovery is byte-identical.
+with no regular schedule whose one training rule is the tenant's
+:class:`~repro.fleet.triggers.GrantTrigger`, a prequential tracker,
+and optionally a per-tenant model registry. The orchestrator
+interleaves tenants chunk by chunk: ``ingest_chunk`` runs the
+prequential test-then-train step, in whose ``observe`` the slots the
+fleet granted fire, and ``state_dict``/``load_state_dict`` ride the
+fleet checkpoint so recovery is byte-identical.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.core.config import ContinuousConfig, ScheduleConfig
-from repro.core.platform import ContinuousDeploymentPlatform
-from repro.core.proactive import ProactiveOutcome
+from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
 from repro.data.table import Table
 from repro.datasets.drift import (
     AbruptDrift,
@@ -36,23 +34,15 @@ from repro.datasets.taxi import (
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
 from repro.exceptions import ConvergenceWarning
 from repro.fleet.spec import TenantSpec
-from repro.fleet.triggers import TenantSignals
-from repro.ml.metrics import PrequentialTracker
+from repro.fleet.triggers import GrantTrigger, TenantSignals
+from repro.ml.metrics import PrequentialTracker, errors_from_predictions
 from repro.ml.models.linear_regression import LinearRegression
 from repro.ml.models.svm import LinearSVM
 from repro.ml.optim import make_optimizer
 from repro.ml.regularizers import L2
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.persistence import DeploymentBundle
-from repro.serving.endpoint import ServingEndpoint
 from repro.serving.registry import ModelRegistry
-
-#: Static interval large enough that the tenant's own scheduler never
-#: fires — the fleet scheduler is the only source of training.
-_NEVER = 10**6
-
-#: Recent/previous window width (chunks) for the drift score.
-_DRIFT_WINDOW = 3
 
 #: Hashed feature width for fleet URL tenants (smaller than the exp1
 #: bench scenario: dozens of tenants must fit one process comfortably,
@@ -104,9 +94,7 @@ class TenantRuntime:
         # instead adapt through per-chunk SGD and opt out of slots.
         config = ContinuousConfig(
             sample_size_chunks=6,
-            schedule=ScheduleConfig(
-                kind="static", interval_chunks=_NEVER
-            ),
+            schedule=ScheduleConfig(kind="none"),
             sampler="time",
             half_life=max(spec.chunks // 8, 1),
             online_update=spec.strategy == "online",
@@ -143,6 +131,7 @@ class TenantRuntime:
             # and low-noise — the cleanest signal the policy
             # comparison has.
             initial_rows, fit_iterations = 120, 30
+        self.grant = GrantTrigger()
         self.platform = ContinuousDeploymentPlatform(
             pipeline,
             model,
@@ -152,6 +141,7 @@ class TenantRuntime:
             telemetry=self.telemetry,
             registry=self.registry,
             lineage_scope=spec.name,
+            rules=[TrainingRule(self.grant, repeats=_TRAIN_BURST)],
         )
         self.prequential = PrequentialTracker.for_metric(self.metric)
         self._stream: Iterator[Table] = iter(generator.stream())
@@ -160,8 +150,6 @@ class TenantRuntime:
         self.new_rows = 0
         self.last_trained_epoch = -1
         self.trainings = 0
-        #: Per-chunk mean error series feeding the drift score.
-        self.chunk_errors: List[float] = []
         if fit:
             # Fleet tenants run deliberately short initial fits (the
             # online + proactive phases do the real work); convergence
@@ -185,64 +173,38 @@ class TenantRuntime:
         return self.platform.engine.total_cost()
 
     # ------------------------------------------------------------------
-    def ingest_chunk(self) -> bool:
-        """One prequential test-then-train step on the next chunk.
+    def ingest_chunk(self, epoch: int, slots: int = 0) -> None:
+        """One prequential test-then-train step on the next chunk, in
+        whose ``observe`` the ``slots`` granted this epoch fire.
 
         A chunk served empty (every row filtered) still trains but
-        measures nothing: the cumulative error carries forward and
-        ``chunk_errors`` / the drift score do not see it. Returns
-        ``False`` (and deactivates the tenant) when the stream is
-        exhausted.
+        measures nothing: the cumulative error carries forward and the
+        drift window does not see it.
         """
-        if not self.active:
-            return False
-        try:
-            table = next(self._stream)
-        except StopIteration:
-            self.active = False
-            return False
+        table = next(self._stream)
         predictions, labels = self.platform.predict(table)
-        chunk_error = self.prequential.score(predictions, labels)
-        if chunk_error is not None:
-            self.chunk_errors.append(chunk_error)
+        errors = errors_from_predictions(
+            self.prequential.kind, predictions, labels
+        )
+        self.prequential.score_errors(errors)
+        self.platform.record_errors(errors)
+        self.grant.arm(slots)
         self.platform.observe(table)
         self.cursor += 1
         self.new_rows += table.num_rows
-        if self.cursor >= self.spec.chunks:
-            # Deactivate eagerly (the generator is exhausted too) so
-            # the scheduler never allocates an epoch of dead streams.
-            self.active = False
-        return True
-
-    def train(self, epoch: int) -> Optional[ProactiveOutcome]:
-        """Spend one fleet-granted training slot (a short SGD burst)."""
-        if self.cursor == 0:
-            return None
-        outcome: Optional[ProactiveOutcome] = None
-        for _ in range(_TRAIN_BURST):
-            outcome = self.platform.train_now()
-        self.trainings += 1
-        self.last_trained_epoch = epoch
-        self.new_rows = 0
-        return outcome
-
-    # ------------------------------------------------------------------
-    def drift_score(self) -> float:
-        """Recent-vs-previous prequential error inflation (>= 0)."""
-        w = _DRIFT_WINDOW
-        if len(self.chunk_errors) < 2 * w:
-            return 0.0
-        recent = sum(self.chunk_errors[-w:]) / w
-        previous = sum(self.chunk_errors[-2 * w : -w]) / w
-        if previous <= 1e-9:
-            return 0.0
-        return max(0.0, recent / previous - 1.0)
+        if slots:
+            self.trainings += slots
+            self.last_trained_epoch = epoch
+            self.new_rows = 0
+        # Deactivate eagerly so the scheduler never allocates an
+        # epoch of dead streams.
+        self.active = self.cursor < self.spec.chunks
 
     def signals(self, epoch: int) -> TenantSignals:
         return TenantSignals(
             tenant=self.index,
             new_rows=self.new_rows,
-            drift_score=self.drift_score(),
+            drift_score=self.grant.drift_score(),
             staleness_epochs=epoch - self.last_trained_epoch,
             weight=self.spec.weight,
             strategy=self.spec.strategy,
@@ -259,20 +221,6 @@ class TenantRuntime:
         overdraft = max(0, storage.materialized_bytes - quota_bytes)
         evicted = storage.set_byte_budget(quota_bytes)
         return {"overdraft": overdraft, "evicted": evicted}
-
-    # ------------------------------------------------------------------
-    def endpoint(self, seed: int = 0) -> ServingEndpoint:
-        """A serving endpoint over this tenant's registry."""
-        if self.registry is None:
-            from repro.exceptions import ValidationError
-
-            raise ValidationError(
-                f"tenant {self.name!r} has no registry (fleet was run "
-                f"without registry_root)"
-            )
-        return ServingEndpoint(
-            self.registry, seed=seed, telemetry=self.telemetry
-        )
 
     # ------------------------------------------------------------------
     # Fleet checkpoint support
@@ -304,7 +252,6 @@ class TenantRuntime:
             "new_rows": self.new_rows,
             "last_trained_epoch": self.last_trained_epoch,
             "trainings": self.trainings,
-            "chunk_errors": list(self.chunk_errors),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -332,7 +279,6 @@ class TenantRuntime:
         self.new_rows = int(state["new_rows"])
         self.last_trained_epoch = int(state["last_trained_epoch"])
         self.trainings = int(state["trainings"])
-        self.chunk_errors = [float(e) for e in state["chunk_errors"]]
         for _ in range(self.cursor):
             next(self._stream)
 

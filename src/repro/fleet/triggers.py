@@ -9,15 +9,26 @@ signal maps to a dimensionless urgency score; the scheduler turns
 
 Everything here is a pure function of the
 :class:`TenantSignals` snapshot — no clocks, no RNG — so the same
-fleet history always produces the same schedule.
+fleet history always produces the same schedule. What the fleet
+decided reaches a tenant through its platform's one training rule, a
+:class:`GrantTrigger`, which also keeps the errors the drift score is
+read from.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Any, Dict
 
+import numpy as np
+
+from repro.core.scheduler import Scheduler
 from repro.exceptions import ValidationError
 from repro.fleet.spec import STRATEGIES
+
+#: Recent/previous window width (chunks) for the drift score.
+_DRIFT_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -114,3 +125,52 @@ class TriggerPolicy:
         drift = self.drift_gain * max(0.0, signals.drift_score)
         staleness = signals.staleness_epochs / self.staleness_epochs_norm
         return volume + drift + staleness
+
+
+class GrantTrigger(Scheduler):
+    """A fleet tenant's training rule: fires the slots the fleet
+    granted, and keeps the tenant's drift window.
+
+    Armed with the epoch's slot count before the tenant's last chunk
+    of the epoch; that chunk's ``observe`` gets the count (the rule
+    runs ``count x repeats`` trainings) and disarms it. Unlike a
+    :class:`~repro.core.scheduler.DegradationTrigger`'s, the error
+    window is never cleared by a training.
+    """
+
+    def __init__(self) -> None:
+        self.slots = 0
+        #: The last ``2 x _DRIFT_WINDOW`` measured chunks' mean errors.
+        self.window: deque = deque(maxlen=2 * _DRIFT_WINDOW)
+
+    def arm(self, slots: int) -> None:
+        """Fire ``slots`` slots at the next :meth:`should_train`."""
+        self.slots = slots
+
+    def should_train(self, chunk_index: int, now: float) -> int:
+        slots, self.slots = self.slots, 0
+        return slots
+
+    def record_errors(self, errors: np.ndarray) -> None:
+        if len(errors):
+            self.window.append(float(np.sum(errors)) / len(errors))
+
+    def drift_score(self) -> float:
+        """Recent-vs-previous mean error inflation (>= 0)."""
+        if len(self.window) < 2 * _DRIFT_WINDOW:
+            return 0.0
+        errors = list(self.window)
+        recent = sum(errors[_DRIFT_WINDOW:]) / _DRIFT_WINDOW
+        previous = sum(errors[:_DRIFT_WINDOW]) / _DRIFT_WINDOW
+        if previous <= 1e-9:
+            return 0.0
+        return max(0.0, recent / previous - 1.0)
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {"slots": self.slots, "window": list(self.window)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.slots = int(state["slots"])
+        self.window = deque(
+            [float(e) for e in state["window"]], maxlen=2 * _DRIFT_WINDOW
+        )

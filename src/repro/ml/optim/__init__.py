@@ -19,8 +19,6 @@ from repro.ml.optim.adaptive import AdaDelta, AdaGrad, Adam, RMSProp
 from repro.ml.optim.base import Optimizer
 from repro.ml.optim.basic import ConstantLR, InverseScalingLR, Momentum
 
-# Read-only so worker shards importing this module can never drift
-# apart by mutating a shared registry (reprolint REP011).
 _REGISTRY = MappingProxyType(
     {
         cls.name: cls

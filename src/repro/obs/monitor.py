@@ -59,8 +59,7 @@ _SKIP_PREFIXES = ("monitor.", "alert.", "health.", "lineage.")
 #: ledger is bound (see :meth:`HealthMonitor._lineage_evidence`).
 _LINEAGE_SIGNAL_PREFIXES = ("serving.", "slo.")
 
-#: Default numeric attributes promoted to value signals. Read-only:
-#: the monitor is importable from sharded subsystems (REP011).
+#: Default numeric attributes promoted to value signals (read-only).
 DEFAULT_VALUE_ATTRS: Mapping[str, str] = MappingProxyType(
     {
         names.PLATFORM_CHUNK: "error",

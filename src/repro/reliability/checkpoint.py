@@ -101,10 +101,13 @@ if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
 #: as segment refs (``PlatformCheckpoint.logs``), not inside ``state``.
 #: Format 3: ``state`` holds trigger states (the platform's
 #: ``triggers`` list, a retraining deployment's ``trigger``) where it
-#: held a ``scheduler`` and per-subclass keys. An older directory is
-#: refused by name, not half-read — a checkpoint is one run's crash
-#: artifact, not an interchange format.
-CHECKPOINT_MAGIC = b"REPRO-CKPT-3\n"
+#: held a ``scheduler`` and per-subclass keys. Format 4: a fleet
+#: tenant's platform holds one trigger, its slot grant (slots and the
+#: drift window), where it held a static schedule's, and the tenant
+#: keeps no error list of its own. An older directory is refused by
+#: name, not half-read — a checkpoint is one run's crash artifact, not
+#: an interchange format.
+CHECKPOINT_MAGIC = b"REPRO-CKPT-4\n"
 
 #: File magic identifying a spilled chunk payload.
 CHUNK_MAGIC = b"REPRO-CHUNK-1\n"

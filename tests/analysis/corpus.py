@@ -328,51 +328,6 @@ _add_program(
 )
 
 _add_program(
-    "REP011",
-    # The mutable lives in repro.utils — outside the sharded
-    # subsystems — but an ml module imports it, so it lands in every
-    # worker shard's import closure and gets flagged there.
-    flag={
-        "src/repro/ml/model.py": """\
-        from repro.utils import pool
-
-        def warm():
-            return pool.POOL
-        """,
-        "src/repro/utils/pool.py": """\
-        POOL = []
-        """,
-    },
-    # Immutable binding is fine; so is a mutable in a module nothing
-    # shard-side imports (reachability, not mere existence, triggers).
-    clean={
-        "src/repro/ml/model.py": """\
-        from repro.utils import pool
-
-        def warm():
-            return pool.POOL
-        """,
-        "src/repro/utils/pool.py": """\
-        POOL = ("slot_a", "slot_b")
-        """,
-        "src/repro/viz/state.py": """\
-        PENDING = []
-        """,
-    },
-    noqa={
-        "src/repro/ml/model.py": """\
-        from repro.utils import pool
-
-        def warm():
-            return pool.POOL
-        """,
-        "src/repro/utils/pool.py": """\
-        POOL = []  # repro: noqa[REP011]
-        """,
-    },
-)
-
-_add_program(
     "REP012",
     # ml (layer 2) importing serving (layer 9) points *up* the table.
     flag={

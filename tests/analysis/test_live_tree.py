@@ -29,7 +29,7 @@ def test_program_pass_alone_is_clean():
 
     config = replace(
         config,
-        select=("REP009", "REP010", "REP011", "REP012", "REP013", "REP014"),
+        select=("REP009", "REP010", "REP012", "REP013", "REP014"),
     )
     result = run_lint(REPO_ROOT, config=config)
     assert result.program_ran

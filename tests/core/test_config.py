@@ -17,7 +17,9 @@ class TestScheduleConfig:
         assert config.interval_chunks == 5
 
     def test_invalid_kind(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="'static', 'dynamic' or 'none'"
+        ):
             ScheduleConfig(kind="cron")
 
     def test_invalid_interval(self):

@@ -6,9 +6,14 @@ import pytest
 from repro.core.config import ContinuousConfig, ScheduleConfig
 from repro.core.platform import (
     ContinuousDeploymentPlatform,
+    TrainingRule,
     build_scheduler,
 )
-from repro.core.scheduler import DynamicScheduler, StaticScheduler
+from repro.core.scheduler import (
+    DynamicScheduler,
+    Scheduler,
+    StaticScheduler,
+)
 from repro.data.table import Table
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
@@ -59,6 +64,9 @@ class TestBuildScheduler:
         assert isinstance(scheduler, DynamicScheduler)
         assert scheduler.slack == 3.0
 
+    def test_none(self):
+        assert build_scheduler(ScheduleConfig(kind="none")) is None
+
 
 class TestObserve:
     def test_proactive_fires_on_static_interval(self, rng):
@@ -71,6 +79,49 @@ class TestObserve:
         fired = [o is not None for o in outcomes]
         assert fired == [False, False, True, False, False, True]
         assert len(platform.proactive_outcomes) == 2
+
+    def test_no_schedule_and_no_rule_never_trains(self, rng):
+        telemetry = Telemetry()
+        platform = make_platform(
+            ContinuousConfig(schedule=ScheduleConfig(kind="none")),
+            telemetry=telemetry,
+        )
+        for __ in range(6):
+            table = chunk(rng)
+            platform.predict(table)
+            assert platform.observe(table) is None
+        assert platform.rules == []
+        assert platform.proactive_outcomes == []
+        assert not [
+            e
+            for e in telemetry.events
+            if e["name"] == names.SCHEDULER_DECISION
+        ]
+
+    def test_a_count_runs_the_rule_that_many_times(self, rng):
+        class Twice(Scheduler):
+            def should_train(self, chunk_index, now):
+                return 2 if chunk_index == 1 else 0
+
+        telemetry = Telemetry()
+        platform = make_platform(
+            ContinuousConfig(
+                sample_size_chunks=2, schedule=ScheduleConfig(kind="none")
+            ),
+            telemetry=telemetry,
+            rules=[TrainingRule(Twice(), repeats=3)],
+        )
+        outcomes = [platform.observe(chunk(rng)) for __ in range(3)]
+        assert [o is not None for o in outcomes] == [False, True, False]
+        assert len(platform.proactive_outcomes) == 6
+        fired = [
+            e["attrs"]["fired"]
+            for e in telemetry.events
+            if e["name"] == names.SCHEDULER_DECISION
+        ]
+        # The decision event says whether, not how many times.
+        assert fired == [False, True, False]
+        assert all(isinstance(f, bool) for f in fired)
 
     def test_online_update_applied(self, rng):
         platform = make_platform(

@@ -76,6 +76,32 @@ class TestExecution:
         assert result.trainings[1] == 0
         assert result.trainings[0] > 0
 
+    def test_a_two_slot_grant_fires_in_one_observe(self):
+        # Seed 0's 6x10 fleet gives tenant 0 both slots of epoch 4:
+        # two bursts, inside the observe of its one chunk that epoch.
+        orchestrator = FleetOrchestrator(make_fleet(6, seed=0, chunks=10))
+        orchestrator.setup()
+        for _ in range(4):
+            orchestrator.run_epoch()
+        tenant = orchestrator.tenants[0]
+        platform = tenant.platform
+        observe = platform.observe
+        added = []
+
+        def counted(table):
+            before = len(platform.proactive_outcomes)
+            outcome = observe(table)
+            added.append(len(platform.proactive_outcomes) - before)
+            return outcome
+
+        platform.observe = counted
+        trainings = tenant.trainings
+        entry = orchestrator.run_epoch()
+        assert entry["train_slots"] == [2, 0, 0, 0, 0, 0]
+        assert tenant.trainings == trainings + 2
+        assert tenant.last_trained_epoch == 4
+        assert added == [8]
+
     def test_epoch_quotas_sum_to_the_global_cap(self):
         spec = _small_fleet(materialize_bytes=8192)
         orchestrator = FleetOrchestrator(spec)
@@ -273,17 +299,22 @@ class TestAllRowsFilteredChunk:
 
     def test_empty_chunk_carries_the_error_forward(self):
         orchestrator = FleetOrchestrator(self._fleet())
-        orchestrator.run()
+        orchestrator.setup()
         taxi = next(
             t for t in orchestrator.tenants if t.spec.dataset == "taxi"
         )
+        windows = []  # the drift window after each one-chunk epoch
+        while orchestrator.has_work():
+            orchestrator.run_epoch()
+            windows.append(list(taxi.grant.window))
         history = taxi.prequential.history
-        assert len(history) == taxi.cursor == 12
-        # One chunk measured nothing: no chunk error (so no drift
-        # signal), no rows counted, the cumulative value repeated.
-        assert len(taxi.chunk_errors) == 11
+        assert len(history) == taxi.cursor == len(windows) == 12
+        # One chunk measured nothing: no rows counted, the cumulative
+        # value repeated, and no chunk error entered the drift window.
         assert taxi.prequential.total_count == 11
-        assert any(a == b for a, b in zip(history, history[1:]))
+        repeated = [i for i in range(1, 12) if history[i] == history[i - 1]]
+        unchanged = [i for i in range(1, 12) if windows[i] == windows[i - 1]]
+        assert len(repeated) == 1 and unchanged == repeated
         # ... and it was still ingested as training data.
         assert taxi.platform.data_manager.storage.num_raw == 12
 

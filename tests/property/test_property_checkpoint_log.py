@@ -6,10 +6,12 @@ lists and spilled as ``log[spilled:]`` into the checkpoint's raw pack
 (``raw-<cursor>-<digest>``, keyed by log name beside the timestamps);
 the envelope carries segment refs. For random
 cadence × keep × monitor window × approach (deployment loop ``online``
-and ``continuous``, platform, fleet, and the three approaches whose
-trigger has state or fires often: ``periodical``, ``threshold`` and
-``drift`` — continuous plus a drift rule — configured so that the
-trigger fires on both sides of the recovery) × crash plan (one or two
+and ``continuous``, platform, fleet, and the four approaches whose
+trigger has state or fires often: ``periodical``, ``threshold``,
+``drift`` — continuous plus a drift rule — and ``none``, a platform
+with no regular schedule whose only rule is a degradation trigger;
+each configured so that the trigger fires on both sides of the
+recovery) × crash plan (one or two
 kills, at ``stream.read`` or at ``checkpoint.write`` — after the
 packs, before the envelope — optionally with the newest surviving
 envelope corrupted):
@@ -62,6 +64,7 @@ from repro.exceptions import ReliabilityError
 from repro.experiments.common import make_deployment, url_scenario
 from repro.fleet import FleetOrchestrator, make_fleet
 from repro.fleet.alerts import fleet_rules
+from repro.ml.metrics import errors_from_predictions
 from repro.ml.models import LinearRegression
 from repro.ml.optim import Adam
 from repro.obs import Telemetry, names
@@ -93,9 +96,12 @@ APPROACHES = (
     "periodical",
     "threshold",
     "drift",
+    "none",
 )
-#: The deployment-loop approaches with a trigger worth killing.
+#: The approaches with a trigger worth killing.
 TRIGGERED = APPROACHES[4:]
+#: The approaches a test feeds chunk by chunk (a platform or a fleet).
+FED = ("platform", "fleet", "none")
 SCENARIO = url_scenario("test")
 #: Full retrainings every other chunk, five iterations each.
 RETRAINING = replace(
@@ -108,17 +114,25 @@ PLATFORM_CONFIG = ContinuousConfig(
     sample_size_chunks=2,
     schedule=ScheduleConfig(kind="static", interval_chunks=3),
 )
+NO_SCHEDULE_CONFIG = replace(
+    PLATFORM_CONFIG, schedule=ScheduleConfig(kind="none")
+)
 #: Stream length in checkpoint-cursor units, per approach.
 STEPS = {
     **dict.fromkeys(APPROACHES, SCENARIO.num_chunks),
     "platform": 30,
+    "none": 30,
     "fleet": FLEET.epochs,
     # The stream stops degrading after chunk 23: nothing fires there.
     "threshold": 24,
 }
-#: The toy platform's whole run costs ~0.002 virtual units, the
+#: The toy platforms' whole runs cost ~0.002 virtual units, the
 #: others ~0.25: monitor windows are drawn on that scale.
-CLOCK_SCALE = {**dict.fromkeys(APPROACHES, 1), "platform": 0.01}
+CLOCK_SCALE = {
+    **dict.fromkeys(APPROACHES, 1),
+    "platform": 0.01,
+    "none": 0.01,
+}
 
 
 def attached(approach, window):
@@ -139,12 +153,35 @@ def attached(approach, window):
     return telemetry
 
 
-def platform_chunks():
+def platform_chunks(approach):
+    """The toy platforms' stream. For ``none`` the slope grows every
+    chunk, so the errors of a model one proactive iteration a firing
+    cannot keep up with keep rising and the degradation rule fires."""
     rng = ensure_rng(11)
+    growth = 0.5 if approach == "none" else 0.0
     return [
-        Table({"x": x, "y": 2.0 * x})
-        for x in rng.standard_normal((STEPS["platform"], 6))
+        Table({"x": x, "y": (2.0 + growth * step) * x})
+        for step, x in enumerate(rng.standard_normal((STEPS[approach], 6)))
     ]
+
+
+def toy_platform(approach):
+    """The toy platform's configuration and rules: the static schedule
+    (``platform``), or no schedule and one degradation rule (``none``),
+    with what to read after the run as the chunks that rule fired at."""
+    if approach == "platform":
+        return PLATFORM_CONFIG, [], list
+    trigger = DegradationTrigger(
+        tolerance_ratio=0.05,
+        window_chunks=1,
+        cooldown_chunks=0,
+        min_absolute_delta=0.0,
+    )
+    return (
+        NO_SCHEDULE_CONFIG,
+        [TrainingRule(trigger)],
+        lambda: trigger.retrain_chunks,
+    )
 
 
 def loop_deployment(approach, **options):
@@ -201,7 +238,7 @@ def drive(approach, telemetry, store, injector, resume, limit=None):
     ``limit`` steps (then abandoned, as a kill would leave it) or into
     an injected :class:`SimulatedCrash`; returns the result histories
     (and, last, a :data:`TRIGGERED` approach's firing chunks)."""
-    if approach in ("online", "continuous") + TRIGGERED:
+    if approach not in FED:
         deployment, fired = loop_deployment(
             approach,
             telemetry=telemetry,
@@ -215,10 +252,11 @@ def drive(approach, telemetry, store, injector, resume, limit=None):
             SCENARIO.fit(deployment)
             result = deployment.run(stream)
         return [result.error_history, result.cost_history, fired()]
-    if approach == "platform":
+    if approach in ("platform", "none"):
+        config, rules, fired = toy_platform(approach)
         if resume:
             platform = ContinuousDeploymentPlatform.recover(
-                store, config=PLATFORM_CONFIG, telemetry=telemetry
+                store, config=config, telemetry=telemetry, rules=rules
             )
         else:
             platform = ContinuousDeploymentPlatform(
@@ -230,17 +268,23 @@ def drive(approach, telemetry, store, injector, resume, limit=None):
                 ),
                 model=LinearRegression(num_features=1),
                 optimizer=Adam(0.05),
-                config=PLATFORM_CONFIG,
+                config=config,
                 seed=0,
                 telemetry=telemetry,
                 checkpoint=store,
+                rules=rules,
             )
-        for table in platform_chunks()[platform.chunks_observed : limit]:
-            platform.predict(table)
+        chunks = platform_chunks(approach)
+        for table in chunks[platform.chunks_observed : limit]:
+            predictions, labels = platform.predict(table)
+            platform.record_errors(
+                errors_from_predictions("rmse", predictions, labels)
+            )
             platform.observe(table)
         return [
             platform.engine.total_cost(),
             [o.objective for o in platform.proactive_outcomes],
+            fired(),
         ]
     if resume:
         fleet = FleetOrchestrator.recover(store, telemetry=telemetry)
@@ -429,7 +473,7 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
         fired_by_store = site == "checkpoint.write"
         injector = FaultInjector(FaultPlan.crash_at(site, occurrence))
         telemetry, store = incarnation("crashed", injector, fired_by_store)
-        if fired_by_store or approach not in ("platform", "fleet"):
+        if fired_by_store or approach not in FED:
             with pytest.raises(SimulatedCrash):
                 drive(
                     approach,
@@ -438,7 +482,7 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
                     None if fired_by_store else injector,
                     resume=number > 0,
                 )
-        else:  # platform and fleet are fed: the feeder stops instead
+        else:  # a fed approach's feeder stops instead
             drive(
                 approach,
                 telemetry,

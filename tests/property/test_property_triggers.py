@@ -21,6 +21,15 @@ point, loaded into a fresh trigger of the same configuration, continues
 to the same decisions and the same final ``state_dict()``; the captured
 dict pickles and is not moved by feeding the live trigger afterwards.
 
+**The fleet's drift score.** A fleet tenant used to keep every measured
+chunk's mean error in a private list and score drift over its tail
+(:func:`reference_drift_score`, moved from ``fleet/tenant.py``). Its
+:class:`GrantTrigger` keeps only the last six. Over generated chunk
+streams — empty chunks, all-zero windows, windows whose mean is at or
+below ``1e-9`` without being zero — with slots armed and fired,
+trainings recorded and ``state_dict`` round-trips at random points,
+the grant's score equals the reference's bit for bit after every chunk.
+
 Everything is drawn from ``repro.utils.rng`` seeds; a failure names the
 seed and the configuration, and ``pytest
 tests/property/test_property_triggers.py -k "seed<N>"`` replays it.
@@ -45,7 +54,8 @@ from repro.driftdetect import (
     PageHinkley,
     WindowComparisonDetector,
 )
-from repro.ml.metrics import errors_from_predictions
+from repro.fleet.triggers import GrantTrigger
+from repro.ml.metrics import PrequentialTracker, errors_from_predictions
 from repro.obs import Telemetry, names
 from repro.utils.rng import ensure_rng
 
@@ -494,3 +504,84 @@ def test_interleavings_exercise_the_trigger(name):
         if name != "static":
             assert trigger.state_dict() != fresh
     assert decisions == {True, False}
+
+
+# ----------------------------------------------------------------------
+# The fleet's drift score
+# ----------------------------------------------------------------------
+def reference_drift_score(chunk_errors):
+    """``TenantRuntime.drift_score`` over the tenant's whole list of
+    measured chunk errors, before the grant trigger kept the window."""
+    w = 3
+    if len(chunk_errors) < 2 * w:
+        return 0.0
+    recent = sum(chunk_errors[-w:]) / w
+    previous = sum(chunk_errors[-2 * w : -w]) / w
+    if previous <= 1e-9:
+        return 0.0
+    return max(0.0, recent / previous - 1.0)
+
+
+def drift_score_run(kind, seed):
+    """Feed one generated stream to a grant trigger and, as the parent
+    tenant did, to a tracker and a list; returns ``(reference, grant)``
+    score pairs after every chunk and which branches the stream hit."""
+    rng = ensure_rng([seed, 7, KINDS.index(kind)])
+    chunks = draw_chunks(rng, kind, 90)
+    # Residuals scaled down far enough that a window's mean squared
+    # error is below 1e-9 without being zero.
+    scale = float(rng.choice([1.0, 1e-3, 1e-6]))
+    tracker = PrequentialTracker(kind=kind)
+    chunk_errors = []
+    grant = GrantTrigger()
+    pairs, hit = [], set()
+    for index, (predictions, labels) in enumerate(chunks):
+        predictions = labels + (predictions - labels) * scale
+        chunk_error = tracker.score(predictions, labels)
+        if chunk_error is None:
+            hit.add("empty")
+        else:
+            chunk_errors.append(chunk_error)
+        errors = errors_from_predictions(kind, predictions, labels)
+        grant.record_errors(errors)
+        slots = int(rng.integers(0, 3)) if rng.random() < 0.3 else 0
+        grant.arm(slots)
+        assert grant.should_train(index, 0.0) == slots
+        assert grant.should_train(index, 0.0) == 0
+        if slots:
+            grant.record_training(0.0, 1.0)
+        if rng.random() < 0.2:
+            state = pickle.loads(pickle.dumps(grant.state_dict()))
+            grant = GrantTrigger()
+            grant.load_state_dict(state)
+        if chunk_errors:
+            assert grant.window[-1] == chunk_errors[-1]
+        reference = reference_drift_score(chunk_errors)
+        pairs.append((reference, grant.drift_score()))
+        if len(chunk_errors) >= 6:
+            previous = sum(chunk_errors[-6:-3]) / 3
+            if previous == 0.0:
+                hit.add("all-zero")
+            elif previous <= 1e-9:
+                hit.add("tiny")
+            elif reference > 0.0:
+                hit.add("inflated")
+    return pairs, hit
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+@pytest.mark.parametrize("kind", KINDS)
+def test_grant_drift_score_is_the_tenants_bit_for_bit(kind, seed):
+    pairs, __ = drift_score_run(kind, seed)
+    for index, (reference, score) in enumerate(pairs):
+        assert score.hex() == reference.hex(), (
+            f"{kind} seed {seed}: chunk {index}: {score} != {reference}"
+        )
+
+
+def test_drift_score_cases_are_not_vacuous():
+    hit = set()
+    for kind in KINDS:
+        for seed in SEEDS:
+            hit |= drift_score_run(kind, seed)[1]
+    assert hit == {"empty", "all-zero", "tiny", "inflated"}

@@ -15,6 +15,7 @@ from repro.ml.optim import Adam
 from repro.obs import Telemetry
 from repro.persistence import DeploymentBundle, PersistenceError
 from repro.reliability import (
+    CHECKPOINT_MAGIC,
     CheckpointConfig,
     CheckpointStore,
     FaultInjector,
@@ -101,6 +102,20 @@ class TestRoundTrip:
     def test_load_latest_empty_directory_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ReliabilityError, match="no valid"):
+            store.load_latest()
+
+    def test_older_format_is_refused_by_name(self, tmp_path):
+        # A format-3 directory (a fleet tenant's static schedule and
+        # chunk_errors) must not reach a load_state_dict half-read.
+        store = CheckpointStore(tmp_path)
+        path = store.write(make_checkpoint(5))
+        assert CHECKPOINT_MAGIC == b"REPRO-CKPT-4\n"
+        path.write_bytes(
+            b"REPRO-CKPT-3\n" + path.read_bytes()[len(CHECKPOINT_MAGIC) :]
+        )
+        with pytest.raises(
+            ReliabilityError, match="not a REPRO-CKPT-4 envelope"
+        ):
             store.load_latest()
 
     def test_refs_sidecar_written(self, tmp_path):
