@@ -42,13 +42,18 @@ bench:
 bench-output:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# Baseline workflow (DESIGN.md §10): `bench-record` appends fresh
-# records to the trajectory store — the canonical deployment benches
-# plus the CLI reference workload; `bench-check` re-runs the reference
-# workload and gates it against the store. Every metric in the store
-# is on the virtual clock and gated by exact match; wall-clock is
-# `bench-e2e-check` below and nowhere else.
+# Baseline workflow (DESIGN.md §10): the `bench_record` fixture in
+# benchmarks/conftest.py is the one writer and the one gate of the
+# trajectory store. `bench-record` appends fresh records — the
+# canonical deployment benches, then the test-scale ones; `bench-check`
+# gates the reference workload, exp8_fleet, serving throughput and
+# fleet overhead against the store in one pytest run. Every metric in
+# the store is on the virtual clock and gated by exact match;
+# wall-clock is `bench-e2e-check` below and nowhere else.
 BENCH_STORE ?= benchmarks/baselines
+BENCH_GATED := benchmarks/bench_trajectories.py \
+	benchmarks/bench_serving_throughput.py \
+	benchmarks/bench_fleet_overhead.py
 
 bench-record:
 	PYTHONPATH=src REPRO_BENCH_STORE=$(BENCH_STORE) pytest \
@@ -56,20 +61,12 @@ bench-record:
 		benchmarks/bench_exp3_materialization.py::test_table4 \
 		--benchmark-only -q
 	PYTHONPATH=src REPRO_BENCH_SCALE=test \
-		REPRO_BENCH_STORE=$(BENCH_STORE) pytest \
-		benchmarks/bench_serving_throughput.py \
-		benchmarks/bench_fleet_overhead.py \
+		REPRO_BENCH_STORE=$(BENCH_STORE) pytest $(BENCH_GATED) \
 		--benchmark-only -q
-	PYTHONPATH=src python -m repro perf record \
-		--dataset url --scale test --store $(BENCH_STORE)
 
 bench-check:
-	PYTHONPATH=src python -m repro perf check \
-		--dataset url --scale test --against $(BENCH_STORE)
 	PYTHONPATH=src REPRO_BENCH_SCALE=test REPRO_BENCH_CHECK=1 \
-		REPRO_BENCH_STORE=$(BENCH_STORE) pytest \
-		benchmarks/bench_serving_throughput.py \
-		benchmarks/bench_fleet_overhead.py \
+		REPRO_BENCH_STORE=$(BENCH_STORE) pytest $(BENCH_GATED) \
 		--benchmark-only -q
 
 # The wall-clock benchmark BENCHMARK.json declares (benchmarks/e2e,
@@ -175,13 +172,14 @@ smoke-serving:
 
 # A baseline for the reference workload, then an identical re-run
 # gated against it: the self-comparison must pass exactly, because
-# every metric in the store is deterministic (DESIGN.md §10).
+# every metric in the store is deterministic (DESIGN.md §10). Then the
+# profile that workload's digest is taken from.
+REFERENCE := benchmarks/bench_trajectories.py::test_reference_workload
 smoke-perf:
-	$(RUN) 120 python -m repro perf record --dataset url --scale test \
-		--store $D/baselines
-	$(RUN) 120 python -m repro perf check --dataset url --scale test \
-		--against $D/baselines
-	$(REPRO) perf report --store $D/baselines
+	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) $(REFERENCE)
+	REPRO_BENCH_STORE=$D/baselines REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
+		$(REFERENCE)
+	$(RUN) 120 python -m repro perf profile --dataset url --scale test
 
 # A drifting deployment must fire AND resolve a drift alert (the
 # example exits non-zero otherwise), two identical-seed monitored runs

@@ -17,23 +17,26 @@ Three environment knobs parameterize a suite run:
 * ``REPRO_BENCH_STORE`` — directory of ``BENCH_<name>.json`` baseline
   trajectories the :func:`bench_record` fixture appends to (default:
   ``benchmarks/baselines``, the committed store);
-* the check switch (:data:`BENCH_CHECK`; ``make bench-check`` and the
-  smokes set it) — ``bench_record`` gates the fresh record against the
-  store instead of appending it.
+* ``REPRO_BENCH_CHECK`` (:data:`BENCH_CHECK`; ``make bench-check`` and
+  the smokes set it) — ``bench_record`` gates the fresh record against
+  the store instead of appending it.
 
 Each benchmark condenses its run into a schema-versioned record via
 ``bench_record`` — headline metrics on the deterministic virtual clock
 (cost, quality, counts), the RNG seed and scenario knobs needed to
 reproduce the run from the JSON alone, the git SHA, and the
-environment fingerprint. ``repro perf check`` gates fresh runs against
-these trajectories and ``repro perf report`` renders them. No record
-carries wall-clock: a bench may time two paths in one process and
-assert on their ratio; speed itself is ``benchmarks/e2e``.
+environment fingerprint. The fixture is the only code that appends to
+or gates a trajectory; a failing gate prints the record's seed and
+params and the one command that reruns just that bench in check mode.
+No record carries wall-clock: a bench may time two paths in one
+process and assert on their ratio; speed itself is
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 import warnings
 from pathlib import Path
 
@@ -95,8 +98,19 @@ def report(capsys, emit):
     return _report
 
 
-@pytest.fixture(scope="session")
-def bench_record(emit):
+def replay_command(nodeid: str) -> str:
+    """The one line that reruns bench ``nodeid`` in check mode."""
+    env = ["REPRO_BENCH_CHECK=1", f"REPRO_BENCH_SCALE={BENCH_SCALE}"]
+    if "REPRO_BENCH_STORE" in os.environ:
+        env.append(f"REPRO_BENCH_STORE={shlex.quote(str(BASELINE_DIR))}")
+    return (
+        f"{' '.join(env)} PYTHONPATH=src python -m pytest "
+        f"{shlex.quote(nodeid)} --benchmark-only -q"
+    )
+
+
+@pytest.fixture
+def bench_record(request, emit):
     """Append one benchmark's record to its baseline trajectory — or,
     under :data:`BENCH_CHECK`, gate it against that trajectory
     (exact match, ``results/<name>_gate.txt``) and fail on a regression.
@@ -111,11 +125,12 @@ def bench_record(emit):
             count={"chunks": result.chunks_processed},
         )
 
-    ``cost``/``quality``/``count`` metrics are virtual-clock numbers
-    (exact-match gated by ``repro perf check``). The record always
-    carries the RNG seed and scenario knobs (via ``scenario`` or
-    explicit ``seed``/``params``), so a trajectory entry is
-    reproducible from the JSON alone.
+    ``cost``/``quality``/``count`` metrics are virtual-clock numbers,
+    gated by exact match against the trajectory's latest record. The
+    record always carries the RNG seed and scenario knobs (via
+    ``scenario`` or explicit ``seed``/``params``), so a trajectory
+    entry is reproducible from the JSON alone, and a failing gate
+    names both plus the command that replays it.
     """
     from repro.obs import (
         BaselineStore,
@@ -160,18 +175,20 @@ def bench_record(emit):
             profile_digest=profile_digest,
             repo_root=repo_root,
         )
+        knobs = ", ".join(
+            f"{key}={value}" for key, value in sorted(merged.items())
+        )
         if BENCH_CHECK:
             verdict = check_record(record, store.load(name))
             text = format_report(verdict)
             emit(f"{name}_gate", text)
             assert verdict.ok, (
-                f"{name} regressed against {store.path_for(name)}:\n{text}"
+                f"{name} regressed against {store.path_for(name)} "
+                f"(seed={record.seed} [{knobs}]):\n{text}\n"
+                f"replay: {replay_command(request.node.nodeid)}"
             )
             return record
         path = store.append(record)
-        knobs = ", ".join(
-            f"{key}={value}" for key, value in sorted(merged.items())
-        )
         print(
             f"\nBENCH record {name}: seed={record.seed} "
             f"[{knobs}] -> {path}"

@@ -31,7 +31,6 @@ from repro.analysis.rulepack import RULES_BY_ID
 #: definition sites, but are scoped by the same per-path machinery.
 GLOBAL_RULES = (
     "REP001",
-    "REP003",
     "REP004",
     "REP005",
     "REP009",

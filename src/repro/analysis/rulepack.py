@@ -1,5 +1,7 @@
-"""The project rule pack: REP001–REP008. REP006 (fault-site literals)
-is retired: ``FaultSpec`` refuses an unknown site itself.
+"""The project rule pack: REP001–REP008. REP003 (state-dict pairs) is
+retired: the checkpoint round-trip properties fail on a class missing
+either half. REP006 (fault-site literals) is retired: ``FaultSpec``
+refuses an unknown site itself.
 
 Each rule mechanically enforces one invariant the platform's
 byte-identical-recovery and canary-routing guarantees rest on; see
@@ -228,39 +230,6 @@ def _methods_of(node: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             table[item.name] = item
     return table
-
-
-class StateDictPairRule(Rule):
-    """REP003 — ``state_dict`` and ``load_state_dict`` come in pairs.
-
-    A class defining only one half of the persistence protocol either
-    cannot be checkpointed or cannot be restored; crash recovery
-    requires both directions on every stateful component.
-    """
-
-    rule_id = "REP003"
-    name = "state-dict-pair"
-    description = (
-        "a class defining state_dict must define load_state_dict "
-        "(and vice versa)"
-    )
-
-    def visit_ClassDef(self, node: ast.ClassDef, module, report) -> None:
-        methods = _methods_of(node)
-        has_save = "state_dict" in methods
-        has_load = "load_state_dict" in methods
-        if has_save and not has_load:
-            report(
-                methods["state_dict"],
-                f"class {node.name} defines state_dict without "
-                "load_state_dict; checkpoints of it cannot be restored",
-            )
-        elif has_load and not has_save:
-            report(
-                methods["load_state_dict"],
-                f"class {node.name} defines load_state_dict without "
-                "state_dict; it cannot be captured into a checkpoint",
-            )
 
 
 def _own_method_called(node: ast.AST) -> Optional[str]:
@@ -580,7 +549,6 @@ class MutableDefaultRule(Rule):
 ALL_RULES: Tuple[Rule, ...] = (
     RawRandomRule(),
     WallClockRule(),
-    StateDictPairRule(),
     StateDictKeysRule(),
     TelemetryNameRule(),
     BareExceptRule(),

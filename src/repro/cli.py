@@ -43,15 +43,14 @@ exp6`` measures checkpoint cadence vs recovery cost::
         --checkpoint-dir ./ckpt --dataset url --scale test
     python -m repro exp6 --dataset url --scale test
 
-Performance: ``repro perf`` is the performance observatory — profile
-where a run's cost goes, persist benchmark baselines, and gate fresh
-runs against them (exit 0 = no regressions, 1 = regressions)::
+Performance: ``repro perf profile`` folds a run (or a ``--trace``
+file) into a tree of where its virtual cost goes; the committed
+``BENCH_*.json`` trajectories are written and gated by the benchmark
+suite alone (``make bench-record`` / ``make bench-check``)::
 
     python -m repro exp1 --dataset url --scale test --profile p.json
     python -m repro perf profile --dataset url --scale test
-    python -m repro perf record --dataset url --scale test --store ./b
-    python -m repro perf check  --dataset url --scale test --against ./b
-    python -m repro perf report --store benchmarks/baselines
+    python -m repro perf profile --trace run.jsonl
 
 Health: ``--monitor`` attaches the live health monitor to an
 instrumented run — streaming virtual-clock windows, declarative alert
@@ -381,17 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = commands.add_parser(
         "perf",
-        help="performance observatory: profile a run, record a bench "
-        "baseline, or gate a fresh run against one",
+        help="performance observatory: profile where a run's cost goes",
     )
     perf.add_argument(
         "action",
-        choices=("profile", "record", "check", "report"),
+        choices=("profile",),
         help="profile = run a workload (or fold --trace) into a "
-        "cost-attribution tree; record = append the run to its "
-        "BENCH_<name>.json trajectory; check = gate a fresh run "
-        "against the stored trajectory (exit 1 on regression); "
-        "report = render stored trajectories",
+        "cost-attribution tree",
     )
     add_scenario_options(perf)
     perf.add_argument(
@@ -400,23 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="continuous",
         help="deployment approach the workload runs (default: "
         "continuous)",
-    )
-    perf.add_argument(
-        "--store",
-        metavar="DIR",
-        default="benchmarks/baselines",
-        help="baseline store directory (default: benchmarks/baselines)",
-    )
-    perf.add_argument(
-        "--against",
-        metavar="DIR",
-        default=None,
-        help="store 'check' compares against (default: --store)",
-    )
-    perf.add_argument(
-        "--name",
-        default=None,
-        help="trajectory name for 'report' (default: all in the store)",
     )
     perf.add_argument(
         "--trace",
@@ -447,19 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="'profile' hides paths below this share of total cost",
-    )
-    perf.add_argument(
-        "--gate-profile",
-        action="store_true",
-        help="'check' fails when the profile digest changed, not just "
-        "when totals moved",
-    )
-    perf.add_argument(
-        "--record",
-        action="store_true",
-        dest="record_after_check",
-        help="'check' appends the fresh record to the trajectory when "
-        "the gate passes",
     )
 
     serve = commands.add_parser(
@@ -666,12 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         help="rows per stream chunk (default: 12)",
-    )
-    exp8.add_argument(
-        "--bench-store",
-        metavar="DIR",
-        default=None,
-        help="append a BENCH_exp8_fleet trajectory record under DIR",
     )
     exp8.add_argument(
         "--skip-identity-check",
@@ -1832,7 +1791,6 @@ def _command_fleet(args: argparse.Namespace) -> Optional[int]:
 
 def _command_exp8(args: argparse.Namespace) -> Optional[int]:
     from repro.experiments.exp8_fleet import (
-        bench_record,
         format_comparison,
         headline_claims,
         run_fleet_experiment,
@@ -1864,14 +1822,6 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
             "telemetry "
             f"{'yes' if result.telemetry_identical else 'NO'}"
         )
-    if args.bench_store is not None:
-        from repro.obs.baseline import BaselineStore
-
-        record = bench_record(
-            result, args.tenants, args.seed, args.chunks
-        )
-        path = BaselineStore(args.bench_store).append(record)
-        print(f"trajectory record appended -> {path}")
     _finish_telemetry(args, telemetry)
     ok = result.fair_beats_round_robin and result.equal_budget
     if not args.skip_identity_check:
@@ -2075,86 +2025,43 @@ def _command_exp6(args: argparse.Namespace) -> None:
     _finish_telemetry(args, telemetry)
 
 
-def _command_perf(args: argparse.Namespace) -> int:
+def _command_perf(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
 
+    from repro.experiments.common import run_approach
     from repro.obs import (
-        BaselineStore,
-        check_record,
+        Telemetry,
+        build_profile,
         format_profile,
-        format_report,
-        format_trajectory,
         profile_to_dict,
-        run_workload,
+        profile_trace,
         to_collapsed,
     )
 
-    if args.action == "report":
-        store = BaselineStore(args.store)
-        names = [args.name] if args.name is not None else store.names()
-        if not names:
-            print(f"no BENCH_*.json trajectories under {store.root}")
-            return 0
-        for index, name in enumerate(names):
-            if index:
-                print()
-            print(format_trajectory(name, store.load(name)))
-        return 0
-
-    if args.action == "profile" and args.trace is not None:
-        from repro.obs import profile_trace
-
+    if args.trace is not None:
         root = profile_trace(args.trace)
-        record = None
     else:
-        record, root = run_workload(_scenario(args), args.approach)
-
-    if args.action == "profile":
-        if args.json_out is not None:
-            Path(args.json_out).write_text(
-                json.dumps(
-                    profile_to_dict(root), indent=2, sort_keys=True
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-            print(f"profile written to {args.json_out}")
-        if args.collapsed is not None:
-            Path(args.collapsed).write_text(
-                to_collapsed(root) + "\n", encoding="utf-8"
-            )
-            print(f"collapsed stacks written to {args.collapsed}")
-        print(
-            format_profile(
-                root,
-                max_depth=args.depth,
-                min_fraction=args.min_fraction,
-            )
+        telemetry = Telemetry()
+        run_approach(_scenario(args), args.approach, telemetry)
+        root = build_profile(telemetry.events)
+    if args.json_out is not None:
+        Path(args.json_out).write_text(
+            json.dumps(profile_to_dict(root), indent=2, sort_keys=True)
+            + "\n",
+            encoding="utf-8",
         )
-        return 0
-
-    if args.action == "record":
-        store = BaselineStore(args.store)
-        path = store.append(record)
-        print(
-            f"recorded {record.name} "
-            f"({len(store.load(record.name))} record(s)) -> {path}"
+        print(f"profile written to {args.json_out}")
+    if args.collapsed is not None:
+        Path(args.collapsed).write_text(
+            to_collapsed(root) + "\n", encoding="utf-8"
         )
-        print(f"profile digest: {record.profile_digest}")
-        return 0
-
-    # check
-    store = BaselineStore(
-        args.against if args.against is not None else args.store
+        print(f"collapsed stacks written to {args.collapsed}")
+    print(
+        format_profile(
+            root, max_depth=args.depth, min_fraction=args.min_fraction
+        )
     )
-    history = store.load(record.name)
-    report = check_record(record, history, gate_profile=args.gate_profile)
-    print(format_report(report))
-    if report.ok and args.record_after_check:
-        path = store.append(record)
-        print(f"recorded passing run -> {path}")
-    return report.exit_code()
 
 
 _COMMANDS = {

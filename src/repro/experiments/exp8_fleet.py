@@ -15,8 +15,8 @@ scheduling policy and measures two things:
 * **determinism** — the fleet is a pure function of (spec, seed).
   Same-seed runs must produce byte-identical schedule/prequential
   digests AND byte-identical telemetry digests; the committed
-  ``BENCH_exp8_fleet.json`` trajectory records are reproducible
-  field-for-field (modulo wall-clock stamps).
+  ``BENCH_exp8_fleet.json`` trajectory pins the 24-tenant headline
+  and per-epoch errors (``benchmarks/bench_exp8_fleet.py`` gates it).
 
 Both policies see identical tenants: same specs, same seeds, same
 streams, same opt-outs (``online``-strategy tenants receive no slots
@@ -32,7 +32,6 @@ from typing import Dict, Optional
 from repro.exceptions import ValidationError
 from repro.fleet.orchestrator import FleetOrchestrator, FleetResult
 from repro.fleet.spec import POLICIES, make_fleet
-from repro.obs.baseline import BenchRecord, MetricValue, make_record
 from repro.obs.telemetry import Telemetry
 
 #: Policies the experiment compares, in run order.
@@ -137,67 +136,6 @@ def headline_claims(
         "fair_total_cost": fair.total_cost,
         "round_robin_total_cost": rr.total_cost,
     }
-
-
-def bench_record(
-    result: FleetExperimentResult,
-    num_tenants: int,
-    seed: int,
-    chunks: int,
-) -> BenchRecord:
-    """A trajectory record for ``BENCH_exp8_fleet.json``.
-
-    Every metric is a pure function of (spec, seed) — two same-seed
-    runs append field-for-field identical metrics, which is exactly
-    what the determinism acceptance compares.
-    """
-    claims = headline_claims(result)
-    metrics = {
-        "fair_aggregate_error": MetricValue(
-            value=claims["fair_aggregate_error"], kind="quality"
-        ),
-        "round_robin_aggregate_error": MetricValue(
-            value=claims["round_robin_aggregate_error"],
-            kind="quality",
-        ),
-        "fair_advantage": MetricValue(
-            value=claims["fair_advantage"], kind="quality"
-        ),
-        "trainings": MetricValue(
-            value=claims["fair_trainings"], kind="count"
-        ),
-        "rescues": MetricValue(
-            value=claims["fair_rescues"], kind="count"
-        ),
-        "epochs": MetricValue(
-            value=float(result.fair.epochs), kind="count"
-        ),
-        "tenants": MetricValue(
-            value=float(len(result.fair.tenants)), kind="count"
-        ),
-        "fair_total_cost": MetricValue(
-            value=claims["fair_total_cost"], kind="cost"
-        ),
-    }
-    # The per-epoch aggregate-error trajectory rides along so the
-    # committed baseline pins the whole curve, not just the endpoint.
-    for entry in result.fair.schedule_log:
-        metrics[f"fair_error_epoch_{entry['epoch']:02d}"] = (
-            MetricValue(
-                value=float(entry["aggregate_error"]),
-                kind="quality",
-            )
-        )
-    return make_record(
-        "exp8_fleet",
-        metrics,
-        seed=seed,
-        params={
-            "num_tenants": num_tenants,
-            "chunks": chunks,
-            "policies": list(COMPARED_POLICIES),
-        },
-    )
 
 
 def format_comparison(result: FleetExperimentResult) -> str:

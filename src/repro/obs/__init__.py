@@ -15,8 +15,9 @@ A cross-cutting observability layer with three primitives:
   span streams into a hierarchical profile tree
   (:func:`build_profile`), persisted benchmark baselines
   (:class:`BaselineStore` / ``BENCH_<name>.json`` trajectories), and
-  an exact-match regression gate (:func:`check_record`), surfaced as
-  ``repro perf {profile,record,check,report}``;
+  an exact-match regression gate (:func:`check_record`); ``repro perf
+  profile`` renders the tree, and the benchmark suite's
+  ``bench_record`` fixture is the one writer and gate of the store;
 * the live health monitor — a :class:`HealthMonitor` spliced into the
   sink chain (``telemetry.attach_monitor()``) aggregates the event
   stream into tumbling/sliding virtual-clock windows, evaluates
@@ -80,8 +81,6 @@ from repro.obs.perf import (
     RegressionReport,
     check_record,
     format_report,
-    format_trajectory,
-    run_workload,
 )
 from repro.obs.profile import (
     ProfileNode,
@@ -176,8 +175,6 @@ __all__ = [
     "RegressionReport",
     "check_record",
     "format_report",
-    "format_trajectory",
-    "run_workload",
     # health monitor
     "AlertRule",
     "Evaluation",

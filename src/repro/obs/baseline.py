@@ -1,13 +1,13 @@
 """Persisted benchmark baselines: the ``BENCH_<name>.json`` trajectory.
 
-Every benchmark or perf-workload run condenses into one schema-
-versioned :class:`BenchRecord` — headline metrics (each tagged with
-the clock it was measured on), the profile digest of the traced run,
-the git SHA, the environment fingerprint, and the seed/knobs needed to
-reproduce the run from the JSON alone. Records append to a per-name
-trajectory file, ``BENCH_<name>.json``, which the regression detector
-(:mod:`repro.obs.perf`) gates fresh runs against and ``repro perf
-report`` renders as the bench history of the repository.
+Every benchmark run condenses into one schema-versioned
+:class:`BenchRecord` — headline metrics (each tagged with the clock it
+was measured on), the profile digest of the traced run, the git SHA,
+the environment fingerprint, and the seed/knobs needed to reproduce
+the run from the JSON alone. The benchmark suite's ``bench_record``
+fixture appends records to a per-name trajectory file,
+``BENCH_<name>.json``, or gates a fresh run against its latest record
+through the regression detector (:mod:`repro.obs.perf`).
 
 Writes are atomic (the ``mkstemp`` + ``os.replace`` discipline of
 :func:`repro.utils.fileio.atomic_write_bytes`): a benchmark process
@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.exceptions import ValidationError
-from repro.obs import names
 from repro.utils.fileio import atomic_write_bytes
 
 PathLike = Union[str, Path]
@@ -210,21 +209,11 @@ class BaselineStore:
     one.
     """
 
-    def __init__(self, root: PathLike, telemetry=None) -> None:
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
-        self.telemetry = telemetry
 
     def path_for(self, name: str) -> Path:
         return self.root / f"BENCH_{name}.json"
-
-    def names(self) -> List[str]:
-        """Bench names with a trajectory in this store, sorted."""
-        if not self.root.is_dir():
-            return []
-        found = []
-        for path in sorted(self.root.glob("BENCH_*.json")):
-            found.append(path.stem[len("BENCH_"):])
-        return found
 
     def load(self, name: str) -> List[BenchRecord]:
         """All records for ``name``, oldest first ([] when absent)."""
@@ -251,10 +240,6 @@ class BaselineStore:
         except ValidationError as error:
             raise ValidationError(f"trajectory {path}: {error}") from None
 
-    def latest(self, name: str) -> Optional[BenchRecord]:
-        records = self.load(name)
-        return records[-1] if records else None
-
     def append(self, record: BenchRecord) -> Path:
         """Append ``record`` to its trajectory (atomic rewrite)."""
         records = self.load(record.name)
@@ -265,22 +250,12 @@ class BaselineStore:
             + [record.to_dict()],
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        path = atomic_write_bytes(
+        return atomic_write_bytes(
             self.path_for(record.name),
             (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
                 "utf-8"
             ),
         )
-        if self.telemetry is not None:
-            self.telemetry.tracer.point(
-                names.PERF_RECORD,
-                bench=record.name,
-                metrics=len(record.metrics),
-            )
-            self.telemetry.metrics.counter(
-                names.PERF_RECORDS_APPENDED
-            ).inc()
-        return path
 
     def __repr__(self) -> str:
         return f"BaselineStore({str(self.root)!r})"

@@ -119,14 +119,6 @@ FLEET_EVICTIONS = "fleet.evictions"
 FLEET_RESCUES = "fleet.rescues"
 FLEET_AGGREGATE_ERROR = "fleet.aggregate_error"
 
-# -- performance observatory --------------------------------------------
-PERF_RECORD = "perf.record"
-PERF_RECORDS_APPENDED = "perf.records_appended"
-PERF_CHECK = "perf.check"
-PERF_REGRESSIONS = "perf.regressions"
-PROFILE_BUILT = "profile.built"
-PROFILE_NODES = "profile.nodes"
-
 # -- reliability --------------------------------------------------------
 RELIABILITY_CHECKPOINT_WRITTEN = "reliability.checkpoint_written"
 RELIABILITY_CHECKPOINTS_WRITTEN = "reliability.checkpoints_written"

@@ -10,22 +10,22 @@ bench name:
   (``regression`` when worse or not finite, ``improvement`` when
   better; both are reported, only regressions gate);
 * profile digests (when both sides carry one) detect cost-*shape*
-  changes that leave the totals intact; they report as ``changed`` and
-  gate only under ``gate_profile``.
+  changes that leave the totals intact; they report as ``changed``
+  and never gate.
 
-``repro perf check`` maps a failing report to exit code 1 (mirroring
-``repro lint``), which is what ``make bench-check`` and the CI
-perf-smoke job gate on.
+The benchmark suite's ``bench_record`` fixture (``benchmarks/
+conftest.py``) is the one caller: under ``REPRO_BENCH_CHECK`` it fails
+the bench on a failing report, which is what ``make bench-check`` and
+the CI perf smoke gate on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.obs import names
-from repro.obs.baseline import BenchRecord, MetricValue, make_record
+from repro.obs.baseline import BenchRecord, MetricValue
 from repro.utils.text import _align
 
 #: Verdicts that fail the gate.
@@ -50,7 +50,7 @@ class MetricCheck:
 
 @dataclass
 class RegressionReport:
-    """Everything ``repro perf check`` reports for one bench name."""
+    """Every verdict the gate reports for one bench name."""
 
     name: str
     checks: List[MetricCheck] = field(default_factory=list)
@@ -64,23 +64,16 @@ class RegressionReport:
     def ok(self) -> bool:
         return not self.regressions
 
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
 
 def check_record(
-    fresh: BenchRecord,
-    history: Sequence[BenchRecord],
-    gate_profile: bool = False,
-    telemetry=None,
+    fresh: BenchRecord, history: Sequence[BenchRecord]
 ) -> RegressionReport:
     """Gate ``fresh`` against its baseline trajectory.
 
     ``history`` is the stored trajectory, oldest first (the fresh
     record must NOT already be part of it). An empty history yields an
     all-``new`` passing report — the first recorded run founds the
-    baseline rather than failing it. ``gate_profile`` escalates a
-    profile-digest change from a warning to a gate failure.
+    baseline rather than failing it.
     """
     report = RegressionReport(
         name=fresh.name, baseline_records=len(history)
@@ -96,7 +89,6 @@ def check_record(
                     detail="no baseline trajectory yet",
                 )
             )
-        _emit(telemetry, report)
         return report
 
     latest = history[-1]
@@ -114,8 +106,7 @@ def check_record(
                     "the fresh run",
                 )
             )
-    report.checks.append(_check_digest(fresh, latest, gate_profile))
-    _emit(telemetry, report)
+    report.checks.append(_check_digest(fresh, latest))
     return report
 
 
@@ -131,7 +122,11 @@ def _check_exact(
             fresh=value.value,
             detail="metric not present in the baseline record",
         )
-    if value.value == base.value:
+    # nan to nan is the same number too: a record checked against
+    # itself passes whatever it holds.
+    if value.value == base.value or (
+        math.isnan(value.value) and math.isnan(base.value)
+    ):
         return MetricCheck(
             metric=key,
             kind=value.kind,
@@ -159,9 +154,7 @@ def _check_exact(
     )
 
 
-def _check_digest(
-    fresh: BenchRecord, latest: BenchRecord, gate_profile: bool
-) -> MetricCheck:
+def _check_digest(fresh: BenchRecord, latest: BenchRecord) -> MetricCheck:
     if fresh.profile_digest is None or latest.profile_digest is None:
         return MetricCheck(
             metric="profile_digest",
@@ -171,85 +164,20 @@ def _check_digest(
         )
     if fresh.profile_digest == latest.profile_digest:
         return MetricCheck(
-            metric="profile_digest", kind="cost", verdict="ok"
+            metric="profile_digest",
+            kind="cost",
+            verdict="ok",
+            detail=f"same cost shape: {fresh.profile_digest[:12]}…",
         )
     return MetricCheck(
         metric="profile_digest",
         kind="cost",
-        verdict="regression" if gate_profile else "changed",
+        verdict="changed",
         detail=(
             f"cost shape changed: {latest.profile_digest[:12]}… → "
             f"{fresh.profile_digest[:12]}…"
         ),
     )
-
-
-def _emit(telemetry, report: RegressionReport) -> None:
-    if telemetry is None:
-        return
-    telemetry.tracer.point(
-        names.PERF_CHECK,
-        bench=report.name,
-        checks=len(report.checks),
-        regressions=len(report.regressions),
-    )
-    if report.regressions:
-        telemetry.metrics.counter(names.PERF_REGRESSIONS).inc(
-            len(report.regressions)
-        )
-
-
-# ----------------------------------------------------------------------
-# Workloads: the CLI's record/check runner
-# ----------------------------------------------------------------------
-def workload_name(scenario_name: str, approach: str) -> str:
-    """Canonical trajectory name for a CLI perf workload."""
-    return f"run_{scenario_name.replace('-', '_')}_{approach}"
-
-
-def run_workload(scenario, approach: str):
-    """Run one traced deployment and condense it into a record.
-
-    Returns ``(record, profile_root)``. The run is instrumented with
-    an in-memory telemetry bundle; the record carries the virtual-cost
-    headline metrics, the per-counter event counts (all exact-gated)
-    and the profile digest of the folded span tree, so ``repro perf
-    check`` can gate both the totals and the cost shape.
-    """
-    from repro.experiments.common import run_approach
-    from repro.obs.profile import build_profile, profile_digest
-    from repro.obs.telemetry import Telemetry
-
-    telemetry = Telemetry()
-    result = run_approach(scenario, approach, telemetry)
-    telemetry.flush_metrics()
-    root = build_profile(telemetry.events)
-    telemetry.tracer.point(names.PROFILE_BUILT, spans=root.count)
-    telemetry.metrics.gauge(names.PROFILE_NODES).set(
-        sum(1 for _ in root.walk()) - 1
-    )
-    metrics: Dict[str, MetricValue] = {
-        "total_cost": MetricValue(result.total_cost, "cost"),
-        "final_error": MetricValue(result.final_error, "quality"),
-        "average_error": MetricValue(result.average_error, "quality"),
-        "chunks": MetricValue(float(result.chunks_processed), "count"),
-    }
-    for counter, count in sorted(result.counters.items()):
-        metrics[f"n_{counter}"] = MetricValue(float(count), "count")
-
-    record = make_record(
-        name=workload_name(scenario.name, approach),
-        metrics=metrics,
-        seed=scenario.seed,
-        params={
-            "scenario": scenario.name,
-            "approach": approach,
-            "num_chunks": scenario.num_chunks,
-            "online_batch_rows": scenario.online_batch_rows,
-        },
-        profile_digest=profile_digest(root),
-    )
-    return record, root
 
 
 # ----------------------------------------------------------------------
@@ -279,27 +207,6 @@ def format_report(report: RegressionReport) -> str:
     else:
         failed = ", ".join(c.metric for c in report.regressions)
         lines.append(f"verdict: REGRESSION in {failed}")
-    return "\n".join(lines)
-
-
-def format_trajectory(name: str, records: Sequence[BenchRecord]) -> str:
-    """One line per record: when, where, and the headline numbers."""
-    lines = [f"trajectory: {name} ({len(records)} record(s))"]
-    rows = [("#", "git", "seed", "metrics")]
-    for index, record in enumerate(records):
-        headline = ", ".join(
-            f"{key}={value.value:g}"
-            for key, value in sorted(record.metrics.items())
-        )
-        rows.append(
-            (
-                str(index),
-                (record.git_sha or "-")[:10],
-                str(record.seed if record.seed is not None else "-"),
-                headline or "-",
-            )
-        )
-    lines.extend(_align(rows))
     return "\n".join(lines)
 
 

@@ -93,28 +93,6 @@ _add(
 )
 
 _add(
-    "REP003",
-    flag="""\
-    class HalfPersistent:
-        def state_dict(self):
-            return {"cursor": self.cursor}
-    """,
-    clean="""\
-    class Persistent:
-        def state_dict(self):
-            return {"cursor": self.cursor}
-
-        def load_state_dict(self, state):
-            self.cursor = state["cursor"]
-    """,
-    noqa="""\
-    class HalfPersistent:
-        def state_dict(self):  # repro: noqa[REP003]
-            return {"cursor": self.cursor}
-    """,
-)
-
-_add(
     "REP004",
     flag="""\
     class Skewed:
@@ -162,8 +140,8 @@ _add(
         telemetry.metrics.counter(names.CACHE_HITS).inc()
         telemetry.tracer.point(names.SCHEDULER_DECISION, x=1)
         telemetry.tracer.point(names.ROLLOUT_PREFIX + "promote", x=1)
-        telemetry.tracer.point(names.PERF_CHECK, regressions=0)
-        telemetry.metrics.counter(names.PERF_REGRESSIONS).inc()
+        telemetry.tracer.point(names.RELIABILITY_CHECKPOINT_WRITTEN, n=1)
+        telemetry.metrics.counter(names.RELIABILITY_CHECKPOINTS_WRITTEN).inc()
         telemetry.tracer.point(names.ALERT_FIRING, rule="drift")
         telemetry.metrics.counter(names.ALERTS_FIRED).inc()
         telemetry.metrics.gauge(names.MONITOR_WINDOWS).set(24)

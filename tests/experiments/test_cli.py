@@ -377,24 +377,37 @@ class TestPerfParser:
         args = build_parser().parse_args(["perf", "profile"])
         assert args.action == "profile"
         assert args.approach == "continuous"
-        assert args.store == "benchmarks/baselines"
-        assert args.against is None
-        assert args.gate_profile is False
-        assert args.record_after_check is False
+        assert args.trace is None
 
     def test_options(self):
         args = build_parser().parse_args(
-            ["perf", "check", "--dataset", "taxi", "--approach",
-             "online", "--against", "./b", "--gate-profile",
-             "--record"]
+            ["perf", "profile", "--dataset", "taxi", "--approach",
+             "online", "--depth", "2", "--min-fraction", "0.1"]
         )
-        assert args.against == "./b"
-        assert args.gate_profile is True
-        assert args.record_after_check is True
+        assert args.dataset == "taxi"
+        assert args.approach == "online"
+        assert args.depth == 2
+        assert args.min_fraction == 0.1
 
     def test_invalid_action_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf", "flamegraph"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "record"],
+            ["perf", "check"],
+            ["perf", "report"],
+            ["perf", "profile", "--store", "./b"],
+            ["exp8", "--bench-store", "./b"],
+        ],
+    )
+    def test_store_is_not_a_cli_concern(self, argv):
+        # The baseline store is written and gated by the bench suite's
+        # bench_record fixture alone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_profile_option_on_experiments(self):
         for command in ("exp1", "fig5", "fig6", "fig7", "fig8",
@@ -406,7 +419,7 @@ class TestPerfParser:
 
 
 class TestPerfCommands:
-    """The perf observatory loop: profile, record, check, report."""
+    """``repro perf profile``, on a run or on a trace."""
 
     def test_profile_prints_tree_and_digest(self, capsys, tmp_path):
         json_out = tmp_path / "profile.json"
@@ -421,66 +434,6 @@ class TestPerfCommands:
         assert "self cost by subsystem:" in out
         assert json_out.exists()
         assert collapsed.read_text().startswith("run;")
-
-    def test_record_check_report_loop(self, capsys, tmp_path):
-        store = str(tmp_path / "baselines")
-        assert main(
-            ["perf", "record", "--scale", "test", "--store", store]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "recorded run_url_test_continuous" in out
-
-        # Identical seed: every metric must gate clean.
-        assert main(
-            ["perf", "check", "--scale", "test", "--against", store]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "OK — no regressions" in out
-        assert "profile_digest" in out
-
-        assert main(
-            ["perf", "report", "--store", store]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "trajectory: run_url_test_continuous" in out
-        assert "1 record(s)" in out
-
-    def test_check_on_empty_store_founds_baseline(self, capsys, tmp_path):
-        store = str(tmp_path / "empty")
-        assert main(
-            ["perf", "check", "--scale", "test", "--against", store]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "no baseline trajectory yet" in out
-
-    def test_check_flags_changed_workload(self, capsys, tmp_path):
-        store = str(tmp_path / "baselines")
-        assert main(
-            ["perf", "record", "--scale", "test", "--store", store]
-        ) == 0
-        capsys.readouterr()
-        # A different seed is a different workload: the virtual-cost
-        # metrics move and the exact gate must fail.
-        assert main(
-            ["perf", "check", "--scale", "test", "--seed", "99",
-             "--against", store, "--gate-profile"]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_check_record_appends_on_pass(self, capsys, tmp_path):
-        store = str(tmp_path / "baselines")
-        assert main(
-            ["perf", "record", "--scale", "test", "--store", store]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["perf", "check", "--scale", "test", "--against", store,
-             "--record"]
-        ) == 0
-        capsys.readouterr()
-        assert main(["perf", "report", "--store", store]) == 0
-        assert "2 record(s)" in capsys.readouterr().out
 
     def test_profile_folds_existing_trace(self, capsys, tmp_path):
         trace = tmp_path / "run.jsonl"

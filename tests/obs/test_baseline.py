@@ -15,7 +15,6 @@ from repro.obs.baseline import (
     environment_fingerprint,
     make_record,
 )
-from repro.obs.telemetry import Telemetry
 
 
 def record(name="bench_a", **metrics):
@@ -88,19 +87,10 @@ class TestBaselineStore:
             1.5,
             2.0,
         ]
-        assert store.latest("bench_a") == loaded[-1]
 
     def test_missing_trajectory_is_empty(self, tmp_path):
         store = BaselineStore(tmp_path)
         assert store.load("absent") == []
-        assert store.latest("absent") is None
-        assert store.names() == []
-
-    def test_names_sorted(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        store.append(record(name="zz"))
-        store.append(record(name="aa"))
-        assert store.names() == ["aa", "zz"]
 
     def test_load_rejects_foreign_json(self, tmp_path):
         store = BaselineStore(tmp_path)
@@ -152,22 +142,12 @@ class TestBaselineStore:
         assert text.endswith("\n")
         assert json.loads(text)["schema"] == RECORD_SCHEMA
 
-    def test_append_emits_telemetry(self, tmp_path):
-        telemetry = Telemetry()
-        store = BaselineStore(tmp_path, telemetry=telemetry)
-        store.append(record())
-        telemetry.flush_metrics()
-        points = [
-            event
-            for event in telemetry.events
-            if event["name"] == "perf.record"
-        ]
-        assert len(points) == 1
-
 
 def test_committed_store_loads_under_the_metric_vocabulary():
     root = Path(__file__).parents[2] / "benchmarks" / "baselines"
     store = BaselineStore(root)
-    assert store.names()
-    for name in store.names():
-        assert store.latest(name).metrics, name
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        name = path.stem[len("BENCH_"):]
+        assert store.load(name)[-1].metrics, name
