@@ -182,21 +182,18 @@ smoke-perf:
 	$(RUN) 120 python -m repro perf profile --dataset url --scale test
 
 # A drifting deployment must fire AND resolve a drift alert (the
-# example exits non-zero otherwise), two identical-seed monitored runs
-# must produce byte-identical health.json timelines, and the obs CLI
-# must render them.
+# example exits non-zero otherwise), two identical-seed instrumented
+# runs must produce byte-identical health.json timelines, and the obs
+# CLI must render a run directory's timeline and trace.
 smoke-monitor:
 	$(RUN) 120 python examples/health_monitor.py
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
-		--monitor $D/health-a.json
+		--run-dir $D/a
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
-		--monitor $D/health-b.json
-	cmp $D/health-a.json $D/health-b.json
-	$(REPRO) obs health $D/health-a.json
-	$(REPRO) obs alerts $D/health-a.json
-	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
-		--trace $D/run.jsonl
-	$(REPRO) obs health $D/run.jsonl
+		--run-dir $D/b
+	cmp $D/a/health.json $D/b/health.json
+	$(REPRO) obs health $D/a/health.json
+	$(REPRO) obs summary $D/a/trace.jsonl
 
 # exp7 must shed load during the burst and keep both identity
 # guarantees (batched == row-at-a-time, fresh-endpoint replay), two
@@ -205,10 +202,10 @@ smoke-monitor:
 # byte-identity, and serving throughput must pass its committed gate.
 smoke-traffic:
 	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
-		--monitor $D/traffic-a.json
+		--run-dir $D/a
 	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
-		--monitor $D/traffic-b.json
-	cmp $D/traffic-a.json $D/traffic-b.json
+		--run-dir $D/b
+	cmp $D/a/health.json $D/b/health.json
 	$(RUN) 60 python -m repro traffic synth --users 2000000 \
 		--burst 0.5 0.5 10
 	$(RUN) 120 python -m repro traffic replay --dataset url --scale test
@@ -230,19 +227,19 @@ smoke-fleet:
 	$(RUN) 240 python -m repro exp8 $(FLEET)
 	$(RUN) 120 python -m repro fleet run $(FLEET) \
 		--checkpoint-dir $D/ref-ckpt --cadence 2 \
-		--monitor $D/health-reference.json > $D/reference.txt
+		--run-dir $D/reference > $D/reference.txt
 	$(RUN) 120 python -m repro fleet run $(FLEET) \
 		--checkpoint-dir $D/ckpt --cadence 2 --sigkill-at-epoch 5 \
-		--monitor $D/health-crashed.json || test $$? -eq 137
+		--run-dir $D/crashed || test $$? -eq 137
 	$(REPRO) fleet status --checkpoint-dir $D/ckpt
 	$(RUN) 120 python -m repro recover --approach fleet \
 		--checkpoint-dir $D/ckpt --cadence 2 \
-		--monitor $D/health-recovered.json > $D/recovered.txt
+		--run-dir $D/recovered > $D/recovered.txt
 	cat $D/reference.txt $D/recovered.txt
 	grep "fleet digest=" $D/reference.txt > $D/digest-a.txt
 	grep "fleet digest=" $D/recovered.txt > $D/digest-b.txt
 	cmp $D/digest-a.txt $D/digest-b.txt
-	cmp $D/health-reference.json $D/health-recovered.json
+	cmp $D/reference/health.json $D/recovered/health.json
 	REPRO_BENCH_CHECK=1 $(BENCH_GATE) benchmarks/bench_fleet_overhead.py
 
 # An instrumented exp5 rollout must export a digest-stamped
@@ -251,15 +248,15 @@ smoke-fleet:
 # two identical-seed runs must be byte-identical.
 smoke-lineage:
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
-		--lineage $D/lineage-a.json
-	$(REPRO) obs lineage show $D/lineage-a.json
-	$(REPRO) obs lineage blame $D/lineage-a.json \
+		--run-dir $D/a
+	$(REPRO) obs lineage show $D/a/lineage.json
+	$(REPRO) obs lineage blame $D/a/lineage.json \
 		--version model:blind:v0002
-	$(REPRO) obs lineage trace $D/lineage-a.json \
+	$(REPRO) obs lineage trace $D/a/lineage.json \
 		--chunk chunk:0
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
-		--lineage $D/lineage-b.json
-	cmp $D/lineage-a.json $D/lineage-b.json
+		--run-dir $D/b
+	cmp $D/a/lineage.json $D/b/lineage.json
 
 # Crash recovery against a real SIGKILL: a short deployment is killed
 # mid-stream at a random (logged) chunk, recovered in a fresh process,
@@ -289,19 +286,18 @@ smoke-recovery:
 		--kill-at 9 || test $$? -eq 17
 	$(RUN) 60 python -m repro recover $(RECOVERY) --checkpoint-dir $D/ckpt
 	$(RUN) 60 python -m repro run $(STACKED) --checkpoint-dir $D/ckpt-ref \
-		--monitor $D/health-ref.json --lineage $D/lineage-ref.json
+		--run-dir $D/ref
 	$(RUN) 60 python -m repro run $(STACKED) --checkpoint-dir $D/ckpt2 \
-		--monitor $D/health-crash.json --lineage $D/lineage-crash.json \
-		--kill-at 9 || test $$? -eq 17
+		--run-dir $D/crash --kill-at 9 || test $$? -eq 17
 	$(RUN) 60 python -m repro recover $(STACKED) --checkpoint-dir $D/ckpt2 \
-		--monitor $D/health-rec.json --lineage $D/lineage-rec.json
-	cmp $D/lineage-ref.json $D/lineage-rec.json
+		--run-dir $D/rec
+	cmp $D/ref/lineage.json $D/rec/lineage.json
 	python -c "import json, sys; \
 		a, b = ([dict(s, incidents_open=0, signals={k: v for k, v in \
 		s['signals'].items() if k != 'reliability.recovered'}) for s in \
 		json.load(open(p))['snapshots']] for p in sys.argv[1:]); \
 		assert len(a) > 10 and a == b, 'health snapshots differ'" \
-		$D/health-ref.json $D/health-rec.json
+		$D/ref/health.json $D/rec/health.json
 	$(RUN) 60 python -m repro run $(TRIGGERED) \
 		--checkpoint-dir $D/ckpt3-ref > $D/threshold-ref.txt
 	$(RUN) 60 python -m repro run $(TRIGGERED) --checkpoint-dir $D/ckpt3 \

@@ -103,11 +103,6 @@ def default_config() -> LintConfig:
         roots=("src",),
         select=GLOBAL_RULES,
         per_path=(
-            # Virtual-clock discipline: the cost model, engine, and
-            # scheduler paths. The dual-clock tracer (obs/) legitimately
-            # reads wall time and stays outside these patterns.
-            PathPolicy("src/repro/core/*", enable=("REP002",)),
-            PathPolicy("src/repro/execution/*", enable=("REP002",)),
             # No swallowed exceptions where recovery correctness lives.
             PathPolicy("src/repro/core/*", enable=("REP007",)),
             PathPolicy("src/repro/reliability/*", enable=("REP007",)),

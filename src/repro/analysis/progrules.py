@@ -375,12 +375,14 @@ class LayeringRule(ProgramRule):
 
 
 class WallClockReachRule(ProgramRule):
-    """REP013 — no wall-clock read reachable from cost-path code.
+    """REP013 — no wall-clock read in, or reachable from, cost-path code.
 
-    The interprocedural closure of REP002: a function is flagged when
+    The cost model, engine, and scheduler order every decision by the
+    engine's virtual cost clock; a wall read there makes scheduling
+    (and therefore recovery replay) machine-dependent. A function is
+    flagged when it reads ``time.*``/``datetime.now`` itself, or when
     the conservative call graph shows a chain from it to a function
-    that reads ``time.*``/``datetime.now`` — even when the read lives
-    in another module the per-file walk would never connect.
+    that does — even when the read lives in another module.
     Functions in modules where this rule is disabled by policy (the
     dual-clock tracer) are *sanctioned*: chains neither match nor pass
     through them. The call graph drops anything it cannot resolve, so
@@ -391,8 +393,8 @@ class WallClockReachRule(ProgramRule):
     rule_id = "REP013"
     name = "wall-reach"
     description = (
-        "no call chain from cost-path code may reach a wall-clock "
-        "read (interprocedural closure of REP002)"
+        "cost-path code may not read the wall clock, directly or "
+        "through any call chain"
     )
 
     def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
@@ -415,8 +417,12 @@ class WallClockReachRule(ProgramRule):
             func = model.functions[qualname]
             if not reporter.enabled_for(func.relpath):
                 continue
-            chain = model.call_chain_to(
-                qualname, reads_wall, skip=sanctioned
+            chain = (
+                [qualname]
+                if reads_wall(qualname)
+                else model.call_chain_to(
+                    qualname, reads_wall, skip=sanctioned
+                )
             )
             if chain is None:
                 continue

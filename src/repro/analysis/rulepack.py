@@ -1,7 +1,8 @@
-"""The project rule pack: REP001–REP008. REP003 (state-dict pairs) is
-retired: the checkpoint round-trip properties fail on a class missing
-either half. REP006 (fault-site literals) is retired: ``FaultSpec``
-refuses an unknown site itself.
+"""The project rule pack: REP001–REP008. REP002 (direct wall-clock
+reads) is retired: REP013 flags a direct read as well as a chain to
+one. REP003 (state-dict pairs) is retired: the checkpoint round-trip
+properties fail on a class missing either half. REP006 (fault-site
+literals) is retired: ``FaultSpec`` refuses an unknown site itself.
 
 Each rule mechanically enforces one invariant the platform's
 byte-identical-recovery and canary-routing guarantees rest on; see
@@ -147,81 +148,6 @@ class RawRandomRule(Rule):
                 f"call through the stdlib random module ({name}); "
                 "use repro.utils.rng.ensure_rng",
             )
-
-
-class WallClockRule(Rule):
-    """REP002 — no wall-clock reads in virtual-clock paths.
-
-    The cost model, execution engine, and scheduler order every
-    decision by the engine's deterministic virtual cost clock; a
-    ``time.time()``/``datetime.now()`` read there makes scheduling
-    (and therefore recovery replay) machine-dependent. The dual-clock
-    tracer in ``obs/`` is the one sanctioned wall-time consumer and
-    lives outside this rule's configured paths.
-    """
-
-    rule_id = "REP002"
-    name = "wall-clock"
-    description = (
-        "cost-model/engine/scheduler code must use the virtual cost "
-        "clock, never wall-clock reads"
-    )
-
-    _TIME_FNS = (
-        "time",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "time_ns",
-    )
-    _DATETIME_FNS = ("now", "utcnow", "today")
-
-    def begin_module(self, module: ParsedModule, report) -> None:
-        self._imports = _ImportTracker("time", "datetime")
-
-    def visit_Import(self, node: ast.Import, module, report) -> None:
-        self._imports.feed_Import(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom, module, report) -> None:
-        self._imports.feed_ImportFrom(node)
-
-    def visit_Call(self, node: ast.Call, module, report) -> None:
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        parts = name.split(".")
-        time_aliases = self._imports.aliases["time"] | {"time"}
-        dt_aliases = self._imports.aliases["datetime"] | {"datetime"}
-        dt_members = self._imports.members["datetime"]
-        if (
-            len(parts) == 2
-            and parts[0] in time_aliases
-            and parts[1] in self._TIME_FNS
-        ):
-            report(
-                node,
-                f"wall-clock read {name}(); use the engine's virtual "
-                "cost clock (engine.total_cost())",
-            )
-        elif (
-            len(parts) >= 2
-            and parts[-1] in self._DATETIME_FNS
-            and (parts[0] in dt_aliases or parts[0] in dt_members)
-        ):
-            report(
-                node,
-                f"wall-clock read {name}(); use the engine's virtual "
-                "cost clock (engine.total_cost())",
-            )
-        elif len(parts) == 1 and parts[0] in self._imports.members["time"]:
-            if parts[0] in self._TIME_FNS:
-                report(
-                    node,
-                    f"wall-clock read {name}(); use the engine's "
-                    "virtual cost clock (engine.total_cost())",
-                )
 
 
 def _methods_of(node: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -548,7 +474,6 @@ class MutableDefaultRule(Rule):
 #: Every shipped rule, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
     RawRandomRule(),
-    WallClockRule(),
     StateDictKeysRule(),
     TelemetryNameRule(),
     BareExceptRule(),

@@ -13,13 +13,19 @@ Regenerate any paper artifact from a shell::
 scale EXPERIMENTS.md records (minutes). Output is the same row/series
 rendering the benchmark suite prints.
 
-Observability: ``exp1 --trace run.jsonl`` records the continuous run
-as a structured JSONL event trace, and ``repro obs`` works with such
-traces offline::
+Observability: ``--run-dir DIR`` on any command that runs a
+deployment (``exp1 fig5 fig6 fig7 fig8 exp5 exp7 exp6 serve run
+recover fleet exp8``) instruments the run and writes its record under
+``DIR``: ``run.json`` (argv, git sha), ``trace.jsonl`` (every event),
+``health.json`` (the monitor's incident timeline) and ``lineage.json``
+(the provenance ledger). ``repro obs`` and ``repro perf`` read them
+back::
 
-    python -m repro exp1 --dataset url --scale test --trace run.jsonl
-    python -m repro obs summary run.jsonl
-    python -m repro obs tail run.jsonl --limit 30
+    python -m repro exp1 --dataset url --scale test --run-dir run1
+    python -m repro obs summary run1/trace.jsonl
+    python -m repro obs tail run1/trace.jsonl --limit 30
+    python -m repro obs health run1/health.json
+    python -m repro obs lineage show run1/lineage.json
 
 Serving: ``repro serve`` runs a full train-register-canary-serve loop
 against a model registry directory, and ``repro registry`` inspects
@@ -48,22 +54,8 @@ file) into a tree of where its virtual cost goes; the committed
 ``BENCH_*.json`` trajectories are written and gated by the benchmark
 suite alone (``make bench-record`` / ``make bench-check``)::
 
-    python -m repro exp1 --dataset url --scale test --profile p.json
     python -m repro perf profile --dataset url --scale test
-    python -m repro perf profile --trace run.jsonl
-
-Health: ``--monitor`` attaches the live health monitor to an
-instrumented run — streaming virtual-clock windows, declarative alert
-rules, and a deterministic incident timeline written as
-``health.json`` — and ``repro obs health``/``repro obs alerts``
-render a timeline (or replay a JSONL trace through the monitor
-offline)::
-
-    python -m repro exp1 --dataset url --scale test \
-        --monitor health.json
-    python -m repro obs health health.json
-    python -m repro obs alerts health.json
-    python -m repro obs health run.jsonl --window 0.02
+    python -m repro perf profile --trace run1/trace.jsonl --json p.json
 
 Fleet: ``repro fleet`` orchestrates many tenant pipelines against
 shared bounded budgets (deterministic fair-share scheduling, byte
@@ -139,59 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the scenario seed",
         )
 
-    def add_profile_option(sub: argparse.ArgumentParser) -> None:
+    def add_run_dir_option(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--profile",
-            metavar="PATH",
+            "--run-dir",
+            metavar="DIR",
             default=None,
-            help="profile the instrumented runs: fold the span stream "
-            "into a cost-attribution tree, write it as JSON to PATH, "
-            "and print the rendered tree (see 'repro perf')",
-        )
-
-    def add_monitor_option(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--monitor",
-            metavar="PATH",
-            default=None,
-            help="attach the live health monitor to the instrumented "
-            "runs, write the deterministic incident timeline as "
-            "health.json to PATH, and print it (see 'repro obs "
-            "health')",
-        )
-        sub.add_argument(
-            "--monitor-window",
-            type=float,
-            default=None,
-            metavar="COST",
-            help="tumbling-window width in virtual-cost units "
-            "(default: 0.01)",
-        )
-
-    def add_lineage_option(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--lineage",
-            metavar="PATH",
-            default=None,
-            help="attach the provenance ledger to the instrumented "
-            "runs and write the digest-stamped lineage graph as "
-            "lineage.json to PATH (see 'repro obs lineage')",
+            help="instrument the run and write its record under DIR: "
+            "run.json (argv, git sha), trace.jsonl, health.json and "
+            "lineage.json. Read them back with 'repro obs "
+            "summary|tail|health|lineage' and 'repro perf profile "
+            "--trace DIR/trace.jsonl'; summaries and profiles come "
+            "from the trace, which holds every event",
         )
 
     exp1 = commands.add_parser(
         "exp1", help="Figure 4: online vs periodical vs continuous"
     )
     add_scenario_options(exp1)
-    exp1.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record the continuous run as a JSONL event trace and "
-        "print its telemetry summary (see 'repro obs')",
-    )
-    add_profile_option(exp1)
-    add_monitor_option(exp1)
-    add_lineage_option(exp1)
+    add_run_dir_option(exp1)
 
     table3 = commands.add_parser(
         "table3", help="Table 3: hyperparameter grid"
@@ -202,15 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fig5", help="Figure 5: best configs deployed on a prefix"
     )
     add_scenario_options(fig5)
-    add_profile_option(fig5)
-    add_monitor_option(fig5)
+    add_run_dir_option(fig5)
 
     fig6 = commands.add_parser(
         "fig6", help="Figure 6: sampling strategies vs quality"
     )
     add_scenario_options(fig6)
-    add_profile_option(fig6)
-    add_monitor_option(fig6)
+    add_run_dir_option(fig6)
 
     table4 = commands.add_parser(
         "table4", help="Table 4: empirical vs analytical μ"
@@ -226,43 +181,38 @@ def build_parser() -> argparse.ArgumentParser:
         "fig7", help="Figure 7: cost vs materialization rate"
     )
     add_scenario_options(fig7)
-    add_profile_option(fig7)
-    add_monitor_option(fig7)
+    add_run_dir_option(fig7)
 
     fig8 = commands.add_parser(
         "fig8", help="Figure 8: quality/cost trade-off"
     )
     add_scenario_options(fig8)
-    add_profile_option(fig8)
-    add_monitor_option(fig8)
+    add_run_dir_option(fig8)
 
     obs = commands.add_parser(
         "obs",
-        help="summarize, tail, health-monitor, or lineage-query a "
-        "telemetry trace",
+        help="read back a run directory: summarize or tail its trace, "
+        "render its health timeline, or query its lineage",
     )
     obs.add_argument(
         "action",
-        choices=("summary", "tail", "health", "alerts", "lineage"),
+        choices=("summary", "tail", "health", "lineage"),
         help="summary = per-span percentile table + counters; "
         "tail = the last events, one line each; health = the "
-        "incident timeline (from a health.json or by replaying a "
-        "JSONL trace through the monitor); alerts = the rule table "
-        "with firing counts; lineage = provenance queries over a "
-        "lineage.json (sub-actions show/blame/trace)",
+        "incident timeline and the rule table with firing counts; "
+        "lineage = provenance queries over a lineage.json "
+        "(sub-actions show/blame/trace)",
     )
     obs.add_argument(
         "trace",
-        help="path to a .jsonl trace file (for health/alerts, a "
-        "health.json timeline; for lineage, the sub-action "
-        "show|blame|trace)",
+        help="a run directory's trace.jsonl (for health, its "
+        "health.json; for lineage, the sub-action show|blame|trace)",
     )
     obs.add_argument(
         "path",
         nargs="?",
         default=None,
-        help="lineage only: path to a lineage.json written by "
-        "--lineage",
+        help="lineage only: a run directory's lineage.json",
     )
     obs.add_argument(
         "--version",
@@ -282,37 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=20,
         help="number of events shown by 'tail' (default: 20)",
     )
-    obs.add_argument(
-        "--rules",
-        metavar="PATH",
-        default=None,
-        help="health/alerts replay: JSON list of alert-rule "
-        "declarations overriding the default rule set",
-    )
-    obs.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="COST",
-        help="health/alerts replay: tumbling-window width in "
-        "virtual-cost units (default: 0.01)",
-    )
-    obs.add_argument(
-        "--json",
-        metavar="PATH",
-        dest="json_out",
-        default=None,
-        help="health/alerts: also write the health payload as JSON "
-        "to PATH",
-    )
 
     exp5 = commands.add_parser(
         "exp5", help="gated canary rollout vs blind promotion"
     )
     add_scenario_options(exp5)
-    add_profile_option(exp5)
-    add_monitor_option(exp5)
-    add_lineage_option(exp5)
+    add_run_dir_option(exp5)
 
     exp7 = commands.add_parser(
         "exp7",
@@ -326,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the batched-vs-row-at-a-time and replay "
         "verification passes (faster smoke runs)",
     )
-    add_profile_option(exp7)
-    add_monitor_option(exp7)
+    add_run_dir_option(exp7)
 
     traffic = commands.add_parser(
         "traffic",
@@ -451,12 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fraction", type=float, default=0.2,
         help="canary traffic fraction (default: 0.2)",
     )
-    serve.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record the run as a JSONL event trace",
-    )
+    add_run_dir_option(serve)
 
     registry = commands.add_parser(
         "registry", help="inspect or operate a model registry"
@@ -498,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scenario_options(run)
     _add_reliability_options(run)
-    add_monitor_option(run)
-    add_lineage_option(run)
+    add_run_dir_option(run)
     run.add_argument(
         "--kill-at",
         type=int,
@@ -524,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scenario_options(recover)
     _add_reliability_options(recover)
-    add_monitor_option(recover)
-    add_lineage_option(recover)
+    add_run_dir_option(recover)
 
     fleet = commands.add_parser(
         "fleet",
@@ -602,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="send this process a real SIGKILL before epoch K runs "
         "(the CI fleet-recovery smoke; no cleanup runs)",
     )
-    add_monitor_option(fleet)
-    add_lineage_option(fleet)
+    add_run_dir_option(fleet)
 
     exp8 = commands.add_parser(
         "exp8",
@@ -638,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the same-seed re-runs that verify byte-identical "
         "digests (faster smoke runs)",
     )
-    add_monitor_option(exp8)
+    add_run_dir_option(exp8)
 
     lint = commands.add_parser(
         "lint",
@@ -738,8 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="checkpoint intervals to sweep (default: 4 7 13)",
     )
-    add_profile_option(exp6)
-    add_monitor_option(exp6)
+    add_run_dir_option(exp6)
 
     return parser
 
@@ -785,114 +700,63 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     return builder(args.scale)
 
 
-def _telemetry_from_flags(args: argparse.Namespace, rules=None):
-    """Build one telemetry bundle for ``--trace``, ``--profile``,
-    ``--monitor``, and/or ``--lineage``.
+def _attach(args: argparse.Namespace, rules=None):
+    """Open the run directory ``--run-dir`` names and instrument the
+    run into it; ``None`` without the flag, so a plain invocation
+    builds no telemetry at all.
 
-    ``rules`` overrides the monitor's default rule set (``repro exp7``
-    swaps in the traffic/SLO rules). Returns ``None`` when none of
-    the flags were given, so un-instrumented invocations stay
-    byte-identical to pre-observability builds.
+    ``run.json`` (argv, git sha) is written before the run starts, so
+    a run that crashes still names itself. Every event goes to
+    ``trace.jsonl`` as it happens. The ledger is attached before the
+    monitor so incidents can carry lineage evidence; ``rules``
+    overrides the monitor's default rule set (exp7's traffic rules,
+    the fleet's own).
     """
-    trace = getattr(args, "trace", None)
-    profile = getattr(args, "profile", None)
-    monitor = getattr(args, "monitor", None)
-    lineage = getattr(args, "lineage", None)
-    if (
-        trace is None
-        and profile is None
-        and monitor is None
-        and lineage is None
-    ):
+    if args.run_dir is None:
         return None
-    from repro.obs import Telemetry
+    import json
+    from pathlib import Path
 
-    if trace is not None:
-        from repro.obs import JsonlSink
+    from repro.obs import JsonlSink, Telemetry, current_git_sha
 
-        telemetry = Telemetry(sink=JsonlSink(trace))
-    else:
-        telemetry = Telemetry()
-    if lineage is not None:
-        # Attached first so the monitor (below) can stamp lineage
-        # evidence into its incidents.
-        telemetry.attach_ledger()
-    if monitor is not None:
-        from repro.obs import MonitorConfig
-
-        window = getattr(args, "monitor_window", None)
-        config = (
-            MonitorConfig(window=window) if window is not None else None
-        )
-        telemetry.attach_monitor(rules=rules, config=config)
+    run_dir = Path(args.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    record = {
+        "argv": args.argv,
+        "git_sha": current_git_sha(Path(__file__).resolve().parent),
+    }
+    (run_dir / "run.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    telemetry = Telemetry(sink=JsonlSink(run_dir / "trace.jsonl"))
+    telemetry.attach_ledger()
+    telemetry.attach_monitor(rules=rules)
     return telemetry
 
 
-def _fleet_telemetry(args: argparse.Namespace):
-    """:func:`_telemetry_from_flags` for the fleet commands: a
-    ``--monitor`` there watches the fleet's own alert rules."""
-    rules = None
-    if getattr(args, "monitor", None) is not None:
-        from repro.fleet.alerts import fleet_rules
+def _finish(args: argparse.Namespace, telemetry) -> None:
+    """Close the run directory :func:`_attach` opened.
 
-        rules = fleet_rules()
-    return _telemetry_from_flags(args, rules=rules)
-
-
-def _finish_telemetry(args: argparse.Namespace, telemetry) -> None:
-    """Flush, close, and render whatever ``--trace``/``--profile`` asked
-    for; shared epilogue of every instrumentable experiment command."""
+    ``lineage.json`` is written while the trace is still open, so its
+    export point lands in it; then the final metrics snapshot, and
+    ``health.json`` once the chain is closed. Renderings are left to
+    the readers (``repro obs``, ``repro perf profile --trace``).
+    """
     if telemetry is None:
         return
-    import json
+    from pathlib import Path
 
-    monitor_path = getattr(args, "monitor", None)
-    if monitor_path is not None and telemetry.monitor is not None:
-        from repro.obs import names
+    from repro.obs import names
 
-        telemetry.tracer.point(names.HEALTH_EXPORTED, path=monitor_path)
-    lineage_path = getattr(args, "lineage", None)
-    if lineage_path is not None and telemetry.ledger is not None:
-        # Written while the sink chain is still open so the
-        # lineage.exported point lands in the trace.
-        telemetry.ledger.write(lineage_path)
+    run_dir = Path(args.run_dir)
+    health = run_dir / "health.json"
+    telemetry.tracer.point(names.HEALTH_EXPORTED, path=str(health))
+    telemetry.ledger.write(run_dir / "lineage.json")
     telemetry.flush_metrics()
     telemetry.close()
-    if monitor_path is not None and telemetry.monitor is not None:
-        from repro.obs import format_timeline
-
-        payload = telemetry.monitor.write_health(monitor_path)
-        print(f"\nhealth timeline written to {monitor_path}")
-        print(format_timeline(payload))
-    if lineage_path is not None and telemetry.ledger is not None:
-        from repro.obs import format_lineage
-
-        print(f"\nlineage graph written to {lineage_path}")
-        print(format_lineage(telemetry.ledger))
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        from repro.obs import format_summary
-
-        print(f"\ntrace written to {trace}")
-        print(format_summary(telemetry.summary()))
-    profile = getattr(args, "profile", None)
-    if profile is not None:
-        from pathlib import Path
-
-        from repro.obs import (
-            build_profile,
-            format_profile,
-            profile_to_dict,
-        )
-
-        root = build_profile(telemetry.events)
-        Path(profile).write_text(
-            json.dumps(profile_to_dict(root), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"\nprofile written to {profile}")
-        print(format_profile(root))
+    telemetry.monitor.write_health(health)
+    print(f"run directory written to {run_dir}")
 
 
 def _command_exp1(args: argparse.Namespace) -> None:
@@ -901,7 +765,7 @@ def _command_exp1(args: argparse.Namespace) -> None:
         run_experiment1,
     )
 
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     results = run_experiment1(_scenario(args), telemetry=telemetry)
     print("cumulative error over time:")
     for name, result in results.items():
@@ -929,7 +793,7 @@ def _command_exp1(args: argparse.Namespace) -> None:
         "\nfinal-cost ratio vs continuous: "
         + ", ".join(f"{k}={v:.2f}x" for k, v in sorted(ratios.items()))
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_obs(args: argparse.Namespace) -> None:
@@ -939,7 +803,7 @@ def _command_obs(args: argparse.Namespace) -> None:
     if args.action == "lineage":
         _obs_lineage(args)
         return
-    if args.action in ("health", "alerts"):
+    if args.action == "health":
         _obs_health(args)
         return
     events = load_jsonl(args.trace)
@@ -973,7 +837,7 @@ def _obs_lineage(args: argparse.Namespace) -> None:
     if args.path is None:
         raise SystemExit(
             "obs lineage requires a lineage.json path "
-            "(written by --lineage on run/exp1/exp5/recover)"
+            "(a --run-dir writes one)"
         )
     ledger = load_lineage(args.path)
     if sub == "show":
@@ -988,56 +852,27 @@ def _obs_lineage(args: argparse.Namespace) -> None:
         print(format_trace(ledger.trace(args.lineage_chunk)))
 
 
-def _load_health_payload(args: argparse.Namespace):
-    """Health payload for ``repro obs health/alerts``: either read a
-    ``health.json`` written by ``--monitor``, or replay a JSONL trace
-    through a fresh monitor (deterministic, so both routes agree)."""
-    import json
-    from pathlib import Path
-
-    from repro.obs import AlertRule, MonitorConfig, load_jsonl, replay_trace
-
-    text = Path(args.trace).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        payload = None
-    if isinstance(payload, dict) and "incidents" in payload:
-        return payload
-    rules = None
-    if args.rules is not None:
-        declarations = json.loads(
-            Path(args.rules).read_text(encoding="utf-8")
-        )
-        rules = [AlertRule.from_dict(d) for d in declarations]
-    config = (
-        MonitorConfig(window=args.window)
-        if args.window is not None
-        else None
-    )
-    monitor = replay_trace(
-        load_jsonl(args.trace), rules=rules, config=config
-    )
-    return monitor.health()
-
-
 def _obs_health(args: argparse.Namespace) -> None:
+    """``repro obs health``: the incident timeline of a run
+    directory's ``health.json``, then its rule table with firing
+    counts."""
     import json
     from pathlib import Path
 
     from repro.obs import format_alerts, format_timeline
 
-    payload = _load_health_payload(args)
-    if args.json_out is not None:
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+    try:
+        payload = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+    except ValueError:
+        payload = None
+    if not (isinstance(payload, dict) and "incidents" in payload):
+        raise SystemExit(
+            f"obs health reads a run directory's health.json; "
+            f"{args.trace} is not one"
         )
-        print(f"health payload written to {args.json_out}")
-    if args.action == "alerts":
-        print(format_alerts(payload))
-    else:
-        print(format_timeline(payload))
+    print(format_timeline(payload))
+    print()
+    print(format_alerts(payload))
 
 
 def _command_table3(args: argparse.Namespace) -> None:
@@ -1076,7 +911,7 @@ def _command_fig5(args: argparse.Namespace) -> None:
     scenario = _scenario(args)
     grid = table3(scenario)
     best = best_per_adaptation(grid)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     histories = figure5(scenario, best, telemetry=telemetry)
     for adaptation, history in histories.items():
         print(format_series(adaptation, history, points=12))
@@ -1084,7 +919,7 @@ def _command_fig5(args: argparse.Namespace) -> None:
         "initial-training winner also wins deployment: "
         f"{ranking_agreement(grid, histories)}"
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_fig6(args: argparse.Namespace) -> None:
@@ -1093,7 +928,7 @@ def _command_fig6(args: argparse.Namespace) -> None:
         run_sampling_experiment,
     )
 
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     results = run_sampling_experiment(
         _scenario(args), telemetry=telemetry
     )
@@ -1106,7 +941,7 @@ def _command_fig6(args: argparse.Namespace) -> None:
             f"{k}={v:.4f}" for k, v in sorted(averages.items())
         )
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_table4(args: argparse.Namespace) -> None:
@@ -1139,7 +974,7 @@ def _command_fig7(args: argparse.Namespace) -> None:
     )
 
     scenario = _scenario(args)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     costs = figure7(scenario, telemetry=telemetry)
     print(
         f"{'sampler':<10} "
@@ -1154,7 +989,7 @@ def _command_fig7(args: argparse.Namespace) -> None:
         f"NoOptimization: "
         f"{figure7_no_optimization(scenario, telemetry=telemetry):.3f}"
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_fig8(args: argparse.Namespace) -> None:
@@ -1163,7 +998,7 @@ def _command_fig8(args: argparse.Namespace) -> None:
         run_tradeoff,
     )
 
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     points = run_tradeoff(_scenario(args), telemetry=telemetry)
     print(f"{'approach':<12} {'avg error':>10} {'total cost':>12}")
     for point in sorted(points, key=lambda p: p.approach):
@@ -1176,7 +1011,7 @@ def _command_fig8(args: argparse.Namespace) -> None:
         f"cost ratio {claims['cost_ratio']:.2f}x, quality delta "
         f"{claims['quality_delta']:+.4f}"
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_exp5(args: argparse.Namespace) -> None:
@@ -1186,7 +1021,7 @@ def _command_exp5(args: argparse.Namespace) -> None:
         run_serving_experiment,
     )
 
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     results = run_serving_experiment(
         _scenario(args), telemetry=telemetry
     )
@@ -1214,7 +1049,7 @@ def _command_exp5(args: argparse.Namespace) -> None:
         f"(promotions={claims['gated_promotions']:.0f}, "
         f"rejections={claims['gated_rejections']:.0f})"
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_exp7(args: argparse.Namespace) -> None:
@@ -1225,17 +1060,17 @@ def _command_exp7(args: argparse.Namespace) -> None:
         run_traffic_experiment,
     )
 
+    from repro.traffic.slo import monitor_rules_for_traffic
+
     scenario = _scenario(args)
     config = default_traffic_config(scenario)
-    rules = None
-    if getattr(args, "monitor", None) is not None:
-        from repro.traffic.slo import monitor_rules_for_traffic
-
-        rules = monitor_rules_for_traffic(
+    telemetry = _attach(
+        args,
+        rules=monitor_rules_for_traffic(
             p99_budget=config.p99_budget,
             shed_per_window=config.shed_per_window,
-        )
-    telemetry = _telemetry_from_flags(args, rules=rules)
+        ),
+    )
     result = run_traffic_experiment(
         scenario,
         config=config,
@@ -1269,7 +1104,7 @@ def _command_exp7(args: argparse.Namespace) -> None:
             "replay byte-identical: "
             f"{'yes' if result.replay_identical else 'NO'}"
         )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
     if not (result.bit_identical and result.replay_identical):
         return 1
 
@@ -1365,7 +1200,7 @@ def _command_serve(args: argparse.Namespace) -> None:
     )
 
     scenario = _scenario(args)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
 
     with contextlib.ExitStack() as stack:
         root = args.registry
@@ -1457,7 +1292,7 @@ def _command_serve(args: argparse.Namespace) -> None:
                 for action in ("promote", "reject", "rollback")
             )
         )
-        _finish_telemetry(args, telemetry)
+        _finish(args, telemetry)
 
 
 def _command_registry(args: argparse.Namespace) -> None:
@@ -1600,7 +1435,7 @@ def _command_run(args: argparse.Namespace) -> None:
     stream = scenario.make_stream()
     if args.sigkill_at is not None:
         stream = _sigkill_stream(stream, args.sigkill_at)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     deployment = make_deployment(
         scenario,
         args.approach,
@@ -1624,13 +1459,13 @@ def _command_run(args: argparse.Namespace) -> None:
             else "no checkpoint was written; the run is lost"
         )
         # No health export on the crash path — the monitor state rides
-        # in the checkpoint and 'repro recover --monitor' finishes the
+        # in the checkpoint and 'repro recover --run-dir' finishes the
         # timeline; just flush the trace file.
         if telemetry is not None:
             telemetry.close()
         raise SystemExit(17) from None
     _print_run_result(result, deployment)
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_recover(args: argparse.Namespace) -> None:
@@ -1641,7 +1476,7 @@ def _command_recover(args: argparse.Namespace) -> None:
     if args.approach == "fleet":
         return _recover_fleet(args)
     scenario = _scenario(args)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     deployment = make_deployment(
         scenario,
         args.approach,
@@ -1652,7 +1487,7 @@ def _command_recover(args: argparse.Namespace) -> None:
     # No initial_fit: all fitted state comes from the checkpoint.
     result = deployment.recover(scenario.make_stream())
     _print_run_result(result, deployment)
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _recover_fleet(args: argparse.Namespace) -> None:
@@ -1662,9 +1497,9 @@ def _recover_fleet(args: argparse.Namespace) -> None:
     recovery needs; continuation is byte-identical to the
     uninterrupted run.
     """
-    from repro.fleet import FleetOrchestrator
+    from repro.fleet import FleetOrchestrator, fleet_rules
 
-    telemetry = _fleet_telemetry(args)
+    telemetry = _attach(args, rules=fleet_rules())
     orchestrator = FleetOrchestrator.recover(
         _checkpoint_config(args), telemetry=telemetry
     )
@@ -1674,7 +1509,7 @@ def _recover_fleet(args: argparse.Namespace) -> None:
     )
     result = orchestrator.run()
     _print_fleet_result(result)
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _print_fleet_result(result) -> None:
@@ -1702,8 +1537,6 @@ def _print_fleet_result(result) -> None:
         f"cost={result.total_cost:.3f}"
     )
     print(f"fleet digest={result.digest}")
-    if result.telemetry_digest is not None:
-        print(f"telemetry digest={result.telemetry_digest}")
 
 
 def _fleet_spec(args: argparse.Namespace):
@@ -1726,8 +1559,15 @@ def _fleet_spec(args: argparse.Namespace):
 
 
 def _command_fleet(args: argparse.Namespace) -> Optional[int]:
-    from repro.fleet import FleetOrchestrator
+    from repro.fleet import FleetOrchestrator, fleet_rules
 
+    if args.run_dir is not None and args.action != "run":
+        print(
+            f"repro fleet: error: --run-dir instruments 'fleet run' "
+            f"only, not 'fleet {args.action}'",
+            file=sys.stderr,
+        )
+        return 2
     if args.action == "status":
         if args.checkpoint_dir is None:
             raise SystemExit("fleet status requires --checkpoint-dir")
@@ -1757,6 +1597,7 @@ def _command_fleet(args: argparse.Namespace) -> Optional[int]:
         ]
         first, second = results
         _print_fleet_result(first)
+        print(f"telemetry digest={first.telemetry_digest}")
         schedules = first.digest == second.digest
         telemetry_ok = (
             first.telemetry_digest == second.telemetry_digest
@@ -1768,7 +1609,7 @@ def _command_fleet(args: argparse.Namespace) -> Optional[int]:
         )
         return None if schedules and telemetry_ok else 1
 
-    telemetry = _fleet_telemetry(args)
+    telemetry = _attach(args, rules=fleet_rules())
     orchestrator = FleetOrchestrator(
         spec, telemetry=telemetry, checkpoint=_checkpoint_config(args)
     )
@@ -1785,7 +1626,7 @@ def _command_fleet(args: argparse.Namespace) -> Optional[int]:
     else:
         result = orchestrator.run()
     _print_fleet_result(result)
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
     return None
 
 
@@ -1795,8 +1636,9 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
         headline_claims,
         run_fleet_experiment,
     )
+    from repro.fleet import fleet_rules
 
-    telemetry = _fleet_telemetry(args)
+    telemetry = _attach(args, rules=fleet_rules())
     result = run_fleet_experiment(
         num_tenants=args.tenants,
         seed=args.seed,
@@ -1822,7 +1664,7 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
             "telemetry "
             f"{'yes' if result.telemetry_identical else 'NO'}"
         )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
     ok = result.fair_beats_round_robin and result.equal_budget
     if not args.skip_identity_check:
         ok = (
@@ -1974,7 +1816,7 @@ def _command_exp6(args: argparse.Namespace) -> None:
     )
 
     scenario = _scenario(args)
-    telemetry = _telemetry_from_flags(args)
+    telemetry = _attach(args)
     cadences = (
         tuple(args.cadences)
         if args.cadences is not None
@@ -2022,7 +1864,7 @@ def _command_exp6(args: argparse.Namespace) -> None:
         f"all_identical={claims['all_identical']:.0f} "
         f"retry_masked={claims['retry_masked']:.0f}"
     )
-    _finish_telemetry(args, telemetry)
+    _finish(args, telemetry)
 
 
 def _command_perf(args: argparse.Namespace) -> None:
@@ -2095,6 +1937,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     0/1/2 clean/findings/config-error contract.
     """
     args = build_parser().parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     warnings.simplefilter("ignore", ConvergenceWarning)
     code = _COMMANDS[args.command](args)
     return 0 if code is None else int(code)

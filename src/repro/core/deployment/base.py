@@ -78,7 +78,7 @@ class DeploymentResult:
     #: stale, sub-second proactive trainings do not.
     training_durations: List[float] = field(default_factory=list)
     #: The run's telemetry bundle (``None`` when telemetry was not
-    #: enabled): structured events, metrics, and ``.summary()``.
+    #: enabled): structured events and metrics.
     telemetry: Optional[Telemetry] = None
     #: Set when this run resumed from a checkpoint (see
     #: :meth:`Deployment.recover`); ``None`` for uninterrupted runs.

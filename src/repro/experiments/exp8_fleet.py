@@ -106,7 +106,7 @@ def run_fleet_experiment(
         result = FleetOrchestrator(spec, telemetry=bound).run()
         runs[policy] = result
         if verify_identity:
-            again = FleetOrchestrator(spec).run()
+            again = FleetOrchestrator(spec, telemetry=_twin(bound)).run()
             digests_ok = digests_ok and (
                 again.digest == result.digest
             )
@@ -118,6 +118,22 @@ def run_fleet_experiment(
         digests_identical=digests_ok,
         telemetry_identical=telemetry_ok,
     )
+
+
+def _twin(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
+    """A fresh bundle with ``telemetry``'s ledger and monitor (and no
+    user sink), so a re-run's event stream is comparable with the
+    bound run's; ``None`` for ``None``."""
+    if telemetry is None:
+        return None
+    twin = Telemetry()
+    if telemetry.ledger is not None:
+        twin.attach_ledger()
+    if telemetry.monitor is not None:
+        twin.attach_monitor(
+            rules=telemetry.monitor.rules, config=telemetry.monitor.config
+        )
+    return twin
 
 
 def headline_claims(

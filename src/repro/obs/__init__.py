@@ -23,18 +23,23 @@ A cross-cutting observability layer with three primitives:
   stream into tumbling/sliding virtual-clock windows, evaluates
   declarative :class:`AlertRule` sets, manages the pending → firing →
   resolved incident lifecycle, and exports a deterministic
-  ``health.json`` timeline, surfaced as ``repro obs
-  {health,alerts}`` and ``--monitor`` on the experiment commands.
+  ``health.json`` timeline, rendered by ``repro obs health``.
 
-Enable telemetry on any deployment by passing a bundle::
+On the CLI, ``--run-dir DIR`` attaches all of it to a run and writes
+``DIR/{run.json,trace.jsonl,health.json,lineage.json}``; ``repro
+obs`` and ``repro perf profile --trace`` read them back. In code,
+enable telemetry on any deployment by passing a bundle::
 
-    from repro.obs import JsonlSink, Telemetry
+    from repro.obs import (
+        JsonlSink, Telemetry, format_summary, summarize_trace,
+    )
 
     telemetry = Telemetry(sink=JsonlSink("run.jsonl"))
     deployment = ContinuousDeployment(..., telemetry=telemetry)
     result = deployment.run(stream)
-    print(format_summary(result.telemetry.summary()))
+    telemetry.flush_metrics()
     telemetry.close()
+    print(format_summary(summarize_trace("run.jsonl")))
 """
 
 from repro.obs.baseline import (

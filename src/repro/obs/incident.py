@@ -293,7 +293,8 @@ def format_timeline(payload: Dict[str, object]) -> str:
 
 
 def format_alerts(payload: Dict[str, object]) -> str:
-    """Render the rule table + firing counts (``repro obs alerts``)."""
+    """Render the rule table + firing counts (the second half of
+    ``repro obs health``)."""
     rules = payload.get("rules", [])
     incidents = payload.get("incidents", [])
     fired_by_rule: Dict[str, int] = {}

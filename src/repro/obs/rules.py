@@ -157,25 +157,6 @@ class AlertRule:
             "description": self.description,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "AlertRule":
-        """Build a rule from a JSON declaration (unknown keys fail)."""
-        if not isinstance(raw, dict):
-            raise ValidationError(
-                f"alert rule declaration must be an object, got {raw!r}"
-            )
-        known = {
-            "name", "signal", "kind", "stat", "op", "value", "window",
-            "for_windows", "clear_windows", "stale_after", "warmup",
-            "drift_k", "drift_h", "severity", "category", "description",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(
-                f"alert rule has unknown field(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        return cls(**raw)
 
 
 @dataclass

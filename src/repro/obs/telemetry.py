@@ -221,12 +221,6 @@ class Telemetry:
         """
         self.tracer.emit_metrics(self.metrics.snapshot())
 
-    def summary(self):
-        """Summarize the buffered events (see :mod:`repro.obs.summary`)."""
-        from repro.obs.summary import summarize_events
-
-        return summarize_events(self.events, self.metrics.snapshot())
-
     def close(self) -> None:
         """Close the sink chain (flushes JSONL files).
 

@@ -73,26 +73,6 @@ _add(
 )
 
 _add(
-    "REP002",
-    flag="""\
-    import time
-
-    def stamp():
-        return time.time()
-    """,
-    clean="""\
-    def stamp(engine):
-        return engine.total_cost()
-    """,
-    noqa="""\
-    import time
-
-    def stamp():
-        return time.time()  # repro: noqa[REP002]
-    """,
-)
-
-_add(
     "REP004",
     flag="""\
     class Skewed:
@@ -348,7 +328,8 @@ _add_program(
 _add_program(
     "REP013",
     # chunk_cost never touches time.* itself; the call graph connects
-    # it to the wall read two hops away in another module.
+    # it to the wall read two hops away in another module. stamp,
+    # which reads the wall clock directly, is flagged too.
     flag={
         "src/repro/core/costs.py": """\
         from repro.utils.clock import stamp
@@ -390,7 +371,7 @@ _add_program(
         "src/repro/utils/clock.py": """\
         import time
 
-        def stamp():
+        def stamp():  # repro: noqa[REP013]
             return time.time()
         """,
     },

@@ -99,9 +99,14 @@ def test_program_rule_respects_noqa_suppression(tmp_path, rule_id):
 def test_program_findings_anchor_at_definition_sites(tmp_path):
     # REP013 reports at the offending function's `def` line, not at
     # the wall read buried two modules away — the anchor is what noqa
-    # and the baseline fingerprint key on.
+    # and the baseline fingerprint key on. (The reader itself is
+    # flagged at its own def, in clock.py.)
     result = _lint_tree(tmp_path, "REP013", PROGRAM_CORPUS[("REP013", "flag")])
-    (finding,) = result.findings
+    assert [f.path for f in result.findings] == [
+        "src/repro/core/costs.py",
+        "src/repro/utils/clock.py",
+    ]
+    finding = result.findings[0]
     assert finding.path == "src/repro/core/costs.py"
     assert finding.snippet.startswith("def chunk_cost")
     assert "time.time" in finding.message

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,12 +47,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["exp1", "--dataset", "mnist"])
 
-    def test_exp1_trace_option(self):
-        args = build_parser().parse_args(
-            ["exp1", "--trace", "run.jsonl"]
-        )
-        assert args.trace == "run.jsonl"
-        assert build_parser().parse_args(["exp1"]).trace is None
+    def test_exp1_run_dir_option(self):
+        args = build_parser().parse_args(["exp1", "--run-dir", "run1"])
+        assert args.run_dir == "run1"
+        assert build_parser().parse_args(["exp1"]).run_dir is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp1", "--trace", "run.jsonl"],
+            ["fig7", "--profile", "p.json"],
+            ["run", "--monitor", "health.json"],
+            ["exp6", "--monitor-window", "0.02"],
+            ["exp5", "--lineage", "lineage.json"],
+            ["obs", "alerts", "health.json"],
+            ["obs", "health", "run.jsonl", "--rules", "rules.json"],
+        ],
+    )
+    def test_one_flag_instruments_a_run(self, argv):
+        # --run-dir replaced the per-artifact flags, and obs health
+        # reads a health.json instead of replaying a trace.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_obs_options(self):
         args = build_parser().parse_args(
@@ -66,12 +85,12 @@ class TestParser:
     def test_serve_options(self):
         args = build_parser().parse_args(
             ["serve", "--registry", "reg", "--mode", "shadow",
-             "--fraction", "0.25", "--trace", "t.jsonl"]
+             "--fraction", "0.25", "--run-dir", "run1"]
         )
         assert args.registry == "reg"
         assert args.mode == "shadow"
         assert args.fraction == 0.25
-        assert args.trace == "t.jsonl"
+        assert args.run_dir == "run1"
         defaults = build_parser().parse_args(["serve"])
         assert defaults.registry is None
         assert defaults.mode == "canary"
@@ -165,16 +184,16 @@ class TestExecutionExtended:
 
 
 class TestObservabilityCommands:
-    """exp1 --trace plus the obs summary/tail subcommands."""
+    """exp1 --run-dir plus the obs subcommands that read it back."""
 
     def test_exp1_trace_then_summarize_and_tail(self, capsys, tmp_path):
-        trace = tmp_path / "run.jsonl"
+        run_dir = tmp_path / "run"
+        trace = run_dir / "trace.jsonl"
         assert main(
-            ["exp1", "--scale", "test", "--trace", str(trace)]
+            ["exp1", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
         out = capsys.readouterr().out
-        assert f"trace written to {trace}" in out
-        assert "spans (virtual-clock durations" in out
+        assert out.endswith(f"run directory written to {run_dir}\n")
         assert trace.exists()
 
         assert main(["obs", "summary", str(trace)]) == 0
@@ -196,6 +215,21 @@ class TestObservabilityCommands:
 
         with pytest.raises(ValidationError):
             main(["obs", "summary", str(tmp_path / "absent.jsonl")])
+
+    def test_obs_health_prints_timeline_then_rules(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(
+            ["exp1", "--scale", "test", "--run-dir", str(run_dir)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["obs", "health", str(run_dir / "health.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("health timeline (schema 1")
+        assert "\nalert rules (" in out
+        # A trace is not a health payload: one line, no traceback.
+        with pytest.raises(SystemExit, match="health.json") as error:
+            main(["obs", "health", str(run_dir / "trace.jsonl")])
+        assert "\n" not in str(error.value.code)
 
 
 class TestServingCommands:
@@ -250,18 +284,26 @@ class TestServingCommands:
     def test_serve_trace_ends_with_the_metrics_snapshot(
         self, capsys, tmp_path
     ):
-        """Like every traced command, ``serve --trace`` closes its
-        JSONL with the final counters (it used to write none, so
+        """Like every instrumented command, ``serve --run-dir`` closes
+        its trace with the final counters (it used to write none, so
         ``obs summary`` had no metrics to show)."""
         from repro.obs import load_jsonl
 
-        trace = tmp_path / "serve.jsonl"
+        run_dir = tmp_path / "run"
+        trace = run_dir / "trace.jsonl"
         assert main(
             ["serve", "--dataset", "url", "--scale", "test",
-             "--trace", str(trace)]
+             "--run-dir", str(run_dir)]
         ) == 0
-        assert f"trace written to {trace}" in capsys.readouterr().out
-        last = load_jsonl(trace)[-1]
+        assert f"run directory written to {run_dir}" in (
+            capsys.readouterr().out
+        )
+        # The monitor closes its last window at close(), after the
+        # snapshot, so only its alert points may follow it.
+        last = [
+            event for event in load_jsonl(trace)
+            if not event["name"].startswith("alert.")
+        ][-1]
         assert last["kind"] == "metrics"
         assert last["attrs"]["counters"]["serving.batches"] > 0
         assert main(["obs", "summary", str(trace)]) == 0
@@ -410,12 +452,12 @@ class TestPerfParser:
             build_parser().parse_args(argv)
 
     def test_profile_option_on_experiments(self):
-        for command in ("exp1", "fig5", "fig6", "fig7", "fig8",
-                        "exp5", "exp6"):
-            args = build_parser().parse_args(
-                [command, "--profile", "p.json"]
-            )
-            assert args.profile == "p.json"
+        # A run's profile is folded from the trace in its --run-dir,
+        # which every instrumentable command accepts.
+        for argv in RUN_DIR_ARGV.values():
+            args = build_parser().parse_args([*argv, "--run-dir", "d"])
+            assert args.run_dir == "d"
+            assert build_parser().parse_args(argv).run_dir is None
 
 
 class TestPerfCommands:
@@ -436,37 +478,73 @@ class TestPerfCommands:
         assert collapsed.read_text().startswith("run;")
 
     def test_profile_folds_existing_trace(self, capsys, tmp_path):
-        trace = tmp_path / "run.jsonl"
+        run_dir = tmp_path / "run"
         assert main(
-            ["exp1", "--scale", "test", "--trace", str(trace)]
+            ["exp1", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
         capsys.readouterr()
         assert main(
-            ["perf", "profile", "--trace", str(trace)]
+            ["perf", "profile", "--trace", str(run_dir / "trace.jsonl")]
         ) == 0
         out = capsys.readouterr().out
         assert "engine.online_pass" in out
         assert "profile digest:" in out
 
-    def test_exp1_profile_flag(self, capsys, tmp_path):
-        profile = tmp_path / "exp1_profile.json"
+    def test_profile_of_a_run_dir_covers_every_event(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The profile is folded from the trace, which holds every
+        event, not from the in-memory ring: with the ring cut to 64
+        events, fig7's profile still attributes every cost unit its
+        13 deployments spent (12 cells plus NoOptimization)."""
+        import repro.experiments.exp3_materialization as exp3
+        from repro.obs import Telemetry
+
+        monkeypatch.setattr(
+            Telemetry.__init__, "__defaults__", (None, 64, True)
+        )
+        returned = []
+        for name in ("figure7", "figure7_no_optimization"):
+            def recording(*args, _original=getattr(exp3, name), **kw):
+                value = _original(*args, **kw)
+                returned.append(value)
+                return value
+
+            monkeypatch.setattr(exp3, name, recording)
+        run_dir = tmp_path / "run"
         assert main(
-            ["exp1", "--scale", "test", "--profile", str(profile)]
+            ["fig7", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
+        costs, no_optimization = returned
+        assert len(costs) == 12
         out = capsys.readouterr().out
-        assert f"profile written to {profile}" in out
-        assert "self cost by subsystem:" in out
-        assert profile.exists()
+        assert f"NoOptimization: {no_optimization:.3f}" in out
+        profile = tmp_path / "profile.json"
+        assert main(
+            ["perf", "profile", "--trace", str(run_dir / "trace.jsonl"),
+             "--json", str(profile)]
+        ) == 0
+        subsystems = json.loads(profile.read_text())["subsystems"]
+        assert sum(
+            entry["self_cost"] for entry in subsystems.values()
+        ) == pytest.approx(
+            sum(costs.values()) + no_optimization, rel=1e-9
+        )
 
 
 class TestLineageCli:
     def test_lineage_flag_parsed(self):
+        # A run's lineage.json is written into its --run-dir; the
+        # per-artifact --lineage flag is gone.
         for command in ("exp1", "exp5", "run", "recover"):
-            args = build_parser().parse_args(
-                [command, "--lineage", "lineage.json"]
-            )
-            assert args.lineage == "lineage.json"
-            assert build_parser().parse_args([command]).lineage is None
+            argv = RUN_DIR_ARGV[command]
+            args = build_parser().parse_args([*argv, "--run-dir", "d"])
+            assert args.run_dir == "d"
+            assert not hasattr(args, "lineage")
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [*argv, "--lineage", "lineage.json"]
+                )
 
     def test_obs_lineage_options(self):
         args = build_parser().parse_args(
@@ -484,17 +562,18 @@ class TestLineageCli:
         assert args.lineage_chunk == "chunk:3"
 
     def test_exp5_export_then_query(self, capsys, tmp_path):
-        lineage = tmp_path / "lineage.json"
+        run_dir = tmp_path / "run"
+        lineage = run_dir / "lineage.json"
         assert main(
-            ["exp5", "--scale", "test", "--lineage", str(lineage)]
+            ["exp5", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
-        out = capsys.readouterr().out
-        assert f"lineage graph written to {lineage}" in out
-        assert "provenance ledger" in out
+        capsys.readouterr()
         assert lineage.exists()
 
         assert main(["obs", "lineage", "show", str(lineage)]) == 0
-        assert "live[gated]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "provenance ledger" in out
+        assert "live[gated]" in out
 
         assert main(
             ["obs", "lineage", "blame", str(lineage),
@@ -525,11 +604,122 @@ class TestLineageCli:
             main(["obs", "lineage", "bogus", str(ledger_file)])
 
     def test_run_with_lineage_and_checkpoints(self, capsys, tmp_path):
-        lineage = tmp_path / "lineage.json"
+        run_dir = tmp_path / "run"
         assert main(
             ["run", "--approach", "continuous", "--scale", "test",
              "--checkpoint-dir", str(tmp_path / "ckpt"),
-             "--cadence", "3", "--lineage", str(lineage)]
+             "--cadence", "3", "--run-dir", str(run_dir)]
         ) == 0
-        assert lineage.exists()
+        capsys.readouterr()
+        assert main(
+            ["obs", "lineage", "show", str(run_dir / "lineage.json")]
+        ) == 0
         assert "provenance ledger" in capsys.readouterr().out
+
+
+#: The thirteen commands ``--run-dir`` instruments, at their smallest
+#: scale. ``{tmp}`` is the test's scratch directory: ``serve`` gets a
+#: fresh registry there on every invocation, and ``recover`` a fresh
+#: copy of one crashed run's checkpoints.
+RUN_DIR_ARGV = {
+    "exp1": ["exp1", "--scale", "test"],
+    "fig5": ["fig5", "--scale", "test"],
+    "fig6": ["fig6", "--scale", "test"],
+    "fig7": ["fig7", "--scale", "test"],
+    "fig8": ["fig8", "--scale", "test"],
+    "exp5": ["exp5", "--scale", "test"],
+    "exp7": ["exp7", "--scale", "test"],
+    "exp6": ["exp6", "--scale", "test"],
+    "serve": ["serve", "--scale", "test", "--registry", "{tmp}/registry"],
+    "run": ["run", "--scale", "test"],
+    "recover": ["recover", "--scale", "test", "--cadence", "4",
+                "--checkpoint-dir", "{tmp}/ckpt"],
+    "fleet": ["fleet", "run", "--tenants", "4", "--chunks", "6"],
+    "exp8": ["exp8", "--tenants", "4", "--chunks", "6"],
+}
+
+ARTIFACTS = ["health.json", "lineage.json", "run.json", "trace.jsonl"]
+
+
+def _events(trace):
+    from repro.obs import load_jsonl
+
+    return [
+        {key: value for key, value in event.items() if key != "wall_s"}
+        for event in load_jsonl(trace)
+    ]
+
+
+class TestRunDir:
+    """One ``--run-dir`` per instrumentable command: the same stdout
+    plus one line, and the same four files from the same seed."""
+
+    @staticmethod
+    def _invoke(command, tmp_path, capsys, run_dir=None):
+        """Run ``command`` from a clean slate; returns its stdout.
+
+        The run directory and any registry or checkpoints keep one
+        path throughout, because events carry the paths they wrote.
+        """
+        argv = [
+            arg.replace("{tmp}", str(tmp_path))
+            for arg in RUN_DIR_ARGV[command]
+        ]
+        shutil.rmtree(tmp_path / "registry", ignore_errors=True)
+        if command == "recover":
+            shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
+            shutil.copytree(tmp_path / "crashed", tmp_path / "ckpt")
+        if run_dir is not None:
+            argv += ["--run-dir", str(run_dir)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(RUN_DIR_ARGV))
+    def test_run_dir_records_the_run(self, command, tmp_path, capsys):
+        if command == "recover":
+            with pytest.raises(SystemExit):
+                main(["run", "--scale", "test", "--cadence", "4",
+                      "--checkpoint-dir", str(tmp_path / "crashed"),
+                      "--kill-at", "9"])
+        plain = self._invoke(command, tmp_path, capsys)
+        run_dir = tmp_path / "run"
+        first = self._invoke(command, tmp_path, capsys, run_dir)
+        assert sorted(p.name for p in run_dir.iterdir()) == ARTIFACTS
+        assert first == plain + f"run directory written to {run_dir}\n"
+
+        earlier = tmp_path / "earlier"
+        run_dir.rename(earlier)
+        assert self._invoke(command, tmp_path, capsys, run_dir) == first
+        for name in ("health.json", "lineage.json"):
+            assert (run_dir / name).read_bytes() == (
+                earlier / name
+            ).read_bytes(), name
+        assert _events(run_dir / "trace.jsonl") == _events(
+            earlier / "trace.jsonl"
+        )
+
+    @pytest.mark.parametrize("command", ["exp1", "run"])
+    def test_run_json_replays_the_run(self, command, tmp_path, capsys):
+        first = tmp_path / "first"
+        self._invoke(command, tmp_path, capsys, first)
+        record = json.loads((first / "run.json").read_text())
+        assert sorted(record) == ["argv", "git_sha"]
+        argv = record["argv"]
+        second = tmp_path / "second"
+        argv[argv.index("--run-dir") + 1] = str(second)
+        assert main(argv) == 0
+        for name in ("health.json", "lineage.json"):
+            assert (first / name).read_bytes() == (
+                second / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("action", ["replay", "status"])
+    def test_fleet_run_dir_only_on_fleet_run(self, action, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(
+            ["fleet", action, "--tenants", "3", "--chunks", "4",
+             "--checkpoint-dir", str(tmp_path), "--run-dir", str(run_dir)]
+        ) == 2
+        assert "'fleet run'" in capsys.readouterr().err
+        assert not run_dir.exists()

@@ -34,7 +34,7 @@ from repro.fleet import FleetOrchestrator, make_fleet
 from repro.ml.models.svm import LinearSVM
 from repro.ml.optim import make_optimizer
 from repro.ml.regularizers import L2
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import NULL_TELEMETRY, Telemetry, summarize_events
 from repro.reliability import FaultPlan, FaultSpec, RetryPolicy, sites
 
 pytestmark = pytest.mark.filterwarnings(
@@ -190,7 +190,9 @@ class TestFiveLayerCoverage:
 
     def test_summary_renders(self, traced):
         __, telemetry = traced
-        summary = telemetry.summary()
+        summary = summarize_events(
+            telemetry.events, telemetry.metrics.snapshot()
+        )
         assert summary.events == len(telemetry.events)
         names = {span.name for span in summary.spans}
         assert "platform.proactive_training" in names
