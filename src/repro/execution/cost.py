@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_non_negative
@@ -118,6 +118,20 @@ class CostTracker:
             label,
             values * self.model.training_cost_per_value,
         )
+
+    def charge_training_steps(
+        self, values: Iterable[int], label: str
+    ) -> None:
+        """:meth:`charge_training` once per entry of ``values``, in
+        order — never their sum, which would move the virtual clock's
+        low bits. Each amount is ``>= 0``: a count times a price
+        :class:`CostModel` checked."""
+        price = self.model.training_cost_per_value
+        by_category, by_label = self._by_category, self._by_label
+        for count in values:
+            amount = count * price
+            by_category["training"] += amount
+            by_label[label] += amount
 
     def charge_prediction(self, values: int, label: str) -> None:
         """Model scoring over ``values`` values."""

@@ -123,9 +123,12 @@ class LocalExecutionEngine:
         under one ``engine.train_step`` span (``steps`` iterations over
         ``values`` stored values): an SGD iteration per consecutive
         range of ``batch_rows`` rows (the last one shorter; ``None``:
-        the whole chunk) of a block opened once — never a sliced copy.
-        Returns the last range's objective, the only one evaluated; a
-        chunk without rows takes no step, emits nothing, gives 0.0."""
+        the whole chunk) of a block opened once — never a sliced copy —
+        in one call of the bound kernel
+        (:meth:`~repro.ml.models.base.LinearSGDModel.descend`), then a
+        training charge per iteration, in order. Returns the last
+        range's objective, the only one evaluated; a chunk without rows
+        takes no step, emits nothing, gives 0.0."""
         block = Block(features.matrix, features.labels)
         rows = block.rows
         if not rows:
@@ -135,11 +138,12 @@ class LocalExecutionEngine:
         with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_STEP, values=block.num_values(), steps=steps
         ):
-            for start in range(0, rows, size):
-                stop = min(start + size, rows)
-                objective = trainer.step(
-                    block, None, self.tracker, start, stop, stop == rows
-                )
+            __, objective = trainer.model.descend(
+                block, trainer.optimizer, 0, rows, size
+            )
+            self.tracker.charge_training_steps(
+                block.range_values(size), "sgd_step"
+            )
         return objective
 
     def train_full(

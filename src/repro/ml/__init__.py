@@ -12,7 +12,6 @@ from repro.ml.losses import HingeLoss, LogisticLoss, Loss, SquaredLoss
 from repro.ml.metrics import (
     PrequentialTracker,
     accuracy,
-    mean_absolute_error,
     mean_squared_error,
     misclassification_rate,
     rmsle,
@@ -69,7 +68,6 @@ __all__ = [
     "misclassification_rate",
     "accuracy",
     "mean_squared_error",
-    "mean_absolute_error",
     "rmsle",
     "rmsle_from_log",
     "PrequentialTracker",

@@ -95,6 +95,14 @@ class Block:
             return (stop - start) * self.width
         return self.bounds[stop] - self.bounds[start]
 
+    def range_values(self, size: int) -> List[int]:
+        """:meth:`num_values` of each consecutive ``size``-row range."""
+        rows, starts = self.rows, range(0, self.rows, size)
+        if self.indices is None:
+            return [(min(i + size, rows) - i) * self.width for i in starts]
+        bounds = self.bounds
+        return [bounds[min(i + size, rows)] - bounds[i] for i in starts]
+
 
 def open_block(features, targets: Optional[np.ndarray] = None) -> Block:
     """``features`` itself when the caller opened it already, else a

@@ -31,9 +31,14 @@ class Loss(ABC):
     def value(self, decision: np.ndarray, targets: np.ndarray) -> float:
         """Mean loss over the batch."""
 
-    @abstractmethod
     def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-example derivative ``dL/dz`` (same shape as ``decision``)."""
+        self._check(decision, targets)
+        return self._dvalue(decision, targets)
+
+    @abstractmethod
+    def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """:meth:`dvalue` on shapes the caller has checked already."""
 
     @staticmethod
     def _check(decision: np.ndarray, targets: np.ndarray) -> None:
@@ -59,8 +64,7 @@ class SquaredLoss(Loss):
         residual = decision - targets
         return float(0.5 * _mean(residual * residual))
 
-    def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        self._check(decision, targets)
+    def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return decision - targets
 
 
@@ -75,8 +79,7 @@ class HingeLoss(Loss):
         margins = 1.0 - targets * decision
         return float(_mean(np.maximum(margins, 0.0)))
 
-    def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        self._check(decision, targets)
+    def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         active = (targets * decision) < 1.0
         return np.where(active, -targets, 0.0)
 
@@ -97,8 +100,7 @@ class LogisticLoss(Loss):
         # log(1 + e^-m) computed stably for both signs of m.
         return float(_mean(np.logaddexp(0.0, -margins)))
 
-    def dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        self._check(decision, targets)
+    def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         margins = targets * decision
         return -targets * sigmoid(-margins)
 

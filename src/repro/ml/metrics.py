@@ -50,12 +50,6 @@ def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(residual * residual))
 
 
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    return float(np.mean(np.abs(y_pred - y_true)))
-
-
 def rmsle(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Root Mean Squared Logarithmic Error on raw (>= 0) targets.
 

@@ -17,21 +17,34 @@ observable, so the boundary copies: ``set_params_vector``,
 
 Feature matrices may be dense ``ndarray`` or ``scipy.sparse`` CSR,
 bare or opened as a :class:`~repro.ml.batch.Block` (which checks once
-what is fixed per block), and every kernel runs over a *row range*
-``[start, stop)`` of one. Three cases, chosen by what the caller
-handed over, all with the same bits:
+what is fixed per block). Training is one kernel, :meth:`descend`: SGD
+iterations over consecutive row ranges ``[lo, hi)`` of a block — one
+range for a proactive step, a chunk's ranges for the online update.
+What is fixed per call is resolved once, before anything moves: the
+width, bounds, targets and a non-empty range are checked, the
+optimizer sized (:meth:`~repro.ml.optim.Optimizer.prepare`), the
+gradient buffer ``[w…, b?]``, the regularizer's term (``bind``) and
+the loss and intercept branches bound. A range pays only its
+arithmetic and its rule's ``_update``, with the bits of scipy / numpy
+on the sliced rows:
 
-* a proper range of a CSR (the per-row online update) is read from the
-  block's ``indices/data/owner`` and reduced with ``np.bincount``,
-  which accumulates in stored-entry order — the order of scipy's
-  ``csr_matvec`` / ``csc_matvec`` — so no scipy object is built per
-  range;
-* a whole sparse matrix (prediction, proactive training, full
-  retraining) has nothing to slice and goes to those scipy routines as
-  it is: on thousands of rows their C loop is ~9x faster than the
-  ``bincount`` spelling, which pays for itself only by what it skips;
-* a dense range is the numpy view ``X[start:stop]``: per-row
-  ``np.add.reduce`` scores, ``view.T @ d`` column sums.
+* a proper range of a CSR (the URL row) is read from the block's
+  ``indices/data/owner`` and reduced with ``np.bincount``, which
+  accumulates in stored-entry order — the order of scipy's
+  ``csr_matvec`` / ``csc_matvec`` — so no scipy object is built;
+* a whole sparse matrix (prediction, proactive training, retraining)
+  goes to those scipy routines as it is: on thousands of rows their C
+  loop is ~9x faster than the ``bincount`` spelling;
+* a dense range is the view ``X[lo:hi]``: per-row ``np.add.reduce``
+  scores, ``view.T @ d`` column sums;
+* one dense row (the taxi row), unless its objective is asked for, is
+  scalar: ``z = add.reduce(x * w) + b``, the same contiguous pairwise
+  reduce; ``d = z − y`` on the squared loss, else the loss's
+  derivative on the one-element ``[z]`` (logistic's ``exp`` keeps its
+  call shape); ``grad_w = x * d + 0.0``, intercept ``d + 0.0``. Each
+  ``+ 0.0`` restores the signed zero the one-term ``x.T @ d`` and
+  ``add.reduce([d])`` give: ``+0.0`` where the bare ``x * d`` or ``d``
+  is ``-0.0``.
 
 The arithmetic is frozen — trajectory digests pin its bits: ``sums /
 n`` stays a division, the regularizer's term is added even when all
@@ -42,15 +55,18 @@ zeros (``-0.0 + 0.0`` is ``0.0``), a mean is ``np.add.reduce(x) / n``
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.ml.batch import Block, Matrix, open_block
-from repro.ml.losses import Loss
+from repro.ml.losses import Loss, SquaredLoss
 from repro.ml.regularizers import NoRegularizer, Regularizer
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.ml.optim.base import Optimizer
 
 
 class LinearSGDModel:
@@ -62,8 +78,6 @@ class LinearSGDModel:
         Dimensionality of the weight vector. Fixed at construction —
         the pipelines guarantee a stable feature width (hashing /
         assembly), matching the deployment setting.
-    loss:
-        The per-example loss driving the gradient.
     regularizer:
         Penalty on the weights (never the intercept).
     fit_intercept:
@@ -72,16 +86,17 @@ class LinearSGDModel:
 
     #: Task flavour, set by subclasses ("regression" / "classification").
     task: str = "regression"
+    #: The per-example loss driving the gradient, set by subclasses.
+    loss_type: Type[Loss] = SquaredLoss
 
     def __init__(
         self,
         num_features: int,
-        loss: Loss,
         regularizer: Optional[Regularizer] = None,
         fit_intercept: bool = True,
     ) -> None:
         self.num_features = check_positive_int(num_features, "num_features")
-        self.loss = loss
+        self.loss = self.loss_type()
         self.regularizer = (
             regularizer if regularizer is not None else NoRegularizer()
         )
@@ -121,19 +136,31 @@ class LinearSGDModel:
         """Raw decision values ``X w + b`` of rows ``[start, stop)``.
 
         Every kernel reduces each row independently and in an order
-        fixed by the row alone — stored-entry order for sparse (scipy's
-        or the range kernel's), a per-row ``np.add.reduce`` for dense
+        fixed by the row alone — stored-entry order for sparse (scipy's,
+        on the rows sliced), a per-row ``np.add.reduce`` for dense
         instead of BLAS ``X @ w`` (gemv kernels block over *rows*, so a
         row's low bits would depend on how many rows share the call).
         That is the serving guarantee: a micro-batched prediction is
         bit-identical to the same row served alone.
         """
         block = open_block(features)
-        return self._forward(block, start, self._check(block, start, stop))[0]
+        stop = self._check(block, start, stop)
+        matrix = block.matrix
+        if block.indices is None:
+            scores = np.add.reduce(matrix[start:stop] * self.weights, axis=1)
+        else:
+            if stop - start < block.rows:
+                matrix = matrix[start:stop]
+            scores = matrix @ self.weights
+        return scores + self._packed[-1]
 
     def predict(self, features: Matrix) -> np.ndarray:
-        """Task-specific predictions; subclasses refine."""
-        return self.decision_function(features)
+        """The decision values for regression; for classification hard
+        labels in {-1, +1} (a 0 decision maps to +1)."""
+        decision = self.decision_function(features)
+        if self.task == "regression":
+            return decision
+        return np.where(decision >= 0.0, 1.0, -1.0)
 
     # ------------------------------------------------------------------
     # Training interface
@@ -145,45 +172,99 @@ class LinearSGDModel:
         start: int = 0,
         stop: Optional[int] = None,
         objective: bool = True,
-    ) -> tuple[np.ndarray, Optional[float]]:
-        """Mean-gradient of loss+penalty on rows ``[start, stop)`` of
-        a :class:`~repro.ml.batch.Block` (or of a bare ``(features,
-        targets)``, opened here), packed, plus loss.
-
-        Returns ``(grad, objective)`` where ``grad`` has length
-        ``num_features + 1`` when an intercept is fitted (intercept
-        slot last, otherwise excluded) — aligned with :attr:`params`.
-        With ``objective=False`` the loss and penalty are not
-        evaluated and ``None`` stands in.
-        """
+    ) -> Tuple[np.ndarray, Optional[float]]:
+        """``(grad, objective)``: :meth:`descend` over the one range
+        ``[start, stop)`` of a block (or bare arrays), no update."""
         block = open_block(features, targets)
+        return self.descend(block, None, start, stop, None, objective)
+
+    def descend(
+        self,
+        block: Block,
+        optimizer: Optional["Optimizer"],
+        start: int = 0,
+        stop: Optional[int] = None,
+        size: Optional[int] = None,
+        objective: bool = True,
+    ) -> Tuple[np.ndarray, Optional[float]]:
+        """An SGD iteration per consecutive range of ``size`` rows of
+        ``[start, stop)`` (the last one shorter; ``None``: one range),
+        updating :attr:`params` in place through ``optimizer`` (none:
+        nothing moves). Returns the last range's packed mean gradient
+        and its objective before the update (``None`` if not asked)."""
         stop = self._check(block, start, stop)
-        if block.targets is None:
+        targets = block.targets
+        if targets is None:
             raise ValidationError("cannot train on a block without targets")
-        targets = block.targets[start:stop]
-        count = stop - start
-        weights = self.weights
-        decision, rows = self._forward(block, start, stop)
-        dloss = self.loss.dvalue(decision, targets)
-        if isinstance(rows, tuple):
-            owner, indices, data = rows
-            sums = np.bincount(
-                indices,
-                weights=data * dloss[owner],
-                minlength=self.num_features,
-            )
-        else:
-            sums = rows.T @ dloss
+        if stop == start:
+            raise ValidationError("loss evaluated on an empty batch")
+        size = stop - start if size is None else size
+        params, packed, weights = self.params, self._packed, self.weights
         grad = np.empty(self.num_params)
-        grad_w = np.divide(sums, count, out=grad[:self.num_features])
-        grad_w += self.regularizer.gradient(weights)
-        if self.fit_intercept:
-            grad[-1] = np.add.reduce(dloss) / count
-        if not objective:
-            return grad, None
-        return grad, self.loss.value(decision, targets) + (
-            self.regularizer.penalty(weights)
-        )
+        grad_w, fit = grad[:self.num_features], self.fit_intercept
+        if optimizer is not None:
+            delta, work = optimizer.prepare(params, grad)
+            update = optimizer._update
+        term, fill = self.regularizer.bind(weights)
+        loss, matrix, dense = self.loss, block.matrix, block.indices is None
+        derivative = loss._dvalue  # equal, non-empty shapes by construction
+        residual, value = isinstance(loss, SquaredLoss), None
+        for lo in range(start, stop, size):
+            hi = min(lo + size, stop)
+            last = objective and hi == stop
+            if dense and size == 1 and not last:
+                row = matrix[lo]
+                d = np.add.reduce(row * weights) + packed[-1]
+                if residual:
+                    d = d - targets[lo]
+                else:  # the one-element call: logistic's exp stays put
+                    d = derivative(d.reshape(1), targets[lo:hi])[0]
+                np.multiply(row, d, out=grad_w)
+                grad_w += 0.0  # -0.0 to +0.0, as the one-term ``@`` does
+                if fit:
+                    grad[-1] = d + 0.0  # as ``add.reduce([d])`` does
+            else:
+                if dense:
+                    rows = matrix[lo:hi]
+                    scores = np.add.reduce(rows * weights, axis=1)
+                elif hi - lo == block.rows:
+                    rows = matrix
+                    scores = rows @ weights
+                else:
+                    rows = None
+                    entries = slice(block.bounds[lo], block.bounds[hi])
+                    owner = block.owner[entries] - lo
+                    indices, data = block.indices[entries], block.data[entries]
+                    scores = np.bincount(
+                        owner,
+                        weights=data * weights[indices],
+                        minlength=hi - lo,
+                    )
+                decision, batch = scores + packed[-1], targets[lo:hi]
+                dloss = derivative(decision, batch)
+                if rows is None:
+                    sums = np.bincount(
+                        indices,
+                        weights=data * dloss[owner],
+                        minlength=self.num_features,
+                    )
+                else:
+                    sums = rows.T @ dloss
+                np.divide(sums, hi - lo, out=grad_w)
+                if fit:
+                    grad[-1] = np.add.reduce(dloss) / (hi - lo)
+                if last:
+                    value = loss.value(decision, batch) + (
+                        self.regularizer.penalty(weights)
+                    )
+            if fill is not None:
+                fill()
+            grad_w += term
+            if optimizer is not None:
+                np.add(params, update(grad, delta, work), out=params)
+        if optimizer is not None:
+            self.updates_applied += -(-(stop - start) // size)
+        return grad, value
 
     def objective(self, features: Matrix, targets: np.ndarray) -> float:
         """Regularized loss on a batch (no gradient)."""
@@ -262,8 +343,8 @@ class LinearSGDModel:
 
     # ------------------------------------------------------------------
     def _check(self, block: Block, start: int, stop: Optional[int]) -> int:
-        """The per-range checks: width against this model, bounds
-        against the block. Returns ``stop`` resolved."""
+        """A call's checks: width against this model, bounds against
+        the block. Returns ``stop`` resolved."""
         if block.width != self.num_features:
             raise ValidationError(
                 f"features have {block.width} columns, model "
@@ -275,35 +356,6 @@ class LinearSGDModel:
                 f"rows [{start}, {stop}) are not within {block.rows} rows"
             )
         return stop
-
-    def _forward(
-        self, block: Block, start: int, stop: int
-    ) -> Tuple[np.ndarray, object]:
-        """Decision values of rows ``[start, stop)`` and what the
-        column sums read: the dense view, the whole sparse matrix, or
-        a CSR range's stored entries as ``(owner, indices, data)``."""
-        weights = self.weights
-        if block.indices is None:
-            rows = block.matrix[start:stop]
-            scores = np.add.reduce(rows * weights, axis=1)
-        elif stop - start == block.rows:
-            rows = block.matrix
-            scores = rows @ weights
-        else:
-            entries = slice(block.bounds[start], block.bounds[stop])
-            owner = block.owner[entries] - start
-            indices, data = block.indices[entries], block.data[entries]
-            rows = owner, indices, data
-            scores = np.bincount(
-                owner, weights=data * weights[indices], minlength=stop - start
-            )
-        return scores + self._packed[-1], rows
-
-    def _require_trained(self) -> None:
-        if self.updates_applied == 0:
-            raise NotFittedError(
-                f"{type(self).__name__} has never been updated"
-            )
 
     def __repr__(self) -> str:
         return (

@@ -7,33 +7,12 @@ space (see :func:`repro.ml.metrics.rmsle_from_log`).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ml.losses import SquaredLoss
-from repro.ml.models.base import LinearSGDModel, Matrix
-from repro.ml.regularizers import Regularizer
-
-import numpy as np
+from repro.ml.models.base import LinearSGDModel
 
 
 class LinearRegression(LinearSGDModel):
     """Least-squares linear model."""
 
     task = "regression"
-
-    def __init__(
-        self,
-        num_features: int,
-        regularizer: Optional[Regularizer] = None,
-        fit_intercept: bool = True,
-    ) -> None:
-        super().__init__(
-            num_features=num_features,
-            loss=SquaredLoss(),
-            regularizer=regularizer,
-            fit_intercept=fit_intercept,
-        )
-
-    def predict(self, features: Matrix) -> np.ndarray:
-        """Predicted targets (identical to the decision values)."""
-        return self.decision_function(features)
+    loss_type = SquaredLoss

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ml.losses import LogisticLoss, sigmoid
 from repro.ml.models.base import LinearSGDModel, Matrix
-from repro.ml.regularizers import Regularizer
 
 
 class LogisticRegression(LinearSGDModel):
@@ -19,23 +16,7 @@ class LogisticRegression(LinearSGDModel):
     """
 
     task = "classification"
-
-    def __init__(
-        self,
-        num_features: int,
-        regularizer: Optional[Regularizer] = None,
-        fit_intercept: bool = True,
-    ) -> None:
-        super().__init__(
-            num_features=num_features,
-            loss=LogisticLoss(),
-            regularizer=regularizer,
-            fit_intercept=fit_intercept,
-        )
-
-    def predict(self, features: Matrix) -> np.ndarray:
-        decision = self.decision_function(features)
-        return np.where(decision >= 0.0, 1.0, -1.0)
+    loss_type = LogisticLoss
 
     def predict_proba(self, features: Matrix) -> np.ndarray:
         """P(label = +1) per row."""

@@ -7,39 +7,12 @@ paper's prototype used.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.ml.losses import HingeLoss
-from repro.ml.models.base import LinearSGDModel, Matrix
-from repro.ml.regularizers import Regularizer
+from repro.ml.models.base import LinearSGDModel
 
 
 class LinearSVM(LinearSGDModel):
     """Binary linear SVM with {-1, +1} labels."""
 
     task = "classification"
-
-    def __init__(
-        self,
-        num_features: int,
-        regularizer: Optional[Regularizer] = None,
-        fit_intercept: bool = True,
-    ) -> None:
-        super().__init__(
-            num_features=num_features,
-            loss=HingeLoss(),
-            regularizer=regularizer,
-            fit_intercept=fit_intercept,
-        )
-
-    def predict(self, features: Matrix) -> np.ndarray:
-        """Hard labels in {-1, +1} (0 decision maps to +1)."""
-        decision = self.decision_function(features)
-        return np.where(decision >= 0.0, 1.0, -1.0)
-
-    def margins(self, features: Matrix, targets: np.ndarray) -> np.ndarray:
-        """Functional margins ``y · z`` (useful for diagnostics)."""
-        targets = np.asarray(targets, dtype=np.float64)
-        return targets * self.decision_function(features)
+    loss_type = HingeLoss

@@ -129,7 +129,7 @@ class Adam(Optimizer):
 
     def _update(self, grad, delta, work):
         first, second = self._state["m"], self._state["v"]
-        step_index = self._bump_counter()
+        step_index = self._state["t"] = int(self._state.get("t", 0)) + 1
         first *= self.beta1
         first += np.multiply(1.0 - self.beta1, grad, out=work)
         second *= self.beta2

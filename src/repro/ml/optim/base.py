@@ -15,7 +15,9 @@ builds the delta in two scratch arrays sized from ``dim`` (not state:
 no ``state_dict()`` or pickle holds them), in the operation order of
 its textbook spelling — ``((1-β₂)·g)·g``, ``(-η·m̂) / (√v̂ + ε)``, a
 division never a multiplication by a reciprocal — because a
-reordering changes low bits that every trajectory digest pins.
+reordering changes low bits that every trajectory digest pins. A
+training kernel checks and sizes once (:meth:`Optimizer.prepare`),
+then calls ``_update`` once per step.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ class Optimizer(ABC):
         """
         params = np.asarray(params, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
+        scratch = self.prepare(params, grad)
+        return np.add(params, self._update(grad, *scratch), out=out)
+
+    def prepare(
+        self, params: np.ndarray, grad: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Check ``params`` and ``grad`` are equal 1-D shapes, size the
+        state on first use (refuse another size after) and return the
+        scratch :meth:`_update` builds a delta in — once per kernel."""
         if params.ndim != 1 or grad.shape != params.shape:
             raise ValidationError(
                 f"params shape {params.shape} and grad shape "
@@ -83,7 +94,7 @@ class Optimizer(ABC):
             )
         if self._scratch is None:
             self._scratch = np.empty(self._dim), np.empty(self._dim)
-        return np.add(params, self._update(grad, *self._scratch), out=out)
+        return self._scratch
 
     def reset(self) -> None:
         """Drop all state (fresh optimizer, same hyperparameters)."""
@@ -135,13 +146,7 @@ class Optimizer(ABC):
     ) -> np.ndarray:
         """Parameter delta (already negated) for this gradient.
         ``delta`` and ``work`` are scratch to build it in;
-        :meth:`step` only reads the result."""
-
-    def _bump_counter(self, key: str = "t") -> int:
-        """Increment and return an integer state counter (from 1)."""
-        value = int(self._state.get(key, 0)) + 1
-        self._state[key] = value
-        return value
+        its caller only reads the result."""
 
     def __repr__(self) -> str:
         public = {

@@ -41,14 +41,9 @@ class InverseScalingLR(Optimizer):
         self.power = check_positive(power, "power")
 
     def _update(self, grad, delta, work):
-        step_index = self._bump_counter()
+        step_index = self._state["t"] = int(self._state.get("t", 0)) + 1
         eta = self.learning_rate / step_index**self.power
         return np.multiply(-eta, grad, out=delta)
-
-    def current_learning_rate(self) -> float:
-        """Learning rate the *next* step will use."""
-        next_step = int(self._state.get("t", 0)) + 1
-        return self.learning_rate / next_step**self.power
 
 
 class Momentum(Optimizer):

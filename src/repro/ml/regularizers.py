@@ -8,6 +8,8 @@ models in :mod:`repro.ml.models`. The paper's hyperparameter grid
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,9 +25,17 @@ class Regularizer(ABC):
     def penalty(self, weights: np.ndarray) -> float:
         """Penalty value for ``weights``."""
 
-    @abstractmethod
     def gradient(self, weights: np.ndarray) -> np.ndarray:
-        """(Sub)gradient of the penalty at ``weights``."""
+        """(Sub)gradient of the penalty at ``weights``, a new array."""
+        term, fill = self.bind(weights)
+        return term if fill is None else fill()
+
+    @abstractmethod
+    def bind(
+        self, weights: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[Callable[[], np.ndarray]]]:
+        """``(term, fill)``: ``fill()`` rewrites ``term`` from the live
+        ``weights`` once a step and returns it; ``None`` if fixed."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -39,8 +49,8 @@ class NoRegularizer(Regularizer):
     def penalty(self, weights: np.ndarray) -> float:
         return 0.0
 
-    def gradient(self, weights: np.ndarray) -> np.ndarray:
-        return np.zeros_like(weights)
+    def bind(self, weights):
+        return np.zeros_like(weights), None
 
 
 class L2(Regularizer):
@@ -54,8 +64,9 @@ class L2(Regularizer):
     def penalty(self, weights: np.ndarray) -> float:
         return float(0.5 * self.strength * np.dot(weights, weights))
 
-    def gradient(self, weights: np.ndarray) -> np.ndarray:
-        return self.strength * weights
+    def bind(self, weights):
+        term = np.empty_like(weights)
+        return term, partial(np.multiply, self.strength, weights, out=term)
 
     def __repr__(self) -> str:
         return f"L2(strength={self.strength})"
@@ -72,8 +83,10 @@ class L1(Regularizer):
     def penalty(self, weights: np.ndarray) -> float:
         return float(self.strength * np.abs(weights).sum())
 
-    def gradient(self, weights: np.ndarray) -> np.ndarray:
-        return self.strength * np.sign(weights)
+    def bind(self, weights):
+        term = np.empty_like(weights)
+        sign = partial(np.sign, weights, out=term)
+        return term, lambda: np.multiply(self.strength, sign(), out=term)
 
     def __repr__(self) -> str:
         return f"L1(strength={self.strength})"

@@ -15,10 +15,10 @@ Because the optimizer owns all cross-iteration state, iterations are
 conditionally independent given (model parameters, optimizer state) —
 the property §3.3 uses to justify running them at arbitrary times.
 
-A step runs over a row range of a :class:`~repro.ml.batch.Block` —
-validated once by whoever holds it for several steps; bare ``(features,
-targets)`` are opened for that one step — and updates the model's
-packed parameters in place.
+A step's gradient is one range of :meth:`LinearSGDModel.descend`, the
+kernel the online update runs once per chunk over all its ranges
+(``LocalExecutionEngine.online_update``), and its update is the
+``prepare`` + ``_update`` of the optimizer that the kernel binds once.
 """
 
 from __future__ import annotations

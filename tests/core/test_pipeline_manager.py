@@ -147,18 +147,26 @@ class TestOnlineStep:
         __, features = manager.process_training_chunk(
             table_for(rng, rows=8)
         )
-        seen = []
-        step = manager.trainer.step
-
-        def spy(block, labels, tracker, start, stop, objective):
-            seen.append((start, stop, objective))
-            return step(block, labels, tracker, start, stop, objective)
-
-        manager.trainer.step = spy
-        manager.online_step(features, batch_rows=3)
-        # ... and only the last range's objective is evaluated.
-        assert seen == [(0, 3, False), (3, 6, False), (6, 8, True)]
+        charged, evaluated = [], []
         tracker = manager.engine.tracker
+        charge, loss = tracker.charge_training_steps, manager.model.loss
+        value = loss.value
+
+        def charge_spy(values, label):
+            charged.append(list(values))
+            charge(values, label)
+
+        def value_spy(decision, targets):
+            evaluated.append(len(decision))
+            return value(decision, targets)
+
+        tracker.charge_training_steps, loss.value = charge_spy, value_spy
+        manager.online_step(features, batch_rows=3)
+        # One charge a range, the last one 2 rows wide ...
+        assert charged == [[3, 3, 2]]
+        # ... and only the last range's objective is evaluated.
+        assert evaluated == [2]
+        assert manager.model.updates_applied == 3
         assert tracker.category("training") == pytest.approx(
             tracker.model.training_cost_per_value * 8
         )

@@ -8,7 +8,6 @@ from repro.ml.metrics import (
     PrequentialTracker,
     accuracy,
     errors_from_predictions,
-    mean_absolute_error,
     mean_squared_error,
     metric_kind,
     misclassification_rate,
@@ -29,11 +28,10 @@ class TestPointMetrics:
         assert misclassification_rate(y, y) == 0.0
         assert accuracy(y, y) == 1.0
 
-    def test_mse_and_mae(self):
+    def test_mean_squared_error(self):
         y = np.array([0.0, 2.0])
         p = np.array([1.0, 0.0])
         assert mean_squared_error(y, p) == pytest.approx(2.5)
-        assert mean_absolute_error(y, p) == pytest.approx(1.5)
 
     def test_rmsle_basics(self):
         y = np.array([np.e - 1.0])

@@ -87,15 +87,6 @@ class TestClassifiers:
         proba = model.predict_proba(rng.standard_normal((20, 3)))
         assert np.all((proba >= 0) & (proba <= 1))
 
-    def test_svm_margins(self, rng):
-        model = LinearSVM(num_features=2)
-        model.weights = np.array([1.0, 0.0])
-        x = np.array([[2.0, 0.0]])
-        assert model.margins(x, np.array([1.0]))[0] == pytest.approx(2.0)
-        assert model.margins(x, np.array([-1.0]))[0] == pytest.approx(
-            -2.0
-        )
-
 
 class TestSparseSupport:
     def test_sparse_dense_agreement(self, rng):

@@ -43,14 +43,6 @@ class TestUpdateRules:
         new = optimizer.step(np.array([1.0]), np.array([2.0]))
         assert new[0] == 0.0
 
-    def test_inverse_scaling_decays(self):
-        optimizer = InverseScalingLR(1.0, power=1.0)
-        first = optimizer.current_learning_rate()
-        optimizer.step(np.array([0.0]), np.array([1.0]))
-        second = optimizer.current_learning_rate()
-        assert first == 1.0
-        assert second == 0.5
-
     def test_momentum_accumulates_velocity(self):
         optimizer = Momentum(learning_rate=0.1, beta=0.9)
         params = np.array([0.0])

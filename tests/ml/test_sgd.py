@@ -1,5 +1,6 @@
 """Unit tests for the mini-batch SGD trainer."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,10 +9,13 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.execution.cost import CostTracker
+from repro.execution.engine import LocalExecutionEngine
 from repro.ml.batch import Block
-from repro.ml.models import LinearRegression
-from repro.ml.optim import Adam, ConstantLR
+from repro.ml.models import LinearRegression, LinearSVM
+from repro.ml.optim import Adam, ConstantLR, RMSProp
+from repro.ml.regularizers import L2
 from repro.ml.sgd import SGDTrainer
+from repro.pipeline.component import Features
 
 # Several tests intentionally stop training at an iteration cap.
 pytestmark = pytest.mark.filterwarnings(
@@ -91,6 +95,68 @@ class TestStep:
         trainer = SGDTrainer(LinearRegression(3), ConstantLR(0.01))
         with pytest.raises(ValidationError, match="without targets"):
             trainer.step(Block(rng.standard_normal((4, 3))))
+
+
+class TestChecksBeforeAnythingMoves:
+    """The online update checks once per chunk, not once per row, and
+    still before the first row moves anything: the error (type and
+    message as when every row was checked) leaves parameters,
+    optimizer state, update count and cost tracker byte for byte."""
+
+    @staticmethod
+    def warm_learner(rng, sparse):
+        if sparse:
+            model = LinearSVM(8, regularizer=L2(1e-3))
+            trainer = SGDTrainer(model, Adam(0.05))
+            matrix = sp.random(6, 8, density=0.4, format="csr", rng=rng)
+            labels = rng.choice([-1.0, 1.0], size=6)
+        else:
+            model = LinearRegression(8, regularizer=L2(1e-4))
+            trainer = SGDTrainer(model, RMSProp(0.05))
+            matrix = rng.standard_normal((6, 8))
+            labels = rng.standard_normal(6)
+        engine = LocalExecutionEngine()
+        engine.online_update(trainer, Features(matrix, labels), 1)
+        return engine, trainer, matrix, labels
+
+    @staticmethod
+    def snapshot(engine, trainer):
+        state = trainer.optimizer.state_dict()
+        return (
+            trainer.model.params.tobytes(),
+            {k: np.asarray(v).tobytes() for k, v in state["state"].items()},
+            state["dim"],
+            trainer.model.updates_applied,
+            engine.tracker.state_dict(),
+        )
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("width", "features have 9 columns, model expects 8"),
+            ("targets", "cannot train on a block without targets"),
+            ("sizing", "optimizer was sized for 4 parameters, got 9"),
+        ],
+    )
+    def test_a_failed_check_moves_nothing(self, rng, sparse, case, message):
+        engine, trainer, matrix, labels = self.warm_learner(rng, sparse)
+        if case == "width":
+            wide = sp.hstack([matrix, matrix[:, :1]], format="csr") if (
+                sparse
+            ) else np.hstack([matrix, matrix[:, :1]])
+            chunk = Features(wide, labels)
+        elif case == "targets":
+            chunk = Features(matrix, None)
+        else:
+            other = trainer.optimizer.clone()
+            other.step(np.zeros(4), np.ones(4))  # sized for 4
+            trainer.optimizer.load_state_dict(other.state_dict())
+            chunk = Features(matrix, labels)
+        before = self.snapshot(engine, trainer)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            engine.online_update(trainer, chunk, 1)
+        assert self.snapshot(engine, trainer) == before
 
 
 class TestTrain:

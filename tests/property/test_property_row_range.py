@@ -133,6 +133,12 @@ def test_range_kernels_match_sliced_reference(seed, make_block):
                     features, targets, start, stop
                 )
                 assert got_grad.tobytes() == grad.tobytes(), where
+                # Unevaluated, a one-row dense range is spelled apart.
+                unevaluated, none = model.gradient(
+                    features, targets, start, stop, False
+                )
+                assert unevaluated.tobytes() == grad.tobytes(), where
+                assert none is None, where
                 assert (
                     np.float64(got_objective).tobytes()
                     == np.float64(objective).tobytes()
