@@ -173,18 +173,20 @@ smoke-serving:
 # A baseline for the reference workload, then an identical re-run
 # gated against it: the self-comparison must pass exactly, because
 # every metric in the store is deterministic (DESIGN.md §10). Then the
-# profile that workload's digest is taken from.
+# run that workload's profile digest is taken from, and its report.
 REFERENCE := benchmarks/bench_trajectories.py::test_reference_workload
 smoke-perf:
 	REPRO_BENCH_STORE=$D/baselines $(BENCH_GATE) $(REFERENCE)
 	REPRO_BENCH_STORE=$D/baselines REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
 		$(REFERENCE)
-	$(RUN) 120 python -m repro perf profile --dataset url --scale test
+	$(RUN) 120 python -m repro run --approach continuous --dataset url \
+		--scale test --run-dir $D/p
+	$(REPRO) obs $D/p
 
 # A drifting deployment must fire AND resolve a drift alert (the
 # example exits non-zero otherwise), two identical-seed instrumented
-# runs must produce byte-identical health.json timelines, and the obs
-# CLI must render a run directory's timeline and trace.
+# runs must produce byte-identical health.json timelines, and the one
+# reader must render the run directory.
 smoke-monitor:
 	$(RUN) 120 python examples/health_monitor.py
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
@@ -192,8 +194,7 @@ smoke-monitor:
 	$(RUN) 120 python -m repro exp1 --dataset url --scale test \
 		--run-dir $D/b
 	cmp $D/a/health.json $D/b/health.json
-	$(REPRO) obs health $D/a/health.json
-	$(REPRO) obs summary $D/a/trace.jsonl
+	$(REPRO) obs $D/a
 
 # exp7 must shed load during the burst and keep both identity
 # guarantees (batched == row-at-a-time, fresh-endpoint replay), two
@@ -249,11 +250,7 @@ smoke-fleet:
 smoke-lineage:
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
 		--run-dir $D/a
-	$(REPRO) obs lineage show $D/a/lineage.json
-	$(REPRO) obs lineage blame $D/a/lineage.json \
-		--version model:blind:v0002
-	$(REPRO) obs lineage trace $D/a/lineage.json \
-		--chunk chunk:0
+	$(REPRO) obs $D/a --version model:blind:v0002 --chunk chunk:0
 	$(RUN) 120 python -m repro exp5 --dataset url --scale test \
 		--run-dir $D/b
 	cmp $D/a/lineage.json $D/b/lineage.json

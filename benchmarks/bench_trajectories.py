@@ -4,8 +4,9 @@ Two committed ``BENCH_*.json`` files record runs whose shape does not
 follow ``REPRO_BENCH_SCALE``:
 
 * ``run_url_test_continuous`` — the CLI reference workload, the run
-  ``repro perf profile`` folds by default: the URL scenario at test
-  scale, continuous deployment, traced. Its record carries the
+  ``repro run --run-dir D`` makes (``repro obs D`` prints its
+  profile): the URL scenario at test scale, continuous deployment,
+  traced. Its record carries the
   headline cost/quality numbers, one ``n_<counter>`` count per
   platform counter, and the profile digest of the folded span tree,
   so a cost that moved between components with the totals intact
@@ -29,7 +30,8 @@ from repro.experiments.exp8_fleet import (
 )
 from repro.obs import Telemetry, build_profile, profile_digest
 
-#: The reference workload: ``repro perf profile``'s default run.
+#: The reference workload: ``repro run --approach continuous --dataset
+#: url --scale test``.
 _REFERENCE = url_scenario("test")
 _APPROACH = "continuous"
 

@@ -18,14 +18,13 @@ deployment (``exp1 fig5 fig6 fig7 fig8 exp5 exp7 exp6 serve run
 recover fleet exp8``) instruments the run and writes its record under
 ``DIR``: ``run.json`` (argv, git sha), ``trace.jsonl`` (every event),
 ``health.json`` (the monitor's incident timeline) and ``lineage.json``
-(the provenance ledger). ``repro obs`` and ``repro perf`` read them
-back::
+(the provenance ledger). ``repro obs DIR`` reads them back as one
+report: replay line, health, lineage, cost by layer, trace summary
+and the last events::
 
     python -m repro exp1 --dataset url --scale test --run-dir run1
-    python -m repro obs summary run1/trace.jsonl
-    python -m repro obs tail run1/trace.jsonl --limit 30
-    python -m repro obs health run1/health.json
-    python -m repro obs lineage show run1/lineage.json
+    python -m repro obs run1
+    python -m repro obs run1 --version v0002 --chunk chunk:0
 
 Serving: ``repro serve`` runs a full train-register-canary-serve loop
 against a model registry directory, and ``repro registry`` inspects
@@ -48,14 +47,6 @@ exp6`` measures checkpoint cadence vs recovery cost::
     python -m repro recover --approach continuous \
         --checkpoint-dir ./ckpt --dataset url --scale test
     python -m repro exp6 --dataset url --scale test
-
-Performance: ``repro perf profile`` folds a run (or a ``--trace``
-file) into a tree of where its virtual cost goes; the committed
-``BENCH_*.json`` trajectories are written and gated by the benchmark
-suite alone (``make bench-record`` / ``make bench-check``)::
-
-    python -m repro perf profile --dataset url --scale test
-    python -m repro perf profile --trace run1/trace.jsonl --json p.json
 
 Fleet: ``repro fleet`` orchestrates many tenant pipelines against
 shared bounded budgets (deterministic fair-share scheduling, byte
@@ -138,10 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="instrument the run and write its record under DIR: "
             "run.json (argv, git sha), trace.jsonl, health.json and "
-            "lineage.json. Read them back with 'repro obs "
-            "summary|tail|health|lineage' and 'repro perf profile "
-            "--trace DIR/trace.jsonl'; summaries and profiles come "
-            "from the trace, which holds every event",
+            "lineage.json. Read them back with 'repro obs DIR', "
+            "whose summary and cost by layer come from the trace, "
+            "which holds every event",
         )
 
     exp1 = commands.add_parser(
@@ -191,46 +181,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = commands.add_parser(
         "obs",
-        help="read back a run directory: summarize or tail its trace, "
-        "render its health timeline, or query its lineage",
+        help="read back a run directory: one report of its replay "
+        "line, health, lineage, cost by layer, trace summary and last "
+        "events",
     )
     obs.add_argument(
-        "action",
-        choices=("summary", "tail", "health", "lineage"),
-        help="summary = per-span percentile table + counters; "
-        "tail = the last events, one line each; health = the "
-        "incident timeline and the rule table with firing counts; "
-        "lineage = provenance queries over a lineage.json "
-        "(sub-actions show/blame/trace)",
-    )
-    obs.add_argument(
-        "trace",
-        help="a run directory's trace.jsonl (for health, its "
-        "health.json; for lineage, the sub-action show|blame|trace)",
-    )
-    obs.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="lineage only: a run directory's lineage.json",
+        "run_dir",
+        metavar="DIR",
+        help="a directory a --run-dir run wrote",
     )
     obs.add_argument(
         "--version",
         default=None,
         dest="lineage_version",
-        help="lineage blame: model version to explain (full node id "
-        "'model:<registry>:vNNNN' or any unique suffix, e.g. v0003)",
+        metavar="VERSION",
+        help="also list the training chunks behind this model version "
+        "(full node id 'model:<registry>:vNNNN' or any unique suffix, "
+        "e.g. v0003)",
     )
     obs.add_argument(
         "--chunk",
         default=None,
         dest="lineage_chunk",
-        help="lineage trace: chunk to follow downstream (full node "
-        "id 'chunk:<timestamp>' or any unique suffix)",
-    )
-    obs.add_argument(
-        "--limit", type=int, default=20,
-        help="number of events shown by 'tail' (default: 20)",
+        metavar="CHUNK",
+        help="also follow this chunk downstream to every training, "
+        "model and incident (full node id 'chunk:<timestamp>' or any "
+        "unique suffix)",
     )
 
     exp5 = commands.add_parser(
@@ -300,55 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="synth only: replay-pool size requests sample from "
         "(default: 256)",
-    )
-
-    perf = commands.add_parser(
-        "perf",
-        help="performance observatory: profile where a run's cost goes",
-    )
-    perf.add_argument(
-        "action",
-        choices=("profile",),
-        help="profile = run a workload (or fold --trace) into a "
-        "cost-attribution tree",
-    )
-    add_scenario_options(perf)
-    perf.add_argument(
-        "--approach",
-        choices=APPROACHES,
-        default="continuous",
-        help="deployment approach the workload runs (default: "
-        "continuous)",
-    )
-    perf.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="'profile' folds this JSONL trace instead of running a "
-        "workload",
-    )
-    perf.add_argument(
-        "--json",
-        metavar="PATH",
-        dest="json_out",
-        default=None,
-        help="'profile' also writes the tree as JSON to PATH",
-    )
-    perf.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        default=None,
-        help="'profile' also writes collapsed-stack (flamegraph) text",
-    )
-    perf.add_argument(
-        "--depth", type=int, default=None,
-        help="'profile' rendering depth limit",
-    )
-    perf.add_argument(
-        "--min-fraction",
-        type=float,
-        default=0.0,
-        help="'profile' hides paths below this share of total cost",
     )
 
     serve = commands.add_parser(
@@ -741,7 +668,7 @@ def _finish(args: argparse.Namespace, telemetry) -> None:
     ``lineage.json`` is written while the trace is still open, so its
     export point lands in it; then the final metrics snapshot, and
     ``health.json`` once the chain is closed. Renderings are left to
-    the readers (``repro obs``, ``repro perf profile --trace``).
+    the reader, ``repro obs DIR``.
     """
     if telemetry is None:
         return
@@ -797,82 +724,69 @@ def _command_exp1(args: argparse.Namespace) -> None:
 
 
 def _command_obs(args: argparse.Namespace) -> None:
-    from repro.obs import format_summary, format_tail, load_jsonl
-    from repro.obs.summary import summarize_events
-
-    if args.action == "lineage":
-        _obs_lineage(args)
-        return
-    if args.action == "health":
-        _obs_health(args)
-        return
-    events = load_jsonl(args.trace)
-    if args.action == "summary":
-        print(format_summary(summarize_events(events)))
-    else:
-        print(format_tail(events, limit=args.limit))
-
-
-def _obs_lineage(args: argparse.Namespace) -> None:
-    """``repro obs lineage {show,blame,trace}`` over a lineage.json.
-
-    ``show`` prints the node/edge census and live versions; ``blame
-    --version vN`` lists the training chunks (with sampling weights)
-    behind a model version; ``trace --chunk C`` walks forward from a
-    chunk to every downstream training, model, and incident.
-    """
-    from repro.obs import (
-        format_blame,
-        format_lineage,
-        format_trace,
-        load_lineage,
-    )
-
-    sub = args.trace
-    if sub not in ("show", "blame", "trace"):
-        raise SystemExit(
-            f"unknown lineage sub-action {sub!r} "
-            "(expected show, blame, or trace)"
-        )
-    if args.path is None:
-        raise SystemExit(
-            "obs lineage requires a lineage.json path "
-            "(a --run-dir writes one)"
-        )
-    ledger = load_lineage(args.path)
-    if sub == "show":
-        print(format_lineage(ledger))
-    elif sub == "blame":
-        if args.lineage_version is None:
-            raise SystemExit("obs lineage blame requires --version")
-        print(format_blame(ledger.blame(args.lineage_version)))
-    else:
-        if args.lineage_chunk is None:
-            raise SystemExit("obs lineage trace requires --chunk")
-        print(format_trace(ledger.trace(args.lineage_chunk)))
-
-
-def _obs_health(args: argparse.Namespace) -> None:
-    """``repro obs health``: the incident timeline of a run
-    directory's ``health.json``, then its rule table with firing
-    counts."""
+    """``repro obs DIR``: one report of whatever of ``run.json``,
+    ``trace.jsonl``, ``health.json`` and ``lineage.json`` the run
+    directory holds; a crashed run has no health or lineage."""
     import json
+    import shlex
     from pathlib import Path
 
-    from repro.obs import format_alerts, format_timeline
+    from repro.obs import (
+        build_profile,
+        format_alerts,
+        format_blame,
+        format_lineage,
+        format_profile,
+        format_summary,
+        format_tail,
+        format_timeline,
+        format_trace,
+        load_jsonl,
+        load_lineage,
+        summarize_events,
+    )
 
-    try:
-        payload = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-    except ValueError:
-        payload = None
-    if not (isinstance(payload, dict) and "incidents" in payload):
+    run_dir = Path(args.run_dir)
+    if not (run_dir / "run.json").is_file():
         raise SystemExit(
-            f"obs health reads a run directory's health.json; "
-            f"{args.trace} is not one"
+            f"{run_dir} is not a run directory: it has no run.json"
         )
-    print(format_timeline(payload))
-    print()
-    print(format_alerts(payload))
+    record = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    events = load_jsonl(run_dir / "trace.jsonl")
+    sections = [
+        f"replay: python -m repro {shlex.join(record['argv'])}\n"
+        f"git sha: {record['git_sha']}"
+    ]
+    health = run_dir / "health.json"
+    if health.is_file():
+        try:
+            payload = json.loads(health.read_text(encoding="utf-8"))
+        except ValueError:
+            payload = None
+        if not (isinstance(payload, dict) and "incidents" in payload):
+            raise SystemExit(
+                f"repro obs reads a run directory's health.json; "
+                f"{health} is not one"
+            )
+        sections += [format_timeline(payload), format_alerts(payload)]
+    else:
+        sections.append("health: absent")
+    lineage = run_dir / "lineage.json"
+    if lineage.is_file():
+        ledger = load_lineage(lineage)
+        sections.append(format_lineage(ledger))
+        if args.lineage_version is not None:
+            sections.append(format_blame(ledger.blame(args.lineage_version)))
+        if args.lineage_chunk is not None:
+            sections.append(format_trace(ledger.trace(args.lineage_chunk)))
+    else:
+        sections.append("lineage: absent")
+    sections += [
+        "cost by layer:\n" + format_profile(build_profile(events)),
+        "trace summary:\n" + format_summary(summarize_events(events)),
+        "last 20 events:\n" + format_tail(events, limit=20),
+    ]
+    print("\n\n".join(sections))
 
 
 def _command_table3(args: argparse.Namespace) -> None:
@@ -1867,45 +1781,6 @@ def _command_exp6(args: argparse.Namespace) -> None:
     _finish(args, telemetry)
 
 
-def _command_perf(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.experiments.common import run_approach
-    from repro.obs import (
-        Telemetry,
-        build_profile,
-        format_profile,
-        profile_to_dict,
-        profile_trace,
-        to_collapsed,
-    )
-
-    if args.trace is not None:
-        root = profile_trace(args.trace)
-    else:
-        telemetry = Telemetry()
-        run_approach(_scenario(args), args.approach, telemetry)
-        root = build_profile(telemetry.events)
-    if args.json_out is not None:
-        Path(args.json_out).write_text(
-            json.dumps(profile_to_dict(root), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"profile written to {args.json_out}")
-    if args.collapsed is not None:
-        Path(args.collapsed).write_text(
-            to_collapsed(root) + "\n", encoding="utf-8"
-        )
-        print(f"collapsed stacks written to {args.collapsed}")
-    print(
-        format_profile(
-            root, max_depth=args.depth, min_fraction=args.min_fraction
-        )
-    )
-
-
 _COMMANDS = {
     "exp1": _command_exp1,
     "table3": _command_table3,
@@ -1926,7 +1801,6 @@ _COMMANDS = {
     "exp8": _command_exp8,
     "exp6": _command_exp6,
     "lint": _command_lint,
-    "perf": _command_perf,
 }
 
 

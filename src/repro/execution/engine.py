@@ -124,11 +124,10 @@ class LocalExecutionEngine:
         ``values`` stored values): an SGD iteration per consecutive
         range of ``batch_rows`` rows (the last one shorter; ``None``:
         the whole chunk) of a block opened once — never a sliced copy —
-        in one call of the bound kernel
-        (:meth:`~repro.ml.models.base.LinearSGDModel.descend`), then a
-        training charge per iteration, in order. Returns the last
-        range's objective, the only one evaluated; a chunk without rows
-        takes no step, emits nothing, gives 0.0."""
+        in one call of :meth:`SGDTrainer.step`, which runs the bound
+        kernel over the ranges and charges each iteration, in order.
+        Returns the last range's objective, the only one evaluated; a
+        chunk without rows takes no step, emits nothing, gives 0.0."""
         block = Block(features.matrix, features.labels)
         rows = block.rows
         if not rows:
@@ -138,13 +137,9 @@ class LocalExecutionEngine:
         with self.telemetry.tracer.span(
             names.ENGINE_TRAIN_STEP, values=block.num_values(), steps=steps
         ):
-            __, objective = trainer.model.descend(
-                block, trainer.optimizer, 0, rows, size
+            return trainer.step(
+                block, None, self.tracker, batch_rows=size
             )
-            self.tracker.charge_training_steps(
-                block.range_values(size), "sgd_step"
-            )
-        return objective
 
     def train_full(
         self,

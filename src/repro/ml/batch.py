@@ -95,9 +95,13 @@ class Block:
             return (stop - start) * self.width
         return self.bounds[stop] - self.bounds[start]
 
-    def range_values(self, size: int) -> List[int]:
-        """:meth:`num_values` of each consecutive ``size``-row range."""
-        rows, starts = self.rows, range(0, self.rows, size)
+    def range_values(
+        self, size: int, start: int = 0, stop: Optional[int] = None
+    ) -> List[int]:
+        """:meth:`num_values` of each consecutive ``size``-row range of
+        rows ``[start, stop)``."""
+        rows = self.rows if stop is None else stop
+        starts = range(start, rows, size)
         if self.indices is None:
             return [(min(i + size, rows) - i) * self.width for i in starts]
         bounds = self.bounds

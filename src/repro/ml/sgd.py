@@ -15,10 +15,11 @@ Because the optimizer owns all cross-iteration state, iterations are
 conditionally independent given (model parameters, optimizer state) —
 the property §3.3 uses to justify running them at arbitrary times.
 
-A step's gradient is one range of :meth:`LinearSGDModel.descend`, the
-kernel the online update runs once per chunk over all its ranges
-(``LocalExecutionEngine.online_update``), and its update is the
-``prepare`` + ``_update`` of the optimizer that the kernel binds once.
+A step's gradient is one range of :meth:`LinearSGDModel.descend`, and
+its update is the ``prepare`` + ``_update`` of the optimizer that the
+kernel binds once. A step given ``batch_rows`` runs the kernel itself,
+once over all the ranges of a chunk: that is the online update
+(``LocalExecutionEngine.online_update``).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class SGDTrainer:
         start: int = 0,
         stop: Optional[int] = None,
         objective: bool = True,
+        batch_rows: Optional[int] = None,
     ) -> Optional[float]:
         """One SGD iteration on rows ``[start, stop)`` of the given
         block (all of it by default); returns the objective, or
@@ -81,10 +83,25 @@ class SGDTrainer:
 
         The range *is* the mini-batch — sampling happens upstream (the
         data manager for proactive training, consecutive row ranges of
-        the chunk itself for the online update).
+        the chunk itself for the online update). With ``batch_rows``,
+        the step is a chunk's online update: an iteration per
+        consecutive range of that many rows of ``[start, stop)``, in
+        one call of the bound kernel
+        (:meth:`~repro.ml.models.base.LinearSGDModel.descend`), then a
+        training charge per range, in order; the objective is the last
+        range's.
         """
         block = open_block(features, targets)
         model = self.model
+        if batch_rows is not None:
+            __, value = model.descend(
+                block, self.optimizer, start, stop, batch_rows, objective
+            )
+            if tracker is not None:
+                tracker.charge_training_steps(
+                    block.range_values(batch_rows, start, stop), "sgd_step"
+                )
+            return value
         grad, value = model.gradient(block, None, start, stop, objective)
         params = model.params
         self.optimizer.step(params, grad, out=params)

@@ -10,24 +10,24 @@ A cross-cutting observability layer with three primitives:
   clocks (deterministic cost units and wall seconds), with a no-op
   :class:`NullTracer` so disabled tracing costs one no-op call;
 * sinks and exporters — an in-memory ring buffer, a JSONL file sink,
-  and summary rendering (``repro obs summary`` / ``repro obs tail``);
+  and summary rendering (a trace's span table and its last events);
 * the performance observatory — a cost-attribution profiler folding
   span streams into a hierarchical profile tree
   (:func:`build_profile`), persisted benchmark baselines
   (:class:`BaselineStore` / ``BENCH_<name>.json`` trajectories), and
-  an exact-match regression gate (:func:`check_record`); ``repro perf
-  profile`` renders the tree, and the benchmark suite's
-  ``bench_record`` fixture is the one writer and gate of the store;
+  an exact-match regression gate (:func:`check_record`); the
+  benchmark suite's ``bench_record`` fixture is the one writer and
+  gate of the store;
 * the live health monitor — a :class:`HealthMonitor` spliced into the
   sink chain (``telemetry.attach_monitor()``) aggregates the event
   stream into tumbling/sliding virtual-clock windows, evaluates
   declarative :class:`AlertRule` sets, manages the pending → firing →
   resolved incident lifecycle, and exports a deterministic
-  ``health.json`` timeline, rendered by ``repro obs health``.
+  ``health.json`` timeline.
 
 On the CLI, ``--run-dir DIR`` attaches all of it to a run and writes
-``DIR/{run.json,trace.jsonl,health.json,lineage.json}``; ``repro
-obs`` and ``repro perf profile --trace`` read them back. In code,
+``DIR/{run.json,trace.jsonl,health.json,lineage.json}``; ``repro obs
+DIR`` reads them back as one report. In code,
 enable telemetry on any deployment by passing a bundle::
 
     from repro.obs import (
@@ -92,10 +92,8 @@ from repro.obs.profile import (
     build_profile,
     format_profile,
     profile_digest,
-    profile_to_dict,
     profile_trace,
     subsystem_totals,
-    to_collapsed,
 )
 from repro.obs.sink import (
     EventSink,
@@ -164,10 +162,8 @@ __all__ = [
     "build_profile",
     "format_profile",
     "profile_digest",
-    "profile_to_dict",
     "profile_trace",
     "subsystem_totals",
-    "to_collapsed",
     # baselines
     "BaselineStore",
     "BenchRecord",

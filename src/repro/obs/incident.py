@@ -253,7 +253,8 @@ def _fmt_t(value: Optional[float]) -> str:
 
 
 def format_timeline(payload: Dict[str, object]) -> str:
-    """Render a health payload as the ``repro obs health`` report."""
+    """Render a health payload as the health timeline of ``repro obs
+    DIR``."""
     lines = [
         f"health timeline (schema {payload.get('schema')}, "
         f"window {payload.get('window'):g} cost units, "
@@ -293,8 +294,8 @@ def format_timeline(payload: Dict[str, object]) -> str:
 
 
 def format_alerts(payload: Dict[str, object]) -> str:
-    """Render the rule table + firing counts (the second half of
-    ``repro obs health``)."""
+    """Render the rule table + firing counts (the health section's
+    second half in ``repro obs DIR``)."""
     rules = payload.get("rules", [])
     incidents = payload.get("incidents", [])
     fired_by_rule: Dict[str, int] = {}

@@ -123,9 +123,6 @@ class LineageLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def node(self, node_id: str) -> Dict[str, Any]:
         """The node entry for ``node_id`` (KeyError when absent)."""
         return self._entries[self._nodes[node_id]]
@@ -583,7 +580,7 @@ class LineageLedger:
 # Rendering (CLI)
 # ----------------------------------------------------------------------
 def format_lineage(ledger: LineageLedger) -> str:
-    """Render the ledger summary for ``repro obs lineage show``."""
+    """Render the ledger census for ``repro obs DIR``."""
     counts = ledger.counts()
     lines = ["provenance ledger"]
     for kind in NODE_KINDS:

@@ -316,10 +316,6 @@ class HealthMonitor(EventSink):
         if ledger is not None:
             self._ledger = ledger
 
-    @property
-    def watched_signals(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._series))
-
     # ------------------------------------------------------------------
     # EventSink interface — the live intake
     # ------------------------------------------------------------------

@@ -12,9 +12,8 @@ per-run answer to "where did the cost go":
   runs produce byte-identical trees — :func:`profile_digest` hashes
   exactly that deterministic part, giving the benchmark baseline store
   a cheap "did the cost shape change at all" fingerprint;
-* exports: an aligned text rendering (``repro perf profile``), a
-  JSON-ready dict, and collapsed-stack text (one ``path count`` line
-  per call path) that flamegraph tooling consumes directly.
+* an aligned text rendering, the "cost by layer" section of ``repro
+  obs DIR``.
 
 Spans from different deployments may share one trace (several runs
 instrumented through one :class:`~repro.obs.telemetry.Telemetry`);
@@ -27,14 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.sink import EventDict, load_jsonl
 from repro.utils.text import _align
-
-#: Version tag stamped into exported profiles so offline consumers can
-#: reject trees from a future layout.
-PROFILE_SCHEMA = 1
 
 
 @dataclass
@@ -138,34 +133,6 @@ def subsystem_totals(root: ProfileNode) -> Dict[str, Dict[str, float]]:
     return totals
 
 
-# ----------------------------------------------------------------------
-# Exports
-# ----------------------------------------------------------------------
-def profile_to_dict(root: ProfileNode) -> Dict[str, object]:
-    """JSON-ready dict of the whole tree (schema-versioned)."""
-    return {
-        "schema": PROFILE_SCHEMA,
-        "digest": profile_digest(root),
-        "tree": _node_to_dict(root),
-        "subsystems": subsystem_totals(root),
-    }
-
-
-def _node_to_dict(node: ProfileNode) -> Dict[str, object]:
-    return {
-        "name": node.name,
-        "count": node.count,
-        "cum_cost": node.cum_cost,
-        "self_cost": node.self_cost,
-        "cum_wall": node.cum_wall,
-        "self_wall": node.self_wall,
-        "children": [
-            _node_to_dict(child)
-            for _, child in sorted(node.children.items())
-        ],
-    }
-
-
 def profile_digest(root: ProfileNode) -> str:
     """SHA-256 over the deterministic (virtual-clock) half of the tree.
 
@@ -187,44 +154,13 @@ def profile_digest(root: ProfileNode) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def to_collapsed(root: ProfileNode, scale: float = 1000.0) -> str:
-    """Collapsed-stack text: ``run;a;b <self cost>`` per call path.
-
-    The flamegraph interchange format wants integer sample counts, so
-    self costs are scaled (default: milli-cost-units) and rounded;
-    zero-valued paths are kept whenever the path was entered at all so
-    no call path silently vanishes from the graph.
-    """
-    lines: List[str] = []
-
-    def emit(node: ProfileNode, path: Tuple[str, ...]) -> None:
-        here = path + (node.name,)
-        value = int(round(node.self_cost * scale))
-        if node.count or value:
-            lines.append(f"{';'.join(here)} {max(value, 0)}")
-        for _, child in sorted(node.children.items()):
-            emit(child, here)
-
-    for _, child in sorted(root.children.items()):
-        emit(child, (ROOT_NAME,))
-    return "\n".join(lines)
-
-
-def format_profile(
-    root: ProfileNode,
-    max_depth: Optional[int] = None,
-    min_fraction: float = 0.0,
-) -> str:
+def format_profile(root: ProfileNode) -> str:
     """Aligned text tree: per-path count, cum/self cost, %, wall."""
     total = root.cum_cost
     rows: List[Sequence[str]] = [
         ("path", "count", "cum", "self", "cum%", "wall_s")
     ]
     for depth, node in root.walk():
-        if max_depth is not None and depth > max_depth:
-            continue
-        if depth and total > 0.0 and node.cum_cost / total < min_fraction:
-            continue
         share = node.cum_cost / total if total > 0.0 else 0.0
         rows.append(
             (

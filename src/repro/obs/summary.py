@@ -3,7 +3,7 @@
 Consumes the JSONL event schema (:data:`repro.obs.trace.EVENT_FIELDS`)
 — live from a :class:`~repro.obs.telemetry.Telemetry` ring buffer or
 offline from a trace file — and produces the per-run summary the
-``repro obs summary`` CLI prints: per-span-name counts and exact
+trace-summary section of ``repro obs DIR`` prints: per-span-name counts and exact
 p50/p95/p99 durations on the virtual clock, point-event counts, and
 the final counter/gauge state.
 """
@@ -35,7 +35,7 @@ class SpanSummary:
 
 @dataclass
 class TraceSummary:
-    """Everything ``repro obs summary`` reports for one trace."""
+    """Everything the trace summary of ``repro obs DIR`` reports."""
 
     spans: List[SpanSummary] = field(default_factory=list)
     points: Dict[str, int] = field(default_factory=dict)
@@ -45,10 +45,6 @@ class TraceSummary:
     #: streaming histograms in the run's final metrics snapshot.
     histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     events: int = 0
-
-    @property
-    def total_span_dur(self) -> float:
-        return sum(span.total_dur for span in self.spans)
 
 
 def summarize_events(

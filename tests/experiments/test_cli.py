@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -62,21 +63,23 @@ class TestParser:
             ["exp5", "--lineage", "lineage.json"],
             ["obs", "alerts", "health.json"],
             ["obs", "health", "run.jsonl", "--rules", "rules.json"],
+            ["perf", "profile"],
+            ["obs", "summary", "t"],
+            ["obs", "lineage", "show", "l"],
+            ["obs", "D", "--limit", "5"],
         ],
     )
     def test_one_flag_instruments_a_run(self, argv):
-        # --run-dir replaced the per-artifact flags, and obs health
-        # reads a health.json instead of replaying a trace.
+        # --run-dir replaced the per-artifact flags, and 'obs DIR'
+        # replaced the readers of each artifact.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
     def test_obs_options(self):
-        args = build_parser().parse_args(
-            ["obs", "tail", "run.jsonl", "--limit", "7"]
-        )
-        assert args.action == "tail"
-        assert args.trace == "run.jsonl"
-        assert args.limit == 7
+        args = build_parser().parse_args(["obs", "run1"])
+        assert args.run_dir == "run1"
+        assert args.lineage_version is None
+        assert args.lineage_chunk is None
 
     def test_obs_invalid_action_rejected(self):
         with pytest.raises(SystemExit):
@@ -184,7 +187,7 @@ class TestExecutionExtended:
 
 
 class TestObservabilityCommands:
-    """exp1 --run-dir plus the obs subcommands that read it back."""
+    """exp1 --run-dir plus the one reader, ``repro obs DIR``."""
 
     def test_exp1_trace_then_summarize_and_tail(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
@@ -196,25 +199,36 @@ class TestObservabilityCommands:
         assert out.endswith(f"run directory written to {run_dir}\n")
         assert trace.exists()
 
-        assert main(["obs", "summary", str(trace)]) == 0
+        assert main(["obs", str(run_dir)]) == 0
         out = capsys.readouterr().out
         # The trace must cover engine, platform, scheduler, cache,
         # and sampler instrumentation.
-        assert "engine.online_pass" in out
-        assert "platform.proactive_training" in out
-        assert "scheduler.decision" in out
-        assert "cache.hits" in out
-        assert "sampler.chunk_age" in out
-
-        assert main(["obs", "tail", str(trace), "--limit", "5"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 5
+        summary = out[out.index("trace summary:"):out.index("last 20")]
+        assert "engine.online_pass" in summary
+        assert "platform.proactive_training" in summary
+        assert "scheduler.decision" in summary
+        assert "cache.hits" in summary
+        assert "sampler.chunk_age" in summary
+        tail = out[out.index("last 20 events:\n"):].splitlines()[1:]
+        assert len(tail) == 20
+        assert out.startswith(
+            "replay: python -m repro exp1 --scale test --run-dir "
+        )
 
     def test_obs_summary_missing_file_raises(self, tmp_path):
         from repro.exceptions import ValidationError
 
-        with pytest.raises(ValidationError):
-            main(["obs", "summary", str(tmp_path / "absent.jsonl")])
+        (tmp_path / "run.json").write_text(
+            json.dumps({"argv": ["exp1"], "git_sha": None})
+        )
+        with pytest.raises(ValidationError, match="trace.jsonl"):
+            main(["obs", str(tmp_path)])
+
+    def test_directory_without_run_json_exits_one_line(self, tmp_path):
+        with pytest.raises(SystemExit, match="run.json") as error:
+            main(["obs", str(tmp_path)])
+        assert str(tmp_path) in str(error.value.code)
+        assert "\n" not in str(error.value.code)
 
     def test_obs_health_prints_timeline_then_rules(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
@@ -222,14 +236,57 @@ class TestObservabilityCommands:
             ["exp1", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
         capsys.readouterr()
-        assert main(["obs", "health", str(run_dir / "health.json")]) == 0
+        assert main(["obs", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("health timeline (schema 1")
-        assert "\nalert rules (" in out
+        timeline = out.index("\n\nhealth timeline (schema 1")
+        assert timeline < out.index("\n\nalert rules (")
         # A trace is not a health payload: one line, no traceback.
+        (run_dir / "health.json").write_bytes(
+            (run_dir / "trace.jsonl").read_bytes()
+        )
         with pytest.raises(SystemExit, match="health.json") as error:
-            main(["obs", "health", str(run_dir / "trace.jsonl")])
+            main(["obs", str(run_dir)])
         assert "\n" not in str(error.value.code)
+
+    def test_crashed_run_dir_renders_what_it_has(self, tmp_path):
+        """A SIGKILLed run leaves run.json and the trace: the report
+        prints those sections and names the other two absent."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        run_dir = tmp_path / "run"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+        }
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--scale", "test",
+             "--sigkill-at", "12", "--run-dir", str(run_dir)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert crashed.returncode == -9
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "run.json", "trace.jsonl",
+        ]
+        report = subprocess.run(
+            [sys.executable, "-m", "repro", "obs", str(run_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert report.returncode == 0, report.stderr
+        out = report.stdout
+        assert out.startswith(
+            "replay: python -m repro run --scale test --sigkill-at 12 "
+            f"--run-dir {run_dir}\n"
+        )
+        assert "\n\nhealth: absent\n\nlineage: absent\n\n" in out
+        assert "cost by layer:" in out
+        assert "    engine.train_full" in out
+        assert "profile digest: " in out
+        tail = out[out.index("last 20 events:\n"):].splitlines()[1:]
+        assert len(tail) == 20
 
 
 class TestServingCommands:
@@ -286,7 +343,7 @@ class TestServingCommands:
     ):
         """Like every instrumented command, ``serve --run-dir`` closes
         its trace with the final counters (it used to write none, so
-        ``obs summary`` had no metrics to show)."""
+        the report's trace summary had no metrics to show)."""
         from repro.obs import load_jsonl
 
         run_dir = tmp_path / "run"
@@ -306,8 +363,9 @@ class TestServingCommands:
         ][-1]
         assert last["kind"] == "metrics"
         assert last["attrs"]["counters"]["serving.batches"] > 0
-        assert main(["obs", "summary", str(trace)]) == 0
-        assert "serving.batches" in capsys.readouterr().out
+        assert main(["obs", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "serving.batches" in out[out.index("trace summary:"):]
 
     def test_registry_missing_manifest_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="no registry manifest"):
@@ -415,26 +473,6 @@ class TestExp6Command:
 
 
 class TestPerfParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["perf", "profile"])
-        assert args.action == "profile"
-        assert args.approach == "continuous"
-        assert args.trace is None
-
-    def test_options(self):
-        args = build_parser().parse_args(
-            ["perf", "profile", "--dataset", "taxi", "--approach",
-             "online", "--depth", "2", "--min-fraction", "0.1"]
-        )
-        assert args.dataset == "taxi"
-        assert args.approach == "online"
-        assert args.depth == 2
-        assert args.min_fraction == 0.1
-
-    def test_invalid_action_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "flamegraph"])
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -461,21 +499,25 @@ class TestPerfParser:
 
 
 class TestPerfCommands:
-    """``repro perf profile``, on a run or on a trace."""
+    """Cost by layer: the profile section of ``repro obs DIR``."""
 
     def test_profile_prints_tree_and_digest(self, capsys, tmp_path):
-        json_out = tmp_path / "profile.json"
-        collapsed = tmp_path / "profile.folded"
+        # The CLI reference workload: its digest is the one
+        # benchmarks/bench_trajectories.py records.
+        run_dir = tmp_path / "run"
         assert main(
-            ["perf", "profile", "--scale", "test",
-             "--json", str(json_out), "--collapsed", str(collapsed)]
+            ["run", "--approach", "continuous", "--dataset", "url",
+             "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
+        capsys.readouterr()
+        assert main(["obs", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "platform.observe" in out
-        assert "profile digest:" in out
+        assert "\n    platform.observe " in out
         assert "self cost by subsystem:" in out
-        assert json_out.exists()
-        assert collapsed.read_text().startswith("run;")
+        assert (
+            "profile digest: fe639e9cc0e51926f025bb7d61be9ee6e4e00657"
+            "7f926a9610c9063d0a7005ca\n"
+        ) in out
 
     def test_profile_folds_existing_trace(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
@@ -483,12 +525,11 @@ class TestPerfCommands:
             ["exp1", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
         capsys.readouterr()
-        assert main(
-            ["perf", "profile", "--trace", str(run_dir / "trace.jsonl")]
-        ) == 0
+        assert main(["obs", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "engine.online_pass" in out
-        assert "profile digest:" in out
+        profile = out[out.index("cost by layer:"):out.index("trace summary:")]
+        assert "engine.online_pass" in profile
+        assert "profile digest:" in profile
 
     def test_profile_of_a_run_dir_covers_every_event(
         self, capsys, tmp_path, monkeypatch
@@ -498,7 +539,7 @@ class TestPerfCommands:
         events, fig7's profile still attributes every cost unit its
         13 deployments spent (12 cells plus NoOptimization)."""
         import repro.experiments.exp3_materialization as exp3
-        from repro.obs import Telemetry
+        from repro.obs import Telemetry, profile_trace, subsystem_totals
 
         monkeypatch.setattr(
             Telemetry.__init__, "__defaults__", (None, 64, True)
@@ -519,12 +560,9 @@ class TestPerfCommands:
         assert len(costs) == 12
         out = capsys.readouterr().out
         assert f"NoOptimization: {no_optimization:.3f}" in out
-        profile = tmp_path / "profile.json"
-        assert main(
-            ["perf", "profile", "--trace", str(run_dir / "trace.jsonl"),
-             "--json", str(profile)]
-        ) == 0
-        subsystems = json.loads(profile.read_text())["subsystems"]
+        subsystems = subsystem_totals(
+            profile_trace(run_dir / "trace.jsonl")
+        )
         assert sum(
             entry["self_cost"] for entry in subsystems.values()
         ) == pytest.approx(
@@ -548,60 +586,82 @@ class TestLineageCli:
 
     def test_obs_lineage_options(self):
         args = build_parser().parse_args(
-            ["obs", "lineage", "blame", "lineage.json",
-             "--version", "v0002"]
+            ["obs", "run1", "--version", "v0002", "--chunk", "chunk:3"]
         )
-        assert args.action == "lineage"
-        assert args.trace == "blame"
-        assert args.path == "lineage.json"
+        assert args.run_dir == "run1"
         assert args.lineage_version == "v0002"
-        args = build_parser().parse_args(
-            ["obs", "lineage", "trace", "lineage.json",
-             "--chunk", "chunk:3"]
-        )
         assert args.lineage_chunk == "chunk:3"
 
     def test_exp5_export_then_query(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
-        lineage = run_dir / "lineage.json"
         assert main(
             ["exp5", "--scale", "test", "--run-dir", str(run_dir)]
         ) == 0
         capsys.readouterr()
-        assert lineage.exists()
+        assert (run_dir / "lineage.json").exists()
 
-        assert main(["obs", "lineage", "show", str(lineage)]) == 0
+        assert main(["obs", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "provenance ledger" in out
+        assert "\n\nprovenance ledger\n" in out
         assert "live[gated]" in out
+        assert "blame " not in out
+        assert "\n\ntrace chunk:" not in out
 
         assert main(
-            ["obs", "lineage", "blame", str(lineage),
-             "--version", "model:blind:v0002"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "blame model:blind:v0002" in out
-        assert "chunk:" in out
-
-        assert main(
-            ["obs", "lineage", "trace", str(lineage),
+            ["obs", str(run_dir), "--version", "model:blind:v0002",
              "--chunk", "chunk:0"]
         ) == 0
-        assert "models:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        blame = out[out.index("blame model:blind:v0002"):]
+        assert "\n    chunk:" in blame
+        assert "models:" in out[out.index("\n\ntrace chunk:0 "):]
 
-    def test_obs_lineage_requires_path_and_options(self, tmp_path):
-        with pytest.raises(SystemExit, match="path"):
-            main(["obs", "lineage", "show"])
-        ledger_file = tmp_path / "lineage.json"
+    def test_unknown_version_or_chunk_raises_the_ledger_error(
+        self, tmp_path
+    ):
+        from repro.exceptions import ValidationError
         from repro.obs import LineageLedger
 
-        LineageLedger().write(ledger_file)
-        with pytest.raises(SystemExit, match="--version"):
-            main(["obs", "lineage", "blame", str(ledger_file)])
-        with pytest.raises(SystemExit, match="--chunk"):
-            main(["obs", "lineage", "trace", str(ledger_file)])
-        with pytest.raises(SystemExit, match="sub-action"):
-            main(["obs", "lineage", "bogus", str(ledger_file)])
+        (tmp_path / "run.json").write_text(
+            json.dumps({"argv": ["exp1"], "git_sha": None})
+        )
+        (tmp_path / "trace.jsonl").write_text("")
+        LineageLedger().write(tmp_path / "lineage.json")
+        with pytest.raises(ValidationError, match="v0009"):
+            main(["obs", str(tmp_path), "--version", "v0009"])
+        with pytest.raises(ValidationError, match="chunk:7"):
+            main(["obs", str(tmp_path), "--chunk", "chunk:7"])
+
+    def test_exp5_report_diagnoses_the_rollback(self, capsys, tmp_path):
+        """An injected quality regression, read from the report: exp5's
+        gated registry rolls back a corrupted candidate. The health
+        timeline names the rollback incident and its virtual time, and
+        ``--version`` of the rolled-back candidate names it with the
+        chunks that trained it."""
+        run_dir = tmp_path / "run"
+        assert main(
+            ["exp5", "--scale", "test", "--run-dir", str(run_dir)]
+        ) == 0
+        capsys.readouterr()
+        health = json.loads((run_dir / "health.json").read_text())
+        (incident,) = [
+            incident for incident in health["incidents"]
+            if incident["rule"] == "rollout-rolled-back"
+        ]
+        (rollback,) = incident["evidence"]
+        version = f"model:gated:{rollback['attrs']['failed']}"
+
+        assert main(["obs", str(run_dir), "--version", version]) == 0
+        out = capsys.readouterr().out
+        row = [
+            line for line in out.splitlines()
+            if " rollout-rolled-back " in line and " firing " in line
+        ]
+        assert len(row) == 1
+        assert f" {incident['fired_at']:.4f} " in row[0]
+        blame = out[out.index(f"\n\nblame {version}\n"):]
+        assert "contributing chunks (" in blame
+        assert "\n    chunk:" in blame
 
     def test_run_with_lineage_and_checkpoints(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
@@ -611,10 +671,8 @@ class TestLineageCli:
              "--cadence", "3", "--run-dir", str(run_dir)]
         ) == 0
         capsys.readouterr()
-        assert main(
-            ["obs", "lineage", "show", str(run_dir / "lineage.json")]
-        ) == 0
-        assert "provenance ledger" in capsys.readouterr().out
+        assert main(["obs", str(run_dir)]) == 0
+        assert "\n\nprovenance ledger\n" in capsys.readouterr().out
 
 
 #: The thirteen commands ``--run-dir`` instruments, at their smallest

@@ -1,19 +1,14 @@
 """Unit tests for the cost-attribution profile tree."""
 
-import json
-
 import pytest
 
 from repro.obs.profile import (
-    PROFILE_SCHEMA,
     ROOT_NAME,
     build_profile,
     format_profile,
     profile_digest,
-    profile_to_dict,
     profile_trace,
     subsystem_totals,
-    to_collapsed,
 )
 from repro.obs.sink import JsonlSink
 from repro.obs.telemetry import Telemetry
@@ -126,29 +121,6 @@ class TestDigest:
 
 
 class TestExports:
-    def test_profile_to_dict_schema_and_shape(self):
-        exported = profile_to_dict(build_profile(nested_events()))
-        assert exported["schema"] == PROFILE_SCHEMA
-        assert exported["digest"] == profile_digest(
-            build_profile(nested_events())
-        )
-        tree = exported["tree"]
-        assert tree["name"] == ROOT_NAME
-        (observe,) = tree["children"]
-        assert observe["name"] == "platform.observe"
-        assert observe["self_cost"] == pytest.approx(2.0)
-        json.dumps(exported)  # must be JSON-serializable as-is
-
-    def test_collapsed_stack_lines(self):
-        text = to_collapsed(build_profile(nested_events()))
-        lines = dict(
-            line.rsplit(" ", 1) for line in text.splitlines()
-        )
-        assert lines["run;platform.observe"] == "2000"
-        assert (
-            lines["run;platform.observe;engine.online_pass"] == "4000"
-        )
-
     def test_format_profile_renders_digest_and_paths(self):
         root = build_profile(nested_events())
         text = format_profile(root)
@@ -159,17 +131,6 @@ class TestExports:
     def test_format_profile_empty_tree_no_division(self):
         text = format_profile(build_profile([]))
         assert "profile digest:" in text
-
-    def test_min_fraction_prunes_small_paths(self):
-        events = [
-            span_event("a.big", 99.0),
-            span_event("b.tiny", 1.0),
-        ]
-        text = format_profile(
-            build_profile(events), min_fraction=0.05
-        )
-        assert "a.big" in text
-        assert "b.tiny" not in text
 
 
 class TestProfileTrace:

@@ -41,7 +41,6 @@ class TestSummarizeEvents:
         summary = summarize_events([])
         assert summary.events == 0
         assert summary.spans == []
-        assert summary.total_span_dur == 0.0
 
     def test_span_aggregation_exact_percentiles(self):
         events = [
@@ -106,7 +105,6 @@ class TestSummarizeEvents:
         assert span.count == 1
         assert span.p50 == span.p95 == span.p99 == 2.5
         assert span.max_dur == 2.5
-        assert summary.total_span_dur == 2.5
 
     def test_zero_cost_spans_summarize_without_division(self):
         # Spans from pure-bookkeeping paths can carry dur == 0; the
@@ -120,7 +118,6 @@ class TestSummarizeEvents:
         assert span.count == 3
         assert span.total_dur == 0.0
         assert span.p99 == 0.0
-        assert summary.total_span_dur == 0.0
         text = format_summary(summary)
         assert "noop" in text
         assert "events: 3" in text
