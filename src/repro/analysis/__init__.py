@@ -1,8 +1,10 @@
 """reprolint — the platform's AST-based invariant linter.
 
-Mechanically enforces the determinism, checkpoint, and telemetry
-contracts the deployment platform's guarantees rest on (DESIGN.md
-§9). Run it via ``repro lint``, ``make lint``, or programmatically::
+Parses the tree once, builds one whole-program model of it, and runs
+five rules over that model: the checkpoint, iteration-order, layering,
+wall-clock and telemetry-vocabulary contracts replay rests on
+(DESIGN.md §9, §14). Run it via ``repro lint``, ``make lint``, or
+programmatically::
 
     from pathlib import Path
     from repro.analysis import run_lint
@@ -11,14 +13,7 @@ contracts the deployment platform's guarantees rest on (DESIGN.md
     assert result.clean, [f.render() for f in result.findings]
 """
 
-from repro.analysis.base import (
-    ConfigError,
-    Finding,
-    ParsedModule,
-    Reporter,
-    Rule,
-    walk_rules,
-)
+from repro.analysis.base import ConfigError, Finding, ParsedModule
 from repro.analysis.baseline import (
     Baseline,
     BaselineEntry,
@@ -36,8 +31,6 @@ from repro.analysis.engine import (
     PARSE_ERROR_RULE,
     LintResult,
     iter_source_files,
-    lint_file,
-    lint_module,
     run_lint,
     run_program_rules,
 )
@@ -50,10 +43,8 @@ from repro.analysis.progrules import (
     program_rules_for,
 )
 from repro.analysis.report import format_json, format_rules, format_text
-from repro.analysis.rulepack import ALL_RULES, RULES_BY_ID, rules_for
 
 __all__ = [
-    "ALL_RULES",
     "Baseline",
     "BaselineEntry",
     "ConfigError",
@@ -69,22 +60,15 @@ __all__ = [
     "ProgramModel",
     "ProgramReporter",
     "ProgramRule",
-    "Reporter",
-    "Rule",
-    "RULES_BY_ID",
     "default_config",
     "format_json",
     "format_rules",
     "format_text",
     "iter_source_files",
-    "lint_file",
-    "lint_module",
     "load_baseline",
     "load_config",
     "program_rules_for",
-    "rules_for",
     "run_lint",
     "run_program_rules",
-    "walk_rules",
     "write_baseline",
 ]

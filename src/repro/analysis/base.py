@@ -1,19 +1,15 @@
 """Core types of the reprolint framework.
 
-reprolint is a small visitor-based AST linter that mechanically
-enforces the platform's determinism, checkpoint, and telemetry
-contracts (see ``DESIGN.md`` §9). The moving parts:
+reprolint is a small AST linter that mechanically enforces the
+platform's determinism, checkpoint, and telemetry contracts (see
+``DESIGN.md`` §9 and §14). This module holds what every rule shares:
 
-* :class:`Rule` — the plugin protocol. A rule declares an id, a
-  one-line invariant, and ``visit_<NodeType>`` handler methods; the
-  engine parses each file once and dispatches every AST node to every
-  enabled rule's matching handler in a single walk.
 * :class:`ParsedModule` — one parsed source file plus the metadata
   rules need (source lines, inline suppressions, repo-relative path).
 * :class:`Finding` — one violation, carrying a content-based
   fingerprint so baseline entries survive unrelated line drift.
 
-Inline suppression uses ``# repro: noqa[REP001]`` (or a blanket
+Inline suppression uses ``# repro: noqa[REP010]`` (or a blanket
 ``# repro: noqa``) on the offending line; the engine drops matching
 findings and reports how many were suppressed.
 """
@@ -25,9 +21,9 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
-#: ``# repro: noqa`` or ``# repro: noqa[REP001,REP005]``.
+#: ``# repro: noqa`` or ``# repro: noqa[REP010,REP013]``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
 )
@@ -139,88 +135,3 @@ class ParsedModule:
             return False
         ids = self.suppressions[lineno]
         return ids is None or rule_id in ids
-
-
-class Reporter:
-    """The callback a rule uses to emit findings for one module."""
-
-    def __init__(self, rule_id: str, module: ParsedModule) -> None:
-        self.rule_id = rule_id
-        self.module = module
-        self.findings: List[Finding] = []
-        self.suppressed: List[Finding] = []
-
-    def report(self, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        finding = Finding(
-            rule_id=self.rule_id,
-            path=self.module.relpath,
-            line=line,
-            col=col,
-            message=message,
-            snippet=self.module.line_text(line),
-        )
-        if self.module.is_suppressed(self.rule_id, line):
-            self.suppressed.append(finding)
-        else:
-            self.findings.append(finding)
-
-
-class Rule:
-    """Base class of the rule plugin protocol.
-
-    Subclasses set the class attributes and implement any of:
-
-    * ``visit_<NodeType>(node, module, report)`` — called for every
-      matching node during the engine's single shared walk;
-    * ``begin_module(module, report)`` / ``end_module(module,
-      report)`` — bracketing hooks for per-file state.
-
-    ``report(node, message)`` records a finding at ``node``'s
-    location (suppressions are applied by the framework).
-    """
-
-    #: Stable identifier, e.g. ``"REP001"``.
-    rule_id: str = ""
-    #: Short human name, e.g. ``"raw-rng"``.
-    name: str = ""
-    #: One-line statement of the invariant the rule protects.
-    description: str = ""
-
-    def begin_module(self, module: ParsedModule, report) -> None:
-        """Hook: called before the walk of each file."""
-
-    def end_module(self, module: ParsedModule, report) -> None:
-        """Hook: called after the walk of each file."""
-
-    def handlers(self) -> Dict[str, object]:
-        """Map AST node-type name -> bound ``visit_*`` method."""
-        table: Dict[str, object] = {}
-        for attr in dir(self):
-            if attr.startswith("visit_"):
-                table[attr[len("visit_"):]] = getattr(self, attr)
-        return table
-
-
-def walk_rules(
-    module: ParsedModule, rules: Tuple[Rule, ...]
-) -> Iterator[Reporter]:
-    """Run ``rules`` over ``module`` in one shared AST walk.
-
-    Every rule gets its own :class:`Reporter`; handlers for the same
-    node type run in rule order. Yields the reporters (findings plus
-    suppression tallies) when the walk completes.
-    """
-    reporters = {rule.rule_id: Reporter(rule.rule_id, module) for rule in rules}
-    dispatch: Dict[str, List[Tuple[Rule, object]]] = {}
-    for rule in rules:
-        rule.begin_module(module, reporters[rule.rule_id].report)
-        for node_type, handler in rule.handlers().items():
-            dispatch.setdefault(node_type, []).append((rule, handler))
-    for node in ast.walk(module.tree):
-        for rule, handler in dispatch.get(type(node).__name__, ()):
-            handler(node, module, reporters[rule.rule_id].report)
-    for rule in rules:
-        rule.end_module(module, reporters[rule.rule_id].report)
-    yield from reporters.values()

@@ -1,10 +1,11 @@
 """Lint configuration: which rules run where.
 
 The shipped :func:`default_config` encodes the project policy — the
-vocabulary and pairing rules run everywhere under ``src/``, while the
-path-scoped rules (wall-clock, bare-except, mutable-default) are
-enabled only for the subsystems whose contracts they protect. A JSON
-config file with the same fields can override any of it (see
+checkpoint, layering, wall-clock and vocabulary rules run everywhere
+under ``src/``, while deterministic iteration (REP010) is enabled
+only for the subsystems that replay, and the wall-clock rule (REP013)
+is disabled for the sanctioned clock in ``obs/``. A JSON config file
+with the same fields can override any of it (see
 :func:`load_config`); malformed configuration raises
 :class:`~repro.analysis.base.ConfigError`, which the CLI maps to
 exit code 2.
@@ -23,16 +24,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import ConfigError
-from repro.analysis.rulepack import RULES_BY_ID
+from repro.analysis.progrules import PROGRAM_RULES_BY_ID
 
 #: Rules that run on every linted file unless a policy disables them.
-#: REP009/REP012/REP014 are whole-program rules (DESIGN.md
-#: §14): they run in the program pass and anchor findings at
-#: definition sites, but are scoped by the same per-path machinery.
+#: Each anchors its findings at a definition site, so the per-path
+#: policies scope it by the file that definition lives in.
 GLOBAL_RULES = (
-    "REP001",
-    "REP004",
-    "REP005",
     "REP009",
     "REP012",
     "REP013",
@@ -87,13 +84,10 @@ class LintConfig:
 
 
 def _require_known(rule_id: str) -> None:
-    from repro.analysis.progrules import PROGRAM_RULES_BY_ID
-
-    if rule_id not in RULES_BY_ID and rule_id not in PROGRAM_RULES_BY_ID:
-        known = sorted(set(RULES_BY_ID) | set(PROGRAM_RULES_BY_ID))
+    if rule_id not in PROGRAM_RULES_BY_ID:
         raise ConfigError(
             f"unknown rule id {rule_id!r}; known rules are "
-            f"{', '.join(known)}"
+            f"{', '.join(sorted(PROGRAM_RULES_BY_ID))}"
         )
 
 
@@ -103,15 +97,6 @@ def default_config() -> LintConfig:
         roots=("src",),
         select=GLOBAL_RULES,
         per_path=(
-            # No swallowed exceptions where recovery correctness lives.
-            PathPolicy("src/repro/core/*", enable=("REP007",)),
-            PathPolicy("src/repro/reliability/*", enable=("REP007",)),
-            PathPolicy("src/repro/serving/*", enable=("REP007",)),
-            # Numeric hygiene in the model/optimizer and engine code.
-            PathPolicy("src/repro/ml/*", enable=("REP008",)),
-            PathPolicy("src/repro/execution/*", enable=("REP008",)),
-            # The one sanctioned RNG construction site.
-            PathPolicy("src/repro/utils/rng.py", disable=("REP001",)),
             # Deterministic iteration where replay/recovery byte-
             # identity is on the line: the engine, the data plane,
             # the ML kernels, and every subsystem that replays.

@@ -1,20 +1,17 @@
-"""The lint driver: walk files, run rules, apply noqa and baseline.
+"""The lint driver: parse files, build the model, run the rules.
 
 :func:`run_lint` is the one entry point the CLI, ``make lint``, CI,
-and the test suite all share. It runs two passes:
+and the test suite all share. It does three things:
 
-1. the **per-file pass** — every target file is parsed once and the
-   per-file rules (REP001–REP008) walk it in a single shared AST
-   traversal;
-2. the **program pass** — the whole-program model
-   (:mod:`repro.analysis.program`) is built from the *full* configured
-   tree (even when explicit paths narrow the per-file pass, cross-file
-   reasoning needs the rest of the program) and the program rules
-   (REP009–REP014, :mod:`repro.analysis.progrules`) run over it.
-   Program findings are anchored at definition sites, so they flow
-   through the same noqa/baseline/reporting machinery; when the scan
-   is narrowed, only findings anchored in the targeted files are
-   reported.
+1. parse every file of the configured tree once;
+2. build the whole-program model (:mod:`repro.analysis.program`) from
+   all of them — even when explicit paths narrow the run, since
+   cross-file reasoning needs the rest of the program;
+3. run the rules (:mod:`repro.analysis.progrules`) over the model.
+
+Findings are anchored at definition sites, so noqa and the baseline
+apply per line; when the scan is narrowed, only findings anchored in
+the targeted files are reported.
 
 A file that fails to parse surfaces as a ``REP000`` finding (broken
 source can't certify any invariant); configuration problems raise
@@ -26,18 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.base import ConfigError, Finding, ParsedModule, walk_rules
+from repro.analysis.base import ConfigError, Finding, ParsedModule
 from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.config import LintConfig, default_config
 from repro.analysis.program import ProgramModel
-from repro.analysis.progrules import (
-    PROGRAM_RULES_BY_ID,
-    ProgramReporter,
-    program_rules_for,
-)
-from repro.analysis.rulepack import rules_for
+from repro.analysis.progrules import ProgramReporter, program_rules_for
 
 #: Pseudo-rule for unparseable source files.
 PARSE_ERROR_RULE = "REP000"
@@ -51,8 +43,6 @@ class LintResult:
     baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: True when the whole-program pass ran (``--no-program`` skips it).
-    program_ran: bool = False
 
     @property
     def clean(self) -> bool:
@@ -120,36 +110,6 @@ def _parse_error_finding(relpath: str, error: SyntaxError) -> Finding:
     )
 
 
-def lint_module(
-    module: ParsedModule, config: LintConfig
-) -> Tuple[List[Finding], List[Finding]]:
-    """Run the per-file rules over one parsed module."""
-    rule_ids = tuple(
-        rule_id
-        for rule_id in config.rules_for_path(module.relpath)
-        if rule_id not in PROGRAM_RULES_BY_ID
-    )
-    if not rule_ids:
-        return [], []
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for reporter in walk_rules(module, rules_for(rule_ids)):
-        findings.extend(reporter.findings)
-        suppressed.extend(reporter.suppressed)
-    return findings, suppressed
-
-
-def lint_file(
-    path: Path, relpath: str, config: LintConfig
-) -> Tuple[List[Finding], List[Finding]]:
-    """Lint one file: returns (findings, suppressed)."""
-    try:
-        module = ParsedModule.parse(path, relpath)
-    except SyntaxError as error:
-        return [_parse_error_finding(relpath, error)], []
-    return lint_module(module, config)
-
-
 def run_program_rules(
     model: ProgramModel, config: LintConfig
 ) -> Tuple[List[Finding], List[Finding]]:
@@ -176,13 +136,11 @@ def run_lint(
     config: Optional[LintConfig] = None,
     paths: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
-    program: bool = True,
 ) -> LintResult:
     """Lint the tree under ``root`` with ``config``.
 
     ``baseline=None`` loads the configured baseline file (missing =
     empty); pass an explicit :class:`Baseline` to override.
-    ``program=False`` skips the whole-program pass (``--no-program``).
     """
     config = config if config is not None else default_config()
     if baseline is None:
@@ -195,49 +153,35 @@ def run_lint(
             baseline = Baseline()
     result = LintResult()
     target_pairs = iter_source_files(root, config, paths)
-    parsed: Dict[str, ParsedModule] = {}
-    for path, relpath in target_pairs:
-        result.files_scanned += 1
+    target_set = {relpath for _, relpath in target_pairs}
+    model_pairs = target_pairs
+    if paths:
+        # Explicit paths narrow *reporting*, not the model: the rules
+        # still reason over the whole configured tree (falling back to
+        # the targets when no configured root exists, e.g.
+        # single-snippet test runs).
         try:
-            module = ParsedModule.parse(path, relpath)
+            full_pairs = iter_source_files(root, config, None)
+        except ConfigError:
+            full_pairs = []
+        model_pairs = target_pairs + [
+            pair for pair in full_pairs if pair[1] not in target_set
+        ]
+    modules: List[ParsedModule] = []
+    for path, relpath in model_pairs:
+        try:
+            modules.append(ParsedModule.parse(path, relpath))
         except SyntaxError as error:
-            _classify(result, baseline, [_parse_error_finding(relpath, error)])
-            continue
-        parsed[relpath] = module
-        findings, suppressed = lint_module(module, config)
-        result.suppressed.extend(suppressed)
-        _classify(result, baseline, findings)
-    if program:
-        target_set = {relpath for _, relpath in target_pairs}
-        model_modules = list(parsed.values())
-        if paths:
-            # Explicit paths narrow *reporting*, not the model: the
-            # program rules still reason over the whole configured
-            # tree (falling back to the targets when no configured
-            # root exists, e.g. single-snippet test runs).
-            try:
-                full_pairs = iter_source_files(root, config, None)
-            except ConfigError:
-                full_pairs = target_pairs
-            model_modules = list(parsed.values())
-            for path, relpath in full_pairs:
-                if relpath in parsed:
-                    continue
-                try:
-                    model_modules.append(ParsedModule.parse(path, relpath))
-                except SyntaxError:
-                    continue  # targeted files already reported REP000
-        model = ProgramModel.build(model_modules)
-        findings, suppressed = run_program_rules(model, config)
-        result.suppressed.extend(
-            f for f in suppressed if f.path in target_set
-        )
-        _classify(
-            result,
-            baseline,
-            [f for f in findings if f.path in target_set],
-        )
-        result.program_ran = True
+            if relpath in target_set:
+                _classify(
+                    result, baseline, [_parse_error_finding(relpath, error)]
+                )
+    result.files_scanned = len(target_pairs)
+    findings, suppressed = run_program_rules(
+        ProgramModel.build(modules), config
+    )
+    result.suppressed.extend(f for f in suppressed if f.path in target_set)
+    _classify(result, baseline, [f for f in findings if f.path in target_set])
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return result
 

@@ -1,11 +1,9 @@
 """The whole-program model behind reprolint's cross-file rules.
 
-The per-file walk (``base.py``/``engine.py``) can certify anything a
-single module exhibits, but some invariants replay depends on — no
-wall clock reachable from cost paths, every mutable field captured by
-``state_dict``, imports only down the layer table — span module
-boundaries. This module builds, in one
-pass over the already-parsed tree, the three structures the
+The invariants replay depends on — no wall clock reachable from cost
+paths, every mutable field captured by ``state_dict``, imports only
+down the layer table — span module boundaries. This module builds, in
+one pass over the already-parsed tree, the three structures the
 :class:`~repro.analysis.progrules.ProgramRule` pack reasons over:
 
 * **per-module symbol tables** (:class:`ModuleInfo`) — classes with
@@ -24,9 +22,8 @@ pass over the already-parsed tree, the three structures the
   invent an edge — program rules built on it report only what is
   provably wired.
 
-Everything here is derived from the same :class:`ParsedModule`
-objects the per-file rules walk; no linted code is imported or
-executed.
+Everything here is derived from :class:`ParsedModule` ASTs; no linted
+code is imported or executed.
 """
 
 from __future__ import annotations

@@ -1,20 +1,18 @@
-"""The whole-program rule pack: REP009–REP014.
+"""The rule pack: REP009, REP010, REP012, REP013, REP014.
 
-These rules run after the per-file walk, against the
-:class:`~repro.analysis.program.ProgramModel` built from every parsed
-module in the tree (see DESIGN.md §14). They certify the cross-file
-invariants replay depends on — complete checkpoints, deterministic
-iteration, an acyclic subsystem layering, no wall-clock reachable from
-cost paths, and a live telemetry vocabulary — none of which a
-single-module walk can see.
+The rules run against the :class:`~repro.analysis.program.ProgramModel`
+built from every parsed module in the tree (see DESIGN.md §14). They
+certify the cross-file invariants replay depends on — complete
+checkpoints, deterministic iteration, an acyclic subsystem layering,
+no wall-clock reachable from cost paths, and a live telemetry
+vocabulary.
 
 A :class:`ProgramRule` receives the model plus a
 :class:`ProgramReporter` and anchors every finding at its *definition
 site*: the attribute assignment, the import statement, the ``def``
-line. That keeps the per-file machinery working unchanged — the
-content fingerprint hashes the defining line, ``# repro: noqa[...]``
-on that line suppresses the finding, and per-path config policies
-scope each rule by the file the definition lives in.
+line. The content fingerprint hashes that line, ``# repro: noqa[...]``
+on it suppresses the finding, and per-path config policies scope each
+rule by the file the definition lives in.
 """
 
 from __future__ import annotations
@@ -444,13 +442,13 @@ class WallClockReachRule(ProgramRule):
 class DeadTelemetryRule(ProgramRule):
     """REP014 — every declared telemetry name is emitted somewhere.
 
-    The committed vocabulary (``repro.obs.names``) exists so REP005
-    can reject unknown names at emission sites; the converse rot —
-    a name declared but never emitted — accumulates silently. A
-    constant counts as live when any other module passes its string
-    value as the first argument of a method call (``counter.inc(...)``,
-    ``telemetry.emit(...)``) or references the constant itself
-    (``names.CHUNKS_PROCESSED``, ``from ... import CHUNKS_PROCESSED``).
+    The committed vocabulary (``repro.obs.names``) names every event
+    the platform emits; a name declared but never emitted accumulates
+    silently. A constant counts as live when any other module passes
+    its string value as the first argument of a method call
+    (``counter.inc(...)``, ``telemetry.emit(...)``) or references the
+    constant itself (``names.CHUNKS_PROCESSED``, ``from ... import
+    CHUNKS_PROCESSED``).
     Prefix constants (values ending in ``.``) are wildcard families
     and exempt.
     """
@@ -464,7 +462,7 @@ class DeadTelemetryRule(ProgramRule):
 
     NAMES_MODULE = "repro.obs.names"
 
-    #: Mirrors names.NAME_PATTERN — full dotted telemetry names only.
+    #: Full dotted ``subsystem.event`` telemetry names only.
     _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
     def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
@@ -515,7 +513,7 @@ PROGRAM_RULES_BY_ID: Dict[str, ProgramRule] = {
 
 
 def program_rules_for(ids: Sequence[str]) -> Tuple[ProgramRule, ...]:
-    """The program rules among ``ids``, in id order (others ignored —
-    the per-file pack validates unknown ids)."""
+    """The rules among ``ids``, in id order (the config has already
+    refused unknown ids)."""
     wanted = set(ids)
     return tuple(r for r in PROGRAM_RULES if r.rule_id in wanted)

@@ -6,7 +6,6 @@ import json
 
 from repro.analysis.engine import LintResult
 from repro.analysis.progrules import PROGRAM_RULES
-from repro.analysis.rulepack import ALL_RULES
 
 
 def format_text(result: LintResult) -> str:
@@ -34,18 +33,14 @@ def format_json(result: LintResult) -> str:
         "baselined": [f.to_dict() for f in result.baselined],
         "suppressed": len(result.suppressed),
         "files_scanned": result.files_scanned,
-        "program_ran": result.program_ran,
         "clean": result.clean,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def format_rules() -> str:
-    """The ``repro lint --list-rules`` table: both rule kinds."""
-    lines = ["per-file rules:"]
-    for rule in ALL_RULES:
-        lines.append(f"{rule.rule_id}  {rule.name:<18} {rule.description}")
-    lines.append("whole-program rules:")
-    for rule in PROGRAM_RULES:
-        lines.append(f"{rule.rule_id}  {rule.name:<18} {rule.description}")
-    return "\n".join(lines)
+    """The ``repro lint --list-rules`` table."""
+    return "\n".join(
+        f"{rule.rule_id}  {rule.name:<18} {rule.description}"
+        for rule in PROGRAM_RULES
+    )

@@ -68,7 +68,7 @@ contracts (exit 0 = clean, 1 = findings, 2 = config error)::
     python -m repro lint
     python -m repro lint --format json
     python -m repro lint --list-rules
-    python -m repro lint src/repro/serving --select REP005,REP007
+    python -m repro lint src/repro/fleet --select REP009,REP010
 """
 
 from __future__ import annotations
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         default=None,
-        help="comma-separated rule ids to run (e.g. REP001,REP007)",
+        help="comma-separated rule ids to run (e.g. REP009,REP010)",
     )
     lint.add_argument(
         "--update-baseline",
@@ -534,15 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule table (per-file and whole-program "
-        "rules) and exit",
-    )
-    lint.add_argument(
-        "--program",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the whole-program pass (REP009-REP014); "
-        "--no-program restricts the run to the per-file rules",
+        help="print the rule table and exit",
     )
     lint.add_argument(
         "--diff",
@@ -1690,13 +1682,7 @@ def _command_lint(args: argparse.Namespace) -> int:
         baseline = None
         if args.baseline is not None:
             baseline = load_baseline(Path(args.baseline))
-        result = run_lint(
-            root,
-            config=config,
-            paths=paths,
-            baseline=baseline,
-            program=args.program,
-        )
+        result = run_lint(root, config=config, paths=paths, baseline=baseline)
     except ConfigError as error:
         print(f"reprolint: config error: {error}", file=sys.stderr)
         return 2

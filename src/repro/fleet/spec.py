@@ -183,10 +183,6 @@ class FleetSpec:
         return len(self.tenants)
 
     @property
-    def total_weight(self) -> float:
-        return float(sum(t.weight for t in self.tenants))
-
-    @property
     def epochs(self) -> int:
         """Epochs a full run takes (stream length / ingest rate)."""
         longest = max(t.chunks for t in self.tenants)

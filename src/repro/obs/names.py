@@ -1,13 +1,10 @@
 """The telemetry name vocabulary — the single source of truth.
 
 Every metric, span, and point event the platform emits is named here
-as an importable constant, and reprolint's REP005 rule checks that
-any name literal reaching a telemetry instrument either *is* one of
-these constants or matches an entry of :data:`KNOWN_NAMES` /
-:data:`KNOWN_PREFIXES`. Adding an event therefore means adding a
-constant (one diff line reviewers can veto), not inventing a string
-at a call site that dashboards and trace tooling will never learn
-about.
+as an importable constant, so adding an event means adding a constant
+(one diff line reviewers can veto), not inventing a string at a call
+site that dashboards and trace tooling will never learn about;
+reprolint's REP014 rule flags a constant nothing emits.
 
 Names follow the ``subsystem.event`` dotted convention: lowercase
 ``[a-z0-9_]`` segments joined by dots, at least two segments, the
@@ -18,17 +15,11 @@ first naming the owning subsystem (``engine``, ``cache``,
 ``batch``, ``slo``, ``fleet``, ``lineage``).
 
 Families whose tail is data-dependent (``registry.<event>``,
-``rollout.<action>``, ``span.<span-name>``) are declared as prefixes
-in :data:`KNOWN_PREFIXES`; call sites build them with the ``*_PREFIX``
-constants so the literal part stays checkable.
+``rollout.<action>``, ``span.<span-name>``) are declared as
+``*_PREFIX`` constants; call sites build them as ``prefix + tail``.
 """
 
 from __future__ import annotations
-
-import re
-
-#: The ``subsystem.event`` dotted convention (REP005's shape check).
-NAME_PATTERN = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 # -- execution engine ---------------------------------------------------
 ENGINE_ONLINE_PASS = "engine.online_pass"
@@ -147,25 +138,3 @@ ALERT_RESOLVED = "alert.resolved"
 ALERTS_FIRED = "alert.fired"
 ALERTS_RESOLVED = "alert.resolved_total"
 HEALTH_EXPORTED = "health.exported"
-
-#: Every fixed telemetry name the platform may emit.
-KNOWN_NAMES = frozenset(
-    value
-    for key, value in list(globals().items())
-    if key.isupper()
-    and not key.endswith("_PREFIX")
-    and isinstance(value, str)
-)
-
-#: Families with data-dependent tails; a literal ``prefix + tail`` is
-#: valid when the prefix matches and the whole name fits the pattern.
-KNOWN_PREFIXES = (REGISTRY_PREFIX, ROLLOUT_PREFIX, SPAN_PREFIX)
-
-
-def is_known_name(name: str) -> bool:
-    """True when ``name`` is in-vocabulary (exact or prefix family)."""
-    if not NAME_PATTERN.match(name):
-        return False
-    if name in KNOWN_NAMES:
-        return True
-    return any(name.startswith(prefix) for prefix in KNOWN_PREFIXES)

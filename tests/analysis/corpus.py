@@ -1,16 +1,11 @@
 """The reprolint fixture corpus.
 
-One (flagging, clean, noqa-suppressed) source triple per rule, kept
-as strings so the deliberately-bad fixture code never reaches the
-general linters (ruff/pyflakes) that sweep ``tests/``. The test
-harness writes each snippet to a temp file and lints it with exactly
-one rule selected.
-
-Per-file rules (REP001–REP008) use single-source triples in
-``CORPUS``; the whole-program rules (REP009–REP014, DESIGN.md §14)
-need cross-file structure, so ``PROGRAM_CORPUS`` maps each variant to
-a *file tree* (repo-relative path -> source) that the harness writes
-under a temp root and lints whole.
+One (flagging, clean, noqa-suppressed) triple per rule, kept as
+strings so the deliberately-bad fixture code never reaches the
+general linters (ruff/pyflakes) that sweep ``tests/``. The rules
+reason over the whole program (DESIGN.md §14), so each variant is a
+*file tree* (repo-relative path -> source) that the harness writes
+under a temp root and lints whole with exactly one rule selected.
 """
 
 from __future__ import annotations
@@ -18,195 +13,39 @@ from __future__ import annotations
 from textwrap import dedent
 from typing import Dict, Tuple
 
-#: (rule id, variant) -> source. Variants: flag / clean / noqa.
-CORPUS: Dict[Tuple[str, str], str] = {}
-
 #: (rule id, variant) -> {relpath: source}. Variants: flag / clean /
 #: noqa. Paths follow the ``src/repro/<subsystem>/...`` layout so the
 #: program model's module naming and subsystem mapping apply.
-PROGRAM_CORPUS: Dict[Tuple[str, str], Dict[str, str]] = {}
+CORPUS: Dict[Tuple[str, str], Dict[str, str]] = {}
 
 
-def _add(rule: str, flag: str, clean: str, noqa: str) -> None:
-    CORPUS[(rule, "flag")] = dedent(flag)
-    CORPUS[(rule, "clean")] = dedent(clean)
-    CORPUS[(rule, "noqa")] = dedent(noqa)
+def write_tree(root, files):
+    """Write ``{relpath: source}`` under ``root``; returns ``root``."""
+    for relpath, source in files.items():
+        target = root / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source, encoding="utf-8")
+    return root
 
 
-def _add_program(
+def _add(
     rule: str,
     flag: Dict[str, str],
     clean: Dict[str, str],
     noqa: Dict[str, str],
 ) -> None:
-    PROGRAM_CORPUS[(rule, "flag")] = {
+    CORPUS[(rule, "flag")] = {
         path: dedent(source) for path, source in flag.items()
     }
-    PROGRAM_CORPUS[(rule, "clean")] = {
+    CORPUS[(rule, "clean")] = {
         path: dedent(source) for path, source in clean.items()
     }
-    PROGRAM_CORPUS[(rule, "noqa")] = {
+    CORPUS[(rule, "noqa")] = {
         path: dedent(source) for path, source in noqa.items()
     }
 
 
 _add(
-    "REP001",
-    flag="""\
-    import numpy as np
-
-    def jitter(n):
-        return np.random.default_rng(0).normal(size=n)
-    """,
-    clean="""\
-    from repro.utils.rng import ensure_rng
-
-    def jitter(n, seed=None):
-        return ensure_rng(seed).normal(size=n)
-    """,
-    noqa="""\
-    import numpy as np
-
-    def jitter(n):
-        return np.random.default_rng(0).normal(size=n)  # repro: noqa[REP001]
-    """,
-)
-
-_add(
-    "REP004",
-    flag="""\
-    class Skewed:
-        def state_dict(self):
-            return {"cursor": self.cursor, "extra": 1}
-
-        def load_state_dict(self, state):
-            self.cursor = state["cursor"]
-            self.other = state["missing"]
-    """,
-    clean="""\
-    class Symmetric:
-        def state_dict(self):
-            return {"cursor": self.cursor, "total": self.total}
-
-        def load_state_dict(self, state):
-            self.cursor = state["cursor"]
-            self.total = state.get("total", 0.0)
-    """,
-    # One noqa per asymmetric side: REP004 reports the saved-but-never-
-    # read key at state_dict and the read-but-never-saved key at
-    # load_state_dict.
-    noqa="""\
-    class Skewed:
-        def state_dict(self):  # repro: noqa[REP004]
-            return {"cursor": self.cursor, "extra": 1}
-
-        def load_state_dict(self, state):  # repro: noqa[REP004]
-            self.cursor = state["cursor"]
-            self.other = state["missing"]
-    """,
-)
-
-_add(
-    "REP005",
-    flag="""\
-    def record(telemetry):
-        telemetry.metrics.counter("cache.bogus_event").inc()
-        telemetry.tracer.point("camelCaseName", x=1)
-    """,
-    clean="""\
-    from repro.obs import names
-
-    def record(telemetry):
-        telemetry.metrics.counter(names.CACHE_HITS).inc()
-        telemetry.tracer.point(names.SCHEDULER_DECISION, x=1)
-        telemetry.tracer.point(names.ROLLOUT_PREFIX + "promote", x=1)
-        telemetry.tracer.point(names.RELIABILITY_CHECKPOINT_WRITTEN, n=1)
-        telemetry.metrics.counter(names.RELIABILITY_CHECKPOINTS_WRITTEN).inc()
-        telemetry.tracer.point(names.ALERT_FIRING, rule="drift")
-        telemetry.metrics.counter(names.ALERTS_FIRED).inc()
-        telemetry.metrics.gauge(names.MONITOR_WINDOWS).set(24)
-        telemetry.metrics.observe(names.SERVING_LATENCY, 0.01)
-        telemetry.tracer.point(names.PLATFORM_CHUNK, error=0.4)
-        telemetry.tracer.point(names.HEALTH_EXPORTED, path="h.json")
-        telemetry.metrics.counter(names.TRAFFIC_ARRIVALS).inc()
-        telemetry.metrics.counter(names.TRAFFIC_SHED).inc()
-        telemetry.metrics.gauge(names.TRAFFIC_QUEUE_DEPTH).set(3)
-        telemetry.metrics.counter(names.BATCH_DISPATCHED).inc()
-        telemetry.metrics.observe(names.BATCH_WAIT, 0.002)
-        telemetry.tracer.point(names.SLO_LATENCY, cost=0.01)
-        telemetry.metrics.gauge(names.SLO_SHED_RATE).set(0.0)
-        telemetry.tracer.point(names.FLEET_EPOCH, epoch=0)
-        telemetry.metrics.counter(names.FLEET_TRAININGS).inc()
-        telemetry.metrics.gauge(names.FLEET_BALANCE).set(0.25)
-        telemetry.metrics.counter(names.FLEET_RESCUES).inc()
-        telemetry.tracer.point(names.FLEET_OVERDRAFT, tenant="t0")
-        telemetry.tracer.point(names.LINEAGE_NODE, kind="chunk")
-        telemetry.metrics.counter(names.LINEAGE_NODES).inc()
-        telemetry.metrics.counter(names.LINEAGE_EDGES).inc()
-        telemetry.tracer.point(names.LINEAGE_EXPORTED, path="l.json")
-    """,
-    noqa="""\
-    def record(telemetry):
-        telemetry.metrics.counter("cache.bogus_event").inc()  # repro: noqa[REP005]
-        telemetry.tracer.point("camelCaseName", x=1)  # repro: noqa
-    """,
-)
-
-_add(
-    "REP007",
-    flag="""\
-    def swallow(op):
-        try:
-            return op()
-        except Exception:
-            return None
-    """,
-    # A blind handler that re-raises (error translation) is allowed;
-    # so is catching a specific type.
-    clean="""\
-    def translate(op):
-        try:
-            return op()
-        except ValueError as error:
-            raise RuntimeError("bad value") from error
-    """,
-    noqa="""\
-    def swallow(op):
-        try:
-            return op()
-        except Exception:  # repro: noqa[REP007]
-            return None
-    """,
-)
-
-_add(
-    "REP008",
-    flag="""\
-    def accumulate(value, into=[]):
-        if value == 0.125:
-            into.append(value)
-        return into
-    """,
-    clean="""\
-    import math
-
-    def accumulate(value, into=None):
-        into = [] if into is None else into
-        if math.isclose(value, 0.125):
-            into.append(value)
-        return into
-    """,
-    noqa="""\
-    def accumulate(value, into=[]):  # repro: noqa[REP008]
-        if value == 0.125:  # repro: noqa[REP008]
-            into.append(value)
-        return into
-    """,
-)
-
-# -- whole-program triples (REP009–REP014) ---------------------------
-
-_add_program(
     "REP009",
     # `self.rows` is mutable and the checkpoint pair never touches it:
     # a recovered Cursor silently loses the buffered rows.
@@ -260,7 +99,7 @@ _add_program(
     },
 )
 
-_add_program(
+_add(
     "REP010",
     flag={
         "src/repro/reliability/janitor.py": """\
@@ -285,7 +124,7 @@ _add_program(
     },
 )
 
-_add_program(
+_add(
     "REP012",
     # ml (layer 2) importing serving (layer 9) points *up* the table.
     flag={
@@ -325,7 +164,7 @@ _add_program(
     },
 )
 
-_add_program(
+_add(
     "REP013",
     # chunk_cost never touches time.* itself; the call graph connects
     # it to the wall read two hops away in another module. stamp,
@@ -377,7 +216,7 @@ _add_program(
     },
 )
 
-_add_program(
+_add(
     "REP014",
     # DEAD_NAME is declared in the vocabulary but nothing emits it.
     flag={
@@ -422,8 +261,5 @@ _add_program(
     },
 )
 
-#: Rule ids covered by the per-file corpus.
+#: Rule ids covered by the corpus.
 RULE_IDS = sorted({rule for rule, _ in CORPUS})
-
-#: Rule ids covered by the whole-program corpus.
-PROGRAM_RULE_IDS = sorted({rule for rule, _ in PROGRAM_CORPUS})

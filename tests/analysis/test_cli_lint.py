@@ -7,31 +7,24 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.analysis.corpus import CORPUS
+from tests.analysis.corpus import CORPUS, write_tree
 
 
 @pytest.fixture
 def clean_tree(tmp_path):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "ok.py").write_text(
-        CORPUS[("REP001", "clean")], encoding="utf-8"
-    )
-    return tmp_path
+    return write_tree(tmp_path, CORPUS[("REP010", "clean")])
 
 
 @pytest.fixture
 def dirty_tree(tmp_path):
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "bad.py").write_text(
-        CORPUS[("REP001", "flag")], encoding="utf-8"
-    )
-    return tmp_path
+    return write_tree(tmp_path, CORPUS[("REP010", "flag")])
 
 
 def _config_file(tmp_path, **overrides):
     payload = {
         "roots": ["src"],
-        "select": ["REP001"],
+        "select": ["REP010"],
+        "per_path": [],
         "baseline": None,
     }
     payload.update(overrides)
@@ -66,7 +59,7 @@ def test_exit_one_on_findings(dirty_tree, capsys):
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "REP001" in out and "bad.py" in out
+    assert "REP010" in out and "janitor.py" in out
 
 
 def test_exit_two_on_config_error(dirty_tree, capsys):
@@ -92,7 +85,7 @@ def test_json_format_reports_machine_readable_findings(dirty_tree, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
-    assert payload["findings"][0]["rule"] == "REP001"
+    assert payload["findings"][0]["rule"] == "REP010"
 
 
 def test_update_baseline_then_relint_is_clean(dirty_tree, capsys):
@@ -112,7 +105,7 @@ def test_update_baseline_then_relint_is_clean(dirty_tree, capsys):
     written = json.loads(
         (dirty_tree / "baseline.json").read_text(encoding="utf-8")
     )
-    assert written["entries"] and written["entries"][0]["rule"] == "REP001"
+    assert written["entries"] and written["entries"][0]["rule"] == "REP010"
     assert main(["lint", "--root", str(dirty_tree), "--config", config]) == 0
 
 
@@ -126,16 +119,15 @@ def test_select_overrides_configured_rules(dirty_tree):
             "--config",
             config,
             "--select",
-            "REP007",
+            "REP013",
         ]
     )
     assert code == 0
 
 
 def test_list_rules_documents_all_rules(capsys):
-    from repro.analysis import RULES_BY_ID
+    from repro.analysis import PROGRAM_RULES_BY_ID
 
     assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in RULES_BY_ID:
-        assert rule_id in out
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == sorted(PROGRAM_RULES_BY_ID)

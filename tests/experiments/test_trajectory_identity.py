@@ -17,10 +17,16 @@ entries of every run came out as recorded. The taxi digests go through
 BLAS (``X.T @ dloss``), so they are pinned to the numpy build of the
 test image; on another build, re-record from an unchanged checkout:
 ``PYTHONPATH=src python tests/experiments/test_trajectory_identity.py``.
+
+A run's bytes must not depend on ``PYTHONHASHSEED`` either: one pytest
+process draws one hash seed, so the continuous approach is re-measured
+in a child process under each of three fixed seeds.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +48,10 @@ pytestmark = pytest.mark.filterwarnings(
 
 GOLDEN = Path(__file__).with_name("trajectory_digests.json")
 SCENARIOS = {"url": url_scenario, "taxi": taxi_scenario}
+REPO_ROOT = Path(__file__).resolve().parents[2]
+HASH_SEEDS = [
+    int(seed) for seed in np.random.default_rng(32).integers(0, 2**32, 3)
+]
 
 
 def _sha(array, dtype) -> str:
@@ -73,6 +83,42 @@ def measure(dataset: str, approach: str) -> dict:
 def test_trajectory_matches_parent_commit(dataset, approach):
     golden = json.loads(GOLDEN.read_text())[f"{dataset}/{approach}"]
     assert measure(dataset, approach) == golden
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_trajectory_ignores_the_hash_seed(hash_seed):
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(hash_seed),
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
+    script = (
+        "import json\n"
+        "from tests.experiments.test_trajectory_identity import measure\n"
+        "print(json.dumps({d: measure(d, 'continuous') "
+        "for d in ('url', 'taxi')}))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    replay = (
+        f"replay: PYTHONPATH=src python -m pytest "
+        f"{Path(__file__).relative_to(REPO_ROOT)} "
+        f"-k 'hash_seed and {hash_seed}'"
+    )
+    assert child.returncode == 0, (
+        f"PYTHONHASHSEED={hash_seed}: child failed\n{child.stderr}\n{replay}"
+    )
+    golden = json.loads(GOLDEN.read_text())
+    for dataset, measured in json.loads(child.stdout).items():
+        assert measured == golden[f"{dataset}/continuous"], (
+            f"PYTHONHASHSEED={hash_seed}: {dataset}/continuous moved\n{replay}"
+        )
 
 
 if __name__ == "__main__":
