@@ -26,6 +26,7 @@ from repro.execution.engine import LocalExecutionEngine
 from repro.ml.models import LinearRegression, LinearSVM
 from repro.ml.optim import Adam, RMSProp
 from repro.ml.sgd import SGDTrainer
+from repro.pipeline.pipeline import PrefixMemo
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,16 @@ class TestPipelineThroughput:
         pipeline = make_url_pipeline(hash_features=1024)
         pipeline.update_transform(url_chunk)
         benchmark(pipeline.transform, url_chunk)
+
+    def test_url_reread_transform(self, benchmark, url_chunk):
+        """What a sampled, evicted chunk costs to rebuild: its parse is
+        kept beside the raw chunk (a filled ``PrefixMemo``), so only
+        the statistics are read and the hasher's kept plan applied."""
+        pipeline = make_url_pipeline(hash_features=1024)
+        pipeline.update_transform(url_chunk)
+        memo = PrefixMemo()
+        pipeline.transform(url_chunk, memo=memo)
+        benchmark(pipeline.transform, url_chunk, memo=memo)
 
     def test_taxi_online_pass(self, benchmark, taxi_chunk):
         pipeline = make_taxi_pipeline()

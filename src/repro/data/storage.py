@@ -56,11 +56,6 @@ class StorageStats:
     feature_misses: int = 0
     bytes_materialized: int = 0
 
-    def hit_rate(self) -> float:
-        """Fraction of feature lookups served from materialized storage."""
-        total = self.feature_hits + self.feature_misses
-        return self.feature_hits / total if total else 0.0
-
 
 class ChunkStorage:
     """In-memory store for raw chunks and (bounded) feature chunks.
@@ -388,11 +383,6 @@ class ChunkStorage:
         self._evict_over_budget()
         self._update_level_gauges()
         return self.stats.features_evicted - before
-
-    def clear_features(self) -> None:
-        """Evict every materialized payload (used by ablation benches)."""
-        for timestamp in self.materialized_timestamps:
-            self.evict(timestamp)
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -15,15 +15,13 @@ component emits CSR accordingly.
 
 from __future__ import annotations
 
-import weakref
 import zlib
 from collections import namedtuple
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.table import is_frozen
 from repro.exceptions import ValidationError
 from repro.pipeline.component import (
     Batch,
@@ -31,7 +29,7 @@ from repro.pipeline.component import (
     Features,
     StatelessComponent,
 )
-from repro.pipeline.statistics import absorb, locate
+from repro.pipeline.statistics import FrozenMemo, find, grow, sorted_view
 
 
 def hash_index(index: int, num_features: int) -> Tuple[int, float]:
@@ -46,11 +44,6 @@ def hash_index(index: int, num_features: int) -> Tuple[int, float]:
     return bucket, sign
 
 
-def _empty_memo() -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted keys and their ``(bucket, sign)`` columns: none yet."""
-    return np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.int64)
-
-
 #: All of hashing a batch that its ``indptr`` and ``indices`` decide,
 #: in compact dtypes: every entry's sign (``int8``), the stable
 #: ``order`` of entries by (row, bucket) cell and the output cell
@@ -59,28 +52,25 @@ def _empty_memo() -> Tuple[np.ndarray, np.ndarray]:
 #: (``int32``, what scipy makes of them anyway, unless too wide).
 _Plan = namedtuple("_Plan", "signs order groups columns starts")
 
-#: A kept plan and weak references to the two arrays it was made from.
-_Kept = namedtuple("_Kept", "indptr indices plan")
-
 
 class FeatureHasher(StatelessComponent):
     """Hash sparse rows into a fixed-width CSR matrix + labels.
 
     :func:`hash_index` runs once per *distinct* index: the instance
-    memoizes ``index -> (bucket, sign)`` in sorted parallel arrays. The
-    memo is derived data, not state — pickles and fingerprints see it
-    empty, so a hasher is the same component however much of the index
-    space it has met.
+    memoizes ``index -> (bucket, sign)`` in parallel arrays, one slot
+    per index, placed through a
+    :func:`~repro.pipeline.statistics.sorted_view` as the statistics
+    place theirs. The memo is derived data, not state — pickles and
+    fingerprints see it empty, so a hasher is the same component
+    however much of the index space it has met.
 
     Every call plans, then applies. Imputer and scaler pass a batch's
-    index arrays on untouched, so a plan is kept, keyed by the identity
-    of the two arrays, for exactly as long as they live — provided both
-    are frozen (:func:`~repro.data.table.is_frozen`), as the parser
-    emits them: identity says nothing about an array that can still be
-    written. The table holds the arrays only weakly and drops an entry
-    when its ``indices`` array is freed, so a plan dies with whatever
-    holds the parsed rows: the step's prefix memo, or a re-read raw
-    chunk's. Pickles, fingerprints and deep copies see no plan.
+    index arrays on untouched, so a plan is kept in the weak-identity
+    memo the statistics keep their slot arrays in
+    (:class:`~repro.pipeline.statistics.FrozenMemo`): keyed by the two
+    frozen arrays the parser emits, it dies with whatever holds the
+    parsed rows — the step's prefix memo, or a re-read raw chunk's.
+    Pickles, fingerprints and deep copies see no plan.
 
     Parameters
     ----------
@@ -107,41 +97,42 @@ class FeatureHasher(StatelessComponent):
             )
         self.num_features = int(num_features)
         self.signed = signed
-        self._keys, self._memo = _empty_memo()
-        #: ``id(indices) -> _Kept``; see the class docstring.
-        self._plans: Dict[int, _Kept] = {}
+        #: Keys, and their ``(bucket, sign)`` columns, in slot order.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._memo = np.empty((2, 0), dtype=np.int64)
+        self.__setstate__({})
 
     def __getstate__(self) -> dict:
-        keys, memo = _empty_memo()
-        state = {**self.__dict__, "_keys": keys, "_memo": memo}
-        del state["_plans"]
+        empty = {"_keys": self._keys[:0], "_memo": self._memo[:, :0]}
+        state = {**self.__dict__, **empty}
+        del state["_view"], state["_plans"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._plans = {}
+        self._view = sorted_view(self._keys)
+        self._plans = FrozenMemo()
 
     def _hashed(self, indices: np.ndarray) -> np.ndarray:
         """Bucket and sign (two rows) of every index, from the memo."""
-        positions, found = locate(self._keys, indices)
-        if not found.all():
-            new = np.unique(indices[~found])
+        slots = find(self._view, indices)
+        unseen = slots < 0
+        if unseen.any():
+            new = np.unique(indices[unseen])
             hashed = [
                 hash_index(index, self.num_features)
                 for index in new.tolist()
             ]
-            self._keys, self._memo = absorb(
-                self._keys,
-                self._memo,
-                new,
-                np.array(hashed, dtype=np.int64).T,
+            at = new.searchsorted(indices[unseen])
+            slots[unseen] = len(self._keys) + at
+            self._keys, self._memo, self._view = grow(
+                self._keys, self._memo, new, np.array(hashed, dtype=np.int64).T
             )
-            positions += new.searchsorted(indices)
-        return self._memo.take(positions, axis=1)
+        return self._memo.take(slots, axis=1)
 
     def transform(self, batch: Batch) -> Features:
         rows = self._require_rows(batch)
-        plan = self._plan_for(rows.indptr, rows.indices)
+        plan = self._plans.derive(self._planned, rows.indptr, rows.indices)
         values = rows.data * plan.signs if self.signed else rows.data
         sums = np.bincount(
             plan.groups,
@@ -157,22 +148,6 @@ class FeatureHasher(StatelessComponent):
             shape=(rows.num_rows, self.num_features),
         )
         return Features(matrix=matrix, labels=rows.labels)
-
-    def _plan_for(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
-        key = id(indices)
-        kept = self._plans.get(key)
-        if kept and kept.indptr() is indptr and kept.indices() is indices:
-            return kept.plan
-        plan = self._planned(indptr, indices)
-        # Identity is a key only while neither array can change.
-        if is_frozen(indptr) and is_frozen(indices):
-            plans = self._plans
-            plans[key] = _Kept(
-                weakref.ref(indptr),
-                weakref.ref(indices, lambda _, key=key: plans.pop(key, None)),
-                plan,
-            )
-        return plan
 
     def _planned(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
         width = self.num_features

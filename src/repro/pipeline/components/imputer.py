@@ -20,7 +20,11 @@ import numpy as np
 from repro.data.table import Table
 from repro.exceptions import ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
-from repro.pipeline.statistics import RunningMoments, SparseMoments
+from repro.pipeline.statistics import (
+    FrozenMemo,
+    RunningMoments,
+    SparseMoments,
+)
 
 
 class MissingValueImputer(PipelineComponent):
@@ -97,12 +101,23 @@ class MissingValueImputer(PipelineComponent):
         self._moments = RunningMoments(dim=len(self.columns))
 
 
+def _missing(data: np.ndarray, indices: np.ndarray):
+    """Positions of the NaN entries and their indices, frozen so that
+    the statistics keep the indices' slots."""
+    missing = np.isnan(data).nonzero()[0]
+    where = indices.take(missing)
+    where.flags.writeable = False
+    return missing, where
+
+
 class SparseMeanImputer(PipelineComponent):
     """Fill ``NaN`` entries of sparse rows with their index means.
 
     Batches are :class:`~repro.pipeline.component.SparseRows` (see
     :class:`~repro.pipeline.components.parser.SvmLightParser`). An index
-    whose mean is still unknown falls back to ``fill_value``.
+    whose mean is still unknown falls back to ``fill_value``. A frozen
+    batch's NaN positions and their slots are kept, so a re-read batch
+    costs one copy and one ``take``.
     """
 
     kind = ComponentKind.DATA_TRANSFORMATION
@@ -115,6 +130,15 @@ class SparseMeanImputer(PipelineComponent):
         super().__init__(name)
         self.fill_value = float(fill_value)
         self._moments = SparseMoments()
+        self.__setstate__({})
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_nans"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        #: :func:`_missing` of each frozen batch, derived data.
+        self._nans = FrozenMemo()
 
     @property
     def num_indices_seen(self) -> int:
@@ -127,13 +151,11 @@ class SparseMeanImputer(PipelineComponent):
 
     def transform(self, batch: Batch) -> Batch:
         rows = self._require_rows(batch)
-        missing = np.isnan(rows.data)
-        if not missing.any():
+        missing, where = self._nans.derive(_missing, rows.data, rows.indices)
+        if not len(missing):
             return rows
         data = rows.data.copy()
-        data[missing] = self._moments.means(
-            rows.indices[missing], self.fill_value
-        )
+        data[missing] = self._moments.means(where, self.fill_value)
         return rows._replace(data=data)
 
     def reset(self) -> None:

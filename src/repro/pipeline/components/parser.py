@@ -86,9 +86,10 @@ class SvmLightParser(StatelessComponent):
         ordered = indices.take(order)
         if ((ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])).any():
             raise ValueError("index listed twice")
-        # Frozen, the two index arrays can key derived work by identity
-        # (the hasher's plan) for as long as the batch lives.
-        indptr.flags.writeable = indices.flags.writeable = False
+        # Frozen, the arrays can key derived work by identity (the
+        # hasher's plan, slots, NaN entries) while the batch lives.
+        for array in (indptr, indices, data):
+            array.flags.writeable = False
         return SparseRows(labels, indptr, indices, data)
 
     def _reject(self, line: str) -> None:

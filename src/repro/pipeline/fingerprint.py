@@ -24,8 +24,8 @@ upstream component's fingerprint actually changed.
 
 Serialization is canonical: attributes are visited in sorted order,
 numpy arrays hash as ``dtype + shape + bytes``, nested objects recurse
-through their ``__dict__``, so identical state always produces
-identical digests.
+through what pickle takes of them (:func:`_state`), so identical state
+always produces identical digests.
 """
 
 from __future__ import annotations
@@ -114,10 +114,19 @@ def _canonical(value: Any, depth: int = 0) -> Any:
             "__obj__": type(value).__qualname__,
             "attrs": [
                 [key, _canonical(attr, depth + 1)]
-                for key, attr in sorted(vars(value).items())
+                for key, attr in sorted(_state(value).items())
             ],
         }
     return {"__repr__": repr(value)}
+
+
+def _state(value: Any) -> Dict[str, Any]:
+    """What pickle takes of ``value``: what its class's own
+    ``__getstate__`` returns, if it defines one, else its ``__dict__``."""
+    getstate = getattr(type(value), "__getstate__", None)
+    if getstate in (None, getattr(object, "__getstate__", None)):
+        return vars(value)
+    return getstate(value)
 
 
 def _digest_of(payload: Any) -> str:
@@ -159,9 +168,7 @@ def component_fingerprint(
     """
     config: Dict[str, Any] = {}
     stats: Dict[str, Any] = {}
-    getstate = getattr(component, "__getstate__", None)
-    state = getstate() if getstate is not None else vars(component)
-    for key, value in sorted(state.items()):
+    for key, value in sorted(_state(component).items()):
         if isinstance(value, _CONFIG_TYPES) or (
             isinstance(value, tuple)
             and all(isinstance(item, _CONFIG_TYPES) for item in value)

@@ -17,10 +17,13 @@ can be combined, mirroring distributed execution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+import weakref
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.table import is_frozen
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -249,32 +252,57 @@ class RunningMinMax:
             raise NotFittedError("RunningMinMax has not observed any data")
 
 
-def locate(
-    keys: np.ndarray, queries: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each query sits in the sorted, distinct ``keys``.
-
-    Returns the insertion positions (``np.searchsorted``) and a mask of
-    the queries that are present, in which case the position is theirs.
-    """
-    positions = keys.searchsorted(queries)
-    if len(keys):
-        return positions, keys.take(positions, mode="clip") == queries
-    return positions, np.zeros(len(queries), dtype=bool)
-
-
-def absorb(
-    keys: np.ndarray,
-    table: np.ndarray,
-    new_keys: np.ndarray,
-    new_columns: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted ``keys`` and its ``(rows, len(keys))`` companion table,
-    grown by keys not yet present and one table column for each."""
-    keys = np.concatenate((keys, new_keys))
+def sorted_view(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` ascending and the slot (position in ``keys``) of each,
+    in ``int32`` while that holds every slot."""
     order = keys.argsort(kind="stable")
-    table = np.concatenate((table, new_columns), axis=1)
-    return keys.take(order), table.take(order, axis=1)
+    wide = len(keys) > np.iinfo(np.int32).max
+    return keys.take(order), order.astype(np.int64 if wide else np.int32)
+
+
+def grow(
+    keys: np.ndarray, table: np.ndarray, new_keys: np.ndarray, columns
+) -> tuple:
+    """``keys`` and its ``(rows, len(keys))`` table with ``new_keys``
+    (none present yet) at the next slots, and their :func:`sorted_view`."""
+    keys = np.concatenate((keys, new_keys))
+    return keys, np.concatenate((table, columns), axis=1), sorted_view(keys)
+
+
+def find(
+    view: Tuple[np.ndarray, np.ndarray], queries: np.ndarray
+) -> np.ndarray:
+    """The slot of every query in a :func:`sorted_view`, -1 if absent."""
+    keys, slots = view
+    if not len(keys):
+        return np.full(len(queries), -1, dtype=slots.dtype)
+    at = keys.searchsorted(queries)
+    hit = keys.take(at, mode="clip") == queries
+    return np.where(hit, slots.take(at, mode="clip"), -1)
+
+
+class FrozenMemo(dict):
+    """``(id(array), ...) -> (weak references, value)``: a value derived
+    from frozen arrays (:func:`~repro.data.table.is_frozen`; identity
+    says nothing about one that can be written), kept until any of the
+    arrays is freed. The references' callbacks drop the entry before an
+    id can be reused, so a key that is present names live arrays.
+    Owners leave the memo out of pickles and copies.
+    """
+
+    def derive(self, make: Callable, *arrays: np.ndarray):
+        """``make(*arrays)``, kept from an earlier call if there was one."""
+        key = tuple(map(id, arrays))
+        kept = self.get(key)
+        if kept is not None:
+            return kept[1]
+        value = make(*arrays)
+        if all(map(is_frozen, arrays)):
+            self[key] = [
+                weakref.ref(array, lambda _, key=key: self.pop(key, None))
+                for array in arrays
+            ], value
+        return value
 
 
 class SparseMoments:
@@ -282,17 +310,34 @@ class SparseMoments:
 
     Backs the sparse (URL-style) imputer and scaler: the index space is
     unbounded and grows over time, so memory follows the *distinct*
-    indices observed — sorted ``keys`` searched with :func:`locate`,
-    and a table holding the ``count/mean/M2`` of each — never the
-    largest index. Both are exactly as long as the key set, so equal
-    statistics are equal state however they were accumulated. Each
-    index follows the scalar Welford recurrence in stream order.
+    indices observed — never the largest index. A key gets a *slot* the
+    first time it is seen: ``_keys`` and the ``(count, mean, M2)`` rows
+    of ``_table`` are in slot order and only ever appended to, and a
+    :func:`sorted_view` places queries. Each index follows the scalar
+    Welford recurrence in stream order.
+
+    Because slots never move, the slot array of a frozen ``indices``
+    array is kept (:class:`FrozenMemo`), and the mean and std of every
+    slot are computed at most once per update: a re-read chunk is then
+    one ``take``. Pickles (and so checkpoints and fingerprints) hold
+    the keys ascending with their columns, so equal statistics are
+    equal state however they were accumulated.
     """
 
     def __init__(self) -> None:
-        self._keys = np.empty(0, dtype=np.int64)
-        #: Rows: count, mean, M2; one column per key.
-        self._table = np.empty((3, 0), dtype=np.float64)
+        self.__setstate__(
+            {"_keys": np.empty(0, dtype=np.int64), "_table": np.empty((3, 0))}
+        )
+
+    def __getstate__(self) -> dict:
+        keys, slots = self._view
+        return {"_keys": keys, "_table": self._table.take(slots, axis=1)}
+
+    def __setstate__(self, state: dict) -> None:
+        self._keys, self._table = state["_keys"], state["_table"]
+        self._view = sorted_view(self._keys)
+        self._tables: Dict[tuple, np.ndarray] = {}
+        self._kept = FrozenMemo()
 
     def update(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Fold aligned ``(index, value)`` entries, in stream order.
@@ -319,24 +364,24 @@ class SparseMoments:
         starts = edges[:-1]
         sizes = edges[1:] - starts
         distinct = indices.take(starts)
-        positions, found = locate(self._keys, distinct)
-        if not found.all():
+        slots = find(self._view, distinct)
+        new = slots < 0
+        if new.any():
             # An unseen index starts at (1, first value, 0) — not at
             # the zero state plus one step, which turns -0.0 and inf
             # into other bits — and that occurrence is consumed.
-            new = ~found
             fresh = np.zeros((3, np.count_nonzero(new)))
             fresh[0] = 1.0
             fresh[1] = values.take(starts[new])
-            self._keys, self._table = absorb(
+            slots[new] = len(self._keys) + np.arange(len(fresh[0]))
+            self._keys, self._table, self._view = grow(
                 self._keys, self._table, distinct[new], fresh
             )
-            positions = self._keys.searchsorted(distinct)
             starts = starts + new
             sizes -= new
         # Largest groups first, so round k touches a prefix of them.
         by_size = sizes.argsort()[::-1]
-        starts, at = starts.take(by_size), positions.take(by_size)
+        starts, at = starts.take(by_size), slots.take(by_size)
         widths = len(sizes) - np.bincount(sizes).cumsum()[:-1]
         block = self._table.take(at, axis=1)
         count, mean, m2 = block
@@ -349,11 +394,13 @@ class SparseMoments:
                 running += delta / count[:width]
                 m2[:width] += delta * (value - running)
         self._table[:, at] = block
+        self._tables = {}
 
     def merge(self, other: "SparseMoments") -> None:
         """Fold another accumulator into this one (Chan merge per key)."""
-        positions, found = locate(self._keys, other._keys)
-        at = positions[found]
+        slots = find(self._view, other._keys)
+        found = slots >= 0
+        at = slots[found]
         count, mean, m2 = self._table.take(at, axis=1)
         o_count, o_mean, o_m2 = other._table[:, found]
         total = count + o_count
@@ -364,32 +411,55 @@ class SparseMoments:
                 mean + delta * o_count / total,
                 m2 + o_m2 + delta * delta * count * o_count / total,
             )
-        self._keys, self._table = absorb(
-            self._keys,
-            self._table,
-            other._keys[~found],
-            other._table[:, ~found],
+        new = ~found
+        self._keys, self._table, self._view = grow(
+            self._keys, self._table, other._keys[new], other._table[:, new]
         )
+        self._tables = {}
+
+    def _slots(self, indices: np.ndarray) -> np.ndarray:
+        """The slot of every listed index (-1 if unseen), kept for a
+        frozen array; once there are new keys, its -1 entries alone
+        are looked up again."""
+        kept = self._kept.derive(self._place, indices)
+        slots, unseen, size = kept
+        if len(unseen) and size < len(self._keys):
+            found = find(self._view, indices.take(unseen))
+            slots = kept[0] = slots.astype(found.dtype, copy=False)
+            slots[unseen] = found
+            kept[1:] = unseen[found < 0], len(self._keys)
+        return slots
+
+    def _place(self, indices: np.ndarray) -> list:
+        """``[slots, the entries still -1, the key count then]``."""
+        slots = find(self._view, indices)
+        return [slots, (slots < 0).nonzero()[0], len(self._keys)]
+
+    def _per_slot(self, name: str, default: float) -> np.ndarray:
+        """``name`` ("means" or "stds") of every slot as of the last
+        update, then ``default``: what slot -1 reads. Kept by the sign
+        of ``default`` too, since ``0.0 == -0.0``."""
+        key = name, default, math.copysign(1.0, default)
+        if key not in self._tables:
+            if name == "means":
+                known = self._table[1]
+            else:
+                count, __, m2 = self._table
+                with np.errstate(all="ignore"):
+                    variance = m2 / count
+                    known = np.sqrt(variance)
+                known[variance <= 0.0] = default
+            self._tables[key] = np.append(known, default)
+        return self._tables[key]
 
     def means(self, indices: np.ndarray, default: float = 0.0) -> np.ndarray:
         """Mean of every listed index (``default`` if never observed)."""
-        positions, found = locate(self._keys, indices)
-        means = np.full(len(indices), default, dtype=np.float64)
-        means[found] = self._table[1].take(positions[found])
-        return means
+        return self._per_slot("means", default).take(self._slots(indices))
 
     def stds(self, indices: np.ndarray, default: float = 1.0) -> np.ndarray:
         """Population std of every listed index (``default`` if unseen
         or zero)."""
-        positions, found = locate(self._keys, indices)
-        count, __, m2 = self._table.take(positions[found], axis=1)
-        with np.errstate(all="ignore"):
-            variance = m2 / count
-            known = np.sqrt(variance)
-        known[variance <= 0.0] = default
-        stds = np.full(len(indices), default, dtype=np.float64)
-        stds[found] = known
-        return stds
+        return self._per_slot("stds", default).take(self._slots(indices))
 
     def mean(self, index: int, default: float = 0.0) -> float:
         """Mean of feature ``index`` (``default`` if never observed)."""
@@ -400,12 +470,12 @@ class SparseMoments:
         return float(self.stds(np.array([index]), default)[0])
 
     def count(self, index: int) -> int:
-        positions, found = locate(self._keys, np.array([index]))
-        return int(self._table[0, positions[0]]) if found[0] else 0
+        slot = find(self._view, np.array([index]))[0]
+        return int(self._table[0, slot]) if slot >= 0 else 0
 
     def indices(self) -> List[int]:
         """All feature indices observed so far, ascending."""
-        return self._keys.tolist()
+        return self._view[0].tolist()
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -107,14 +107,6 @@ class TestFeatureStorage:
         with pytest.raises(StorageError, match="not materialized"):
             storage.evict(0)
 
-    def test_clear_features(self):
-        storage = ChunkStorage()
-        for t in range(3):
-            storage.put_features(make_feature_chunk(t))
-        storage.clear_features()
-        assert storage.num_materialized == 0
-        assert len(storage.feature_timestamps) == 3
-
     def test_peek_does_not_count_hits(self):
         storage = ChunkStorage()
         storage.put_features(make_feature_chunk(0))
@@ -139,15 +131,3 @@ class TestFeatureStorage:
         with pytest.raises(StorageError):
             ChunkStorage(raw_capacity=0)
 
-
-class TestStats:
-    def test_hit_rate(self):
-        storage = ChunkStorage(max_materialized=1)
-        storage.put_features(make_feature_chunk(0))
-        storage.put_features(make_feature_chunk(1))
-        storage.get_features(1)  # hit
-        storage.get_features(0)  # miss (stub)
-        assert storage.stats.hit_rate() == pytest.approx(0.5)
-
-    def test_hit_rate_empty(self):
-        assert ChunkStorage().stats.hit_rate() == 0.0

@@ -88,7 +88,7 @@ def new_values(rng, rows):
 
 
 def kept_arrays(hasher):
-    return [array for kept in hasher._plans.values() for array in kept.plan]
+    return [array for __, plan in hasher._plans.values() for array in plan]
 
 
 @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
@@ -127,7 +127,9 @@ def test_kept_plans_are_fresh_plans(seed, signed):
                 for array in kept_arrays(hasher)
             ), context
         assert set(hasher._plans) == {
-            id(rows.indices) for rows, kind, _ in live if kind == "frozen"
+            (id(rows.indptr), id(rows.indices))
+            for rows, kind, _ in live
+            if kind == "frozen"
         }, context
         assert pickle.dumps(hasher) == blank
         assert component_fingerprint(hasher) == identity
@@ -163,7 +165,10 @@ def test_a_plan_lives_as_long_as_the_parsed_rows_keying_it(capacity):
     storage = manager.data_manager.storage
 
     def kept_prefixes():
-        return {id(memo.output.indices) for memo in storage._derived.values()}
+        return {
+            (id(memo.output.indptr), id(memo.output.indices))
+            for memo in storage._derived.values()
+        }
 
     for index in range(20):
         chunk = generator.chunk(index)
