@@ -26,6 +26,7 @@ from repro.execution.engine import LocalExecutionEngine
 from repro.ml.models import LinearRegression, LinearSVM
 from repro.ml.optim import Adam, RMSProp
 from repro.ml.sgd import SGDTrainer
+from repro.pipeline.component import union_features
 from repro.pipeline.pipeline import PrefixMemo
 
 
@@ -115,6 +116,18 @@ class TestTrainingThroughput:
             pipeline, LinearRegression(features.num_features), RMSProp(0.05)
         )
         benchmark(manager.online_step, features, batch_rows=1)
+
+    def test_union_80_url_chunks(self, benchmark):
+        """The proactive step's ``context.union``: a sample of 80 hashed
+        URL chunks (50 rows each) stacked into one CSR block."""
+        generator = URLStreamGenerator(
+            num_chunks=80, rows_per_chunk=50, seed=0
+        )
+        pipeline = make_url_pipeline(hash_features=1024)
+        parts = [
+            pipeline.update_transform(generator.chunk(i)) for i in range(80)
+        ]
+        benchmark(union_features, parts)
 
     def test_sparse_prediction(self, benchmark, url_chunk):
         pipeline = make_url_pipeline(hash_features=1024)

@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.data.manager import SampledChunk
 from repro.exceptions import ValidationError
 from repro.execution.engine import LocalExecutionEngine
+from repro.ml.batch import stack_matrices
 from repro.ml.sgd import SGDTrainer
-from repro.pipeline.component import Features, union_features
+from repro.pipeline.component import Features
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,10 @@ def combine_chunks(samples: Sequence[SampledChunk]) -> Features:
     """
     if not samples:
         raise ValidationError("cannot combine an empty sample")
-    return union_features(
-        Features(matrix=s.chunk.features, labels=s.chunk.labels)
-        for s in samples
+    chunks = [sample.chunk for sample in samples]
+    return Features(
+        matrix=stack_matrices([chunk.features for chunk in chunks]),
+        labels=np.concatenate([chunk.labels for chunk in chunks]),
     )
 
 

@@ -109,10 +109,6 @@ class FeatureChunk:
     def num_features(self) -> int:
         return int(self.features.shape[1])
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.features)
-
     def nbytes(self) -> int:
         """Approximate payload size in bytes (sparse-aware)."""
         labels = np.asarray(self.labels)

@@ -139,7 +139,7 @@ class DataManager:
     @property
     def num_chunks(self) -> int:
         """Number of chunks available for sampling (*n* in the paper)."""
-        return len(self._sampleable_timestamps())
+        return len(self.storage.sampleable_timestamps())
 
     @property
     def next_timestamp(self) -> int:
@@ -167,7 +167,7 @@ class DataManager:
         present; otherwise ``materializer`` rebuilds it from the raw
         chunk. Utilization statistics are recorded either way.
         """
-        population = self._sampleable_timestamps()
+        population = self.storage.sampleable_timestamps()
         if not population:
             raise SamplingError("no chunks available for sampling")
         chosen = self.sampler.sample(population, request.size, self._rng)
@@ -252,12 +252,3 @@ class DataManager:
         self._next_timestamp = int(state["next_timestamp"])
         self._rng.bit_generator.state = copy.deepcopy(state["rng_state"])
         self.stats = MaterializationStats(**state["stats"])
-
-    def _sampleable_timestamps(self) -> List[int]:
-        return [
-            t
-            for t in self.storage.feature_timestamps
-            if self.storage.has_raw(
-                self.storage.peek_features(t).raw_reference
-            )
-        ]

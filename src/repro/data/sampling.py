@@ -77,7 +77,7 @@ class Sampler(ABC):
         chosen = generator.choice(
             eligible, size=size, replace=False, p=probabilities
         )
-        return [ordered[i] for i in sorted(chosen)]
+        return [ordered[i] for i in np.sort(chosen).tolist()]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -287,6 +289,13 @@ class ChunkStorage:
     def feature_timestamps(self) -> List[int]:
         """Timestamps with a feature entry (payload or stub)."""
         return list(self._features)
+
+    def sampleable_timestamps(self) -> List[int]:
+        """Timestamps with a feature entry whose raw chunk is still
+        stored — the population a sample draws from (§3.2)."""
+        refs = map(attrgetter("raw_reference"), self._features.values())
+        stored = map(self._raw.__contains__, refs)
+        return list(compress(self._features, stored))
 
     @property
     def materialized_timestamps(self) -> List[int]:

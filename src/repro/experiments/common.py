@@ -95,27 +95,6 @@ class Scenario:
         config = replace(self.continuous_config, **overrides)
         return replace(self, continuous_config=config)
 
-    def with_optimizer(
-        self, name: str, learning_rate: Optional[float] = None, **kw
-    ) -> "Scenario":
-        """Copy with a different learning-rate adaptation technique."""
-        if learning_rate is not None:
-            kw["learning_rate"] = learning_rate
-        return replace(
-            self, make_optimizer=lambda: make_optimizer(name, **kw)
-        )
-
-    def with_regularization(self, strength: float) -> "Scenario":
-        """Copy with a different L2 strength on the model."""
-        original = self.make_model
-
-        def build() -> LinearSGDModel:
-            model = original()
-            model.regularizer = L2(strength)
-            return model
-
-        return replace(self, make_model=build)
-
 
 class _GeneratedOnce:
     """A scenario's tables, generated once and read by every run.

@@ -93,7 +93,7 @@ class Block:
         stop = self.rows if stop is None else stop
         if self.indices is None:
             return (stop - start) * self.width
-        return self.bounds[stop] - self.bounds[start]
+        return int(self.matrix.indptr[stop] - self.matrix.indptr[start])
 
     def range_values(
         self, size: int, start: int = 0, stop: Optional[int] = None
@@ -121,20 +121,37 @@ def stack_matrices(matrices: Sequence[Matrix]) -> Matrix:
 
     The stacked matrix's row ``i`` is byte-identical to the source
     row, so any row-independent kernel over the stack reproduces the
-    per-block results exactly.
+    per-block results exactly. Sparse blocks stack in one pass to what
+    ``sp.vstack(format="csr")`` builds: the same arrays (``indptr``
+    from each block's row ends, shifted by the entries above it) in
+    scipy's index dtype, through the same constructor.
     """
     if not matrices:
         raise ValidationError("stack_matrices needs at least one block")
-    sparse_flags = {bool(sp.issparse(m)) for m in matrices}
-    if len(sparse_flags) > 1:
-        raise ValidationError(
-            "cannot stack a mix of sparse and dense feature blocks"
-        )
-    if len(matrices) == 1:
-        return matrices[0]
-    if sparse_flags.pop():
-        return sp.vstack(matrices, format="csr")
-    return np.vstack(matrices)
+    if {type(m) for m in matrices} != {sp.csr_matrix}:
+        sparse_flags = {bool(sp.issparse(m)) for m in matrices}
+        if len(sparse_flags) > 1:
+            raise ValidationError(
+                "cannot stack a mix of sparse and dense feature blocks"
+            )
+        if not sparse_flags.pop():
+            return matrices[0] if len(matrices) == 1 else np.vstack(matrices)
+        matrices = [m.tocsr() for m in matrices]
+    widths = sorted({m.shape[1] for m in matrices})
+    if len(widths) > 1:
+        raise ValidationError(f"cannot stack sparse blocks of widths {widths}")
+    data = np.concatenate([m.data for m in matrices])
+    ends = np.concatenate([m.indptr[1:] for m in matrices])
+    narrow = np.can_cast(ends.dtype, np.int32)  # all indptrs, promoted
+    narrow = narrow and max(data.size, widths[0]) < 2**31
+    dtype = np.int32 if narrow else np.int64
+    indices = np.concatenate([m.indices for m in matrices], dtype=dtype)
+    sizes = [len(m.data) for m in matrices]  # nnz: scipy prunes to it
+    rows = [len(m.indptr) - 1 for m in matrices]
+    shifts = np.repeat(np.cumsum([0] + sizes[:-1]), rows)
+    indptr = np.zeros(len(ends) + 1, dtype=dtype)
+    np.add(ends, shifts, out=indptr[1:], casting="unsafe")
+    return sp.csr_matrix((data, indices, indptr), (len(ends), widths[0]))
 
 
 def split_rows(

@@ -11,6 +11,7 @@ ad-click references.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -40,6 +41,10 @@ class Loss(ABC):
     def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """:meth:`dvalue` on shapes the caller has checked already."""
 
+    def point(self, decision: float, target: float) -> float:
+        """``dL/dz`` of one point: :meth:`_dvalue` on one element."""
+        return self._dvalue(np.array([decision]), np.array([target]))[0]
+
     @staticmethod
     def _check(decision: np.ndarray, targets: np.ndarray) -> None:
         if decision.shape != targets.shape:
@@ -67,6 +72,9 @@ class SquaredLoss(Loss):
     def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return decision - targets
 
+    #: ``decision - target``, with no Python frame (the taxi row).
+    point = staticmethod(operator.sub)
+
 
 class HingeLoss(Loss):
     """SVM hinge: ``L = max(0, 1 − y z)`` with labels in {-1, +1}."""
@@ -82,6 +90,9 @@ class HingeLoss(Loss):
     def _dvalue(self, decision: np.ndarray, targets: np.ndarray) -> np.ndarray:
         active = (targets * decision) < 1.0
         return np.where(active, -targets, 0.0)
+
+    def point(self, decision: float, target: float) -> float:
+        return -target if target * decision < 1.0 else 0.0
 
 
 class LogisticLoss(Loss):

@@ -22,13 +22,13 @@ iterations over consecutive row ranges ``[lo, hi)`` of a block — one
 range for a proactive step, a chunk's ranges for the online update.
 What is fixed per call is resolved once, before anything moves: the
 width, bounds, targets and a non-empty range are checked, the
-optimizer sized (:meth:`~repro.ml.optim.Optimizer.prepare`), the
-gradient buffer ``[w…, b?]``, the regularizer's term (``bind``) and
-the loss and intercept branches bound. A range pays only its
-arithmetic and its rule's ``_update``, with the bits of scipy / numpy
-on the sliced rows:
+optimizer sized and bound (:meth:`~repro.ml.optim.Optimizer.prepare`,
+``bind``), the gradient buffer ``[w…, b?]``, the regularizer's term
+(``bind``) and the loss and intercept branches bound. A range pays
+only its arithmetic and its rule's step, with the bits of scipy /
+numpy on the sliced rows:
 
-* a proper range of a CSR (the URL row) is read from the block's
+* a proper range of a CSR is read from the block's
   ``indices/data/owner`` and reduced with ``np.bincount``, which
   accumulates in stored-entry order — the order of scipy's
   ``csr_matvec`` / ``csc_matvec`` — so no scipy object is built;
@@ -37,14 +37,9 @@ on the sliced rows:
   loop is ~9x faster than the ``bincount`` spelling;
 * a dense range is the view ``X[lo:hi]``: per-row ``np.add.reduce``
   scores, ``view.T @ d`` column sums;
-* one dense row (the taxi row), unless its objective is asked for, is
-  scalar: ``z = add.reduce(x * w) + b``, the same contiguous pairwise
-  reduce; ``d = z − y`` on the squared loss, else the loss's
-  derivative on the one-element ``[z]`` (logistic's ``exp`` keeps its
-  call shape); ``grad_w = x * d + 0.0``, intercept ``d + 0.0``. Each
-  ``+ 0.0`` restores the signed zero the one-term ``x.T @ d`` and
-  ``add.reduce([d])`` give: ``+0.0`` where the bare ``x * d`` or ``d``
-  is ``-0.0``.
+* a one-row range (the URL and the taxi row), unless its objective is
+  asked for, is one step for both representations, CSR only in
+  canonical format (the hasher's): see :meth:`descend`.
 
 The arithmetic is frozen — trajectory digests pin its bits: ``sums /
 n`` stays a division, the regularizer's term is added even when all
@@ -67,6 +62,9 @@ from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.ml.optim.base import Optimizer
+
+#: ``np.bincount``'s C routine, minus its dispatch frame (once a row).
+bincount = getattr(np.bincount, "_implementation", np.bincount)
 
 
 class LinearSGDModel:
@@ -191,7 +189,16 @@ class LinearSGDModel:
         ``[start, stop)`` (the last one shorter; ``None``: one range),
         updating :attr:`params` in place through ``optimizer`` (none:
         nothing moves). Returns the last range's packed mean gradient
-        and its objective before the update (``None`` if not asked)."""
+        and its objective before the update (``None`` if not asked).
+
+        The one-row step: the representation picks the score (dense
+        ``add.reduce(x * w)``, CSR the range path's ``bincount`` into
+        one bin) and the columns; ``d`` is the loss's ``point``;
+        ``grad_w = term + 0.0``, then ``x * d + grad_w`` at the columns;
+        intercept ``d + 0.0``. The range path computes ``(0.0 + x * d)
+        / 1 + term``, and ``(a + 0.0) + t == a + (t + 0.0)`` for every
+        pair, signed zeros included; ``x * d`` stays first, so a NaN's
+        payload lands where it did. CSR only in canonical format."""
         stop = self._check(block, start, stop)
         targets = block.targets
         if targets is None:
@@ -203,26 +210,35 @@ class LinearSGDModel:
         grad = np.empty(self.num_params)
         grad_w, fit = grad[:self.num_features], self.fit_intercept
         if optimizer is not None:
-            delta, work = optimizer.prepare(params, grad)
-            update = optimizer._update
+            update = optimizer.bind(grad, *optimizer.prepare(params, grad))
         term, fill = self.regularizer.bind(weights)
         loss, matrix, dense = self.loss, block.matrix, block.indices is None
-        derivative = loss._dvalue  # equal, non-empty shapes by construction
-        residual, value = isinstance(loss, SquaredLoss), None
+        derivative, point = loss._dvalue, loss.point  # non-empty, equal
+        indices, data, value = block.indices, block.data, None
+        single = size == 1 or (stop - start) % size == 1  # a one-row range
+        if single and not dense:
+            single = matrix.has_canonical_format
+            bounds, zero = block.bounds, np.zeros(len(data), np.intp)
+        labels = targets.tolist() if size == 1 else targets
+        nought = np.zeros(())  # +0.0, a 0-d operand: no conversion a row
         for lo in range(start, stop, size):
             hi = min(lo + size, stop)
             last = objective and hi == stop
-            if dense and size == 1 and not last:
-                row = matrix[lo]
-                d = np.add.reduce(row * weights) + packed[-1]
-                if residual:
-                    d = d - targets[lo]
-                else:  # the one-element call: logistic's exp stays put
-                    d = derivative(d.reshape(1), targets[lo:hi])[0]
-                np.multiply(row, d, out=grad_w)
-                grad_w += 0.0  # -0.0 to +0.0, as the one-term ``@`` does
+            if fill is not None:
+                fill()
+            if single and hi - lo == 1 and not last:
+                if dense:
+                    columns, values = slice(None), matrix[lo]
+                    z = np.add.reduce(values * weights)
+                else:
+                    a, b = bounds[lo], bounds[hi]
+                    columns, values = indices[a:b], data[a:b]
+                    z = bincount(zero[:b - a], values * weights[columns], 1)[0]
+                d = point(z + packed[-1], labels[lo])
+                np.add(term, nought, out=grad_w)
+                grad_w[columns] = values * d + grad_w[columns]
                 if fit:
-                    grad[-1] = d + 0.0  # as ``add.reduce([d])`` does
+                    grad[-1] = d + 0.0
             else:
                 if dense:
                     rows = matrix[lo:hi]
@@ -234,19 +250,14 @@ class LinearSGDModel:
                     rows = None
                     entries = slice(block.bounds[lo], block.bounds[hi])
                     owner = block.owner[entries] - lo
-                    indices, data = block.indices[entries], block.data[entries]
-                    scores = np.bincount(
-                        owner,
-                        weights=data * weights[indices],
-                        minlength=hi - lo,
-                    )
+                    columns, values = indices[entries], data[entries]
+                    products = values * weights[columns]
+                    scores = bincount(owner, products, hi - lo)
                 decision, batch = scores + packed[-1], targets[lo:hi]
                 dloss = derivative(decision, batch)
                 if rows is None:
-                    sums = np.bincount(
-                        indices,
-                        weights=data * dloss[owner],
-                        minlength=self.num_features,
+                    sums = bincount(
+                        columns, values * dloss[owner], self.num_features
                     )
                 else:
                     sums = rows.T @ dloss
@@ -257,11 +268,9 @@ class LinearSGDModel:
                     value = loss.value(decision, batch) + (
                         self.regularizer.penalty(weights)
                     )
-            if fill is not None:
-                fill()
-            grad_w += term
+                grad_w += term
             if optimizer is not None:
-                np.add(params, update(grad, delta, work), out=params)
+                np.add(params, update(), out=params)
         if optimizer is not None:
             self.updates_applied += -(-(stop - start) // size)
         return grad, value

@@ -31,13 +31,16 @@ class AdaGrad(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad, delta, work):
-        accumulator = self._state["sq_sum"]
-        accumulator += np.multiply(grad, grad, out=work)
-        np.sqrt(accumulator, out=work)
-        work += self.epsilon
-        np.multiply(-self.learning_rate, grad, out=delta)
-        return np.divide(delta, work, out=delta)
+    def bind(self, grad, delta, work):
+        total = self._state["sq_sum"]
+        epsilon, rate = map(np.array, (self.epsilon, -self.learning_rate))
+        def step():
+            np.add(total, np.multiply(grad, grad, out=work), out=total)
+            np.sqrt(total, out=work)
+            np.add(work, epsilon, out=work)
+            np.multiply(rate, grad, out=delta)
+            return np.divide(delta, work, out=delta)
+        return step
 
 
 class RMSProp(Optimizer):
@@ -61,14 +64,19 @@ class RMSProp(Optimizer):
         self.rho = check_fraction(rho, "rho")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad, delta, work):
+    def bind(self, grad, delta, work):
         average = self._state["sq_avg"]
-        average *= self.rho
-        np.multiply(1.0 - self.rho, grad, out=work)
-        average += np.multiply(work, grad, out=work)
-        np.sqrt(np.add(average, self.epsilon, out=work), out=work)
-        np.multiply(-self.learning_rate, grad, out=delta)
-        return np.divide(delta, work, out=delta)
+        rho, keep, epsilon, rate = map(np.array, (
+            self.rho, 1.0 - self.rho, self.epsilon, -self.learning_rate
+        ))
+        def step():
+            np.multiply(average, rho, out=average)
+            np.multiply(keep, grad, out=work)
+            np.add(average, np.multiply(work, grad, out=work), out=average)
+            np.sqrt(np.add(average, epsilon, out=work), out=work)
+            np.multiply(rate, grad, out=delta)
+            return np.divide(delta, work, out=delta)
+        return step
 
 
 class AdaDelta(Optimizer):
@@ -87,20 +95,26 @@ class AdaDelta(Optimizer):
         self.rho = check_fraction(rho, "rho")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad, delta, work):
-        sq_avg = self._state["sq_avg"]
-        delta_avg = self._state["delta_avg"]
-        sq_avg *= self.rho
-        np.multiply(1.0 - self.rho, grad, out=work)
-        sq_avg += np.multiply(work, grad, out=work)
-        np.sqrt(np.add(delta_avg, self.epsilon, out=delta), out=delta)
-        np.negative(delta, out=delta)
-        delta /= np.sqrt(np.add(sq_avg, self.epsilon, out=work), out=work)
-        delta *= grad
-        delta_avg *= self.rho
-        np.multiply(1.0 - self.rho, delta, out=work)
-        delta_avg += np.multiply(work, delta, out=work)
-        return delta
+    def bind(self, grad, delta, work):
+        sq_avg, delta_avg = self._state["sq_avg"], self._state["delta_avg"]
+        rho, keep, epsilon = map(np.array, (
+            self.rho, 1.0 - self.rho, self.epsilon
+        ))
+        def step():
+            np.multiply(sq_avg, rho, out=sq_avg)
+            np.multiply(keep, grad, out=work)
+            np.add(sq_avg, np.multiply(work, grad, out=work), out=sq_avg)
+            np.sqrt(np.add(delta_avg, epsilon, out=delta), out=delta)
+            np.negative(delta, out=delta)
+            np.sqrt(np.add(sq_avg, epsilon, out=work), out=work)
+            np.divide(delta, work, out=delta)
+            np.multiply(delta, grad, out=delta)
+            np.multiply(delta_avg, rho, out=delta_avg)
+            np.multiply(keep, delta, out=work)
+            squared = np.multiply(work, delta, out=work)
+            np.add(delta_avg, squared, out=delta_avg)
+            return delta
+        return step
 
 
 class Adam(Optimizer):
@@ -127,17 +141,27 @@ class Adam(Optimizer):
         self.beta2 = check_fraction(beta2, "beta2")
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update(self, grad, delta, work):
-        first, second = self._state["m"], self._state["v"]
-        step_index = self._state["t"] = int(self._state.get("t", 0)) + 1
-        first *= self.beta1
-        first += np.multiply(1.0 - self.beta1, grad, out=work)
-        second *= self.beta2
-        np.multiply(1.0 - self.beta2, grad, out=work)
-        second += np.multiply(work, grad, out=work)
-        np.divide(first, 1.0 - self.beta1**step_index, out=delta)  # m̂
-        delta *= -self.learning_rate
-        np.divide(second, 1.0 - self.beta2**step_index, out=work)  # v̂
-        np.sqrt(work, out=work)
-        work += self.epsilon
-        return np.divide(delta, work, out=delta)
+    def bind(self, grad, delta, work):
+        state, beta1, beta2 = self._state, self.beta1, self.beta2
+        first, second = state["m"], state["v"]
+        b1, keep1, b2, keep2, rate, epsilon = map(np.array, (
+            beta1, 1.0 - beta1, beta2, 1.0 - beta2,
+            -self.learning_rate, self.epsilon,
+        ))
+        unbias1, unbias2 = np.empty(()), np.empty(())  # 1 − βᵗ, per step
+        def step():
+            step_index = state["t"] = int(state.get("t", 0)) + 1
+            unbias1[()] = 1.0 - beta1**step_index
+            unbias2[()] = 1.0 - beta2**step_index
+            np.multiply(first, b1, out=first)
+            np.add(first, np.multiply(keep1, grad, out=work), out=first)
+            np.multiply(second, b2, out=second)
+            np.multiply(keep2, grad, out=work)
+            np.add(second, np.multiply(work, grad, out=work), out=second)
+            np.divide(first, unbias1, out=delta)  # m̂
+            np.multiply(delta, rate, out=delta)
+            np.divide(second, unbias2, out=work)  # v̂
+            np.sqrt(work, out=work)
+            np.add(work, epsilon, out=work)
+            return np.divide(delta, work, out=delta)
+        return step

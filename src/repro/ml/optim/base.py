@@ -15,16 +15,20 @@ builds the delta in two scratch arrays sized from ``dim`` (not state:
 no ``state_dict()`` or pickle holds them), in the operation order of
 its textbook spelling — ``((1-β₂)·g)·g``, ``(-η·m̂) / (√v̂ + ε)``, a
 division never a multiplication by a reciprocal — because a
-reordering changes low bits that every trajectory digest pins. A
-training kernel checks and sizes once (:meth:`Optimizer.prepare`),
-then calls ``_update`` once per step.
+reordering changes low bits that every trajectory digest pins.
+
+A training kernel checks and sizes once (:meth:`Optimizer.prepare`)
+and binds once (:meth:`Optimizer.bind`): the rule looks up its state
+and makes its constants (β₁, 1−β₁, −η, ε, …) 0-d ``float64`` arrays —
+a Python float costs each ufunc call a conversion — and returns its
+step, a local closure that pickles and ``state_dict`` never see.
 """
 
 from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +38,8 @@ from repro.exceptions import ValidationError
 class Optimizer(ABC):
     """Base class for SGD update rules.
 
-    Subclasses implement :meth:`_update` returning the parameter
-    *delta* for a gradient and name their per-coordinate state in
+    Subclasses implement :meth:`bind`, whose step returns the parameter
+    *delta* for a gradient, and name their per-coordinate state in
     :attr:`arrays`.
     """
 
@@ -71,14 +75,14 @@ class Optimizer(ABC):
         params = np.asarray(params, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
         scratch = self.prepare(params, grad)
-        return np.add(params, self._update(grad, *scratch), out=out)
+        return np.add(params, self.bind(grad, *scratch)(), out=out)
 
     def prepare(
         self, params: np.ndarray, grad: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Check ``params`` and ``grad`` are equal 1-D shapes, size the
         state on first use (refuse another size after) and return the
-        scratch :meth:`_update` builds a delta in — once per kernel."""
+        scratch :meth:`bind` builds a delta in — once per kernel."""
         if params.ndim != 1 or grad.shape != params.shape:
             raise ValidationError(
                 f"params shape {params.shape} and grad shape "
@@ -141,12 +145,12 @@ class Optimizer(ABC):
     # Subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def _update(
+    def bind(
         self, grad: np.ndarray, delta: np.ndarray, work: np.ndarray
-    ) -> np.ndarray:
-        """Parameter delta (already negated) for this gradient.
-        ``delta`` and ``work`` are scratch to build it in;
-        its caller only reads the result."""
+    ) -> Callable[[], np.ndarray]:
+        """The step: each call returns the delta (already negated) for
+        what ``grad`` holds then, built in the scratch ``delta`` and
+        ``work``. Bound after :meth:`prepare`, while the state stays."""
 
     def __repr__(self) -> str:
         public = {

@@ -7,6 +7,8 @@ paper cites among the adaptive-rate methods.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.ml.optim.base import Optimizer
@@ -22,8 +24,9 @@ class ConstantLR(Optimizer):
         super().__init__()
         self.learning_rate = check_positive(learning_rate, "learning_rate")
 
-    def _update(self, grad, delta, work):
-        return np.multiply(-self.learning_rate, grad, out=delta)
+    def bind(self, grad, delta, work):
+        rate = np.array(-self.learning_rate)
+        return partial(np.multiply, rate, grad, out=delta)
 
 
 class InverseScalingLR(Optimizer):
@@ -40,10 +43,12 @@ class InverseScalingLR(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.power = check_positive(power, "power")
 
-    def _update(self, grad, delta, work):
-        step_index = self._state["t"] = int(self._state.get("t", 0)) + 1
-        eta = self.learning_rate / step_index**self.power
-        return np.multiply(-eta, grad, out=delta)
+    def bind(self, grad, delta, work):
+        def step():
+            step_index = self._state["t"] = int(self._state.get("t", 0)) + 1
+            eta = self.learning_rate / step_index**self.power
+            return np.multiply(-eta, grad, out=delta)
+        return step
 
 
 class Momentum(Optimizer):
@@ -59,8 +64,11 @@ class Momentum(Optimizer):
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         self.beta = check_fraction(beta, "beta")
 
-    def _update(self, grad, delta, work):
+    def bind(self, grad, delta, work):
         velocity = self._state["velocity"]
-        velocity *= self.beta
-        velocity -= np.multiply(self.learning_rate, grad, out=work)
-        return velocity
+        beta, rate = map(np.array, (self.beta, self.learning_rate))
+        def step():
+            np.multiply(velocity, beta, out=velocity)
+            product = np.multiply(rate, grad, out=work)
+            return np.subtract(velocity, product, out=velocity)
+        return step

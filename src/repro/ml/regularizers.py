@@ -65,8 +65,8 @@ class L2(Regularizer):
         return float(0.5 * self.strength * np.dot(weights, weights))
 
     def bind(self, weights):
-        term = np.empty_like(weights)
-        return term, partial(np.multiply, self.strength, weights, out=term)
+        term, strength = np.empty_like(weights), np.array(self.strength)
+        return term, partial(np.multiply, strength, weights, out=term)
 
     def __repr__(self) -> str:
         return f"L2(strength={self.strength})"

@@ -16,9 +16,9 @@ conditionally independent given (model parameters, optimizer state) —
 the property §3.3 uses to justify running them at arbitrary times.
 
 A step's gradient is one range of :meth:`LinearSGDModel.descend`, and
-its update is the ``prepare`` + ``_update`` of the optimizer that the
-kernel binds once. A step given ``batch_rows`` runs the kernel itself,
-once over all the ranges of a chunk: that is the online update
+its update is ``Optimizer.step`` (``prepare`` + ``bind``). A step
+given ``batch_rows`` runs the kernel itself, once over all the ranges
+of a chunk, binding the update once: that is the online update
 (``LocalExecutionEngine.online_update``).
 """
 

@@ -39,7 +39,6 @@ class TestFeatureChunk:
         chunk = self._dense()
         assert chunk.num_rows == 3
         assert chunk.num_features == 2
-        assert not chunk.is_sparse
 
     def test_sparse_properties(self):
         chunk = FeatureChunk(
@@ -48,7 +47,6 @@ class TestFeatureChunk:
             features=sp.csr_matrix(np.eye(3)),
             labels=np.ones(3),
         )
-        assert chunk.is_sparse
         assert chunk.num_features == 3
 
     def test_nbytes_dense_vs_sparse(self):

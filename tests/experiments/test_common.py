@@ -16,7 +16,6 @@ from repro.experiments.common import (
     taxi_scenario,
     url_scenario,
 )
-from repro.ml.optim import RMSProp
 
 
 class TestScenarioBuilders:
@@ -104,16 +103,9 @@ class TestOneStreamPerScenario:
     def test_copies_share_separate_builds_do_not(self):
         scenario = url_scenario("test")
         table = next(iter(scenario.make_stream()))
-        for copy in (
-            scenario.with_continuous(sample_size_chunks=3),
-            scenario.with_optimizer("rmsprop"),
-            scenario.with_regularization(0.5),
-        ):
-            assert next(iter(copy.make_stream())) is table
-            assert (
-                copy.make_initial_data()[0]
-                is scenario.make_initial_data()[0]
-            )
+        copy = scenario.with_continuous(sample_size_chunks=3)
+        assert next(iter(copy.make_stream())) is table
+        assert copy.make_initial_data()[0] is scenario.make_initial_data()[0]
         other = next(iter(url_scenario("test").make_stream()))
         assert other is not table and other == table
 
@@ -149,19 +141,6 @@ class TestScenarioHelpers:
         assert adapted.continuous_config.sample_size_chunks == 17
         # Original untouched.
         assert scenario.continuous_config.sample_size_chunks != 17
-
-    def test_with_optimizer(self):
-        scenario = url_scenario("test").with_optimizer(
-            "rmsprop", learning_rate=0.2
-        )
-        optimizer = scenario.make_optimizer()
-        assert isinstance(optimizer, RMSProp)
-        assert optimizer.learning_rate == 0.2
-
-    def test_with_regularization(self):
-        scenario = url_scenario("test").with_regularization(0.5)
-        model = scenario.make_model()
-        assert model.regularizer.strength == 0.5
 
     def test_scenario_is_dataclass_copyable(self):
         scenario = url_scenario("test")

@@ -68,3 +68,12 @@ def test_frames_entered_per_trained_row(make_chunk, most):
         f"{make_chunk.__name__}: {measured:.2f} Python frames per trained "
         f"row, at most {most} expected"
     )
+
+
+def test_url_row_enters_only_its_update_rule():
+    """A one-row CSR range is one step: no range-path frames per row."""
+    measured = frames_per_row(url_chunk)
+    assert measured <= 3.5, (
+        f"url_chunk: {measured:.2f} Python frames per trained row, "
+        f"at most 3.5 expected"
+    )

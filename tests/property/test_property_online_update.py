@@ -21,13 +21,18 @@ count, ``values`` their sum, and it starts and ends on the virtual
 clock where the first one started and the last one ended. A chunk
 without rows takes no step and emits nothing.
 
-The generator draws the signed-zero edges the one-row dense spelling
-must restore (``x * d`` is ``-0.0`` where the one-term ``X.T @ d`` and
-``np.add.reduce`` give ``+0.0``): parameters loaded as ``-0.0``
-through ``set_params_vector``, all-zero rows, regression targets equal
-to the decision (a zero residual), negative features beside it, and
-rows labelled as the model predicts them whose logistic derivative
-underflows to ``-0.0``.
+The generator draws the signed-zero edges the one-row step must
+restore (``x * d`` is ``-0.0`` where the one-term ``X.T @ d``, the
+``bincount`` from ``+0.0`` and ``np.add.reduce`` give ``+0.0``):
+parameters loaded as ``-0.0`` through ``set_params_vector`` (under
+every regularizer, L2 among them), all-zero rows, stored ``±0.0``,
+regression targets equal to the decision (a zero residual), negative
+features beside it, rows labelled as the model predicts them whose
+logistic derivative underflows to ``-0.0``, and hinge margins of
+exactly ``y·z == 1.0`` (weights ``-0.0``, intercept ``1.0``, every
+label ``+1``). Besides the canonical CSR the hasher emits, a
+non-canonical family stores a column twice in a row, out of order:
+its one-row ranges take the range path and must still match.
 
 Each chunk is walked twice on the same engine, so the second update
 starts from a moved clock and a warm optimizer. A failure names the
@@ -39,6 +44,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.execution.engine import LocalExecutionEngine
@@ -65,7 +71,7 @@ from tests.property.test_property_row_range import (
 )
 from tests.property.test_property_sgd_step import as_bytes, signed_zeros
 
-SEEDS = range(12)
+SEEDS = range(16)
 #: Across numpy's pairwise-summation block of 8 and its unrolled 128.
 WIDTHS = (1, 7, 8, 9, 64, 129)
 CHUNK_ROWS = (0, 1, 7, 13)
@@ -171,7 +177,7 @@ def reference_optimizer_step(optimizer, params, grad, out=None):
             optimizer._dim
         )
     return np.add(
-        params, optimizer._update(grad, *optimizer._scratch), out=out
+        params, optimizer.bind(grad, *optimizer._scratch)(), out=out
     )
 
 
@@ -243,26 +249,65 @@ def csr_chunk(rng, rows, width):
     return features
 
 
+def repeated_chunk(rng, rows, width):
+    """``csr_chunk`` with, in some rows, a column stored twice and the
+    row's entries reversed: not canonical, so one-row ranges take the
+    range path (``bincount`` sums a repeated column)."""
+    features = csr_chunk(rng, rows, width)
+    data, indices, bounds = [], [], [0]
+    for row in range(rows):
+        entries = slice(features.indptr[row], features.indptr[row + 1])
+        columns, values = features.indices[entries], features.data[entries]
+        if columns.size and rng.random() < 0.5:
+            columns = np.append(columns, columns[0])[::-1]
+            values = np.append(values, rng.standard_normal())[::-1]
+        indices.append(columns)
+        data.append(values)
+        bounds.append(bounds[-1] + columns.size)
+    return sp.csr_matrix(
+        (
+            np.concatenate([[]] + data),
+            np.concatenate([np.empty(0, np.int32)] + indices),
+            bounds,
+        ),
+        shape=(rows, width),
+    )
+
+
+def mode_of(seed):
+    """Modes 0–2 cycle over seeds 0–11, crossing each with every chunk
+    size; seeds 12–15 are mode 3's, one per chunk size."""
+    return seed % 3 if seed < 12 else 3
+
+
 def load_start(rng, model, mode):
     """Starting parameters through ``set_params_vector``: all ``-0.0``
-    (mode 0), normals with a ``-0.0`` intercept (mode 1), or normals
-    with both zeros sprinkled among them (mode 2)."""
+    (mode 0), normals with a ``-0.0`` intercept (mode 1), normals with
+    both zeros sprinkled among them (mode 2), or weights ``-0.0`` and
+    intercept ``1.0`` (mode 3: with ``+1`` labels, hinge margins of
+    exactly 1)."""
     packed = signed_zeros(rng, rng.standard_normal(model.num_params))
     if mode == 0:
         packed[:] = -0.0
     elif mode == 1:
         packed[-1] = -0.0
+    elif mode == 3:
+        packed[:] = -0.0
+        packed[-1] = 1.0
     model.set_params_vector(packed)
 
 
 def draw_targets(rng, model, matrix, mode):
     """Regression targets: in mode 0 the decision itself, so every
     residual is a signed zero. Labels: in mode 1 the model's own
-    predictions (every margin positive), else ±1 at random."""
+    predictions (every margin positive), in mode 3 all ``+1``, else ±1
+    at random."""
     rows = matrix.shape[0]
     if model.task == "classification":
         if mode == 1 and rows:
             return model.predict(matrix)
+        if mode == 3:
+            return np.ones(rows)
         return rng.choice([-1.0, 1.0], size=rows)
     if mode == 0 and rows:
         return model.decision_function(matrix)
@@ -281,7 +326,7 @@ def learner(seed, model_type, make_regularizer, make_optimizer, fit, width):
     model = model_type(
         width, regularizer=make_regularizer(), fit_intercept=fit
     )
-    load_start(ensure_rng(seed), model, mode=seed % 3)
+    load_start(ensure_rng(seed), model, mode=mode_of(seed))
     telemetry = Telemetry(ring_capacity=1 << 12)
     engine = LocalExecutionEngine(telemetry=telemetry)
     return engine, SGDTrainer(model, make_optimizer()), telemetry
@@ -289,7 +334,7 @@ def learner(seed, model_type, make_regularizer, make_optimizer, fit, width):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow: NaN
 @pytest.mark.parametrize(
-    "make_block", [csr_chunk, dense_chunk, saturated_chunk]
+    "make_block", [csr_chunk, repeated_chunk, dense_chunk, saturated_chunk]
 )
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 def test_one_operation_matches_a_train_step_per_range(seed, make_block):
@@ -310,7 +355,7 @@ def test_one_operation_matches_a_train_step_per_range(seed, make_block):
         want_engine, want_trainer, want_events = learner(
             seed, *configuration, width
         )
-        labels = draw_targets(rng, got_trainer.model, matrix, seed % 3)
+        labels = draw_targets(rng, got_trainer.model, matrix, mode_of(seed))
         features = Features(matrix, labels)
         where = (
             f"seed={seed} {make_block.__name__} rows={rows} width={width} "
