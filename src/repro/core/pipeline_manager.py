@@ -21,7 +21,9 @@ Owns the deployed pipeline and model and mediates every data movement:
 Both of these re-read stored raw chunks, the same ones again and
 again; a re-read chunk's stateless prefix stays beside it in the
 storage (:meth:`~repro.data.storage.ChunkStorage.derived`), so it is
-computed once per run rather than once per re-read.
+computed once per run rather than once per re-read. In a store that
+can evict, that once is the step that stores the chunk: it keeps the
+prefix it computed instead of dropping it.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ class PipelineManager:
             raise PipelineError("initial_fit needs at least one table")
         parts: List[Features] = []
         for table in tables:
-            raw = self.data_manager.ingest(table) if store else None
-            features = self.engine.online_pass(self.pipeline, table)
+            raw = memo = None
+            if store:
+                raw = self.data_manager.ingest(table)
+                memo = self._kept_prefix(raw, None)
+            features = self.engine.online_pass(self.pipeline, table, memo)
             if store:
                 self._store_features(raw, features)
             parts.append(features)
@@ -159,9 +164,12 @@ class PipelineManager:
         the statistics of every stateful component advance; without it
         (the NoOptimization ablation) only the transform runs. With
         ``store`` the resulting feature chunk is materialized in the
-        data manager.
+        data manager, and a store that can evict keeps the chunk's
+        stateless prefix beside it (:meth:`_kept_prefix`).
         """
         raw = self.data_manager.ingest(table)
+        if store:
+            self._memo = self._kept_prefix(raw, self._memo)
         features = self.training_pass(table, online_statistics)
         if store:
             self._store_features(raw, features)
@@ -178,6 +186,24 @@ class PipelineManager:
         if online_statistics:
             return self.engine.online_pass(self.pipeline, table, memo)
         return self.engine.transform_only(self.pipeline, table, memo)
+
+    def _kept_prefix(
+        self, raw: RawChunk, memo: Optional[PrefixMemo]
+    ) -> Optional[PrefixMemo]:
+        """The memo the pass over the just-ingested ``raw`` should use.
+
+        A store that can evict will re-read ``raw`` once its payload is
+        gone, so the step's ``memo`` (if it holds ``raw.table``; else a
+        fresh one this pass fills) is kept beside the chunk from now
+        on, not dropped and computed again on the first re-read. An
+        unbounded store keeps nothing until a re-read: ``memo`` as is.
+        """
+        storage = self.data_manager.storage
+        if not storage.can_evict:
+            return memo
+        if memo is None or memo.source is not raw.table:
+            memo = PrefixMemo()
+        return storage.derived(raw, lambda: memo)
 
     def _store_features(self, raw: RawChunk, features: Features) -> None:
         chunk = FeatureChunk(
@@ -264,8 +290,9 @@ class PipelineManager:
         """Run a stored raw chunk through ``replay`` (one of the
         engine's two pipeline passes) from the stateless prefix kept
         beside it. The first re-read of a chunk computes that prefix
-        and leaves it there; every later one starts at the first
-        stateful component and only repeats the prefix's charges."""
+        and leaves it there, unless the step that stored the chunk
+        already did; every later one starts at the first stateful
+        component and only repeats the prefix's charges."""
         memo = self.data_manager.storage.derived(raw, PrefixMemo)
         return replay(self.pipeline, raw.table, memo)
 

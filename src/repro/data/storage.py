@@ -16,6 +16,10 @@ the pipeline's statistics, every time. :meth:`ChunkStorage.derived`
 keeps such a by-product beside the raw chunk it was computed from, for
 exactly as long as that chunk is stored and nowhere else: it is not in
 the manifest, not spilled, and gone after :meth:`ChunkStorage.restore`.
+
+Eviction is oldest payload first. The timestamps holding a payload are
+kept apart from the stubs, in the order their payloads were stored, so
+finding the oldest never walks past the stubs in front of it.
 """
 
 from __future__ import annotations
@@ -111,7 +115,9 @@ class ChunkStorage:
         )
         #: raw timestamp -> what :meth:`derived` keeps beside it.
         self._derived: Dict[int, object] = {}
-        self._materialized_count = 0
+        #: Timestamps with a payload, oldest payload first (an ordered
+        #: set): eviction takes the first without walking the stubs.
+        self._materialized: Dict[int, None] = {}
         self._materialized_bytes = 0
         self.stats = StorageStats()
         self._metrics = metrics
@@ -145,6 +151,7 @@ class ChunkStorage:
             self.stats.raw_dropped += 1
             entry = self._features.pop(oldest, None)
             if isinstance(entry, FeatureChunk):
+                del self._materialized[oldest]
                 self._account_eviction(entry)
 
     def get_raw(self, timestamp: int) -> RawChunk:
@@ -183,6 +190,15 @@ class ChunkStorage:
     def derived(self, chunk: RawChunk, make: Callable[[], _T]) -> _T:
         """What is kept beside the stored raw ``chunk``: ``make()`` the
         first time, that same object on every later request.
+
+        When the first request comes depends on the store. If it
+        :attr:`can_evict`, the pipeline manager asks as soon as it has
+        ingested the chunk and hands over the stateless prefix its step
+        computed (memory traded for a parse: on ``url_remat`` ~22 KB a
+        stored chunk, ``peak_rss_mb`` +5 %), because any payload may
+        be evicted and its raw chunk re-read. An unbounded store is
+        asked only on a re-read, which a run may never make: a chunk
+        never re-read keeps nothing.
 
         Derived data has four lifetime rules. It dies with its raw
         chunk (``raw_capacity`` drops). It is never persisted: not in
@@ -235,7 +251,7 @@ class ChunkStorage:
             # most recently materialized payload).
             del self._features[chunk.timestamp]
         self._features[chunk.timestamp] = chunk
-        self._materialized_count += 1
+        self._materialized[chunk.timestamp] = None
         self._materialized_bytes += chunk.nbytes()
         self.stats.features_inserted += 1
         self.stats.bytes_materialized = self._materialized_bytes
@@ -298,17 +314,20 @@ class ChunkStorage:
         return list(compress(self._features, stored))
 
     @property
+    def can_evict(self) -> bool:
+        """True when a chunk or byte bound is set: a payload stored now
+        may be evicted and its raw chunk re-read."""
+        return self.max_materialized is not None or self.max_bytes is not None
+
+    @property
     def materialized_timestamps(self) -> List[int]:
-        """Timestamps whose feature payload is currently materialized."""
-        return [
-            t
-            for t, entry in self._features.items()
-            if isinstance(entry, FeatureChunk)
-        ]
+        """Timestamps whose feature payload is currently materialized,
+        oldest payload first."""
+        return list(self._materialized)
 
     @property
     def num_materialized(self) -> int:
-        return self._materialized_count
+        return len(self._materialized)
 
     @property
     def materialized_bytes(self) -> int:
@@ -324,16 +343,13 @@ class ChunkStorage:
         budget of zero every payload is evicted immediately, matching
         the paper's materialization rate 0.0 configuration.
         """
-        while self._over_budget():
-            victim = self._oldest_materialized()
-            if victim is None:
-                break
-            self.evict(victim)
+        while self._materialized and self._over_budget():
+            self.evict(next(iter(self._materialized)))
 
     def _over_budget(self) -> bool:
         if (
             self.max_materialized is not None
-            and self._materialized_count > self.max_materialized
+            and len(self._materialized) > self.max_materialized
         ):
             return True
         if (
@@ -342,12 +358,6 @@ class ChunkStorage:
         ):
             return True
         return False
-
-    def _oldest_materialized(self) -> Optional[int]:
-        for timestamp, entry in self._features.items():
-            if isinstance(entry, FeatureChunk):
-                return timestamp
-        return None
 
     def evict(self, timestamp: int) -> ChunkStub:
         """Drop the payload of a materialized chunk, leaving a stub."""
@@ -358,11 +368,11 @@ class ChunkStorage:
             )
         stub = ChunkStub.of(entry)
         self._features[timestamp] = stub
+        del self._materialized[timestamp]
         self._account_eviction(entry)
         return stub
 
     def _account_eviction(self, chunk: FeatureChunk) -> None:
-        self._materialized_count -= 1
         self._materialized_bytes -= chunk.nbytes()
         self.stats.features_evicted += 1
         self.stats.bytes_materialized = self._materialized_bytes
@@ -371,7 +381,7 @@ class ChunkStorage:
 
     def _update_level_gauges(self) -> None:
         self._metrics.gauge(names.CACHE_MATERIALIZED_CHUNKS).set(
-            self._materialized_count
+            len(self._materialized)
         )
         self._metrics.gauge(names.CACHE_MATERIALIZED_BYTES).set(
             self._materialized_bytes
@@ -442,13 +452,8 @@ class ChunkStorage:
         self._features = OrderedDict(
             (entry.timestamp, entry) for entry in features
         )
-        self._materialized_count = sum(
-            1 for entry in features if isinstance(entry, FeatureChunk)
-        )
-        self._materialized_bytes = sum(
-            entry.nbytes()
-            for entry in features
-            if isinstance(entry, FeatureChunk)
-        )
+        payloads = [e for e in features if isinstance(e, FeatureChunk)]
+        self._materialized = dict.fromkeys(e.timestamp for e in payloads)
+        self._materialized_bytes = sum(e.nbytes() for e in payloads)
         self.stats = StorageStats(**stats)
         self._update_level_gauges()

@@ -144,11 +144,6 @@ class URLStreamGenerator:
         self._drift_next = 0
 
     # ------------------------------------------------------------------
-    @property
-    def feature_universe(self) -> int:
-        """Total number of distinct feature indices the stream can emit."""
-        return self._universe
-
     def available_features(self, chunk_index: int) -> int:
         """Indices in existence at ``chunk_index`` (grows linearly)."""
         if not 0 <= chunk_index < self.num_chunks:

@@ -208,10 +208,3 @@ class PrequentialTracker:
         if self.kind == "rmse":
             return float(np.sqrt(mean_error))
         return float(mean_error)
-
-    def average_over_time(self) -> float:
-        """Mean of the cumulative-error curve (the paper's "average
-        error rate" comparisons across deployment approaches)."""
-        if not self.history:
-            return 0.0
-        return float(np.mean(self.history))

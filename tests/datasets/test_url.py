@@ -67,7 +67,6 @@ class TestStreamShape:
         generator = small_generator()
         assert generator.available_features(0) == 50
         assert generator.available_features(9) == 50 + 27
-        assert generator.feature_universe == 50 + 30
 
     def test_late_features_absent_early(self):
         generator = small_generator(recent_feature_bias=0.0)

@@ -85,16 +85,9 @@ class TestPrequentialTracker:
         tracker.add_chunk(error_sum=0.0, count=4)  # mse 0.5
         assert tracker.value() == pytest.approx(np.sqrt(0.5))
 
-    def test_average_over_time(self):
-        tracker = PrequentialTracker()
-        tracker.add_chunk(2, 10)
-        tracker.add_chunk(0, 10)
-        assert tracker.average_over_time() == pytest.approx(0.15)
-
     def test_empty_values(self):
         tracker = PrequentialTracker()
         assert tracker.value() == 0.0
-        assert tracker.average_over_time() == 0.0
 
     def test_invalid_kind(self):
         with pytest.raises(ValidationError):

@@ -190,8 +190,9 @@ def test_a_plan_lives_as_long_as_the_parsed_rows_keying_it(capacity):
 
 def test_a_bounded_store_plans_once_per_parse(monkeypatch):
     """How ``url_remat``'s plan count is taken: every plan computed is
-    one parse's, so a run plans once per online chunk and once per
-    first re-read of a stored chunk, however often it is re-read."""
+    one parse's, and a store that can evict keeps the parse of every
+    chunk a step stores, so a run parses and plans once per stored
+    chunk, however often it is re-read."""
     calls = Counter()
     for kind, method in (
         (SvmLightParser, "transform"),
@@ -214,13 +215,17 @@ def test_a_bounded_store_plans_once_per_parse(monkeypatch):
         initial, seed=scenario.seed, **scenario.initial_fit_kwargs
     )
     result = deployment.run(scenario.make_stream())
-    # Nothing drops a raw chunk here: every chunk ever re-read is kept.
-    first_rereads = len(deployment.data_manager.storage._derived)
+    # Nothing drops a raw chunk here: every stored chunk is kept.
+    storage = deployment.data_manager.storage
+    stored = len(initial) + scenario.num_chunks
+    assert set(storage._derived) == set(storage.raw_timestamps)
+    assert len(storage._derived) == stored
     rereads = result.counters["chunks_rematerialized"]
-    assert rereads > first_rereads > 0
-    online = len(initial) + scenario.num_chunks
-    assert calls["FeatureHasher", "transform"] == online + (
+    assert rereads > stored
+    # A stream chunk is hashed to answer it, to train on it, and on
+    # every re-read; the online pass reuses the answer's parse.
+    assert calls["FeatureHasher", "transform"] == stored + (
         scenario.num_chunks + rereads
     )
-    assert calls["SvmLightParser", "transform"] == online + first_rereads
-    assert calls["FeatureHasher", "_planned"] == online + first_rereads
+    assert calls["SvmLightParser", "transform"] == stored
+    assert calls["FeatureHasher", "_planned"] == stored

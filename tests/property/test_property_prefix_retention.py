@@ -1,11 +1,14 @@
 """Generated properties of the stateless prefix kept beside a raw chunk.
 
-The first time a stored raw chunk is re-read — to re-materialize an
+The output of the pipeline's stateless prefix (URL: the parsed rows;
+taxi: the stateless columns) is kept beside a stored raw chunk
+(``ChunkStorage.derived``), and a re-read — to re-materialize an
 evicted feature chunk for a proactive-training sample, or to replay
-the history for a full retraining — the output of the pipeline's
-stateless prefix (URL: the parsed rows; taxi: the stateless columns) is
-kept beside that raw chunk (``ChunkStorage.derived``), and every later
-re-read starts at the first stateful component.
+the history for a full retraining — that finds it starts at the first
+stateful component. In a store that can evict (a chunk or byte bound),
+the step that stores a chunk keeps the prefix it computed, so no
+re-read parses and the parser runs once per stored chunk. An unbounded
+store keeps nothing until a chunk's first re-read, which computes it.
 
 **Retained ≡ re-parsed.** The reference is the same deployment driven
 so that it can never reuse: every re-read gets an equal-content copy of
@@ -21,10 +24,13 @@ statistics, and every checkpoint file.
 
 **Lifetime.** What is kept dies with its raw chunk (never more entries
 than stored raw chunks, every key a stored timestamp), is in no
-checkpoint file, is gone after a recovery and refilled lazily (kill →
-recover → run ≡ uninterrupted), is forgotten by ``replace_artifacts``
-(a pipeline that parses another column re-parses), and is kept only
-for the very object stored while its table is frozen.
+checkpoint file, is gone after a recovery (kill → recover → run ≡
+uninterrupted; a chunk the checkpoint restored is computed again on its
+first re-read, one the recovered process stored is not), is forgotten
+by ``replace_artifacts`` (a pipeline that parses another column
+re-parses), and is kept only for the very object stored while its
+table is frozen — a step that answered other rows keeps a fresh
+prefix of the chunk it stores.
 
 **Transient faults.** ``io_error`` at generated ``storage.read``
 occurrences × ``RetryPolicy(max_attempts, jitter)``: the run either
@@ -160,9 +166,21 @@ def build(case, directory=None, **reliability):
         and CheckpointConfig(directory, cadence_chunks=case["cadence"]),
         **reliability,
     )
-    # No constructor takes it: the paper keeps every raw chunk.
-    deployment.data_manager.storage.raw_capacity = case["raw_capacity"]
+    # No constructor takes them: the paper keeps every raw chunk, and
+    # bounds the store by a chunk count.
+    storage = deployment.data_manager.storage
+    storage.raw_capacity = case["raw_capacity"]
+    storage.max_bytes = case.get("max_bytes")
     return scenario, deployment, telemetry
+
+
+def seeds(case):
+    """True when the steps of ``case`` keep the prefix of every chunk
+    they store: the store can evict (only a continuous deployment's is
+    bounded here), so each stored chunk may be re-read."""
+    return case["approach"] == "continuous" and (
+        case["m"] is not None or case.get("max_bytes") is not None
+    )
 
 
 def never_the_stored_object(data_manager):
@@ -274,7 +292,30 @@ def assert_same(ours, theirs, case, skip=()):
 @pytest.mark.parametrize("dataset", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 def test_retained_is_reparsed(tmp_path, parser_runs, seed, dataset, approach):
-    case = draw_case(seed, dataset, approach)
+    check_retained(tmp_path, parser_runs, draw_case(seed, dataset, approach))
+
+
+@pytest.mark.parametrize("dataset", sorted(SCENARIOS))
+def test_a_byte_budget_alone_makes_steps_keep_their_prefix(
+    tmp_path, parser_runs, dataset
+):
+    """``max_bytes`` with no chunk count: the store can evict, so the
+    steps keep what they parsed — about three chunks' payloads fit."""
+    case = dict(
+        draw_case(1, dataset, "continuous"),
+        m=None,
+        max_bytes=12_000,
+        sampler="uniform",
+    )
+    deployment, log = check_retained(tmp_path, parser_runs, case)
+    stats = deployment.data_manager.storage.stats
+    assert stats.features_evicted > 0 and log, case
+    assert deployment.data_manager.storage.num_materialized > 1, case
+
+
+def check_retained(tmp_path, parser_runs, case):
+    """The retained run of ``case`` against its never-reusing reference;
+    returns the retained deployment and its re-read log."""
     deployment, log, retained = run(case, tmp_path / "retained")
     parses = parser_runs.pop(PARSER)
     _, reference_log, reference = run(case, tmp_path / "reference", reuse=False)
@@ -285,14 +326,28 @@ def test_retained_is_reparsed(tmp_path, parser_runs, seed, dataset, approach):
     hits = sum(hit for _, hit, _ in log)
     assert not any(hit for _, hit, _ in reference_log), case
     assert parser_runs[PARSER] - parses == hits, case
-    dropped = deployment.data_manager.storage.stats.raw_dropped
-    if not dropped:  # then a chunk is parsed for at most one re-read
-        assert len(log) - hits == len({t for t, _, _ in log}), case
+    storage = deployment.data_manager.storage
+    if seeds(case):
+        # Every stored chunk's prefix was kept by the step that stored
+        # it: no re-read parses, and the parser ran once per chunk.
+        assert all(hit for _, hit, _ in log), case
+        assert parses == storage.stats.raw_inserted, case
+        assert set(storage._derived) == set(storage.raw_timestamps), case
+    else:
+        # Nothing is kept until a re-read, which computes it: each
+        # chunk's first re-read parses, every later one does not.
+        first = {}
+        for timestamp, hit, _ in log:
+            assert hit == (timestamp in first), case
+            first[timestamp] = hit
+        assert set(storage._derived) <= set(first), case
+        assert len(log) - hits == len(first), case
     # Nothing kept reaches a checkpoint: the files are the reference's
     # bytes (above), and none names the memo.
     assert retained["checkpoints"], case
     for name, blob in retained["checkpoints"].items():
         assert PrefixMemo.__name__.encode() not in blob, (name, case)
+    return deployment, log
 
 
 def test_the_properties_above_are_not_vacuous():
@@ -338,6 +393,14 @@ def test_killed_and_recovered_run_refills_lazily(
 
     scenario, deployment, telemetry = build(case, tmp_path / "killed")
     log = watch_rereads(deployment)
+    storage, restored = deployment.data_manager.storage, set()
+    restore = storage.restore
+
+    def watched_restore(raw, features, stats):
+        restored.update(chunk.timestamp for chunk in raw)
+        restore(raw, features, stats)
+
+    storage.restore = watched_restore
     result = deployment.recover(islice(scenario.make_stream(), case["n"]))
     recovered = outcome(
         deployment, result, telemetry, log, tmp_path / "killed"
@@ -354,11 +417,15 @@ def test_killed_and_recovered_run_refills_lazily(
     )
     tail = uninterrupted["rereads"][-len(log) :] if log else []
     assert recovered["rereads"] == tail, (case, kill)
-    # Nothing kept came back with the checkpoint: whatever timestamp is
-    # re-read first after the recovery is computed again.
+    # Nothing kept came back with the checkpoint: a chunk stored before
+    # the crash is computed again on its first re-read after the
+    # recovery. One the recovered process stored itself was kept by
+    # its step, if the store can evict.
+    assert restored, (case, kill)
     first = {}
     for timestamp, hit, _ in log:
-        assert first.setdefault(timestamp, hit) is False, (case, kill)
+        expected = seeds(case) and timestamp not in restored
+        assert first.setdefault(timestamp, hit) is expected, (case, kill)
 
 
 def url_manager(pipeline, width, **storage):
@@ -417,8 +484,8 @@ def test_replaced_artifacts_parse_again(parser_runs):
         manager.process_training_chunk(table)
     manager.sample_for_training(4)
     manager.sample_for_training(4)
-    assert len(storage._derived) > 0
-    assert parser_runs[PARSER] == 4 + len(storage._derived)
+    # Each chunk was parsed once, by the step that stored it.
+    assert parser_runs[PARSER] == len(storage._derived) == 4
 
     other = pipeline_reading("other")
     for table in tables:
@@ -438,6 +505,23 @@ def test_replaced_artifacts_parse_again(parser_runs):
             == expected[chunk.timestamp]
         )
     assert parser_runs[PARSER] == len(storage._derived) > 0
+
+
+def test_a_step_that_answered_other_rows_keeps_its_own_parse(parser_runs):
+    """Query batches that are not the training chunk (a serving
+    endpoint's traffic) leave the step a memo of other rows: the chunk
+    stored keeps a prefix of its own table, never that memo."""
+    generator = URLStreamGenerator(num_chunks=8, rows_per_chunk=6, seed=3)
+    manager = url_manager(make_url_pipeline(32), 32, max_materialized=0)
+    storage = manager.data_manager.storage
+    for index in range(4):
+        manager.answer_queries(generator.chunk(index + 4))
+        manager.process_training_chunk(generator.chunk(index))
+    assert parser_runs[PARSER] == 8
+    for timestamp, memo in storage._derived.items():
+        assert memo.source is storage.peek_raw(timestamp).table
+    assert manager.sample_for_training(4)
+    assert parser_runs[PARSER] == 8
 
 
 def test_only_the_frozen_stored_object_has_anything_kept_beside_it():
