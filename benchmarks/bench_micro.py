@@ -2,8 +2,8 @@
 
 These are conventional pytest-benchmark timings (many rounds) for the
 operations that dominate a deployment: pipeline transforms, feature
-hashing, SGD steps (dense and sparse), sampling, and storage
-bookkeeping.
+hashing, SGD steps (dense and sparse), sampling, storage bookkeeping,
+and a checkpoint write.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline_manager import PipelineManager
-from repro.data.chunk import FeatureChunk
+from repro.data.chunk import FeatureChunk, RawChunk
 from repro.data.manager import DataManager
 from repro.data.sampling import (
     TimeBasedSampler,
@@ -27,7 +27,13 @@ from repro.ml.models import LinearRegression, LinearSVM
 from repro.ml.optim import Adam, RMSProp
 from repro.ml.sgd import SGDTrainer
 from repro.pipeline.component import union_features
+from repro.persistence import DeploymentBundle
 from repro.pipeline.pipeline import PrefixMemo
+from repro.reliability import (
+    CheckpointConfig,
+    CheckpointStore,
+    PlatformCheckpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +183,73 @@ class TestStorageThroughput:
             seed=0,
             params={"inserts": 256, "max_materialized": 64},
         )
+
+
+class TestCheckpointWrite:
+    """Sixty checkpoints of a ``url_stack``-shaped run: 600 URL chunks of
+    50 rows (raw and features stored, the store unbounded), cadence 10,
+    keep 3, an append-only log of 20 entries a chunk, and the run's
+    bundle in every envelope. One round is the sixty writes into an
+    empty directory; ``ms_per_write`` is its mean."""
+
+    CHUNKS, CADENCE = 600, 10
+
+    @pytest.fixture(scope="class")
+    def history(self):
+        """What the store holds after each chunk, and the bundle."""
+        stream = URLStreamGenerator(
+            num_chunks=self.CHUNKS, rows_per_chunk=50, seed=7
+        )
+        pipeline = make_url_pipeline(hash_features=1024)
+        chunks = []
+        for timestamp in range(self.CHUNKS):
+            table = stream.chunk(timestamp)
+            features = pipeline.update_transform(table)
+            chunks.append(
+                (
+                    RawChunk(timestamp=timestamp, table=table),
+                    FeatureChunk(
+                        timestamp=timestamp,
+                        raw_reference=timestamp,
+                        features=features.matrix,
+                        labels=features.labels,
+                    ),
+                )
+            )
+        bundle = DeploymentBundle(
+            pipeline, LinearSVM(num_features=1024), Adam(0.01)
+        )
+        return chunks, bundle
+
+    def test_sixty_writes(self, benchmark, history, tmp_path):
+        chunks, bundle = history
+        rounds = iter(range(1_000))
+
+        def write_all():
+            store = CheckpointStore(
+                CheckpointConfig(
+                    tmp_path / str(next(rounds)),
+                    cadence_chunks=self.CADENCE,
+                    keep=3,
+                )
+            )
+            storage, log = ChunkStorage(), []
+            for raw, chunk in chunks:
+                storage.put_raw(raw)
+                storage.put_features(chunk)
+                log.extend({"chunk": raw.timestamp, "n": n} for n in range(20))
+                cursor = raw.timestamp + 1
+                if cursor % self.CADENCE == 0:
+                    store.write(
+                        PlatformCheckpoint(cursor, "continuous", bundle),
+                        storage=storage,
+                        logs={"lineage": log},
+                    )
+            return store
+
+        store = benchmark.pedantic(write_all, rounds=3, iterations=1)
+        writes = self.CHUNKS // self.CADENCE
+        benchmark.extra_info["ms_per_write"] = (
+            benchmark.stats.stats.mean * 1e3 / writes
+        )
+        assert len(store.checkpoints()) == 3

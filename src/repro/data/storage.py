@@ -409,22 +409,25 @@ class ChunkStorage:
     def manifest(self) -> Dict[str, object]:
         """Cache manifest: chunk ids + stats, no payload arrays.
 
-        Entries appear in insertion order (which *is* the eviction
-        order), so a restore reproduces future eviction decisions
-        exactly. Payloads are persisted separately by the checkpoint
-        store; the manifest only records which ids exist and which of
-        them are currently materialized.
+        One column a field, not one record a chunk: ``raw`` holds the
+        raw timestamps; ``features`` the feature entries' timestamps,
+        with ``raw_reference`` and ``materialized`` beside them at the
+        same index. Both orders are insertion order (which *is* the
+        eviction order), so a restore reproduces future eviction
+        decisions exactly. Payloads are persisted separately by the
+        checkpoint store; the manifest only records which ids exist
+        and which of them are currently materialized.
         """
+        entries = self._features
         return {
             "raw": list(self._raw),
-            "features": [
-                {
-                    "timestamp": timestamp,
-                    "raw_reference": entry.raw_reference,
-                    "materialized": isinstance(entry, FeatureChunk),
-                }
-                for timestamp, entry in self._features.items()
-            ],
+            "features": list(entries),
+            "raw_reference": list(
+                map(attrgetter("raw_reference"), entries.values())
+            ),
+            "materialized": list(
+                map(self._materialized.__contains__, entries)
+            ),
             "stats": asdict(self.stats),
         }
 

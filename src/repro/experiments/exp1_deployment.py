@@ -59,16 +59,6 @@ def quality_series(
     }
 
 
-def cost_series(
-    results: Mapping[str, DeploymentResult],
-) -> Dict[str, List[float]]:
-    """Figure 4(b)/(d): cumulative cost curves per approach."""
-    return {
-        name: list(result.cost_history)
-        for name, result in results.items()
-    }
-
-
 def cost_ratios(
     results: Mapping[str, DeploymentResult],
 ) -> Dict[str, float]:

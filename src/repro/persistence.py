@@ -26,7 +26,6 @@ wrote. This mirrors every mainstream Python model store.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import pickle
 from dataclasses import dataclass
@@ -129,13 +128,10 @@ def seal_envelope(obj: object, magic: bytes, key: str = "payload") -> bytes:
     version beside ``obj`` under ``key``) — reused by the reliability
     layer for checkpoints and spilled chunk payloads.
     """
-    buffer = io.BytesIO()
-    pickle.dump(
+    payload = pickle.dumps(
         {"version": _library_version(), key: obj},
-        buffer,
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    payload = buffer.getvalue()
     digest = hashlib.sha256(payload).digest()
     return magic + digest + payload
 

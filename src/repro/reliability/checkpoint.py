@@ -11,39 +11,45 @@ A :class:`CheckpointStore` owns one checkpoint directory::
 
     <dir>/ckpt-00000012.ckpt        checksummed envelope (see
                                     repro.persistence.seal_envelope)
-    <dir>/ckpt-00000012.refs.json   pack files this checkpoint needs
-    <dir>/chunks/raw-00000012-<digest>.pkl
-                                    the raw chunks checkpoint 12 was
-                                    the first to spill, one envelope;
-                                    with them what every append-only
-                                    log gained since checkpoint 11
+    <dir>/chunks/pack-00000012-<digest>.pkl
+                                    what checkpoint 12 was the first to
+                                    hold, one envelope: the raw chunks,
+                                    the feature chunks and what every
+                                    append-only log gained since
+                                    checkpoint 11
     <dir>/chunks/feat-00000012-<digest>.pkl
-                                    likewise its feature chunks
+                                    its feature chunks instead, when
+                                    the storage can evict them
 
-Checkpoint files are written atomically (staged + ``os.replace``) on a
-configurable cadence and pruned to the newest ``keep`` (the shared
-:func:`~repro.persistence.select_prunable` policy). Chunk payloads are
-content-immutable and written once, in the pack of the first
-checkpoint that holds them: a checkpoint costs two payload files (and
-two ``fsync`` waits) however many chunks arrived since the last one,
-not one per chunk. A pack is garbage-collected when no retained
-checkpoint references any chunk in it; raw and feature chunks go to
-separate packs because only feature chunks are ever evicted.
+A checkpoint is one pack and one envelope, written in that order, each
+atomically (staged, ``fsync``, ``os.replace``): two ``fsync`` waits
+however many chunks arrived since the last one, and a durable envelope
+never names a pack that is not durable yet. A pack's name carries the
+SHA-256 its own seal computed (it is hashed once), so a recovered run
+re-writing a cursor meets its own bytes. Payloads are content-immutable
+and written once; later checkpoints reference the pack, never rewrite
+it. A
+storage that can evict (:attr:`~repro.data.storage.ChunkStorage.can_evict`)
+keeps its feature chunks in a pack of their own (three waits), because
+an evicted payload's pack must be collectable while the raw chunks
+beside it live on; that is the only exception.
 
-A checkpoint writes what changed. An append-only log (the lineage
-ledger's entries, the monitor's snapshots) is handed over as the
-owner's *live* list; the store remembers how many entries of it are on
-disk, writes ``log[spilled:]`` and the envelope carries, per log, the
-ordered pack names whose segments concatenate to it. The tails ride in
-the raw pack (keyed by log name beside the timestamps): a log segment
-has a raw chunk's lifetime — never evicted, needed by every later
-checkpoint — so it needs no file, and no ``fsync``, of its own, and it
-follows the chunk packs' rules to the letter: digest-named, in the
-refs sidecar before the envelope exists, collected by refs, and the
-count is rebuilt by :meth:`CheckpointStore.restore_logs` so a resumed
-run spills only what it appends. A checkpoint is four small atomic
-writes (sidecar, envelope, raw pack, feature pack) whatever the run's
-history.
+An append-only log (the lineage ledger's entries, the monitor's
+snapshots) is handed over as the owner's *live* list; the store
+remembers how many entries of it are on disk, packs ``log[spilled:]``
+and the envelope carries, per log, the ordered pack names whose
+segments concatenate to it. :meth:`CheckpointStore.restore_logs`
+rebuilds the count, so a resumed run spills only what it appends.
+
+Retention keeps the newest ``keep`` checkpoints (the shared
+:func:`~repro.persistence.select_prunable` policy) and collects a pack
+once no retained checkpoint references it. The store knows what each
+retained checkpoint references (:meth:`CheckpointStore.references`,
+read from the envelope), so a write lists no directory and reads no
+file back. Only the first write of a store lists the directory: it
+rebuilds those references from the envelopes on disk, sweeps stale
+``*.tmp`` staging files, and leaves the packs no envelope references
+to the next prune.
 
 Feature payloads *must* be persisted rather than re-derived: a
 materialized chunk embeds the pipeline statistics as of its ingest
@@ -60,8 +66,7 @@ instead of failing it.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import os
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +74,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Set,
@@ -104,13 +110,17 @@ if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
 #: held a ``scheduler`` and per-subclass keys. Format 4: a fleet
 #: tenant's platform holds one trigger, its slot grant (slots and the
 #: drift window), where it held a static schedule's, and the tenant
-#: keeps no error list of its own. An older directory is refused by
-#: name, not half-read — a checkpoint is one run's crash artifact, not
-#: an interchange format.
-CHECKPOINT_MAGIC = b"REPRO-CKPT-4\n"
+#: keeps no error list of its own. Format 5: one pack a checkpoint,
+#: no refs sidecar, and a manifest of columns (pack indices, not a
+#: pack name a chunk). An older directory is refused by name, not
+#: half-read — a checkpoint is one run's crash artifact, not an
+#: interchange format.
+CHECKPOINT_MAGIC = b"REPRO-CKPT-5\n"
 
-#: File magic identifying a spilled chunk payload.
-CHUNK_MAGIC = b"REPRO-CHUNK-1\n"
+#: File magic identifying a pack of spilled payloads: a dict of up to
+#: three sections, ``raw`` and ``features`` (chunks by timestamp) and
+#: ``logs`` (tails by log name).
+CHUNK_MAGIC = b"REPRO-CHUNK-2\n"
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,11 @@ class PlatformCheckpoint:
     recovery resumes reading at exactly that offset. ``state`` nests
     the component state dicts (shape owned by whoever wrote the
     checkpoint — the deployment loop or the platform); ``manifest`` is
-    the storage manifest when the run has chunk storage; ``logs`` maps
-    each append-only log to the packs holding its segments, oldest
-    first, when the run keeps any. The store fills in the last two.
+    the storage manifest when the run has chunk storage (columns, see
+    :meth:`~repro.data.storage.ChunkStorage.manifest`, plus ``packs``
+    and each chunk's index into it); ``logs`` maps each append-only log
+    to the packs holding its segments, oldest first, when the run keeps
+    any. The store fills in the last two.
     """
 
     cursor: int
@@ -180,6 +192,14 @@ def as_store(
     )
 
 
+def _forget(kept: List[int], *indexes: Dict[int, Any]) -> None:
+    """Drop every entry of ``indexes`` whose timestamp is not ``kept``."""
+    kept = set(kept)
+    for index in indexes:
+        for timestamp in sorted(index.keys() - kept):
+            del index[timestamp]
+
+
 class CheckpointStore:
     """One checkpoint directory: write, load-with-fallback, prune."""
 
@@ -205,14 +225,20 @@ class CheckpointStore:
         # payloads are immutable objects — re-materialization after
         # an eviction builds a *new* chunk (with today's pipeline
         # statistics) — so for them identity is exactly the right
-        # key, held as a weakref beside the pack name.
+        # key: ``_spilled_payloads`` holds a weakref to the object
+        # spilled, ``_spilled_features`` its pack.
         self._spilled_raw: Dict[int, str] = {}
-        self._spilled_features: Dict[
-            int, Tuple["weakref.ref", str]
-        ] = {}
+        self._spilled_features: Dict[int, str] = {}
+        self._spilled_payloads: Dict[int, "weakref.ref"] = {}
         # Likewise per append-only log: how many of its entries are
         # on disk, and in which packs (oldest first).
         self._spilled_logs: Dict[str, Tuple[int, List[str]]] = {}
+        # Checkpoint file name -> the packs it references, oldest
+        # checkpoint first; ``None`` until the first write read the
+        # directory. Packs on disk that no checkpoint referenced then
+        # wait in ``_unreferenced`` for the next prune.
+        self._retained: Optional[Dict[str, FrozenSet[str]]] = None
+        self._unreferenced: Set[str] = set()
 
     @property
     def cadence(self) -> int:
@@ -226,6 +252,25 @@ class CheckpointStore:
     def chunks_directory(self) -> Path:
         return self.directory / "chunks"
 
+    @staticmethod
+    def references(checkpoint: PlatformCheckpoint) -> FrozenSet[str]:
+        """The pack files ``checkpoint`` reads."""
+        refs: Set[str] = set()
+        if checkpoint.manifest is not None:
+            refs.update(checkpoint.manifest["packs"])
+        for files in (checkpoint.logs or {}).values():
+            refs.update(files)
+        return frozenset(refs)
+
+    @property
+    def retained(self) -> Dict[Path, FrozenSet[str]]:
+        """Each checkpoint this store retains, oldest first, with the
+        packs it references (empty before the first write)."""
+        return {
+            self.directory / name: refs
+            for name, refs in (self._retained or {}).items()
+        }
+
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -238,39 +283,24 @@ class CheckpointStore:
         """Persist a checkpoint atomically; returns its path.
 
         With ``storage``, the cache manifest is captured into the
-        checkpoint and the not-yet-spilled chunk payloads are written
-        to the ``chunks/`` area first, as one pack of raw and one of
-        feature chunks (append-only: payloads are immutable, so
-        earlier packs are referenced, never rewritten). With ``logs``
-        (live append-only lists by name), what each gained since the
-        last write rides in the raw pack — like a raw chunk it is
-        never evicted and every later checkpoint needs it, so it
-        costs no file of its own — and the checkpoint carries the
-        segment refs. The refs sidecar lands before the checkpoint
-        file so retention GC always knows what a checkpoint needs.
-        Old checkpoints beyond ``keep`` are pruned afterwards.
+        checkpoint and the chunk payloads no earlier checkpoint
+        spilled go into this checkpoint's pack (append-only: payloads
+        are immutable, so earlier packs are referenced, never
+        rewritten). With ``logs`` (live append-only lists by name),
+        what each gained since the last write rides in the same pack
+        and the checkpoint carries the segment refs. The pack is
+        durable before the envelope is written. Old checkpoints beyond
+        ``keep`` are pruned afterwards.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
+        retained = self._retained
+        if retained is None:
+            retained = self._retained = self._scan()
         tails = self._log_tails(logs or {})
-        if storage is not None:
-            checkpoint.manifest, refs, pack = self._spill_storage(
-                storage, checkpoint.cursor, tails
-            )
-        else:
-            refs = []
-            pack = self._write_pack("raw", checkpoint.cursor, tails)
+        pack = self._spill(checkpoint, storage, tails)
         if logs:
             checkpoint.logs = self._log_refs(logs, tails, pack)
-            refs = sorted(set(refs).union(*checkpoint.logs.values()))
-        name = f"ckpt-{checkpoint.cursor:08d}"
-        atomic_write_bytes(
-            self.directory / f"{name}.refs.json",
-            json.dumps(
-                {"cursor": checkpoint.cursor, "chunks": refs}
-            ).encode(),
-        )
         blob = seal_envelope(checkpoint, CHECKPOINT_MAGIC)
-        path = self.directory / f"{name}.ckpt"
+        path = self.directory / f"ckpt-{checkpoint.cursor:08d}.ckpt"
 
         def attempt() -> Path:
             if self.fault_injector is not None:
@@ -280,12 +310,16 @@ class CheckpointStore:
                 )
             else:
                 data = blob
-            return atomic_write_bytes(path, data)
+            return atomic_write_bytes(path, data, sweep=False)
 
         if self.retrier is not None:
             self.retrier.call(attempt, site=CHECKPOINT_WRITE)
         else:
             attempt()
+        newest = next(reversed(retained), None)
+        retained[path.name] = self.references(checkpoint)
+        if newest is not None and path.name < newest:
+            self._retained = dict(sorted(retained.items()))
         self.telemetry.tracer.point(
             names.RELIABILITY_CHECKPOINT_WRITTEN,
             cursor=checkpoint.cursor,
@@ -295,52 +329,73 @@ class CheckpointStore:
         self.prune()
         return path
 
-    def _spill_storage(
-        self, storage: ChunkStorage, cursor: int, tails: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], List[str], Optional[str]]:
-        """Capture the manifest and spill the missing payloads (the
-        raw pack takes ``tails`` along); also returns that pack."""
+    def _spill(
+        self,
+        checkpoint: PlatformCheckpoint,
+        storage: Optional[ChunkStorage],
+        tails: Dict[str, Any],
+    ) -> Optional[str]:
+        """Write this checkpoint's pack(s) and, with ``storage``, its
+        manifest; returns the pack name (``None``: nothing new)."""
+        cursor = checkpoint.cursor
+        if storage is None:
+            return self._write_pack("pack", cursor, {"logs": tails})
         manifest = storage.manifest()
-        raw_pack = self._write_pack(
-            "raw",
-            cursor,
-            {
-                **tails,
-                **{
-                    timestamp: storage.peek_raw(timestamp)
-                    for timestamp in manifest["raw"]
-                    if timestamp not in self._spilled_raw
-                },
-            },
-        )
-        self._spilled_raw = {
-            timestamp: self._spilled_raw.get(timestamp, raw_pack)
-            for timestamp in manifest["raw"]
-        }
-        manifest["raw_files"] = list(self._spilled_raw.values())
-
-        materialized = [
-            entry for entry in manifest["features"] if entry["materialized"]
-        ]
-        spilled: Dict[int, Tuple["weakref.ref", str]] = {}
+        stored = manifest["raw"]
+        materialized = storage.materialized_timestamps
+        spilled_raw = self._spilled_raw
+        spilled_features = self._spilled_features
+        payloads = self._spilled_payloads
+        _forget(stored, spilled_raw)
+        _forget(materialized, spilled_features, payloads)
+        # Both orders are oldest first, so what arrived since the last
+        # write is a suffix: walk back to the first chunk on disk. A
+        # payload is on disk when the very object was spilled (one
+        # re-materialized after an eviction is a new object).
+        raw: Dict[int, RawChunk] = {}
+        for timestamp in reversed(stored):
+            if timestamp in spilled_raw:
+                break
+            raw[timestamp] = storage.peek_raw(timestamp)
         fresh: Dict[int, FeatureChunk] = {}
-        for entry in materialized:
-            timestamp = entry["timestamp"]
+        for timestamp in reversed(materialized):
             chunk = storage.peek_features(timestamp)
-            cached = self._spilled_features.get(timestamp)
-            if cached is not None and cached[0]() is chunk:
-                spilled[timestamp] = cached
-            else:
-                fresh[timestamp] = chunk
-        pack = self._write_pack("feat", cursor, fresh)
-        for timestamp, chunk in fresh.items():
-            spilled[timestamp] = (weakref.ref(chunk), pack)
-        self._spilled_features = spilled
-        for entry in materialized:
-            entry["payload_file"] = spilled[entry["timestamp"]][1]
-        refs = set(manifest["raw_files"])
-        refs.update(entry["payload_file"] for entry in materialized)
-        return manifest, sorted(refs), raw_pack
+            spilled = payloads.get(timestamp)
+            if spilled is not None and spilled() is chunk:
+                break
+            fresh[timestamp] = chunk
+        raw = dict(reversed(raw.items()))
+        fresh = dict(reversed(fresh.items()))
+        if storage.can_evict:
+            apart = self._write_pack("feat", cursor, {"features": fresh})
+            pack = self._write_pack(
+                "pack", cursor, {"raw": raw, "logs": tails}
+            )
+        else:
+            pack = apart = self._write_pack(
+                "pack", cursor, {"raw": raw, "features": fresh, "logs": tails}
+            )
+        spilled_raw.update(dict.fromkeys(raw, pack))
+        spilled_features.update(dict.fromkeys(fresh, apart))
+        payloads.update(zip(fresh, map(weakref.ref, fresh.values())))
+
+        # The pack of every chunk, as an index into ``packs``.
+        raw_files = list(map(spilled_raw.__getitem__, stored))
+        payload_files = list(
+            map(spilled_features.get, manifest["features"])
+        )
+        packs = list(dict.fromkeys(raw_files + payload_files))
+        if None in packs:  # a stub: no payload
+            packs.remove(None)
+        index = dict(zip(packs, range(len(packs))))
+        index[None] = -1
+        manifest["packs"] = packs
+        manifest["raw_pack"] = list(map(index.__getitem__, raw_files))
+        manifest["feature_pack"] = list(
+            map(index.__getitem__, payload_files)
+        )
+        checkpoint.manifest = manifest
+        return pack
 
     def _log_tails(self, logs: Dict[str, List[Any]]) -> Dict[str, Any]:
         """What each log gained since the last write (or restore)."""
@@ -368,29 +423,30 @@ class CheckpointStore:
         return {key: self._spilled_logs[key][1] for key in logs}
 
     def _write_pack(
-        self, kind: str, cursor: int, chunks: Dict[Any, Any]
+        self, kind: str, cursor: int, sections: Dict[str, Dict[Any, Any]]
     ) -> Optional[str]:
-        """One envelope holding ``chunks`` by timestamp (and log tails
-        by log name); its file name, or ``None`` when there is nothing
-        to spill. The name carries the content digest, so a pack is never
-        overwritten with other bytes (a recovered run re-writing a
-        cursor meets its own)."""
-        if not chunks:
+        """One envelope holding the non-empty ``sections``; its file
+        name, or ``None`` when there is nothing to spill. The name
+        carries the digest the envelope was sealed with, so a pack is
+        never overwritten with other bytes (a recovered run re-writing
+        a cursor meets its own)."""
+        sections = {key: value for key, value in sections.items() if value}
+        if not sections:
             return None
-        blob = seal_envelope(chunks, CHUNK_MAGIC)
-        digest = hashlib.sha256(blob).hexdigest()[:16]
+        blob = seal_envelope(sections, CHUNK_MAGIC)
+        digest = blob[len(CHUNK_MAGIC) : len(CHUNK_MAGIC) + 8].hex()
         name = f"{kind}-{cursor:08d}-{digest}.pkl"
         target = self.chunks_directory / name
         if not target.exists():
-            self.chunks_directory.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(target, blob)
+            self.chunks_directory.mkdir(exist_ok=True)
+            atomic_write_bytes(target, blob, sweep=False)
         return name
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def checkpoints(self) -> List[Path]:
-        """Checkpoint files, oldest (lowest cursor) first."""
+        """Checkpoint files on disk, oldest (lowest cursor) first."""
         if not self.directory.is_dir():
             return []
         return sorted(self.directory.glob("ckpt-*.ckpt"))
@@ -449,39 +505,28 @@ class CheckpointStore:
         """Rebuild a :class:`ChunkStorage` from a checkpoint manifest,
         and this store's spill index with it, so the resumed run's
         next checkpoint spills only what arrives after this one."""
-        packs: Dict[str, Dict[int, Any]] = {}
-
-        def load(name: str, timestamp: int):
-            if name not in packs:
-                packs[name] = self._load_pack(name)
-            return packs[name][timestamp]
-
-        self._spilled_raw = dict(
-            zip(manifest["raw"], manifest["raw_files"])
-        )
-        raw: List[RawChunk] = [
-            load(name, timestamp)
-            for timestamp, name in self._spilled_raw.items()
-        ]
+        names = manifest["packs"]
+        packs = [self._load_pack(name) for name in names]
+        self._spilled_raw = {}
+        raw: List[RawChunk] = []
+        for timestamp, index in zip(manifest["raw"], manifest["raw_pack"]):
+            self._spilled_raw[timestamp] = names[index]
+            raw.append(packs[index]["raw"][timestamp])
         self._spilled_features = {}
+        self._spilled_payloads = {}
         features: List[Union[FeatureChunk, ChunkStub]] = []
-        for entry in manifest["features"]:
-            timestamp = entry["timestamp"]
-            if entry["materialized"]:
-                name = entry["payload_file"]
-                chunk = load(name, timestamp)
-                self._spilled_features[timestamp] = (
-                    weakref.ref(chunk),
-                    name,
-                )
-                features.append(chunk)
-            else:
-                features.append(
-                    ChunkStub(
-                        timestamp=timestamp,
-                        raw_reference=entry["raw_reference"],
-                    )
-                )
+        for timestamp, reference, index in zip(
+            manifest["features"],
+            manifest["raw_reference"],
+            manifest["feature_pack"],
+        ):
+            if index < 0:
+                features.append(ChunkStub(timestamp, reference))
+                continue
+            chunk = packs[index]["features"][timestamp]
+            self._spilled_features[timestamp] = names[index]
+            self._spilled_payloads[timestamp] = weakref.ref(chunk)
+            features.append(chunk)
         storage.restore(raw, features, manifest["stats"])
 
     def restore_logs(
@@ -489,18 +534,18 @@ class CheckpointStore:
     ) -> Dict[str, List[Any]]:
         """Reassemble every log from its segments, and this store's
         spill index with it (as :meth:`restore_storage` does)."""
-        packs: Dict[str, Dict[Any, Any]] = {}
+        packs: Dict[str, Dict[str, Any]] = {}
         logs: Dict[str, List[Any]] = {}
         for key, files in refs.items():
             log = logs[key] = []
             for name in files:
                 if name not in packs:
                     packs[name] = self._load_pack(name)
-                log.extend(packs[name][key])
+                log.extend(packs[name]["logs"][key])
             self._spilled_logs[key] = (len(log), list(files))
         return logs
 
-    def _load_pack(self, name: str) -> Dict[Any, Any]:
+    def _load_pack(self, name: str) -> Dict[str, Any]:
         path = self.chunks_directory / name
         try:
             blob = path.read_bytes()
@@ -514,49 +559,48 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Retention
     # ------------------------------------------------------------------
-    def prune(self) -> List[Path]:
-        """Keep the newest ``keep`` checkpoints; GC orphaned payloads.
-
-        Chunk-payload GC is conservative: it only runs when every
-        retained checkpoint has a refs sidecar (otherwise nothing can
-        be proven unreferenced).
-        """
-        paths = self.checkpoints()
-        dropped = select_prunable(paths, self.keep)
-        for path in dropped:
-            path.unlink(missing_ok=True)
-            self._refs_path(path).unlink(missing_ok=True)
-        retained = [p for p in paths if p not in dropped]
-        referenced: Set[str] = set()
-        for path in retained:
-            refs_path = self._refs_path(path)
+    def _scan(self) -> Dict[str, FrozenSet[str]]:
+        """What the directory already holds, read once (the first
+        write): each checkpoint's references from its envelope (none
+        for one that does not load — it can never be restored), the
+        packs nothing references (for the next prune), and stale
+        ``*.tmp`` staging files, which are deleted."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        retained: Dict[str, FrozenSet[str]] = {}
+        for path in self.checkpoints():
             try:
-                payload = json.loads(refs_path.read_text())
-            except (OSError, ValueError):
-                return dropped  # conservative: skip chunk GC
-            referenced.update(payload.get("chunks", []))
-        if self.chunks_directory.is_dir():
-            # sorted: deterministic unlink order (reprolint REP010).
-            for orphan in sorted(self.chunks_directory.iterdir()):
-                if (
-                    orphan.name not in referenced
-                    and not orphan.name.endswith(".tmp")
-                ):
-                    orphan.unlink(missing_ok=True)
-        # Stale refs sidecars whose checkpoint is gone.
-        for refs_path in sorted(self.directory.glob("ckpt-*.refs.json")):
-            ckpt = refs_path.with_name(
-                refs_path.name.replace(".refs.json", ".ckpt")
-            )
-            if not ckpt.exists():
-                refs_path.unlink(missing_ok=True)
-        return dropped
+                retained[path.name] = self.references(self.load(path))
+            except PersistenceError:
+                retained[path.name] = frozenset()
+        live = frozenset().union(*retained.values())
+        for directory in (self.directory, self.chunks_directory):
+            if not directory.is_dir():
+                continue
+            for name in sorted(os.listdir(directory)):
+                if name.endswith(".tmp"):
+                    (directory / name).unlink(missing_ok=True)
+                elif directory != self.directory and name not in live:
+                    self._unreferenced.add(name)
+        return retained
 
-    @staticmethod
-    def _refs_path(checkpoint_path: Path) -> Path:
-        return checkpoint_path.with_name(
-            checkpoint_path.stem + ".refs.json"
-        )
+    def prune(self) -> List[Path]:
+        """Keep the newest ``keep`` checkpoints; collect each pack no
+        retained checkpoint references any more. Returns the dropped
+        checkpoints' paths."""
+        retained = self._retained
+        if retained is None:
+            retained = self._retained = self._scan()
+        dropped = select_prunable(list(retained), self.keep)
+        orphans = self._unreferenced
+        self._unreferenced = set()
+        for name in dropped:
+            (self.directory / name).unlink(missing_ok=True)
+            orphans.update(retained.pop(name))
+        if orphans:
+            orphans.difference_update(*retained.values())
+            for name in sorted(orphans):
+                (self.chunks_directory / name).unlink(missing_ok=True)
+        return [self.directory / name for name in dropped]
 
     def __repr__(self) -> str:
         return (

@@ -139,14 +139,6 @@ class FaultPlan:
             specs.append(FaultSpec(site, occurrence, kind))
         return FaultPlan(specs=tuple(specs))
 
-    def for_site(self, site: str) -> Dict[int, str]:
-        """Map occurrence -> kind for one site."""
-        return {
-            spec.occurrence: spec.kind
-            for spec in self.specs
-            if spec.site == site
-        }
-
     def __len__(self) -> int:
         return len(self.specs)
 

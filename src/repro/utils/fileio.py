@@ -27,13 +27,19 @@ PathLike = Union[str, "os.PathLike[str]"]
 __all__ = ["PathLike", "atomic_write_bytes", "sweep_stale_tmp"]
 
 
-def atomic_write_bytes(path: PathLike, blob: bytes) -> Path:
+def atomic_write_bytes(
+    path: PathLike, blob: bytes, sweep: bool = True
+) -> Path:
     """Write ``blob`` to ``path`` atomically (temp file + rename).
 
     The bytes are staged in a temporary file in the destination
     directory, flushed and fsynced, then moved over ``path`` with
     ``os.replace`` — on POSIX an atomic rename. A crash at any point
     leaves either the previous file or no file, never a truncation.
+    ``sweep`` then lists the directory for this name's stale staging
+    files (:func:`sweep_stale_tmp`); a writer that sweeps its
+    directory once on its own (the checkpoint store) passes ``False``
+    and lists nothing.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -51,7 +57,8 @@ def atomic_write_bytes(path: PathLike, blob: bytes) -> Path:
         except OSError:
             pass
         raise
-    sweep_stale_tmp(path)
+    if sweep:
+        sweep_stale_tmp(path)
     return path
 
 
@@ -61,12 +68,12 @@ def sweep_stale_tmp(path: PathLike) -> List[Path]:
     A writer killed between ``mkstemp`` and ``os.replace`` leaves its
     staging file (``<name>.<random>.tmp``) in the destination
     directory forever. Each successful :func:`atomic_write_bytes` to
-    the same destination sweeps them. Only staging files for *this*
-    destination name are touched, so concurrent writers to other paths
-    in the directory are never disturbed — the name is matched
-    literally, whatever glob metacharacters it holds. Returns the
-    removed paths, in sorted order so the unlink sequence is
-    deterministic.
+    the same destination sweeps them (unless told not to). Only
+    staging files for *this* destination name are touched, so
+    concurrent writers to other paths in the directory are never
+    disturbed — the name is matched literally, whatever glob
+    metacharacters it holds. Returns the removed paths, in sorted
+    order so the unlink sequence is deterministic.
     """
     path = Path(path)
     prefix = path.name + "."

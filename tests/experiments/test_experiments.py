@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.common import taxi_scenario, url_scenario
 from repro.experiments.exp1_deployment import (
     cost_ratios,
-    cost_series,
     quality_series,
     run_experiment1,
 )
@@ -67,8 +66,7 @@ class TestExperiment1:
 
     def test_series_extraction(self, url_results):
         quality = quality_series(url_results)
-        cost = cost_series(url_results)
-        assert set(quality) == set(cost) == set(url_results)
+        assert set(quality) == set(url_results)
         assert all(len(v) == 40 for v in quality.values())
 
     def test_errors_are_rates(self, url_results):

@@ -2,9 +2,9 @@
 
 A checkpoint writes what changed: the lineage ledger's entries and the
 monitor's snapshots are append-only logs, handed to the store as live
-lists and spilled as ``log[spilled:]`` into the checkpoint's raw pack
-(``raw-<cursor>-<digest>``, keyed by log name beside the timestamps);
-the envelope carries segment refs. For random
+lists and spilled as ``log[spilled:]`` into the checkpoint's pack
+(``pack-<cursor>-<digest>``, keyed by log name in its ``logs``
+section, beside the chunks); the envelope carries segment refs. For random
 cadence × keep × monitor window × approach (deployment loop ``online``
 and ``continuous``, platform, fleet, and the four approaches whose
 trigger has state or fires often: ``periodical``, ``threshold``,
@@ -24,8 +24,9 @@ envelope corrupted):
 * a corrupted newest envelope falls back, and the logs come back from
   the older checkpoint's refs alone (the newer one's own packs are
   deleted first);
-* after *every* write, every pack a retained checkpoint references
-  exists, nothing else is left in ``chunks/``, the envelope holds no
+* after *every* write, the store's refs of each retained checkpoint
+  are the ones its envelope names, every pack they reference exists,
+  nothing else is left in ``chunks/``, the envelope holds no
   ledger entry and no snapshot, and each log's segments concatenate to
   the live log with the newest pack holding exactly what was appended
   since the write before;
@@ -348,7 +349,9 @@ def observed_store(config, telemetry, injector):
     write = store.write
 
     def segments(refs, key):
-        return [store._load_pack(name)[key] for name in refs.get(key, [])]
+        return [
+            store._load_pack(name)["logs"][key] for name in refs.get(key, [])
+        ]
 
     def checked_write(checkpoint, storage=None, logs=None):
         logs = logs or {}
@@ -359,11 +362,11 @@ def observed_store(config, telemetry, injector):
         path = write(checkpoint, storage=storage, logs=logs)
         retained = store.checkpoints()
         assert path in retained and len(retained) <= store.keep
+        assert list(store.retained) == retained
         referenced = set()
-        for kept in retained:
-            refs = json.loads(store._refs_path(kept).read_text())
-            assert set(refs) == {"cursor", "chunks"}
-            referenced.update(refs["chunks"])
+        for kept, refs in store.retained.items():
+            assert refs == store.references(store.load(kept))
+            referenced.update(refs)
         on_disk = {p.name for p in store.chunks_directory.iterdir()}
         assert on_disk == referenced
         saved = store.load(path)
@@ -391,7 +394,7 @@ def observed_store(config, telemetry, injector):
 def raw_packs(directory, cursor):
     """The pack(s) log tails spilled at ``cursor`` ride in."""
     return sorted(
-        p.name for p in (directory / "chunks").glob(f"raw-{cursor:08d}-*")
+        p.name for p in (directory / "chunks").glob(f"pack-{cursor:08d}-*")
     )
 
 
@@ -401,8 +404,8 @@ def draw_kill(rng, cursor, steps, cadence):
     an incarnation starting at ``cursor`` that writes at least one
     checkpoint before it dies."""
     if rng.random() < 0.5:
-        # Dies inside its j-th checkpoint write: packs and sidecar on
-        # disk, no envelope.
+        # Dies inside its j-th checkpoint write: its pack on disk, no
+        # envelope.
         occurrence = int(rng.integers(2, (steps - cursor) // cadence + 1))
         return (
             "checkpoint.write",
@@ -419,10 +422,8 @@ def corrupt_newest(store):
     alone."""
     older, newest = store.checkpoints()[-2:]
 
-    def refs(path):
-        return set(json.loads(store._refs_path(path).read_text())["chunks"])
-
-    for name in refs(newest) - refs(older):
+    refs = store.retained
+    for name in sorted(refs[newest] - refs[older]):
         (store.chunks_directory / name).unlink()
     blob = bytearray(newest.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
@@ -559,16 +560,12 @@ def test_without_telemetry_packs_hold_chunks_only_and_no_key_is_new(
     )
     drive(approach, None, store, None, resume=False)
     for pack in (tmp_path / "chunks").glob("*"):  # the fleet has none
-        assert all(
-            isinstance(key, int) for key in store._load_pack(pack.name)
-        )
+        assert set(store._load_pack(pack.name)) <= {"raw", "features"}
     saved = store.load_latest()
     assert saved.logs is None
     assert not {"metrics", "monitor", "lineage"} & set(saved.state)
-    refs = json.loads(
-        store._refs_path(store.checkpoints()[-1]).read_text()
-    )
-    assert set(refs) == {"cursor", "chunks"}
+    refs = store.retained[store.checkpoints()[-1]]
+    assert refs == set((saved.manifest or {"packs": []})["packs"])
 
 
 def test_a_log_that_shrank_is_refused(tmp_path):

@@ -112,10 +112,14 @@ def round_trip(storage):
     fresh.restore(
         [storage.peek_raw(t) for t in manifest["raw"]],
         [
-            storage.peek_features(entry["timestamp"])
-            if entry["materialized"]
-            else ChunkStub(entry["timestamp"], entry["raw_reference"])
-            for entry in manifest["features"]
+            storage.peek_features(t)
+            if materialized
+            else ChunkStub(t, reference)
+            for t, reference, materialized in zip(
+                manifest["features"],
+                manifest["raw_reference"],
+                manifest["materialized"],
+            )
         ],
         manifest["stats"],
     )

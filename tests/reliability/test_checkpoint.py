@@ -1,6 +1,6 @@
 """Tests for platform checkpoints: round-trip, retention, fallback."""
 
-import json
+import os
 
 import numpy as np
 import pytest
@@ -105,26 +105,27 @@ class TestRoundTrip:
             store.load_latest()
 
     def test_older_format_is_refused_by_name(self, tmp_path):
-        # A format-3 directory (a fleet tenant's static schedule and
-        # chunk_errors) must not reach a load_state_dict half-read.
+        # A format-4 directory (a refs sidecar and a pack name a
+        # chunk) must not reach a restore half-read.
         store = CheckpointStore(tmp_path)
         path = store.write(make_checkpoint(5))
-        assert CHECKPOINT_MAGIC == b"REPRO-CKPT-4\n"
+        assert CHECKPOINT_MAGIC == b"REPRO-CKPT-5\n"
         path.write_bytes(
-            b"REPRO-CKPT-3\n" + path.read_bytes()[len(CHECKPOINT_MAGIC) :]
+            b"REPRO-CKPT-4\n" + path.read_bytes()[len(CHECKPOINT_MAGIC) :]
         )
         with pytest.raises(
-            ReliabilityError, match="not a REPRO-CKPT-4 envelope"
+            ReliabilityError, match="not a REPRO-CKPT-5 envelope"
         ):
             store.load_latest()
 
     def test_refs_sidecar_written(self, tmp_path):
+        # The refs live in the envelope and in the store's memory; no
+        # sidecar file is written beside the checkpoint.
         store = CheckpointStore(tmp_path)
-        store.write(make_checkpoint(7))
-        refs = json.loads(
-            (tmp_path / "ckpt-00000007.refs.json").read_text()
-        )
-        assert refs == {"cursor": 7, "chunks": []}
+        path = store.write(make_checkpoint(7))
+        assert store.retained == {path: frozenset()}
+        assert store.references(store.load(path)) == frozenset()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 class TestCorruptionFallback:
@@ -200,10 +201,8 @@ class TestRetention:
             store.write(make_checkpoint(cursor))
         names = [p.name for p in store.checkpoints()]
         assert names == ["ckpt-00000006.ckpt", "ckpt-00000008.ckpt"]
-        # sidecars of pruned checkpoints are gone too
-        assert sorted(
-            p.name for p in tmp_path.glob("*.refs.json")
-        ) == ["ckpt-00000006.refs.json", "ckpt-00000008.refs.json"]
+        # the store's refs of pruned checkpoints are gone too
+        assert [p.name for p in store.retained] == names
 
     def test_orphaned_chunk_payloads_collected(self, tmp_path):
         storage = ChunkStorage()
@@ -294,27 +293,35 @@ def pack_names(store):
 
 
 def without_digest(names):
-    """``raw-00000004-<digest>.pkl`` -> ``raw-00000004``."""
+    """``pack-00000004-<digest>.pkl`` -> ``pack-00000004``."""
     return sorted(name.rsplit("-", 1)[0] for name in names)
 
 
+def raw_files(checkpoint):
+    """The pack holding each raw chunk of ``checkpoint``, in order."""
+    manifest = checkpoint.manifest
+    return [manifest["packs"][index] for index in manifest["raw_pack"]]
+
+
 class TestPacks:
-    """A checkpoint spills what no earlier one did, as one raw and one
-    feature pack — not one file per chunk."""
+    """A checkpoint spills what no earlier one did as one pack (a
+    storage that can evict: one more, of its feature chunks) — not one
+    file per chunk."""
 
     def test_two_files_however_many_chunks(self, tmp_path):
         storage = ChunkStorage()
         for timestamp in range(7):
             put_chunk(storage, timestamp)
         store = CheckpointStore(tmp_path)
-        store.write(make_checkpoint(7), storage=storage)
-        raw, feat = sorted(pack_names(store), reverse=True)
-        assert raw.startswith("raw-00000007-")
-        assert feat.startswith("feat-00000007-")
-        refs = json.loads(
-            (tmp_path / "ckpt-00000007.refs.json").read_text()
-        )
-        assert refs == {"cursor": 7, "chunks": [feat, raw]}
+        path = store.write(make_checkpoint(7), storage=storage)
+        (pack,) = pack_names(store)
+        assert pack.startswith("pack-00000007-")
+        assert store.retained == {path: frozenset([pack])}
+        assert store.references(store.load(path)) == {pack}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunks",
+            path.name,
+        ]
 
     def test_later_checkpoint_spills_only_new_chunks(self, tmp_path):
         storage = ChunkStorage()
@@ -332,10 +339,10 @@ class TestPacks:
         second = make_checkpoint(4)
         store.write(second, storage=storage)
         added = sorted(set(pack_names(store)) - set(before))
-        assert without_digest(added) == ["feat-00000004", "raw-00000004"]
+        assert without_digest(added) == ["pack-00000004"]
         # Old chunks are still found in the packs that hold them.
-        assert second.manifest["raw_files"][:2] == first.manifest["raw_files"]
-        assert second.manifest["raw_files"][2] in added
+        assert raw_files(second)[:2] == raw_files(first)
+        assert raw_files(second)[2] in added
         restored = ChunkStorage()
         store.restore_storage(restored, second.manifest)
         assert restored.manifest() == storage.manifest()
@@ -363,11 +370,9 @@ class TestPacks:
         put_chunk(restored, 1)
         later = make_checkpoint(2)
         resumed.write(later, storage=restored)
-        assert later.manifest["raw_files"][0] == (
-            checkpoint.manifest["raw_files"][0]
-        )
+        assert raw_files(later)[0] == raw_files(checkpoint)[0]
         added = set(pack_names(resumed)) - set(before)
-        assert without_digest(added) == ["feat-00000002", "raw-00000002"]
+        assert without_digest(added) == ["pack-00000002"]
 
     def test_rematerialized_chunk_is_spilled_again(self, tmp_path):
         storage = ChunkStorage(max_materialized=1)
@@ -390,12 +395,9 @@ class TestPacks:
         store.write(second, storage=storage)
 
         def payload_file(checkpoint):
-            (entry,) = [
-                entry
-                for entry in checkpoint.manifest["features"]
-                if entry["timestamp"] == 0
-            ]
-            return entry["payload_file"]
+            manifest = checkpoint.manifest
+            index = manifest["features"].index(0)
+            return manifest["packs"][manifest["feature_pack"][index]]
 
         assert payload_file(first).startswith("feat-00000001-")
         assert payload_file(second).startswith("feat-00000002-")
@@ -414,6 +416,94 @@ class TestPacks:
         store.write(make_checkpoint(2), storage=storage)
         assert without_digest(pack_names(store)) == [
             "feat-00000002",
-            "raw-00000001",
-            "raw-00000002",
+            "pack-00000001",
+            "pack-00000002",
+        ]
+
+
+class TestWriteCost:
+    """What one write costs the disk: a pack and an envelope, each one
+    ``fsync``; the directory is listed by the first write only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            function = getattr(os, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        # Path.glob / iterdir and glob.glob all list through these two.
+        for name in ("fsync", "listdir", "scandir"):
+            monkeypatch.setattr(os, name, counted(name))
+        return calls
+
+    def writes(self, store, storage, calls, cursors):
+        """The calls each write made, one list a write."""
+        log = []
+        made = []
+        for cursor in cursors:
+            put_chunk(storage, cursor)
+            log.append({"cursor": cursor})
+            del calls[:]
+            store.write(
+                make_checkpoint(cursor), storage=storage, logs={"log": log}
+            )
+            made.append(list(calls))
+        return made
+
+    def test_two_fsyncs_and_no_listing_after_the_first_write(
+        self, tmp_path, calls
+    ):
+        store = CheckpointStore(CheckpointConfig(tmp_path, keep=2))
+        first, *later = self.writes(store, ChunkStorage(), calls, range(6))
+        assert first.count("fsync") == 2
+        assert later == [["fsync", "fsync"]] * 5
+        assert len(pack_names(store)) == 6  # raw chunks live on
+
+    def test_a_store_that_can_evict_packs_its_features_apart(
+        self, tmp_path, calls
+    ):
+        store = CheckpointStore(CheckpointConfig(tmp_path, keep=1))
+        storage = ChunkStorage(max_materialized=2)
+        __, *later = self.writes(store, storage, calls, range(6))
+        assert later == [["fsync"] * 3] * 5
+        # Evicted payloads' packs are collected; raw chunks' are not.
+        assert without_digest(pack_names(store)) == [
+            "feat-00000004",
+            "feat-00000005",
+            *(f"pack-{cursor:08d}" for cursor in range(6)),
+        ]
+
+    def test_first_write_reads_what_the_directory_holds(self, tmp_path):
+        storage = ChunkStorage()
+        put_chunk(storage, 0)
+        CheckpointStore(CheckpointConfig(tmp_path, keep=2)).write(
+            make_checkpoint(1), storage=storage
+        )
+        (kept,) = pack_names(CheckpointStore(tmp_path))
+        orphan = tmp_path / "chunks" / "pack-00000009-0123456789abcdef.pkl"
+        orphan.write_bytes(b"a crashed write's pack")
+        (tmp_path / "ckpt-00000002.ckpt.x1.tmp").write_bytes(b"staged")
+        (tmp_path / "chunks" / f"{kept}.x2.tmp").write_bytes(b"staged")
+
+        # A new process, not restored: it spills both chunks again.
+        store = CheckpointStore(CheckpointConfig(tmp_path, keep=2))
+        put_chunk(storage, 1)
+        path = store.write(make_checkpoint(2), storage=storage)
+        (new,) = set(pack_names(store)) - {kept}
+        assert new.startswith("pack-00000002-")
+        assert store.retained == {
+            tmp_path / "ckpt-00000001.ckpt": frozenset([kept]),
+            path: frozenset([new]),
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunks",
+            "ckpt-00000001.ckpt",
+            "ckpt-00000002.ckpt",
         ]

@@ -58,19 +58,6 @@ class TestFaultPlan:
         plan = FaultPlan.crash_at("stream.read", 12)
         assert plan.specs == (FaultSpec("stream.read", 12, "crash"),)
 
-    def test_for_site_filters(self):
-        plan = FaultPlan.of(
-            FaultSpec("stream.read", 1, "io_error"),
-            FaultSpec("stream.read", 4, "crash"),
-            FaultSpec("checkpoint.write", 2, "corrupt"),
-        )
-        assert plan.for_site("stream.read") == {
-            1: "io_error",
-            4: "crash",
-        }
-        assert plan.for_site("checkpoint.write") == {2: "corrupt"}
-        assert plan.for_site("storage.read") == {}
-
     def test_seeded_is_deterministic(self):
         first = FaultPlan.seeded(21, count=8)
         second = FaultPlan.seeded(21, count=8)
