@@ -80,6 +80,53 @@ class TestPipelineThroughput:
         benchmark(pipeline.transform, taxi_chunk)
 
 
+class TestHasherApply:
+    """One hasher apply on a bench-shaped URL chunk (50 rows, 1,024
+    buckets), its input the scaler's output. A plan's first apply
+    plans and has scipy check the structure (``sp.csr_matrix``); a kept
+    plan's later apply — the online step's second pass, a
+    re-materialization — copies a checked shell. ``us_per_apply`` is
+    the mean."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        chunk = URLStreamGenerator(
+            num_chunks=2, rows_per_chunk=50, seed=7
+        ).chunk(0)
+        pipeline = make_url_pipeline(hash_features=1024)
+        *prefix, hasher = pipeline
+        rows = chunk
+        for component in prefix:
+            component.update(rows)
+            rows = component.transform(rows)
+        hasher.transform(rows)  # the memo of bucket and sign is warm
+        return hasher, rows
+
+    @staticmethod
+    def report(benchmark):
+        benchmark.extra_info["us_per_apply"] = benchmark.stats.stats.mean * 1e6
+
+    def test_first_apply(self, benchmark, setup):
+        hasher, rows = setup
+
+        def new_plan():
+            # New frozen index arrays: a plan the hasher has not kept.
+            indptr, indices = rows.indptr.copy(), rows.indices.copy()
+            indptr.flags.writeable = indices.flags.writeable = False
+            return (rows._replace(indptr=indptr, indices=indices),), {}
+
+        benchmark.pedantic(
+            hasher.transform, setup=new_plan, rounds=2_000, iterations=1
+        )
+        self.report(benchmark)
+
+    def test_kept_plan_apply(self, benchmark, setup):
+        hasher, rows = setup
+        hasher.transform(rows)
+        benchmark(hasher.transform, rows)
+        self.report(benchmark)
+
+
 def online_manager(pipeline, model, optimizer) -> PipelineManager:
     return PipelineManager(
         pipeline=pipeline,

@@ -87,11 +87,6 @@ class Table:
         return list(self._columns)
 
     @property
-    def num_cells(self) -> int:
-        """Number of cells (rows x columns), payload size ignored."""
-        return self._num_rows * len(self._columns)
-
-    @property
     def num_values(self) -> int:
         """Total number of scalar values stored in the table.
 

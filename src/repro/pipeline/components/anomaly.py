@@ -63,13 +63,6 @@ class AnomalyFilter(StatelessComponent):
         self.rows_dropped += int((~mask).sum())
         return batch.filter_rows(mask)
 
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of rows dropped so far (0 when nothing seen)."""
-        if not self.rows_seen:
-            return 0.0
-        return self.rows_dropped / self.rows_seen
-
 
 class RangeFilter(AnomalyFilter):
     """Keep rows whose ``column`` value lies in ``[minimum, maximum]``.

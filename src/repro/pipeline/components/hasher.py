@@ -15,6 +15,7 @@ component emits CSR accordingly.
 
 from __future__ import annotations
 
+import copy
 import zlib
 from collections import namedtuple
 from typing import Tuple
@@ -49,7 +50,10 @@ def hash_index(index: int, num_features: int) -> Tuple[int, float]:
 #: ``order`` of entries by (row, bucket) cell and the output cell
 #: (``groups``) of each ordered entry (the smallest signed type that
 #: indexes the batch), the output CSR ``columns`` and row ``starts``
-#: (``int32``, what scipy makes of them anyway, unless too wide).
+#: (``int32``, what scipy makes of them anyway, unless too wide). The
+#: plan's first apply has scipy check ``columns`` and ``starts``, then
+#: freezes them: a plan whose index arrays are read-only is a checked
+#: structure, and nothing can write into it since.
 _Plan = namedtuple("_Plan", "signs order groups columns starts")
 
 
@@ -71,6 +75,17 @@ class FeatureHasher(StatelessComponent):
     frozen arrays the parser emits, it dies with whatever holds the
     parsed rows — the step's prefix memo, or a re-read raw chunk's.
     Pickles, fingerprints and deep copies see no plan.
+
+    scipy checks a plan's structure once. A plan's first apply goes
+    through :class:`scipy.sparse.csr_matrix`; every later one (the
+    online step's second pass, a re-materialization, a re-read of a
+    kept parse) copies a *shell* — an output scipy has checked, of the
+    same shape and index dtype, its arrays dropped — and attaches
+    fresh copies of the plan's index arrays and the new values. The
+    shells, one per ``(shape, index dtype)``, live here rather than on
+    the plans, so a kept plan holds no matrix; pickles and
+    fingerprints see none. Either way the output is the constructor's,
+    down to its ``pickle.dumps`` bytes.
 
     Parameters
     ----------
@@ -105,13 +120,14 @@ class FeatureHasher(StatelessComponent):
     def __getstate__(self) -> dict:
         empty = {"_keys": self._keys[:0], "_memo": self._memo[:, :0]}
         state = {**self.__dict__, **empty}
-        del state["_view"], state["_plans"]
+        del state["_view"], state["_plans"], state["_shells"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._view = sorted_view(self._keys)
         self._plans = FrozenMemo()
+        self._shells: dict = {}
 
     def _hashed(self, indices: np.ndarray) -> np.ndarray:
         """Bucket and sign (two rows) of every index, from the memo."""
@@ -141,13 +157,46 @@ class FeatureHasher(StatelessComponent):
         )
         # bincount of nothing is int64, weights or not.
         sums = sums.astype(np.float64, copy=False)
+        matrix = self._matrix(plan, sums, rows.num_rows)
+        return Features(matrix=matrix, labels=rows.labels)
+
+    def _matrix(
+        self, plan: _Plan, sums: np.ndarray, num_rows: int
+    ) -> sp.csr_matrix:
+        """The CSR of ``plan``'s structure holding ``sums``; scipy checks
+        the structure on the plan's first apply only."""
+        # A new shape tuple, as the constructor makes: outputs sharing
+        # one would pickle together (a checkpoint's pack) to other bytes.
+        shape = num_rows, self.num_features
+        key = shape, plan.columns.dtype
+        shell = None if plan.starts.flags.writeable else self._shells.get(key)
+        if (
+            shell is not None
+            and len(sums) == len(plan.columns)
+            and sums.dtype == np.float64
+        ):
+            # What copy.copy(shell) does, without its dispatch: scipy's
+            # attributes in scipy's order, then fresh arrays.
+            matrix = type(shell).__new__(type(shell))
+            vars(matrix).update(
+                vars(shell),
+                _shape=shape,
+                indices=plan.columns.copy(),
+                indptr=plan.starts.copy(),
+                data=sums,
+            )
+            return matrix
         # Copies: scipy keeps int32 index arrays as they are, and an
         # output matrix must not share memory with a kept plan.
         matrix = sp.csr_matrix(
-            (sums, plan.columns.copy(), plan.starts.copy()),
-            shape=(rows.num_rows, self.num_features),
+            (sums, plan.columns.copy(), plan.starts.copy()), shape=shape
         )
-        return Features(matrix=matrix, labels=rows.labels)
+        plan.columns.flags.writeable = plan.starts.flags.writeable = False
+        if key not in self._shells:
+            shell = copy.copy(matrix)
+            shell.indices = shell.indptr = shell.data = None
+            self._shells[key] = shell
+        return matrix
 
     def _planned(self, indptr: np.ndarray, indices: np.ndarray) -> _Plan:
         width = self.num_features

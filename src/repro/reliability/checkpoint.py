@@ -39,7 +39,10 @@ snapshots) is handed over as the owner's *live* list; the store
 remembers how many entries of it are on disk, packs ``log[spilled:]``
 and the envelope carries, per log, the ordered pack names whose
 segments concatenate to it. :meth:`CheckpointStore.restore_logs`
-rebuilds the count, so a resumed run spills only what it appends.
+rebuilds the count, so a resumed run spills only what it appends. Log
+tails and chunks share packs, so one restore passes one ``packs``
+mapping to both ``restore_logs`` and ``restore_storage`` and opens each
+pack once.
 
 Retention keeps the newest ``keep`` checkpoints (the shared
 :func:`~repro.persistence.select_prunable` policy) and collects a pack
@@ -500,13 +503,18 @@ class CheckpointStore:
     # Storage reassembly
     # ------------------------------------------------------------------
     def restore_storage(
-        self, storage: ChunkStorage, manifest: Dict[str, Any]
+        self,
+        storage: ChunkStorage,
+        manifest: Dict[str, Any],
+        packs: Optional[Dict[str, Dict[str, Any]]] = None,
     ) -> None:
         """Rebuild a :class:`ChunkStorage` from a checkpoint manifest,
         and this store's spill index with it, so the resumed run's
-        next checkpoint spills only what arrives after this one."""
+        next checkpoint spills only what arrives after this one.
+        ``packs`` (name -> opened pack) is what one restore has read
+        so far; pass :meth:`restore_logs`'s so no pack is read twice."""
         names = manifest["packs"]
-        packs = [self._load_pack(name) for name in names]
+        packs = self._load_packs(names, {} if packs is None else packs)
         self._spilled_raw = {}
         raw: List[RawChunk] = []
         for timestamp, index in zip(manifest["raw"], manifest["raw_pack"]):
@@ -530,20 +538,30 @@ class CheckpointStore:
         storage.restore(raw, features, manifest["stats"])
 
     def restore_logs(
-        self, refs: Dict[str, List[str]]
+        self,
+        refs: Dict[str, List[str]],
+        packs: Optional[Dict[str, Dict[str, Any]]] = None,
     ) -> Dict[str, List[Any]]:
         """Reassemble every log from its segments, and this store's
-        spill index with it (as :meth:`restore_storage` does)."""
-        packs: Dict[str, Dict[str, Any]] = {}
+        spill index with it (as :meth:`restore_storage` does, and with
+        its ``packs``)."""
+        packs = {} if packs is None else packs
         logs: Dict[str, List[Any]] = {}
         for key, files in refs.items():
             log = logs[key] = []
-            for name in files:
-                if name not in packs:
-                    packs[name] = self._load_pack(name)
-                log.extend(packs[name]["logs"][key])
+            for pack in self._load_packs(files, packs):
+                log.extend(pack["logs"][key])
             self._spilled_logs[key] = (len(log), list(files))
         return logs
+
+    def _load_packs(
+        self, names: List[str], packs: Dict[str, Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """The packs ``names``; one not yet in ``packs`` is read into it."""
+        for name in names:
+            if name not in packs:
+                packs[name] = self._load_pack(name)
+        return [packs[name] for name in names]
 
     def _load_pack(self, name: str) -> Dict[str, Any]:
         path = self.chunks_directory / name

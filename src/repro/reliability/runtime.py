@@ -243,11 +243,12 @@ class ReliabilityRuntime:
         after that monitor's own state is back.
         """
         store = self._require_store()
+        packs: dict = {}  # log tails and chunks share packs: read each once
         self.telemetry.load_state_dict(
-            checkpoint.state, store.restore_logs(checkpoint.logs or {})
+            checkpoint.state, store.restore_logs(checkpoint.logs or {}, packs)
         )
         if storage is not None and checkpoint.manifest is not None:
-            store.restore_storage(storage, checkpoint.manifest)
+            store.restore_storage(storage, checkpoint.manifest, packs)
         self.recovery = RecoveryInfo(
             cursor=checkpoint.cursor, approach=checkpoint.approach
         )

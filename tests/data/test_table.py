@@ -161,7 +161,7 @@ class TestNumValues:
     def test_numeric_counts_cells(self):
         table = Table({"a": [1.0, 2.0], "b": [3.0, 4.0]})
         assert table.num_values == 4
-        assert table.num_cells == 4
+        assert table.num_rows * table.num_columns == 4
 
     def test_string_column_counts_tokens(self):
         lines = np.array(["1 0:1.0 2:3.0", "-1 4:2.0"], dtype=object)

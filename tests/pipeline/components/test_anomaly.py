@@ -21,10 +21,6 @@ class TestAnomalyFilter:
         component.transform(Table({"x": [-1.0, -2.0]}))
         assert component.rows_seen == 4
         assert component.rows_dropped == 3
-        assert component.drop_rate == pytest.approx(0.75)
-
-    def test_drop_rate_when_unused(self):
-        assert AnomalyFilter(lambda t: t["x"] > 0).drop_rate == 0.0
 
     def test_bad_mask_shape_rejected(self):
         component = AnomalyFilter(lambda t: np.array([True]))

@@ -13,14 +13,26 @@ small enough to force collisions, signed and unsigned) of three kinds —
 frozen arrays that own their data, writable arrays, and read-only views
 of writable arrays, the last two written in place between calls — each
 hashed several times with new values, every output has the reference's
-bytes and CSR dtypes.
+bytes and CSR dtypes. Each output is also the constructor's own:
+``sp.csr_matrix`` built from its arrays pickles to the same bytes with
+the same ``vars()`` keys in the same order, and a full
+``check_format`` passes — scipy checks a plan's structure on its first
+apply only, and every later apply copies a checked shell. Outputs
+pickled together (as a checkpoint's pack pickles them) are the
+constructor's outputs pickled together. No output shares memory with a
+kept plan or an earlier output, and writing into one changes no later
+apply.
+
+**Once.** A kept plan's first apply calls ``sp.csr_matrix`` once and
+its later applies not at all; a batch whose arrays are not frozen is
+planned, and checked, on every apply.
 
 **Lifetime.** The table holds exactly the live frozen key arrays (none
 after the last batch is dropped and ``gc.collect()``); no output matrix
 shares memory with a kept plan; the pickle and ``component_fingerprint``
-are a fresh hasher's; a deep copy starts with no plan. Through a
-``PipelineManager`` a plan lives as long as the prefix memo holding the
-parsed rows, and a hasher plans once per parse.
+are a fresh hasher's; a deep copy starts with no plan and no shell.
+Through a ``PipelineManager`` a plan lives as long as the prefix memo
+holding the parsed rows, and a hasher plans once per parse.
 
 Everything is drawn from a ``repro.utils.rng`` seed; ``pytest
 tests/property/test_property_hasher_plans.py -k "seed<N>"`` replays a
@@ -34,6 +46,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.datasets.url import URLStreamGenerator, make_url_pipeline
 from repro.experiments.common import make_deployment, url_scenario
@@ -91,6 +104,24 @@ def kept_arrays(hasher):
     return [array for __, plan in hasher._plans.values() for array in plan]
 
 
+def replay(test, seed):
+    return (
+        f"seed {seed}; replay: pytest "
+        f"tests/property/test_property_hasher_plans.py -k "
+        f'"{test} and seed{seed}"'
+    )
+
+
+def check_is_constructed(matrix, context):
+    """``matrix`` is what ``sp.csr_matrix`` makes of its arrays."""
+    built = sp.csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+    assert list(vars(matrix)) == list(vars(built)), context
+    assert pickle.dumps(matrix) == pickle.dumps(built), context
+    copy.copy(matrix).check_format(full_check=True)
+
+
 @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
 def test_kept_plans_are_fresh_plans(seed, signed):
@@ -103,7 +134,7 @@ def test_kept_plans_are_fresh_plans(seed, signed):
 
     hasher, fresh = make(), make()
     blank, identity = pickle.dumps(fresh), component_fingerprint(fresh)
-    live = []
+    live, earlier = [], []
     for step in range(30):
         # Drop a batch and hash one still held, or hash a new one.
         if len(live) > 1 and rng.random() < 0.4:
@@ -112,20 +143,36 @@ def test_kept_plans_are_fresh_plans(seed, signed):
         else:
             live.append(draw_rows(rng, str(rng.choice(KINDS)), universe))
             rows, kind, bases = live[-1]
+        context = (
+            f"step {step}, {kind}, width {width}, "
+            + replay("test_kept_plans_are_fresh_plans", seed)
+        )
+        gots, wants = [], []
         for _ in range(int(rng.integers(1, 4))):
             if kind != "frozen":
                 rewrite(rng, rows, bases)
             batch = new_values(rng, rows)
             got, want = hasher.transform(batch), make().transform(batch)
-            context = f"seed {seed}, step {step}, {kind}, width {width}"
             # Bytes and dtype of every CSR array and the labels.
             assert features_bytes(*got) == features_bytes(*want), context
             matrix = got.matrix
+            assert pickle.dumps(matrix) == pickle.dumps(want.matrix), context
+            check_is_constructed(matrix, context)
+            parts = matrix.data, matrix.indices, matrix.indptr
             assert not any(
                 np.shares_memory(part, array)
-                for part in (matrix.data, matrix.indices, matrix.indptr)
-                for array in kept_arrays(hasher)
+                for part in parts
+                for array in kept_arrays(hasher) + earlier
             ), context
+            earlier.extend(parts)
+            gots.append(matrix)
+            wants.append(want.matrix)
+        # Pickled together, as a checkpoint's pack pickles them: no
+        # object shared between outputs turns into a memo reference.
+        assert pickle.dumps(gots) == pickle.dumps(wants), context
+        # Scribble over these outputs: no later apply may see it.
+        for part in earlier[-3 * len(gots):]:
+            part[:] = rng.integers(0, 2**30, size=len(part))
         assert set(hasher._plans) == {
             (id(rows.indptr), id(rows.indices))
             for rows, kind, _ in live
@@ -134,10 +181,36 @@ def test_kept_plans_are_fresh_plans(seed, signed):
         assert pickle.dumps(hasher) == blank
         assert component_fingerprint(hasher) == identity
         twin = copy.deepcopy(hasher)
-        assert twin._plans == {} and pickle.dumps(twin) == blank
+        assert twin._plans == {} and twin._shells == {}
+        assert pickle.dumps(twin) == blank
     del live, rows, bases, batch
     gc.collect()
     assert hasher._plans == {}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+def test_scipy_checks_a_kept_plan_once(seed, kind, monkeypatch):
+    rng = ensure_rng([seed, 4])
+    rows, _, bases = draw_rows(rng, kind, 40)
+    hasher, calls = FeatureHasher(8), []
+
+    def counted(*args, inner=sp.csr_matrix, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_matrix", counted)
+    for apply in range(4):
+        if kind != "frozen" and apply:
+            rewrite(rng, rows, bases)
+        del calls[:]
+        hasher.transform(new_values(rng, rows))
+        want = 1 if kind != "frozen" or apply == 0 else 0
+        assert len(calls) == want, (
+            f"apply {apply} of a {kind} batch called sp.csr_matrix "
+            f"{len(calls)} times, not {want}; "
+            + replay("test_scipy_checks_a_kept_plan_once", seed)
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")

@@ -78,7 +78,7 @@ class TestTableProperties:
     @given(tables())
     @settings(max_examples=60, deadline=None)
     def test_num_values_equals_cells_for_numeric(self, table):
-        assert table.num_values == table.num_cells
+        assert table.num_values == table.num_rows * table.num_columns
 
     @given(st.lists(tables(max_cols=2), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,8 @@ predictions — to the same run uninterrupted. Checked for every
 deployment strategy at three kill points.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.ml.metrics import errors_from_predictions
 from repro.obs import Telemetry
 from repro.reliability import (
     CheckpointConfig,
+    CheckpointStore,
     FaultPlan,
     SimulatedCrash,
 )
@@ -158,6 +161,47 @@ class TestTelemetryCounters:
             telemetry.metrics.snapshot()["counters"]
             == reference_telemetry.metrics.snapshot()["counters"]
         )
+
+
+class TestRecoveryReads:
+    def test_each_pack_is_read_once(self, tmp_path, monkeypatch):
+        """Log tails and chunks share packs: recovering a run with a
+        ledger and a monitor opens each pack its checkpoint names once."""
+        scn = scenario()
+        config = CheckpointConfig(
+            directory=tmp_path, cadence_chunks=CADENCE, keep=3
+        )
+
+        def stacked(**options):
+            telemetry = Telemetry()
+            telemetry.attach_ledger()
+            telemetry.attach_monitor()
+            return make_deployment(
+                scn,
+                "continuous",
+                telemetry=telemetry,
+                checkpoint=config,
+                **options,
+            )
+
+        crashing = fit(
+            stacked(fault_plan=FaultPlan.crash_at("stream.read", 9)), scn
+        )
+        with pytest.raises(SimulatedCrash):
+            crashing.run(scn.make_stream())
+        latest = CheckpointStore(config).load_latest()
+        assert latest.logs and latest.manifest is not None
+        loads = Counter()
+        load = CheckpointStore._load_pack
+
+        def counted(self, name):
+            loads[name] += 1
+            return load(self, name)
+
+        monkeypatch.setattr(CheckpointStore, "_load_pack", counted)
+        result = stacked().recover(scn.make_stream())
+        assert result.recovery.cursor == latest.cursor
+        assert loads == Counter(CheckpointStore.references(latest))
 
 
 class TestDriftAwareRecovery:
