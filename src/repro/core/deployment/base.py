@@ -287,9 +287,16 @@ class Deployment(ABC):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
+        """Restore state captured by :meth:`state_dict` (with the
+        entries of :meth:`logs` under their keys)."""
         self.engine.tracker.load_state_dict(state["cost"])
         self.data_manager.load_state_dict(state["data_manager"])
+
+    def logs(self) -> Dict[str, List[Any]]:
+        """The *live* lists of this approach's state that only grow,
+        by their key in :meth:`load_state_dict`'s state: a checkpoint
+        keeps them as logs, outside :meth:`state_dict`."""
+        return {}
 
     def _chunk_store(self) -> ChunkStorage:
         """The chunk storage to spill/restore."""
@@ -375,17 +382,23 @@ class Deployment(ABC):
     def _write_checkpoint(
         self, cursor: int, result: DeploymentResult
     ) -> None:
+        # The histories only grow, so they are logs, not state; the
+        # prequential tracker's history equals ``error_history`` and
+        # is saved once, as it.
         self.reliability.write(
             cursor,
             self.approach,
             DeploymentBundle(*self._artifacts()),
             {
-                "prequential": self.prequential.state_dict(),
-                "error_history": list(result.error_history),
-                "cost_history": list(result.cost_history),
+                "prequential": self.prequential.head_state(),
                 "deployment": self.state_dict(),
             },
             storage=self._chunk_store(),
+            logs={
+                "error_history": result.error_history,
+                "cost_history": result.cost_history,
+                **self.logs(),
+            },
         )
 
     def _restore_checkpoint(
@@ -396,8 +409,14 @@ class Deployment(ABC):
             bundle.pipeline, bundle.model, bundle.optimizer
         )
         state = checkpoint.state
-        self.prequential.load_state_dict(state["prequential"])
-        result.error_history = list(state["error_history"])
-        result.cost_history = list(state["cost_history"])
-        self.load_state_dict(state["deployment"])
-        self.reliability.restore(checkpoint, self._chunk_store())
+        logs = self.reliability.read_logs(checkpoint)
+        errors = logs["error_history"]
+        self.prequential.load_state_dict(
+            {**state["prequential"], "history": errors}
+        )
+        result.error_history = list(errors)
+        result.cost_history = list(logs["cost_history"])
+        self.load_state_dict(
+            {**state["deployment"], **{key: logs[key] for key in self.logs()}}
+        )
+        self.reliability.restore(checkpoint, self._chunk_store(), logs)

@@ -105,7 +105,10 @@ class ContinuousDeployment(Deployment):
         result.training_durations = [o.duration for o in outcomes]
 
     def state_dict(self) -> Dict[str, Any]:
-        return self.platform.state_dict()
+        return self.platform.head_state()
+
+    def logs(self) -> Dict[str, List[Any]]:
+        return self.platform.logs()
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self.platform.load_state_dict(state)

@@ -463,15 +463,26 @@ class ContinuousDeploymentPlatform:
         proactive-training history.
         """
         return {
+            **self.head_state(),
+            "proactive_outcomes": list(self.proactive_outcomes),
+        }
+
+    def head_state(self) -> Dict[str, Any]:
+        """:meth:`state_dict` without what only grows (:meth:`logs`):
+        a checkpoint takes this and writes the logs' new entries."""
+        return {
             "chunk_index": self._chunk_index,
             "triggers": [
                 rule.trigger.state_dict() for rule in self.rules
             ],
             "data_manager": self.data_manager.state_dict(),
             "cost": self.engine.tracker.state_dict(),
-            "proactive_outcomes": list(self.proactive_outcomes),
             "proactive_instances": self.proactive.instances_run,
         }
+
+    def logs(self) -> Dict[str, List[Any]]:
+        """The *live* proactive outcomes, by their state key."""
+        return {"proactive_outcomes": self.proactive_outcomes}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`."""
@@ -497,8 +508,9 @@ class ContinuousDeploymentPlatform:
             self.chunks_observed,
             "platform",
             DeploymentBundle(*self.manager.artifacts),
-            self.state_dict(),
+            self.head_state(),
             storage=self.data_manager.storage,
+            logs=self.logs(),
         )
 
     @classmethod
@@ -537,9 +549,12 @@ class ContinuousDeploymentPlatform:
             retry=retry,
             rules=rules,
         )
-        platform.load_state_dict(saved.state)
+        logs = platform.reliability.read_logs(saved)
+        platform.load_state_dict(
+            {**saved.state, **{key: logs[key] for key in platform.logs()}}
+        )
         platform.reliability.restore(
-            saved, platform.data_manager.storage
+            saved, platform.data_manager.storage, logs
         )
         return platform
 

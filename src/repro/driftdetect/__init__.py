@@ -5,8 +5,6 @@ sampling keeps proactive training on fresh data) and names *native*
 drift detection as future work. This package provides classic
 streaming detectors over the prequential error signal:
 
-* :class:`DDM` — Gama et al.'s Drift Detection Method on Bernoulli
-  error indicators (classification).
 * :class:`PageHinkley` — Page–Hinkley test on any real-valued error
   signal (classification or regression residuals).
 * :class:`WindowComparisonDetector` — recent-vs-reference window mean
@@ -20,7 +18,6 @@ trainings on the newest chunks, on top of the regular schedule.
 """
 
 from repro.driftdetect.base import DriftDetector, DriftState
-from repro.driftdetect.ddm import DDM
 from repro.driftdetect.page_hinkley import PageHinkley
 from repro.driftdetect.trigger import DriftTrigger
 from repro.driftdetect.window import WindowComparisonDetector
@@ -28,7 +25,6 @@ from repro.driftdetect.window import WindowComparisonDetector
 __all__ = [
     "DriftState",
     "DriftDetector",
-    "DDM",
     "PageHinkley",
     "WindowComparisonDetector",
     "DriftTrigger",

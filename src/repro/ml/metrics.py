@@ -180,14 +180,18 @@ class PrequentialTracker:
         self.history.append(self.value())
         return self.history[-1]
 
-    def state_dict(self) -> dict:
-        """Cumulative error state for checkpoint/recovery."""
+    def head_state(self) -> dict:
+        """The state beside :attr:`history`, which only grows: a
+        checkpoint takes this and keeps the history as a log."""
         return {
             "kind": self.kind,
             "total_error": self.total_error,
             "total_count": self.total_count,
-            "history": list(self.history),
         }
+
+    def state_dict(self) -> dict:
+        """Cumulative error state for checkpoint/recovery."""
+        return {**self.head_state(), "history": list(self.history)}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""

@@ -147,6 +147,11 @@ class IncidentLog:
     def __init__(self, rules: Sequence[AlertRule]) -> None:
         self._rules = {rule.name: rule for rule in rules}
         self.incidents: List[Incident] = []
+        #: The state entries of the longest prefix of
+        #: :attr:`incidents` that is all resolved. A resolved incident
+        #: never changes again, so this list only grows: a checkpoint
+        #: keeps it as a log, and :meth:`state_dict` holds the rest.
+        self.resolved: List[Dict[str, object]] = []
         self._open: Dict[str, Incident] = {}
         self._next_id = 1
 
@@ -177,6 +182,16 @@ class IncidentLog:
         incident.state = "resolved"
         incident.resolved_at = t
         self._open.pop(incident.rule, None)
+        self._archive()
+
+    def _archive(self) -> None:
+        """Extend :attr:`resolved` over the incidents resolved since."""
+        incidents, resolved = self.incidents, self.resolved
+        while (
+            len(resolved) < len(incidents)
+            and not incidents[len(resolved)].open
+        ):
+            resolved.append(_entry(incidents[len(resolved)]))
 
     # ------------------------------------------------------------------
     @property
@@ -197,23 +212,26 @@ class IncidentLog:
         return [incident.to_dict() for incident in self.incidents]
 
     def state_dict(self) -> Dict[str, object]:
+        """The state beside :attr:`resolved`: the id counter and the
+        incidents from the first one still open on."""
         return {
             "next_id": self._next_id,
-            "incidents": [
-                {
-                    "id": incident.id,
-                    "rule": incident.rule,
-                    "data": incident.state_dict(),
-                }
-                for incident in self.incidents
-            ],
+            "incidents": list(
+                map(_entry, self.incidents[len(self.resolved) :])
+            ),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        resolved: Sequence[Dict[str, object]] = (),
+    ) -> None:
+        """Restore :meth:`state_dict` behind the ``resolved`` entries."""
         self._next_id = int(state["next_id"])
         self.incidents = []
+        self.resolved = list(resolved)
         self._open = {}
-        for entry in state["incidents"]:
+        for entry in [*resolved, *state["incidents"]]:
             rule = self._rules.get(str(entry["rule"]))
             if rule is None:
                 raise ValidationError(
@@ -225,9 +243,19 @@ class IncidentLog:
             self.incidents.append(incident)
             if incident.open:
                 self._open[incident.rule] = incident
+        self._archive()
 
     def __len__(self) -> int:
         return len(self.incidents)
+
+
+def _entry(incident: Incident) -> Dict[str, object]:
+    """One incident as :meth:`IncidentLog.state_dict` holds it."""
+    return {
+        "id": incident.id,
+        "rule": incident.rule,
+        "data": incident.state_dict(),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -555,10 +555,17 @@ class HealthMonitor(EventSink):
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
+    @property
+    def resolved_incidents(self) -> List[Dict[str, object]]:
+        """The live list of the resolved incidents' state entries
+        (:attr:`IncidentLog.resolved`), which only grows."""
+        return self.incidents.resolved
+
     def head_state(self) -> Dict[str, object]:
-        """The mutable state beside :attr:`snapshots`. A checkpoint
-        takes this and the live snapshot list (append-only, so it
-        writes only what was appended since the last one)."""
+        """The mutable state beside :attr:`snapshots` and
+        :attr:`resolved_incidents`. A checkpoint takes this and those
+        two live lists (append-only, so it writes only what was
+        appended since the last one)."""
         return {
             "window_index": self._window_index,
             "windows_closed": self.windows_closed,
@@ -586,7 +593,11 @@ class HealthMonitor(EventSink):
         state — restore into a monitor built with the same arguments,
         exactly like every other checkpointable component.
         """
-        return {**self.head_state(), "snapshots": list(self.snapshots)}
+        return {
+            **self.head_state(),
+            "snapshots": list(self.snapshots),
+            "resolved_incidents": list(self.resolved_incidents),
+        }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         index = state.get("window_index")
@@ -617,7 +628,9 @@ class HealthMonitor(EventSink):
             )
         for rule_state, saved in zip(self._rule_states, saved_states):
             rule_state.load_state_dict(saved)
-        self.incidents.load_state_dict(state["incidents"])
+        self.incidents.load_state_dict(
+            state["incidents"], state["resolved_incidents"]
+        )
         self.snapshots = list(state["snapshots"])
 
     def __repr__(self) -> str:

@@ -142,22 +142,27 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def _checkpointed(self) -> List[Tuple[str, Any, Optional[str]]]:
-        """``(checkpoint key, component, its log)`` for what is
+    def _checkpointed(self) -> List[Tuple[str, Any, Dict[str, str]]]:
+        """``(checkpoint key, component, its logs)`` for what is
         attached now.
 
         The one table :meth:`state_dict`, :meth:`logs` and
         :meth:`load_state_dict` walk: a new checkpointed attachment is
-        one entry here. ``its log`` names the one list the component
-        only ever appends to — both the attribute holding it and its
-        key in the component's ``state_dict`` — or is ``None``.
+        one entry here. ``its logs`` maps each list the component only
+        ever appends to from its checkpoint log key to its name — both
+        the attribute holding it and its key in the component's
+        ``state_dict``.
         """
         if not self.enabled:
             return []
         parts = (
-            ("metrics", self.metrics, None),
-            ("monitor", self.monitor, "snapshots"),
-            ("lineage", self.ledger, "entries"),
+            ("metrics", self.metrics, {}),
+            (
+                "monitor",
+                self.monitor,
+                {"monitor": "snapshots", "incidents": "resolved_incidents"},
+            ),
+            ("lineage", self.ledger, {"lineage": "entries"}),
         )
         return [row for row in parts if row[1] is not None]
 
@@ -167,26 +172,26 @@ class Telemetry:
         The metrics registry plus whichever of monitor and ledger are
         attached, keyed as they sit at the top level of a checkpoint's
         state; ``{}`` when disabled. Events already emitted are not
-        state — they went to the sinks. A component that keeps a log
-        gives its ``head_state()``; the log itself goes through
+        state — they went to the sinks. A component that keeps logs
+        gives its ``head_state()``; the logs themselves go through
         :meth:`logs`.
         """
         return {
-            key: part.state_dict() if log is None else part.head_state()
-            for key, part, log in self._checkpointed()
+            key: part.head_state() if logs else part.state_dict()
+            for key, part, logs in self._checkpointed()
         }
 
     def logs(self) -> Dict[str, List[Any]]:
-        """The *live* append-only lists, by checkpoint key.
+        """The *live* append-only lists, by checkpoint log key.
 
         Not copies: the checkpoint store remembers how much of each
         it has written and writes the rest, so the cost of a
         checkpoint does not grow with the run's history.
         """
         return {
-            key: getattr(part, log)
-            for key, part, log in self._checkpointed()
-            if log is not None
+            key: getattr(part, name)
+            for __, part, logs in self._checkpointed()
+            for key, name in logs.items()
         }
 
     def load_state_dict(
@@ -199,12 +204,14 @@ class Telemetry:
         the crashed run did not have) is skipped: the recovering run
         decides what is attached, the checkpoint only fills it in.
         """
-        for key, part, log in self._checkpointed():
+        for key, part, part_logs in self._checkpointed():
             saved = state.get(key)
             if saved is None:
                 continue
-            if log is not None:
-                saved = {**saved, log: logs[key]}
+            saved = {
+                **saved,
+                **{name: logs[log] for log, name in part_logs.items()},
+            }
             part.load_state_dict(saved)
 
     @property

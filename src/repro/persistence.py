@@ -30,7 +30,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, TypeVar, Union
+from typing import List, Sequence, Tuple, TypeVar, Union
 
 from repro.exceptions import ReproError
 from repro.ml.models.base import LinearSGDModel
@@ -128,12 +128,20 @@ def seal_envelope(obj: object, magic: bytes, key: str = "payload") -> bytes:
     version beside ``obj`` under ``key``) — reused by the reliability
     layer for checkpoints and spilled chunk payloads.
     """
+    return b"".join(seal_parts(obj, magic, key))
+
+
+def seal_parts(
+    obj: object, magic: bytes, key: str = "payload"
+) -> Tuple[bytes, bytes]:
+    """:func:`seal_envelope`'s blob as its two parts, header (magic and
+    digest) and payload, for a writer that puts several envelopes into
+    one file without copying each payload into a joined blob."""
     payload = pickle.dumps(
         {"version": _library_version(), key: obj},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    digest = hashlib.sha256(payload).digest()
-    return magic + digest + payload
+    return magic + hashlib.sha256(payload).digest(), payload
 
 
 def open_envelope(

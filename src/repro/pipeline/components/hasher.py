@@ -166,7 +166,8 @@ class FeatureHasher(StatelessComponent):
         """The CSR of ``plan``'s structure holding ``sums``; scipy checks
         the structure on the plan's first apply only."""
         # A new shape tuple, as the constructor makes: outputs sharing
-        # one would pickle together (a checkpoint's pack) to other bytes.
+        # one would pickle together (a checkpoint's section) to other
+        # bytes.
         shape = num_rows, self.num_features
         key = shape, plan.columns.dtype
         shell = None if plan.starts.flags.writeable else self._shells.get(key)

@@ -7,58 +7,74 @@ component state dicts (scheduler, sampler RNG, cost tracker, drift
 detectors, …), the materialization-cache manifest, and (for telemetry
 byte-identity) the metrics-registry state.
 
-A :class:`CheckpointStore` owns one checkpoint directory::
+A :class:`CheckpointStore` owns one checkpoint directory, one file a
+checkpoint::
 
-    <dir>/ckpt-00000012.ckpt        checksummed envelope (see
-                                    repro.persistence.seal_envelope)
-    <dir>/chunks/pack-00000012-<digest>.pkl
-                                    what checkpoint 12 was the first to
-                                    hold, one envelope: the raw chunks,
-                                    the feature chunks and what every
-                                    append-only log gained since
-                                    checkpoint 11
-    <dir>/chunks/feat-00000012-<digest>.pkl
-                                    its feature chunks instead, when
-                                    the storage can evict them
+    <dir>/ckpt-00000012.ckpt
+        section   the raw chunks and log tails    what checkpoint 12
+        section   the feature chunks              was the first to hold
+        envelope  the PlatformCheckpoint
+        trailer   the envelope's offset (8 bytes) + CHECKPOINT_MAGIC
 
-A checkpoint is one pack and one envelope, written in that order, each
-atomically (staged, ``fsync``, ``os.replace``): two ``fsync`` waits
-however many chunks arrived since the last one, and a durable envelope
-never names a pack that is not durable yet. A pack's name carries the
-SHA-256 its own seal computed (it is hashed once), so a recovered run
-re-writing a cursor meets its own bytes. Payloads are content-immutable
-and written once; later checkpoints reference the pack, never rewrite
-it. A
-storage that can evict (:attr:`~repro.data.storage.ChunkStorage.can_evict`)
-keeps its feature chunks in a pack of their own (three waits), because
-an evicted payload's pack must be collectable while the raw chunks
-beside it live on; that is the only exception.
-
-An append-only log (the lineage ledger's entries, the monitor's
-snapshots) is handed over as the owner's *live* list; the store
-remembers how many entries of it are on disk, packs ``log[spilled:]``
-and the envelope carries, per log, the ordered pack names whose
-segments concatenate to it. :meth:`CheckpointStore.restore_logs`
-rebuilds the count, so a resumed run spills only what it appends. Log
-tails and chunks share packs, so one restore passes one ``packs``
-mapping to both ``restore_logs`` and ``restore_storage`` and opens each
-pack once.
+Sections and envelope are each a checksummed
+:func:`~repro.persistence.seal_envelope` blob (an empty section is left
+out). A write stages the whole file, fsyncs it once and renames it into
+place: one ``fsync`` however many chunks arrived since the last
+checkpoint. An envelope names payloads by section — ``(file, offset,
+size)`` — in its own file and in earlier ones: a chunk spilled once is
+referenced by every later checkpoint that still holds it, never
+written again. The earlier files were durable before this one was
+staged and this file's sections become durable with its envelope, so a
+durable envelope never names a payload that is not durable yet. A
+cursor written twice by one store spills again what the file it
+replaces held.
 
 Retention keeps the newest ``keep`` checkpoints (the shared
-:func:`~repro.persistence.select_prunable` policy) and collects a pack
-once no retained checkpoint references it. The store knows what each
-retained checkpoint references (:meth:`CheckpointStore.references`,
-read from the envelope), so a write lists no directory and reads no
-file back. Only the first write of a store lists the directory: it
-rebuilds those references from the envelopes on disk, sweeps stale
-``*.tmp`` staging files, and leaves the packs no envelope references
-to the next prune.
+:func:`~repro.persistence.select_prunable` policy). A checkpoint that
+leaves them is *cut*: ``os.truncate`` shortens its file to the end of
+the last section a retained envelope still names, which drops its
+envelope and trailer (and its feature section, once those chunks are
+evicted — that is why raw chunks come first); the file is unlinked
+once no retained envelope names any of it. Nothing is rewritten and
+nothing more is fsynced. Cuts run after the new checkpoint's rename,
+newest file first, so an envelope is always cut before a payload only
+it names; a process killed between a rename and a cut leaves one more
+loadable checkpoint than ``keep``, which the next store's first write
+cuts. A cut file is a payload file: :meth:`CheckpointStore.checkpoints`
+does not list it. On disk this is the payload bytes one pack a
+checkpoint held (format 5) plus a 21-byte trailer: a file lives as
+long as a retained envelope names a section of it — log tails keep its
+first section alive — and a dropped envelope goes with its cut. At the
+end of a bench-scale ``url_stack`` run the directory holds 14,193,672
+bytes (14,358,848 in format 5), and the envelope at cursor 600 is
+147,868 bytes (229,432 with the histories, outcomes and resolved
+incidents in its state).
+
+An append-only log (the lineage ledger's entries, the monitor's
+snapshots and resolved incidents, the deployment's error and cost
+histories, the platform's proactive outcomes) is handed over as the
+owner's *live* list; the store remembers how many entries of it are
+on disk, spills ``log[spilled:]`` into the first section and the
+envelope carries, per log, the ordered sections whose segments
+concatenate to it. :meth:`CheckpointStore.restore_logs` rebuilds the
+count, so a resumed run spills only what it appends. Log tails and
+raw chunks share a section, so one restore passes one ``sections``
+mapping to both ``restore_logs`` and ``restore_storage`` and reads
+each section once.
+
+The store knows what each retained checkpoint references
+(:meth:`CheckpointStore.references`, read from the envelope) and how
+long each file is, so a write lists no directory and reads no file
+back. Only the first write of a store lists the directory: it rebuilds
+those references from the envelopes on disk, sweeps stale ``*.tmp``
+staging files, and leaves the payload files no envelope references to
+the next prune.
 
 Feature payloads *must* be persisted rather than re-derived: a
 materialized chunk embeds the pipeline statistics as of its ingest
 time, so re-running today's pipeline over the raw chunk would produce
 different bytes — and different downstream training results — than the
-uninterrupted run. The manifest stores ids; the payload files store
+uninterrupted run. The manifest stores ids; the sections store
 the arrays; recovery reassembles the exact cache.
 
 Loading falls back: :meth:`CheckpointStore.load_latest` walks
@@ -70,6 +86,7 @@ instead of failing it.
 from __future__ import annotations
 
 import os
+import struct
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,7 +112,7 @@ from repro.persistence import (
     PersistenceError,
     atomic_write_bytes,
     open_envelope,
-    seal_envelope,
+    seal_parts,
     select_prunable,
 )
 from repro.reliability.faults import FaultInjector
@@ -115,15 +132,27 @@ if TYPE_CHECKING:  # import cycle: data.storage fires sites from here
 #: drift window), where it held a static schedule's, and the tenant
 #: keeps no error list of its own. Format 5: one pack a checkpoint,
 #: no refs sidecar, and a manifest of columns (pack indices, not a
-#: pack name a chunk). An older directory is refused by name, not
-#: half-read — a checkpoint is one run's crash artifact, not an
-#: interchange format.
-CHECKPOINT_MAGIC = b"REPRO-CKPT-5\n"
+#: pack name a chunk). Format 6: one file a checkpoint, its sections
+#: then its envelope then a trailer; refs are sections, not pack
+#: files; the error and cost histories, the proactive outcomes and the
+#: monitor's resolved incidents are logs, not ``state``. An older
+#: directory holds no file ending in this format's trailer, so no
+#: checkpoint this store lists: nothing is half-read — a checkpoint is
+#: one run's crash artifact, not an interchange format.
+CHECKPOINT_MAGIC = b"REPRO-CKPT-6\n"
 
-#: File magic identifying a pack of spilled payloads: a dict of up to
-#: three sections, ``raw`` and ``features`` (chunks by timestamp) and
+#: File magic identifying a section of spilled payloads: a dict of up
+#: to three keys, ``raw`` and ``features`` (chunks by timestamp) and
 #: ``logs`` (tails by log name).
 CHUNK_MAGIC = b"REPRO-CHUNK-2\n"
+
+#: A checkpoint file ends in the offset of its envelope, then the
+#: magic: a file that does not is a payload file (or no checkpoint).
+_OFFSET = struct.Struct(">Q")
+_TRAILER_SIZE = _OFFSET.size + len(CHECKPOINT_MAGIC)
+
+#: A payload section: ``(file name, offset, size)``.
+Section = Tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -148,10 +177,10 @@ class PlatformCheckpoint:
     the component state dicts (shape owned by whoever wrote the
     checkpoint — the deployment loop or the platform); ``manifest`` is
     the storage manifest when the run has chunk storage (columns, see
-    :meth:`~repro.data.storage.ChunkStorage.manifest`, plus ``packs``
-    and each chunk's index into it); ``logs`` maps each append-only log
-    to the packs holding its segments, oldest first, when the run keeps
-    any. The store fills in the last two.
+    :meth:`~repro.data.storage.ChunkStorage.manifest`, plus
+    ``sections`` and each chunk's index into it); ``logs`` maps each
+    append-only log to the sections holding its segments, oldest
+    first, when the run keeps any. The store fills in the last two.
     """
 
     cursor: int
@@ -159,7 +188,7 @@ class PlatformCheckpoint:
     bundle: DeploymentBundle
     state: Dict[str, Any] = field(default_factory=dict)
     manifest: Optional[Dict[str, Any]] = None
-    logs: Optional[Dict[str, List[str]]] = None
+    logs: Optional[Dict[str, List[Section]]] = None
 
     def __post_init__(self) -> None:
         if self.cursor < 0:
@@ -223,25 +252,27 @@ class CheckpointStore:
         self.fault_injector = fault_injector
         self.retrier = retrier
         # Spill index of the chunks the storage held at the last
-        # write (or restore): timestamp -> the pack file holding the
+        # write (or restore): timestamp -> the section holding the
         # payload. Raw chunks are immutable per timestamp. Feature
         # payloads are immutable objects — re-materialization after
         # an eviction builds a *new* chunk (with today's pipeline
         # statistics) — so for them identity is exactly the right
         # key: ``_spilled_payloads`` holds a weakref to the object
-        # spilled, ``_spilled_features`` its pack.
-        self._spilled_raw: Dict[int, str] = {}
-        self._spilled_features: Dict[int, str] = {}
+        # spilled, ``_spilled_features`` its section.
+        self._spilled_raw: Dict[int, Section] = {}
+        self._spilled_features: Dict[int, Section] = {}
         self._spilled_payloads: Dict[int, "weakref.ref"] = {}
         # Likewise per append-only log: how many of its entries are
-        # on disk, and in which packs (oldest first).
-        self._spilled_logs: Dict[str, Tuple[int, List[str]]] = {}
-        # Checkpoint file name -> the packs it references, oldest
-        # checkpoint first; ``None`` until the first write read the
-        # directory. Packs on disk that no checkpoint referenced then
-        # wait in ``_unreferenced`` for the next prune.
-        self._retained: Optional[Dict[str, FrozenSet[str]]] = None
-        self._unreferenced: Set[str] = set()
+        # on disk, and in which sections (oldest first).
+        self._spilled_logs: Dict[str, Tuple[int, List[Section]]] = {}
+        # Checkpoint file name -> the sections its envelope names,
+        # oldest checkpoint first; ``None`` until the first write read
+        # the directory. ``_sizes`` is every checkpoint or payload
+        # file on disk with its length; ``_stale`` the files that may
+        # hold bytes no retained envelope names, for the next prune.
+        self._retained: Optional[Dict[str, FrozenSet[Section]]] = None
+        self._sizes: Dict[str, int] = {}
+        self._stale: Set[str] = set()
 
     @property
     def cadence(self) -> int:
@@ -251,24 +282,20 @@ class CheckpointStore:
     def keep(self) -> int:
         return self.config.keep
 
-    @property
-    def chunks_directory(self) -> Path:
-        return self.directory / "chunks"
-
     @staticmethod
-    def references(checkpoint: PlatformCheckpoint) -> FrozenSet[str]:
-        """The pack files ``checkpoint`` reads."""
-        refs: Set[str] = set()
+    def references(checkpoint: PlatformCheckpoint) -> FrozenSet[Section]:
+        """The sections ``checkpoint`` reads."""
+        refs: Set[Section] = set()
         if checkpoint.manifest is not None:
-            refs.update(checkpoint.manifest["packs"])
-        for files in (checkpoint.logs or {}).values():
-            refs.update(files)
+            refs.update(checkpoint.manifest["sections"])
+        for sections in (checkpoint.logs or {}).values():
+            refs.update(sections)
         return frozenset(refs)
 
     @property
-    def retained(self) -> Dict[Path, FrozenSet[str]]:
+    def retained(self) -> Dict[Path, FrozenSet[Section]]:
         """Each checkpoint this store retains, oldest first, with the
-        packs it references (empty before the first write)."""
+        sections it references (empty before the first write)."""
         return {
             self.directory / name: refs
             for name, refs in (self._retained or {}).items()
@@ -287,33 +314,41 @@ class CheckpointStore:
 
         With ``storage``, the cache manifest is captured into the
         checkpoint and the chunk payloads no earlier checkpoint
-        spilled go into this checkpoint's pack (append-only: payloads
-        are immutable, so earlier packs are referenced, never
+        spilled go into this checkpoint's file (append-only: payloads
+        are immutable, so earlier sections are referenced, never
         rewritten). With ``logs`` (live append-only lists by name),
-        what each gained since the last write rides in the same pack
-        and the checkpoint carries the segment refs. The pack is
-        durable before the envelope is written. Old checkpoints beyond
-        ``keep`` are pruned afterwards.
+        what each gained since the last write rides in the same file
+        and the checkpoint carries the segment refs. Sections,
+        envelope and trailer are staged as one file, fsynced once and
+        renamed into place. Old checkpoints beyond ``keep`` are cut
+        afterwards.
         """
         retained = self._retained
         if retained is None:
             retained = self._retained = self._scan()
-        tails = self._log_tails(logs or {})
-        pack = self._spill(checkpoint, storage, tails)
-        if logs:
-            checkpoint.logs = self._log_refs(logs, tails, pack)
-        blob = seal_envelope(checkpoint, CHECKPOINT_MAGIC)
         path = self.directory / f"ckpt-{checkpoint.cursor:08d}.ckpt"
+        if path.name in self._sizes:
+            self._reclaim(path.name)
+        tails = self._log_tails(logs or {})
+        parts, first = self._spill(checkpoint, storage, tails, path.name)
+        if logs:
+            checkpoint.logs = self._log_refs(logs, tails, first)
+        offset = sum(map(len, parts))
+        header, payload = seal_parts(checkpoint, CHECKPOINT_MAGIC)
+        trailer = _OFFSET.pack(offset) + CHECKPOINT_MAGIC
 
         def attempt() -> Path:
+            envelope = [header, payload]
             if self.fault_injector is not None:
                 self.fault_injector.fire(CHECKPOINT_WRITE)
-                data = self.fault_injector.corrupt(
-                    CHECKPOINT_WRITE, blob
-                )
-            else:
-                data = blob
-            return atomic_write_bytes(path, data, sweep=False)
+                envelope = [
+                    self.fault_injector.corrupt(
+                        CHECKPOINT_WRITE, header + payload
+                    )
+                ]
+            return atomic_write_bytes(
+                path, [*parts, *envelope, trailer], sweep=False
+            )
 
         if self.retrier is not None:
             self.retrier.call(attempt, site=CHECKPOINT_WRITE)
@@ -323,10 +358,13 @@ class CheckpointStore:
         retained[path.name] = self.references(checkpoint)
         if newest is not None and path.name < newest:
             self._retained = dict(sorted(retained.items()))
+        self._sizes[path.name] = (
+            offset + len(header) + len(payload) + len(trailer)
+        )
         self.telemetry.tracer.point(
             names.RELIABILITY_CHECKPOINT_WRITTEN,
             cursor=checkpoint.cursor,
-            bytes=len(blob),
+            bytes=len(header) + len(payload),
             path=str(path),
         )
         self.prune()
@@ -337,12 +375,14 @@ class CheckpointStore:
         checkpoint: PlatformCheckpoint,
         storage: Optional[ChunkStorage],
         tails: Dict[str, Any],
-    ) -> Optional[str]:
-        """Write this checkpoint's pack(s) and, with ``storage``, its
-        manifest; returns the pack name (``None``: nothing new)."""
-        cursor = checkpoint.cursor
+        name: str,
+    ) -> Tuple[List[bytes], Optional[Section]]:
+        """This checkpoint's sections, as the parts of file ``name``
+        that go before its envelope, and the first of them (the one
+        the log tails ride in); with ``storage``, its manifest too."""
         if storage is None:
-            return self._write_pack("pack", cursor, {"logs": tails})
+            parts, (first,) = _seal_sections(name, {"logs": tails})
+            return parts, first
         manifest = storage.manifest()
         stored = manifest["raw"]
         materialized = storage.materialized_timestamps
@@ -369,36 +409,47 @@ class CheckpointStore:
             fresh[timestamp] = chunk
         raw = dict(reversed(raw.items()))
         fresh = dict(reversed(fresh.items()))
-        if storage.can_evict:
-            apart = self._write_pack("feat", cursor, {"features": fresh})
-            pack = self._write_pack(
-                "pack", cursor, {"raw": raw, "logs": tails}
-            )
-        else:
-            pack = apart = self._write_pack(
-                "pack", cursor, {"raw": raw, "features": fresh, "logs": tails}
-            )
-        spilled_raw.update(dict.fromkeys(raw, pack))
-        spilled_features.update(dict.fromkeys(fresh, apart))
+        parts, (first, second) = _seal_sections(
+            name, {"raw": raw, "logs": tails}, {"features": fresh}
+        )
+        spilled_raw.update(dict.fromkeys(raw, first))
+        spilled_features.update(dict.fromkeys(fresh, second))
         payloads.update(zip(fresh, map(weakref.ref, fresh.values())))
 
-        # The pack of every chunk, as an index into ``packs``.
-        raw_files = list(map(spilled_raw.__getitem__, stored))
-        payload_files = list(
+        # The section of every chunk, as an index into ``sections``.
+        raw_refs = list(map(spilled_raw.__getitem__, stored))
+        payload_refs = list(
             map(spilled_features.get, manifest["features"])
         )
-        packs = list(dict.fromkeys(raw_files + payload_files))
-        if None in packs:  # a stub: no payload
-            packs.remove(None)
-        index = dict(zip(packs, range(len(packs))))
+        sections = list(dict.fromkeys(raw_refs + payload_refs))
+        if None in sections:  # a stub: no payload
+            sections.remove(None)
+        index = dict(zip(sections, range(len(sections))))
         index[None] = -1
-        manifest["packs"] = packs
-        manifest["raw_pack"] = list(map(index.__getitem__, raw_files))
-        manifest["feature_pack"] = list(
-            map(index.__getitem__, payload_files)
+        manifest["sections"] = sections
+        manifest["raw_section"] = list(map(index.__getitem__, raw_refs))
+        manifest["feature_section"] = list(
+            map(index.__getitem__, payload_refs)
         )
         checkpoint.manifest = manifest
-        return pack
+        return parts, first
+
+    def _reclaim(self, name: str) -> None:
+        """Forget what file ``name`` holds, because this write replaces
+        it (a cursor written twice): its chunks and log tails are
+        spilled again, into the new file."""
+        for index in (self._spilled_raw, self._spilled_features):
+            for timestamp, ref in list(index.items()):
+                if ref[0] == name:
+                    del index[timestamp]
+                    self._spilled_payloads.pop(timestamp, None)
+        for key, (count, sections) in self._spilled_logs.items():
+            files = [ref[0] for ref in sections]
+            if name in files:
+                start = files.index(name)
+                for ref in sections[start:]:
+                    count -= len(self._load_section(ref)["logs"][key])
+                self._spilled_logs[key] = (count, sections[:start])
 
     def _log_tails(self, logs: Dict[str, List[Any]]) -> Dict[str, Any]:
         """What each log gained since the last write (or restore)."""
@@ -416,49 +467,49 @@ class CheckpointStore:
         return tails
 
     def _log_refs(
-        self, logs: Dict[str, List[Any]], tails: Dict[str, Any], pack: str
-    ) -> Dict[str, List[str]]:
-        """Note ``tails`` as spilled in ``pack``; every log's segment
-        refs, oldest first."""
+        self,
+        logs: Dict[str, List[Any]],
+        tails: Dict[str, Any],
+        section: Optional[Section],
+    ) -> Dict[str, List[Section]]:
+        """Note ``tails`` as spilled in ``section``; every log's
+        segment refs, oldest first."""
         for key, tail in tails.items():
-            spilled, files = self._spilled_logs[key]
-            self._spilled_logs[key] = (spilled + len(tail), files + [pack])
+            spilled, sections = self._spilled_logs[key]
+            self._spilled_logs[key] = (
+                spilled + len(tail),
+                sections + [section],
+            )
         return {key: self._spilled_logs[key][1] for key in logs}
-
-    def _write_pack(
-        self, kind: str, cursor: int, sections: Dict[str, Dict[Any, Any]]
-    ) -> Optional[str]:
-        """One envelope holding the non-empty ``sections``; its file
-        name, or ``None`` when there is nothing to spill. The name
-        carries the digest the envelope was sealed with, so a pack is
-        never overwritten with other bytes (a recovered run re-writing
-        a cursor meets its own)."""
-        sections = {key: value for key, value in sections.items() if value}
-        if not sections:
-            return None
-        blob = seal_envelope(sections, CHUNK_MAGIC)
-        digest = blob[len(CHUNK_MAGIC) : len(CHUNK_MAGIC) + 8].hex()
-        name = f"{kind}-{cursor:08d}-{digest}.pkl"
-        target = self.chunks_directory / name
-        if not target.exists():
-            self.chunks_directory.mkdir(exist_ok=True)
-            atomic_write_bytes(target, blob, sweep=False)
-        return name
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def checkpoints(self) -> List[Path]:
-        """Checkpoint files on disk, oldest (lowest cursor) first."""
+        """Checkpoint files on disk (those ending in a trailer), oldest
+        (lowest cursor) first; a cut file is a payload file, not one."""
         if not self.directory.is_dir():
             return []
-        return sorted(self.directory.glob("ckpt-*.ckpt"))
+        return [
+            path
+            for path in sorted(self.directory.glob("ckpt-*.ckpt"))
+            if _trailer(path) is not None
+        ]
 
     def load(self, path: PathLike) -> PlatformCheckpoint:
-        """Load and verify one checkpoint file."""
+        """Load and verify one checkpoint file's envelope."""
         path = Path(path)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                envelope = _trailer(path, handle)
+                if envelope is None:
+                    raise PersistenceError(
+                        f"{path} ends in no checkpoint trailer (a cut "
+                        f"checkpoint or no checkpoint at all)"
+                    )
+                offset, size = envelope
+                handle.seek(offset)
+                blob = handle.read(size)
         except OSError as error:
             raise PersistenceError(
                 f"cannot read checkpoint {path}: {error}"
@@ -475,11 +526,11 @@ class CheckpointStore:
     def load_latest(self) -> PlatformCheckpoint:
         """Newest checkpoint that passes verification.
 
-        Corrupted or truncated checkpoints are skipped (with a
+        Corrupted checkpoints are skipped (with a
         ``reliability.checkpoint_corrupt`` trace point), falling back
         to older ones; :class:`~repro.exceptions.ReliabilityError` when
-        none survive, naming why the newest was refused (a directory
-        written in an older checkpoint format says so here).
+        none survive, naming why the newest was refused (an envelope
+        written in another checkpoint format says so here).
         """
         paths = self.checkpoints()
         newest: Optional[PersistenceError] = None
@@ -506,122 +557,209 @@ class CheckpointStore:
         self,
         storage: ChunkStorage,
         manifest: Dict[str, Any],
-        packs: Optional[Dict[str, Dict[str, Any]]] = None,
+        sections: Optional[Dict[Section, Dict[str, Any]]] = None,
     ) -> None:
         """Rebuild a :class:`ChunkStorage` from a checkpoint manifest,
         and this store's spill index with it, so the resumed run's
         next checkpoint spills only what arrives after this one.
-        ``packs`` (name -> opened pack) is what one restore has read
-        so far; pass :meth:`restore_logs`'s so no pack is read twice."""
-        names = manifest["packs"]
-        packs = self._load_packs(names, {} if packs is None else packs)
+        ``sections`` (ref -> opened section) is what one restore has
+        read so far; pass :meth:`restore_logs`'s so none is read
+        twice."""
+        refs = manifest["sections"]
+        opened = self._load_sections(
+            refs, {} if sections is None else sections
+        )
         self._spilled_raw = {}
         raw: List[RawChunk] = []
-        for timestamp, index in zip(manifest["raw"], manifest["raw_pack"]):
-            self._spilled_raw[timestamp] = names[index]
-            raw.append(packs[index]["raw"][timestamp])
+        for timestamp, index in zip(
+            manifest["raw"], manifest["raw_section"]
+        ):
+            self._spilled_raw[timestamp] = refs[index]
+            raw.append(opened[index]["raw"][timestamp])
         self._spilled_features = {}
         self._spilled_payloads = {}
         features: List[Union[FeatureChunk, ChunkStub]] = []
         for timestamp, reference, index in zip(
             manifest["features"],
             manifest["raw_reference"],
-            manifest["feature_pack"],
+            manifest["feature_section"],
         ):
             if index < 0:
                 features.append(ChunkStub(timestamp, reference))
                 continue
-            chunk = packs[index]["features"][timestamp]
-            self._spilled_features[timestamp] = names[index]
+            chunk = opened[index]["features"][timestamp]
+            self._spilled_features[timestamp] = refs[index]
             self._spilled_payloads[timestamp] = weakref.ref(chunk)
             features.append(chunk)
         storage.restore(raw, features, manifest["stats"])
 
     def restore_logs(
         self,
-        refs: Dict[str, List[str]],
-        packs: Optional[Dict[str, Dict[str, Any]]] = None,
+        refs: Dict[str, List[Section]],
+        sections: Optional[Dict[Section, Dict[str, Any]]] = None,
     ) -> Dict[str, List[Any]]:
         """Reassemble every log from its segments, and this store's
         spill index with it (as :meth:`restore_storage` does, and with
-        its ``packs``)."""
-        packs = {} if packs is None else packs
+        its ``sections``)."""
+        sections = {} if sections is None else sections
         logs: Dict[str, List[Any]] = {}
-        for key, files in refs.items():
+        for key, segments in refs.items():
             log = logs[key] = []
-            for pack in self._load_packs(files, packs):
-                log.extend(pack["logs"][key])
-            self._spilled_logs[key] = (len(log), list(files))
+            for section in self._load_sections(segments, sections):
+                log.extend(section["logs"][key])
+            self._spilled_logs[key] = (len(log), list(segments))
         return logs
 
-    def _load_packs(
-        self, names: List[str], packs: Dict[str, Dict[str, Any]]
+    def _load_sections(
+        self,
+        refs: List[Section],
+        sections: Dict[Section, Dict[str, Any]],
     ) -> List[Dict[str, Any]]:
-        """The packs ``names``; one not yet in ``packs`` is read into it."""
-        for name in names:
-            if name not in packs:
-                packs[name] = self._load_pack(name)
-        return [packs[name] for name in names]
+        """The sections ``refs``; one not yet in ``sections`` is read
+        into it."""
+        for ref in refs:
+            if ref not in sections:
+                sections[ref] = self._load_section(ref)
+        return [sections[ref] for ref in refs]
 
-    def _load_pack(self, name: str) -> Dict[str, Any]:
-        path = self.chunks_directory / name
+    def _load_section(self, ref: Section) -> Dict[str, Any]:
+        name, offset, size = ref
+        path = self.directory / name
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                blob = handle.read(size)
         except OSError as error:
             raise ReliabilityError(
                 f"checkpoint references missing chunk payload "
                 f"{path}: {error}"
             ) from error
-        return open_envelope(blob, CHUNK_MAGIC, source=str(path))
+        if len(blob) < size:
+            raise ReliabilityError(
+                f"checkpoint references missing chunk payload {path} "
+                f"[{offset}, {offset + size}): the file ends at "
+                f"{offset + len(blob)}"
+            )
+        return open_envelope(
+            blob, CHUNK_MAGIC, source=f"{path}[{offset}:{offset + size}]"
+        )
 
     # ------------------------------------------------------------------
     # Retention
     # ------------------------------------------------------------------
-    def _scan(self) -> Dict[str, FrozenSet[str]]:
+    def _scan(self) -> Dict[str, FrozenSet[Section]]:
         """What the directory already holds, read once (the first
         write): each checkpoint's references from its envelope (none
-        for one that does not load — it can never be restored), the
-        packs nothing references (for the next prune), and stale
-        ``*.tmp`` staging files, which are deleted."""
+        for one that does not load — it can never be restored), each
+        file's length, the payload files (to be cut by the next
+        prune), and stale ``*.tmp`` staging files, which are
+        deleted."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        retained: Dict[str, FrozenSet[str]] = {}
-        for path in self.checkpoints():
-            try:
-                retained[path.name] = self.references(self.load(path))
-            except PersistenceError:
-                retained[path.name] = frozenset()
-        live = frozenset().union(*retained.values())
-        for directory in (self.directory, self.chunks_directory):
-            if not directory.is_dir():
+        retained: Dict[str, FrozenSet[Section]] = {}
+        with os.scandir(self.directory) as listing:
+            entries = sorted(listing, key=lambda entry: entry.name)
+        for entry in entries:
+            name = entry.name
+            if name.endswith(".tmp"):
+                os.unlink(entry.path)
                 continue
-            for name in sorted(os.listdir(directory)):
-                if name.endswith(".tmp"):
-                    (directory / name).unlink(missing_ok=True)
-                elif directory != self.directory and name not in live:
-                    self._unreferenced.add(name)
+            if not (name.startswith("ckpt-") and name.endswith(".ckpt")):
+                continue
+            self._sizes[name] = entry.stat().st_size
+            path = self.directory / name
+            if _trailer(path) is None:
+                self._stale.add(name)
+                continue
+            try:
+                retained[name] = self.references(self.load(path))
+            except PersistenceError:
+                retained[name] = frozenset()
         return retained
 
     def prune(self) -> List[Path]:
-        """Keep the newest ``keep`` checkpoints; collect each pack no
-        retained checkpoint references any more. Returns the dropped
-        checkpoints' paths."""
+        """Keep the newest ``keep`` checkpoints; cut every other file
+        to the sections a retained checkpoint still names (unlink it
+        when that is none). Returns the dropped checkpoints' paths."""
         retained = self._retained
         if retained is None:
             retained = self._retained = self._scan()
         dropped = select_prunable(list(retained), self.keep)
-        orphans = self._unreferenced
-        self._unreferenced = set()
+        stale = self._stale
+        self._stale = set()
         for name in dropped:
-            (self.directory / name).unlink(missing_ok=True)
-            orphans.update(retained.pop(name))
-        if orphans:
-            orphans.difference_update(*retained.values())
-            for name in sorted(orphans):
-                (self.chunks_directory / name).unlink(missing_ok=True)
+            stale.add(name)
+            stale.update(ref[0] for ref in retained.pop(name))
+        stale.difference_update(retained)
+        if stale:
+            ends: Dict[str, int] = dict.fromkeys(stale, 0)
+            for refs in retained.values():
+                for name, offset, size in refs:
+                    if name in ends and offset + size > ends[name]:
+                        ends[name] = offset + size
+            # Newest file first: an envelope goes before what it names.
+            for name in sorted(stale, reverse=True):
+                self._cut(name, ends[name])
         return [self.directory / name for name in dropped]
+
+    def _cut(self, name: str, end: int) -> None:
+        """Shorten file ``name`` to ``end`` bytes; unlink it at 0."""
+        size = self._sizes.get(name)
+        if size is None or end >= size:
+            return
+        path = self.directory / name
+        if end:
+            os.truncate(path, end)
+            self._sizes[name] = end
+        else:
+            path.unlink(missing_ok=True)
+            del self._sizes[name]
 
     def __repr__(self) -> str:
         return (
             f"CheckpointStore({str(self.directory)!r}, "
             f"cadence={self.cadence}, keep={self.keep})"
         )
+
+
+def _seal_sections(
+    name: str, *contents: Dict[str, Dict[Any, Any]]
+) -> Tuple[List[bytes], List[Optional[Section]]]:
+    """The sealed parts of each of ``contents``, laid out one after
+    another from the start of file ``name``, and each one's section
+    (``None`` for one with nothing in it, which takes no bytes)."""
+    parts: List[bytes] = []
+    refs: List[Optional[Section]] = []
+    offset = 0
+    for content in contents:
+        content = {key: value for key, value in content.items() if value}
+        if not content:
+            refs.append(None)
+            continue
+        header, payload = seal_parts(content, CHUNK_MAGIC)
+        size = len(header) + len(payload)
+        parts += (header, payload)
+        refs.append((name, offset, size))
+        offset += size
+    return parts, refs
+
+
+def _trailer(path: Path, handle: Any = None) -> Optional[Tuple[int, int]]:
+    """The offset and size of the envelope ``path``'s trailer points
+    at, or ``None`` when the file ends in no trailer (read through
+    ``handle`` when given)."""
+    if handle is None:
+        try:
+            with open(path, "rb") as handle:
+                return _trailer(path, handle)
+        except OSError:
+            return None
+    end = handle.seek(0, os.SEEK_END)
+    if end < _TRAILER_SIZE:
+        return None
+    handle.seek(end - _TRAILER_SIZE)
+    tail = handle.read(_TRAILER_SIZE)
+    if tail[_OFFSET.size :] != CHECKPOINT_MAGIC:
+        return None
+    (offset,) = _OFFSET.unpack_from(tail)
+    size = end - _TRAILER_SIZE - offset
+    return (offset, size) if size >= 0 else None

@@ -10,16 +10,19 @@ prequential run threads through its hot loop:
 * **checkpoint writing** — :meth:`ReliabilityRuntime.write` is the
   one place a :class:`~repro.reliability.checkpoint.PlatformCheckpoint`
   is assembled. The owner (deployment loop, platform, or fleet)
-  supplies its cursor, artifact bundle and own state; the runtime adds
-  the telemetry state and hands the envelope to the store, together
-  with the telemetry's *live* append-only logs (ledger entries,
-  monitor snapshots) — the store writes only what each gained since
-  the last checkpoint, so a write costs what changed, not the run's
-  history;
+  supplies its cursor, artifact bundle, own state and own *live*
+  append-only logs (error and cost histories, proactive outcomes);
+  the runtime adds the telemetry state and hands the envelope to the
+  store, together with those logs and the telemetry's (ledger
+  entries, monitor snapshots and resolved incidents) — the store
+  writes only what each gained since the last checkpoint, so a write
+  costs what changed, not the run's history;
 * **recovery** — :meth:`ReliabilityRuntime.load` finds the latest
   valid checkpoint and checks who wrote it;
-  :meth:`ReliabilityRuntime.restore` reassembles the logs from their
-  segments, puts back telemetry and storage and records a
+  :meth:`ReliabilityRuntime.read_logs` reassembles the logs from their
+  segments (an owner that keeps logs reads them first);
+  :meth:`ReliabilityRuntime.restore` puts back telemetry and storage
+  and records a
   :class:`RecoveryInfo` that ends up on the
   :class:`~repro.core.deployment.base.DeploymentResult`.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 from repro.exceptions import ReliabilityError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -104,6 +107,8 @@ class ReliabilityRuntime:
         self.last_checkpoint_cursor: Optional[int] = None
         #: Set when the run was resumed from a checkpoint.
         self.recovery: Optional[RecoveryInfo] = None
+        # The sections :meth:`read_logs` opened, for :meth:`restore`.
+        self._sections: Dict[Any, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Stream guarding
@@ -188,14 +193,17 @@ class ReliabilityRuntime:
         bundle: Optional[DeploymentBundle],
         state: Dict[str, Any],
         storage: Optional["ChunkStorage"] = None,
+        logs: Optional[Dict[str, List[Any]]] = None,
     ) -> Path:
         """Assemble and persist one checkpoint; returns its path.
 
-        ``state`` is the owner's own state; the telemetry state
-        (``metrics``, plus ``monitor`` and ``lineage`` when attached)
-        is added beside it, their logs passed on as they are. The
-        written counter increments *before* that capture so the
-        checkpoint's own write is part of the metrics it saves
+        ``state`` is the owner's own state and ``logs`` its live
+        append-only lists (kept out of ``state``: the store writes
+        what each gained since the last checkpoint); the telemetry
+        state (``metrics``, plus ``monitor`` and ``lineage`` when
+        attached) is added beside them, its logs passed on as they
+        are. The written counter increments *before* that capture so
+        the checkpoint's own write is part of the metrics it saves
         (keeping recovered-run counters byte-identical to the
         uninterrupted timeline).
         """
@@ -210,7 +218,9 @@ class ReliabilityRuntime:
             state={**state, **self.telemetry.state_dict()},
         )
         path = store.write(
-            checkpoint, storage=storage, logs=self.telemetry.logs()
+            checkpoint,
+            storage=storage,
+            logs={**(logs or {}), **self.telemetry.logs()},
         )
         self.last_checkpoint_cursor = cursor
         return path
@@ -230,25 +240,38 @@ class ReliabilityRuntime:
             )
         return checkpoint
 
+    def read_logs(self, checkpoint: PlatformCheckpoint) -> Dict[str, List[Any]]:
+        """Every log of ``checkpoint``, reassembled: the owner's own
+        ones to put back before :meth:`restore`, which takes the
+        result (and reads no section twice)."""
+        self._sections = {}
+        return self._require_store().restore_logs(
+            checkpoint.logs or {}, self._sections
+        )
+
     def restore(
         self,
         checkpoint: PlatformCheckpoint,
         storage: Optional["ChunkStorage"] = None,
+        logs: Optional[Dict[str, List[Any]]] = None,
     ) -> None:
         """Put back telemetry and storage; mark this run as recovered.
 
         Call *after* the owner has installed the bundle and loaded its
         own state: the ``reliability.recovered`` point is stamped with
         the restored virtual clock, and reaches an attached monitor
-        after that monitor's own state is back.
+        after that monitor's own state is back. ``logs`` is what
+        :meth:`read_logs` returned, when the owner read them first.
         """
         store = self._require_store()
-        packs: dict = {}  # log tails and chunks share packs: read each once
-        self.telemetry.load_state_dict(
-            checkpoint.state, store.restore_logs(checkpoint.logs or {}, packs)
-        )
+        if logs is None:
+            logs = self.read_logs(checkpoint)
+        self.telemetry.load_state_dict(checkpoint.state, logs)
         if storage is not None and checkpoint.manifest is not None:
-            store.restore_storage(storage, checkpoint.manifest, packs)
+            store.restore_storage(
+                storage, checkpoint.manifest, self._sections
+            )
+        self._sections = {}
         self.recovery = RecoveryInfo(
             cursor=checkpoint.cursor, approach=checkpoint.approach
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Union
+from typing import List, Sequence, Union
 
 #: Anything the filesystem accepts as a path.
 PathLike = Union[str, "os.PathLike[str]"]
@@ -28,7 +28,9 @@ __all__ = ["PathLike", "atomic_write_bytes", "sweep_stale_tmp"]
 
 
 def atomic_write_bytes(
-    path: PathLike, blob: bytes, sweep: bool = True
+    path: PathLike,
+    blob: Union[bytes, Sequence[bytes]],
+    sweep: bool = True,
 ) -> Path:
     """Write ``blob`` to ``path`` atomically (temp file + rename).
 
@@ -36,18 +38,21 @@ def atomic_write_bytes(
     directory, flushed and fsynced, then moved over ``path`` with
     ``os.replace`` — on POSIX an atomic rename. A crash at any point
     leaves either the previous file or no file, never a truncation.
+    ``blob`` may be a sequence of byte strings, written one after
+    another (one file, one ``fsync``, nothing joined in memory).
     ``sweep`` then lists the directory for this name's stale staging
     files (:func:`sweep_stale_tmp`); a writer that sweeps its
     directory once on its own (the checkpoint store) passes ``False``
     and lists nothing.
     """
     path = Path(path)
+    parts = [blob] if isinstance(blob, (bytes, bytearray)) else blob
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            handle.writelines(parts)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

@@ -10,7 +10,6 @@ from repro.core.platform import TrainingRule
 from repro.data.sampling import WindowBasedSampler
 from repro.data.table import Table
 from repro.driftdetect import (
-    DDM,
     DriftState,
     DriftTrigger,
     PageHinkley,
@@ -28,7 +27,6 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 ALL_DETECTORS = [
-    lambda: DDM(minimum_observations=30),
     lambda: PageHinkley(threshold=2.0, minimum_observations=30),
     lambda: WindowComparisonDetector(window_size=25, ratio=0.3),
 ]
@@ -81,45 +79,6 @@ def drift_aware(
     return deployment, rule
 
 
-class TestDDM:
-    def test_detects_error_surge(self):
-        detector = DDM()
-        states = feed(detector, [0.0] * 200 + [1.0] * 80)
-        assert DriftState.DRIFT in states
-        assert detector.drifts_detected >= 1
-
-    def test_warning_precedes_drift(self):
-        rng = np.random.default_rng(0)
-        detector = DDM()
-        stable = (rng.random(300) < 0.1).astype(float)
-        degraded = (rng.random(200) < 0.5).astype(float)
-        states = feed(detector, np.concatenate([stable, degraded]))
-        drift_at = states.index(DriftState.DRIFT)
-        assert DriftState.WARNING in states[:drift_at]
-
-    def test_stable_stream_rarely_alarms(self):
-        """DDM's early p_min estimates can false-alarm once on a
-        stationary stream (a known property of the method); it must
-        not alarm repeatedly."""
-        rng = np.random.default_rng(1)
-        detector = DDM()
-        feed(detector, (rng.random(500) < 0.2).astype(float))
-        assert detector.drifts_detected <= 1
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValidationError):
-            DDM().update(0.5)
-
-    def test_error_rate_accessor(self):
-        detector = DDM()
-        feed(detector, [1.0, 0.0, 1.0, 1.0])
-        assert detector.error_rate == pytest.approx(0.75)
-
-    def test_invalid_levels(self):
-        with pytest.raises(ValidationError):
-            DDM(warning_level=3.0, drift_level=2.0)
-
-
 class TestPageHinkley:
     def test_detects_mean_shift(self):
         detector = PageHinkley(threshold=2.0)
@@ -167,7 +126,7 @@ class TestWindowComparison:
 class TestDetectorContract:
     @pytest.mark.parametrize(
         "factory", ALL_DETECTORS,
-        ids=["ddm", "page_hinkley", "window"],
+        ids=["page_hinkley", "window"],
     )
     def test_self_reset_after_drift(self, factory):
         detector = factory()
@@ -181,7 +140,7 @@ class TestDetectorContract:
 
     @pytest.mark.parametrize(
         "factory", ALL_DETECTORS,
-        ids=["ddm", "page_hinkley", "window"],
+        ids=["page_hinkley", "window"],
     )
     def test_update_many_reports_worst(self, factory):
         detector = factory()
@@ -281,7 +240,7 @@ class TestBurstMechanics:
 class TestDetectorStateRoundTrip:
     @pytest.mark.parametrize(
         "factory", ALL_DETECTORS,
-        ids=["ddm", "page_hinkley", "window"],
+        ids=["page_hinkley", "window"],
     )
     def test_restored_detector_continues_identically(self, factory):
         """Snapshot mid-stream, restore into a fresh detector, and the
@@ -306,7 +265,7 @@ class TestDetectorStateRoundTrip:
 
     @pytest.mark.parametrize(
         "factory", ALL_DETECTORS,
-        ids=["ddm", "page_hinkley", "window"],
+        ids=["page_hinkley", "window"],
     )
     def test_state_dict_round_trips_exactly(self, factory):
         import pickle
@@ -321,10 +280,10 @@ class TestDetectorStateRoundTrip:
         )
 
     def test_lifetime_counters_survive(self):
-        detector = DDM(minimum_observations=30)
+        detector = PageHinkley(threshold=2.0, minimum_observations=30)
         feed(detector, [0.0] * 200 + [1.0] * 100)
         assert detector.drifts_detected >= 1
-        restored = DDM(minimum_observations=30)
+        restored = PageHinkley(threshold=2.0, minimum_observations=30)
         restored.load_state_dict(detector.state_dict())
         assert restored.drifts_detected == detector.drifts_detected
         assert restored.observations == detector.observations

@@ -1,37 +1,43 @@
-"""Generated properties of a checkpoint write's file order, and of a
-crash at any point of it.
+"""Generated properties of a checkpoint write's file order, of the
+cuts that retire old checkpoints, and of a crash at any point of them.
 
 A generated run puts a chunk a step into a :class:`ChunkStorage` — a
 generated chunk bound evicts payloads, stubs are re-materialized, a
-generated ``raw_capacity`` drops the oldest raw chunks — appends to an
-append-only log, and checkpoints on a generated cadence with a
-generated ``keep``, under a generated fault plan at
-``checkpoint.write`` (``corrupt`` envelopes, and ``io_error`` attempts
-the retry policy absorbs). Every ``os.open``, ``os.fsync``,
-``os.replace`` and ``os.unlink`` under the checkpoint directory is
-recorded, in order (``fsync`` is recorded, not performed: the property
-is the order, not the disk). Then:
+generated ``raw_capacity`` drops the oldest raw chunks — appends to
+three append-only logs (an error history that grows every step, and
+outcomes and incidents that grow on some), and checkpoints on a
+generated cadence with a generated ``keep``, under a generated fault
+plan at ``checkpoint.write`` (``corrupt`` envelopes, and ``io_error``
+attempts the retry policy absorbs). Every ``os.open``, ``os.fsync``,
+``os.replace``, ``os.truncate`` and ``os.unlink`` under the checkpoint
+directory is recorded, in order (``fsync`` is recorded, not performed:
+the property is the order, not the disk). Then:
 
+* **one fsync a write** — each ``write`` of the store makes exactly
+  one ``fsync``, of the file it then renames;
 * **ordering** — every atomic write is fsynced before its rename;
-  every pack a renamed envelope references was fsynced and renamed
-  into place before that rename (or was on disk before the run);
-  and no pack is unlinked while an envelope on disk that loads
-  references it;
+  every section a renamed envelope names is in the renamed file or in
+  a file renamed into place before it (or on disk before the run) and
+  not cut since; and no byte range that an envelope on disk that loads
+  names is ever truncated or unlinked;
 * **a crash at any boundary** — the run is crashed before one recorded
   call (the process is gone: nothing under the directory happens
-  after it, so staging files stay behind). ``load_latest`` of a fresh
-  store on what is left returns what :class:`ReferenceStore` — the
-  layout this one replaced (a refs sidecar, a raw and a feature pack,
-  a ``prune`` that lists the directory), kept below as it was — returns
-  when crashed with the same checkpoints on disk: the same cursor,
-  state, log and storage contents, payload bytes included, or no
-  valid checkpoint for both. The fresh store then restores, writes two
-  more checkpoints, and leaves no ``*.tmp`` file and exactly the packs
-  its envelopes reference.
+  after it, so staging files stay behind and cuts are lost).
+  ``load_latest`` of a fresh store on what is left returns what
+  :class:`ReferenceStore` — the layout two formats back (a refs
+  sidecar, a raw and a feature pack, a ``prune`` that lists the
+  directory), kept below as it was — returns when crashed with the
+  same checkpoints on disk: the same cursor, state, logs and storage
+  contents, payload bytes included, or no valid checkpoint for both;
+  and its logs are the uninterrupted run's at that cursor. The fresh
+  store then restores, writes two more checkpoints, and leaves no
+  ``*.tmp`` file, at most ``keep`` checkpoints, and every other file
+  cut to exactly the sections its envelopes name.
 
 The crash points are, per case, one boundary drawn inside every
-stretch with the same checkpoints on disk, plus the boundary right
-before each envelope's rename (its pack is on disk, it is not).
+stretch with the same checkpoints on disk, the boundary right before
+each envelope's rename (its sections are staged, it is not on disk),
+and the one before each cut (the rename is done, the cut is lost).
 
 Everything is drawn from a ``repro.utils.rng`` seed; a failure names
 the seed, the case and the crash, and ``pytest
@@ -79,7 +85,8 @@ SEEDS = range(14)
 
 
 # ----------------------------------------------------------------------
-# The reference: the store as it was before one pack and no sidecar.
+# The reference: the store as it was before one pack and no sidecar
+# (format 4).
 # ----------------------------------------------------------------------
 class ReferenceStore:
     """A refs sidecar, then the envelope; a raw and a feature pack; a
@@ -216,7 +223,7 @@ class ReferenceStore:
     def load_latest(self):
         for path in reversed(self.checkpoints()):
             try:
-                return CheckpointStore(self.directory).load(path)
+                return open_envelope(path.read_bytes(), CHECKPOINT_MAGIC)
             except PersistenceError:
                 continue
         raise ReliabilityError(f"no valid checkpoint under {self.directory}")
@@ -282,8 +289,8 @@ def is_envelope(name):
 
 
 def loadable_refs(directory, name):
-    """The packs the envelope ``name`` references, ``None`` when it
-    does not load."""
+    """The sections the envelope of file ``name`` references, ``None``
+    when it does not load."""
     try:
         checkpoint = CheckpointStore(directory).load(directory / name)
     except PersistenceError:
@@ -292,11 +299,11 @@ def loadable_refs(directory, name):
 
 
 class Recorder:
-    """Every ``os.open``/``fsync``/``replace``/``unlink`` under
-    ``directory``, with the envelopes on disk *before* the call; a
-    :class:`SimulatedCrash` instead of call number ``crash_at``, and of
-    every later call under the directory. With ``check``, the ordering
-    property is asserted at every rename and unlink."""
+    """Every ``os.open``/``fsync``/``replace``/``truncate``/``unlink``
+    under ``directory``, with the envelopes on disk *before* the call;
+    a :class:`SimulatedCrash` instead of call number ``crash_at``, and
+    of every later call under the directory. With ``check``, the
+    ordering property is asserted at every rename, cut and unlink."""
 
     def __init__(self, directory, crash_at=None, check=True):
         self.directory = Path(directory)
@@ -306,16 +313,36 @@ class Recorder:
         self.crashed = False
         self.fds = {}
         self.synced = set()
-        chunks = self.directory / "chunks"
-        self.durable = {p.name for p in chunks.glob("*")}
-        self.envelopes = {
-            p.name for p in self.directory.glob("*") if is_envelope(p.name)
+        self.fsyncs = 0
+        # File name -> how many of its bytes are durable and in place.
+        self.durable = {
+            p.name: p.stat().st_size
+            for p in self.directory.rglob("*")
+            if p.is_file()
         }
+        self.envelopes = {
+            name
+            for name in self.durable
+            if is_envelope(name)
+            and loadable_refs(self.directory, name) is not None
+        }
+
+    def names(self, name, length):
+        """Assert no envelope on disk that loads, but the one in file
+        ``name`` itself, names a byte of ``name`` past ``length``."""
+        for envelope in sorted(self.envelopes - {name}):
+            for file, offset, size in loadable_refs(
+                self.directory, envelope
+            ) or ():
+                assert file != name or offset + size <= length, (
+                    f"{envelope} names {file}[{offset}:{offset + size}], "
+                    f"cut to {length}"
+                )
 
     def install(self, monkeypatch):
         real = {
             name: getattr(os, name)
-            for name in ("open", "fsync", "replace", "unlink")
+            for name in ("open", "fsync", "replace", "truncate", "unlink")
         }
 
         def mine(path):
@@ -343,6 +370,7 @@ class Recorder:
                 return real["fsync"](fd)
             record("fsync", path)
             self.synced.add(path)
+            self.fsyncs += 1
 
         def replace(source, target):
             if not mine(target):
@@ -351,32 +379,43 @@ class Recorder:
             record("replace", target)
             if self.check:
                 assert source in self.synced, f"{target.name} renamed unsynced"
-                if is_envelope(target.name):
-                    refs = loadable_refs(self.directory, source.name)
-                    missing = (refs or frozenset()) - self.durable
-                    assert not missing, f"{target.name} names {missing}"
+                for name, offset, size in (
+                    loadable_refs(self.directory, source.name) or ()
+                ):
+                    assert name == target.name or (
+                        offset + size <= self.durable.get(name, 0)
+                    ), f"{target.name} names {name}[{offset}:{offset + size}]"
             real["replace"](source, target)
+            self.durable[target.name] = target.stat().st_size
             if is_envelope(target.name):
                 self.envelopes.add(target.name)
-            elif target.parent.name == "chunks":
-                self.durable.add(target.name)
+
+        def truncate(path, length):
+            if not mine(path):
+                return real["truncate"](path, length)
+            path = Path(path)
+            record("truncate", path)
+            if self.check:
+                self.names(path.name, length)
+            real["truncate"](path, length)
+            self.durable[path.name] = length
+            self.envelopes.discard(path.name)
 
         def unlink(path, *args, **kwargs):
             if not mine(path):
                 return real["unlink"](path, *args, **kwargs)
             path = Path(path)
             record("unlink", path)
-            if self.check and path.parent.name == "chunks":
-                for name in sorted(self.envelopes):
-                    refs = loadable_refs(self.directory, name) or ()
-                    assert path.name not in refs, f"{path.name} of {name}"
+            if self.check and path.name in self.durable:
+                self.names(path.name, 0)
             real["unlink"](path, *args, **kwargs)
             self.envelopes.discard(path.name)
-            self.durable.discard(path.name)
+            self.durable.pop(path.name, None)
 
         monkeypatch.setattr(os, "open", open_)
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "truncate", truncate)
         monkeypatch.setattr(os, "unlink", unlink)
 
 
@@ -402,6 +441,10 @@ def draw_case(seed):
         "bound": None if rng.random() < 0.4 else int(rng.integers(1, 4)),
         "capacity": None if rng.random() < 0.5 else int(rng.integers(3, 8)),
         "plan": FaultPlan.of(*specs),
+        # An error history grows every step (a deployment's); without
+        # one (a platform's, a fleet's) a file may end up holding
+        # nothing named, and goes. Drawn apart: the draws above stay.
+        "history": bool(ensure_rng([seed, 38]).random() < 0.5),
         # Per step: re-materialize a stub?, log entries appended, a value.
         "steps": [
             (rng.random() < 0.5, int(rng.integers(0, 4)), float(rng.random()))
@@ -413,7 +456,8 @@ def draw_case(seed):
 def describe(case):
     return (
         f"seed={case['seed']} cadence={case['cadence']} keep={case['keep']} "
-        f"bound={case['bound']} capacity={case['capacity']} {case['plan']}; "
+        f"bound={case['bound']} capacity={case['capacity']} "
+        f"history={case['history']} {case['plan']}; "
         f"replay: pytest tests/property/test_property_checkpoint_durability.py"
         f' -k "seed{case["seed"]}]"'
     )
@@ -425,6 +469,10 @@ def new_storage(case):
     )
 
 
+def new_logs():
+    return {"error_history": [], "proactive_outcomes": [], "incidents": []}
+
+
 def put_chunk(storage, timestamp, value):
     table = Table({"x": np.full(3, value + timestamp)})
     storage.put_raw(RawChunk(timestamp, table))
@@ -433,7 +481,20 @@ def put_chunk(storage, timestamp, value):
     )
 
 
-def step(storage, log, timestamp, remat, appended, value):
+def grow(case, logs, timestamp, appended, value):
+    """What a step appends to the logs: a history value every step
+    (when the case keeps one), ``appended - 1`` outcomes, and an
+    incident on a step with three."""
+    if case["history"]:
+        logs["error_history"].append(value)
+    logs["proactive_outcomes"].extend(
+        {"step": timestamp, "n": n} for n in range(appended - 1)
+    )
+    if appended == 3:
+        logs["incidents"].append({"id": timestamp, "state": "resolved"})
+
+
+def step(case, storage, logs, timestamp, remat, appended, value):
     put_chunk(storage, timestamp, value)
     stubs = [
         t
@@ -445,7 +506,17 @@ def step(storage, log, timestamp, remat, appended, value):
         storage.put_features(
             FeatureChunk(t, t, np.full((3, 2), value + timestamp), np.zeros(3))
         )
-    log.extend({"step": timestamp, "n": n} for n in range(appended))
+    grow(case, logs, timestamp, appended, value)
+
+
+def logs_at(case, cursor):
+    """The uninterrupted run's logs after ``cursor`` steps."""
+    logs = new_logs()
+    for timestamp, (__, appended, value) in enumerate(
+        case["steps"][:cursor], 1
+    ):
+        grow(case, logs, timestamp, appended, value)
+    return logs
 
 
 def checkpoint_at(timestamp):
@@ -453,13 +524,11 @@ def checkpoint_at(timestamp):
 
 
 def run(case, store):
-    storage, log = new_storage(case), []
+    storage, logs = new_storage(case), new_logs()
     for timestamp, (remat, appended, value) in enumerate(case["steps"], 1):
-        step(storage, log, timestamp, remat, appended, value)
+        step(case, storage, logs, timestamp, remat, appended, value)
         if timestamp % case["cadence"] == 0:
-            store.write(
-                checkpoint_at(timestamp), storage=storage, logs={"log": log}
-            )
+            store.write(checkpoint_at(timestamp), storage=storage, logs=logs)
 
 
 def build(kind, case, directory, faults=True):
@@ -473,15 +542,36 @@ def build(kind, case, directory, faults=True):
     )
 
 
+def one_fsync_a_write(store, recorder):
+    """Wrap ``store.write``: each call makes exactly one ``fsync``."""
+    write = store.write
+
+    def counted(checkpoint, **kwargs):
+        before = recorder.fsyncs
+        path = write(checkpoint, **kwargs)
+        made = recorder.fsyncs - before
+        assert made == 1, f"write of {checkpoint.cursor}: {made} fsyncs"
+        return path
+
+    store.write = counted
+
+
 def recorded(monkeypatch, kind, case, directory, crash_at=None):
     """Run the case with ``kind``'s store under a recorder."""
     recorder = Recorder(directory, crash_at, check=kind is CheckpointStore)
+    store = build(kind, case, directory)
+    if kind is CheckpointStore:
+        one_fsync_a_write(store, recorder)
     with monkeypatch.context() as patched:
         recorder.install(patched)
         try:
-            run(case, build(kind, case, directory))
+            run(case, store)
         except SimulatedCrash:
             assert crash_at is not None
+        except AssertionError as error:  # the recorder's, or one fsync
+            raise AssertionError(
+                f"{error}; crash at {crash_at}; {describe(case)}"
+            ) from error
     return recorder
 
 
@@ -514,35 +604,51 @@ def recover(kind, case, directory):
     return (outcome, storage), store
 
 
-def write_on(case, store, restored, directory):
-    """Two more checkpoints on the restored run, then the directory
-    holds no staging file and exactly the packs its envelopes name."""
-    (cursor, __, logs, ___), storage = restored
-    log = logs.get("log", [])
-    for timestamp in range(cursor + 1, cursor + 2 * case["cadence"] + 1):
-        step(storage, log, timestamp, True, 1, 0.5)
-        if timestamp % case["cadence"] == 0:
-            store.write(
-                checkpoint_at(timestamp), storage=storage, logs={"log": log}
-            )
+def cut_to_what_is_named(directory, store, keep):
+    """At most ``keep`` checkpoints; every other file holds exactly
+    the sections they name (none: it is gone), and each restores."""
     assert not list(directory.rglob("*.tmp"))
     envelopes = [p.name for p in store.checkpoints()]
-    assert len(envelopes) <= case["keep"]
-    named = set()
+    assert len(envelopes) <= keep
+    ends = {}
     for name in envelopes:
         refs = loadable_refs(directory, name)
-        if refs is not None:
-            named |= refs
-            fresh = build(CheckpointStore, case, directory, faults=False)
-            checkpoint = fresh.load(directory / name)
-            fresh.restore_logs(checkpoint.logs or {})
-            fresh.restore_storage(new_storage(case), checkpoint.manifest)
-    assert {p.name for p in (directory / "chunks").glob("*")} == named
+        if refs is None:
+            continue
+        for file, offset, size in refs:
+            ends[file] = max(ends.get(file, 0), offset + size)
+        checkpoint = CheckpointStore(directory).load(directory / name)
+        fresh = CheckpointStore(directory)
+        fresh.restore_logs(checkpoint.logs or {})
+        fresh.restore_storage(ChunkStorage(), checkpoint.manifest)
+    for path in directory.iterdir():
+        if path.name not in envelopes:
+            assert path.stat().st_size == ends.pop(path.name), path.name
+        ends.pop(path.name, None)
+    assert not ends, ends  # every section named is on disk
+
+
+def write_on(case, store, restored, directory):
+    """Two more checkpoints on the restored run, then the directory is
+    cut to what they name."""
+    (cursor, __, logs, ___), storage = restored
+    logs = {**new_logs(), **logs}
+    for timestamp in range(cursor + 1, cursor + 2 * case["cadence"] + 1):
+        step(case, storage, logs, timestamp, True, 1, 0.5)
+        if timestamp % case["cadence"] == 0:
+            store.write(checkpoint_at(timestamp), storage=storage, logs=logs)
+    cut_to_what_is_named(directory, store, case["keep"])
+
+
+def is_cut(call):
+    kind, name, __ = call
+    return kind in ("truncate", "unlink") and is_envelope(name)
 
 
 def crash_points(case, calls):
     """One boundary inside every stretch with the same envelopes on
-    disk, and the one before each envelope's rename."""
+    disk, the one before each envelope's rename, and the one before
+    each cut."""
     rng = ensure_rng([case["seed"], 37])
     points, start = set(), 0
     for index in range(1, len(calls) + 1):
@@ -553,6 +659,7 @@ def crash_points(case, calls):
         index
         for index, (kind, name, __) in enumerate(calls)
         if kind == "replace" and is_envelope(name)
+        or is_cut(calls[index])
     )
     return sorted(points)
 
@@ -594,15 +701,23 @@ def test_a_crash_anywhere_recovers_what_the_reference_does(
         restored, store = recover(CheckpointStore, case, directory)
         assert (restored and restored[0]) == expected[state], where
         if restored is not None:
+            cursor, __, logs, ___ = restored[0]
+            assert logs == logs_at(case, cursor), where
             with monkeypatch.context() as patched:
-                Recorder(directory).install(patched)
-                write_on(case, store, restored, directory)
+                recorder = Recorder(directory)
+                one_fsync_a_write(store, recorder)
+                recorder.install(patched)
+                try:
+                    write_on(case, store, restored, directory)
+                except AssertionError as error:
+                    raise AssertionError(f"{error}; {where}") from error
 
 
 def test_the_property_above_is_not_vacuous(tmp_path, monkeypatch):
     """The seeds reach evictions, re-materializations, raw drops, a
     corrupt envelope, an absorbed ``io_error``, and crashes before an
-    envelope's rename, after it, and with nothing left to recover."""
+    envelope's rename, after it, before a cut, and with nothing left
+    to recover."""
     reached = set()
     for seed in SEEDS:
         case = draw_case(seed)
@@ -613,26 +728,26 @@ def test_the_property_above_is_not_vacuous(tmp_path, monkeypatch):
         capacity = case["capacity"]
         if capacity is not None and capacity < len(case["steps"]):
             reached.add("raw dropped")
-        if seed < 4:
-            calls = recorded(
-                monkeypatch, CheckpointStore, case, tmp_path / str(seed)
-            ).calls
-            for point in crash_points(case, calls):
-                kind, name, envelopes = calls[point]
-                reached.add(
-                    "before a rename"
-                    if kind == "replace" and is_envelope(name)
-                    else "during a prune" if kind == "unlink"
-                    else "nothing on disk" if not envelopes
-                    else "between writes"
-                )
+        calls = recorded(
+            monkeypatch, CheckpointStore, case, tmp_path / str(seed)
+        ).calls
+        for point in crash_points(case, calls):
+            kind, name, envelopes = calls[point]
+            reached.add(
+                "before a rename"
+                if kind == "replace" and is_envelope(name)
+                else f"before a {kind}" if is_cut(calls[point])
+                else "nothing on disk" if not envelopes
+                else "between writes"
+            )
     assert reached >= {
         "corrupt",
         "io_error",
         "rematerialized",
         "raw dropped",
         "before a rename",
-        "during a prune",
+        "before a truncate",
+        "before a unlink",
         "nothing on disk",
         "between writes",
     }, reached

@@ -1,10 +1,12 @@
 """Generated properties of incremental (delta) checkpoints.
 
-A checkpoint writes what changed: the lineage ledger's entries and the
-monitor's snapshots are append-only logs, handed to the store as live
-lists and spilled as ``log[spilled:]`` into the checkpoint's pack
-(``pack-<cursor>-<digest>``, keyed by log name in its ``logs``
-section, beside the chunks); the envelope carries segment refs. For random
+A checkpoint writes what changed: the lineage ledger's entries, the
+monitor's snapshots and resolved incidents, the deployment's error and
+cost histories and the platform's proactive outcomes are append-only
+logs, handed to the store as live lists and spilled as
+``log[spilled:]`` into the first section of the checkpoint's file
+(keyed by log name under ``logs``, beside the raw chunks); the
+envelope carries segment refs, ``(file, offset, size)``. For random
 cadence × keep × monitor window × approach (deployment loop ``online``
 and ``continuous``, platform, fleet, and the four approaches whose
 trigger has state or fires often: ``periodical``, ``threshold``,
@@ -12,25 +14,30 @@ trigger has state or fires often: ``periodical``, ``threshold``,
 with no regular schedule whose only rule is a degradation trigger;
 each configured so that the trigger fires on both sides of the
 recovery) × crash plan (one or two
-kills, at ``stream.read`` or at ``checkpoint.write`` — after the
-packs, before the envelope — optionally with the newest surviving
-envelope corrupted):
+kills, at ``stream.read`` or at ``checkpoint.write`` — before its
+one staged file — optionally with the newest surviving envelope
+corrupted):
 
 * the recovered run ends on the uninterrupted run's ``lineage.json``
   bytes, ``health.json`` content, result histories and metrics
   snapshot;
-* a crash at ``checkpoint.write`` recovers from the checkpoint before
-  and re-writes the cursor onto the pack name the crashed write left;
+* a crash at ``checkpoint.write`` leaves nothing of that cursor on
+  disk; the recovered run writes it, its logs the older checkpoint's
+  segments and one new one;
 * a corrupted newest envelope falls back, and the logs come back from
-  the older checkpoint's refs alone (the newer one's own packs are
-  deleted first);
+  the older checkpoint's refs alone (the newer one's own sections are
+  spoiled first);
 * after *every* write, the store's refs of each retained checkpoint
-  are the ones its envelope names, every pack they reference exists,
-  nothing else is left in ``chunks/``, the envelope holds no
-  ledger entry and no snapshot, and each log's segments concatenate to
-  the live log with the newest pack holding exactly what was appended
-  since the write before;
-* a run without telemetry packs nothing but chunks and adds no key.
+  are the ones its envelope names, every section they reference is
+  on disk, every other file is cut to exactly the sections still
+  named (and a file nothing names is gone), the envelope's state holds
+  no log (no ledger entry, snapshot, history or outcome, and the
+  monitor's incidents from the first open one on), and each log's
+  segments concatenate to the live log with
+  the newest section holding exactly what was appended since the
+  write before;
+* a run without telemetry spills nothing but chunks and its own
+  logs, and adds no state key.
 
 ``health.json`` is compared without the ``seq`` of incident evidence
 (and so without the digest over it): event numbering restarts with the
@@ -46,6 +53,7 @@ replays it.
 """
 
 import json
+import struct
 from dataclasses import replace
 from itertools import islice
 
@@ -57,6 +65,7 @@ from repro.core.deployment import (
     FullRetrainingDeployment,
 )
 from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
+from repro.core.proactive import ProactiveOutcome
 from repro.core.scheduler import DegradationTrigger
 from repro.data.sampling import WindowBasedSampler
 from repro.data.table import Table
@@ -322,10 +331,40 @@ def artifacts(telemetry, histories, directory):
 # The store under observation
 # ----------------------------------------------------------------------
 def looks_like_log_entry(value):
+    if isinstance(value, ProactiveOutcome):
+        return True
     return isinstance(value, dict) and (
         {"e", "seq", "t"} <= value.keys()  # a ledger entry
         or {"window", "t_end", "signals"} <= value.keys()  # a snapshot
     )
+
+
+#: The state keys of what only grows: a checkpoint keeps them as logs.
+#: (A fleet's tenants carry theirs inline, under ``tenants``.)
+LOG_KEYS = {
+    "error_history",
+    "cost_history",
+    "history",
+    "proactive_outcomes",
+    "snapshots",
+    "entries",
+    "resolved_incidents",
+}
+#: The logs an owner keeps (telemetry's are ``monitor``, ``incidents``
+#: and ``lineage``).
+OWNER_LOGS = {"error_history", "cost_history", "proactive_outcomes"}
+
+
+def without_tenants(state):
+    """A checkpoint's state, a fleet's tenants left out."""
+    return {key: value for key, value in state.items() if key != "tenants"}
+
+
+def state_keys(value):
+    """Every dict key in ``value``."""
+    for child in walk(value):
+        if isinstance(child, dict):
+            yield from child
 
 
 def walk(value):
@@ -350,7 +389,7 @@ def observed_store(config, telemetry, injector):
 
     def segments(refs, key):
         return [
-            store._load_pack(name)["logs"][key] for name in refs.get(key, [])
+            store._load_section(ref)["logs"][key] for ref in refs.get(key, [])
         ]
 
     def checked_write(checkpoint, storage=None, logs=None):
@@ -363,17 +402,26 @@ def observed_store(config, telemetry, injector):
         retained = store.checkpoints()
         assert path in retained and len(retained) <= store.keep
         assert list(store.retained) == retained
-        referenced = set()
+        ends = {}
         for kept, refs in store.retained.items():
             assert refs == store.references(store.load(kept))
-            referenced.update(refs)
-        on_disk = {p.name for p in store.chunks_directory.iterdir()}
-        assert on_disk == referenced
+            for name, offset, size in refs:
+                ends[name] = max(ends.get(name, 0), offset + size)
+        for path_on_disk in store.directory.iterdir():
+            if path_on_disk not in store.retained:
+                assert path_on_disk.stat().st_size == ends[path_on_disk.name]
+            ends.pop(path_on_disk.name, None)
+        assert not ends  # every section named is on disk
         saved = store.load(path)
+        state = without_tenants(saved.state)
         assert not any(
-            looks_like_log_entry(v)
-            for v in walk([saved.state, saved.manifest])
+            looks_like_log_entry(v) for v in walk([state, saved.manifest])
         )
+        assert not LOG_KEYS & set(state_keys(state))
+        # The monitor keeps incidents from the first open one on; the
+        # resolved prefix before it is a log.
+        head = state["monitor"]["incidents"]["incidents"]
+        assert not head or head[0]["data"]["state"] != "resolved"
         assert set(saved.logs or {}) == set(logs)
         for key, log in logs.items():
             assert sum(segments(saved.logs, key), []) == log
@@ -391,21 +439,13 @@ def observed_store(config, telemetry, injector):
     return store
 
 
-def raw_packs(directory, cursor):
-    """The pack(s) log tails spilled at ``cursor`` ride in."""
-    return sorted(
-        p.name for p in (directory / "chunks").glob(f"pack-{cursor:08d}-*")
-    )
-
-
 # ----------------------------------------------------------------------
 def draw_kill(rng, cursor, steps, cadence):
     """``(site, occurrence, cursor of the newest checkpoint left)`` for
     an incarnation starting at ``cursor`` that writes at least one
     checkpoint before it dies."""
     if rng.random() < 0.5:
-        # Dies inside its j-th checkpoint write: its pack on disk, no
-        # envelope.
+        # Dies inside its j-th checkpoint write: nothing of it on disk.
         occurrence = int(rng.integers(2, (steps - cursor) // cadence + 1))
         return (
             "checkpoint.write",
@@ -417,16 +457,17 @@ def draw_kill(rng, cursor, steps, cadence):
 
 
 def corrupt_newest(store):
-    """Flip a byte of the newest envelope and delete the packs only it
+    """Flip a byte of the newest envelope and of each section only it
     references: the fallback may need the older checkpoint's refs
     alone."""
     older, newest = store.checkpoints()[-2:]
-
     refs = store.retained
-    for name in sorted(refs[newest] - refs[older]):
-        (store.chunks_directory / name).unlink()
     blob = bytearray(newest.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
+    for name, offset, size in sorted(refs[newest] - refs[older]):
+        assert name == newest.name
+        blob[offset + size // 2] ^= 0xFF
+    (envelope,) = struct.unpack(">Q", blob[-21:-13])
+    blob[(envelope + len(blob) - 21) // 2] ^= 0xFF
     newest.write_bytes(bytes(blob))
 
 
@@ -520,8 +561,9 @@ def test_recovered_run_ends_on_the_uninterrupted_runs_bytes(
 @pytest.mark.parametrize("approach", APPROACHES[:4])
 def test_crashed_write_is_rewritten_onto_its_own_pack(tmp_path, approach):
     """Killed inside the write of cursor 9 with everything retained:
-    that cursor's pack is on disk before the recovery and is still
-    the only one for it afterwards, appended to what cursor 6 had."""
+    nothing of that cursor is on disk before the recovery (its file is
+    staged whole, then renamed), and afterwards its logs are what
+    cursor 6 had and at most one segment in its own file."""
     window = 2e-3 * CLOCK_SCALE[approach]
     config = CheckpointConfig(tmp_path, cadence_chunks=3, keep=100)
     telemetry = attached(approach, window)
@@ -537,18 +579,18 @@ def test_crashed_write_is_rewritten_onto_its_own_pack(tmp_path, approach):
             resume=False,
         )
     assert not (tmp_path / "ckpt-00000009.ckpt").exists()
-    left_behind = raw_packs(tmp_path, 9)
-    assert len(left_behind) == 1
+    assert not list(tmp_path.glob("*.tmp"))
 
     telemetry = attached(approach, window)
     store = observed_store(config, telemetry, None)
     drive(approach, telemetry, store, None, resume=True)
-    assert raw_packs(tmp_path, 9) == left_behind
     six = store.load(tmp_path / "ckpt-00000006.ckpt").logs
     nine = store.load(tmp_path / "ckpt-00000009.ckpt").logs
     assert six != nine
     for key in nine:
-        assert nine[key] in (six[key], six[key] + left_behind)
+        old, new = nine[key][: len(six[key])], nine[key][len(six[key]) :]
+        assert old == six[key]
+        assert [ref[0] for ref in new] in ([], ["ckpt-00000009.ckpt"])
 
 
 @pytest.mark.parametrize("approach", APPROACHES[:4])
@@ -559,13 +601,17 @@ def test_without_telemetry_packs_hold_chunks_only_and_no_key_is_new(
         CheckpointConfig(tmp_path, cadence_chunks=4, keep=2)
     )
     drive(approach, None, store, None, resume=False)
-    for pack in (tmp_path / "chunks").glob("*"):  # the fleet has none
-        assert set(store._load_pack(pack.name)) <= {"raw", "features"}
     saved = store.load_latest()
-    assert saved.logs is None
+    assert set(saved.logs or {}) <= OWNER_LOGS  # the fleet keeps none
     assert not {"metrics", "monitor", "lineage"} & set(saved.state)
+    for ref in store.references(saved):
+        section = store._load_section(ref)
+        assert set(section) <= {"raw", "features", "logs"}
+        assert set(section.get("logs", {})) <= OWNER_LOGS
     refs = store.retained[store.checkpoints()[-1]]
-    assert refs == set((saved.manifest or {"packs": []})["packs"])
+    assert refs == set(
+        (saved.manifest or {"sections": []})["sections"]
+    ).union(*(saved.logs or {}).values())
 
 
 def test_a_log_that_shrank_is_refused(tmp_path):

@@ -48,7 +48,6 @@ from repro.core.scheduler import (
     StaticScheduler,
 )
 from repro.driftdetect import (
-    DDM,
     DriftState,
     DriftTrigger,
     PageHinkley,
@@ -60,7 +59,7 @@ from repro.obs import Telemetry, names
 from repro.utils.rng import ensure_rng
 
 SEEDS = range(8)
-DETECTORS = ("ddm", "page_hinkley", "window")
+DETECTORS = ("page_hinkley", "window")
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +202,6 @@ def draw_chunks(rng, kind, num_chunks):
 
 def make_detector(name, rng):
     """A detector sensitive enough to signal on a few dozen rows."""
-    if name == "ddm":
-        return DDM(minimum_observations=int(rng.integers(5, 40)))
     if name == "page_hinkley":
         return PageHinkley(
             delta=float(rng.choice([0.0, 0.005, 0.05])),
@@ -294,8 +291,7 @@ def test_degradation_cases_are_not_vacuous():
 def draw_drift_case(detector, seed):
     """``(kind, delay, detector factory, chunks)``."""
     rng = ensure_rng([seed, DETECTORS.index(detector)])
-    # DDM takes 0/1 indicators only.
-    kind = "rate" if detector == "ddm" or rng.random() < 0.5 else "rmse"
+    kind = "rate" if rng.random() < 0.5 else "rmse"
     delay = int(rng.choice([0, 1, 4, 10]))
     detector_seed = int(rng.integers(1 << 30))
 
@@ -369,7 +365,6 @@ def test_a_drift_signalled_while_a_burst_is_pending_is_not_queued(detector):
     starts nothing."""
     rng = ensure_rng(DETECTORS.index(detector))
     sensitive = {
-        "ddm": lambda: DDM(minimum_observations=5),
         "page_hinkley": lambda: PageHinkley(
             threshold=0.5, minimum_observations=5
         ),
@@ -422,7 +417,7 @@ def make_trigger(name, seed):
             min_absolute_delta=float(rng.choice([0.0, 0.05])),
         )
     return DriftTrigger(
-        make_detector(DETECTORS[int(rng.integers(3))], rng),
+        make_detector(DETECTORS[int(rng.integers(len(DETECTORS)))], rng),
         delay_chunks=int(rng.choice([0, 2, 5])),
     )
 

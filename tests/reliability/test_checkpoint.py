@@ -105,17 +105,25 @@ class TestRoundTrip:
             store.load_latest()
 
     def test_older_format_is_refused_by_name(self, tmp_path):
-        # A format-4 directory (a refs sidecar and a pack name a
-        # chunk) must not reach a restore half-read.
+        # An envelope of another format must not reach a restore
+        # half-read; a format-5 file (an envelope alone, no trailer)
+        # is no checkpoint of this store at all.
         store = CheckpointStore(tmp_path)
         path = store.write(make_checkpoint(5))
-        assert CHECKPOINT_MAGIC == b"REPRO-CKPT-5\n"
+        assert CHECKPOINT_MAGIC == b"REPRO-CKPT-6\n"
+        blob = path.read_bytes()
+        at = blob.index(CHECKPOINT_MAGIC)
         path.write_bytes(
-            b"REPRO-CKPT-4\n" + path.read_bytes()[len(CHECKPOINT_MAGIC) :]
+            blob[:at] + b"REPRO-CKPT-5\n" + blob[at + len(CHECKPOINT_MAGIC) :]
         )
         with pytest.raises(
-            ReliabilityError, match="not a REPRO-CKPT-5 envelope"
+            ReliabilityError, match="not a REPRO-CKPT-6 envelope"
         ):
+            store.load_latest()
+        envelope = blob[at + len(CHECKPOINT_MAGIC) : -21]  # no trailer
+        path.write_bytes(b"REPRO-CKPT-5\n" + envelope)
+        assert store.checkpoints() == []
+        with pytest.raises(ReliabilityError, match="0 file"):
             store.load_latest()
 
     def test_refs_sidecar_written(self, tmp_path):
@@ -218,12 +226,12 @@ class TestRetention:
         )
         config = CheckpointConfig(directory=tmp_path, keep=1)
         store = CheckpointStore(config)
-        store.write(make_checkpoint(3), storage=storage)
-        assert any(store.chunks_directory.iterdir())
+        first = store.write(make_checkpoint(3), storage=storage)
+        assert len(store.retained[first]) == 2  # raw and features
         # A later checkpoint with empty storage supersedes it; the
-        # old payloads lose their last reference and are collected.
-        store.write(make_checkpoint(6), storage=ChunkStorage())
-        assert list(store.chunks_directory.iterdir()) == []
+        # old file loses its last reference and is unlinked.
+        path = store.write(make_checkpoint(6), storage=ChunkStorage())
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestStorageSpill:
@@ -268,9 +276,11 @@ class TestStorageSpill:
         storage.put_raw(RawChunk(timestamp=0, table=table))
         store = CheckpointStore(tmp_path)
         checkpoint = make_checkpoint(2)
-        store.write(checkpoint, storage=storage)
-        for payload in store.chunks_directory.iterdir():
-            payload.unlink()
+        path = store.write(checkpoint, storage=storage)
+        os.truncate(path, 10)  # the section is cut short
+        with pytest.raises(ReliabilityError, match="missing chunk"):
+            store.restore_storage(ChunkStorage(), checkpoint.manifest)
+        path.unlink()
         with pytest.raises(ReliabilityError, match="missing chunk"):
             store.restore_storage(ChunkStorage(), checkpoint.manifest)
 
@@ -288,40 +298,45 @@ def put_chunk(storage, timestamp):
     )
 
 
-def pack_names(store):
-    return sorted(path.name for path in store.chunks_directory.iterdir())
+def file_names(store):
+    return sorted(path.name for path in store.directory.iterdir())
 
 
-def without_digest(names):
-    """``pack-00000004-<digest>.pkl`` -> ``pack-00000004``."""
-    return sorted(name.rsplit("-", 1)[0] for name in names)
-
-
-def raw_files(checkpoint):
-    """The pack holding each raw chunk of ``checkpoint``, in order."""
+def raw_sections(checkpoint):
+    """The section holding each raw chunk of ``checkpoint``, in order."""
     manifest = checkpoint.manifest
-    return [manifest["packs"][index] for index in manifest["raw_pack"]]
+    return [
+        manifest["sections"][index] for index in manifest["raw_section"]
+    ]
+
+
+def feature_section(checkpoint, timestamp):
+    manifest = checkpoint.manifest
+    index = manifest["features"].index(timestamp)
+    return manifest["sections"][manifest["feature_section"][index]]
 
 
 class TestPacks:
-    """A checkpoint spills what no earlier one did as one pack (a
-    storage that can evict: one more, of its feature chunks) — not one
-    file per chunk."""
+    """A checkpoint spills what no earlier one did into its own file,
+    ahead of its envelope — a section of raw chunks (and log tails),
+    then one of feature chunks — not one file per chunk."""
 
     def test_two_files_however_many_chunks(self, tmp_path):
         storage = ChunkStorage()
         for timestamp in range(7):
             put_chunk(storage, timestamp)
         store = CheckpointStore(tmp_path)
-        path = store.write(make_checkpoint(7), storage=storage)
-        (pack,) = pack_names(store)
-        assert pack.startswith("pack-00000007-")
-        assert store.retained == {path: frozenset([pack])}
-        assert store.references(store.load(path)) == {pack}
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "chunks",
-            path.name,
-        ]
+        checkpoint = make_checkpoint(7)
+        path = store.write(checkpoint, storage=storage)
+        assert file_names(store) == [path.name]
+        (raw,) = set(raw_sections(checkpoint))
+        features = feature_section(checkpoint, 0)
+        assert raw[:2] == (path.name, 0)
+        assert features[:2] == (path.name, raw[2])
+        assert store.retained == {path: frozenset([raw, features])}
+        assert store.references(store.load(path)) == {raw, features}
+        # Sections, envelope, then the 21-byte trailer.
+        assert path.stat().st_size > raw[2] + features[2] + 21
 
     def test_later_checkpoint_spills_only_new_chunks(self, tmp_path):
         storage = ChunkStorage()
@@ -330,19 +345,18 @@ class TestPacks:
         store = CheckpointStore(tmp_path)
         first = make_checkpoint(2)
         store.write(first, storage=storage)
-        before = pack_names(store)
 
-        store.write(make_checkpoint(3), storage=storage)
-        assert pack_names(store) == before  # nothing new, no pack
+        nothing = make_checkpoint(3)
+        store.write(nothing, storage=storage)
+        # Nothing new: an envelope alone, naming the first file.
+        assert store.references(nothing) == store.references(first)
 
         put_chunk(storage, 2)
         second = make_checkpoint(4)
         store.write(second, storage=storage)
-        added = sorted(set(pack_names(store)) - set(before))
-        assert without_digest(added) == ["pack-00000004"]
-        # Old chunks are still found in the packs that hold them.
-        assert raw_files(second)[:2] == raw_files(first)
-        assert raw_files(second)[2] in added
+        # Old chunks are still found in the sections that hold them.
+        assert raw_sections(second)[:2] == raw_sections(first)
+        assert raw_sections(second)[2][0] == "ckpt-00000004.ckpt"
         restored = ChunkStorage()
         store.restore_storage(restored, second.manifest)
         assert restored.manifest() == storage.manifest()
@@ -366,13 +380,37 @@ class TestPacks:
         resumed = CheckpointStore(tmp_path)  # a new process
         restored = ChunkStorage()
         resumed.restore_storage(restored, checkpoint.manifest)
-        before = pack_names(resumed)
         put_chunk(restored, 1)
         later = make_checkpoint(2)
         resumed.write(later, storage=restored)
-        assert raw_files(later)[0] == raw_files(checkpoint)[0]
-        added = set(pack_names(resumed)) - set(before)
-        assert without_digest(added) == ["pack-00000002"]
+        assert raw_sections(later)[0] == raw_sections(checkpoint)[0]
+        assert raw_sections(later)[1][0] == "ckpt-00000002.ckpt"
+        assert feature_section(later, 0) == feature_section(checkpoint, 0)
+
+    def test_a_cursor_written_twice_keeps_what_it_held(self, tmp_path):
+        # The second write replaces the first one's file: the chunks
+        # and log tails only that file held are spilled again.
+        storage, log = ChunkStorage(), [{"n": 0}]
+        put_chunk(storage, 0)
+        store = CheckpointStore(tmp_path)
+        store.write(make_checkpoint(1), storage=storage, logs={"log": log})
+        put_chunk(storage, 1)
+        log.append({"n": 1})
+        store.write(make_checkpoint(2), storage=storage, logs={"log": log})
+        log.append({"n": 2})
+        again = make_checkpoint(2)
+        store.write(again, storage=storage, logs={"log": log})
+        loaded = CheckpointStore(tmp_path).load_latest()
+        restored = ChunkStorage()
+        CheckpointStore(tmp_path).restore_storage(restored, loaded.manifest)
+        assert restored.manifest() == storage.manifest()
+        assert restored.peek_raw(1).table.column("x")[0] == 1.0
+        logs = CheckpointStore(tmp_path).restore_logs(loaded.logs)
+        assert logs == {"log": log}
+        assert [ref[0] for ref in loaded.logs["log"]] == [
+            "ckpt-00000001.ckpt",
+            "ckpt-00000002.ckpt",
+        ]
 
     def test_rematerialized_chunk_is_spilled_again(self, tmp_path):
         storage = ChunkStorage(max_materialized=1)
@@ -394,13 +432,8 @@ class TestPacks:
         second = make_checkpoint(2)
         store.write(second, storage=storage)
 
-        def payload_file(checkpoint):
-            manifest = checkpoint.manifest
-            index = manifest["features"].index(0)
-            return manifest["packs"][manifest["feature_pack"][index]]
-
-        assert payload_file(first).startswith("feat-00000001-")
-        assert payload_file(second).startswith("feat-00000002-")
+        assert feature_section(first, 0)[0] == "ckpt-00000001.ckpt"
+        assert feature_section(second, 0)[0] == "ckpt-00000002.ckpt"
         restored = ChunkStorage(max_materialized=1)
         store.restore_storage(restored, second.manifest)
         assert restored.peek_features(0).features[0, 0] == 9.0
@@ -411,19 +444,28 @@ class TestPacks:
         storage = ChunkStorage(max_materialized=1)
         put_chunk(storage, 0)
         store = CheckpointStore(CheckpointConfig(tmp_path, keep=1))
-        store.write(make_checkpoint(1), storage=storage)
+        first = make_checkpoint(1)
+        store.write(first, storage=storage)
         put_chunk(storage, 1)  # evicts chunk 0's features to a stub
         store.write(make_checkpoint(2), storage=storage)
-        assert without_digest(pack_names(store)) == [
-            "feat-00000002",
-            "pack-00000001",
-            "pack-00000002",
+        # Checkpoint 1 left ``keep``: its file is cut back to its raw
+        # section, which checkpoint 2 still names; the feature section
+        # and the envelope behind it are gone.
+        (raw,) = raw_sections(first)[:1]
+        assert file_names(store) == [
+            "ckpt-00000001.ckpt",
+            "ckpt-00000002.ckpt",
+        ]
+        assert (tmp_path / "ckpt-00000001.ckpt").stat().st_size == raw[2]
+        assert [p.name for p in store.checkpoints()] == [
+            "ckpt-00000002.ckpt"
         ]
 
 
 class TestWriteCost:
-    """What one write costs the disk: a pack and an envelope, each one
-    ``fsync``; the directory is listed by the first write only."""
+    """What one write costs the disk: one file and one ``fsync``, and
+    a cut of the checkpoint that left ``keep``; the directory is
+    listed by the first write only."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -439,7 +481,7 @@ class TestWriteCost:
             return call
 
         # Path.glob / iterdir and glob.glob all list through these two.
-        for name in ("fsync", "listdir", "scandir"):
+        for name in ("fsync", "listdir", "scandir", "truncate", "unlink"):
             monkeypatch.setattr(os, name, counted(name))
         return calls
 
@@ -462,9 +504,11 @@ class TestWriteCost:
     ):
         store = CheckpointStore(CheckpointConfig(tmp_path, keep=2))
         first, *later = self.writes(store, ChunkStorage(), calls, range(6))
-        assert first.count("fsync") == 2
-        assert later == [["fsync", "fsync"]] * 5
-        assert len(pack_names(store)) == 6  # raw chunks live on
+        assert first == ["scandir", "fsync"]
+        assert later == [["fsync"]] + [["fsync", "truncate"]] * 4
+        # Raw chunks and log tails live on in every file.
+        assert len(file_names(store)) == 6
+        assert len(store.checkpoints()) == 2
 
     def test_a_store_that_can_evict_packs_its_features_apart(
         self, tmp_path, calls
@@ -472,38 +516,123 @@ class TestWriteCost:
         store = CheckpointStore(CheckpointConfig(tmp_path, keep=1))
         storage = ChunkStorage(max_materialized=2)
         __, *later = self.writes(store, storage, calls, range(6))
-        assert later == [["fsync"] * 3] * 5
-        # Evicted payloads' packs are collected; raw chunks' are not.
-        assert without_digest(pack_names(store)) == [
-            "feat-00000004",
-            "feat-00000005",
-            *(f"pack-{cursor:08d}" for cursor in range(6)),
-        ]
+        # One fsync; the checkpoint before is cut, and so is the file
+        # whose feature chunk was just evicted.
+        assert later == [["fsync", "truncate"]] + [
+            ["fsync", "truncate", "truncate"]
+        ] * 4
+        latest = store.load_latest()
+        # Evicted payloads' sections are cut away; raw chunks' are not.
+        for cursor in range(6):
+            path = tmp_path / f"ckpt-{cursor:08d}.ckpt"
+            raw = raw_sections(latest)[cursor]
+            assert raw[0] == path.name
+            end = raw[1] + raw[2]
+            if cursor == 4:
+                end = sum(feature_section(latest, 4)[1:])
+            if cursor < 5:
+                assert path.stat().st_size == end, cursor
 
     def test_first_write_reads_what_the_directory_holds(self, tmp_path):
         storage = ChunkStorage()
         put_chunk(storage, 0)
-        CheckpointStore(CheckpointConfig(tmp_path, keep=2)).write(
+        kept = CheckpointStore(CheckpointConfig(tmp_path, keep=2)).write(
             make_checkpoint(1), storage=storage
         )
-        (kept,) = pack_names(CheckpointStore(tmp_path))
-        orphan = tmp_path / "chunks" / "pack-00000009-0123456789abcdef.pkl"
-        orphan.write_bytes(b"a crashed write's pack")
+        kept_refs = CheckpointStore.references(CheckpointStore(tmp_path).load(kept))
+        # Cut files nothing names (one this run writes over) and two
+        # staging files of crashed writes.
+        (tmp_path / "ckpt-00000009.ckpt").write_bytes(b"a cut file")
+        (tmp_path / "ckpt-00000002.ckpt").write_bytes(b"another")
         (tmp_path / "ckpt-00000002.ckpt.x1.tmp").write_bytes(b"staged")
-        (tmp_path / "chunks" / f"{kept}.x2.tmp").write_bytes(b"staged")
+        (tmp_path / "ckpt-00000001.ckpt.x2.tmp").write_bytes(b"staged")
 
         # A new process, not restored: it spills both chunks again.
         store = CheckpointStore(CheckpointConfig(tmp_path, keep=2))
         put_chunk(storage, 1)
-        path = store.write(make_checkpoint(2), storage=storage)
-        (new,) = set(pack_names(store)) - {kept}
-        assert new.startswith("pack-00000002-")
-        assert store.retained == {
-            tmp_path / "ckpt-00000001.ckpt": frozenset([kept]),
-            path: frozenset([new]),
+        checkpoint = make_checkpoint(2)
+        path = store.write(checkpoint, storage=storage)
+        assert {ref[0] for ref in store.references(checkpoint)} == {
+            path.name
         }
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "chunks",
+        assert store.retained == {
+            kept: kept_refs,
+            path: store.references(checkpoint),
+        }
+        assert file_names(store) == [
             "ckpt-00000001.ckpt",
             "ckpt-00000002.ckpt",
+        ]
+        assert store.checkpoints() == [kept, path]
+
+
+class TestWhatOnlyGrowsLeavesTheState:
+    @pytest.mark.filterwarnings(
+        "ignore::repro.exceptions.ConvergenceWarning"
+    )
+    def test_histories_outcomes_and_resolved_incidents_are_logs(
+        self, tmp_path
+    ):
+        """A continuous run with a ledger and a monitor: its envelope's
+        state holds no list that only grows. Each is a log whose
+        segments concatenate to the live list, the prequential history
+        saved once, as the error history."""
+        from repro.experiments.common import make_deployment, url_scenario
+        from repro.obs.monitor import MonitorConfig
+
+        scn = url_scenario("test")
+        telemetry = Telemetry()
+        telemetry.attach_ledger()
+        telemetry.attach_monitor(config=MonitorConfig(window=1e-2))
+        deployment = make_deployment(
+            scn,
+            "continuous",
+            telemetry=telemetry,
+            checkpoint=CheckpointConfig(tmp_path, cadence_chunks=4),
+        )
+        scn.fit(deployment)
+        result = deployment.run(scn.make_stream())
+        store = deployment.reliability.store
+        saved = store.load_latest()
+        assert saved.cursor == len(result.error_history)
+
+        def keys(value):
+            if isinstance(value, dict):
+                for key, child in value.items():
+                    yield key
+                    yield from keys(child)
+            elif isinstance(value, (list, tuple)):
+                for child in value:
+                    yield from keys(child)
+
+        assert not {
+            "error_history",
+            "cost_history",
+            "history",
+            "proactive_outcomes",
+            "snapshots",
+            "entries",
+            "resolved_incidents",
+        } & set(keys(saved.state))
+        monitor = telemetry.monitor
+        live = {
+            "error_history": result.error_history,
+            "cost_history": result.cost_history,
+            "proactive_outcomes": deployment.platform.proactive_outcomes,
+            "monitor": monitor.snapshots,
+            "incidents": monitor.incidents.resolved,
+            "lineage": telemetry.ledger.entries,
+        }
+        assert set(saved.logs) == set(live)
+        restored = CheckpointStore(tmp_path).restore_logs(saved.logs)
+        assert restored == live
+        assert deployment.prequential.history == result.error_history
+        assert live["proactive_outcomes"] and live["incidents"]
+        # The monitor keeps the incidents from the first open one on.
+        head = saved.state["monitor"]["incidents"]["incidents"]
+        assert [entry["id"] for entry in head] == [
+            incident.id
+            for incident in monitor.incidents.incidents[
+                len(live["incidents"]) :
+            ]
         ]

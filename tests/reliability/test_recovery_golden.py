@@ -16,7 +16,7 @@ import pytest
 from repro.core.deployment import ContinuousDeployment
 from repro.core.platform import ContinuousDeploymentPlatform, TrainingRule
 from repro.data.sampling import WindowBasedSampler
-from repro.driftdetect import DDM, DriftTrigger, PageHinkley
+from repro.driftdetect import DriftTrigger, PageHinkley
 from repro.exceptions import ReliabilityError, ValidationError
 from repro.experiments.common import (
     APPROACHES,
@@ -165,8 +165,9 @@ class TestTelemetryCounters:
 
 class TestRecoveryReads:
     def test_each_pack_is_read_once(self, tmp_path, monkeypatch):
-        """Log tails and chunks share packs: recovering a run with a
-        ledger and a monitor opens each pack its checkpoint names once."""
+        """Log tails and raw chunks share a section: recovering a run
+        with a ledger and a monitor reads each section its checkpoint
+        names once."""
         scn = scenario()
         config = CheckpointConfig(
             directory=tmp_path, cadence_chunks=CADENCE, keep=3
@@ -192,13 +193,13 @@ class TestRecoveryReads:
         latest = CheckpointStore(config).load_latest()
         assert latest.logs and latest.manifest is not None
         loads = Counter()
-        load = CheckpointStore._load_pack
+        load = CheckpointStore._load_section
 
-        def counted(self, name):
-            loads[name] += 1
-            return load(self, name)
+        def counted(self, section):
+            loads[section] += 1
+            return load(self, section)
 
-        monkeypatch.setattr(CheckpointStore, "_load_pack", counted)
+        monkeypatch.setattr(CheckpointStore, "_load_section", counted)
         result = stacked().recover(scn.make_stream())
         assert result.recovery.cursor == latest.cursor
         assert loads == Counter(CheckpointStore.references(latest))
@@ -213,7 +214,11 @@ class TestDriftAwareRecovery:
             config=scn.continuous_config,
             metric=scn.metric,
             seed=scn.seed,
-            rules=[TrainingRule(DriftTrigger(DDM()), WindowBasedSampler(5))],
+            rules=[
+                TrainingRule(
+                    DriftTrigger(PageHinkley()), WindowBasedSampler(5)
+                )
+            ],
             **reliability,
         )
 
