@@ -16,8 +16,9 @@ run reproduces the stream exactly, and that batching is not slower.
 
 The deterministic counts go through ``bench_record``
 (``BENCH_serving_throughput.json``: appended by ``make bench-record``,
-exact-match gated by ``make bench-check``); the two wall times stay in
-this process, in the ``batched < row-at-a-time`` assert.
+exact-match gated by ``make bench-check``) and into
+``results/serving_throughput.txt``; the two wall times stay in this
+process, in the ``batched < row-at-a-time`` assert and on stdout.
 """
 
 from __future__ import annotations
@@ -126,13 +127,17 @@ def test_serving_throughput(
                 "micro-batched serving throughput",
                 f"requests: {len(tables)} ({total_rows} rows), "
                 f"max_batch_size={MAX_BATCH_SIZE} -> {batches} batches",
+                "streams byte-identical: "
+                f"{np.array_equal(row_stream, batched_stream)}",
+            ]
+        ),
+        wall="\n".join(
+            [
                 f"request-at-a-time: {row_wall * 1e3:.1f} ms "
                 f"({total_rows / row_wall:.0f} rows/s)",
                 f"micro-batched:     {batched_wall * 1e3:.1f} ms "
                 f"({total_rows / batched_wall:.0f} rows/s)",
                 f"speedup: {speedup:.2f}x",
-                "streams byte-identical: "
-                f"{np.array_equal(row_stream, batched_stream)}",
             ]
         ),
     )

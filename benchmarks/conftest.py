@@ -75,12 +75,14 @@ def scenario_params(scenario) -> dict:
 
 @pytest.fixture(scope="session")
 def emit():
-    """Return a reporter: emit(name, text) prints and persists."""
+    """Return a reporter: emit(name, text, wall="") prints both and
+    persists ``text`` only — wall-clock lines never reach a tracked
+    result file, so a rerun leaves it byte-identical."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _emit(name: str, text: str) -> None:
-        banner = f"\n=== {name} ===\n{text}\n"
-        print(banner)
+    def _emit(name: str, text: str, wall: str = "") -> None:
+        shown = f"{text}\n{wall}" if wall else text
+        print(f"\n=== {name} ===\n{shown}\n")
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
 
@@ -91,9 +93,9 @@ def emit():
 def report(capsys, emit):
     """Per-test reporter that bypasses pytest's output capture."""
 
-    def _report(name: str, text: str) -> None:
+    def _report(name: str, text: str, wall: str = "") -> None:
         with capsys.disabled():
-            emit(name, text)
+            emit(name, text, wall)
 
     return _report
 

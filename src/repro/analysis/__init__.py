@@ -1,8 +1,8 @@
 """reprolint — the platform's AST-based invariant linter.
 
 Parses the tree once, builds one whole-program model of it, and runs
-five rules over that model: the checkpoint, iteration-order, layering,
-wall-clock and telemetry-vocabulary contracts replay rests on
+two rules over that model: the subsystem layering and the live
+telemetry vocabulary, the two contracts no behaviour test can see
 (DESIGN.md §9, §14). Run it via ``repro lint``, ``make lint``, or
 programmatically::
 
@@ -23,7 +23,6 @@ from repro.analysis.baseline import (
 from repro.analysis.config import (
     GLOBAL_RULES,
     LintConfig,
-    PathPolicy,
     default_config,
     load_config,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "PROGRAM_RULES",
     "PROGRAM_RULES_BY_ID",
     "ParsedModule",
-    "PathPolicy",
     "ProgramModel",
     "ProgramReporter",
     "ProgramRule",

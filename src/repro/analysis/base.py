@@ -1,7 +1,7 @@
 """Core types of the reprolint framework.
 
 reprolint is a small AST linter that mechanically enforces the
-platform's determinism, checkpoint, and telemetry contracts (see
+platform's subsystem layering and telemetry vocabulary (see
 ``DESIGN.md`` §9 and §14). This module holds what every rule shares:
 
 * :class:`ParsedModule` — one parsed source file plus the metadata
@@ -9,7 +9,7 @@ platform's determinism, checkpoint, and telemetry contracts (see
 * :class:`Finding` — one violation, carrying a content-based
   fingerprint so baseline entries survive unrelated line drift.
 
-Inline suppression uses ``# repro: noqa[REP010]`` (or a blanket
+Inline suppression uses ``# repro: noqa[REP012]`` (or a blanket
 ``# repro: noqa``) on the offending line; the engine drops matching
 findings and reports how many were suppressed.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional
 
-#: ``# repro: noqa`` or ``# repro: noqa[REP010,REP013]``.
+#: ``# repro: noqa`` or ``# repro: noqa[REP012,REP014]``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
 )

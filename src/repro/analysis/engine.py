@@ -118,13 +118,10 @@ def run_program_rules(
     Returns (findings, suppressed); the caller applies the baseline
     and any target-path narrowing.
     """
-    active = set(config.select)
-    for policy in config.per_path:
-        active.update(policy.enable)
     findings: List[Finding] = []
     suppressed: List[Finding] = []
-    for rule in program_rules_for(sorted(active)):
-        reporter = ProgramReporter(rule.rule_id, config)
+    for rule in program_rules_for(config.select):
+        reporter = ProgramReporter(rule.rule_id)
         rule.check(model, reporter)
         findings.extend(reporter.findings)
         suppressed.extend(reporter.suppressed)

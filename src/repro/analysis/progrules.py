@@ -1,64 +1,41 @@
-"""The rule pack: REP009, REP010, REP012, REP013, REP014.
+"""The rule pack: REP012 (layering) and REP014 (dead telemetry).
 
 The rules run against the :class:`~repro.analysis.program.ProgramModel`
 built from every parsed module in the tree (see DESIGN.md §14). They
-certify the cross-file invariants replay depends on — complete
-checkpoints, deterministic iteration, an acyclic subsystem layering,
-no wall-clock reachable from cost paths, and a live telemetry
-vocabulary.
+certify the two cross-file invariants no behaviour test can see: an
+acyclic subsystem layering and a live telemetry vocabulary.
 
 A :class:`ProgramRule` receives the model plus a
 :class:`ProgramReporter` and anchors every finding at its *definition
-site*: the attribute assignment, the import statement, the ``def``
-line. The content fingerprint hashes that line, ``# repro: noqa[...]``
-on it suppresses the finding, and per-path config policies scope each
-rule by the file the definition lives in.
+site*: the import statement, the constant's assignment. The content
+fingerprint hashes that line, and ``# repro: noqa[...]`` on it
+suppresses the finding.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import Finding
-from repro.analysis.program import ModuleInfo, ProgramModel, dotted_name
-
-if TYPE_CHECKING:  # config imports this module; avoid the cycle.
-    from repro.analysis.config import LintConfig
+from repro.analysis.program import ModuleInfo, ProgramModel
 
 
 class ProgramReporter:
-    """Collects one program rule's findings, applying noqa + policy.
+    """Collects one program rule's findings, applying noqa.
 
-    Definition-site semantics: ``report`` drops the finding when the
-    rule is disabled (by the per-path config policies) for the file
-    the anchor node lives in, and routes it to ``suppressed`` when
-    that line carries a matching ``# repro: noqa`` comment.
+    ``report`` routes a finding to ``suppressed`` when its line
+    carries a matching ``# repro: noqa`` comment.
     """
 
-    def __init__(self, rule_id: str, config: LintConfig) -> None:
+    def __init__(self, rule_id: str) -> None:
         self.rule_id = rule_id
-        self.config = config
         self.findings: List[Finding] = []
         self.suppressed: List[Finding] = []
 
-    def enabled_for(self, relpath: str) -> bool:
-        return self.rule_id in self.config.rules_for_path(relpath)
-
-    def report(self, module: ModuleInfo, node: ast.AST, message: str) -> None:
-        self.report_at(
-            module,
-            getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0),
-            message,
-        )
-
-    def report_at(
+    def report(
         self, module: ModuleInfo, lineno: int, col: int, message: str
     ) -> None:
-        if not self.enabled_for(module.relpath):
-            return
         finding = Finding(
             rule_id=self.rule_id,
             path=module.relpath,
@@ -88,135 +65,6 @@ class ProgramRule:
 
     def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
         raise NotImplementedError
-
-
-class CheckpointCompletenessRule(ProgramRule):
-    """REP009 — every mutable attribute survives a checkpoint cycle.
-
-    For a class that defines ``state_dict``, any attribute ever
-    assigned a mutable value (list/dict/set/... ) in a method body
-    must be *referenced* somewhere in the ``state_dict`` /
-    ``load_state_dict`` pair — directly or through methods they call
-    on ``self`` — otherwise a recovered instance silently loses that
-    state and byte-identical resume is broken.
-    """
-
-    rule_id = "REP009"
-    name = "ckpt-complete"
-    description = (
-        "classes defining state_dict must cover every mutable "
-        "attribute their methods assign (or rebuild it in "
-        "load_state_dict)"
-    )
-
-    def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
-        for mod_name in sorted(model.modules):
-            info = model.modules[mod_name]
-            for cls_name in sorted(info.classes):
-                cls = info.classes[cls_name]
-                if "state_dict" not in cls.methods:
-                    continue
-                covered = self._covered_attrs(cls)
-                for attr in sorted(cls.mutable_attrs):
-                    if attr in covered:
-                        continue
-                    node = cls.mutable_attrs[attr]
-                    reporter.report(
-                        info,
-                        node,
-                        f"mutable attribute `self.{attr}` of "
-                        f"{cls.name} is never referenced by "
-                        f"state_dict/load_state_dict; a recovered "
-                        f"instance would silently lose it",
-                    )
-
-    @staticmethod
-    def _covered_attrs(cls) -> Set[str]:
-        """Attributes referenced by the checkpoint pair, following
-        ``self.<method>()`` calls within the class."""
-        covered: Set[str] = set()
-        seen: Set[str] = set()
-        frontier = [
-            m for m in ("state_dict", "load_state_dict") if m in cls.methods
-        ]
-        while frontier:
-            method = frontier.pop()
-            if method in seen:
-                continue
-            seen.add(method)
-            covered |= cls.self_refs.get(method, set())
-            for raw in cls.methods[method].calls:
-                parts = raw.split(".")
-                if (
-                    len(parts) == 2
-                    and parts[0] in ("self", "cls")
-                    and parts[1] in cls.methods
-                ):
-                    frontier.append(parts[1])
-        return covered
-
-
-class UnorderedIterationRule(ProgramRule):
-    """REP010 — no iteration over unordered collections on cost paths.
-
-    ``set`` literals/constructors and directory listings
-    (``os.listdir``, ``os.scandir``, ``Path.iterdir``, ``glob``)
-    yield elements in an order the platform does not control; a
-    ``for`` loop or comprehension driven by one feeds
-    hash-randomized or filesystem order into whatever state it
-    builds. Wrapping the source in ``sorted(...)`` fixes the order
-    and silences the rule.
-    """
-
-    rule_id = "REP010"
-    name = "unordered-iter"
-    description = (
-        "for-loops/comprehensions must not iterate raw sets or "
-        "directory listings; wrap the source in sorted(...)"
-    )
-
-    _UNORDERED_CALLS = frozenset(
-        {"set", "frozenset", "listdir", "scandir", "iterdir", "glob",
-         "iglob", "rglob"}
-    )
-
-    def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
-        for mod_name in sorted(model.modules):
-            info = model.modules[mod_name]
-            if not reporter.enabled_for(info.relpath):
-                continue
-            for node in ast.walk(info.parsed.tree):
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    sources = [node.iter]
-                elif isinstance(
-                    node,
-                    (ast.ListComp, ast.SetComp, ast.DictComp,
-                     ast.GeneratorExp),
-                ):
-                    sources = [gen.iter for gen in node.generators]
-                else:
-                    continue
-                for source in sources:
-                    label = self._unordered(source)
-                    if label is not None:
-                        reporter.report(
-                            info,
-                            source,
-                            f"iteration over unordered {label}; wrap "
-                            f"it in sorted(...) so downstream state "
-                            f"is deterministic",
-                        )
-
-    def _unordered(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "set literal"
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is not None:
-                leaf = name.split(".")[-1]
-                if leaf in self._UNORDERED_CALLS:
-                    return f"`{name}(...)`"
-        return None
 
 
 class LayeringRule(ProgramRule):
@@ -282,7 +130,7 @@ class LayeringRule(ProgramRule):
                 if src_layer is None or dst_layer is None:
                     continue
                 if src_layer <= dst_layer:
-                    reporter.report_at(
+                    reporter.report(
                         model.modules[edge.importer],
                         edge.lineno,
                         edge.col,
@@ -305,7 +153,7 @@ class LayeringRule(ProgramRule):
             for edge in info.imports:
                 if edge.type_checking or edge.deferred:
                     continue
-                reporter.report_at(
+                reporter.report(
                     info,
                     edge.lineno,
                     edge.col,
@@ -363,80 +211,13 @@ class LayeringRule(ProgramRule):
         if cycle is None:
             return
         edge = filtered[cycle[0]][cycle[1]][0]
-        reporter.report_at(
+        reporter.report(
             model.modules[edge.importer],
             edge.lineno,
             edge.col,
             f"subsystem import cycle: {' -> '.join(cycle)} "
             f"(edge `{cycle[0]}` -> `{cycle[1]}` witnessed here)",
         )
-
-
-class WallClockReachRule(ProgramRule):
-    """REP013 — no wall-clock read in, or reachable from, cost-path code.
-
-    The cost model, engine, and scheduler order every decision by the
-    engine's virtual cost clock; a wall read there makes scheduling
-    (and therefore recovery replay) machine-dependent. A function is
-    flagged when it reads ``time.*``/``datetime.now`` itself, or when
-    the conservative call graph shows a chain from it to a function
-    that does — even when the read lives in another module.
-    Functions in modules where this rule is disabled by policy (the
-    dual-clock tracer) are *sanctioned*: chains neither match nor pass
-    through them. The call graph drops anything it cannot resolve, so
-    every reported chain is provably wired; the rule under-approximates
-    and never invents a path.
-    """
-
-    rule_id = "REP013"
-    name = "wall-reach"
-    description = (
-        "cost-path code may not read the wall clock, directly or "
-        "through any call chain"
-    )
-
-    def check(self, model: ProgramModel, reporter: ProgramReporter) -> None:
-        sanctioned_cache: Dict[str, bool] = {}
-
-        def sanctioned(qualname: str) -> bool:
-            relpath = model.functions[qualname].relpath
-            verdict = sanctioned_cache.get(relpath)
-            if verdict is None:
-                verdict = self.rule_id not in (
-                    reporter.config.rules_for_path(relpath)
-                )
-                sanctioned_cache[relpath] = verdict
-            return verdict
-
-        def reads_wall(qualname: str) -> bool:
-            return bool(model.functions[qualname].wall_reads)
-
-        for qualname in sorted(model.functions):
-            func = model.functions[qualname]
-            if not reporter.enabled_for(func.relpath):
-                continue
-            chain = (
-                [qualname]
-                if reads_wall(qualname)
-                else model.call_chain_to(
-                    qualname, reads_wall, skip=sanctioned
-                )
-            )
-            if chain is None:
-                continue
-            tail = model.functions[chain[-1]]
-            node, read = tail.wall_reads[0]
-            rendered = " -> ".join(
-                q[len("repro."):] if q.startswith("repro.") else q
-                for q in chain
-            )
-            reporter.report(
-                model.modules[func.module],
-                func.node,
-                f"`{func.name}` reaches a wall-clock read: "
-                f"{rendered} ({read} at {tail.relpath}:"
-                f"{getattr(node, 'lineno', '?')})",
-            )
 
 
 class DeadTelemetryRule(ProgramRule):
@@ -491,7 +272,8 @@ class DeadTelemetryRule(ProgramRule):
                 continue
             reporter.report(
                 info,
-                node,
+                node.lineno,
+                node.col_offset,
                 f"telemetry name `{const}` (\"{value}\") is declared "
                 f"but no live code emits or references it; delete it "
                 f"or wire up the emission",
@@ -500,10 +282,7 @@ class DeadTelemetryRule(ProgramRule):
 
 #: Every shipped program rule, in id order.
 PROGRAM_RULES: Tuple[ProgramRule, ...] = (
-    CheckpointCompletenessRule(),
-    UnorderedIterationRule(),
     LayeringRule(),
-    WallClockReachRule(),
     DeadTelemetryRule(),
 )
 

@@ -62,13 +62,13 @@ fair-share vs round-robin at an equal total training budget::
     python -m repro exp8 --tenants 24 --seed 11
 
 Static analysis: ``repro lint`` runs reprolint, the AST-based
-invariant linter enforcing the determinism, checkpoint, and telemetry
-contracts (exit 0 = clean, 1 = findings, 2 = config error)::
+invariant linter enforcing the subsystem layering and the telemetry
+vocabulary (exit 0 = clean, 1 = findings, 2 = config error)::
 
     python -m repro lint
     python -m repro lint --format json
     python -m repro lint --list-rules
-    python -m repro lint src/repro/fleet --select REP009,REP010
+    python -m repro lint src/repro/fleet --select REP012
 """
 
 from __future__ import annotations
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         default=None,
-        help="comma-separated rule ids to run (e.g. REP009,REP010)",
+        help="comma-separated rule ids to run (e.g. REP012,REP014)",
     )
     lint.add_argument(
         "--update-baseline",

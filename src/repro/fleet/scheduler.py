@@ -84,7 +84,7 @@ class FleetScheduler:
         # Derived from the immutable spec and never mutated after
         # construction; recovery rebuilds it here before
         # load_state_dict runs, so it needs no checkpoint slot.
-        self._weights = [float(t.weight) for t in spec.tenants]  # repro: noqa[REP009]
+        self._weights = [float(t.weight) for t in spec.tenants]
         #: Stride-scheduling virtual pass value per tenant.
         self._passes = [0.0] * count
         #: Cumulative slots granted per tenant.

@@ -46,85 +46,6 @@ def _add(
 
 
 _add(
-    "REP009",
-    # `self.rows` is mutable and the checkpoint pair never touches it:
-    # a recovered Cursor silently loses the buffered rows.
-    flag={
-        "src/repro/core/cursor.py": """\
-        class Cursor:
-            def __init__(self):
-                self.rows = []
-                self.position = 0
-
-            def state_dict(self):
-                return {"position": self.position}
-
-            def load_state_dict(self, state):
-                self.position = state["position"]
-        """,
-    },
-    # Coverage through a helper: state_dict calls self._snapshot(),
-    # which reads self.rows — the rule follows self.<method>() calls.
-    clean={
-        "src/repro/core/cursor.py": """\
-        class Cursor:
-            def __init__(self):
-                self.rows = []
-                self.position = 0
-
-            def _snapshot(self):
-                return {"rows": list(self.rows), "position": self.position}
-
-            def state_dict(self):
-                return self._snapshot()
-
-            def load_state_dict(self, state):
-                self.rows = list(state["rows"])
-                self.position = state["position"]
-        """,
-    },
-    noqa={
-        "src/repro/core/cursor.py": """\
-        class Cursor:
-            def __init__(self):
-                self.rows = []  # repro: noqa[REP009]
-                self.position = 0
-
-            def state_dict(self):
-                return {"position": self.position}
-
-            def load_state_dict(self, state):
-                self.position = state["position"]
-        """,
-    },
-)
-
-_add(
-    "REP010",
-    flag={
-        "src/repro/reliability/janitor.py": """\
-        def sweep(directory):
-            for stale in directory.glob("*.tmp"):
-                stale.unlink()
-        """,
-    },
-    clean={
-        "src/repro/reliability/janitor.py": """\
-        def sweep(directory):
-            for stale in sorted(directory.glob("*.tmp")):
-                stale.unlink()
-        """,
-    },
-    noqa={
-        "src/repro/reliability/janitor.py": """\
-        def sweep(directory):
-            for stale in directory.glob("*.tmp"):  # repro: noqa[REP010]
-                stale.unlink()
-        """,
-    },
-)
-
-_add(
     "REP012",
     # ml (layer 2) importing serving (layer 9) points *up* the table.
     flag={
@@ -160,58 +81,6 @@ _add(
         """,
         "src/repro/serving/registry.py": """\
         ROUTES = ()
-        """,
-    },
-)
-
-_add(
-    "REP013",
-    # chunk_cost never touches time.* itself; the call graph connects
-    # it to the wall read two hops away in another module. stamp,
-    # which reads the wall clock directly, is flagged too.
-    flag={
-        "src/repro/core/costs.py": """\
-        from repro.utils.clock import stamp
-
-        def chunk_cost(rows):
-            return stamp() * len(rows)
-        """,
-        "src/repro/utils/clock.py": """\
-        import time
-
-        def stamp():
-            return time.time()
-        """,
-    },
-    clean={
-        "src/repro/core/costs.py": """\
-        from repro.utils.clock import stamp
-
-        def chunk_cost(rows):
-            return stamp() * len(rows)
-        """,
-        "src/repro/utils/clock.py": """\
-        _TICKS = 0
-
-
-        def stamp():
-            global _TICKS
-            _TICKS += 1
-            return _TICKS
-        """,
-    },
-    noqa={
-        "src/repro/core/costs.py": """\
-        from repro.utils.clock import stamp
-
-        def chunk_cost(rows):  # repro: noqa[REP013]
-            return stamp() * len(rows)
-        """,
-        "src/repro/utils/clock.py": """\
-        import time
-
-        def stamp():  # repro: noqa[REP013]
-            return time.time()
         """,
     },
 )

@@ -12,19 +12,18 @@ from tests.analysis.corpus import CORPUS, write_tree
 
 @pytest.fixture
 def clean_tree(tmp_path):
-    return write_tree(tmp_path, CORPUS[("REP010", "clean")])
+    return write_tree(tmp_path, CORPUS[("REP012", "clean")])
 
 
 @pytest.fixture
 def dirty_tree(tmp_path):
-    return write_tree(tmp_path, CORPUS[("REP010", "flag")])
+    return write_tree(tmp_path, CORPUS[("REP012", "flag")])
 
 
 def _config_file(tmp_path, **overrides):
     payload = {
         "roots": ["src"],
-        "select": ["REP010"],
-        "per_path": [],
+        "select": ["REP012"],
         "baseline": None,
     }
     payload.update(overrides)
@@ -59,7 +58,7 @@ def test_exit_one_on_findings(dirty_tree, capsys):
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "REP010" in out and "janitor.py" in out
+    assert "REP012" in out and "trainer.py" in out
 
 
 def test_exit_two_on_config_error(dirty_tree, capsys):
@@ -85,7 +84,7 @@ def test_json_format_reports_machine_readable_findings(dirty_tree, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
-    assert payload["findings"][0]["rule"] == "REP010"
+    assert payload["findings"][0]["rule"] == "REP012"
 
 
 def test_update_baseline_then_relint_is_clean(dirty_tree, capsys):
@@ -105,7 +104,7 @@ def test_update_baseline_then_relint_is_clean(dirty_tree, capsys):
     written = json.loads(
         (dirty_tree / "baseline.json").read_text(encoding="utf-8")
     )
-    assert written["entries"] and written["entries"][0]["rule"] == "REP010"
+    assert written["entries"] and written["entries"][0]["rule"] == "REP012"
     assert main(["lint", "--root", str(dirty_tree), "--config", config]) == 0
 
 
@@ -119,7 +118,7 @@ def test_select_overrides_configured_rules(dirty_tree):
             "--config",
             config,
             "--select",
-            "REP013",
+            "REP014",
         ]
     )
     assert code == 0

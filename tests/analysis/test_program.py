@@ -1,9 +1,9 @@
 """Unit tests of the whole-program model (DESIGN.md §14).
 
 Each test builds a :class:`ProgramModel` from in-memory sources and
-probes one layer directly — module naming, alias promotion, symbol
-resolution, the import graphs, and the conservative call graph —
-independent of any lint rule.
+probes one layer directly — module naming, alias promotion, reference
+resolution and the import graph — independent of any lint rule; the
+cycle test goes through ``run_lint``, since REP012 owns the search.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ import ast
 from pathlib import Path
 from textwrap import dedent
 
+from repro.analysis import LintConfig, run_lint
 from repro.analysis.base import ParsedModule
-from repro.analysis.program import (
-    ProgramModel,
-    is_mutable_value,
-    module_name_for,
-    subsystem_of,
-)
+from repro.analysis.program import ProgramModel, module_name_for, subsystem_of
+from tests.analysis.corpus import write_tree
 
 
 def _build(files):
@@ -48,17 +45,6 @@ def test_module_naming_and_subsystems():
     assert subsystem_of("repro.execution.engine") == "execution"
     assert subsystem_of("repro.cli") == "cli"
     assert subsystem_of("snippet") == "snippet"
-
-
-def test_mutability_verdicts():
-    def value(expr):
-        return ast.parse(expr, mode="eval").body
-
-    assert is_mutable_value(value("[]"))
-    assert is_mutable_value(value("{'a': 1}"))
-    assert is_mutable_value(value("collections.defaultdict(list)"))
-    assert not is_mutable_value(value("(1, 2)"))
-    assert not is_mutable_value(value("frozenset({1})"))
 
 
 def test_submodule_alias_promotion_and_attr_refs():
@@ -105,11 +91,7 @@ def test_member_alias_stays_member_when_target_is_not_a_module():
         "repro.obs.metrics",
         "MetricsRegistry",
     )
-    # ...and the call to the class resolves to its __init__.
-    callees = model.call_graph["repro.core.engine.make"]
-    assert callees == frozenset(
-        {"repro.obs.metrics.MetricsRegistry.__init__"}
-    )
+    assert ("repro.obs.metrics", "MetricsRegistry") in engine.attr_refs
 
 
 def test_resolve_module_longest_prefix():
@@ -125,114 +107,29 @@ def test_resolve_module_longest_prefix():
     assert model.resolve_module("numpy.random") is None
 
 
-def test_call_chain_closure_and_skip():
-    model = _build(
-        {
-            "src/repro/core/costs.py": """\
-            from repro.utils.clock import stamp
-
-            def chunk_cost(rows):
-                return stamp() * len(rows)
-
-            def total(chunks):
-                return sum(chunk_cost(c) for c in chunks)
-            """,
-            "src/repro/utils/clock.py": """\
-            import time
-
-            def stamp():
-                return tick() + 1
-
-            def tick():
-                return time.time()
-            """,
-        }
-    )
-
-    def reads_wall(qualname):
-        return bool(model.functions[qualname].wall_reads)
-
-    # total -> chunk_cost -> stamp -> tick, across modules, via the
-    # from-import alias and plain same-module names.
-    chain = model.call_chain_to("repro.core.costs.total", reads_wall)
-    assert chain == [
-        "repro.core.costs.total",
-        "repro.core.costs.chunk_cost",
-        "repro.utils.clock.stamp",
-        "repro.utils.clock.tick",
+def _cycle_findings(tmp_path, files):
+    write_tree(tmp_path, files)
+    config = LintConfig(roots=("src",), select=("REP012",), baseline=None)
+    return [
+        f for f in run_lint(tmp_path, config=config).findings
+        if "cycle" in f.message
     ]
-    # Skipped functions neither match nor propagate: pruning `stamp`
-    # severs the only route to the wall read.
-    chain = model.call_chain_to(
-        "repro.core.costs.total",
-        reads_wall,
-        skip=lambda q: q.endswith(".stamp"),
-    )
-    assert chain is None
 
 
-def test_wall_reads_through_aliases():
-    model = _build(
-        {
-            "src/repro/utils/clock.py": """\
-            import time as _time
-            from time import perf_counter
-            from datetime import datetime
-
-            def a():
-                return _time.monotonic()
-
-            def b():
-                return perf_counter()
-
-            def c():
-                return datetime.now()
-
-            def d():
-                return len("no clock here")
-            """,
-        }
-    )
-    funcs = model.modules["repro.utils.clock"].functions
-    reads = {
-        f.name: [name for _, name in f.wall_reads] for f in funcs.values()
+def test_subsystem_cycle_detection(tmp_path):
+    acyclic = {
+        "src/repro/serving/registry.py": "from repro.ml import trainer\n",
+        "src/repro/ml/trainer.py": "def train():\n    return ()\n",
     }
-    assert reads == {
-        "a": ["_time.monotonic"],
-        "b": ["perf_counter"],
-        "c": ["datetime.now"],
-        "d": [],
+    assert _cycle_findings(tmp_path / "acyclic", acyclic) == []
+
+    cyclic = {
+        "src/repro/serving/registry.py": "from repro.ml import trainer\n",
+        "src/repro/ml/trainer.py": "from repro.serving import registry\n",
     }
-
-
-def test_subsystem_cycle_detection():
-    acyclic = _build(
-        {
-            "src/repro/serving/registry.py": """\
-            from repro.ml import trainer
-            """,
-            "src/repro/ml/trainer.py": """\
-            def train():
-                return ()
-            """,
-        }
-    )
-    assert acyclic.find_subsystem_cycle() is None
-
-    cyclic = _build(
-        {
-            "src/repro/serving/registry.py": """\
-            from repro.ml import trainer
-            """,
-            "src/repro/ml/trainer.py": """\
-            from repro.serving import registry
-            """,
-        }
-    )
-    cycle = cyclic.find_subsystem_cycle()
-    assert cycle is not None
-    assert cycle[0] == cycle[-1]
-    assert set(cycle) == {"ml", "serving"}
+    [finding] = _cycle_findings(tmp_path / "cyclic", cyclic)
+    assert "ml -> serving -> ml" in finding.message
+    assert finding.path == "src/repro/ml/trainer.py"
 
 
 def test_deferred_and_type_checking_import_classification():
@@ -284,23 +181,3 @@ def test_relative_imports_resolve_against_the_package():
     }
     assert "repro.obs.names.FOO" in targets
     assert model.resolve_module("repro.obs.names.FOO") == "repro.obs.names"
-
-
-def test_checkpoint_surface_extraction():
-    model = _build(
-        {
-            "src/repro/core/cursor.py": """\
-            class Cursor:
-                def __init__(self):
-                    self.rows = []
-                    self.position = 0
-
-                def state_dict(self):
-                    return {"position": self.position}
-            """,
-        }
-    )
-    cls = model.modules["repro.core.cursor"].classes["Cursor"]
-    assert set(cls.mutable_attrs) == {"rows"}
-    assert cls.self_refs["state_dict"] == {"position"}
-    assert cls.state_dict_keys == frozenset({"position"})

@@ -1,8 +1,8 @@
 """Per-rule corpus tests: each rule flags, passes, and respects noqa.
 
 Every rule lints a small written-out *file tree* so the cross-file
-machinery — module naming, the import graph, the call graph — is what
-the fixture actually exercises.
+machinery — module naming, alias resolution, the import graph — is
+what the fixture actually exercises.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from tests.analysis.corpus import CORPUS, RULE_IDS, write_tree
 
 def _lint_tree(tmp_path, rule_id, files):
     write_tree(tmp_path, files)
-    config = LintConfig(
-        roots=("src",), select=(rule_id,), per_path=(), baseline=None
-    )
+    config = LintConfig(roots=("src",), select=(rule_id,), baseline=None)
     return run_lint(tmp_path, config=config)
 
 
@@ -51,40 +49,35 @@ def test_program_rule_respects_noqa_suppression(tmp_path, rule_id):
 
 
 def test_program_findings_anchor_at_definition_sites(tmp_path):
-    # REP013 reports at the offending function's `def` line, not at
-    # the wall read buried two modules away — the anchor is what noqa
-    # and the baseline fingerprint key on. (The reader itself is
-    # flagged at its own def, in clock.py.)
-    result = _lint_tree(tmp_path, "REP013", CORPUS[("REP013", "flag")])
-    assert [f.path for f in result.findings] == [
-        "src/repro/core/costs.py",
-        "src/repro/utils/clock.py",
-    ]
+    # REP014 reports at the dead constant's assignment in names.py,
+    # not at any emit site — the anchor is what noqa and the baseline
+    # fingerprint key on.
+    result = _lint_tree(tmp_path, "REP014", CORPUS[("REP014", "flag")])
+    assert [f.path for f in result.findings] == ["src/repro/obs/names.py"]
     finding = result.findings[0]
-    assert finding.path == "src/repro/core/costs.py"
-    assert finding.snippet.startswith("def chunk_cost")
-    assert "time.time" in finding.message
+    assert finding.snippet.startswith("DEAD_NAME =")
+    assert "engine.never_emitted" in finding.message
 
 
-JANITOR = "src/repro/reliability/janitor.py"
-GLOB_LOOP = 'for stale in directory.glob("*.tmp"):'
+TRAINER = "src/repro/ml/trainer.py"
+UPWARD_IMPORT = "from repro.serving import registry"
 
 
 def test_noqa_for_a_different_rule_does_not_suppress(tmp_path):
-    files = dict(CORPUS[("REP010", "flag")])
-    files[JANITOR] = files[JANITOR].replace(
-        GLOB_LOOP, GLOB_LOOP + "  # repro: noqa[REP013]"
+    files = dict(CORPUS[("REP012", "flag")])
+    files[TRAINER] = files[TRAINER].replace(
+        UPWARD_IMPORT, UPWARD_IMPORT + "  # repro: noqa[REP014]"
     )
-    result = _lint_tree(tmp_path, "REP010", files)
+    result = _lint_tree(tmp_path, "REP012", files)
     assert not result.clean
 
 
 def test_findings_carry_stable_fingerprints(tmp_path):
-    files = CORPUS[("REP010", "flag")]
-    first = _lint_tree(tmp_path, "REP010", files)
+    files = CORPUS[("REP012", "flag")]
+    first = _lint_tree(tmp_path, "REP012", files)
     # Unrelated edits above the finding do not move the fingerprint.
-    shifted = {JANITOR: "# a new leading comment\n" + files[JANITOR]}
-    second = _lint_tree(tmp_path, "REP010", shifted)
+    shifted = {TRAINER: "# a new leading comment\n" + files[TRAINER]}
+    second = _lint_tree(tmp_path, "REP012", shifted)
     assert [f.fingerprint() for f in first.findings] == [
         f.fingerprint() for f in second.findings
     ]
