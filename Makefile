@@ -197,42 +197,37 @@ smoke-monitor:
 	$(REPRO) obs $D/a
 
 # exp7 must shed load during the burst and keep both identity
-# guarantees (batched == row-at-a-time, fresh-endpoint replay), two
-# identical monitored runs must export byte-identical health
-# timelines, the traffic CLI must prove arrival-stream and simulation
-# byte-identity, and serving throughput must pass its committed gate.
+# guarantees (batched == row-at-a-time, a fresh-endpoint replay of
+# regenerated arrivals), two identical monitored runs must export
+# byte-identical health timelines, and serving throughput must pass
+# its committed gate.
 smoke-traffic:
 	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
 		--run-dir $D/a
 	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
 		--run-dir $D/b
 	cmp $D/a/health.json $D/b/health.json
-	$(RUN) 60 python -m repro traffic synth --users 2000000 \
-		--burst 0.5 0.5 10
-	$(RUN) 120 python -m repro traffic replay --dataset url --scale test
 	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
 		benchmarks/bench_serving_throughput.py
 
-# A 6-tenant mixed fleet must replay byte-identically (schedule AND
-# telemetry digests), the exp8 policy comparison must hold at smoke
-# scale (fair-share beats round robin at an equal training budget,
-# exit 1 otherwise), a SIGKILL mid-run must recover to the digest and
-# health timeline of an uninterrupted run, and the scheduler-overhead
-# bench must pass its committed gate. The reference run checkpoints at
+# The exp8 policy comparison must hold at smoke scale (fair-share
+# beats round robin at an equal training budget) and each policy's
+# same-seed re-run must match its schedule AND telemetry digests
+# (exit 1 otherwise), a fleet SIGKILLed before epoch 5 must recover to
+# the digest and health timeline of an uninterrupted run, and the
+# scheduler-overhead bench must pass its committed gate. The reference run checkpoints at
 # the same cadence: checkpoint writes are part of the monitored event
 # stream, so the two health timelines are only comparable when both
 # runs write the same checkpoints.
 FLEET := --tenants 6 --chunks 10
 smoke-fleet:
-	$(RUN) 120 python -m repro fleet replay $(FLEET)
 	$(RUN) 240 python -m repro exp8 $(FLEET)
-	$(RUN) 120 python -m repro fleet run $(FLEET) \
+	$(RUN) 120 python -m repro run --approach fleet $(FLEET) \
 		--checkpoint-dir $D/ref-ckpt --cadence 2 \
 		--run-dir $D/reference > $D/reference.txt
-	$(RUN) 120 python -m repro fleet run $(FLEET) \
-		--checkpoint-dir $D/ckpt --cadence 2 --sigkill-at-epoch 5 \
+	$(RUN) 120 python -m repro run --approach fleet $(FLEET) \
+		--checkpoint-dir $D/ckpt --cadence 2 --sigkill-at 5 \
 		--run-dir $D/crashed || test $$? -eq 137
-	$(REPRO) fleet status --checkpoint-dir $D/ckpt
 	$(RUN) 120 python -m repro recover --approach fleet \
 		--checkpoint-dir $D/ckpt --cadence 2 \
 		--run-dir $D/recovered > $D/recovered.txt

@@ -15,7 +15,7 @@ rendering the benchmark suite prints.
 
 Observability: ``--run-dir DIR`` on any command that runs a
 deployment (``exp1 fig5 fig6 fig7 fig8 exp5 exp7 exp6 serve run
-recover fleet exp8``) instruments the run and writes its record under
+recover exp8``) instruments the run and writes its record under
 ``DIR``: ``run.json`` (argv, git sha), ``trace.jsonl`` (every event),
 ``health.json`` (the monitor's incident timeline) and ``lineage.json``
 (the provenance ledger). ``repro obs DIR`` reads them back as one
@@ -48,16 +48,16 @@ exp6`` measures checkpoint cadence vs recovery cost::
         --checkpoint-dir ./ckpt --dataset url --scale test
     python -m repro exp6 --dataset url --scale test
 
-Fleet: ``repro fleet`` orchestrates many tenant pipelines against
-shared bounded budgets (deterministic fair-share scheduling, byte
-quotas, nested fleet checkpoints), and ``repro exp8`` compares
-fair-share vs round-robin at an equal total training budget::
+Fleet: ``repro run --approach fleet`` orchestrates many tenant
+pipelines against shared bounded budgets (deterministic fair-share
+scheduling, byte quotas, nested fleet checkpoints; ``--cadence`` and
+``--sigkill-at`` count epochs), and ``repro exp8`` compares
+fair-share vs round-robin at an equal total training budget, running
+each policy twice to check byte-identical schedule and telemetry
+digests::
 
-    python -m repro fleet run    --tenants 6 --chunks 10
-    python -m repro fleet replay --tenants 6 --chunks 10
-    python -m repro fleet run    --tenants 6 --checkpoint-dir ./fc \
-        --cadence 2 --sigkill-at-epoch 5
-    python -m repro fleet status --checkpoint-dir ./fc
+    python -m repro run --approach fleet --tenants 6 --chunks 10 \
+        --checkpoint-dir ./fc --cadence 2 --sigkill-at 5
     python -m repro recover --approach fleet --checkpoint-dir ./fc
     python -m repro exp8 --tenants 24 --seed 11
 
@@ -103,6 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def add_seed_option(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--seed", type=int, default=None,
+            help="override the scenario seed (a fleet's defaults to 0 "
+            "for 'run', 11 for 'exp8')",
+        )
+
     def add_scenario_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--dataset",
@@ -117,9 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="test = seconds-long miniature; bench = the "
             "EXPERIMENTS.md scale (default: test)",
         )
+        add_seed_option(sub)
+
+    def add_fleet_options(
+        sub: argparse.ArgumentParser, tenants: int
+    ) -> None:
         sub.add_argument(
-            "--seed", type=int, default=None,
-            help="override the scenario seed",
+            "--tenants", type=int, default=tenants,
+            help=f"fleet size (default: {tenants})",
+        )
+        sub.add_argument(
+            "--chunks", type=int, default=16,
+            help="stream chunks per tenant (default: 16)",
+        )
+        sub.add_argument(
+            "--rows", type=int, default=12,
+            help="rows per stream chunk (default: 12)",
         )
 
     def add_run_dir_option(sub: argparse.ArgumentParser) -> None:
@@ -218,65 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp7 = commands.add_parser(
         "exp7",
         help="canary + shadow rollout under an open-loop traffic "
-        "spike: micro-batching, load shedding, SLO alerts",
+        "spike: micro-batching, load shedding, SLO alerts, plus "
+        "batched-vs-row-at-a-time and replay identity checks",
     )
     add_scenario_options(exp7)
-    exp7.add_argument(
-        "--skip-identity-check",
-        action="store_true",
-        help="skip the batched-vs-row-at-a-time and replay "
-        "verification passes (faster smoke runs)",
-    )
     add_run_dir_option(exp7)
-
-    traffic = commands.add_parser(
-        "traffic",
-        help="open-loop load generation: synthesize a seeded arrival "
-        "stream, or replay a simulation twice and compare digests",
-    )
-    traffic.add_argument(
-        "action",
-        choices=("synth", "replay"),
-        help="synth = generate an arrival stream and print its "
-        "stats + digest (twice, proving byte-identity); replay = "
-        "simulate the stream against a freshly trained endpoint "
-        "twice and compare the result digests (exit 1 on mismatch)",
-    )
-    add_scenario_options(traffic)
-    traffic.add_argument(
-        "--rate",
-        type=float,
-        default=60.0,
-        help="base arrival rate per cost unit (default: 60)",
-    )
-    traffic.add_argument(
-        "--horizon",
-        type=float,
-        default=2.0,
-        help="stream length in cost units (default: 2.0)",
-    )
-    traffic.add_argument(
-        "--users",
-        type=int,
-        default=1_000_000,
-        help="synthetic user population (default: 1000000)",
-    )
-    traffic.add_argument(
-        "--burst",
-        type=float,
-        nargs=3,
-        metavar=("START", "DURATION", "MULTIPLIER"),
-        default=None,
-        help="add one burst episode to the rate curve",
-    )
-    traffic.add_argument(
-        "--pool-rows",
-        type=int,
-        default=256,
-        metavar="N",
-        help="synth only: replay-pool size requests sample from "
-        "(default: 256)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -338,12 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run",
-        help="run one deployment approach, optionally writing "
-        "platform checkpoints (crash-recoverable with 'repro "
-        "recover')",
+        help="run one deployment approach or a whole fleet, "
+        "optionally writing checkpoints (crash-recoverable with "
+        "'repro recover')",
     )
     add_scenario_options(run)
     _add_reliability_options(run)
+    add_fleet_options(run, tenants=6)
     add_run_dir_option(run)
     run.add_argument(
         "--kill-at",
@@ -359,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="send this process a real SIGKILL before chunk K is "
-        "read (the CI recovery-smoke harness; no cleanup runs)",
+        "read, or before epoch K runs for a fleet (the CI recovery "
+        "smokes; no cleanup runs)",
     )
 
     recover = commands.add_parser(
@@ -371,116 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reliability_options(recover)
     add_run_dir_option(recover)
 
-    fleet = commands.add_parser(
-        "fleet",
-        help="multi-tenant fleet orchestration: run a mixed URL/taxi "
-        "fleet under shared training/materialization budgets, "
-        "inspect a fleet checkpoint, or replay for byte-identity",
-    )
-    fleet.add_argument(
-        "action",
-        choices=("run", "status", "replay"),
-        help="run = execute the fleet and print the tenant table + "
-        "digest; status = cheap summary of the latest fleet "
-        "checkpoint; replay = run the same spec twice and compare "
-        "digests (exit 1 on divergence)",
-    )
-    fleet.add_argument(
-        "--tenants",
-        type=int,
-        default=6,
-        help="fleet size for the generated spec (default: 6)",
-    )
-    fleet.add_argument(
-        "--seed", type=int, default=0, help="fleet seed (default: 0)"
-    )
-    fleet.add_argument(
-        "--policy",
-        choices=("fair_share", "round_robin"),
-        default="fair_share",
-        help="scheduling policy (default: fair_share)",
-    )
-    fleet.add_argument(
-        "--chunks",
-        type=int,
-        default=16,
-        help="stream chunks per tenant (default: 16)",
-    )
-    fleet.add_argument(
-        "--rows",
-        type=int,
-        default=12,
-        help="rows per stream chunk (default: 12)",
-    )
-    fleet.add_argument(
-        "--spec",
-        metavar="PATH",
-        default=None,
-        help="JSON fleet spec overriding the generated one "
-        "(--tenants/--seed/--policy/--chunks/--rows are ignored)",
-    )
-    fleet.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="write fleet checkpoints under DIR (required by "
-        "'fleet status' and 'repro recover --approach fleet')",
-    )
-    fleet.add_argument(
-        "--cadence",
-        type=int,
-        default=4,
-        help="checkpoint every N epochs (default: 4)",
-    )
-    fleet.add_argument(
-        "--keep",
-        type=int,
-        default=3,
-        help="checkpoints retained (default: 3)",
-    )
-    fleet.add_argument(
-        "--sigkill-at-epoch",
-        type=int,
-        default=None,
-        metavar="K",
-        help="send this process a real SIGKILL before epoch K runs "
-        "(the CI fleet-recovery smoke; no cleanup runs)",
-    )
-    add_run_dir_option(fleet)
-
     exp8 = commands.add_parser(
         "exp8",
         help="multi-tenant fleet: fair-share vs round-robin "
         "scheduling at an equal total training budget, plus "
         "byte-identity verification",
     )
-    exp8.add_argument(
-        "--tenants",
-        type=int,
-        default=24,
-        help="fleet size (default: 24)",
-    )
-    exp8.add_argument(
-        "--seed", type=int, default=11, help="fleet seed (default: 11)"
-    )
-    exp8.add_argument(
-        "--chunks",
-        type=int,
-        default=16,
-        help="stream chunks per tenant (default: 16)",
-    )
-    exp8.add_argument(
-        "--rows",
-        type=int,
-        default=12,
-        help="rows per stream chunk (default: 12)",
-    )
-    exp8.add_argument(
-        "--skip-identity-check",
-        action="store_true",
-        help="skip the same-seed re-runs that verify byte-identical "
-        "digests (faster smoke runs)",
-    )
+    add_seed_option(exp8)
+    add_fleet_options(exp8, tenants=24)
     add_run_dir_option(exp8)
 
     lint = commands.add_parser(
@@ -583,8 +449,9 @@ def _add_reliability_options(sub: argparse.ArgumentParser) -> None:
         "--approach",
         choices=APPROACHES + ("fleet",),
         default="continuous",
-        help="deployment approach (default: continuous); 'fleet' is "
-        "recover-only and resumes a whole fleet checkpoint",
+        help="deployment approach (default: continuous); 'fleet' runs "
+        "a generated mixed URL/taxi fleet (--tenants/--chunks/--rows/"
+        "--seed), or resumes a whole fleet checkpoint",
     )
     sub.add_argument(
         "--checkpoint-dir",
@@ -597,7 +464,8 @@ def _add_reliability_options(sub: argparse.ArgumentParser) -> None:
         "--cadence",
         type=int,
         default=10,
-        help="checkpoint every N chunks (default: 10)",
+        help="checkpoint every N chunks, epochs for a fleet "
+        "(default: 10)",
     )
     sub.add_argument(
         "--keep",
@@ -981,7 +849,6 @@ def _command_exp7(args: argparse.Namespace) -> None:
         scenario,
         config=config,
         telemetry=telemetry,
-        verify_identity=not args.skip_identity_check,
     )
     print(
         f"{'phase':<10} {'mode':<7} {'arrivals':>8} {'shed':>6} "
@@ -1003,93 +870,15 @@ def _command_exp7(args: argparse.Namespace) -> None:
         f"training chunks during run: "
         f"{claims['training_chunks_during_run']:.0f}"
     )
-    if not args.skip_identity_check:
-        print(
-            "batched == row-at-a-time: "
-            f"{'yes' if result.bit_identical else 'NO'}; "
-            "replay byte-identical: "
-            f"{'yes' if result.replay_identical else 'NO'}"
-        )
+    print(
+        "batched == row-at-a-time: "
+        f"{'yes' if result.bit_identical else 'NO'}; "
+        "replay byte-identical: "
+        f"{'yes' if result.replay_identical else 'NO'}"
+    )
     _finish(args, telemetry)
     if not (result.bit_identical and result.replay_identical):
         return 1
-
-
-def _command_traffic(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.traffic import (
-        BurstEpisode,
-        OpenLoopGenerator,
-        SimulationConfig,
-        TrafficPattern,
-        TrafficSimulator,
-    )
-
-    scenario = _scenario(args)
-    bursts = ()
-    if args.burst is not None:
-        start, duration, multiplier = args.burst
-        bursts = (
-            BurstEpisode(
-                start=start, duration=duration, multiplier=multiplier
-            ),
-        )
-    pattern = TrafficPattern(base_rate=args.rate, bursts=bursts)
-
-    def generate(pool_rows: int):
-        generator = OpenLoopGenerator(
-            pattern,
-            num_users=args.users,
-            pool_rows=pool_rows,
-            seed=scenario.seed,
-        )
-        return generator.generate(args.horizon)
-
-    if args.action == "synth":
-        first = generate(args.pool_rows)
-        second = generate(args.pool_rows)
-        identical = first.digest() == second.digest()
-        print(
-            f"requests={first.num_requests} rows={first.num_rows} "
-            f"distinct_users={len(set(first.users.tolist()))}"
-        )
-        print(f"digest={first.digest()}")
-        print(
-            "second generation "
-            + ("byte-identical" if identical else "DIVERGED")
-        )
-        return 0 if identical else 1
-
-    # replay: simulate the same stream twice on fresh endpoints.
-    from repro.experiments.exp7_traffic import (
-        _build_world,
-        default_traffic_config,
-    )
-    from repro.serving.endpoint import ServingEndpoint
-
-    config = default_traffic_config(scenario)
-
-    def simulate(root):
-        _, registry, pool, _, _, _ = _build_world(
-            scenario, config, root
-        )
-        endpoint = ServingEndpoint(registry, seed=scenario.seed)
-        simulator = TrafficSimulator(
-            endpoint, pool, SimulationConfig()
-        )
-        return simulator.run(generate(pool.num_rows))
-
-    with tempfile.TemporaryDirectory() as root_a:
-        first = simulate(root_a)
-    with tempfile.TemporaryDirectory() as root_b:
-        second = simulate(root_b)
-    for line in first.report.summary_lines():
-        print(line)
-    identical = first.digest() == second.digest()
-    print(f"digest={first.digest()}")
-    print("replay " + ("byte-identical" if identical else "DIVERGED"))
-    return 0 if identical else 1
 
 
 def _command_serve(args: argparse.Namespace) -> None:
@@ -1324,10 +1113,7 @@ def _command_run(args: argparse.Namespace) -> None:
     from repro.reliability import FaultPlan, SimulatedCrash
 
     if args.approach == "fleet":
-        raise SystemExit(
-            "'repro run' drives one pipeline; use 'repro fleet run' "
-            "to execute a fleet (--approach fleet is recover-only)"
-        )
+        return _run_fleet(args)
     scenario = _scenario(args)
     fault_plan = None
     if args.kill_at is not None:
@@ -1396,6 +1182,36 @@ def _command_recover(args: argparse.Namespace) -> None:
     _finish(args, telemetry)
 
 
+def _run_fleet(args: argparse.Namespace) -> None:
+    """``repro run --approach fleet``: a generated mixed fleet,
+    checkpointed every ``--cadence`` epochs; ``--sigkill-at K`` kills
+    it before epoch K."""
+    from repro.fleet import FleetOrchestrator, fleet_rules, make_fleet
+
+    if args.kill_at is not None or args.retry:
+        raise SystemExit(
+            "--kill-at and --retry drive one pipeline; crash a fleet "
+            "with --sigkill-at"
+        )
+    seed = {} if args.seed is None else {"seed": args.seed}
+    spec = make_fleet(
+        args.tenants, chunks=args.chunks, rows=args.rows, **seed
+    )
+    telemetry = _attach(args, rules=fleet_rules())
+    orchestrator = FleetOrchestrator(
+        spec, telemetry=telemetry, checkpoint=_checkpoint_config(args)
+    )
+    orchestrator.setup()
+    # One item per epoch still to run, so the kill point counts epochs.
+    epochs = iter(orchestrator.has_work, False)
+    if args.sigkill_at is not None:
+        epochs = _sigkill_stream(epochs, args.sigkill_at)
+    for _ in epochs:
+        orchestrator.run_epoch()
+    _print_fleet_result(orchestrator.result())
+    _finish(args, telemetry)
+
+
 def _recover_fleet(args: argparse.Namespace) -> None:
     """``repro recover --approach fleet``: resume a whole fleet.
 
@@ -1445,97 +1261,6 @@ def _print_fleet_result(result) -> None:
     print(f"fleet digest={result.digest}")
 
 
-def _fleet_spec(args: argparse.Namespace):
-    """The fleet spec 'repro fleet' runs: --spec file or generated."""
-    from repro.fleet import FleetSpec, make_fleet
-
-    if args.spec is not None:
-        from pathlib import Path
-
-        return FleetSpec.from_json(
-            Path(args.spec).read_text(encoding="utf-8")
-        )
-    return make_fleet(
-        args.tenants,
-        seed=args.seed,
-        policy=args.policy,
-        chunks=args.chunks,
-        rows=args.rows,
-    )
-
-
-def _command_fleet(args: argparse.Namespace) -> Optional[int]:
-    from repro.fleet import FleetOrchestrator, fleet_rules
-
-    if args.run_dir is not None and args.action != "run":
-        print(
-            f"repro fleet: error: --run-dir instruments 'fleet run' "
-            f"only, not 'fleet {args.action}'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action == "status":
-        if args.checkpoint_dir is None:
-            raise SystemExit("fleet status requires --checkpoint-dir")
-        status = FleetOrchestrator.peek(args.checkpoint_dir)
-        print(
-            f"policy={status['policy']} epoch={status['epoch']} "
-            f"active={status['active']}/{status['num_tenants']} "
-            f"cost={status['clock']:.3f} "
-            f"overdrafts={status['overdrafts']}"
-        )
-        print(f"{'tenant':<10} {'cursor':>6} {'trainings':>9}")
-        for name, cursor, trainings in zip(
-            status["names"], status["cursors"], status["trainings"]
-        ):
-            print(f"{name:<10} {cursor:>6} {trainings:>9}")
-        return None
-
-    spec = _fleet_spec(args)
-    if args.action == "replay":
-        # Two fresh runs, both privately instrumented so the replay
-        # also proves the telemetry stream is deterministic.
-        from repro.obs import Telemetry
-
-        results = [
-            FleetOrchestrator(spec, telemetry=Telemetry()).run()
-            for _ in range(2)
-        ]
-        first, second = results
-        _print_fleet_result(first)
-        print(f"telemetry digest={first.telemetry_digest}")
-        schedules = first.digest == second.digest
-        telemetry_ok = (
-            first.telemetry_digest == second.telemetry_digest
-        )
-        print(
-            "\nreplay byte-identical: "
-            f"schedule {'yes' if schedules else 'NO'}, "
-            f"telemetry {'yes' if telemetry_ok else 'NO'}"
-        )
-        return None if schedules and telemetry_ok else 1
-
-    telemetry = _attach(args, rules=fleet_rules())
-    orchestrator = FleetOrchestrator(
-        spec, telemetry=telemetry, checkpoint=_checkpoint_config(args)
-    )
-    if args.sigkill_at_epoch is not None:
-        import os
-        import signal
-
-        orchestrator.setup()
-        while orchestrator.has_work():
-            if orchestrator.epoch >= args.sigkill_at_epoch:
-                os.kill(os.getpid(), signal.SIGKILL)
-            orchestrator.run_epoch()
-        result = orchestrator.result()
-    else:
-        result = orchestrator.run()
-    _print_fleet_result(result)
-    _finish(args, telemetry)
-    return None
-
-
 def _command_exp8(args: argparse.Namespace) -> Optional[int]:
     from repro.experiments.exp8_fleet import (
         format_comparison,
@@ -1545,13 +1270,13 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
     from repro.fleet import fleet_rules
 
     telemetry = _attach(args, rules=fleet_rules())
+    seed = {} if args.seed is None else {"seed": args.seed}
     result = run_fleet_experiment(
         num_tenants=args.tenants,
-        seed=args.seed,
         chunks=args.chunks,
         rows=args.rows,
         telemetry=telemetry,
-        verify_identity=not args.skip_identity_check,
+        **seed,
     )
     print(format_comparison(result))
     claims = headline_claims(result)
@@ -1563,21 +1288,19 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
         f"rescues={claims['fair_rescues']:.0f} "
         f"balance={claims['fair_balance']:.4f}"
     )
-    if not args.skip_identity_check:
-        print(
-            "same-seed replay byte-identical: schedule "
-            f"{'yes' if result.digests_identical else 'NO'}, "
-            "telemetry "
-            f"{'yes' if result.telemetry_identical else 'NO'}"
-        )
+    print(
+        "same-seed replay byte-identical: schedule "
+        f"{'yes' if result.digests_identical else 'NO'}, "
+        "telemetry "
+        f"{'yes' if result.telemetry_identical else 'NO'}"
+    )
     _finish(args, telemetry)
-    ok = result.fair_beats_round_robin and result.equal_budget
-    if not args.skip_identity_check:
-        ok = (
-            ok
-            and result.digests_identical
-            and result.telemetry_identical
-        )
+    ok = (
+        result.fair_beats_round_robin
+        and result.equal_budget
+        and result.digests_identical
+        and result.telemetry_identical
+    )
     return None if ok else 1
 
 
@@ -1778,12 +1501,10 @@ _COMMANDS = {
     "obs": _command_obs,
     "exp5": _command_exp5,
     "exp7": _command_exp7,
-    "traffic": _command_traffic,
     "serve": _command_serve,
     "registry": _command_registry,
     "run": _command_run,
     "recover": _command_recover,
-    "fleet": _command_fleet,
     "exp8": _command_exp8,
     "exp6": _command_exp6,
     "lint": _command_lint,

@@ -124,7 +124,8 @@ class TrafficExperimentResult:
     training_cost: float
     #: Batched streams == row-at-a-time streams, all phases.
     bit_identical: bool
-    #: Fresh-endpoint replay reproduced every phase digest.
+    #: A fresh endpoint replaying regenerated arrivals reproduced
+    #: every arrival digest and every phase digest.
     replay_identical: bool
     primary_version: str
     candidate_version: str
@@ -352,13 +353,18 @@ def run_traffic_experiment(
                 registry, pool, arrivals, outcomes, config, v2,
                 scenario.seed,
             )
+            # The replay regenerates its arrivals, so it also checks
+            # that the generator is a pure function of its seeds.
+            replay_arrivals = _phase_arrivals(
+                scenario, config, pool.num_rows
+            )
             replay_endpoint = ServingEndpoint(
                 registry, seed=scenario.seed
             )
             replay = _run_phases(
                 replay_endpoint,
                 pool,
-                arrivals,
+                replay_arrivals,
                 config,
                 v2,
                 VirtualClock(),
@@ -366,7 +372,8 @@ def run_traffic_experiment(
                 between_phase=None,
             )
             replay_identical = all(
-                replay[phase].result.digest()
+                replay_arrivals[phase].digest() == arrivals[phase].digest()
+                and replay[phase].result.digest()
                 == outcomes[phase].result.digest()
                 for phase in PHASES
             )

@@ -46,7 +46,7 @@ class FleetExperimentResult:
     runs: Dict[str, FleetResult]
     #: Same-seed re-run produced byte-identical schedule digests.
     digests_identical: bool
-    #: ... and byte-identical telemetry digests.
+    #: ... and byte-identical telemetry digests, none of them ``None``.
     telemetry_identical: bool
 
     @property
@@ -82,9 +82,10 @@ def run_fleet_experiment(
 ) -> FleetExperimentResult:
     """Run the fleet under both policies (twice each when verifying).
 
-    ``telemetry`` is bound to the *first* fair-share run; identity
-    re-runs use private telemetry so digest comparisons see the same
-    instrumentation on both sides.
+    ``telemetry`` is bound to the *first* fair-share run. When
+    verifying, every other first run gets a fresh bundle and every
+    re-run a twin of its first run's, so each policy's two telemetry
+    digests exist and see the same instrumentation.
     """
     if num_tenants < 2:
         raise ValidationError(
@@ -103,6 +104,8 @@ def run_fleet_experiment(
             rows=rows,
         )
         bound = telemetry if policy == "fair_share" else None
+        if verify_identity and bound is None:
+            bound = Telemetry()
         result = FleetOrchestrator(spec, telemetry=bound).run()
         runs[policy] = result
         if verify_identity:
@@ -111,7 +114,8 @@ def run_fleet_experiment(
                 again.digest == result.digest
             )
             telemetry_ok = telemetry_ok and (
-                again.telemetry_digest == result.telemetry_digest
+                result.telemetry_digest is not None
+                and again.telemetry_digest == result.telemetry_digest
             )
     return FleetExperimentResult(
         runs=runs,
@@ -120,12 +124,10 @@ def run_fleet_experiment(
     )
 
 
-def _twin(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
+def _twin(telemetry: Telemetry) -> Telemetry:
     """A fresh bundle with ``telemetry``'s ledger and monitor (and no
     user sink), so a re-run's event stream is comparable with the
-    bound run's; ``None`` for ``None``."""
-    if telemetry is None:
-        return None
+    bound run's."""
     twin = Telemetry()
     if telemetry.ledger is not None:
         twin.attach_ledger()

@@ -391,26 +391,6 @@ class FleetOrchestrator:
         orchestrator.reliability.restore(saved)
         return orchestrator
 
-    @staticmethod
-    def peek(
-        checkpoint: Union[CheckpointStore, CheckpointConfig, str],
-    ) -> Dict[str, Any]:
-        """Cheap fleet status from the latest checkpoint (no rebuild)."""
-        saved = ReliabilityRuntime(checkpoint).load("fleet")
-        tenants = saved.state["tenants"]
-        spec = saved.state["spec"]
-        return {
-            "epoch": saved.state["epoch"],
-            "clock": saved.state["clock"],
-            "policy": spec["policy"],
-            "num_tenants": len(tenants),
-            "active": sum(1 for t in tenants if t["active"]),
-            "trainings": [t["trainings"] for t in tenants],
-            "cursors": [t["cursor"] for t in tenants],
-            "names": [t["name"] for t in spec["tenants"]],
-            "overdrafts": saved.state["overdrafts"],
-        }
-
     def __repr__(self) -> str:
         return (
             f"FleetOrchestrator(tenants={len(self.spec.tenants)}, "

@@ -4,13 +4,12 @@ A :class:`TenantSpec` names one deployment pipeline — which dataset
 family it runs, its deployment strategy, drift profile, seed, and its
 budget weight. A :class:`FleetSpec` is the full orchestrator input:
 the tenant list plus the shared per-epoch budgets. Both round-trip
-through plain JSON dicts (the CLI's ``--spec`` file format) and
+through plain dicts (a fleet checkpoint carries its spec as one) and
 validate eagerly with errors naming the offending field.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any, Dict, Mapping, Tuple
@@ -200,19 +199,6 @@ class FleetSpec:
     def from_dict(cls, raw: Mapping[str, Any]) -> "FleetSpec":
         spec = _from_mapping(cls, dict(raw), "FleetSpec")
         return spec
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetSpec":
-        try:
-            raw = json.loads(text)
-        except ValueError as error:
-            raise ValidationError(
-                f"fleet spec is not valid JSON: {error}"
-            ) from error
-        return cls.from_dict(raw)
 
 
 #: Deterministic per-tenant knob cycles used by :func:`make_fleet`.

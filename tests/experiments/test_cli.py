@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -10,6 +11,14 @@ from repro.cli import build_parser, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.ConvergenceWarning"
+)
+
+#: Every command ``repro --help`` lists: the paper's seven, the
+#: extensions' drivers, and the two tools.
+COMMANDS = (
+    "exp1", "table3", "fig5", "fig6", "table4", "fig7", "fig8",
+    "exp5", "exp6", "exp7", "exp8", "serve", "registry", "run",
+    "recover", "obs", "lint",
 )
 
 
@@ -43,6 +52,42 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_one_command_per_experiment(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(commands.choices) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 'traffic' folded into exp7, 'fleet' into run/recover
+            # and exp8.
+            ["traffic", "synth"],
+            ["traffic", "replay"],
+            ["fleet", "run"],
+            ["fleet", "replay"],
+            ["fleet", "status", "--checkpoint-dir", "d"],
+            ["exp7", "--skip-identity-check"],
+            ["exp8", "--skip-identity-check"],
+            ["run", "--approach", "fleet", "--spec", "fleet.json"],
+            ["run", "--approach", "fleet", "--policy", "round_robin"],
+            ["run", "--approach", "fleet", "--sigkill-at-epoch", "5"],
+        ],
+    )
+    def test_folded_commands_and_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args(argv)
+        assert error.value.code == 2
+
+    def test_fleet_options(self):
+        run = build_parser().parse_args(["run", "--approach", "fleet"])
+        exp8 = build_parser().parse_args(["exp8"])
+        assert (run.tenants, run.chunks, run.rows) == (6, 16, 12)
+        assert (exp8.tenants, exp8.chunks, exp8.rows) == (24, 16, 12)
+        assert run.seed is None and exp8.seed is None
 
     def test_invalid_dataset_rejected(self):
         with pytest.raises(SystemExit):
@@ -451,6 +496,11 @@ class TestRunRecoverCommands:
         assert "recovered from checkpoint at chunk 8" in out
         assert "chunks=40" in out
 
+    def test_fleet_rejects_single_pipeline_faults(self):
+        for flag in (["--kill-at", "3"], ["--retry"]):
+            with pytest.raises(SystemExit, match="--sigkill-at"):
+                main(["run", "--approach", "fleet", *flag])
+
     def test_uninterrupted_run(self, capsys):
         assert main(
             ["run", "--approach", "online", "--dataset", "url",
@@ -675,8 +725,8 @@ class TestLineageCli:
         assert "\n\nprovenance ledger\n" in capsys.readouterr().out
 
 
-#: The thirteen commands ``--run-dir`` instruments, at their smallest
-#: scale. ``{tmp}`` is the test's scratch directory: ``serve`` gets a
+#: The twelve commands ``--run-dir`` instruments, at their smallest
+#: scale, and ``run`` once more for a fleet. ``{tmp}`` is the test's scratch directory: ``serve`` gets a
 #: fresh registry there on every invocation, and ``recover`` a fresh
 #: copy of one crashed run's checkpoints.
 RUN_DIR_ARGV = {
@@ -692,7 +742,8 @@ RUN_DIR_ARGV = {
     "run": ["run", "--scale", "test"],
     "recover": ["recover", "--scale", "test", "--cadence", "4",
                 "--checkpoint-dir", "{tmp}/ckpt"],
-    "fleet": ["fleet", "run", "--tenants", "4", "--chunks", "6"],
+    "fleet": ["run", "--approach", "fleet", "--tenants", "4",
+              "--chunks", "6"],
     "exp8": ["exp8", "--tenants", "4", "--chunks", "6"],
 }
 
@@ -771,13 +822,3 @@ class TestRunDir:
             assert (first / name).read_bytes() == (
                 second / name
             ).read_bytes(), name
-
-    @pytest.mark.parametrize("action", ["replay", "status"])
-    def test_fleet_run_dir_only_on_fleet_run(self, action, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main(
-            ["fleet", action, "--tenants", "3", "--chunks", "4",
-             "--checkpoint-dir", str(tmp_path), "--run-dir", str(run_dir)]
-        ) == 2
-        assert "'fleet run'" in capsys.readouterr().err
-        assert not run_dir.exists()

@@ -6,8 +6,11 @@ proactive training keeps running between phases, and both identity
 checks (batched vs row-at-a-time, fresh-endpoint replay) hold.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments import exp7_traffic
 from repro.experiments.common import url_scenario
 from repro.experiments.exp7_traffic import (
     PHASES,
@@ -79,6 +82,26 @@ class TestIdentity:
     def test_replay_is_byte_identical(self, exp7_run):
         result, __ = exp7_run
         assert result.replay_identical
+
+    def test_replay_regenerates_the_arrivals(self, monkeypatch, tmp_path):
+        """The replay pass draws its arrivals afresh: a generator that
+        answers the second draw with other seeds fails the check."""
+        draw = exp7_traffic._phase_arrivals
+        calls = []
+
+        def drifting(scenario, config, pool_rows):
+            calls.append(scenario.seed)
+            if len(calls) == 2:
+                scenario = SimpleNamespace(seed=scenario.seed + 1)
+            return draw(scenario, config, pool_rows)
+
+        monkeypatch.setattr(exp7_traffic, "_phase_arrivals", drifting)
+        result = run_traffic_experiment(
+            url_scenario("test"), workdir=tmp_path
+        )
+        assert len(calls) == 2
+        assert result.bit_identical
+        assert not result.replay_identical
 
 
 class TestAlerts:

@@ -5,6 +5,8 @@ bench-check``."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.exceptions import ValidationError
@@ -36,6 +38,11 @@ class TestExperiment:
     def test_identity_verification_passes(self, smoke_result):
         assert smoke_result.digests_identical
         assert smoke_result.telemetry_identical
+        # Both policies' runs carry live telemetry, so the telemetry
+        # check compares real digests, never None with None.
+        for policy in COMPARED_POLICIES:
+            digest = smoke_result.runs[policy].telemetry_digest
+            assert re.fullmatch(r"[0-9a-f]{64}", digest or ""), policy
 
     def test_telemetry_binds_to_first_fair_run_only(self):
         telemetry = Telemetry()

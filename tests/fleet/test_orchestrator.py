@@ -248,20 +248,6 @@ class TestRecovery:
             == written
         )
 
-    def test_peek_reports_without_rebuilding(self, tmp_path):
-        spec = _small_fleet()
-        checkpoint = CheckpointConfig(
-            directory=str(tmp_path / "ckpt"), cadence_chunks=2
-        )
-        orchestrator = FleetOrchestrator(spec, checkpoint=checkpoint)
-        orchestrator.setup()
-        orchestrator.run_epoch()
-        orchestrator.run_epoch()
-        status = FleetOrchestrator.peek(checkpoint)
-        assert status["epoch"] == 2
-        assert status["num_tenants"] == 4
-        assert status["names"] == [t.name for t in spec.tenants]
-
     def test_checkpoint_requires_store(self):
         orchestrator = FleetOrchestrator(_small_fleet())
         with pytest.raises(ReliabilityError, match="checkpoint"):

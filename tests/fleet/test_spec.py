@@ -53,19 +53,11 @@ class TestTenantSpec:
 
 
 class TestFleetSpec:
-    def test_json_round_trip(self):
-        spec = make_fleet(6, seed=3, policy="round_robin")
-        assert FleetSpec.from_json(spec.to_json()) == spec
-
     def test_nested_tenant_dicts_are_coerced(self):
         spec = make_fleet(3, seed=1)
         raw = spec.to_dict()
         assert all(isinstance(t, dict) for t in raw["tenants"])
         assert FleetSpec.from_dict(raw) == spec
-
-    def test_invalid_json_is_a_validation_error(self):
-        with pytest.raises(ValidationError, match="not valid JSON"):
-            FleetSpec.from_json("{nope")
 
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ValidationError, match="t0"):
