@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test lint lint-diff bench bench-results bench-record \
+.PHONY: install test lint bench bench-results bench-record \
 	bench-check bench-e2e bench-e2e-compare bench-e2e-check \
 	bench-e2e-pin examples clean
 
@@ -15,9 +15,10 @@ test-output:
 
 # Two layers: a general linter (ruff when available — what CI
 # installs — falling back to pyflakes, else a warning) plus
-# reprolint, the in-tree AST invariant linter (`repro lint`, needs
-# only the repo itself). The overall exit status is the combination
-# of whichever linters actually ran.
+# reprolint, the in-tree AST invariant checker (`repro lint`: REP012
+# and REP014 over src/; it imports repro, so it needs numpy and
+# scipy). The overall exit status is the combination of whichever
+# linters actually ran.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
@@ -28,13 +29,6 @@ lint:
 		     "ruff); running reprolint only"; \
 	fi
 	PYTHONPATH=src python -m repro lint
-
-# Pre-commit helper: lint only the files changed vs DIFF_REF (the
-# whole-program model is still built from the full tree).
-DIFF_REF ?= HEAD
-
-lint-diff:
-	PYTHONPATH=src python -m repro lint --diff $(DIFF_REF)
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -1,72 +1,36 @@
-"""reprolint — the platform's AST-based invariant linter.
+"""reprolint — the platform's AST-based invariant checker.
 
-Parses the tree once, builds one whole-program model of it, and runs
-two rules over that model: the subsystem layering and the live
-telemetry vocabulary, the two contracts no behaviour test can see
-(DESIGN.md §9, §14). Run it via ``repro lint``, ``make lint``, or
-programmatically::
+Parses ``src/`` once, builds one whole-program model of it
+(:mod:`repro.analysis.program`), and runs two checks over that model,
+each a function returning its findings: the subsystem layering
+(REP012) and the live telemetry vocabulary (REP014), the two
+contracts no behaviour test can see (DESIGN.md §9, §14). Run it via
+``repro lint``, ``make lint``, or programmatically::
 
     from pathlib import Path
-    from repro.analysis import run_lint
+    from repro.analysis import lint
 
-    result = run_lint(Path("."))
-    assert result.clean, [f.render() for f in result.findings]
+    findings = lint(Path("."))
+    assert not findings, [f.render() for f in findings]
 """
 
-from repro.analysis.base import ConfigError, Finding, ParsedModule
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    write_baseline,
+from repro.analysis.checks import (
+    LAYERS,
+    Finding,
+    check_dead_telemetry,
+    check_layering,
+    lint,
+    source_files,
 )
-from repro.analysis.config import (
-    GLOBAL_RULES,
-    LintConfig,
-    default_config,
-    load_config,
-)
-from repro.analysis.engine import (
-    PARSE_ERROR_RULE,
-    LintResult,
-    iter_source_files,
-    run_lint,
-    run_program_rules,
-)
-from repro.analysis.program import ProgramModel
-from repro.analysis.progrules import (
-    PROGRAM_RULES,
-    PROGRAM_RULES_BY_ID,
-    ProgramReporter,
-    ProgramRule,
-    program_rules_for,
-)
-from repro.analysis.report import format_json, format_rules, format_text
+from repro.analysis.program import ParsedModule, ProgramModel
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "ConfigError",
     "Finding",
-    "GLOBAL_RULES",
-    "LintConfig",
-    "LintResult",
-    "PARSE_ERROR_RULE",
-    "PROGRAM_RULES",
-    "PROGRAM_RULES_BY_ID",
+    "LAYERS",
     "ParsedModule",
     "ProgramModel",
-    "ProgramReporter",
-    "ProgramRule",
-    "default_config",
-    "format_json",
-    "format_rules",
-    "format_text",
-    "iter_source_files",
-    "load_baseline",
-    "load_config",
-    "program_rules_for",
-    "run_lint",
-    "run_program_rules",
-    "write_baseline",
+    "check_dead_telemetry",
+    "check_layering",
+    "lint",
+    "source_files",
 ]

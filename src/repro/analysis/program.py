@@ -2,8 +2,7 @@
 
 The layering and telemetry-vocabulary invariants span module
 boundaries. This module builds, from the already-parsed tree, the two
-structures the :class:`~repro.analysis.progrules.ProgramRule` pack
-reasons over:
+structures the checks in :mod:`repro.analysis.checks` reason over:
 
 * **per-module symbol tables** (:class:`ModuleInfo`) — module-level
   string constants, import alias tables, every string literal passed
@@ -26,7 +25,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.base import ParsedModule
+
+@dataclass(frozen=True)
+class ParsedModule:
+    """One source file, parsed once and shared by both checks."""
+
+    relpath: str  # posix, relative to the lint root
+    tree: ast.AST
 
 
 def module_name_for(relpath: str) -> str:
@@ -222,7 +227,7 @@ class _ModuleScanner:
 
 @dataclass
 class ProgramModel:
-    """The whole-program view the program rules reason over."""
+    """The whole-program view the checks reason over."""
 
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)
     #: importer subsystem -> imported subsystem -> witness edges.

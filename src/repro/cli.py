@@ -61,14 +61,12 @@ digests::
     python -m repro recover --approach fleet --checkpoint-dir ./fc
     python -m repro exp8 --tenants 24 --seed 11
 
-Static analysis: ``repro lint`` runs reprolint, the AST-based
-invariant linter enforcing the subsystem layering and the telemetry
-vocabulary (exit 0 = clean, 1 = findings, 2 = config error)::
+Static analysis: ``repro lint``, run from the repository root, runs
+reprolint's two checks over ``src/``: the subsystem layering (REP012)
+and the telemetry vocabulary (REP014). It takes no options and exits
+0 when clean, 1 on findings, 2 when there is no ``src/``::
 
     python -m repro lint
-    python -m repro lint --format json
-    python -m repro lint --list-rules
-    python -m repro lint src/repro/fleet --select REP012
 """
 
 from __future__ import annotations
@@ -349,66 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_fleet_options(exp8, tenants=24)
     add_run_dir_option(exp8)
 
-    lint = commands.add_parser(
+    commands.add_parser(
         "lint",
-        help="run reprolint, the AST-based invariant linter, over "
-        "the tree (exit 0 clean / 1 findings / 2 config error)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to lint (default: the configured "
-        "roots, i.e. src/)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--root",
-        metavar="DIR",
-        default=".",
-        help="repository root paths are resolved against (default: .)",
-    )
-    lint.add_argument(
-        "--config",
-        metavar="PATH",
-        default=None,
-        help="JSON lint config overriding the shipped project policy",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file overriding the configured one",
-    )
-    lint.add_argument(
-        "--select",
-        metavar="IDS",
-        default=None,
-        help="comma-separated rule ids to run (e.g. REP012,REP014)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather all current "
-        "findings (then exits 0)",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    lint.add_argument(
-        "--diff",
-        metavar="REF",
-        default=None,
-        help="lint only files changed vs the given git ref (plus "
-        "untracked files); the program model is still built from "
-        "the full tree",
+        help="run reprolint's two checks over ./src (exit 0 clean / "
+        "1 findings / 2 no src/)",
     )
 
     exp6 = commands.add_parser(
@@ -1182,17 +1124,23 @@ def _command_recover(args: argparse.Namespace) -> None:
     _finish(args, telemetry)
 
 
+def _refuse_single_pipeline_faults(args: argparse.Namespace) -> None:
+    """A fleet takes neither ``--kill-at`` (``run`` only) nor
+    ``--retry``: both drive one pipeline's deployment."""
+    if getattr(args, "kill_at", None) is not None or args.retry:
+        raise SystemExit(
+            "--kill-at and --retry drive one pipeline; crash a fleet "
+            "with --sigkill-at"
+        )
+
+
 def _run_fleet(args: argparse.Namespace) -> None:
     """``repro run --approach fleet``: a generated mixed fleet,
     checkpointed every ``--cadence`` epochs; ``--sigkill-at K`` kills
     it before epoch K."""
     from repro.fleet import FleetOrchestrator, fleet_rules, make_fleet
 
-    if args.kill_at is not None or args.retry:
-        raise SystemExit(
-            "--kill-at and --retry drive one pipeline; crash a fleet "
-            "with --sigkill-at"
-        )
+    _refuse_single_pipeline_faults(args)
     seed = {} if args.seed is None else {"seed": args.seed}
     spec = make_fleet(
         args.tenants, chunks=args.chunks, rows=args.rows, **seed
@@ -1221,6 +1169,7 @@ def _recover_fleet(args: argparse.Namespace) -> None:
     """
     from repro.fleet import FleetOrchestrator, fleet_rules
 
+    _refuse_single_pipeline_faults(args)
     telemetry = _attach(args, rules=fleet_rules())
     orchestrator = FleetOrchestrator.recover(
         _checkpoint_config(args), telemetry=telemetry
@@ -1304,130 +1253,23 @@ def _command_exp8(args: argparse.Namespace) -> Optional[int]:
     return None if ok else 1
 
 
-def _changed_files(root, ref: str, config):
-    """Changed + untracked ``.py`` files vs ``ref``, lint-scoped.
-
-    Only files under the configured roots (and not excluded) are
-    returned, so ``--diff`` composes with the project policy. A git
-    failure (bad ref, not a repository) raises ``ConfigError`` — a
-    broken diff must never look like a clean run.
-    """
-    import subprocess
-
-    from repro.analysis import ConfigError
-
-    def _git(*argv: str) -> str:
-        try:
-            proc = subprocess.run(
-                ["git", *argv],
-                cwd=str(root),
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired) as error:
-            raise ConfigError(f"cannot run git: {error}") from error
-        if proc.returncode != 0:
-            raise ConfigError(
-                f"git {' '.join(argv)} failed: "
-                f"{proc.stderr.strip() or proc.stdout.strip()}"
-            )
-        return proc.stdout
-
-    changed = set()
-    for line in _git("diff", "--name-only", ref, "--", ".").splitlines():
-        if line.strip():
-            changed.add(line.strip())
-    for line in _git(
-        "ls-files", "--others", "--exclude-standard"
-    ).splitlines():
-        if line.strip():
-            changed.add(line.strip())
-    in_roots = tuple(r.rstrip("/") + "/" for r in config.roots)
-    selected = []
-    for rel in sorted(changed):
-        if not rel.endswith(".py") or config.is_excluded(rel):
-            continue
-        if not (rel.startswith(in_roots) or rel in config.roots):
-            continue
-        if (root / rel).exists():  # deleted files can't be linted
-            selected.append(rel)
-    return selected
-
-
 def _command_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis import (
-        ConfigError,
-        default_config,
-        format_json,
-        format_rules,
-        format_text,
-        load_baseline,
-        load_config,
-        run_lint,
-        write_baseline,
-    )
+    from repro.analysis import lint, source_files
 
-    if args.list_rules:
-        print(format_rules())
-        return 0
-    root = Path(args.root)
+    root = Path(".")
     try:
-        config = (
-            load_config(Path(args.config))
-            if args.config is not None
-            else default_config()
-        )
-        if args.select is not None:
-            ids = tuple(
-                part.strip().upper()
-                for part in args.select.split(",")
-                if part.strip()
-            )
-            from dataclasses import replace
-
-            config = replace(config, select=ids)
-        paths = args.paths or None
-        if args.diff is not None:
-            if args.paths:
-                raise ConfigError(
-                    "--diff and explicit paths are mutually exclusive"
-                )
-            paths = _changed_files(root, args.diff, config)
-            if not paths:
-                print(
-                    f"reprolint: no changed python files vs "
-                    f"{args.diff}; nothing to lint"
-                )
-                return 0
-        baseline = None
-        if args.baseline is not None:
-            baseline = load_baseline(Path(args.baseline))
-        result = run_lint(root, config=config, paths=paths, baseline=baseline)
-    except ConfigError as error:
-        print(f"reprolint: config error: {error}", file=sys.stderr)
+        files = source_files(root)
+    except FileNotFoundError as error:
+        print(f"reprolint: {error}; run from the repository root",
+              file=sys.stderr)
         return 2
-    if args.update_baseline:
-        target = Path(
-            args.baseline
-            if args.baseline is not None
-            else config.baseline or "reprolint-baseline.json"
-        )
-        if not target.is_absolute():
-            target = root / target
-        write_baseline(target, result.findings)
-        print(
-            f"baseline updated: {len(result.findings)} finding(s) "
-            f"grandfathered into {target}"
-        )
-        return 0
-    if args.format == "json":
-        print(format_json(result))
-    else:
-        print(format_text(result))
-    return result.exit_code()
+    findings = lint(root)
+    for finding in findings:
+        print(finding.render())
+    print(f"{len(findings)} finding(s) in {len(files)} file(s)")
+    return 1 if findings else 0
 
 
 def _command_exp6(args: argparse.Namespace) -> None:
@@ -1515,7 +1357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Commands return ``None`` for plain success; ``lint`` returns the
-    0/1/2 clean/findings/config-error contract.
+    0/1/2 clean/findings/no-src contract.
     """
     args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)

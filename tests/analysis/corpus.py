@@ -1,11 +1,11 @@
 """The reprolint fixture corpus.
 
-One (flagging, clean, noqa-suppressed) triple per rule, kept as
-strings so the deliberately-bad fixture code never reaches the
-general linters (ruff/pyflakes) that sweep ``tests/``. The rules
-reason over the whole program (DESIGN.md §14), so each variant is a
-*file tree* (repo-relative path -> source) that the harness writes
-under a temp root and lints whole with exactly one rule selected.
+One (flagging, clean) pair per check, kept as strings so the
+deliberately-bad fixture code never reaches the general linters
+(ruff/pyflakes) that sweep ``tests/``. The checks reason over the
+whole program (DESIGN.md §14), so each variant is a *file tree*
+(repo-relative path -> source) that the harness writes under a temp
+root and lints whole; each tree trips at most its own check.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from textwrap import dedent
 from typing import Dict, Tuple
 
-#: (rule id, variant) -> {relpath: source}. Variants: flag / clean /
-#: noqa. Paths follow the ``src/repro/<subsystem>/...`` layout so the
+#: (rule id, variant) -> {relpath: source}. Variants: flag / clean.
+#: Paths follow the ``src/repro/<subsystem>/...`` layout so the
 #: program model's module naming and subsystem mapping apply.
 CORPUS: Dict[Tuple[str, str], Dict[str, str]] = {}
 
@@ -28,20 +28,12 @@ def write_tree(root, files):
     return root
 
 
-def _add(
-    rule: str,
-    flag: Dict[str, str],
-    clean: Dict[str, str],
-    noqa: Dict[str, str],
-) -> None:
+def _add(rule: str, flag: Dict[str, str], clean: Dict[str, str]) -> None:
     CORPUS[(rule, "flag")] = {
         path: dedent(source) for path, source in flag.items()
     }
     CORPUS[(rule, "clean")] = {
         path: dedent(source) for path, source in clean.items()
-    }
-    CORPUS[(rule, "noqa")] = {
-        path: dedent(source) for path, source in noqa.items()
     }
 
 
@@ -70,17 +62,6 @@ _add(
 
         def routes():
             return trainer.train()
-        """,
-    },
-    noqa={
-        "src/repro/ml/trainer.py": """\
-        from repro.serving import registry  # repro: noqa[REP012]
-
-        def train():
-            return registry.ROUTES
-        """,
-        "src/repro/serving/registry.py": """\
-        ROUTES = ()
         """,
     },
 )
@@ -114,18 +95,6 @@ _add(
         def run(metrics):
             metrics.counter(names.CHUNKS_PROCESSED).inc()
             metrics.gauge("engine.rows_seen").set(0)
-        """,
-    },
-    noqa={
-        "src/repro/obs/names.py": """\
-        CHUNKS_PROCESSED = "engine.chunks_processed"
-        DEAD_NAME = "engine.never_emitted"  # repro: noqa[REP014]
-        """,
-        "src/repro/core/engine.py": """\
-        from repro.obs import names
-
-        def run(metrics):
-            metrics.counter(names.CHUNKS_PROCESSED).inc()
         """,
     },
 )

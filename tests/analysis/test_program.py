@@ -2,37 +2,25 @@
 
 Each test builds a :class:`ProgramModel` from in-memory sources and
 probes one layer directly — module naming, alias promotion, reference
-resolution and the import graph — independent of any lint rule; the
-cycle test goes through ``run_lint``, since REP012 owns the search.
+resolution and the import graph — independent of any check; the
+cycle test goes through ``check_layering``, since REP012 owns the
+search.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from textwrap import dedent
 
-from repro.analysis import LintConfig, run_lint
-from repro.analysis.base import ParsedModule
-from repro.analysis.program import ProgramModel, module_name_for, subsystem_of
-from tests.analysis.corpus import write_tree
+from repro.analysis import ParsedModule, ProgramModel, check_layering
+from repro.analysis.program import module_name_for, subsystem_of
 
 
 def _build(files):
-    parsed = []
-    for relpath, source in sorted(files.items()):
-        source = dedent(source)
-        parsed.append(
-            ParsedModule(
-                path=Path(relpath),
-                relpath=relpath,
-                source=source,
-                tree=ast.parse(source),
-                lines=source.splitlines(),
-                suppressions={},
-            )
-        )
-    return ProgramModel.build(parsed)
+    return ProgramModel.build([
+        ParsedModule(relpath, ast.parse(dedent(source)))
+        for relpath, source in sorted(files.items())
+    ])
 
 
 def test_module_naming_and_subsystems():
@@ -107,27 +95,24 @@ def test_resolve_module_longest_prefix():
     assert model.resolve_module("numpy.random") is None
 
 
-def _cycle_findings(tmp_path, files):
-    write_tree(tmp_path, files)
-    config = LintConfig(roots=("src",), select=("REP012",), baseline=None)
+def _cycle_findings(files):
     return [
-        f for f in run_lint(tmp_path, config=config).findings
-        if "cycle" in f.message
+        f for f in check_layering(_build(files)) if "cycle" in f.message
     ]
 
 
-def test_subsystem_cycle_detection(tmp_path):
+def test_subsystem_cycle_detection():
     acyclic = {
         "src/repro/serving/registry.py": "from repro.ml import trainer\n",
         "src/repro/ml/trainer.py": "def train():\n    return ()\n",
     }
-    assert _cycle_findings(tmp_path / "acyclic", acyclic) == []
+    assert _cycle_findings(acyclic) == []
 
     cyclic = {
         "src/repro/serving/registry.py": "from repro.ml import trainer\n",
         "src/repro/ml/trainer.py": "from repro.serving import registry\n",
     }
-    [finding] = _cycle_findings(tmp_path / "cyclic", cyclic)
+    [finding] = _cycle_findings(cyclic)
     assert "ml -> serving -> ml" in finding.message
     assert finding.path == "src/repro/ml/trainer.py"
 

@@ -496,10 +496,14 @@ class TestRunRecoverCommands:
         assert "recovered from checkpoint at chunk 8" in out
         assert "chunks=40" in out
 
-    def test_fleet_rejects_single_pipeline_faults(self):
-        for flag in (["--kill-at", "3"], ["--retry"]):
+    def test_fleet_rejects_single_pipeline_faults(self, tmp_path):
+        for argv in (
+            ["run", "--kill-at", "3"],
+            ["run", "--retry"],
+            ["recover", "--checkpoint-dir", str(tmp_path), "--retry"],
+        ):
             with pytest.raises(SystemExit, match="--sigkill-at"):
-                main(["run", "--approach", "fleet", *flag])
+                main([*argv, "--approach", "fleet"])
 
     def test_uninterrupted_run(self, capsys):
         assert main(

@@ -2,7 +2,7 @@
 layer table, and a cycle exactly when the import graph has one.
 
 Each seed writes a small tree under ``src/repro/<subsystem>/``: ranked
-subsystems drawn from ``LayeringRule.LAYERS`` (sometimes two that share
+subsystems drawn from ``LAYERS`` (sometimes two that share
 a layer), zero to two subsystems the table does not rank, and sometimes
 the vocabulary modules ``obs/names.py`` and ``reliability/sites.py``.
 Every module imports a few others, each import written in one of four
@@ -23,11 +23,12 @@ seed and the ``pytest -k`` line that replays it.
 """
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import LintConfig, run_lint
-from repro.analysis.progrules import LayeringRule
+from repro.analysis import LAYERS
+from repro.analysis import lint as lint_tree
 from repro.utils.rng import ensure_rng
 from tests.analysis.corpus import write_tree
 
@@ -35,7 +36,7 @@ SEEDS = range(40)
 PLACEMENTS = ("top", "function", "type_checking")
 #: Subsystems the table ranks that can be written as a package.
 RANKED = tuple(
-    name for name in LayeringRule.LAYERS if name not in ("repro", "__main__")
+    name for name in LAYERS if name not in ("repro", "__main__")
 )
 UNRANKED = ("alpha", "omega")
 VOCABULARY = {
@@ -69,10 +70,10 @@ def generate(seed):
     ranked = [str(s) for s in rng.choice(RANKED, int(rng.integers(2, 5)), replace=False)]
     if rng.random() < 0.4:
         # A second subsystem on a layer already drawn, when one is left.
-        layer = LayeringRule.LAYERS[ranked[0]]
+        layer = LAYERS[ranked[0]]
         siblings = [
             s for s in RANKED
-            if LayeringRule.LAYERS[s] == layer and s not in ranked
+            if LAYERS[s] == layer and s not in ranked
         ]
         if siblings:
             ranked[-1] = str(rng.choice(siblings))
@@ -129,7 +130,7 @@ def reference(imports):
         src, dst = subsystem(importer), subsystem(target)
         if src != dst and target not in VOCABULARY:
             edges.setdefault((src, dst), set()).add((path, line))
-    layers = LayeringRule.LAYERS
+    layers = LAYERS
     layering = {
         pair
         for pair in edges
@@ -150,9 +151,7 @@ def reference(imports):
 
 
 def lint(tmp_path, files):
-    write_tree(tmp_path, files)
-    config = LintConfig(roots=("src",), select=("REP012",), baseline=None)
-    return run_lint(tmp_path, config=config)
+    return SimpleNamespace(findings=lint_tree(write_tree(tmp_path, files)))
 
 
 def check(seed, tmp_path):
@@ -188,9 +187,7 @@ def check(seed, tmp_path):
         for pair in zip(cycle, cycle[1:]):
             assert pair in edges, context
     again = lint(tmp_path, files)
-    assert [f.to_dict() for f in again.findings] == [
-        f.to_dict() for f in result.findings
-    ], replay
+    assert again.findings == result.findings, replay
     return imports, layering, cyclic, vocabulary
 
 
@@ -211,7 +208,7 @@ def test_the_generated_trees_are_not_vacuous(tmp_path):
         kinds["cycle" if cyclic else "acyclic"] += 1
         kinds["vocabulary"] += bool(vocabulary)
         kinds["same_layer"] += any(
-            LayeringRule.LAYERS[a] == LayeringRule.LAYERS[b]
+            LAYERS[a] == LAYERS[b]
             for a, b in layering
         )
     assert placements == set(PLACEMENTS)
