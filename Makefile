@@ -140,7 +140,7 @@ bench-e2e-pin:
 # End-to-end smoke recipes, one per subsystem; CI runs each as one
 # entry of its `smoke` matrix job, `make smoke` runs them all locally.
 # Every recipe starts from an empty scratch directory of its own.
-SMOKES := serving perf monitor traffic fleet lineage recovery e2e figures
+SMOKES := serving perf monitor fleet lineage recovery e2e figures
 SMOKE_DIR ?= .smoke
 REPRO := PYTHONPATH=src python -m repro
 RUN := PYTHONPATH=src timeout
@@ -157,12 +157,15 @@ smoke-scratch-%:
 	rm -rf $(SMOKE_DIR)/$* && mkdir -p $(SMOKE_DIR)/$*
 
 # Registry bootstrap, canary reject, promote, and quality-gated
-# rollback, then the registry CLI — well under 60s.
+# rollback, then the registry CLI, then batched serving throughput
+# (`predict_requests`) against its committed gate.
 smoke-serving:
 	$(RUN) 60 python examples/serving_rollout.py
 	$(RUN) 60 python -m repro serve --dataset url --scale test \
 		--registry $D/registry
 	$(REPRO) registry list --registry $D/registry
+	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
+		benchmarks/bench_serving_throughput.py
 
 # A baseline for the reference workload, then an identical re-run
 # gated against it: the self-comparison must pass exactly, because
@@ -189,20 +192,6 @@ smoke-monitor:
 		--run-dir $D/b
 	cmp $D/a/health.json $D/b/health.json
 	$(REPRO) obs $D/a
-
-# exp7 must shed load during the burst and keep both identity
-# guarantees (batched == row-at-a-time, a fresh-endpoint replay of
-# regenerated arrivals), two identical monitored runs must export
-# byte-identical health timelines, and serving throughput must pass
-# its committed gate.
-smoke-traffic:
-	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
-		--run-dir $D/a
-	$(RUN) 120 python -m repro exp7 --dataset url --scale test \
-		--run-dir $D/b
-	cmp $D/a/health.json $D/b/health.json
-	REPRO_BENCH_CHECK=1 $(BENCH_GATE) \
-		benchmarks/bench_serving_throughput.py
 
 # The exp8 policy comparison must hold at smoke scale (fair-share
 # beats round robin at an equal training budget) and each policy's

@@ -1,10 +1,10 @@
 """Micro-batched serving throughput vs request-at-a-time.
 
-The traffic front end exists because serving one request per call
-pays the full transform + kernel dispatch overhead per request
-(§4.5's deployed-pipeline setting). This benchmark prices that
-directly on real machinery — an open-loop arrival stream sampled
-from a replay pool, served twice by fresh endpoints:
+Batched serving (``predict_requests``) exists because serving one
+request per call pays the full transform + kernel dispatch overhead
+per request (§4.5's deployed-pipeline setting). This benchmark
+prices that directly on real machinery — an open-loop arrival stream
+sampled from a replay pool, served twice by fresh endpoints:
 
 1. request-at-a-time: one ``predict`` call per request;
 2. micro-batched: the same requests grouped into fixed-size batches

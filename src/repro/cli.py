@@ -14,8 +14,8 @@ scale EXPERIMENTS.md records (minutes). Output is the same row/series
 rendering the benchmark suite prints.
 
 Observability: ``--run-dir DIR`` on any command that runs a
-deployment (``exp1 fig5 fig6 fig7 fig8 exp5 exp7 exp6 serve run
-recover exp8``) instruments the run and writes its record under
+deployment (``exp1 fig5 fig6 fig7 fig8 exp5 exp6 serve run recover
+exp8``) instruments the run and writes its record under
 ``DIR``: ``run.json`` (argv, git sha), ``trace.jsonl`` (every event),
 ``health.json`` (the monitor's incident timeline) and ``lineage.json``
 (the provenance ledger). ``repro obs DIR`` reads them back as one
@@ -233,15 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_options(exp5)
     add_run_dir_option(exp5)
 
-    exp7 = commands.add_parser(
-        "exp7",
-        help="canary + shadow rollout under an open-loop traffic "
-        "spike: micro-batching, load shedding, SLO alerts, plus "
-        "batched-vs-row-at-a-time and replay identity checks",
-    )
-    add_scenario_options(exp7)
-    add_run_dir_option(exp7)
-
     serve = commands.add_parser(
         "serve",
         help="run a continuous deployment with a model registry and "
@@ -438,8 +429,7 @@ def _attach(args: argparse.Namespace, rules=None):
     a run that crashes still names itself. Every event goes to
     ``trace.jsonl`` as it happens. The ledger is attached before the
     monitor so incidents can carry lineage evidence; ``rules``
-    overrides the monitor's default rule set (exp7's traffic rules,
-    the fleet's own).
+    overrides the monitor's default rule set (the fleet's own).
     """
     if args.run_dir is None:
         return None
@@ -766,61 +756,6 @@ def _command_exp5(args: argparse.Namespace) -> None:
         f"rejections={claims['gated_rejections']:.0f})"
     )
     _finish(args, telemetry)
-
-
-def _command_exp7(args: argparse.Namespace) -> None:
-    from repro.experiments.exp7_traffic import (
-        PHASES,
-        default_traffic_config,
-        headline_claims,
-        run_traffic_experiment,
-    )
-
-    from repro.traffic.slo import monitor_rules_for_traffic
-
-    scenario = _scenario(args)
-    config = default_traffic_config(scenario)
-    telemetry = _attach(
-        args,
-        rules=monitor_rules_for_traffic(
-            p99_budget=config.p99_budget,
-            shed_per_window=config.shed_per_window,
-        ),
-    )
-    result = run_traffic_experiment(
-        scenario,
-        config=config,
-        telemetry=telemetry,
-    )
-    print(
-        f"{'phase':<10} {'mode':<7} {'arrivals':>8} {'shed':>6} "
-        f"{'p99 lat':>9} {'batches':>8} {'mean size':>9}"
-    )
-    for phase in PHASES:
-        outcome = result.phases[phase]
-        report = outcome.result.report
-        print(
-            f"{phase:<10} {outcome.mode:<7} {report.arrivals:>8} "
-            f"{report.shed:>6} {report.latency['p99']:>9.4f} "
-            f"{report.batches:>8} {report.mean_batch_size:>9.2f}"
-        )
-    claims = headline_claims(result)
-    print(
-        f"\nspike vs steady p99 ratio: "
-        f"{claims['spike_vs_steady_p99_ratio']:.2f}x, "
-        f"shed during spike: {claims['spike_shed']:.0f}, "
-        f"training chunks during run: "
-        f"{claims['training_chunks_during_run']:.0f}"
-    )
-    print(
-        "batched == row-at-a-time: "
-        f"{'yes' if result.bit_identical else 'NO'}; "
-        "replay byte-identical: "
-        f"{'yes' if result.replay_identical else 'NO'}"
-    )
-    _finish(args, telemetry)
-    if not (result.bit_identical and result.replay_identical):
-        return 1
 
 
 def _command_serve(args: argparse.Namespace) -> None:
@@ -1342,7 +1277,6 @@ _COMMANDS = {
     "fig8": _command_fig8,
     "obs": _command_obs,
     "exp5": _command_exp5,
-    "exp7": _command_exp7,
     "serve": _command_serve,
     "registry": _command_registry,
     "run": _command_run,

@@ -17,7 +17,7 @@ The paper's claims to reproduce in shape:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.deployment.base import DeploymentResult
 from repro.experiments.common import (
@@ -46,16 +46,6 @@ def run_experiment1(
         "online": run_online(scenario),
         "periodical": run_periodical(scenario),
         "continuous": run_continuous(scenario, telemetry=telemetry),
-    }
-
-
-def quality_series(
-    results: Mapping[str, DeploymentResult],
-) -> Dict[str, List[float]]:
-    """Figure 4(a)/(c): cumulative error curves per approach."""
-    return {
-        name: list(result.error_history)
-        for name, result in results.items()
     }
 
 

@@ -12,7 +12,7 @@ reproduce in shape:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -46,16 +46,6 @@ def run_sampling_experiment(
         )
         results[sampler] = run_continuous(adapted, telemetry=telemetry)
     return results
-
-
-def quality_series(
-    results: Mapping[str, DeploymentResult],
-) -> Dict[str, List[float]]:
-    """Figure 6 curves: cumulative error per sampling strategy."""
-    return {
-        name: list(result.error_history)
-        for name, result in results.items()
-    }
 
 
 def average_errors(

@@ -1,7 +1,7 @@
 """The fleet orchestrator: many pipelines, one clock, shared budgets.
 
 :class:`FleetOrchestrator` steps dozens of tenant deployments
-cooperatively on one shared :class:`~repro.traffic.simulate.VirtualClock`
+cooperatively on one shared :class:`~repro.fleet.clock.VirtualClock`
 (advanced to the *sum* of the tenants' engine costs, so fleet
 telemetry timestamps reflect total work done). Every scheduling epoch
 it:
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.fleet.clock import VirtualClock
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import FleetSpec
 from repro.fleet.tenant import TenantRuntime
@@ -38,7 +39,6 @@ from repro.obs import names
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.reliability.checkpoint import CheckpointConfig, CheckpointStore
 from repro.reliability.runtime import ReliabilityRuntime
-from repro.traffic.simulate import VirtualClock
 
 
 def _canonical_digest(payload: Any) -> str:

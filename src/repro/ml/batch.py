@@ -2,10 +2,11 @@
 
 Serving a request at a time pays the full Python/numpy dispatch
 overhead per request — attribute checks, shape validation, a BLAS (or
-sparse) kernel launch for a handful of rows. The micro-batching front
-end (:mod:`repro.traffic`) amortizes that by stacking the feature
-blocks of many queued requests and running the model's vectorized
-``predict`` once, then splitting the result back per block.
+sparse) kernel launch for a handful of rows. Batched serving
+(:meth:`~repro.serving.endpoint.ServingEndpoint.predict_requests`)
+amortizes that by stacking the feature blocks of many queued requests
+and running the model's vectorized ``predict`` once, then splitting
+the result back per block.
 
 The contract that makes this safe is **bit-identity**: every model in
 :mod:`repro.ml` scores row ``i`` of a stacked matrix exactly as it

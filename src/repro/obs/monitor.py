@@ -57,14 +57,13 @@ _SKIP_PREFIXES = ("monitor.", "alert.", "health.", "lineage.")
 
 #: Signals whose incidents carry provenance evidence when a lineage
 #: ledger is bound (see :meth:`HealthMonitor._lineage_evidence`).
-_LINEAGE_SIGNAL_PREFIXES = ("serving.", "slo.")
+_LINEAGE_SIGNAL_PREFIX = "serving."
 
 #: Default numeric attributes promoted to value signals (read-only).
 DEFAULT_VALUE_ATTRS: Mapping[str, str] = MappingProxyType(
     {
         names.PLATFORM_CHUNK: "error",
         names.SERVING_LATENCY: "cost",
-        names.SLO_LATENCY: "cost",
     }
 )
 
@@ -483,14 +482,14 @@ class HealthMonitor(EventSink):
     def _lineage_evidence(self, rule) -> Optional[Dict[str, object]]:
         """Provenance snapshot appended to serving-incident evidence.
 
-        When a ``serving.*``/``slo.*`` rule fires with a ledger bound,
+        When a ``serving.*`` rule fires with a ledger bound,
         the incident is recorded as a lineage node implicating the
         live model version, and the evidence gains the version plus
         the ledger digest at fire time — enough to ``blame`` the
         model's training chunks afterwards.
         """
         if self._ledger is None or not rule.signal.startswith(
-            _LINEAGE_SIGNAL_PREFIXES
+            _LINEAGE_SIGNAL_PREFIX
         ):
             return None
         live = self._ledger.live_version()

@@ -11,8 +11,8 @@ Names follow the ``subsystem.event`` dotted convention: lowercase
 first naming the owning subsystem (``engine``, ``cache``,
 ``scheduler``, ``platform``, ``serving``, ``registry``, ``rollout``,
 ``reliability``, ``drift``, ``sampler``, ``span``, ``perf``,
-``profile``, ``monitor``, ``alert``, ``health``, ``traffic``,
-``batch``, ``slo``, ``fleet``, ``lineage``).
+``profile``, ``monitor``, ``alert``, ``health``, ``fleet``,
+``lineage``).
 
 Families whose tail is data-dependent (``registry.<event>``,
 ``rollout.<action>``, ``span.<span-name>``) are declared as
@@ -71,31 +71,6 @@ REGISTRY_PREFIX = "registry."
 ROLLOUT_PREFIX = "rollout."
 #: ``span.<span-name>`` — the tracer's per-span duration histograms.
 SPAN_PREFIX = "span."
-
-# -- traffic: open-loop load generation / admission control -------------
-TRAFFIC_ARRIVALS = "traffic.arrivals"
-TRAFFIC_ADMITTED = "traffic.admitted"
-TRAFFIC_SHED = "traffic.shed"
-TRAFFIC_COMPLETED = "traffic.completed"
-TRAFFIC_ROWS = "traffic.rows"
-TRAFFIC_USERS = "traffic.users"
-TRAFFIC_QUEUE_DEPTH = "traffic.queue_depth"
-TRAFFIC_TRAINING_CHUNKS = "traffic.training_chunks"
-
-# -- micro-batching front end -------------------------------------------
-BATCH_DISPATCHED = "batch.dispatched"
-BATCH_ROWS = "batch.rows"
-BATCH_SIZE = "batch.size"
-BATCH_WAIT = "batch.wait"
-BATCH_FLUSH_FULL = "batch.flush_full"
-BATCH_FLUSH_WAIT = "batch.flush_wait"
-
-# -- serving SLO surface ------------------------------------------------
-SLO_LATENCY = "slo.latency"
-SLO_QUEUE_DELAY = "slo.queue_delay"
-SLO_SERVICE_TIME = "slo.service_time"
-SLO_THROUGHPUT = "slo.throughput"
-SLO_SHED_RATE = "slo.shed_rate"
 
 # -- fleet orchestration ------------------------------------------------
 FLEET_EPOCH = "fleet.epoch"

@@ -276,7 +276,7 @@ class ServingEndpoint:
     ) -> ServedBatch:
         """Serve many queued requests as one micro-batch.
 
-        The batched front end (:mod:`repro.traffic`): the requests'
+        :meth:`predict` is its one-request case. The requests'
         tables are concatenated and each pipeline/model runs once over
         the merged rows, amortizing per-call transform and kernel
         dispatch. ``keys`` are the stable per-request routing keys —

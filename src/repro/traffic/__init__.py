@@ -1,9 +1,10 @@
-"""Open-loop traffic generation, micro-batched serving, admission.
+"""Open-loop traffic generation, micro-batching, admission.
 
 The paper's serving story (§4.5) assumes a deployed pipeline answers
 a stream of prediction queries while training continues in the
-background. This package makes that load explicit and simulable on
-the virtual clock:
+background. This package generates that load, and holds the
+admission and micro-batching policies of a front end to the serving
+endpoint:
 
 * :mod:`repro.traffic.generator` — a deterministic open-loop
   generator: heavy-tailed inter-arrivals, diurnal rate curves, burst
@@ -13,15 +14,9 @@ the virtual clock:
   deterministic shed policy.
 * :mod:`repro.traffic.batcher` — the micro-batching flush policy
   (max batch size / max wait) in front of the serving endpoint.
-* :mod:`repro.traffic.simulate` — a discrete-event simulator wiring
-  the above to a :class:`~repro.serving.endpoint.ServingEndpoint`
-  with queue-delay/service-time accounting in virtual cost units.
-* :mod:`repro.traffic.slo` — SLO percentile tracking and the alert
-  rules that feed the health monitor.
 
-Everything is seeded through :mod:`repro.utils.rng` and timed on the
-virtual clock, so arrival streams, shed decisions, and latency
-percentiles are byte-reproducible across runs.
+Everything is seeded through :mod:`repro.utils.rng`, so arrival
+streams and shed decisions are byte-reproducible across runs.
 """
 
 from repro.traffic.admission import AdmissionQueue, Request
@@ -32,17 +27,6 @@ from repro.traffic.generator import (
     OpenLoopGenerator,
     TrafficPattern,
 )
-from repro.traffic.simulate import (
-    SimulationConfig,
-    TrafficSimulator,
-    VirtualClock,
-)
-from repro.traffic.slo import (
-    SloTracker,
-    TrafficReport,
-    monitor_rules_for_traffic,
-    traffic_rules,
-)
 
 __all__ = [
     "AdmissionQueue",
@@ -52,12 +36,5 @@ __all__ = [
     "MicroBatcher",
     "OpenLoopGenerator",
     "Request",
-    "SimulationConfig",
-    "SloTracker",
     "TrafficPattern",
-    "TrafficReport",
-    "TrafficSimulator",
-    "VirtualClock",
-    "monitor_rules_for_traffic",
-    "traffic_rules",
 ]

@@ -17,7 +17,7 @@ pytestmark = pytest.mark.filterwarnings(
 #: extensions' drivers, and the two tools.
 COMMANDS = (
     "exp1", "table3", "fig5", "fig6", "table4", "fig7", "fig8",
-    "exp5", "exp6", "exp7", "exp8", "serve", "registry", "run",
+    "exp5", "exp6", "exp8", "serve", "registry", "run",
     "recover", "obs", "lint",
 )
 
@@ -64,7 +64,7 @@ class TestParser:
         "argv",
         [
             # 'traffic' folded into exp7, 'fleet' into run/recover
-            # and exp8.
+            # and exp8; exp7 and its simulator were then deleted.
             ["traffic", "synth"],
             ["traffic", "replay"],
             ["fleet", "run"],
@@ -75,6 +75,7 @@ class TestParser:
             ["run", "--approach", "fleet", "--spec", "fleet.json"],
             ["run", "--approach", "fleet", "--policy", "round_robin"],
             ["run", "--approach", "fleet", "--sigkill-at-epoch", "5"],
+            ["exp7", "--scale", "test"],
         ],
     )
     def test_folded_commands_and_options_are_usage_errors(self, argv):
@@ -729,7 +730,7 @@ class TestLineageCli:
         assert "\n\nprovenance ledger\n" in capsys.readouterr().out
 
 
-#: The twelve commands ``--run-dir`` instruments, at their smallest
+#: The eleven commands ``--run-dir`` instruments, at their smallest
 #: scale, and ``run`` once more for a fleet. ``{tmp}`` is the test's scratch directory: ``serve`` gets a
 #: fresh registry there on every invocation, and ``recover`` a fresh
 #: copy of one crashed run's checkpoints.
@@ -740,7 +741,6 @@ RUN_DIR_ARGV = {
     "fig7": ["fig7", "--scale", "test"],
     "fig8": ["fig8", "--scale", "test"],
     "exp5": ["exp5", "--scale", "test"],
-    "exp7": ["exp7", "--scale", "test"],
     "exp6": ["exp6", "--scale", "test"],
     "serve": ["serve", "--scale", "test", "--registry", "{tmp}/registry"],
     "run": ["run", "--scale", "test"],

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.common import taxi_scenario, url_scenario
 from repro.experiments.exp1_deployment import (
     cost_ratios,
-    quality_series,
     run_experiment1,
 )
 from repro.experiments.exp2_sampling import (
@@ -65,9 +64,11 @@ class TestExperiment1:
         assert ratios["periodical"] > 1.5
 
     def test_series_extraction(self, url_results):
-        quality = quality_series(url_results)
-        assert set(quality) == set(url_results)
-        assert all(len(v) == 40 for v in quality.values())
+        assert set(url_results) == {"online", "periodical", "continuous"}
+        assert all(
+            len(result.error_history) == 40
+            for result in url_results.values()
+        )
 
     def test_errors_are_rates(self, url_results):
         for result in url_results.values():

@@ -29,7 +29,6 @@ from repro.experiments.common import (
     url_scenario,
 )
 from repro.experiments.exp5_serving import run_serving_experiment
-from repro.experiments.exp7_traffic import run_traffic_experiment
 from repro.fleet import FleetOrchestrator, make_fleet
 from repro.ml.models.svm import LinearSVM
 from repro.ml.optim import make_optimizer
@@ -365,17 +364,6 @@ def _run_serving(telemetry):
     }
 
 
-def _run_traffic(telemetry):
-    result = run_traffic_experiment(
-        url_scenario("test"), telemetry=telemetry, verify_identity=False
-    )
-    return (
-        {name: o.result.digest() for name, o in result.phases.items()},
-        result.training_chunks,
-        result.training_cost,
-    )
-
-
 def _run_faulty(telemetry):
     """Transient stream and storage faults, masked by retries."""
     scenario = url_scenario("test").with_continuous(
@@ -401,7 +389,6 @@ SUBSYSTEMS = {
     **{approach: _run_approach(approach) for approach in APPROACHES},
     "fleet": _run_fleet,
     "serving": _run_serving,
-    "traffic": _run_traffic,
     "faults+retries": _run_faulty,
 }
 

@@ -36,8 +36,8 @@ class UrlWorld:
     roots: List = field(default_factory=list)
 
 
-@pytest.fixture
-def url_world(tmp_path):
+def make_url_world(root):
+    """The :class:`UrlWorld` whose registries live under ``root``."""
     generator = URLStreamGenerator(
         num_chunks=NUM_CHUNKS, rows_per_chunk=ROWS, seed=SEED
     )
@@ -57,13 +57,18 @@ def url_world(tmp_path):
         return pipeline, model, optimizer
 
     def registry_factory(name="registry", telemetry=None):
-        return ModelRegistry(tmp_path / name, telemetry=telemetry)
+        return ModelRegistry(root / name, telemetry=telemetry)
 
     return UrlWorld(
         generator=generator,
         make_parts=make_parts,
         registry_factory=registry_factory,
     )
+
+
+@pytest.fixture
+def url_world(tmp_path):
+    return make_url_world(tmp_path)
 
 
 @pytest.fixture

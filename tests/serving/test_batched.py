@@ -1,7 +1,7 @@
 """Micro-batched serving: bit-identity and deduplicated transforms.
 
-``predict_requests`` is the traffic front end's entry point: many
-queued requests served as one merged batch. The acceptance bar is
+``predict_requests`` serves many queued requests as one merged
+batch. The acceptance bar is
 bit-identity — the flattened per-side prediction streams must match
 request-at-a-time serving byte for byte, in every rollout mode — plus
 the satellite guarantee that shadow serving runs the shared stateless
